@@ -449,13 +449,16 @@ def _cmd_ifs_verify(cfg: RunConfig) -> int:
             "disjoint_certified": region.disjoint_certified,
         }
     sep_level = int(block["separation_level"])
+    if cfg.quick:
+        sep_level = max(1, sep_level - 1)
     separation = min_piece_separation(ifs, sep_level)
     payload["separation"] = {"level": sep_level, "value": separation}
     certified = (region is None or region.certified) and separation > 0.0
     verdict = "certified" if certified else "uncertified"
     payload["verdict"] = verdict
     _emit_json(cfg, "ifs_verify.json", "ifs verify",
-               {"ifs": {**block, "samples_used": samples}}, payload)
+               {"ifs": {**block, "samples_used": samples,
+                        "separation_level_used": sep_level}}, payload)
     if region is not None:
         print(f"region: {region.violations} violations / {region.sample_count} "
               f"samples, slack {region.slack:.3e}")

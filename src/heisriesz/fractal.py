@@ -635,17 +635,19 @@ def _gauge_dist(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return (sq * sq + dv * dv) ** 0.25
 
 
-def _compose_after(q: np.ndarray, rw: np.ndarray, s: Similarity, n: int):
-    """Composite of a word transform (q, rw) followed by the map s.
+def _compose_after(q: np.ndarray, rw: np.ndarray, sq: np.ndarray,
+                   sr: np.ndarray, n: int):
+    """Composite of word transforms (q, rw) followed by maps (sq, sr).
 
     tau_q delta_rw . tau_{q_s} delta_{r_s} = tau_{q . delta_rw(q_s)}
     delta_{rw r_s}, so appending a letter at the end of a word only
-    needs the parent's composite, never the whole word.
+    needs the parent's composite, never the whole word.  Broadcasts:
+    parents of shape (P, 1) against all N letters give (P, N) children.
     """
-    shifted = np.empty_like(q)
-    shifted[..., :-1] = rw[..., None] * s.q[:-1]
-    shifted[..., -1] = rw * rw * s.q[-1]
-    return _left_mul(q, shifted, n), rw * s.r
+    shifted = np.empty(np.broadcast_shapes(q.shape, sq.shape))
+    shifted[..., :-1] = rw[..., None] * sq[..., :-1]
+    shifted[..., -1] = rw * rw * sq[..., -1]
+    return _left_mul(q, shifted, n), rw * sr
 
 
 def _compose_before(s: Similarity, q: np.ndarray, rw: np.ndarray, n: int):
@@ -671,16 +673,30 @@ def min_piece_separation(ifs: Ifs, level: int, base=None,
                          sample: int = 4096) -> float:
     """Exact minimal gauge distance across distinct first-letter cylinders.
 
-    Runs a dense pass at the deepest level whose atom count stays within
-    `sample`, then refines only candidate pairs whose descendants could
-    still contain the minimum, using the drift bound
+    Branch and bound over word pairs with different first letters, each
+    word w stood for by its anchor w(base).  A dense pass covers the
+    deepest level whose word count stays within `sample`; the pairs that
+    may still hold the minimum are then refined one letter per level, the
+    N x N child pairs of a fixed-size chunk of parents at once, up to
+    `level` = L.  A level-l anchor lies within
 
-        d(atom, level-l ancestor) <= r^l rho0 (1 - r^(L-l)) / (1 - r)
+        drift(l) = r^l rho0 (1 - r^(L-l)) / (1 - r)
 
-    (r the largest ratio, rho0 the largest one-step displacement of the
-    base).  The refinement keeps every ancestor of the true minimum, so
-    the result is exact and `sample` affects runtime only.  A one-map
-    system has no cross pairs and returns +inf.
+    of each of its level-L descendants (r the largest ratio, rho0 the
+    largest one-step displacement of the base), so a pair at distance d
+    is dropped once d - 2 drift(l) exceeds an upper bound U on the answer.
+
+    When the base is the fixed point of some map m (the default is map 0),
+    the anchor w(base) = w m^(L-l)(base) is itself a level-L atom with the
+    same first letter, so every distance computed is realized at level L
+    and U is the least one seen so far.  Any other base only gives
+    U = d + 2 drift(l) for a level-l distance d.  Either way pruning keeps
+    every ancestor pair of the minimum (with 1e-12 slack for rounding), so
+    the result is exact and `sample` affects runtime only.  Memory grows
+    with the chunk (about 2^20 distances at a time) and the surviving
+    pairs, not with the pair count at `level`; more than 2^22 surviving
+    pairs raise RuntimeError.  A one-map system has no cross pairs and
+    returns +inf.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
@@ -691,7 +707,7 @@ def min_piece_separation(ifs: Ifs, level: int, base=None,
     if base is None:
         base = maps[0].fixed_point()
     b, _, _ = _coords(base, n)
-    dim = ambient_dim(n)
+    realized = any(np.array_equal(b, s.fixed_point().coords) for s in maps)
 
     r_max = float(np.max(ifs.ratios))
     rho0 = max(float(_gauge_dist(b, _coords(s.apply(b), n)[0], n)) for s in maps)
@@ -705,84 +721,68 @@ def min_piece_separation(ifs: Ifs, level: int, base=None,
 
     def positions(qc: np.ndarray, rc: np.ndarray) -> np.ndarray:
         scaled = np.empty_like(qc)
-        scaled[:, :-1] = rc[:, None] * b[:-1]
-        scaled[:, -1] = rc * rc * b[-1]
+        scaled[..., :-1] = rc[..., None] * b[:-1]
+        scaled[..., -1] = rc * rc * b[-1]
         return _left_mul(qc, scaled, n)
 
     # composites (q, rw) for every coarse-level word, first letter most
-    # significant so the first-letter group is index // N^(coarse-1)
-    q = np.stack([s.q for s in maps])
-    rw = ifs.ratios.copy()
+    # significant so each first letter owns a block of `group` rows
+    sq, sr = np.stack([s.q for s in maps]), ifs.ratios
+    q, rw = sq, sr
     for _ in range(coarse - 1):
         blocks = [_compose_before(s, q, rw, n) for s in maps]
         q = np.concatenate([blk[0] for blk in blocks])
         rw = np.concatenate([blk[1] for blk in blocks])
+    group = len(rw) // N
 
-    pos = positions(q, rw)
-    total = pos.shape[0]
-    group = np.arange(total) // (N ** (coarse - 1))
-    row_chunk = max(1, 4_000_000 // max(total, 1))
+    def anchor_pairs():
+        """Each block's rows against the anchors of all later blocks."""
+        rows = max(1, 2 ** 20 // len(rw))
+        for later in range(group, len(rw), group):
+            for start in range(later - group, later, rows):
+                stop = min(start + rows, later)
+                yield (q[start:stop, None], rw[start:stop, None],
+                       q[None, later:], rw[None, later:])
 
-    def cross_pass(threshold: float | None):
-        """Min cross-group distance; also the pairs within threshold."""
-        found = math.inf
-        pairs_i, pairs_j = [], []
-        for start in range(0, total, row_chunk):
-            stop = min(start + row_chunk, total)
-            d = _gauge_dist(pos[start:stop, None, :], pos[None, :, :], n)
-            mask = group[start:stop, None] != group[None, :]
-            mask &= (start + np.arange(stop - start))[:, None] < np.arange(total)
-            if not np.any(mask):
-                continue
-            found = min(found, float(np.min(np.where(mask, d, np.inf))))
-            if threshold is not None:
-                ii, jj = np.nonzero(mask & (d <= threshold))
-                pairs_i.append(start + ii)
-                pairs_j.append(jj)
-        return found, pairs_i, pairs_j
+    def child_pairs(pairs):
+        """All N x N child pairs of a chunk of parent pairs at once."""
+        qi, ri, qj, rj = pairs
+        step = max(1, 2 ** 20 // (N * N))
+        for start in range(0, len(ri), step):
+            sl = slice(start, start + step)
+            ci, cri = _compose_after(qi[sl, None], ri[sl, None], sq, sr, n)
+            cj, crj = _compose_after(qj[sl, None], rj[sl, None], sq, sr, n)
+            yield ci[:, :, None], cri[:, :, None], cj[:, None], crj[:, None]
 
-    best, _, _ = cross_pass(None)
-    if not math.isfinite(best):
-        return math.inf
-    if coarse == level:
-        return best
+    upper = math.inf
 
-    upper_bound = best + 2.0 * drift(coarse)
-    _, pairs_i, pairs_j = cross_pass(upper_bound + 2.0 * drift(coarse) + 1e-12)
-    ii = np.concatenate(pairs_i)
-    jj = np.concatenate(pairs_j)
-    qi, ri = q[ii], rw[ii]
-    qj, rj = q[jj], rw[jj]
+    def prune(chunks, lvl: int):
+        """Least distance over the chunks and the pairs that survive it."""
+        nonlocal upper
+        least, kept, count = math.inf, [], 0
+        for side in chunks:
+            d = _gauge_dist(positions(*side[:2]), positions(*side[2:]), n)
+            least = min(least, float(np.min(d)))
+            upper = min(upper, least + (0.0 if realized else 2.0 * drift(lvl)))
+            if lvl < level:
+                sel = d <= upper + 2.0 * drift(lvl) + 1e-12
+                kept.append([d[sel]] + [
+                    np.broadcast_to(x, d.shape + x.shape[d.ndim:])[sel]
+                    for x in side])
+                count += len(kept[-1][0])
+                if count > 2 ** 22:
+                    raise RuntimeError(
+                        f"over {2 ** 22} candidate pairs at level {lvl}; "
+                        "the first-letter pieces may overlap"
+                    )
+        if lvl == level:
+            return least, None
+        cols = [np.concatenate(col) for col in zip(*kept)]
+        # the bound only tightened while collecting: filter once at the end
+        sel = cols[0] <= upper + 2.0 * drift(lvl) + 1e-12
+        return least, [c[sel] for c in cols[1:]]
 
-    for lvl in range(coarse, level):
-        # children append one letter on each side of every surviving pair
-        if len(ri) * N * N > 60_000_000:
-            raise RuntimeError(
-                "candidate refinement grew past 6e7 pairs; raise `sample` "
-                "or lower the level"
-            )
-        pair_count = len(ri)
-        qi = np.repeat(qi, N * N, axis=0)
-        ri = np.repeat(ri, N * N)
-        qj = np.repeat(qj, N * N, axis=0)
-        rj = np.repeat(rj, N * N)
-        letters_i = np.tile(np.repeat(np.arange(N), N), pair_count)
-        letters_j = np.tile(np.tile(np.arange(N), N), pair_count)
-        new_qi = np.empty_like(qi)
-        new_qj = np.empty_like(qj)
-        new_ri = np.empty_like(ri)
-        new_rj = np.empty_like(rj)
-        for m, s in enumerate(maps):
-            sel = letters_i == m
-            new_qi[sel], new_ri[sel] = _compose_after(qi[sel], ri[sel], s, n)
-            sel = letters_j == m
-            new_qj[sel], new_rj[sel] = _compose_after(qj[sel], rj[sel], s, n)
-        qi, ri, qj, rj = new_qi, new_ri, new_qj, new_rj
-
-        d = _gauge_dist(positions(qi, ri), positions(qj, rj), n)
-        best = float(np.min(d))
-        upper_bound = min(upper_bound, best + 2.0 * drift(lvl + 1))
-        keep = d <= upper_bound + 2.0 * drift(lvl + 1) + 1e-12
-        qi, ri, qj, rj = qi[keep], ri[keep], qj[keep], rj[keep]
-
-    return best
+    least, pairs = prune(anchor_pairs(), coarse)
+    for lvl in range(coarse + 1, level + 1):
+        least, pairs = prune(child_pairs(pairs), lvl)
+    return least

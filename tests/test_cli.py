@@ -81,6 +81,8 @@ def test_ifs_verify_quick(tmp_path):
     assert res["region"]["violations"] == 0
     assert res["phi"]["residual"] == 0.0
     assert res["separation"]["value"] > 0.0
+    assert doc["config"]["ifs"]["separation_level_used"] == 3
+    assert res["separation"]["level"] == 3
 
 
 def test_bad_ratio_is_config_error(tmp_path, capsys):

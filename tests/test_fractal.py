@@ -222,19 +222,49 @@ def test_invariant_region_parameter_mismatch(ifs14):
         verify_invariant_region(plain, other)
 
 
+def _brute_separation(ifs, level, base=None):
+    """Cross-first-letter minimum over all level atoms, through core.dist."""
+    pts = cylinder_measure(ifs, level, base=base).points
+    k = len(ifs.maps) ** (level - 1)
+    return min(
+        float(np.min(dist(pts[g * k:(g + 1) * k, None], pts[None, (g + 1) * k:])))
+        for g in range(len(ifs.maps) - 1)
+    )
+
+
 def test_min_piece_separation_matches_brute_force(ifs14):
-    base = ifs14.maps[0].fixed_point().coords
-    for level in (1, 2):
-        mu = cylinder_measure(ifs14, level)
-        k = len(ifs14.maps) ** (level - 1)
-        best = np.inf
-        for a in range(len(mu)):
-            for b in range(a + 1, len(mu)):
-                if a // k == b // k:
-                    continue
-                best = min(best, dist(mu.points[a], mu.points[b]))
-        got = min_piece_separation(ifs14, level, base=base)
-        assert got == pytest.approx(best, rel=1e-12)
+    # fixed points of maps 0 and 5 take the realized bound, a point that
+    # no map fixes the conservative one; sample 16 refines past level 1
+    bases = (ifs14.maps[0].fixed_point(), ifs14.maps[5].fixed_point(),
+             (0.5, 0.5, 0.3))
+    for base in bases:
+        for level in (1, 2):
+            want = _brute_separation(ifs14, level, base=base)
+            for sample in (16, 4096):
+                got = min_piece_separation(ifs14, level, base=base, sample=sample)
+                assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def brute3(ifs14):
+    return _brute_separation(ifs14, 3)
+
+
+@pytest.mark.parametrize("sample", [16, 256, 4096])
+def test_min_piece_separation_refinement_matches_brute_force(ifs14, brute3, sample):
+    # sample 16 refines two levels past the dense pass, 256 one, 4096 none
+    got = min_piece_separation(ifs14, 3, sample=sample)
+    assert got == pytest.approx(brute3, rel=1e-12)
+
+
+def test_min_piece_separation_off_attractor_base():
+    # level-1 anchors of this base come closer than any level-4 pair, so
+    # only the conservative bound keeps the minimum's ancestors
+    pair = Ifs(n=1, maps=(Similarity(n=1, q=np.zeros(3), r=0.3),
+                          Similarity(n=1, q=np.array([0.1, 0.0, 0.5]), r=0.3)))
+    base = (0.0, 5.0, 0.0)
+    got = min_piece_separation(pair, 4, base=base, sample=2)
+    assert got == pytest.approx(_brute_separation(pair, 4, base=base), rel=1e-12)
 
 
 def test_min_piece_separation_single_map():
