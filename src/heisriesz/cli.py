@@ -35,14 +35,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ambient_dim, dilate, group_mul
-from .diagnostics import (ad_regularity_report, blowup_measure,
-                          cone_deficiency, divergence_probe,
+from .core import ambient_dim
+from .diagnostics import (_resolution_floor, ad_regularity_report,
+                          blowup_measure, cone_deficiency, divergence_probe,
                           subgroup_boundedness_probe)
 from .fractal import (Ifs, Similarity, cycle_atom_indices, cylinder_measure,
                       make_strichartz_ifs, min_piece_separation,
                       phi_fixed_point, similarity_dimension,
-                      verify_invariant_region)
+                      verify_invariant_region, word_similarity)
 from .measure import DEFAULT_ATOM_CAP, AtomCapExceeded, DiscreteMeasure
 from .riesz import RieszParams, truncated_transform
 from .selftest import run_selftest
@@ -323,20 +323,15 @@ def _eps_schedule(block: dict, start: float, ratio: float, count: int) -> np.nda
     return eps
 
 
-def _word_fixed_point(ifs: Ifs, word) -> np.ndarray:
-    # compose tau_q delta_r letter by letter, then solve p = q . delta_r p
-    if not word:
-        raise ConfigError("blow-up word must be nonempty")
-    q = np.zeros(ambient_dim(ifs.n))
-    rw = 1.0
-    for letter in word:
-        letter = int(letter)
-        if not (0 <= letter < len(ifs.maps)):
-            raise ConfigError(f"word letter {letter} out of range")
-        s = ifs.maps[letter]
-        q = group_mul(q, dilate(rw, s.q))
-        rw *= s.r
-    return Similarity(n=ifs.n, q=q, r=rw).fixed_point().coords
+def _radii_for(cfg: RunConfig, diag: dict, mu: DiscreteMeasure) -> tuple:
+    """Configured radii as given; default radii only down to the floor."""
+    try:
+        radii = tuple(float(r) for r in diag["radii"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad radii: {exc}") from None
+    if "radii" in cfg.blocks.get("diagnostics", {}):
+        return radii
+    return tuple(r for r in radii if r >= _resolution_floor(mu))
 
 
 def _cone_family(n: int, count: int, seed: int):
@@ -473,7 +468,7 @@ def _cmd_measure_ad(cfg: RunConfig) -> int:
     mu, ifs, sections = _measure_for(cfg, level)
     a = _dimension_for(diag["a"], ifs)
     report = _cfg(ad_regularity_report, mu, a, centers=diag["centers"],
-                  radii=tuple(diag["radii"]), seed=cfg.seed,
+                  radii=_radii_for(cfg, diag, mu), seed=cfg.seed,
                   c_cap=float(diag["c_cap"]))
     verdict = "regular" if report.regular else "irregular"
     payload = {
@@ -634,7 +629,7 @@ def _cmd_tangent_blowup(cfg: RunConfig) -> int:
     else:
         if ifs is None:
             raise ConfigError("csv measures need an explicit blow-up 'point'")
-        center = _word_fixed_point(ifs, block["word"])
+        center = _cfg(word_similarity, ifs, block["word"]).fixed_point().coords
     s = block["s"]
     if s is None and block["normalization"] == "power":
         s = _dimension_for(None, ifs)
@@ -669,7 +664,7 @@ def _cmd_cone_deficiency(cfg: RunConfig) -> int:
     pts = _support_points(mu, int(diag["cone_points"]), cfg.seed)
     requested = int(diag["cone_subgroups"])
     family = _cone_family(mu.n, requested, cfg.seed)
-    radii = tuple(float(r) for r in diag["radii"])
+    radii = _radii_for(cfg, diag, mu)
     rows = []
     floor = math.inf
     for gi, (spec, _) in enumerate(family):

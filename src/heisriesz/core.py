@@ -48,17 +48,15 @@ def group_index(dim: int) -> int:
 class Tolerances:
     """Numeric comparison policy.
 
-    ``eq_tol`` bounds relative error in algebraic identities, ``opt_tol``
-    is the stopping tolerance of iterative minimisations.  Comparisons
+    ``eq_tol`` bounds relative error in algebraic identities.  Comparisons
     scale the tolerance by ``1 + magnitude`` so that large coordinates do
     not fail on representation noise.
     """
 
     eq_tol: float = 1e-12
-    opt_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (self.eq_tol > 0.0 and self.opt_tol > 0.0):
+        if not self.eq_tol > 0.0:
             raise ValueError("tolerances must be strictly positive")
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import _coords, blowup_map, dist, koranyi_norm
 from .measure import DiscreteMeasure, chunk_slices
 from .riesz import RieszParams, growth_profile
@@ -383,10 +384,7 @@ def horest_check(n: int, delta: float, trials: int = 1_000_000,
         u[:, -1] *= scale * scale
 
         # y = x . u; only the vertical coordinate matters
-        twist = -2.0 * np.sum(
-            x[:, :n] * u[:, n:2 * n] - x[:, n:2 * n] * u[:, :n], axis=-1
-        )
-        yv = x[:, -1] + u[:, -1] + twist
+        yv = x[:, -1] + u[:, -1] + core.symplectic_form(x, u)
         bound = 0.5 * (delta * norm) ** 2
         margin = yv - bound
         violations += int(np.count_nonzero(margin < 0.0))

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HPoint, _coords, ambient_dim, dilate, translate
+from . import core
+from .core import HPoint, _coords, ambient_dim, dilate, dist, group_mul, translate
 from .measure import DEFAULT_ATOM_CAP, AtomCapExceeded, DiscreteMeasure
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "make_strichartz_ifs",
     "similarity_dimension",
     "apply_word",
+    "word_similarity",
     "cylinder_measure",
     "cycle_atom_indices",
     "GridFunction",
@@ -211,6 +213,23 @@ def apply_word(ifs: Ifs, word, p):
     return out
 
 
+def word_similarity(ifs: Ifs, word) -> Similarity:
+    """The composite S_{w_0} o S_{w_1} o ... o S_{w_{k-1}} as one similarity.
+
+    Raises ValueError for an empty word or a letter outside the maps.
+    """
+    letters = [int(idx) for idx in word]
+    if not letters:
+        raise ValueError("a word must have at least one letter")
+    for idx in letters:
+        if not (0 <= idx < len(ifs.maps)):
+            raise ValueError(f"word letter {idx} outside [0, {len(ifs.maps)})")
+    q, rw = np.zeros(ambient_dim(ifs.n)), np.float64(1.0)
+    for idx in letters:
+        q, rw = _compose_after(q, rw, ifs.maps[idx].q, ifs.maps[idx].r)
+    return Similarity(n=ifs.n, q=q, r=float(rw))
+
+
 def cylinder_measure(ifs: Ifs, level: int, base=None,
                      atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:
     """The natural measure at cylinder resolution `level`.
@@ -303,9 +322,39 @@ def cycle_atom_indices(num_maps: int, level: int, count: int,
     return np.array(sorted(out), dtype=np.int64)
 
 
-def _twist(n: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """h(w) = -2 sum_i (z_i w_{i+n} - z_{i+n} w_i) on horizontal vectors."""
-    return -2.0 * (w[..., n:2 * n] @ z[:n] - w[..., :n] @ z[n:2 * n])
+def _tilt_term(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """h_z(w) = A(z, w), the group law's form on zero-vertical points."""
+
+    def lift(h):
+        return np.concatenate([h, np.zeros(h.shape[:-1] + (1,))], axis=-1)
+
+    return core.symplectic_form(lift(z), lift(w))
+
+
+def _stencil(pts: np.ndarray, resolution: int):
+    """Multilinear interpolation stencil on the node grid of [0,1]^axes.
+
+    Returns the flat node indices and weights of the 2^axes cell corners
+    around each point, stacked corner-first; points outside the cube are
+    clamped onto it.
+    """
+    axes = pts.shape[-1]
+    u = np.clip(pts, 0.0, 1.0) * resolution
+    i0 = np.clip(u.astype(np.int64), 0, resolution - 1)
+    hi = u - i0
+    lo = 1.0 - hi
+    strides = (resolution + 1) ** np.arange(axes - 1, -1, -1)
+    idx = np.empty((2 ** axes,) + pts.shape[:-1], dtype=np.int64)
+    idx[...] = i0 @ strides
+    weight = np.ones(idx.shape)
+    for corner in range(2 ** axes):
+        for axis in range(axes):
+            if (corner >> axis) & 1:
+                idx[corner] += strides[axis]
+                weight[corner] *= hi[..., axis]
+            else:
+                weight[corner] *= lo[..., axis]
+    return idx, weight
 
 
 @dataclass(frozen=True)
@@ -345,25 +394,8 @@ class GridFunction:
         w = np.asarray(pts, dtype=float)
         if w.shape[-1] != axes:
             raise ValueError(f"points must have {axes} coordinates")
-        u = np.clip(w, 0.0, 1.0) * self.resolution
-        i0 = np.minimum(u.astype(np.int64), self.resolution - 1)
-        i0 = np.maximum(i0, 0)
-        frac = u - i0
-        flat = self.values.ravel()
-        out = np.zeros(w.shape[:-1])
-        for corner in range(2 ** axes):
-            idx = []
-            weight = np.ones(w.shape[:-1])
-            for axis in range(axes):
-                if (corner >> axis) & 1:
-                    idx.append(i0[..., axis] + 1)
-                    weight = weight * frac[..., axis]
-                else:
-                    idx.append(i0[..., axis])
-                    weight = weight * (1.0 - frac[..., axis])
-            flat_idx = np.ravel_multi_index(tuple(idx), self.values.shape)
-            out = out + weight * flat[flat_idx]
-        return out
+        idx, weight = _stencil(w, self.resolution)
+        return np.sum(weight * self.values.ravel()[idx], axis=0)
 
     def contraction_ratios(self) -> np.ndarray:
         """Successive sup-update ratios of the producing iteration."""
@@ -418,31 +450,8 @@ class _TiltOperator:
         eps = 0.5 * (1.0 - 2.0 * r)
         self.theta = np.clip((eps - best_d) / eps, 0.0, 1.0)
         z = corners[best_corner]
-        pull = (best_pt - z) / r
-        self.twist = np.empty(count)
-        for j in range(corners.shape[0]):
-            sel = best_corner == j
-            self.twist[sel] = _twist(n, corners[j], best_pt[sel])
-
-        u = np.clip(pull, 0.0, 1.0) * M
-        i0 = np.minimum(u.astype(np.int64), M - 1)
-        i0 = np.maximum(i0, 0)
-        frac = u - i0
-        idx_list, w_list = [], []
-        for corner in range(2 ** axes):
-            idx = []
-            weight = np.ones(count)
-            for axis in range(axes):
-                if (corner >> axis) & 1:
-                    idx.append(i0[:, axis] + 1)
-                    weight = weight * frac[:, axis]
-                else:
-                    idx.append(i0[:, axis])
-                    weight = weight * (1.0 - frac[:, axis])
-            idx_list.append(np.ravel_multi_index(tuple(idx), shape))
-            w_list.append(weight)
-        self.gather_idx = np.stack(idx_list)
-        self.gather_w = np.stack(w_list)
+        self.twist = _tilt_term(z, best_pt)
+        self.gather_idx, self.gather_w = _stencil((best_pt - z) / r, M)
         self.in_cell = best_d == 0.0
         self.shape = shape
 
@@ -511,14 +520,13 @@ def _ss2_residual_sup(phi: GridFunction, corners: np.ndarray) -> float:
     finite scan is exact.  For other resolutions the scan is still a
     dense probe; callers add a safety factor in that case.
     """
-    M, r, n = phi.resolution, phi.r, phi.n
-    axes = 2 * n
+    M, r, axes = phi.resolution, phi.r, 2 * phi.n
     sup = 0.0
     grid = np.indices((M + 1,) * axes, dtype=float).reshape(axes, -1).T / M
+    pulled = r * r * phi.evaluate(grid)
     for z in corners:
         w = z + r * grid
-        u = grid
-        resid = phi.evaluate(w) - (r * r * phi.evaluate(u) + _twist(n, z, w))
+        resid = phi.evaluate(w) - (pulled + _tilt_term(z, w))
         sup = max(sup, float(np.max(np.abs(resid))))
     return sup
 
@@ -565,8 +573,9 @@ def verify_invariant_region(ifs: Ifs, phi: GridFunction,
     """Check S_j(R) subset R and slab disjointness for the corner family.
 
     R is the unit-height band over Q between phi and phi + 1.  Sampled
-    points of R are pushed through every map; the image must land back
-    between phi and phi + 1 over its corner cell, with margins reported.
+    points of R are pushed through every map with `Similarity.apply`, so
+    through the package's group law; the image must land back between
+    phi and phi + 1 over its corner cell, with margins reported.
     """
     if ifs.strichartz is None:
         raise ValueError("invariant-region check requires a corner-family system")
@@ -581,28 +590,26 @@ def verify_invariant_region(ifs: Ifs, phi: GridFunction,
     safety = 1.000001 if exact_lattice else 2.0
     slack = safety * sup_resid + 1e-15
 
-    qh = rng.random((sample_count, 2 * n))
-    qv = phi.evaluate(qh) + rng.random(sample_count)
+    samples = np.empty((sample_count, 2 * n + 1))
+    samples[:, :-1] = rng.random((sample_count, 2 * n))
+    samples[:, -1] = phi.evaluate(samples[:, :-1]) + rng.random(sample_count)
 
     violations = 0
     witness = None
     min_lower = math.inf
     min_upper = math.inf
-    for t in meta.offsets:
-        for z in meta.corners:
-            w = z + r * qh
-            image_v = t + r * r * qv + _twist(n, z, w)
-            base = phi.evaluate(w)
-            lower = image_v - base
-            upper = base + 1.0 - image_v
-            min_lower = min(min_lower, float(np.min(lower)))
-            min_upper = min(min_upper, float(np.min(upper)))
-            bad = (lower < -slack) | (upper < -slack)
-            count = int(np.count_nonzero(bad))
-            if count and witness is None:
-                k = int(np.argmax(bad))
-                witness = np.concatenate([qh[k], [qv[k]]])
-            violations += count
+    for s in ifs.maps:
+        image = s.apply(samples)
+        base = phi.evaluate(image[:, :-1])
+        lower = image[:, -1] - base
+        upper = base + 1.0 - image[:, -1]
+        min_lower = min(min_lower, float(np.min(lower)))
+        min_upper = min(min_upper, float(np.min(upper)))
+        bad = (lower < -slack) | (upper < -slack)
+        count = int(np.count_nonzero(bad))
+        if count and witness is None:
+            witness = samples[int(np.argmax(bad))].copy()
+        violations += count
 
     thickness = r * r
     spacing = float(np.min(np.diff(np.sort(meta.offsets))))
@@ -624,19 +631,7 @@ def verify_invariant_region(ifs: Ifs, phi: GridFunction,
     )
 
 
-def _gauge_dist(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Gauge distance between broadcastable coordinate arrays."""
-    dh = b[..., :-1] - a[..., :-1]
-    twist = -2.0 * (
-        a[..., :n] * b[..., n:2 * n] - a[..., n:2 * n] * b[..., :n]
-    ).sum(axis=-1)
-    dv = b[..., -1] - a[..., -1] - twist
-    sq = np.sum(dh * dh, axis=-1)
-    return (sq * sq + dv * dv) ** 0.25
-
-
-def _compose_after(q: np.ndarray, rw: np.ndarray, sq: np.ndarray,
-                   sr: np.ndarray, n: int):
+def _compose_after(q: np.ndarray, rw: np.ndarray, sq: np.ndarray, sr):
     """Composite of word transforms (q, rw) followed by maps (sq, sr).
 
     tau_q delta_rw . tau_{q_s} delta_{r_s} = tau_{q . delta_rw(q_s)}
@@ -647,26 +642,7 @@ def _compose_after(q: np.ndarray, rw: np.ndarray, sq: np.ndarray,
     shifted = np.empty(np.broadcast_shapes(q.shape, sq.shape))
     shifted[..., :-1] = rw[..., None] * sq[..., :-1]
     shifted[..., -1] = rw * rw * sq[..., -1]
-    return _left_mul(q, shifted, n), rw * sr
-
-
-def _compose_before(s: Similarity, q: np.ndarray, rw: np.ndarray, n: int):
-    """Composite of the map s followed by word transforms (q, rw)."""
-    shifted = np.empty_like(q)
-    shifted[..., :-1] = s.r * q[..., :-1]
-    shifted[..., -1] = (s.r * s.r) * q[..., -1]
-    return _left_mul(np.broadcast_to(s.q, q.shape), shifted, n), s.r * rw
-
-
-def _left_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Group product on coordinate arrays (broadcasting)."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., :-1] = a[..., :-1] + b[..., :-1]
-    twist = -2.0 * (
-        a[..., :n] * b[..., n:2 * n] - a[..., n:2 * n] * b[..., :n]
-    ).sum(axis=-1)
-    out[..., -1] = a[..., -1] + b[..., -1] + twist
-    return out
+    return group_mul(q, shifted), rw * sr
 
 
 def min_piece_separation(ifs: Ifs, level: int, base=None,
@@ -710,7 +686,7 @@ def min_piece_separation(ifs: Ifs, level: int, base=None,
     realized = any(np.array_equal(b, s.fixed_point().coords) for s in maps)
 
     r_max = float(np.max(ifs.ratios))
-    rho0 = max(float(_gauge_dist(b, _coords(s.apply(b), n)[0], n)) for s in maps)
+    rho0 = max(float(dist(b, s.apply(b))) for s in maps)
 
     coarse = 1
     while coarse < level and N ** (coarse + 1) <= max(sample, N):
@@ -720,19 +696,17 @@ def min_piece_separation(ifs: Ifs, level: int, base=None,
         return r_max ** lvl * rho0 * (1.0 - r_max ** (level - lvl)) / (1.0 - r_max)
 
     def positions(qc: np.ndarray, rc: np.ndarray) -> np.ndarray:
-        scaled = np.empty_like(qc)
-        scaled[..., :-1] = rc[..., None] * b[:-1]
-        scaled[..., -1] = rc * rc * b[-1]
-        return _left_mul(qc, scaled, n)
+        # the anchor w(base) is the translation of w followed by tau_base
+        return _compose_after(qc, rc, b, 1.0)[0]
 
-    # composites (q, rw) for every coarse-level word, first letter most
-    # significant so each first letter owns a block of `group` rows
+    # composites (q, rw) for every coarse-level word, each parent followed
+    # by all N letters: the first letter stays most significant, so each
+    # first letter owns a block of `group` rows
     sq, sr = np.stack([s.q for s in maps]), ifs.ratios
     q, rw = sq, sr
     for _ in range(coarse - 1):
-        blocks = [_compose_before(s, q, rw, n) for s in maps]
-        q = np.concatenate([blk[0] for blk in blocks])
-        rw = np.concatenate([blk[1] for blk in blocks])
+        q, rw = _compose_after(q[:, None], rw[:, None], sq, sr)
+        q, rw = q.reshape(-1, q.shape[-1]), rw.ravel()
     group = len(rw) // N
 
     def anchor_pairs():
@@ -750,8 +724,8 @@ def min_piece_separation(ifs: Ifs, level: int, base=None,
         step = max(1, 2 ** 20 // (N * N))
         for start in range(0, len(ri), step):
             sl = slice(start, start + step)
-            ci, cri = _compose_after(qi[sl, None], ri[sl, None], sq, sr, n)
-            cj, crj = _compose_after(qj[sl, None], rj[sl, None], sq, sr, n)
+            ci, cri = _compose_after(qi[sl, None], ri[sl, None], sq, sr)
+            cj, crj = _compose_after(qj[sl, None], rj[sl, None], sq, sr)
             yield ci[:, :, None], cri[:, :, None], cj[:, None], crj[:, None]
 
     upper = math.inf
@@ -761,7 +735,7 @@ def min_piece_separation(ifs: Ifs, level: int, base=None,
         nonlocal upper
         least, kept, count = math.inf, [], 0
         for side in chunks:
-            d = _gauge_dist(positions(*side[:2]), positions(*side[2:]), n)
+            d = dist(positions(*side[:2]), positions(*side[2:]))
             least = min(least, float(np.min(d)))
             upper = min(upper, least + (0.0 if realized else 2.0 * drift(lvl)))
             if lvl < level:

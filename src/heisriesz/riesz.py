@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import ambient_dim, _coords
 from .measure import DiscreteMeasure, chunk_slices
 
@@ -90,10 +91,7 @@ def _term_chunk(params: RieszParams, mu: DiscreteMeasure, center, f, sl):
     """
     pts = mu.points[sl]
     dh = pts[:, :-1] - center[:-1]
-    x1, y1 = center[: params.n], center[params.n : 2 * params.n]
-    x2, y2 = pts[:, : params.n], pts[:, params.n : 2 * params.n]
-    twist = -2.0 * (y2 @ x1 - x2 @ y1)
-    dv = pts[:, -1] - center[-1] - twist
+    dv = pts[:, -1] - center[-1] - core.symplectic_form(center, pts)
     sq = np.sum(dh * dh, axis=-1)
     d = (sq * sq + dv * dv) ** 0.25
     safe = np.where(d > 0.0, d, 1.0)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import DEFAULT_TOL, ambient_dim, koranyi_norm, left_displacement, _coords
 from .measure import AtomCapExceeded, DEFAULT_ATOM_CAP, DiscreteMeasure
 
@@ -119,12 +120,6 @@ def make_vertical(n: int, basis) -> SubgroupSpec:
     return SubgroupSpec(n, VERTICAL, _orthonormal_rows(b, "make_vertical"))
 
 
-def _pairwise_symplectic(n: int, rows: np.ndarray) -> np.ndarray:
-    # A(u, v) on horizontal vectors: -2 sum_i (u_i v_{i+n} - u_{i+n} v_i).
-    x, y = rows[:, :n], rows[:, n:]
-    return -2.0 * (x @ y.T - y @ x.T)
-
-
 def make_horizontal(n: int, basis, eq_tol: float = DEFAULT_TOL.eq_tol) -> SubgroupSpec:
     """Horizontal subgroup from spanning vectors; requires isotropy.
 
@@ -140,7 +135,9 @@ def make_horizontal(n: int, basis, eq_tol: float = DEFAULT_TOL.eq_tol) -> Subgro
     if b.shape[0] == 0:
         return SubgroupSpec(n, HORIZONTAL, b)
     rows = _orthonormal_rows(b, "make_horizontal")
-    form = _pairwise_symplectic(n, rows)
+    # A(b_i, b_j) for every pair, taken at the zero-vertical points b_i
+    pts = np.pad(rows, ((0, 0), (0, 1)))
+    form = core.symplectic_form(pts[:, None], pts[None, :])
     worst = np.unravel_index(np.argmax(np.abs(form)), form.shape)
     if abs(form[worst]) > eq_tol:
         i, j = worst
@@ -234,7 +231,6 @@ def haar_sample(
     spec: SubgroupSpec,
     window_radius: float,
     resolution: int,
-    seed: int | None = None,
     atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> DiscreteMeasure:
     """Uniform-grid discretisation of the Haar measure on V within B(0, w).
@@ -243,8 +239,7 @@ def haar_sample(
     cell counted linearly, so the sample is Lebesgue measure in the graded
     coordinates of V; its ball masses scale like rho^(metric dimension).
     Cells whose center leaves the gauge ball are dropped.  The grid is
-    deterministic; ``seed`` is accepted for interface uniformity and
-    recorded in the label only.
+    deterministic.
     """
     w = float(window_radius)
     if not (np.isfinite(w) and w > 0.0):
@@ -289,7 +284,7 @@ def haar_sample(
     spacing = max([dh] * k + ([np.sqrt(dv)] if has_vertical else []))
     label = (
         f"haar({spec.kind}, n={spec.n}, dim={spec.hausdorff_dimension}, "
-        f"window={w:g}, resolution={resolution}, seed={seed})"
+        f"window={w:g}, resolution={resolution})"
     )
     return DiscreteMeasure(spec.n, pts, np.full(len(pts), cell),
                            label=label, spacing=spacing)

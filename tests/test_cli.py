@@ -270,3 +270,32 @@ def test_flag_overrides_config(tmp_path):
     assert code == 0
     doc = json.loads((out / "ifs_generate.json").read_text())
     assert doc["config"]["seed"] == 9
+
+
+@pytest.mark.parametrize("command,report", [
+    (["measure", "ad-report"], "ad_report.json"),
+    (["cone-deficiency"], "cone_deficiency.json"),
+])
+def test_quick_drops_default_radii_below_floor(tmp_path, command, report):
+    # the quick level's floor is 4 * 0.25^4 = 0.015625, which rules out
+    # only the smallest default radius; the report records the radii used
+    out = tmp_path / "run"
+    assert _run([*command, "--quick", "--out", str(out)]) == 0
+    doc = json.loads((out / report).read_text())
+    assert doc["results"]["radii"] == [0.25, 0.0625, 0.015625]
+
+
+def test_explicit_radii_below_floor_still_rejected(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"diagnostics": {"radii": [0.25, 0.00390625]}})
+    code = _run(["measure", "ad-report", "--config", cfg, "--quick",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "resolution floor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("word", [[], [16]])
+def test_blowup_word_validation(tmp_path, capsys, word):
+    cfg = _write_config(tmp_path, {"tangent": {"level": 2, "word": word}})
+    code = _run(["tangent", "blowup", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err

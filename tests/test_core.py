@@ -176,6 +176,55 @@ def test_hpoint_accepted_by_operations():
 
 def test_tolerances_validation():
     t = Tolerances()
-    assert t.eq_tol > 0
-    with pytest.raises(ValueError):
-        Tolerances(eq_tol=0.0)
+    assert t.eq_tol == 1e-12
+    for bad in (0.0, -1e-12, float("nan")):
+        with pytest.raises(ValueError):
+            Tolerances(eq_tol=bad)
+    # the policy has a single knob; there is no iteration tolerance
+    with pytest.raises(TypeError):
+        Tolerances(opt_tol=1e-9)
+
+
+def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):
+    # every twist in the package goes through core.symplectic_form, so
+    # mirroring the group law here must move each caller's output
+    from heisriesz.diagnostics import horest_check
+    from heisriesz.fractal import (Ifs, Similarity, min_piece_separation,
+                                   phi_fixed_point, verify_invariant_region)
+    from heisriesz.riesz import RieszParams, truncated_transform
+    from heisriesz.subgroups import make_horizontal
+
+    params = RieszParams(s=2.0, n=1)
+    center = mu2.points[37]
+    # the corner family is symmetric enough that its mirror image is an
+    # isometric copy, so its separation cannot tell the two laws apart;
+    # three generic maps can
+    trio = Ifs(n=1, maps=tuple(
+        Similarity(n=1, q=np.array(q), r=0.3)
+        for q in ((0.0, 0.0, 0.0), (0.6, 0.1, 0.2), (0.2, 0.7, 0.5))))
+
+    def outputs():
+        with pytest.raises(ValueError) as isotropy:
+            make_horizontal(2, [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        region = verify_invariant_region(ifs14, phi64, sample_count=5000)
+        return {
+            "separation": min_piece_separation(trio, 3),
+            "horest": horest_check(1, 0.5, trials=5000, seed=2).min_margin,
+            "transform": tuple(truncated_transform(mu2, params, None, center, 0.01).value),
+            "isotropy": str(isotropy.value),
+            "region": (region.certified, region.min_lower_margin,
+                       region.min_upper_margin),
+        }
+
+    before = outputs()
+    assert before["region"][0]
+    orig = core.symplectic_form
+    monkeypatch.setattr(core, "symplectic_form", lambda p, q: -orig(p, q))
+    after = outputs()
+    for key, value in before.items():
+        assert after[key] != value, key
+    mirrored = phi_fixed_point(1, 0.25, 64)
+    assert not np.array_equal(mirrored.values, phi64.values)
+    # a consistently mirrored law keeps the corner family's separation
+    # exactly; mixing a private copy of the law into one step would not
+    assert min_piece_separation(ifs14, 3) == 0.30356975675054104

@@ -18,6 +18,7 @@ from heisriesz.fractal import (
     phi_fixed_point,
     similarity_dimension,
     verify_invariant_region,
+    word_similarity,
 )
 from heisriesz.measure import AtomCapExceeded
 
@@ -108,6 +109,20 @@ def test_apply_word_composition(ifs14):
         apply_word(ifs14, (16,), p)
 
 
+def test_word_similarity_matches_apply_word(ifs14):
+    p = np.array([0.3, 0.3, 0.2])
+    word = (2, 7, 13)
+    s = word_similarity(ifs14, word)
+    assert s.r == 0.25 ** 3
+    np.testing.assert_allclose(np.asarray(s.apply(p)),
+                               np.asarray(apply_word(ifs14, word, p)), rtol=1e-15)
+    fp = s.fixed_point().coords
+    np.testing.assert_allclose(np.asarray(s.apply(fp)), fp, atol=1e-15)
+    for bad in ((), (16,), (-1,)):
+        with pytest.raises(ValueError):
+            word_similarity(ifs14, bad)
+
+
 def test_cylinder_measure_structure(ifs14, mu2, mu3):
     mu0 = cylinder_measure(ifs14, 0)
     assert len(mu0) == 1
@@ -166,6 +181,13 @@ def test_phi_fixed_point_certificates(phi64):
     # closed-form ceiling: sup h / (1 - r^2)
     assert float(np.max(np.abs(phi64.values))) <= 0.375 / (1.0 - 0.0625) + 1e-12
     assert len(phi64.history) <= 10
+
+
+def test_phi_fixed_point_pinned_value():
+    # a mirrored group law negates the tilt, so this value flips sign
+    phi = phi_fixed_point(1, 0.25, 256)
+    value = phi.evaluate(np.array([0.3, 0.7]))
+    assert value == pytest.approx(0.26890747691584826, rel=1e-12)
 
 
 def test_phi_fixed_point_resolution_guard():
