@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
+# dist stays bound here: perfbench's span recorder wraps diagnostics.dist
 from .core import _coords, blowup_map, dist, koranyi_norm
-from .measure import DiscreteMeasure, chunk_slices
+from .measure import DiscreteMeasure, closed_ball_sums
 from .riesz import RieszParams, growth_profile
 from .subgroups import SubgroupSpec, haar_sample, in_cone
 
@@ -152,15 +153,11 @@ def cone_deficiency(mu: DiscreteMeasure, a: float, k, G: SubgroupSpec,
             f"radius below the resolution floor {floor:g} (4x atom spacing)"
         )
     c, _, _ = _coords(k, mu.n)
-    masses = np.zeros(rad.size)
-    for sl in chunk_slices(len(mu)):
-        pts = mu.points[sl]
-        d = dist(c, pts)
-        outside = ~in_cone(c, pts, G, delta)
-        for i, r in enumerate(rad):
-            sel = outside & (d <= r)
-            if np.any(sel):
-                masses[i] += float(np.sum(mu.weights[sl][sel]))
+
+    def outside(sl):
+        return np.where(in_cone(c, mu.points[sl], G, delta), 0.0, mu.weights[sl])
+
+    masses = closed_ball_sums(mu, c, rad, outside)
     return masses / rad ** a
 
 

@@ -257,7 +257,7 @@ def cylinder_measure(ifs: Ifs, level: int, base=None,
     b, _, _ = _coords(base, n)
     dim = ambient_dim(n)
 
-    pts = np.empty((count, dim))
+    pts = np.empty((count, dim), order="F")
     pts[0] = b
     size = 1
     for _ in range(level):

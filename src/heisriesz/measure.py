@@ -2,9 +2,11 @@
 
 Atoms are stored as a dense coordinate array plus a weight vector so that
 ten-million-atom measures stay practical; ``atoms()`` offers the tuple view
-for small measures.  CSV files use the header ``x1,...,x{2n+1},weight``;
-the JSON variant additionally carries ``n``, the label and the resolution
-scale.
+for small measures.  The coordinate array is coordinate-major (Fortran
+order), so each coordinate of a chunk of atoms is one contiguous run;
+ball masses and every transform are one :func:`binned_sweep` over it.
+CSV files use the header ``x1,...,x{2n+1},weight``; the JSON variant
+additionally carries ``n``, the label and the resolution scale.
 """
 
 from __future__ import annotations
@@ -14,17 +16,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .core import HPoint, ambient_dim, dist, group_index, _coords
 
-__all__ = ["AtomCapExceeded", "DEFAULT_ATOM_CAP", "DiscreteMeasure"]
+__all__ = ["AtomCapExceeded", "DEFAULT_ATOM_CAP", "DiscreteMeasure",
+           "binned_sweep", "closed_ball_sums"]
 
 # Default ceiling on atom counts; a level-6 cylinder measure of the
 # sixteen-map system (16^6 atoms) must fit below it.
 DEFAULT_ATOM_CAP = 20_000_000
 
-# Chunk length for streaming passes over the atom array, chosen to keep
-# per-pass temporaries in the low hundreds of megabytes.
-CHUNK = 4_000_000
+# Chunk length for streaming passes over the atom array: a chunk's
+# coordinates and temporaries stay cache-resident (2^16 measured fastest
+# for a level-6 growth profile), and peak memory is O(CHUNK), not O(N).
+CHUNK = 1 << 16
 
 
 class AtomCapExceeded(RuntimeError):
@@ -32,9 +37,48 @@ class AtomCapExceeded(RuntimeError):
 
 
 def chunk_slices(total: int, chunk: int = CHUNK):
-    """Yield slices covering range(total) in fixed order."""
-    for start in range(0, total, chunk):
+    """Yield slices covering range(total) in fixed order (at least one)."""
+    for start in range(0, max(total, 1), chunk):
         yield slice(start, min(start + chunk, total))
+
+
+def binned_sweep(mu, center, edges, columns):
+    """Sum per-atom columns over gauge-distance bins around ``center``.
+
+    ``edges`` is ascending; bin i holds the atoms with
+    edges[i-1] < d <= edges[i] (bin 0 is d <= edges[0], the last bin
+    d > edges[-1]), so a closed ball of radius edges[k] is bins 0..k and
+    the truncation d > edges[k] is bins k+1 onwards.  One pass walks the
+    atoms in fixed chunk order; for each chunk it takes the displacements
+    u = center^{-1} q and distances d = ||u|| from :mod:`core`, and
+    ``columns(sl, u, d)`` returns the chunk's per-atom values as a list of
+    k arrays.  Returns the (k, len(edges) + 1) per-bin sums and the
+    per-bin atom counts.
+    """
+    c, _, _ = _coords(center, mu.n)
+    nbins = len(edges) + 1
+    sums, counts = 0.0, 0
+    for sl in chunk_slices(len(mu)):
+        u = core.left_displacement(c, mu.points[sl])
+        d = core.koranyi_norm(u)
+        bins = np.searchsorted(edges, d, side="left")
+        sums = sums + np.array([np.bincount(bins, weights=col, minlength=nbins)
+                                for col in columns(sl, u, d)])
+        counts = counts + np.bincount(bins, minlength=nbins)
+    return sums, counts
+
+
+def closed_ball_sums(mu, center, radii, column):
+    """Sums of one per-atom column over the closed balls B(center, r).
+
+    ``column(sl)`` gives the values of the atoms in slice ``sl``; radii
+    may come in any order and repeat.  One sweep serves every radius.
+    """
+    radii = np.asarray(radii, dtype=float)
+    edges = np.unique(radii)
+    sums, _ = binned_sweep(mu, center, edges, lambda sl, u, d: [column(sl)])
+    inside = np.cumsum(sums[0, :-1])
+    return inside[np.searchsorted(edges, radii)]
 
 
 @dataclass
@@ -46,7 +90,7 @@ class DiscreteMeasure:
     n : int
         Group index; coordinates have length 2n+1.
     points : ndarray, shape (N, 2n+1)
-        Atom positions.
+        Atom positions, stored coordinate-major.
     weights : ndarray, shape (N,)
         Strictly positive atom masses.
     label : str
@@ -66,7 +110,7 @@ class DiscreteMeasure:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"group index must be >= 1, got {self.n}")
-        pts = np.ascontiguousarray(self.points, dtype=float)
+        pts = np.asfortranarray(self.points, dtype=float)
         wts = np.ascontiguousarray(self.weights, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != ambient_dim(self.n):
             raise ValueError(
@@ -103,13 +147,8 @@ class DiscreteMeasure:
         radii = np.atleast_1d(np.asarray(radius, dtype=float))
         if np.any(radii < 0.0):
             raise ValueError("radii must be nonnegative")
-        c, _, _ = _coords(center, self.n)
-        totals = np.zeros(radii.shape)
-        for sl in chunk_slices(len(self)):
-            d = dist(c, self.points[sl])
-            w = self.weights[sl]
-            for i, rad in enumerate(radii):
-                totals[i] += w[d <= rad].sum()
+        totals = closed_ball_sums(self, center, radii,
+                                  lambda sl: self.weights[sl])
         if np.isscalar(radius) or np.asarray(radius).ndim == 0:
             return float(totals[0])
         return totals
@@ -131,9 +170,11 @@ class DiscreteMeasure:
 
     def to_csv(self, path) -> None:
         cols = [f"x{i + 1}" for i in range(ambient_dim(self.n))] + ["weight"]
-        data = np.column_stack([self.points, self.weights])
-        np.savetxt(path, data, delimiter=",", header=",".join(cols),
-                   comments="", fmt="%.17g")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(cols) + "\n")
+            for sl in chunk_slices(len(self)):
+                rows = np.column_stack([self.points[sl], self.weights[sl]])
+                np.savetxt(fh, rows, delimiter=",", fmt="%.17g")
 
     @classmethod
     def from_csv(cls, path, label: str = "", spacing: float | None = None):

@@ -7,11 +7,13 @@ the argument by r scales the whole vector by r^(-s).  The kernel is odd
 under the group inverse.
 
 Truncated transforms sum w(q) f(q) K(p^{-1} q) over atoms with
-d(p, q) > eps (closed balls are excluded, so ties at eps drop out);
-annular transforms keep r < d <= R and are computed as a difference of
-two suffix sums of the same distance-sorted term array, which makes the
-identity truncated(r) - truncated(R) = annulus(r, R) exact in floating
-point, not just up to rounding.
+d(p, q) > eps (closed balls are excluded, so ties at eps drop out).
+Every transform is one :func:`~heisriesz.measure.binned_sweep`: the
+kernel terms are summed per distance bin (edges at the cutoffs) in fixed
+chunk order, and truncations are suffix sums of those per-bin sums, so
+no per-atom term array is kept or sorted.  The annular transform
+r < d <= R is defined as truncated(r) - truncated(R), so that identity
+holds exactly in floating point, not just up to rounding.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
-from .core import ambient_dim, _coords
-from .measure import DiscreteMeasure, chunk_slices
+from .core import _coords
+from .measure import DiscreteMeasure, binned_sweep
 
 __all__ = [
     "RieszParams",
@@ -83,43 +84,34 @@ def coordinate_function(index: int):
     return f
 
 
-def _term_chunk(params: RieszParams, mu: DiscreteMeasure, center, f, sl):
-    """Distances and weighted kernel rows for one atom slice.
+def _kernel_columns(params: RieszParams, mu: DiscreteMeasure, f):
+    """Per-chunk columns of weighted kernel terms for :func:`binned_sweep`.
 
     Rows at zero displacement are zeroed; they are excluded from every
     truncation anyway and must not poison sums with NaN.
     """
-    pts = mu.points[sl]
-    dh = pts[:, :-1] - center[:-1]
-    dv = pts[:, -1] - center[-1] - core.symplectic_form(center, pts)
-    sq = np.sum(dh * dh, axis=-1)
-    d = (sq * sq + dv * dv) ** 0.25
-    safe = np.where(d > 0.0, d, 1.0)
-    scale = mu.weights[sl] if f is None else mu.weights[sl] * f(pts)
-    terms = np.empty_like(pts)
-    terms[:, :-1] = dh * (scale / safe ** (params.s + 1.0))[:, None]
-    terms[:, -1] = dv * scale / safe ** (params.s + 2.0)
-    terms[d == 0.0] = 0.0
-    return d, terms
+    if params.n != mu.n:
+        raise ValueError(f"kernel on H^{params.n} applied to a measure on H^{mu.n}")
+
+    def columns(sl, u, d):
+        safe = np.where(d > 0.0, d, 1.0)
+        scale = mu.weights[sl] if f is None else mu.weights[sl] * f(mu.points[sl])
+        scale = np.where(d > 0.0, scale, 0.0)
+        horiz = scale / safe ** (params.s + 1.0)
+        return [u[:, i] * horiz for i in range(2 * params.n)] + [
+            u[:, -1] * scale / safe ** (params.s + 2.0)]
+
+    return columns
 
 
-def _sorted_terms(mu: DiscreteMeasure, params: RieszParams, f, p):
-    """All kernel terms sorted by distance from p (stable order)."""
-    c, _, _ = _coords(p, params.n)
-    parts_d, parts_t = [], []
-    for sl in chunk_slices(len(mu)):
-        d, t = _term_chunk(params, mu, c, f, sl)
-        parts_d.append(d)
-        parts_t.append(t)
-    d = np.concatenate(parts_d) if parts_d else np.zeros(0)
-    t = np.concatenate(parts_t) if parts_t else np.zeros((0, ambient_dim(params.n)))
-    order = np.argsort(d, kind="stable")
-    return d[order], t[order]
-
-
-def _suffix_sum(d_sorted, terms_sorted, cutoff: float):
-    start = int(np.searchsorted(d_sorted, cutoff, side="right"))
-    return terms_sorted[start:].sum(axis=0), d_sorted.size - start
+def _cutoffs(eps_list, top: float) -> np.ndarray:
+    """The cutoffs as an array: nonempty, strictly decreasing, in (0, top)."""
+    eps = np.asarray(eps_list, dtype=float)
+    if (eps.size == 0 or np.any(eps <= 0.0) or np.any(eps >= top)
+            or np.any(np.diff(eps) >= 0.0)):
+        raise ValueError("cutoffs must be a nonempty, strictly decreasing list "
+                         f"in (0, {top:g}), got {eps.tolist()}")
+    return eps
 
 
 def truncated_transform(mu: DiscreteMeasure, params: RieszParams, f, p,
@@ -127,9 +119,9 @@ def truncated_transform(mu: DiscreteMeasure, params: RieszParams, f, p,
     """Sum of weighted kernel terms over atoms with d(p, q) > eps."""
     if not eps > 0.0:
         raise ValueError(f"truncation radius must be positive, got {eps}")
-    d, t = _sorted_terms(mu, params, f, p)
-    value, used = _suffix_sum(d, t, eps)
-    return TransformResult(value=value, epsilon=float(eps), atom_count_used=used)
+    sums, counts = binned_sweep(mu, p, [eps], _kernel_columns(params, mu, f))
+    return TransformResult(value=sums[:, 1], epsilon=float(eps),
+                           atom_count_used=int(counts[1]))
 
 
 def annulus_transform(mu: DiscreteMeasure, params: RieszParams, p,
@@ -137,10 +129,8 @@ def annulus_transform(mu: DiscreteMeasure, params: RieszParams, p,
     """Transform of the constant density over the annulus inner < d <= outer."""
     if not (0.0 < inner < outer):
         raise ValueError(f"need 0 < inner < outer, got ({inner}, {outer})")
-    d, t = _sorted_terms(mu, params, None, p)
-    lo, _ = _suffix_sum(d, t, inner)
-    hi, _ = _suffix_sum(d, t, outer)
-    return lo - hi
+    return (truncated_transform(mu, params, None, p, inner).value
+            - truncated_transform(mu, params, None, p, outer).value)
 
 
 def maximal_transform(mu: DiscreteMeasure, params: RieszParams, f, p,
@@ -150,53 +140,24 @@ def maximal_transform(mu: DiscreteMeasure, params: RieszParams, f, p,
     The grid must be strictly decreasing and positive; refining the grid
     can only increase the result.
     """
-    eps = np.asarray(eps_grid, dtype=float)
-    if eps.size == 0:
-        raise ValueError("the cutoff grid must be nonempty")
-    if np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
-        raise ValueError("cutoffs must be positive and strictly decreasing")
-    d, t = _sorted_terms(mu, params, f, p)
-    best = np.zeros(ambient_dim(params.n))
-    for e in eps:
-        value, _ = _suffix_sum(d, t, e)
-        best = np.maximum(best, np.abs(value))
-    return best
+    eps = _cutoffs(eps_grid, np.inf)
+    sums, _ = binned_sweep(mu, p, eps[::-1], _kernel_columns(params, mu, f))
+    # running sums of the bins from the outside in: every truncation
+    return np.abs(np.cumsum(sums[:, :0:-1], axis=1)).max(axis=1)
 
 
 def growth_profile(mu: DiscreteMeasure, params: RieszParams, p, eps_list):
     """Annulus transform values (eps_j, 1] for a decreasing list of eps.
 
-    One streaming pass bins every atom by distance and accumulates the
-    kernel terms per bin in fixed chunk order, so the result is
-    deterministic and costs a single sweep regardless of the number of
-    cutoffs.  Values agree with :func:`annulus_transform` up to summation
-    order.
+    One sweep bins every atom by distance, with the cutoffs and 1 as the
+    edges, so the cost is a single pass regardless of the number of
+    cutoffs.  Values agree with :func:`annulus_transform` up to
+    summation order.
     """
-    eps = np.asarray(eps_list, dtype=float)
-    if eps.size == 0:
-        raise ValueError("eps list must be nonempty")
-    if np.any(eps <= 0.0) or np.any(eps >= 1.0):
-        raise ValueError("eps values must lie in (0, 1)")
-    if np.any(np.diff(eps) >= 0.0):
-        raise ValueError("eps values must be strictly decreasing")
-    edges = np.concatenate([np.sort(eps), [1.0]])
-    nbins = edges.size + 1
-    dim = ambient_dim(params.n)
-    sums = np.zeros((nbins, dim))
-    c, _, _ = _coords(p, params.n)
-    for sl in chunk_slices(len(mu)):
-        d, t = _term_chunk(params, mu, c, None, sl)
-        bins = np.digitize(d, edges, right=True)
-        for col in range(dim):
-            sums[:, col] += np.bincount(bins, weights=t[:, col], minlength=nbins)
-    # bin i covers (edges[i-1], edges[i]]; the last bin (d > 1) never
-    # contributes.  suffix[k] accumulates the bins inside (edges[k], 1].
-    last = edges.size - 1
-    suffix = np.zeros((edges.size, dim))
-    for i in range(last - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + sums[i + 1]
-    out = []
-    for e in eps:
-        idx = int(np.searchsorted(edges, e))
-        out.append((float(e), suffix[idx].copy()))
-    return out
+    eps = _cutoffs(eps_list, 1.0)
+    edges = np.concatenate([eps[::-1], [1.0]])
+    sums, _ = binned_sweep(mu, p, edges, _kernel_columns(params, mu, None))
+    # running sums from the bin below 1 inwards; the last bin (d > 1)
+    # never contributes, so column j is the annulus (eps[j], 1]
+    annuli = np.cumsum(sums[:, -2:0:-1], axis=1)
+    return [(float(e), annuli[:, j].copy()) for j, e in enumerate(eps)]

@@ -188,14 +188,17 @@ def test_tolerances_validation():
 def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):
     # every twist in the package goes through core.symplectic_form, so
     # mirroring the group law here must move each caller's output
-    from heisriesz.diagnostics import horest_check
+    from heisriesz.diagnostics import cone_deficiency, horest_check
     from heisriesz.fractal import (Ifs, Similarity, min_piece_separation,
                                    phi_fixed_point, verify_invariant_region)
-    from heisriesz.riesz import RieszParams, truncated_transform
-    from heisriesz.subgroups import make_horizontal
+    from heisriesz.riesz import (RieszParams, growth_profile,
+                                 maximal_transform, truncated_transform)
+    from heisriesz.subgroups import in_cone, make_horizontal, make_vertical
 
     params = RieszParams(s=2.0, n=1)
     center = mu2.points[37]
+    radii = np.array([0.3, 0.4, 0.5, 0.6, 0.8])
+    axis = make_vertical(1, [])
     # the corner family is symmetric enough that its mirror image is an
     # isometric copy, so its separation cannot tell the two laws apart;
     # three generic maps can
@@ -211,6 +214,12 @@ def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):
             "separation": min_piece_separation(trio, 3),
             "horest": horest_check(1, 0.5, trials=5000, seed=2).min_margin,
             "transform": tuple(truncated_transform(mu2, params, None, center, 0.01).value),
+            "growth": tuple(tuple(v) for _, v in growth_profile(
+                mu2, params, center, [0.5, 0.25, 0.125])),
+            "maximal": tuple(maximal_transform(mu2, params, None, center,
+                                               [0.5, 0.25, 0.125])),
+            "ball_mass": tuple(mu2.ball_mass(center, radii)),
+            "cone": tuple(cone_deficiency(mu2, 2.0, center, axis, 0.5, radii)),
             "isotropy": str(isotropy.value),
             "region": (region.certified, region.min_lower_margin,
                        region.min_upper_margin),
@@ -223,6 +232,15 @@ def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):
     after = outputs()
     for key, value in before.items():
         assert after[key] != value, key
+    # the masses also agree exactly with sums built from core.dist and
+    # in_cone under the mirrored law, so a private copy in the cone
+    # membership or the ball test cannot hide behind the moving radii
+    d = core.dist(center, mu2.points)
+    outside = ~in_cone(center, mu2.points, axis, 0.5)
+    masses = np.array([[mu2.weights[d <= r].sum() for r in radii],
+                       [mu2.weights[outside & (d <= r)].sum() for r in radii]])
+    np.testing.assert_array_equal(after["ball_mass"], masses[0])
+    np.testing.assert_array_equal(after["cone"], masses[1] / radii ** 2.0)
     mirrored = phi_fixed_point(1, 0.25, 64)
     assert not np.array_equal(mirrored.values, phi64.values)
     # a consistently mirrored law keeps the corner family's separation

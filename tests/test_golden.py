@@ -16,7 +16,7 @@ from heisriesz.cli import main
 GOLDEN = {
     ("selftest",): {
         "selftest.json":
-            "a4cb4ea85bf5bc18b837b70843dae2b778929b12826607f60b82156b5f571b90",
+            "21bc47df1effd5f899fbc35c21d2ce788ad06286402bf7a116c7bff6d2dcb69b",
     },
     ("ifs", "generate"): {
         "ifs_generate.json":
@@ -34,15 +34,15 @@ GOLDEN = {
     },
     ("riesz", "transform"): {
         "riesz_transform.csv":
-            "9fcdd0e86f4286a36170744fd0fc4b3d7330ede424aebe3354ffde13cf4112ca",
+            "adf13177830fe66c50ad061b91206477ec86aed4c2593c3c25647496cf6448b8",
         "riesz_transform.json":
-            "b2fc064435e82dcdd82abdbd3bfe52142b74f42682aa084bcd35254e73868698",
+            "0b9ef981ccac1e89f699e10931b9d2f92b6201c4825bf0e95d9e81cc280eb253",
     },
     ("riesz", "divergence"): {
         "riesz_divergence.csv":
-            "1786a311c305f8ec162abdee5301f241364a604d4783b3032833ba20ec88e066",
+            "a716c13967f6db2ead0a2c29d2edbef270a402ef71f31d6d13508d2bc3ece723",
         "riesz_divergence.json":
-            "e5850a33727fe702c28bc502c995957b63b93f7a5df2cc85c8aa5addb2148ee6",
+            "5fbb3d46ea3228bfbca7e0004f0f1d4ce14ddb7319c4e6e0f911b135c92b55e7",
     },
     ("riesz", "subgroup-probe"): {
         "subgroup_probe.csv":

@@ -1,5 +1,8 @@
 """Discrete measures: construction, ball masses, serialisation."""
 
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,35 @@ def test_csv_roundtrip_is_exact(tmp_path):
     np.testing.assert_array_equal(back.weights, w)
 
 
+def test_csv_chunked_write_matches_one_savetxt(tmp_path):
+    # two chunks of rows; the bytes must equal a single full-array savetxt
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-5, 5, size=(70_000, 3))
+    w = rng.uniform(0.01, 2.0, size=70_000)
+    path = tmp_path / "mu.csv"
+    DiscreteMeasure(1, pts, w).to_csv(path)
+    ref = io.StringIO()
+    np.savetxt(ref, np.column_stack([pts, w]), delimiter=",",
+               header="x1,x2,x3,weight", comments="", fmt="%.17g")
+    assert path.read_bytes() == ref.getvalue().encode()
+
+
+def test_csv_write_memory_is_bounded_by_the_chunk(tmp_path, mu5, monkeypatch):
+    # row formatting is swapped for a recorder, since tracemalloc slows
+    # it tens of times over; the bytes are pinned by the test above
+    rows = []
+    monkeypatch.setattr(np, "savetxt", lambda fh, data, **kw: rows.append(len(data)))
+    tracemalloc.start()
+    try:
+        mu5.to_csv(tmp_path / "mu5.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(rows) == len(mu5)
+    # the full (N, 4) row array alone would be 33.5 MB
+    assert peak < 10e6
+
+
 def test_csv_rejects_malformed_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -126,3 +158,4 @@ def test_chunk_slices_cover_range():
     for sl in pieces:
         covered.extend(range(sl.start, sl.stop))
     assert covered == list(range(10))
+    assert list(chunk_slices(0)) == [slice(0, 0)]

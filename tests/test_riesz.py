@@ -1,9 +1,11 @@
 """Kernel values and the truncated singular-integral machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from heisriesz.core import dilate, group_inv, group_mul
+from heisriesz.core import dilate, dist, group_inv, group_mul
 from heisriesz.measure import DiscreteMeasure
 from heisriesz.riesz import (
     RieszParams,
@@ -114,6 +116,43 @@ def test_center_atom_never_contributes():
     assert res.atom_count_used <= len(mu) - 1
 
 
+def test_atoms_at_the_cutoff_are_excluded():
+    # gauge distances 1 (four ties) and 2 from the origin, all exact
+    pts = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
+                    [0.0, 0.0, -1.0], [2.0, 0.0, 0.0]])
+    mu = DiscreteMeasure(1, pts, np.full(5, 0.5))
+    params = RieszParams(s=2.0, n=1)
+    origin = np.zeros(3)
+    np.testing.assert_array_equal(dist(origin, pts), [1.0, 1.0, 1.0, 1.0, 2.0])
+    res = truncated_transform(mu, params, None, origin, 1.0)
+    assert res.atom_count_used == 1
+    np.testing.assert_array_equal(res.value, 0.5 * riesz_kernel(params, pts[4]))
+    assert truncated_transform(mu, params, None, origin, 0.5).atom_count_used == 5
+    # the closed ball keeps the ties
+    assert mu.ball_mass(origin, 1.0) == 2.0
+
+
+def test_atom_count_matches_brute_force_across_chunks():
+    # three chunks of the sweep; counts and values against direct sums
+    mu = _random_measure(38, count=150_000)
+    params = RieszParams(s=2.0, n=1)
+    p = np.array([0.2, -0.1, 0.3])
+    d = dist(p, mu.points)
+    terms = mu.weights[:, None] * riesz_kernel(params, group_mul(group_inv(p), mu.points))
+    for eps in (0.05, 0.5, 1.0, 2.5):
+        res = truncated_transform(mu, params, None, p, eps)
+        assert res.atom_count_used == int((d > eps).sum())
+        keep = terms[d > eps]
+        np.testing.assert_allclose(res.value, keep.sum(axis=0), rtol=0.0,
+                                   atol=1e-12 * np.abs(keep).sum())
+
+
+def test_kernel_and_measure_group_index_must_match():
+    mu = _random_measure(39, count=8)
+    with pytest.raises(ValueError):
+        truncated_transform(mu, RieszParams(s=2.0, n=2), None, mu.points[0], 0.5)
+
+
 def test_truncation_radius_must_be_positive():
     mu = _random_measure(34, count=8)
     params = RieszParams(s=2.0, n=1)
@@ -162,6 +201,24 @@ def test_growth_profile_matches_annuli():
         growth_profile(mu, params, p, [0.5, 0.6])
     with pytest.raises(ValueError):
         growth_profile(mu, params, p, [1.5, 0.5])
+
+
+@pytest.mark.parametrize("call", ["truncated", "growth"])
+def test_sweep_memory_is_bounded_by_the_chunk(call, mu5):
+    # the level-5 coordinates alone are 25 MB; one full term array or
+    # distance sort would need several times that
+    params = RieszParams(s=2.0, n=1)
+    p = mu5.points[12345]
+    tracemalloc.start()
+    try:
+        if call == "truncated":
+            truncated_transform(mu5, params, None, p, 0.0625)
+        else:
+            growth_profile(mu5, params, p, [0.25, 0.0625, 0.015625])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_vertical_axis_sample_nearly_cancels():
