@@ -286,6 +286,9 @@ def _measure_for(cfg: RunConfig, level: int):
                                           spacing=m["spacing"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load measure: {exc}") from None
+        if mu.spacing is None:
+            print(f"note: measure {m['csv']} has no 'spacing'; the "
+                  "4x-spacing resolution floor is off", file=sys.stderr)
         return mu, None, {"measure": m}
     ifs, block = _build_ifs(cfg)
     mu = cylinder_measure(ifs, level, atom_cap=cfg.atom_cap)

@@ -28,11 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-# dist stays bound here: perfbench's span recorder wraps diagnostics.dist
+# dist and in_cone stay bound here: perfbench's span recorder wraps
+# diagnostics.dist and diagnostics.in_cone
 from .core import _coords, blowup_map, dist, koranyi_norm
 from .measure import DiscreteMeasure, closed_ball_sums
 from .riesz import RieszParams, growth_profile
-from .subgroups import SubgroupSpec, haar_sample, in_cone
+from .subgroups import SubgroupSpec, cone_mask, haar_sample, in_cone
 
 __all__ = [
     "AdRegularityReport",
@@ -154,8 +155,8 @@ def cone_deficiency(mu: DiscreteMeasure, a: float, k, G: SubgroupSpec,
         )
     c, _, _ = _coords(k, mu.n)
 
-    def outside(sl):
-        return np.where(in_cone(c, mu.points[sl], G, delta), 0.0, mu.weights[sl])
+    def outside(sl, u, d):
+        return np.where(cone_mask(u, d, G, delta), 0.0, mu.weights[sl])
 
     masses = closed_ball_sums(mu, c, rad, outside)
     return masses / rad ** a

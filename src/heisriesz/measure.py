@@ -5,13 +5,18 @@ ten-million-atom measures stay practical; ``atoms()`` offers the tuple view
 for small measures.  The coordinate array is coordinate-major (Fortran
 order), so each coordinate of a chunk of atoms is one contiguous run;
 ball masses and every transform are one :func:`binned_sweep` over it.
-CSV files use the header ``x1,...,x{2n+1},weight``; the JSON variant
+Each measure keeps, once computed, the reach of every chunk from its
+first atom, which lets a sweep skip the chunks that the triangle
+inequality puts outside the distance window it reads; ``points`` and
+``weights`` are read-only, so that cache cannot go stale.  CSV files
+use the header ``x1,...,x{2n+1},weight``; the JSON variant
 additionally carries ``n``, the label and the resolution scale.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,41 +48,69 @@ def chunk_slices(total: int, chunk: int = CHUNK):
 
 
 def binned_sweep(mu, center, edges, columns):
-    """Sum per-atom columns over gauge-distance bins around ``center``.
+    """Sum per-atom columns over a window of gauge-distance bins.
 
-    ``edges`` is ascending; bin i holds the atoms with
-    edges[i-1] < d <= edges[i] (bin 0 is d <= edges[0], the last bin
-    d > edges[-1]), so a closed ball of radius edges[k] is bins 0..k and
-    the truncation d > edges[k] is bins k+1 onwards.  One pass walks the
-    atoms in fixed chunk order; for each chunk it takes the displacements
-    u = center^{-1} q and distances d = ||u|| from :mod:`core`, and
-    ``columns(sl, u, d)`` returns the chunk's per-atom values as a list of
-    k arrays.  Returns the (k, len(edges) + 1) per-bin sums and the
-    per-bin atom counts.
+    ``edges`` is ascending, with +-inf allowed at the ends; bin i holds
+    the atoms with edges[i] < d <= edges[i+1], and atoms outside the
+    window (edges[0], edges[-1]] contribute nothing.  So a closed ball
+    of radius r is the window [-inf, r] and the truncation d > eps is
+    [eps, inf].  One pass walks the atoms in fixed chunk order; for each
+    chunk it takes the displacements u = center^{-1} q and distances
+    d = ||u|| from :mod:`core`, and ``columns(sl, u, d)`` returns the
+    chunk's per-atom values as a list of k arrays.  Returns the
+    (k, len(edges) - 1) per-bin sums and the per-bin atom counts.
+
+    A chunk is skipped when the triangle inequality, applied to the
+    distance of its first atom from the centre and its cached reach,
+    puts all of its atoms outside the window.  Such a chunk would add
+    exact zeros to every bin, and the other chunks are reduced in the
+    same order, so skipping does not change a bit of the result.
     """
     c, _, _ = _coords(center, mu.n)
+    edges = np.asarray(edges, dtype=float)
     nbins = len(edges) + 1
-    sums, counts = 0.0, 0
-    for sl in chunk_slices(len(mu)):
-        u = core.left_displacement(c, mu.points[sl])
-        d = core.koranyi_norm(u)
+    anchors, reach = mu.points[::CHUNK], mu.chunk_reach()
+    gap = dist(c, anchors)
+    # rounding can move a computed gauge distance by up to about the
+    # square root of an ulp of the coordinates (the fourth root of a
+    # cancelled vertical term), so the margin scales with the sizes
+    margin = 1e-7 * mu.n * (1.0 + core.koranyi_norm(c)
+                            + core.koranyi_norm(anchors) + reach)
+    far = ((gap - reach > edges[-1] + margin)
+           | (gap + reach <= edges[0] - margin))
+
+    def binned(sl, u, d):
         bins = np.searchsorted(edges, d, side="left")
-        sums = sums + np.array([np.bincount(bins, weights=col, minlength=nbins)
-                                for col in columns(sl, u, d)])
-        counts = counts + np.bincount(bins, minlength=nbins)
-    return sums, counts
+        return (np.array([np.bincount(bins, weights=col, minlength=nbins)
+                          for col in columns(sl, u, d)], dtype=float),
+                np.bincount(bins, minlength=nbins))
+
+    # an empty chunk sets the shapes, so a sweep that skips every chunk
+    # still returns zero-filled bins
+    sums, counts = binned(slice(0, 0), np.empty((0, c.shape[-1])), np.empty(0))
+    for sl, skip in zip(chunk_slices(len(mu)), far):
+        if skip:
+            continue
+        u = core.left_displacement(c, mu.points[sl])
+        chunk_sums, chunk_counts = binned(sl, u, core.koranyi_norm(u))
+        sums += chunk_sums
+        counts += chunk_counts
+    # the outer two bins lie outside the window
+    return sums[:, 1:-1], counts[1:-1]
 
 
 def closed_ball_sums(mu, center, radii, column):
     """Sums of one per-atom column over the closed balls B(center, r).
 
-    ``column(sl)`` gives the values of the atoms in slice ``sl``; radii
-    may come in any order and repeat.  One sweep serves every radius.
+    ``column(sl, u, d)`` gives the values of the atoms in slice ``sl``
+    from their displacements and distances; radii may come in any order
+    and repeat.  One sweep serves every radius.
     """
     radii = np.asarray(radii, dtype=float)
     edges = np.unique(radii)
-    sums, _ = binned_sweep(mu, center, edges, lambda sl, u, d: [column(sl)])
-    inside = np.cumsum(sums[0, :-1])
+    sums, _ = binned_sweep(mu, center, np.concatenate([[-np.inf], edges]),
+                           lambda sl, u, d: [column(sl, u, d)])
+    inside = np.cumsum(sums[0])
     return inside[np.searchsorted(edges, radii)]
 
 
@@ -99,6 +132,10 @@ class DiscreteMeasure:
         Metric scale of the discretisation (finest atom spacing).  Ball
         statistics are unreliable below four times this value; consumers
         use it as a resolution floor.
+
+    ``points`` and ``weights`` are kept as read-only views of the given
+    arrays (no copy is made), so an in-place write through the measure
+    raises instead of invalidating its cached chunk reach.
     """
 
     n: int
@@ -124,8 +161,12 @@ class DiscreteMeasure:
             raise ValueError("weights must be finite and strictly positive")
         if self.spacing is not None and not self.spacing > 0.0:
             raise ValueError("spacing must be positive when given")
-        self.points = pts
-        self.weights = wts
+        self.points = pts.view()
+        self.weights = wts.view()
+        self.points.flags.writeable = False
+        self.weights.flags.writeable = False
+        self._reach = None
+        self._reach_lock = threading.Lock()
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -148,10 +189,26 @@ class DiscreteMeasure:
         if np.any(radii < 0.0):
             raise ValueError("radii must be nonnegative")
         totals = closed_ball_sums(self, center, radii,
-                                  lambda sl: self.weights[sl])
+                                  lambda sl, u, d: self.weights[sl])
         if np.isscalar(radius) or np.asarray(radius).ndim == 0:
             return float(totals[0])
         return totals
+
+    def chunk_reach(self) -> np.ndarray:
+        """Reach max d(a_k, q) of each sweep chunk k from its first atom a_k.
+
+        One chunked distance pass, computed on first use and cached
+        against the ``points`` array; threads that ask at the same time
+        wait for the one computation.
+        """
+        with self._reach_lock:
+            if self._reach is None or self._reach[0] is not self.points:
+                pts = self.points
+                reach = np.array([dist(pts[sl.start], pts[sl]).max()
+                                  for sl in chunk_slices(len(self))
+                                  if sl.stop > sl.start], dtype=float)
+                self._reach = (pts, reach)
+            return self._reach[1]
 
     def diameter_bound(self) -> float:
         """Upper bound for the support diameter via the triangle inequality."""

@@ -9,9 +9,13 @@ under the group inverse.
 Truncated transforms sum w(q) f(q) K(p^{-1} q) over atoms with
 d(p, q) > eps (closed balls are excluded, so ties at eps drop out).
 Every transform is one :func:`~heisriesz.measure.binned_sweep`: the
-kernel terms are summed per distance bin (edges at the cutoffs) in fixed
-chunk order, and truncations are suffix sums of those per-bin sums, so
-no per-atom term array is kept or sorted.  The annular transform
+kernel terms are summed per distance bin (edges at the cutoffs, with an
+open end at +inf where the transform reaches infinity) in fixed chunk
+order, and truncations are suffix sums of those per-bin sums, so no
+per-atom term array is kept or sorted.  The sweep skips every chunk that
+lies wholly inside the innermost cutoff or, for the growth profile,
+wholly beyond radius 1; those chunks add nothing, so the values are the
+same bits as a full sweep.  The annular transform
 r < d <= R is defined as truncated(r) - truncated(R), so that identity
 holds exactly in floating point, not just up to rounding.
 """
@@ -119,9 +123,10 @@ def truncated_transform(mu: DiscreteMeasure, params: RieszParams, f, p,
     """Sum of weighted kernel terms over atoms with d(p, q) > eps."""
     if not eps > 0.0:
         raise ValueError(f"truncation radius must be positive, got {eps}")
-    sums, counts = binned_sweep(mu, p, [eps], _kernel_columns(params, mu, f))
-    return TransformResult(value=sums[:, 1], epsilon=float(eps),
-                           atom_count_used=int(counts[1]))
+    sums, counts = binned_sweep(mu, p, [eps, np.inf],
+                                _kernel_columns(params, mu, f))
+    return TransformResult(value=sums[:, 0], epsilon=float(eps),
+                           atom_count_used=int(counts[0]))
 
 
 def annulus_transform(mu: DiscreteMeasure, params: RieszParams, p,
@@ -141,9 +146,10 @@ def maximal_transform(mu: DiscreteMeasure, params: RieszParams, f, p,
     can only increase the result.
     """
     eps = _cutoffs(eps_grid, np.inf)
-    sums, _ = binned_sweep(mu, p, eps[::-1], _kernel_columns(params, mu, f))
+    edges = np.concatenate([eps[::-1], [np.inf]])
+    sums, _ = binned_sweep(mu, p, edges, _kernel_columns(params, mu, f))
     # running sums of the bins from the outside in: every truncation
-    return np.abs(np.cumsum(sums[:, :0:-1], axis=1)).max(axis=1)
+    return np.abs(np.cumsum(sums[:, ::-1], axis=1)).max(axis=1)
 
 
 def growth_profile(mu: DiscreteMeasure, params: RieszParams, p, eps_list):
@@ -157,7 +163,7 @@ def growth_profile(mu: DiscreteMeasure, params: RieszParams, p, eps_list):
     eps = _cutoffs(eps_list, 1.0)
     edges = np.concatenate([eps[::-1], [1.0]])
     sums, _ = binned_sweep(mu, p, edges, _kernel_columns(params, mu, None))
-    # running sums from the bin below 1 inwards; the last bin (d > 1)
-    # never contributes, so column j is the annulus (eps[j], 1]
-    annuli = np.cumsum(sums[:, -2:0:-1], axis=1)
+    # running sums from the bin below 1 inwards: column j is the
+    # annulus (eps[j], 1]
+    annuli = np.cumsum(sums[:, ::-1], axis=1)
     return [(float(e), annuli[:, j].copy()) for j, e in enumerate(eps)]

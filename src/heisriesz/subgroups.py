@@ -221,10 +221,18 @@ def in_cone(p, q, spec: SubgroupSpec, delta: float):
     if not (0.0 < delta < 1.0):
         raise ValueError(f"cone aperture must lie in (0, 1), got {delta}")
     u, _, _ = _coords(left_displacement(p, q), spec.n)
-    gap = dist_to_subgroup(u, spec)
-    radius = koranyi_norm(u)
-    inside = np.asarray(gap < delta * radius) | np.asarray(radius == 0.0)
+    inside = cone_mask(u, koranyi_norm(u), spec, delta)
     return bool(inside) if inside.ndim == 0 else inside
+
+
+def cone_mask(u, radius, spec: SubgroupSpec, delta: float) -> np.ndarray:
+    """The cone test on displacements u = p^{-1} q with gauge norms ``radius``.
+
+    This is the one definition behind :func:`in_cone`; a sweep that has
+    the displacements and distances already calls it directly.
+    """
+    gap = dist_to_subgroup(u, spec)
+    return np.asarray(gap < delta * radius) | np.asarray(radius == 0.0)
 
 
 def haar_sample(

@@ -233,6 +233,27 @@ def test_measure_block_feeds_other_commands(tmp_path):
     assert doc["results"]["verdict"] == "regular"
 
 
+def test_csv_measure_without_spacing_notes_the_floor(tmp_path, capsys):
+    gen_out = tmp_path / "gen"
+    cfg = _write_config(tmp_path, {"ifs": {"level": 3}})
+    assert _run(["ifs", "generate", "--config", cfg, "--out", str(gen_out)]) == 0
+    capsys.readouterr()
+    notes = []
+    for extra in ({}, {"spacing": 0.25 ** 3}):
+        out = tmp_path / f"ad{len(notes)}"
+        cfg2 = _write_config(tmp_path, {
+            "measure": {"csv": str(gen_out / "ifs_measure.csv"), **extra},
+            "diagnostics": {"a": 2.0, "centers": 4, "radii": [0.25]},
+        })
+        assert _run(["measure", "ad-report", "--config", cfg2, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        notes.append(err)
+        assert "floor is off" not in (out / "ad_report.json").read_text()
+    assert notes[0].count("\n") == 1
+    assert "no 'spacing'" in notes[0] and "resolution floor is off" in notes[0]
+    assert notes[1] == ""
+
+
 def test_tangent_blowup(tmp_path):
     out = tmp_path / "run"
     cfg = _write_config(tmp_path, {"tangent": {"level": 3, "word": [0], "r": 0.25}})
