@@ -3,7 +3,7 @@
 The package is organised bottom-up:
 
 * ``core``        group arithmetic, Koranyi gauge, dilations, blow-up maps
-* ``measure``     weighted atomic measures with CSV / JSON round trips
+* ``measure``     weighted atomic measures, chunked sweeps, CSV round trips
 * ``subgroups``   homogeneous subgroups, cones, Haar grid samples
 * ``riesz``       kernels and truncated / annular / maximal transforms
 * ``fractal``     corner-and-offset similarity systems and their invariants
@@ -45,12 +45,12 @@ from .riesz import (
     maximal_transform,
     riesz_kernel,
     truncated_transform,
+    truncations,
 )
 from .fractal import (
     GridFunction,
     Ifs,
     Similarity,
-    apply_word,
     cycle_atom_indices,
     cylinder_measure,
     make_strichartz_ifs,

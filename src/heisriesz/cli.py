@@ -15,8 +15,8 @@ Configuration comes from a JSON file (--config PATH) with optional
 blocks "ifs", "measure", "riesz", "diagnostics", "tangent", "selftest";
 the flags --seed, --threads, --quick and --out override file values.
 Every JSON report embeds the resolved configuration, the seed and the
-package version, so a fixed config and seed reproduce identical bytes
-in single-thread mode.  CSV output uses '.' decimals, no locale.
+package version, so a fixed config and seed reproduce identical bytes.
+CSV output uses '.' decimals, no locale.
 
 Exit codes: 0 success, 1 failed selftest, 2 configuration error,
 3 computed verdict contradicts the configured "expect", 4 atom cap
@@ -29,22 +29,23 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .core import ambient_dim
-from .diagnostics import (_resolution_floor, ad_regularity_report,
-                          blowup_measure, cone_deficiency, divergence_probe,
+from .diagnostics import (_center_coords, _resolution_floor,
+                          ad_regularity_report, blowup_measure,
+                          cone_deficiency, divergence_probe,
                           subgroup_boundedness_probe)
 from .fractal import (Ifs, Similarity, cycle_atom_indices, cylinder_measure,
                       make_strichartz_ifs, min_piece_separation,
                       phi_fixed_point, similarity_dimension,
                       verify_invariant_region, word_similarity)
 from .measure import DEFAULT_ATOM_CAP, AtomCapExceeded, DiscreteMeasure
-from .riesz import RieszParams, truncated_transform
+from .riesz import RieszParams, truncations
 from .selftest import run_selftest
 from .subgroups import make_horizontal, make_vertical
 
@@ -128,7 +129,7 @@ class RunConfig:
     threads: int
     quick: bool
     atom_cap: int
-    output_dir: str
+    out: str
     blocks: dict
 
     def section(self, name: str, defaults: dict) -> dict:
@@ -178,7 +179,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"atom cap must be >= 1, got {atom_cap}")
     blocks = {k: raw[k] for k in _BLOCK_NAMES if k in raw}
     return RunConfig(n=n, seed=seed, threads=threads, quick=quick,
-                     atom_cap=atom_cap, output_dir=out, blocks=blocks)
+                     atom_cap=atom_cap, out=out, blocks=blocks)
 
 
 def _cfg(fn, *args, **kwargs):
@@ -189,50 +190,67 @@ def _cfg(fn, *args, **kwargs):
         raise ConfigError(str(exc)) from None
 
 
-def _emit_json(cfg: RunConfig, filename: str, command: str, sections: dict,
-               payload: dict) -> Path:
-    doc = {
-        "command": command,
-        "version": __version__,
-        "schema": SCHEMA_VERSION,
-        "config": {
-            "n": cfg.n,
-            "seed": cfg.seed,
-            "threads": cfg.threads,
-            "quick": cfg.quick,
-            "atom_cap": cfg.atom_cap,
-            "out": cfg.output_dir,
-            **sections,
-        },
-        "results": payload,
-    }
-    path = Path(cfg.output_dir) / filename
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
-
-
 def _fmt_cell(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return format(float(v), ".17g")
 
 
-def _write_csv(cfg: RunConfig, filename: str, header: str, rows) -> Path:
-    path = Path(cfg.output_dir) / filename
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
-    return path
+@dataclass
+class Outcome:
+    """What a command computed; :func:`_run` writes and reports it.
+
+    ``csv`` is a measure or a (header, rows) pair, written to the
+    command's CSV file; ``message`` may name that file as ``{csv}``.
+    A ``failure`` line fails the run; a ``verdict`` other than a
+    configured ``expect`` contradicts it.
+    """
+
+    payload: dict
+    sections: dict
+    message: str
+    verdict: str | None = None
+    expect: object = None
+    csv: object = None
+    failure: str | None = None
 
 
-def _expect_gate(expect, verdict: str) -> int:
-    if expect is not None and expect != verdict:
-        print(f"verdict {verdict!r} contradicts expected {expect!r}",
+def _run(cfg: RunConfig, command: str, stem: str, csv: str | None,
+         compute) -> int:
+    """Compute a command, write its CSV and JSON report, print, gate."""
+    res = compute(cfg)
+    folder = Path(cfg.out)
+    folder.mkdir(parents=True, exist_ok=True)
+    payload, message = res.payload, res.message
+    if csv is not None:
+        path = folder / csv
+        if isinstance(res.csv, DiscreteMeasure):
+            res.csv.to_csv(path)
+        else:
+            header, rows = res.csv
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(header + "\n")
+                for row in rows:
+                    fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+        payload, message = {**payload, "csv": csv}, message.format(csv=path)
+    # the run settings without the raw blocks, then the resolved blocks
+    config = {k: v for k, v in vars(cfg).items() if k != "blocks"}
+    doc = {
+        "command": command,
+        "version": __version__,
+        "schema": SCHEMA_VERSION,
+        "config": {**config, **res.sections},
+        "results": payload,
+    }
+    with open(folder / f"{stem}.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2, default=np.ndarray.tolist)
+        fh.write("\n")
+    print(message)
+    if res.failure is not None:
+        print(res.failure, file=sys.stderr)
+        return EXIT_FAIL
+    if res.expect is not None and res.expect != res.verdict:
+        print(f"verdict {res.verdict!r} contradicts expected {res.expect!r}",
               file=sys.stderr)
         return EXIT_CONTRADICTION
     return EXIT_OK
@@ -275,8 +293,15 @@ def _pick_level(block: dict, cfg: RunConfig, full: int, quick: int) -> int:
     return int(quick_level) if cfg.quick else int(level)
 
 
-def _measure_for(cfg: RunConfig, level: int):
-    """Measure from the 'measure' block if present, else a cylinder measure."""
+def _measure_for(cfg: RunConfig, name: str, defaults: dict, full: int,
+                 quick: int):
+    """The command's block and its measure: the 'measure' block's CSV if
+    present, else a cylinder measure at the block's level.
+
+    Returns (block, measure, ifs or None, config sections).
+    """
+    block = cfg.section(name, defaults)
+    level = _pick_level(block, cfg, full, quick)
     if "measure" in cfg.blocks:
         m = cfg.section("measure", _MEASURE_DEFAULTS)
         if not m["csv"]:
@@ -289,10 +314,11 @@ def _measure_for(cfg: RunConfig, level: int):
         if mu.spacing is None:
             print(f"note: measure {m['csv']} has no 'spacing'; the "
                   "4x-spacing resolution floor is off", file=sys.stderr)
-        return mu, None, {"measure": m}
-    ifs, block = _build_ifs(cfg)
+        return block, mu, None, {name: block, "measure": m}
+    ifs, ifs_block = _build_ifs(cfg)
     mu = cylinder_measure(ifs, level, atom_cap=cfg.atom_cap)
-    return mu, ifs, {"ifs": {**block, "level_used": level}}
+    return block, mu, ifs, {name: block,
+                            "ifs": {**ifs_block, "level_used": level}}
 
 
 def _dimension_for(explicit, ifs) -> float:
@@ -301,13 +327,6 @@ def _dimension_for(explicit, ifs) -> float:
     if ifs is None:
         raise ConfigError("an explicit dimension 'a' is required for csv measures")
     return similarity_dimension(ifs)
-
-
-def _support_points(mu: DiscreteMeasure, count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    count = min(int(count), len(mu))
-    idx = np.sort(rng.choice(len(mu), size=count, replace=False, shuffle=False))
-    return mu.points[idx]
 
 
 def _eps_schedule(block: dict, start: float, ratio: float, count: int) -> np.ndarray:
@@ -363,40 +382,30 @@ def _cone_family(n: int, count: int, seed: int):
 # commands
 # ----------------------------------------------------------------------
 
-def _cmd_selftest(cfg: RunConfig) -> int:
+def _cmd_selftest(cfg: RunConfig) -> Outcome:
     block = cfg.section("selftest", _SELFTEST_DEFAULTS)
     results = run_selftest(samples=int(block["samples"]), seed=cfg.seed,
                            eq_tol=float(block["eq_tol"]), quick=cfg.quick)
-    for r in results:
-        mark = "ok" if r.passed else "FAIL"
-        print(f"[{mark:>4}] {r.name}: worst={r.worst:.3e} tol={r.tol:.1e} "
-              f"samples={r.samples}")
+    lines = [f"[{'ok' if r.passed else 'FAIL':>4}] {r.name}: "
+             f"worst={r.worst:.3e} tol={r.tol:.1e} samples={r.samples}"
+             for r in results]
     passed = sum(r.passed for r in results)
-    print(f"{passed}/{len(results)} checks passed")
+    lines.append(f"{passed}/{len(results)} checks passed")
+    failing = [r.name for r in results if not r.passed]
     payload = {
-        "checks": [
-            {"name": r.name, "samples": r.samples, "worst": r.worst,
-             "tol": r.tol, "passed": r.passed}
-            for r in results
-        ],
+        "checks": [{**asdict(r), "passed": r.passed} for r in results],
         "passed": passed,
         "total": len(results),
     }
-    _emit_json(cfg, "selftest.json", "selftest", {"selftest": block}, payload)
-    failing = [r for r in results if not r.passed]
-    if failing:
-        print(f"first failing property: {failing[0].name}", file=sys.stderr)
-        return EXIT_FAIL
-    return EXIT_OK
+    return Outcome(payload, {"selftest": block}, "\n".join(lines),
+                   failure=f"first failing property: {failing[0]}"
+                   if failing else None)
 
 
-def _cmd_ifs_generate(cfg: RunConfig) -> int:
+def _cmd_ifs_generate(cfg: RunConfig) -> Outcome:
     ifs, block = _build_ifs(cfg)
     level = _pick_level(block, cfg, full=4, quick=3)
     mu = cylinder_measure(ifs, level, atom_cap=cfg.atom_cap)
-    csv_path = Path(cfg.output_dir) / "ifs_measure.csv"
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    mu.to_csv(csv_path)
     payload = {
         "atoms": len(mu),
         "total_mass": mu.total_mass,
@@ -404,20 +413,20 @@ def _cmd_ifs_generate(cfg: RunConfig) -> int:
         "level": level,
         "maps": len(ifs.maps),
         "similarity_dimension": similarity_dimension(ifs),
-        "csv": csv_path.name,
     }
-    _emit_json(cfg, "ifs_generate.json", "ifs generate",
-               {"ifs": {**block, "level_used": level}}, payload)
-    print(f"wrote {len(mu)} atoms (mass {mu.total_mass:.12g}) to {csv_path}")
-    return EXIT_OK
+    return Outcome(payload, {"ifs": {**block, "level_used": level}},
+                   f"wrote {len(mu)} atoms (mass {mu.total_mass:.12g}) to {{csv}}",
+                   csv=mu)
 
 
-def _cmd_ifs_verify(cfg: RunConfig) -> int:
+def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
     ifs, block = _build_ifs(cfg)
     samples = int(block["samples"])
+    sep_level = int(block["separation_level"])
     if cfg.quick:
         samples = max(1000, samples // 10)
-    payload = {}
+        sep_level = max(1, sep_level - 1)
+    payload, lines = {}, []
     region = None
     if ifs.strichartz is not None:
         phi = _cfg(phi_fixed_point, cfg.n, ifs.strichartz.r,
@@ -432,71 +441,42 @@ def _cmd_ifs_verify(cfg: RunConfig) -> int:
             "residual": phi.residual,
             "max_contraction": float(ratios.max()) if ratios.size else 0.0,
         }
-        payload["region"] = {
-            "sample_count": region.sample_count,
-            "violations": region.violations,
-            "witness": None if region.witness is None else region.witness.tolist(),
-            "min_lower_margin": region.min_lower_margin,
-            "min_upper_margin": region.min_upper_margin,
-            "slack": region.slack,
-            "discretization_sup": region.discretization_sup,
-            "slab_thickness": region.slab_thickness,
-            "offset_spacing": region.offset_spacing,
-            "vertical_separation": region.vertical_separation,
-            "horizontal_gap": region.horizontal_gap,
-            "disjoint_certified": region.disjoint_certified,
-        }
-    sep_level = int(block["separation_level"])
-    if cfg.quick:
-        sep_level = max(1, sep_level - 1)
+        payload["region"] = asdict(region)
+        lines.append(f"region: {region.violations} violations / "
+                     f"{region.sample_count} samples, slack {region.slack:.3e}")
     separation = min_piece_separation(ifs, sep_level)
-    payload["separation"] = {"level": sep_level, "value": separation}
     certified = (region is None or region.certified) and separation > 0.0
     verdict = "certified" if certified else "uncertified"
+    payload["separation"] = {"level": sep_level, "value": separation}
     payload["verdict"] = verdict
-    _emit_json(cfg, "ifs_verify.json", "ifs verify",
-               {"ifs": {**block, "samples_used": samples,
-                        "separation_level_used": sep_level}}, payload)
-    if region is not None:
-        print(f"region: {region.violations} violations / {region.sample_count} "
-              f"samples, slack {region.slack:.3e}")
-    print(f"piece separation at level {sep_level}: {separation:.6g} "
-          f"-> {verdict}")
-    return _expect_gate(block["expect"], verdict)
+    lines.append(f"piece separation at level {sep_level}: {separation:.6g} "
+                 f"-> {verdict}")
+    sections = {"ifs": {**block, "samples_used": samples,
+                        "separation_level_used": sep_level}}
+    return Outcome(payload, sections, "\n".join(lines), verdict,
+                   block["expect"])
 
 
-def _cmd_measure_ad(cfg: RunConfig) -> int:
-    diag = cfg.section("diagnostics", _DIAG_DEFAULTS)
-    level = _pick_level(diag, cfg, full=5, quick=4)
-    mu, ifs, sections = _measure_for(cfg, level)
+def _cmd_measure_ad(cfg: RunConfig) -> Outcome:
+    diag, mu, ifs, sections = _measure_for(cfg, "diagnostics", _DIAG_DEFAULTS,
+                                           full=5, quick=4)
     a = _dimension_for(diag["a"], ifs)
     report = _cfg(ad_regularity_report, mu, a, centers=diag["centers"],
                   radii=_radii_for(cfg, diag, mu), seed=cfg.seed,
                   c_cap=float(diag["c_cap"]))
     verdict = "regular" if report.regular else "irregular"
-    payload = {
-        "a": report.a,
-        "centers": report.centers.tolist(),
-        "radii": report.radii.tolist(),
-        "min_ratio": report.min_ratio,
-        "max_ratio": report.max_ratio,
-        "implied_c": report.implied_c,
-        "c_cap": report.c_cap,
-        "atoms": len(mu),
-        "verdict": verdict,
-    }
-    _emit_json(cfg, "ad_report.json", "measure ad-report",
-               {"diagnostics": diag, **sections}, payload)
-    print(f"implied C = {report.implied_c:.4g} over "
-          f"{report.centers.shape[0]} centers (cap {report.c_cap:g}) "
-          f"-> {verdict}")
-    return _expect_gate(diag["expect"], verdict)
+    payload = {k: v for k, v in asdict(report).items()
+               if k not in ("ratios", "seed")}
+    payload.update(atoms=len(mu), verdict=verdict)
+    return Outcome(payload, sections,
+                   f"implied C = {report.implied_c:.4g} over "
+                   f"{report.centers.shape[0]} centers (cap {report.c_cap:g}) "
+                   f"-> {verdict}", verdict, diag["expect"])
 
 
-def _cmd_riesz_transform(cfg: RunConfig) -> int:
-    block = cfg.section("riesz", _RIESZ_DEFAULTS)
-    level = _pick_level(block, cfg, full=4, quick=3)
-    mu, _, sections = _measure_for(cfg, level)
+def _cmd_riesz_transform(cfg: RunConfig) -> Outcome:
+    block, mu, _, sections = _measure_for(cfg, "riesz", _RIESZ_DEFAULTS,
+                                          full=4, quick=3)
     params = _cfg(RieszParams, s=float(block["s"]), n=mu.n)
     eps = _eps_schedule(block, start=0.25, ratio=0.25, count=3)
     if block["point_coords"] is not None:
@@ -504,96 +484,81 @@ def _cmd_riesz_transform(cfg: RunConfig) -> int:
             -1, ambient_dim(mu.n))
     else:
         count = 8 if block["points"] is None else int(block["points"])
-        pts = _support_points(mu, count, cfg.seed)
+        pts = _center_coords(mu, count, cfg.seed)
     rows = []
     per_eps_max = np.zeros(eps.size)
     for i, p in enumerate(pts):
-        for k, e in enumerate(eps):
-            res = truncated_transform(mu, params, None, p, float(e))
-            per_eps_max[k] = max(per_eps_max[k], float(np.abs(res.value).max()))
-            rows.extend((i, e, c, v) for c, v in enumerate(res.value))
-    csv_path = _write_csv(cfg, "riesz_transform.csv",
-                          "point_index,eps,coord,value", rows)
+        # one sweep per point: column k is the truncation at eps[k]
+        values = truncations(mu, params, None, p, eps)
+        per_eps_max = np.maximum(per_eps_max, np.abs(values).max(axis=0))
+        rows.extend((i, e, c, v) for k, e in enumerate(eps)
+                    for c, v in enumerate(values[:, k]))
     payload = {
         "s": params.s,
         "atoms": len(mu),
-        "eps": eps.tolist(),
-        "points": pts.tolist(),
-        "per_eps_max_abs": per_eps_max.tolist(),
+        "eps": eps,
+        "points": pts,
+        "per_eps_max_abs": per_eps_max,
         "rows": len(rows),
-        "csv": csv_path.name,
     }
-    _emit_json(cfg, "riesz_transform.json", "riesz transform",
-               {"riesz": block, **sections}, payload)
-    print(f"wrote {len(rows)} rows to {csv_path}")
-    return EXIT_OK
+    return Outcome(payload, sections, f"wrote {len(rows)} rows to {{csv}}",
+                   csv=("point_index,eps,coord,value", rows))
 
 
-def _cmd_riesz_divergence(cfg: RunConfig) -> int:
-    block = cfg.section("riesz", _RIESZ_DEFAULTS)
-    level = _pick_level(block, cfg, full=6, quick=5)
-    mu, ifs, sections = _measure_for(cfg, level)
+def _cmd_riesz_divergence(cfg: RunConfig) -> Outcome:
+    block, mu, ifs, sections = _measure_for(cfg, "riesz", _RIESZ_DEFAULTS,
+                                            full=6, quick=5)
     params = _cfg(RieszParams, s=float(block["s"]), n=mu.n)
     eps = _eps_schedule(block, start=0.25, ratio=0.25,
                         count=4 if cfg.quick else 5)
     count = 32 if block["points"] is None else int(block["points"])
     if ifs is not None:
         # cycle atoms see scale-periodic annuli, the clean growth probes
-        idx = cycle_atom_indices(len(ifs.maps), level, count, seed=cfg.seed)
+        idx = cycle_atom_indices(len(ifs.maps), sections["ifs"]["level_used"],
+                                 count, seed=cfg.seed)
         pts = mu.points[idx]
     else:
-        pts = _support_points(mu, count, cfg.seed)
+        pts = _center_coords(mu, count, cfg.seed)
     reports = _cfg(divergence_probe, mu, params, pts, eps,
                    c=float(block["c"]), threads=cfg.threads)
     diverging = sum(r.verdict == "diverging" for r in reports)
     bounded = sum(r.verdict == "bounded" for r in reports)
     needed = math.ceil(float(block["fraction"]) * len(reports))
     overall = "diverging" if diverging >= needed else "not-diverging"
-    rows = []
-    for i, rep in enumerate(reports):
-        for k, e in enumerate(rep.eps):
-            rows.extend((i, e, c, m) for c, m in enumerate(rep.magnitudes[k]))
-    csv_path = _write_csv(cfg, "riesz_divergence.csv",
-                          "point_index,eps,coord,magnitude", rows)
+    rows = [(i, e, c, m) for i, rep in enumerate(reports)
+            for k, e in enumerate(rep.eps)
+            for c, m in enumerate(rep.magnitudes[k])]
     payload = {
         "s": params.s,
         "atoms": len(mu),
-        "eps": list(reports[0].eps),
+        "eps": reports[0].eps,
         "needed": needed,
         "diverging": diverging,
         "bounded": bounded,
         "inconclusive": len(reports) - diverging - bounded,
         "overall": overall,
         "per_point": [
-            {"point": rep.point.tolist(), "verdict": rep.verdict,
-             "slopes": rep.slopes.tolist(),
-             "max_magnitudes": rep.max_magnitudes.tolist()}
+            {"point": rep.point, "verdict": rep.verdict,
+             "slopes": rep.slopes, "max_magnitudes": rep.max_magnitudes}
             for rep in reports
         ],
-        "csv": csv_path.name,
     }
-    _emit_json(cfg, "riesz_divergence.json", "riesz divergence",
-               {"riesz": block, **sections}, payload)
-    print(f"{diverging}/{len(reports)} points diverging (needed {needed}) "
-          f"-> {overall}")
-    return _expect_gate(block["expect"], overall)
+    return Outcome(payload, sections,
+                   f"{diverging}/{len(reports)} points diverging "
+                   f"(needed {needed}) -> {overall}", overall, block["expect"],
+                   csv=("point_index,eps,coord,magnitude", rows))
 
 
-def _cmd_riesz_subgroup(cfg: RunConfig) -> int:
+def _cmd_riesz_subgroup(cfg: RunConfig) -> Outcome:
     block = cfg.section("riesz", _RIESZ_DEFAULTS)
-    raw_sub = block["subgroup"]
-    if raw_sub is None:
-        raw_sub = {"kind": "vertical", "basis": []}
+    raw_sub = {} if block["subgroup"] is None else block["subgroup"]
     if not isinstance(raw_sub, dict) or set(raw_sub) - {"kind", "basis"}:
         raise ConfigError("subgroup block must be {kind, basis}")
     kind = raw_sub.get("kind", "vertical")
-    basis = raw_sub.get("basis", [])
-    if kind == "vertical":
-        spec = _cfg(make_vertical, cfg.n, basis)
-    elif kind == "horizontal":
-        spec = _cfg(make_horizontal, cfg.n, basis)
-    else:
+    make = {"vertical": make_vertical, "horizontal": make_horizontal}.get(kind)
+    if make is None:
         raise ConfigError(f"unknown subgroup kind {kind!r}")
+    spec = _cfg(make, cfg.n, raw_sub.get("basis", []))
     eps = _eps_schedule(block, start=0.5, ratio=0.5, count=8)
     count = 8 if block["points"] is None else int(block["points"])
     report = _cfg(subgroup_boundedness_probe, spec, float(block["s"]), eps,
@@ -601,32 +566,17 @@ def _cmd_riesz_subgroup(cfg: RunConfig) -> int:
                   resolution=int(block["resolution"]),
                   points=count, seed=cfg.seed,
                   slope_tol=float(block["slope_tol"]))
-    rows = list(zip(report.eps, report.per_eps_max))
-    csv_path = _write_csv(cfg, "subgroup_probe.csv", "eps,max_abs", rows)
-    payload = {
-        "kind": report.kind,
-        "s": report.s,
-        "window": report.window,
-        "resolution": report.resolution,
-        "eps": list(report.eps),
-        "points": report.points.tolist(),
-        "per_eps_max": report.per_eps_max.tolist(),
-        "bound": report.bound,
-        "slope": report.slope,
-        "verdict": report.verdict,
-        "csv": csv_path.name,
-    }
-    _emit_json(cfg, "subgroup_probe.json", "riesz subgroup-probe",
-               {"riesz": block}, payload)
-    print(f"bound {report.bound:.4g}, slope {report.slope:.3e} "
-          f"-> {report.verdict}")
-    return _expect_gate(block["expect"], report.verdict)
+    payload = {k: v for k, v in asdict(report).items()
+               if k not in ("per_point_max", "seed")}
+    return Outcome(payload, {"riesz": block},
+                   f"bound {report.bound:.4g}, slope {report.slope:.3e} "
+                   f"-> {report.verdict}", report.verdict, block["expect"],
+                   csv=("eps,max_abs", zip(report.eps, report.per_eps_max)))
 
 
-def _cmd_tangent_blowup(cfg: RunConfig) -> int:
-    block = cfg.section("tangent", _TANGENT_DEFAULTS)
-    level = _pick_level(block, cfg, full=5, quick=4)
-    mu, ifs, sections = _measure_for(cfg, level)
+def _cmd_tangent_blowup(cfg: RunConfig) -> Outcome:
+    block, mu, ifs, sections = _measure_for(cfg, "tangent", _TANGENT_DEFAULTS,
+                                            full=5, quick=4)
     if block["point"] is not None:
         center = np.asarray(block["point"], dtype=float)
     else:
@@ -639,32 +589,25 @@ def _cmd_tangent_blowup(cfg: RunConfig) -> int:
     nu = _cfg(blowup_measure, mu, center, float(block["r"]),
               s=None if s is None else float(s),
               normalization=str(block["normalization"]))
-    csv_path = Path(cfg.output_dir) / "blowup_measure.csv"
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    nu.to_csv(csv_path)
     payload = {
         "r": float(block["r"]),
         "normalization": block["normalization"],
         "s": s,
-        "center": center.tolist(),
+        "center": center,
         "atoms": len(nu),
         "total_mass": nu.total_mass,
         "label": nu.label,
-        "csv": csv_path.name,
     }
-    _emit_json(cfg, "blowup.json", "tangent blowup",
-               {"tangent": block, **sections}, payload)
-    print(f"blow-up at r={float(block['r']):g}: {len(nu)} atoms, "
-          f"mass {nu.total_mass:.6g}")
-    return EXIT_OK
+    return Outcome(payload, sections,
+                   f"blow-up at r={float(block['r']):g}: {len(nu)} atoms, "
+                   f"mass {nu.total_mass:.6g}", csv=nu)
 
 
-def _cmd_cone_deficiency(cfg: RunConfig) -> int:
-    diag = cfg.section("diagnostics", _DIAG_DEFAULTS)
-    level = _pick_level(diag, cfg, full=5, quick=4)
-    mu, ifs, sections = _measure_for(cfg, level)
+def _cmd_cone_deficiency(cfg: RunConfig) -> Outcome:
+    diag, mu, ifs, sections = _measure_for(cfg, "diagnostics", _DIAG_DEFAULTS,
+                                           full=5, quick=4)
     a = _dimension_for(diag["a"], ifs)
-    pts = _support_points(mu, int(diag["cone_points"]), cfg.seed)
+    pts = _center_coords(mu, int(diag["cone_points"]), cfg.seed)
     requested = int(diag["cone_subgroups"])
     family = _cone_family(mu.n, requested, cfg.seed)
     radii = _radii_for(cfg, diag, mu)
@@ -676,31 +619,58 @@ def _cmd_cone_deficiency(cfg: RunConfig) -> int:
                           float(diag["delta"]), radii)
             floor = min(floor, float(ratios.min()))
             rows.extend((ki, gi, r, v) for r, v in zip(radii, ratios))
-    csv_path = _write_csv(cfg, "cone_deficiency.csv",
-                          "point_index,subgroup_index,radius,ratio", rows)
     verdict = "positive-floor" if floor > 0.0 else "nonpositive-floor"
     payload = {
         "a": a,
         "delta": float(diag["delta"]),
-        "radii": list(radii),
-        "points": pts.tolist(),
+        "radii": radii,
+        "points": pts,
         "subgroups": [desc for _, desc in family],
         "requested_subgroups": requested,
         "distinct_subgroups": len(family),
         "floor": floor,
         "verdict": verdict,
-        "csv": csv_path.name,
     }
-    _emit_json(cfg, "cone_deficiency.json", "cone-deficiency",
-               {"diagnostics": diag, **sections}, payload)
-    print(f"deficiency floor {floor:.6g} over {len(pts)} centers x "
-          f"{len(family)} subgroups -> {verdict}")
-    return _expect_gate(diag["expect"], verdict)
+    return Outcome(payload, sections,
+                   f"deficiency floor {floor:.6g} over {len(pts)} centers x "
+                   f"{len(family)} subgroups -> {verdict}", verdict,
+                   diag["expect"],
+                   csv=("point_index,subgroup_index,radius,ratio", rows))
 
 
 # ----------------------------------------------------------------------
 # parser / entry point
 # ----------------------------------------------------------------------
+
+# (words, JSON stem, CSV name, compute, help), in the order of --help
+COMMANDS = (
+    (("selftest",), "selftest", None, _cmd_selftest,
+     "run the algebraic identity checks"),
+    (("ifs", "generate"), "ifs_generate", "ifs_measure.csv", _cmd_ifs_generate,
+     "write a cylinder measure CSV"),
+    (("ifs", "verify"), "ifs_verify", None, _cmd_ifs_verify,
+     "invariant region and piece separation"),
+    (("measure", "ad-report"), "ad_report", None, _cmd_measure_ad,
+     "ball-mass regularity report"),
+    (("riesz", "transform"), "riesz_transform", "riesz_transform.csv",
+     _cmd_riesz_transform, "truncated transform values at sample points"),
+    (("riesz", "divergence"), "riesz_divergence", "riesz_divergence.csv",
+     _cmd_riesz_divergence, "annulus growth profiles on the fractal"),
+    (("riesz", "subgroup-probe"), "subgroup_probe", "subgroup_probe.csv",
+     _cmd_riesz_subgroup, "boundedness on a subgroup's Haar sample"),
+    (("tangent", "blowup"), "blowup", "blowup_measure.csv", _cmd_tangent_blowup,
+     "zoomed measure at a cylinder fixed point"),
+    (("cone-deficiency",), "cone_deficiency", "cone_deficiency.csv",
+     _cmd_cone_deficiency, "mass outside cones around subgroups"),
+)
+
+_GROUP_HELP = {
+    "ifs": "build and verify the corner family",
+    "measure": "measure statistics",
+    "riesz": "transform experiments",
+    "tangent": "blow-up measures",
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -718,56 +688,28 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Heisenberg group.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("selftest", parents=[common],
-                       help="run the algebraic identity checks")
-    p.set_defaults(handler=_cmd_selftest)
-
-    ifs = sub.add_parser("ifs", help="build and verify the corner family")
-    ifs_sub = ifs.add_subparsers(dest="subcommand", required=True)
-    p = ifs_sub.add_parser("generate", parents=[common],
-                           help="write a cylinder measure CSV")
-    p.set_defaults(handler=_cmd_ifs_generate)
-    p = ifs_sub.add_parser("verify", parents=[common],
-                           help="invariant region and piece separation")
-    p.set_defaults(handler=_cmd_ifs_verify)
-
-    meas = sub.add_parser("measure", help="measure statistics")
-    meas_sub = meas.add_subparsers(dest="subcommand", required=True)
-    p = meas_sub.add_parser("ad-report", parents=[common],
-                            help="ball-mass regularity report")
-    p.set_defaults(handler=_cmd_measure_ad)
-
-    rz = sub.add_parser("riesz", help="transform experiments")
-    rz_sub = rz.add_subparsers(dest="subcommand", required=True)
-    p = rz_sub.add_parser("transform", parents=[common],
-                          help="truncated transform values at sample points")
-    p.set_defaults(handler=_cmd_riesz_transform)
-    p = rz_sub.add_parser("divergence", parents=[common],
-                          help="annulus growth profiles on the fractal")
-    p.set_defaults(handler=_cmd_riesz_divergence)
-    p = rz_sub.add_parser("subgroup-probe", parents=[common],
-                          help="boundedness on a subgroup's Haar sample")
-    p.set_defaults(handler=_cmd_riesz_subgroup)
-
-    tg = sub.add_parser("tangent", help="blow-up measures")
-    tg_sub = tg.add_subparsers(dest="subcommand", required=True)
-    p = tg_sub.add_parser("blowup", parents=[common],
-                          help="zoomed measure at a cylinder fixed point")
-    p.set_defaults(handler=_cmd_tangent_blowup)
-
-    p = sub.add_parser("cone-deficiency", parents=[common],
-                       help="mass outside cones around subgroups")
-    p.set_defaults(handler=_cmd_cone_deficiency)
+    groups = {}
+    for entry in COMMANDS:
+        words, help_text = entry[0], entry[-1]
+        parent = sub
+        if len(words) == 2:
+            if words[0] not in groups:
+                group = sub.add_parser(words[0], help=_GROUP_HELP[words[0]])
+                groups[words[0]] = group.add_subparsers(dest="subcommand",
+                                                        required=True)
+            parent = groups[words[0]]
+        p = parent.add_parser(words[-1], parents=[common], help=help_text)
+        p.set_defaults(entry=entry)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    words, stem, csv, compute, _ = args.entry
     try:
         cfg = _load_run_config(args)
-        return args.handler(cfg)
+        return _run(cfg, " ".join(words), stem, csv, compute)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

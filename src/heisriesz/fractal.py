@@ -35,7 +35,6 @@ __all__ = [
     "Ifs",
     "make_strichartz_ifs",
     "similarity_dimension",
-    "apply_word",
     "word_similarity",
     "cylinder_measure",
     "cycle_atom_indices",
@@ -198,19 +197,6 @@ def similarity_dimension(ifs: Ifs, residual_tol: float = 1e-12) -> float:
     if abs(excess(a)) > residual_tol:
         raise RuntimeError(f"dimension residual {excess(a):.3e} above tolerance")
     return a
-
-
-def apply_word(ifs: Ifs, word, p):
-    """Left-to-right composition S_{w_0}(S_{w_1}(... S_{w_{k-1}}(p)))."""
-    n_maps = len(ifs.maps)
-    letters = list(word)
-    for idx in letters:
-        if not (0 <= int(idx) < n_maps):
-            raise IndexError(f"word letter {idx} outside [0, {n_maps})")
-    out = p
-    for idx in reversed(letters):
-        out = ifs.maps[int(idx)].apply(out)
-    return out
 
 
 def word_similarity(ifs: Ifs, word) -> Similarity:
@@ -389,11 +375,17 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
     def evaluate(self, pts) -> np.ndarray:
-        """Multilinear interpolation at horizontal points (..., 2n)."""
+        """Multilinear interpolation at horizontal points (..., 2n) of Q.
+
+        Points up to 1e-12 outside Q (rounding in z + r w can land an
+        ulp past 1) are clamped onto it; points farther out raise.
+        """
         axes = 2 * self.n
         w = np.asarray(pts, dtype=float)
         if w.shape[-1] != axes:
             raise ValueError(f"points must have {axes} coordinates")
+        if np.any((w < -1e-12) | (w > 1.0 + 1e-12)):
+            raise ValueError("points must lie in Q = [0, 1]^{2n}")
         idx, weight = _stencil(w, self.resolution)
         return np.sum(weight * self.values.ravel()[idx], axis=0)
 

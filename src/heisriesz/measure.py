@@ -1,28 +1,28 @@
 """Weighted atomic measures on H^n.
 
 Atoms are stored as a dense coordinate array plus a weight vector so that
-ten-million-atom measures stay practical; ``atoms()`` offers the tuple view
-for small measures.  The coordinate array is coordinate-major (Fortran
-order), so each coordinate of a chunk of atoms is one contiguous run;
+ten-million-atom measures stay practical.  The coordinate array is
+coordinate-major (Fortran order), so each coordinate of a chunk of atoms
+is one contiguous run;
 ball masses and every transform are one :func:`binned_sweep` over it.
 Each measure keeps, once computed, the reach of every chunk from its
 first atom, which lets a sweep skip the chunks that the triangle
 inequality puts outside the distance window it reads; ``points`` and
-``weights`` are read-only, so that cache cannot go stale.  CSV files
-use the header ``x1,...,x{2n+1},weight``; the JSON variant
-additionally carries ``n``, the label and the resolution scale.
+``weights`` are read-only, so that cache cannot go stale.  Measures are
+written to and read from CSV files with the header
+``x1,...,x{2n+1},weight``; the label and the resolution scale are given
+on reading.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import core
-from .core import HPoint, ambient_dim, dist, group_index, _coords
+from .core import ambient_dim, dist, group_index, _coords
 
 __all__ = ["AtomCapExceeded", "DEFAULT_ATOM_CAP", "DiscreteMeasure",
            "binned_sweep", "closed_ball_sums"]
@@ -127,7 +127,7 @@ class DiscreteMeasure:
     weights : ndarray, shape (N,)
         Strictly positive atom masses.
     label : str
-        Free-form provenance string carried through serialisation.
+        Free-form provenance string.
     spacing : float or None
         Metric scale of the discretisation (finest atom spacing).  Ball
         statistics are unreliable below four times this value; consumers
@@ -174,11 +174,6 @@ class DiscreteMeasure:
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
-
-    def atoms(self):
-        """Iterate (HPoint, weight) pairs; intended for small measures."""
-        for row, w in zip(self.points, self.weights):
-            yield HPoint(self.n, row), float(w)
 
     def ball_mass(self, center, radius):
         """Mass of the closed gauge ball(s) B(center, radius).
@@ -245,23 +240,3 @@ class DiscreteMeasure:
         if data.shape[1] != len(cols):
             raise ValueError("row width does not match the header")
         return cls(n, data[:, :-1], data[:, -1], label=label, spacing=spacing)
-
-    def to_json(self, path) -> None:
-        payload = {
-            "n": self.n,
-            "label": self.label,
-            "spacing": self.spacing,
-            "points": self.points.tolist(),
-            "weights": self.weights.tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return cls(payload["n"], np.asarray(payload["points"], dtype=float),
-                   np.asarray(payload["weights"], dtype=float),
-                   label=payload.get("label", ""),
-                   spacing=payload.get("spacing"))

@@ -34,6 +34,7 @@ __all__ = [
     "TransformResult",
     "riesz_kernel",
     "truncated_transform",
+    "truncations",
     "annulus_transform",
     "maximal_transform",
     "growth_profile",
@@ -138,6 +139,21 @@ def annulus_transform(mu: DiscreteMeasure, params: RieszParams, p,
             - truncated_transform(mu, params, None, p, outer).value)
 
 
+def truncations(mu: DiscreteMeasure, params: RieszParams, f, p,
+                eps_grid) -> np.ndarray:
+    """Truncated transforms at every cutoff of a grid, from one sweep.
+
+    The grid must be strictly decreasing and positive; column j of the
+    (2n+1, len(eps_grid)) result is the truncation d > eps_grid[j].  It
+    agrees with :func:`truncated_transform` up to summation order.
+    """
+    eps = _cutoffs(eps_grid, np.inf)
+    edges = np.concatenate([eps[::-1], [np.inf]])
+    sums, _ = binned_sweep(mu, p, edges, _kernel_columns(params, mu, f))
+    # running sums of the bins from the outside in: every truncation
+    return np.cumsum(sums[:, ::-1], axis=1)
+
+
 def maximal_transform(mu: DiscreteMeasure, params: RieszParams, f, p,
                       eps_grid) -> np.ndarray:
     """Componentwise sup of |truncated transform| over a grid of cutoffs.
@@ -145,11 +161,7 @@ def maximal_transform(mu: DiscreteMeasure, params: RieszParams, f, p,
     The grid must be strictly decreasing and positive; refining the grid
     can only increase the result.
     """
-    eps = _cutoffs(eps_grid, np.inf)
-    edges = np.concatenate([eps[::-1], [np.inf]])
-    sums, _ = binned_sweep(mu, p, edges, _kernel_columns(params, mu, f))
-    # running sums of the bins from the outside in: every truncation
-    return np.abs(np.cumsum(sums[:, ::-1], axis=1)).max(axis=1)
+    return np.abs(truncations(mu, params, f, p, eps_grid)).max(axis=1)
 
 
 def growth_profile(mu: DiscreteMeasure, params: RieszParams, p, eps_list):

@@ -63,14 +63,6 @@ class SubgroupSpec:
         return self.basis.shape[0]
 
     @property
-    def linear_dim(self) -> int:
-        if self.kind == HORIZONTAL:
-            return self.dim_basis
-        if self.kind == TAXIS:
-            return 1
-        return self.dim_basis + 1
-
-    @property
     def hausdorff_dimension(self) -> int:
         # The vertical direction has homogeneity 2, each horizontal
         # direction homogeneity 1.

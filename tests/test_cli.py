@@ -1,6 +1,7 @@
 """Command-line surface: configs, exit codes, files, determinism."""
 
 import csv
+import importlib
 import json
 
 import numpy as np
@@ -320,3 +321,42 @@ def test_blowup_word_validation(tmp_path, capsys, word):
     code = _run(["tangent", "blowup", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_thread_count_does_not_move_the_output(tmp_path, monkeypatch):
+    docs = {}
+    for threads in ("1", "2"):
+        run_dir = tmp_path / threads
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert _run(["riesz", "divergence", "--quick", "--threads", threads,
+                     "--out", "."]) == 0
+        docs[threads] = json.loads((run_dir / "riesz_divergence.json").read_text())
+    csvs = [(tmp_path / t / "riesz_divergence.csv").read_bytes() for t in "12"]
+    assert csvs[0] == csvs[1]
+    assert (docs["1"]["config"].pop("threads"),
+            docs["2"]["config"].pop("threads")) == (1, 2)
+    assert docs["1"] == docs["2"]
+
+
+COMMAND_WORDS = [["selftest"], ["ifs", "generate"], ["ifs", "verify"],
+                 ["measure", "ad-report"], ["riesz", "transform"],
+                 ["riesz", "divergence"], ["riesz", "subgroup-probe"],
+                 ["tangent", "blowup"], ["cone-deficiency"]]
+
+
+@pytest.mark.parametrize("words", COMMAND_WORDS, ids=" ".join)
+def test_every_command_has_help(words, capsys):
+    with pytest.raises(SystemExit) as done:
+        _run([*words, "--help"])
+    assert done.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", ["core", "measure", "subgroups", "riesz",
+                                    "fractal", "diagnostics", "selftest", "cli"])
+def test_every_exported_name_resolves(module):
+    # a name left in __all__ after its definition is gone fails here
+    mod = importlib.import_module(f"heisriesz.{module}")
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"heisriesz.{module}.{name}"

@@ -192,7 +192,8 @@ def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):
     from heisriesz.fractal import (Ifs, Similarity, min_piece_separation,
                                    phi_fixed_point, verify_invariant_region)
     from heisriesz.riesz import (RieszParams, growth_profile,
-                                 maximal_transform, truncated_transform)
+                                 maximal_transform, truncated_transform,
+                                 truncations)
     from heisriesz.subgroups import in_cone, make_horizontal, make_vertical
 
     params = RieszParams(s=2.0, n=1)
@@ -218,6 +219,8 @@ def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):
                 mu2, params, center, [0.5, 0.25, 0.125])),
             "maximal": tuple(maximal_transform(mu2, params, None, center,
                                                [0.5, 0.25, 0.125])),
+            "truncations": tuple(map(tuple, truncations(
+                mu2, params, None, center, [0.5, 0.25, 0.125]))),
             "ball_mass": tuple(mu2.ball_mass(center, radii)),
             "cone": tuple(cone_deficiency(mu2, 2.0, center, axis, 0.5, radii)),
             "isotropy": str(isotropy.value),

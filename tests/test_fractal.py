@@ -10,7 +10,6 @@ from heisriesz.fractal import (
     GridFunction,
     Ifs,
     Similarity,
-    apply_word,
     cycle_atom_indices,
     cylinder_measure,
     make_strichartz_ifs,
@@ -96,26 +95,17 @@ def test_ifs_sorts_maps_by_ratio():
     assert list(ifs.ratios) == [0.2, 0.4]
 
 
-def test_apply_word_composition(ifs14):
-    p = np.array([0.3, 0.3, 0.2])
-    np.testing.assert_array_equal(
-        np.asarray(apply_word(ifs14, (5,), p)), np.asarray(ifs14.maps[5].apply(p))
-    )
-    two = apply_word(ifs14, (2, 7), p)
-    manual = ifs14.maps[2].apply(ifs14.maps[7].apply(p))
-    np.testing.assert_allclose(np.asarray(two), np.asarray(manual), rtol=1e-15)
-    np.testing.assert_array_equal(np.asarray(apply_word(ifs14, (), p)), p)
-    with pytest.raises(IndexError):
-        apply_word(ifs14, (16,), p)
-
-
 def test_word_similarity_matches_apply_word(ifs14):
     p = np.array([0.3, 0.3, 0.2])
-    word = (2, 7, 13)
-    s = word_similarity(ifs14, word)
-    assert s.r == 0.25 ** 3
-    np.testing.assert_allclose(np.asarray(s.apply(p)),
-                               np.asarray(apply_word(ifs14, word, p)), rtol=1e-15)
+    for word in ((5,), (2, 7), (2, 7, 13)):
+        s = word_similarity(ifs14, word)
+        assert s.r == 0.25 ** len(word)
+        # S_{w_0}(S_{w_1}(... S_{w_{k-1}}(p))), innermost letter last
+        folded = p
+        for idx in reversed(word):
+            folded = ifs14.maps[idx].apply(folded)
+        np.testing.assert_allclose(np.asarray(s.apply(p)), np.asarray(folded),
+                                   rtol=1e-15)
     fp = s.fixed_point().coords
     np.testing.assert_allclose(np.asarray(s.apply(fp)), fp, atol=1e-15)
     for bad in ((), (16,), (-1,)):
@@ -218,6 +208,19 @@ def test_grid_function_validation():
         GridFunction(n=1, r=0.25, resolution=4, values=np.zeros((4, 4)))
     with pytest.raises(ValueError):
         GridFunction(n=1, r=0.25, resolution=4, values=np.full((5, 5), np.nan))
+
+
+def test_grid_function_rejects_points_outside_q():
+    nodes = np.linspace(0.0, 1.0, 5)
+    xx, yy = np.meshgrid(nodes, nodes, indexing="ij")
+    g = GridFunction(n=1, r=0.25, resolution=4, values=xx + 2.0 * yy)
+    # within the rounding slack the point is clamped onto Q
+    edge = g.evaluate(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    slack = g.evaluate(np.array([[1.0 + 1e-13, -1e-13], [-1e-13, 1.0 + 1e-13]]))
+    np.testing.assert_array_equal(slack, edge)
+    for bad in ([1.0 + 1e-9, 0.5], [0.5, -1e-9], [2.0, 0.5]):
+        with pytest.raises(ValueError, match="must lie in Q"):
+            g.evaluate(np.array([[0.5, 0.5], bad]))
 
 
 def test_invariant_region_certified(ifs14, phi64):

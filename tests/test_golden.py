@@ -5,9 +5,17 @@ and `--out .`, so the reports carry no machine path.  Both runs must
 write identical bytes, and those bytes must hash to the recorded
 SHA-256 digests.  A change that moves output on purpose re-records the
 affected digests and names the moved fields in CHANGES.md.
+
+A second set pins the config-driven paths: a relative ``measure.csv``
+block (the --quick cylinder measure copied into the run directory), an
+explicit blow-up point, explicit transform points and cutoffs, a
+two-map custom system and a horizontal subgroup in H^2.  Those runs
+pin their exit code too.
 """
 
 import hashlib
+import json
+import shutil
 
 import pytest
 
@@ -34,9 +42,9 @@ GOLDEN = {
     },
     ("riesz", "transform"): {
         "riesz_transform.csv":
-            "adf13177830fe66c50ad061b91206477ec86aed4c2593c3c25647496cf6448b8",
+            "1a776f8ff359ee89573c4747a3215b8c053b7efb631b1ebb64f6cc1c4398247c",
         "riesz_transform.json":
-            "0b9ef981ccac1e89f699e10931b9d2f92b6201c4825bf0e95d9e81cc280eb253",
+            "9834ae08dc745ee766121b7bd0a2b55a9253840b7b9e5d8505d25108b4e733cc",
     },
     ("riesz", "divergence"): {
         "riesz_divergence.csv":
@@ -78,3 +86,107 @@ def test_quick_outputs_match_golden(command, tmp_path, monkeypatch):
     digests = {name: hashlib.sha256(data).hexdigest()
                for name, data in runs[0].items()}
     assert digests == GOLDEN[command]
+
+
+QUICK_MEASURE = {"csv": "ifs_measure.csv"}
+
+CONFIG_RUNS = {
+    "ad-report-csv": (("measure", "ad-report"), {
+        "measure": {**QUICK_MEASURE, "spacing": 0.015625},
+        "diagnostics": {"a": 2.0, "centers": 16},
+    }),
+    "cone-deficiency-csv": (("cone-deficiency",), {
+        "measure": {**QUICK_MEASURE, "spacing": 0.015625},
+        "diagnostics": {"a": 2.0, "cone_points": 4},
+    }),
+    "blowup-csv-point": (("tangent", "blowup"), {
+        "measure": QUICK_MEASURE,
+        "tangent": {"point": [0.0, 0.0, 0.0], "r": 0.25, "s": 2.0},
+    }),
+    "transform-csv-coords": (("riesz", "transform"), {
+        "measure": QUICK_MEASURE,
+        "riesz": {"point_coords": [[0.1, 0.2, 0.3], [0.5, 0.5, 0.25]],
+                  "eps": [0.5, 0.125, 0.03125]},
+    }),
+    "verify-custom": (("ifs", "verify"), {
+        "ifs": {"kind": "custom", "separation_level": 3,
+                "maps": [{"q": [0.0, 0.0, 0.0], "r": 0.25},
+                         {"q": [0.75, 0.0, 0.0], "r": 0.25}]},
+    }),
+    "subgroup-probe-horizontal-n2": (("riesz", "subgroup-probe"), {
+        "n": 2,
+        "riesz": {"s": 1.0, "resolution": 256, "eps": [0.5, 0.25, 0.125],
+                  "points": 4,
+                  "subgroup": {"kind": "horizontal",
+                               "basis": [[1.0, 0.0, 0.0, 0.0]]}},
+    }),
+}
+
+CONFIG_GOLDEN = {
+    "ad-report-csv": (0, {
+        "ad_report.json":
+            "94a26e34b2148e0bbbd5335d24d60571137d15bfed206452e98d6a9503ee5100",
+    }),
+    "cone-deficiency-csv": (0, {
+        "cone_deficiency.csv":
+            "427311cbfc13a55cc168a7b66ba3cfc515a6b8029dd5c72090f08cce18ef2f63",
+        "cone_deficiency.json":
+            "181d88c06ba41b4ac1a9cbfa816b61c546bdfa6013aa8737fa493950413203b8",
+    }),
+    "blowup-csv-point": (0, {
+        "blowup.json":
+            "345d40b767e5f21842836c9bd83053201f98672f8a4241a02e3dcdfb93676b77",
+        "blowup_measure.csv":
+            "ba261037874d506f3def2d15752f7f66abd997459905a4ea60b40a27800112ae",
+    }),
+    "transform-csv-coords": (0, {
+        "riesz_transform.csv":
+            "23757b5c690b104139221be7335bf7c2da4c87c14bc86343b9f60c6f7d084858",
+        "riesz_transform.json":
+            "e1e61dccaae627806cf66938f5e06ac1862905b7ab3bd4178a262b7340235649",
+    }),
+    "verify-custom": (0, {
+        "ifs_verify.json":
+            "53e6bb7abab73bbee37488475b78f0c813175d8fb2f511c15271cbfe79a6356b",
+    }),
+    "subgroup-probe-horizontal-n2": (0, {
+        "subgroup_probe.csv":
+            "f79f859234991516e8b87f55b6e242d30e3d085ae8b2cc6acb050a44dd9821e8",
+        "subgroup_probe.json":
+            "9adb3f2cea37c361218ea5cec43a2fa6e5f4c14b58705392253be30283bf0c40",
+    }),
+}
+
+
+@pytest.fixture(scope="module")
+def quick_measure(tmp_path_factory):
+    # the --quick measure whose bytes the ("ifs", "generate") entry pins
+    out = tmp_path_factory.mktemp("quick_measure")
+    assert main(["ifs", "generate", "--quick", "--out", str(out)]) == 0
+    path = out / "ifs_measure.csv"
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == GOLDEN[("ifs", "generate")]["ifs_measure.csv"])
+    return path
+
+
+@pytest.mark.parametrize("name", list(CONFIG_RUNS))
+def test_config_outputs_match_golden(name, quick_measure, tmp_path,
+                                     monkeypatch):
+    command, config = CONFIG_RUNS[name]
+    runs = []
+    for run in ("first", "second"):
+        run_dir = tmp_path / run
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        (run_dir / "config.json").write_text(json.dumps(config))
+        if "measure" in config:
+            shutil.copy(quick_measure, run_dir / "ifs_measure.csv")
+        inputs = {f.name for f in run_dir.iterdir()}
+        code = main([*command, "--config", "config.json", "--out", "."])
+        runs.append((code, {f.name: f.read_bytes() for f in run_dir.iterdir()
+                            if f.name not in inputs}))
+    assert runs[0] == runs[1]
+    code, files = runs[0]
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in files.items()}
+    assert (code, digests) == CONFIG_GOLDEN[name]

@@ -90,15 +90,6 @@ def test_diameter_bound_dominates_true_diameter():
     assert mu.diameter_bound() >= true_diam - 1e-15
 
 
-def test_atoms_iterator():
-    mu = _square_measure()
-    got = list(mu.atoms())
-    assert len(got) == 4
-    pt, w = got[3]
-    np.testing.assert_array_equal(pt.coords, [1.0, 1.0, 0.5])
-    assert w == 0.4
-
-
 def test_csv_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(11)
     pts = rng.uniform(-5, 5, size=(50, 5))
@@ -146,17 +137,6 @@ def test_csv_rejects_malformed_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         DiscreteMeasure.from_csv(path)
-
-
-def test_json_roundtrip(tmp_path):
-    mu = _square_measure()
-    path = tmp_path / "mu.json"
-    mu.to_json(path)
-    back = DiscreteMeasure.from_json(path)
-    assert back.n == mu.n
-    assert back.label == "square"
-    np.testing.assert_array_equal(back.points, mu.points)
-    np.testing.assert_array_equal(back.weights, mu.weights)
 
 
 def test_chunk_slices_cover_range():

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from heisriesz.core import dilate, dist, group_inv, group_mul
-from heisriesz.measure import DiscreteMeasure
+from heisriesz.measure import DiscreteMeasure, binned_sweep
 from heisriesz.riesz import (
     RieszParams,
+    _kernel_columns,
     annulus_transform,
     coordinate_function,
     growth_profile,
     maximal_transform,
     riesz_kernel,
     truncated_transform,
+    truncations,
 )
 
 
@@ -184,6 +186,28 @@ def test_maximal_dominates_each_truncation():
         assert np.all(best + 1e-15 >= single)
     with pytest.raises(ValueError):
         maximal_transform(mu, params, None, p, [0.2, 0.8])
+
+
+def test_truncations_match_single_cutoffs(mu5):
+    params = RieszParams(s=2.0, n=1)
+    eps = [0.25, 0.0625, 0.015625]
+    centers = mu5.points[np.linspace(0, len(mu5) - 1, 16).astype(int)]
+    for p in centers:
+        table = truncations(mu5, params, None, p, eps)
+        assert table.shape == (3, len(eps))
+        for j, e in enumerate(eps):
+            single = truncated_transform(mu5, params, None, p, e).value
+            assert np.all(np.abs(table[:, j] - single)
+                          <= 1e-13 * (1.0 + np.abs(single)))
+        # the maximal transform as it was written before truncations
+        # existed: one sweep, suffix sums, componentwise sup
+        edges = np.concatenate([np.array(eps)[::-1], [np.inf]])
+        sums, _ = binned_sweep(mu5, p, edges, _kernel_columns(params, mu5, None))
+        np.testing.assert_array_equal(
+            maximal_transform(mu5, params, None, p, eps),
+            np.abs(np.cumsum(sums[:, ::-1], axis=1)).max(axis=1))
+    with pytest.raises(ValueError):
+        truncations(mu5, params, None, centers[0], [0.0625, 0.25])
 
 
 def test_growth_profile_matches_annuli():
