@@ -13,7 +13,6 @@ The package is organised bottom-up:
 
 from .core import (
     HPoint,
-    Tolerances,
     ambient_dim,
     blowup_map,
     dilate,
@@ -24,7 +23,6 @@ from .core import (
     koranyi_norm,
     origin,
     symplectic_form,
-    translate,
 )
 from .measure import AtomCapExceeded, DEFAULT_ATOM_CAP, DiscreteMeasure
 from .subgroups import (

@@ -161,14 +161,11 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {', '.join(unknown)}")
-    try:
-        n = int(raw.get("n", 1))
-        seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-        threads = (args.threads if args.threads is not None
-                   else int(raw.get("threads", 1)))
-        atom_cap = int(raw.get("atom_cap", DEFAULT_ATOM_CAP))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad numeric config value: {exc}") from None
+    n = int(raw.get("n", 1))
+    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+    threads = (args.threads if args.threads is not None
+               else int(raw.get("threads", 1)))
+    atom_cap = int(raw.get("atom_cap", DEFAULT_ATOM_CAP))
     quick = bool(args.quick) if args.quick is not None else bool(raw.get("quick", False))
     out = args.out if args.out is not None else str(raw.get("out", "."))
     if n < 1:
@@ -180,14 +177,6 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     blocks = {k: raw[k] for k in _BLOCK_NAMES if k in raw}
     return RunConfig(n=n, seed=seed, threads=threads, quick=quick,
                      atom_cap=atom_cap, out=out, blocks=blocks)
-
-
-def _cfg(fn, *args, **kwargs):
-    # argument errors in config-derived calls are configuration errors
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _fmt_cell(v) -> str:
@@ -264,7 +253,7 @@ def _build_ifs(cfg: RunConfig):
     block = cfg.section("ifs", _IFS_DEFAULTS)
     kind = block["kind"]
     if kind == "strichartz":
-        ifs = _cfg(make_strichartz_ifs, cfg.n, float(block["r"]))
+        ifs = make_strichartz_ifs(cfg.n, float(block["r"]))
     elif kind == "custom":
         raw_maps = block["maps"]
         if not raw_maps:
@@ -277,20 +266,19 @@ def _build_ifs(cfg: RunConfig):
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad ifs map entry: {exc}") from None
-        ifs = _cfg(Ifs, n=cfg.n, maps=maps)
+        ifs = Ifs(n=cfg.n, maps=maps)
     else:
         raise ConfigError(f"unknown ifs kind {kind!r}")
     return ifs, block
 
 
 def _pick_level(block: dict, cfg: RunConfig, full: int, quick: int) -> int:
-    level = block.get("level")
-    if level is None:
-        level = full
+    """The block's level, or under --quick its quick level but never finer."""
+    level = int(full if block.get("level") is None else block["level"])
+    if not cfg.quick:
+        return level
     quick_level = block.get("quick_level")
-    if quick_level is None:
-        quick_level = min(quick, int(level))
-    return int(quick_level) if cfg.quick else int(level)
+    return min(level, int(quick if quick_level is None else quick_level))
 
 
 def _measure_for(cfg: RunConfig, name: str, defaults: dict, full: int,
@@ -347,10 +335,7 @@ def _eps_schedule(block: dict, start: float, ratio: float, count: int) -> np.nda
 
 def _radii_for(cfg: RunConfig, diag: dict, mu: DiscreteMeasure) -> tuple:
     """Configured radii as given; default radii only down to the floor."""
-    try:
-        radii = tuple(float(r) for r in diag["radii"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad radii: {exc}") from None
+    radii = tuple(float(r) for r in diag["radii"])
     if "radii" in cfg.blocks.get("diagnostics", {}):
         return radii
     return tuple(r for r in radii if r >= _resolution_floor(mu))
@@ -424,14 +409,14 @@ def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
     samples = int(block["samples"])
     sep_level = int(block["separation_level"])
     if cfg.quick:
-        samples = max(1000, samples // 10)
+        samples = min(samples, max(1000, samples // 10))
         sep_level = max(1, sep_level - 1)
     payload, lines = {}, []
     region = None
     if ifs.strichartz is not None:
-        phi = _cfg(phi_fixed_point, cfg.n, ifs.strichartz.r,
-                   resolution=int(block["resolution"]),
-                   tol=float(block["phi_tol"]))
+        phi = phi_fixed_point(cfg.n, ifs.strichartz.r,
+                              resolution=int(block["resolution"]),
+                              tol=float(block["phi_tol"]))
         region = verify_invariant_region(ifs, phi, sample_count=samples,
                                          seed=cfg.seed)
         ratios = phi.contraction_ratios()
@@ -461,9 +446,9 @@ def _cmd_measure_ad(cfg: RunConfig) -> Outcome:
     diag, mu, ifs, sections = _measure_for(cfg, "diagnostics", _DIAG_DEFAULTS,
                                            full=5, quick=4)
     a = _dimension_for(diag["a"], ifs)
-    report = _cfg(ad_regularity_report, mu, a, centers=diag["centers"],
-                  radii=_radii_for(cfg, diag, mu), seed=cfg.seed,
-                  c_cap=float(diag["c_cap"]))
+    report = ad_regularity_report(mu, a, centers=diag["centers"],
+                                  radii=_radii_for(cfg, diag, mu),
+                                  seed=cfg.seed, c_cap=float(diag["c_cap"]))
     verdict = "regular" if report.regular else "irregular"
     payload = {k: v for k, v in asdict(report).items()
                if k not in ("ratios", "seed")}
@@ -477,7 +462,7 @@ def _cmd_measure_ad(cfg: RunConfig) -> Outcome:
 def _cmd_riesz_transform(cfg: RunConfig) -> Outcome:
     block, mu, _, sections = _measure_for(cfg, "riesz", _RIESZ_DEFAULTS,
                                           full=4, quick=3)
-    params = _cfg(RieszParams, s=float(block["s"]), n=mu.n)
+    params = RieszParams(s=float(block["s"]), n=mu.n)
     eps = _eps_schedule(block, start=0.25, ratio=0.25, count=3)
     if block["point_coords"] is not None:
         pts = np.asarray(block["point_coords"], dtype=float).reshape(
@@ -508,7 +493,7 @@ def _cmd_riesz_transform(cfg: RunConfig) -> Outcome:
 def _cmd_riesz_divergence(cfg: RunConfig) -> Outcome:
     block, mu, ifs, sections = _measure_for(cfg, "riesz", _RIESZ_DEFAULTS,
                                             full=6, quick=5)
-    params = _cfg(RieszParams, s=float(block["s"]), n=mu.n)
+    params = RieszParams(s=float(block["s"]), n=mu.n)
     eps = _eps_schedule(block, start=0.25, ratio=0.25,
                         count=4 if cfg.quick else 5)
     count = 32 if block["points"] is None else int(block["points"])
@@ -519,8 +504,8 @@ def _cmd_riesz_divergence(cfg: RunConfig) -> Outcome:
         pts = mu.points[idx]
     else:
         pts = _center_coords(mu, count, cfg.seed)
-    reports = _cfg(divergence_probe, mu, params, pts, eps,
-                   c=float(block["c"]), threads=cfg.threads)
+    reports = divergence_probe(mu, params, pts, eps, c=float(block["c"]),
+                               threads=cfg.threads)
     diverging = sum(r.verdict == "diverging" for r in reports)
     bounded = sum(r.verdict == "bounded" for r in reports)
     needed = math.ceil(float(block["fraction"]) * len(reports))
@@ -558,14 +543,13 @@ def _cmd_riesz_subgroup(cfg: RunConfig) -> Outcome:
     make = {"vertical": make_vertical, "horizontal": make_horizontal}.get(kind)
     if make is None:
         raise ConfigError(f"unknown subgroup kind {kind!r}")
-    spec = _cfg(make, cfg.n, raw_sub.get("basis", []))
+    spec = make(cfg.n, raw_sub.get("basis", []))
     eps = _eps_schedule(block, start=0.5, ratio=0.5, count=8)
     count = 8 if block["points"] is None else int(block["points"])
-    report = _cfg(subgroup_boundedness_probe, spec, float(block["s"]), eps,
-                  window=float(block["window"]),
-                  resolution=int(block["resolution"]),
-                  points=count, seed=cfg.seed,
-                  slope_tol=float(block["slope_tol"]))
+    report = subgroup_boundedness_probe(
+        spec, float(block["s"]), eps, window=float(block["window"]),
+        resolution=int(block["resolution"]), points=count, seed=cfg.seed,
+        slope_tol=float(block["slope_tol"]))
     payload = {k: v for k, v in asdict(report).items()
                if k not in ("per_point_max", "seed")}
     return Outcome(payload, {"riesz": block},
@@ -582,13 +566,13 @@ def _cmd_tangent_blowup(cfg: RunConfig) -> Outcome:
     else:
         if ifs is None:
             raise ConfigError("csv measures need an explicit blow-up 'point'")
-        center = _cfg(word_similarity, ifs, block["word"]).fixed_point().coords
+        center = word_similarity(ifs, block["word"]).fixed_point().coords
     s = block["s"]
     if s is None and block["normalization"] == "power":
         s = _dimension_for(None, ifs)
-    nu = _cfg(blowup_measure, mu, center, float(block["r"]),
-              s=None if s is None else float(s),
-              normalization=str(block["normalization"]))
+    nu = blowup_measure(mu, center, float(block["r"]),
+                        s=None if s is None else float(s),
+                        normalization=str(block["normalization"]))
     payload = {
         "r": float(block["r"]),
         "normalization": block["normalization"],
@@ -615,8 +599,8 @@ def _cmd_cone_deficiency(cfg: RunConfig) -> Outcome:
     floor = math.inf
     for gi, (spec, _) in enumerate(family):
         for ki, k in enumerate(pts):
-            ratios = _cfg(cone_deficiency, mu, a, k, spec,
-                          float(diag["delta"]), radii)
+            ratios = cone_deficiency(mu, a, k, spec, float(diag["delta"]),
+                                     radii)
             floor = min(floor, float(ratios.min()))
             rows.extend((ki, gi, r, v) for r, v in zip(radii, ratios))
     verdict = "positive-floor" if floor > 0.0 else "nonpositive-floor"
@@ -710,7 +694,9 @@ def main(argv=None) -> int:
     try:
         cfg = _load_run_config(args)
         return _run(cfg, " ".join(words), stem, csv, compute)
-    except ConfigError as exc:
+    except (TypeError, ValueError) as exc:
+        # includes ConfigError: a bad value read while a command loads or
+        # computes from its config is a configuration error
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AtomCapExceeded as exc:

@@ -16,8 +16,6 @@ import numpy as np
 
 __all__ = [
     "HPoint",
-    "Tolerances",
-    "DEFAULT_TOL",
     "ambient_dim",
     "group_index",
     "origin",
@@ -27,7 +25,6 @@ __all__ = [
     "koranyi_norm",
     "dist",
     "dilate",
-    "translate",
     "blowup_map",
 ]
 
@@ -42,25 +39,6 @@ def group_index(dim: int) -> int:
     if dim < 3 or dim % 2 == 0:
         raise ValueError(f"coordinate dimension must be odd and >= 3, got {dim}")
     return (dim - 1) // 2
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric comparison policy.
-
-    ``eq_tol`` bounds relative error in algebraic identities.  Comparisons
-    scale the tolerance by ``1 + magnitude`` so that large coordinates do
-    not fail on representation noise.
-    """
-
-    eq_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not self.eq_tol > 0.0:
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerances()
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,14 +61,6 @@ class HPoint:
             raise ValueError("coordinates must be finite")
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
-
-    @property
-    def horizontal(self) -> np.ndarray:
-        return self.coords[:-1]
-
-    @property
-    def vertical(self) -> float:
-        return float(self.coords[-1])
 
     def __repr__(self) -> str:
         body = np.array2string(self.coords, separator=", ")
@@ -195,11 +165,6 @@ def dilate(r, p):
     out[..., :-1] *= r
     out[..., -1] *= r * r
     return _wrap(out, n, wrapped)
-
-
-def translate(a, p):
-    """Left translation by a, i.e. the product a . p."""
-    return group_mul(a, p)
 
 
 def blowup_map(a, r, p):

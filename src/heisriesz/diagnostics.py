@@ -64,6 +64,20 @@ def _resolution_floor(mu: DiscreteMeasure) -> float:
     return 4.0 * mu.spacing if mu.spacing is not None else 0.0
 
 
+def _checked_radii(mu: DiscreteMeasure, radii) -> np.ndarray:
+    """The radii as an array: nonempty, positive, none below the floor."""
+    rad = np.asarray(radii, dtype=float)
+    if rad.size == 0 or np.any(rad <= 0.0):
+        raise ValueError("radii must be a nonempty list of positive numbers")
+    floor = _resolution_floor(mu)
+    if np.any(rad < floor):
+        raise ValueError(
+            f"radius below the resolution floor {floor:g} "
+            "(4x atom spacing); the ratio would be discretization noise"
+        )
+    return rad
+
+
 def _center_coords(mu: DiscreteMeasure, centers, seed: int) -> np.ndarray:
     if isinstance(centers, (int, np.integer)):
         rng = np.random.default_rng(seed)
@@ -107,15 +121,7 @@ def ad_regularity_report(mu: DiscreteMeasure, a: float, centers=64,
     sampled ratio lies in [1/c_cap, c_cap].  Radii below 4x the atom
     spacing or above the support diameter are rejected outright.
     """
-    rad = np.asarray(radii, dtype=float)
-    if rad.size == 0 or np.any(rad <= 0.0):
-        raise ValueError("radii must be a nonempty list of positive numbers")
-    floor = _resolution_floor(mu)
-    if np.any(rad < floor):
-        raise ValueError(
-            f"radius below the resolution floor {floor:g} "
-            "(4x atom spacing); the ratio would be discretization noise"
-        )
+    rad = _checked_radii(mu, radii)
     diam = mu.diameter_bound()
     if np.any(rad > diam):
         raise ValueError(f"radius above the support diameter bound {diam:g}")
@@ -145,14 +151,7 @@ def cone_deficiency(mu: DiscreteMeasure, a: float, k, G: SubgroupSpec,
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"cone aperture must lie in (0, 1), got {delta}")
-    rad = np.asarray(radii, dtype=float)
-    if rad.size == 0 or np.any(rad <= 0.0):
-        raise ValueError("radii must be a nonempty list of positive numbers")
-    floor = _resolution_floor(mu)
-    if np.any(rad < floor):
-        raise ValueError(
-            f"radius below the resolution floor {floor:g} (4x atom spacing)"
-        )
+    rad = _checked_radii(mu, radii)
     c, _, _ = _coords(k, mu.n)
 
     def outside(sl, u, d):
@@ -228,8 +227,8 @@ def divergence_probe(mu: DiscreteMeasure, params: RieszParams, points,
 
     def probe(entry):
         arr, original = entry
-        profile = growth_profile(mu, params, arr, kept)
-        mags = np.abs(np.stack([value for _, value in profile]))
+        # rows are the ladder levels, columns the coordinates
+        mags = np.abs(growth_profile(mu, params, arr, kept)).T
         slopes = np.array([_fit_slope(mags[:, i]) for i in range(mags.shape[1])])
         return GrowthReport(
             point=arr,
@@ -298,9 +297,7 @@ def subgroup_boundedness_probe(V: SubgroupSpec, s: float, eps_grid,
     eps = [float(e) for e in eps_grid]
     per_point = np.empty((take, len(eps)))
     for i, p in enumerate(sample_pts):
-        profile = growth_profile(haar, params, p, eps)
-        mags = np.abs(np.stack([value for _, value in profile]))
-        per_point[i] = mags.max(axis=1)
+        per_point[i] = np.abs(growth_profile(haar, params, p, eps)).max(axis=0)
     per_eps = per_point.max(axis=0)
     slope = _fit_slope(per_eps)
     return BoundednessReport(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import HPoint, _coords, ambient_dim, dilate, dist, group_mul, translate
+from .core import HPoint, ambient_dim, dilate, dist, group_mul
 from .measure import DEFAULT_ATOM_CAP, AtomCapExceeded, DiscreteMeasure
 
 __all__ = [
@@ -69,7 +69,7 @@ class Similarity:
         object.__setattr__(self, "q", q)
 
     def apply(self, p):
-        return translate(self.q, dilate(self.r, p))
+        return group_mul(self.q, dilate(self.r, p))
 
     def fixed_point(self) -> HPoint:
         """The unique point with S(p) = p, in closed form.
@@ -216,15 +216,15 @@ def word_similarity(ifs: Ifs, word) -> Similarity:
     return Similarity(n=ifs.n, q=q, r=float(rw))
 
 
-def cylinder_measure(ifs: Ifs, level: int, base=None,
+def cylinder_measure(ifs: Ifs, level: int,
                      atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:
     """The natural measure at cylinder resolution `level`.
 
     One atom per word of length `level`, placed at the word applied to
-    `base` (default: the fixed point of the first map, which lies in
-    the invariant set and makes each level's atoms a subset of the
-    next).  Equal-ratio systems get exact weights N^(-level); otherwise
-    the weight of a word is the product of r_i^a over its letters.
+    the fixed point of map 0, which lies in the invariant set and makes
+    each level's atoms a subset of the next.  Equal-ratio systems get
+    exact weights N^(-level); otherwise the weight of a word is the
+    product of r_i^a over its letters.
 
     Atom index encodes the word with the first letter most significant,
     so the children of parent index p occupy p*N .. p*N + N - 1.
@@ -238,13 +238,8 @@ def cylinder_measure(ifs: Ifs, level: int, base=None,
         raise AtomCapExceeded(
             f"level {level} needs {count} atoms, over the cap of {atom_cap}"
         )
-    if base is None:
-        base = maps[0].fixed_point()
-    b, _, _ = _coords(base, n)
-    dim = ambient_dim(n)
-
-    pts = np.empty((count, dim), order="F")
-    pts[0] = b
+    pts = np.empty((count, ambient_dim(n)), order="F")
+    pts[0] = maps[0].fixed_point().coords
     size = 1
     for _ in range(level):
         prev = pts[:size].copy()
@@ -637,46 +632,39 @@ def _compose_after(q: np.ndarray, rw: np.ndarray, sq: np.ndarray, sr):
     return group_mul(q, shifted), rw * sr
 
 
-def min_piece_separation(ifs: Ifs, level: int, base=None,
-                         sample: int = 4096) -> float:
+def min_piece_separation(ifs: Ifs, level: int, sample: int = 4096) -> float:
     """Exact minimal gauge distance across distinct first-letter cylinders.
 
     Branch and bound over word pairs with different first letters, each
-    word w stood for by its anchor w(base).  A dense pass covers the
-    deepest level whose word count stays within `sample`; the pairs that
-    may still hold the minimum are then refined one letter per level, the
+    word w stood for by its anchor w(b), b the fixed point of map 0 (the
+    base of :func:`cylinder_measure`).  A dense pass covers the deepest
+    level whose word count stays within `sample`; the pairs that may
+    still hold the minimum are then refined one letter per level, the
     N x N child pairs of a fixed-size chunk of parents at once, up to
     `level` = L.  A level-l anchor lies within
 
         drift(l) = r^l rho0 (1 - r^(L-l)) / (1 - r)
 
     of each of its level-L descendants (r the largest ratio, rho0 the
-    largest one-step displacement of the base), so a pair at distance d
-    is dropped once d - 2 drift(l) exceeds an upper bound U on the answer.
+    largest one-step displacement of b), so a pair at distance d is
+    dropped once d - 2 drift(l) exceeds an upper bound U on the answer.
 
-    When the base is the fixed point of some map m (the default is map 0),
-    the anchor w(base) = w m^(L-l)(base) is itself a level-L atom with the
-    same first letter, so every distance computed is realized at level L
-    and U is the least one seen so far.  Any other base only gives
-    U = d + 2 drift(l) for a level-l distance d.  Either way pruning keeps
-    every ancestor pair of the minimum (with 1e-12 slack for rounding), so
-    the result is exact and `sample` affects runtime only.  Memory grows
-    with the chunk (about 2^20 distances at a time) and the surviving
-    pairs, not with the pair count at `level`; more than 2^22 surviving
-    pairs raise RuntimeError.  A one-map system has no cross pairs and
-    returns +inf.
+    The anchor w(b) = w 0^(L-l)(b) is itself a level-L atom with the same
+    first letter, so every distance computed is realized at level L and
+    U is the least one seen so far.  Pruning keeps every ancestor pair of
+    the minimum (with 1e-12 slack for rounding), so the result is exact
+    and `sample` affects runtime only.  Memory grows with the chunk
+    (about 2^20 distances at a time) and the surviving pairs, not with
+    the pair count at `level`; more than 2^22 surviving pairs raise
+    RuntimeError.  A one-map system has no cross pairs and returns +inf.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    n, maps = ifs.n, ifs.maps
+    maps = ifs.maps
     N = len(maps)
     if N == 1:
         return math.inf
-    if base is None:
-        base = maps[0].fixed_point()
-    b, _, _ = _coords(base, n)
-    realized = any(np.array_equal(b, s.fixed_point().coords) for s in maps)
-
+    b = maps[0].fixed_point().coords
     r_max = float(np.max(ifs.ratios))
     rho0 = max(float(dist(b, s.apply(b))) for s in maps)
 
@@ -688,7 +676,7 @@ def min_piece_separation(ifs: Ifs, level: int, base=None,
         return r_max ** lvl * rho0 * (1.0 - r_max ** (level - lvl)) / (1.0 - r_max)
 
     def positions(qc: np.ndarray, rc: np.ndarray) -> np.ndarray:
-        # the anchor w(base) is the translation of w followed by tau_base
+        # the anchor w(b) is the translation of w followed by tau_b
         return _compose_after(qc, rc, b, 1.0)[0]
 
     # composites (q, rw) for every coarse-level word, each parent followed
@@ -729,7 +717,7 @@ def min_piece_separation(ifs: Ifs, level: int, base=None,
         for side in chunks:
             d = dist(positions(*side[:2]), positions(*side[2:]))
             least = min(least, float(np.min(d)))
-            upper = min(upper, least + (0.0 if realized else 2.0 * drift(lvl)))
+            upper = min(upper, least)
             if lvl < level:
                 sel = d <= upper + 2.0 * drift(lvl) + 1e-12
                 kept.append([d[sel]] + [

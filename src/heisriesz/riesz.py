@@ -12,12 +12,14 @@ Every transform is one :func:`~heisriesz.measure.binned_sweep`: the
 kernel terms are summed per distance bin (edges at the cutoffs, with an
 open end at +inf where the transform reaches infinity) in fixed chunk
 order, and truncations are suffix sums of those per-bin sums, so no
-per-atom term array is kept or sorted.  The sweep skips every chunk that
-lies wholly inside the innermost cutoff or, for the growth profile,
-wholly beyond radius 1; those chunks add nothing, so the values are the
-same bits as a full sweep.  The annular transform
-r < d <= R is defined as truncated(r) - truncated(R), so that identity
-holds exactly in floating point, not just up to rounding.
+per-atom term array is kept or sorted.  :func:`truncations` and
+:func:`growth_profile` return one (2n+1, K) array, column j for the
+j-th cutoff.  The sweep skips every chunk that lies wholly inside the
+innermost cutoff or, for the growth profile, wholly beyond radius 1;
+those chunks add nothing, so the values are the same bits as a full
+sweep.  The annular transform r < d <= R is defined as truncated(r) -
+truncated(R), so that identity holds exactly in floating point, not
+just up to rounding.
 """
 
 from __future__ import annotations
@@ -109,14 +111,21 @@ def _kernel_columns(params: RieszParams, mu: DiscreteMeasure, f):
     return columns
 
 
-def _cutoffs(eps_list, top: float) -> np.ndarray:
-    """The cutoffs as an array: nonempty, strictly decreasing, in (0, top)."""
+def _running_sums(mu: DiscreteMeasure, params: RieszParams, f, p, eps_list,
+                  top: float) -> np.ndarray:
+    """Column j is the sum over eps_list[j] < d <= top, from one sweep.
+
+    The cutoffs must be nonempty, strictly decreasing and in (0, top).
+    """
     eps = np.asarray(eps_list, dtype=float)
     if (eps.size == 0 or np.any(eps <= 0.0) or np.any(eps >= top)
             or np.any(np.diff(eps) >= 0.0)):
         raise ValueError("cutoffs must be a nonempty, strictly decreasing list "
                          f"in (0, {top:g}), got {eps.tolist()}")
-    return eps
+    edges = np.concatenate([eps[::-1], [top]])
+    sums, _ = binned_sweep(mu, p, edges, _kernel_columns(params, mu, f))
+    # running sums of the bins from the outside in
+    return np.cumsum(sums[:, ::-1], axis=1)
 
 
 def truncated_transform(mu: DiscreteMeasure, params: RieszParams, f, p,
@@ -147,11 +156,7 @@ def truncations(mu: DiscreteMeasure, params: RieszParams, f, p,
     (2n+1, len(eps_grid)) result is the truncation d > eps_grid[j].  It
     agrees with :func:`truncated_transform` up to summation order.
     """
-    eps = _cutoffs(eps_grid, np.inf)
-    edges = np.concatenate([eps[::-1], [np.inf]])
-    sums, _ = binned_sweep(mu, p, edges, _kernel_columns(params, mu, f))
-    # running sums of the bins from the outside in: every truncation
-    return np.cumsum(sums[:, ::-1], axis=1)
+    return _running_sums(mu, params, f, p, eps_grid, np.inf)
 
 
 def maximal_transform(mu: DiscreteMeasure, params: RieszParams, f, p,
@@ -164,18 +169,14 @@ def maximal_transform(mu: DiscreteMeasure, params: RieszParams, f, p,
     return np.abs(truncations(mu, params, f, p, eps_grid)).max(axis=1)
 
 
-def growth_profile(mu: DiscreteMeasure, params: RieszParams, p, eps_list):
-    """Annulus transform values (eps_j, 1] for a decreasing list of eps.
+def growth_profile(mu: DiscreteMeasure, params: RieszParams, p,
+                   eps_list) -> np.ndarray:
+    """Annulus transforms of the constant density over (eps_j, 1].
 
-    One sweep bins every atom by distance, with the cutoffs and 1 as the
-    edges, so the cost is a single pass regardless of the number of
-    cutoffs.  Values agree with :func:`annulus_transform` up to
-    summation order.
+    The list must be strictly decreasing and in (0, 1); column j of the
+    (2n+1, len(eps_list)) result is the annulus (eps_list[j], 1], the
+    layout of :func:`truncations`.  One sweep serves every cutoff, and
+    the values agree with :func:`annulus_transform` up to summation
+    order.
     """
-    eps = _cutoffs(eps_list, 1.0)
-    edges = np.concatenate([eps[::-1], [1.0]])
-    sums, _ = binned_sweep(mu, p, edges, _kernel_columns(params, mu, None))
-    # running sums from the bin below 1 inwards: column j is the
-    # annulus (eps[j], 1]
-    annuli = np.cumsum(sums[:, ::-1], axis=1)
-    return [(float(e), annuli[:, j].copy()) for j, e in enumerate(eps)]
+    return _running_sums(mu, params, None, p, eps_list, 1.0)

@@ -17,7 +17,7 @@ import numpy as np
 from . import core, riesz
 from .measure import DiscreteMeasure
 
-__all__ = ["CheckResult", "run_selftest", "all_passed"]
+__all__ = ["CheckResult", "run_selftest"]
 
 KERNEL_DEGREES = (1.0, 2.0, 2.5, 3.0)
 GROUP_INDICES = (1, 2)
@@ -33,10 +33,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.worst <= self.tol
-
-
-def all_passed(results) -> bool:
-    return all(r.passed for r in results)
 
 
 def _scaled(diff: np.ndarray, reference: np.ndarray) -> float:

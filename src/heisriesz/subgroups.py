@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import DEFAULT_TOL, ambient_dim, koranyi_norm, left_displacement, _coords
+from .core import ambient_dim, koranyi_norm, left_displacement, _coords
 from .measure import AtomCapExceeded, DEFAULT_ATOM_CAP, DiscreteMeasure
 
 __all__ = [
@@ -112,11 +112,11 @@ def make_vertical(n: int, basis) -> SubgroupSpec:
     return SubgroupSpec(n, VERTICAL, _orthonormal_rows(b, "make_vertical"))
 
 
-def make_horizontal(n: int, basis, eq_tol: float = DEFAULT_TOL.eq_tol) -> SubgroupSpec:
+def make_horizontal(n: int, basis) -> SubgroupSpec:
     """Horizontal subgroup from spanning vectors; requires isotropy.
 
-    Rejects any pair of basis vectors with A(u, v) != 0, reporting the
-    offending pair, since such a span is not closed under the product.
+    Rejects any pair of basis vectors with |A(u, v)| > 1e-12, reporting
+    the offending pair, since such a span is not closed under the product.
     """
     b = _as_basis(n, basis)
     if b.shape[0] > n:
@@ -131,7 +131,7 @@ def make_horizontal(n: int, basis, eq_tol: float = DEFAULT_TOL.eq_tol) -> Subgro
     pts = np.pad(rows, ((0, 0), (0, 1)))
     form = core.symplectic_form(pts[:, None], pts[None, :])
     worst = np.unravel_index(np.argmax(np.abs(form)), form.shape)
-    if abs(form[worst]) > eq_tol:
+    if abs(form[worst]) > 1e-12:
         i, j = worst
         raise ValueError(
             "basis is not isotropic: A(b_%d, b_%d) = %.6g" % (i, j, form[worst])

@@ -31,7 +31,7 @@ from heisriesz.fractal import (
     verify_invariant_region,
 )
 from heisriesz.riesz import RieszParams
-from heisriesz.selftest import all_passed, run_selftest
+from heisriesz.selftest import run_selftest
 from heisriesz.subgroups import make_vertical
 
 
@@ -49,7 +49,7 @@ def test_criterion_1_identity_suite_fast_and_green():
     t0 = time.perf_counter()
     results = run_selftest(samples=10_000, seed=0)
     elapsed = time.perf_counter() - t0
-    assert all_passed(results)
+    assert all(r.passed for r in results)
     worst = max(r.worst for r in results)
     assert elapsed < 10.0
     print(f"[PASS] criterion 1: 12/12 identity checks, "

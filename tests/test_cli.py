@@ -3,6 +3,8 @@
 import csv
 import importlib
 import json
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +86,17 @@ def test_ifs_verify_quick(tmp_path):
     assert res["separation"]["value"] > 0.0
     assert doc["config"]["ifs"]["separation_level_used"] == 3
     assert res["separation"]["level"] == 3
+
+
+def test_ifs_verify_quick_never_samples_more(tmp_path):
+    # --quick samples a tenth, at least 1000, but never more than the full run
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, {"ifs": {"resolution": 32, "samples": 500,
+                                           "separation_level": 2}})
+    assert _run(["ifs", "verify", "--config", cfg, "--quick", "--out", str(out)]) == 0
+    doc = json.loads((out / "ifs_verify.json").read_text())
+    assert doc["config"]["ifs"]["samples_used"] == 500
+    assert doc["results"]["region"]["sample_count"] == 500
 
 
 def test_bad_ratio_is_config_error(tmp_path, capsys):
@@ -294,6 +307,38 @@ def test_flag_overrides_config(tmp_path):
     assert doc["config"]["seed"] == 9
 
 
+@pytest.mark.parametrize("command,block,report,level,atoms", [
+    (["measure", "ad-report"], "diagnostics", "ad_report.json", 3, 4096),
+    (["ifs", "generate"], "ifs", "ifs_generate.json", 2, 256),
+])
+def test_quick_never_runs_finer_than_the_full_run(tmp_path, command, block,
+                                                  report, level, atoms):
+    # both levels sit below the block's default quick level
+    cfg = _write_config(tmp_path, {block: {"level": level}})
+    out = tmp_path / "run"
+    assert _run([*command, "--config", cfg, "--quick", "--out", str(out)]) == 0
+    doc = json.loads((out / report).read_text())
+    assert doc["config"]["ifs"]["level_used"] == level
+    assert doc["results"]["atoms"] == atoms
+
+
+@pytest.mark.parametrize("quick", [[], ["--quick"]], ids=["full", "quick"])
+@pytest.mark.parametrize("command,doc", [
+    (["ifs", "generate"], {"ifs": {"level": "x"}}),
+    (["riesz", "transform"], {"riesz": {"points": "x"}}),
+    (["riesz", "transform"], {"riesz": {"eps": ["a"]}}),
+    (["measure", "ad-report"], {"diagnostics": {"level": [1]}}),
+    (["selftest"], {"n": "x"}),
+], ids=["ifs-level", "riesz-points", "riesz-eps", "diag-level", "n"])
+def test_malformed_value_is_config_error(tmp_path, capsys, command, doc, quick):
+    # values read mid-command go through the same boundary as the ones
+    # read while loading the config
+    cfg = _write_config(tmp_path, doc)
+    code = _run([*command, "--config", cfg, *quick, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,report", [
     (["measure", "ad-report"], "ad_report.json"),
     (["cone-deficiency"], "cone_deficiency.json"),
@@ -360,3 +405,17 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"heisriesz.{module}")
     for name in mod.__all__:
         assert hasattr(mod, name), f"heisriesz.{module}.{name}"
+
+
+def test_every_name_perfbench_wraps_resolves(monkeypatch):
+    # the traced benchmark replaces vars(owner)[attr] for each target; a
+    # name deleted here would otherwise surface only as a KeyError there
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    spans = importlib.import_module("spans")
+    hz = types.SimpleNamespace(**{
+        name: importlib.import_module(f"heisriesz.{name}")
+        for name in spans.LAYERS
+    })
+    for t in spans.targets(hz):
+        assert t.attr in vars(t.owner), f"{t.owner.__name__}.{t.attr}"

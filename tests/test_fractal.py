@@ -247,9 +247,9 @@ def test_invariant_region_parameter_mismatch(ifs14):
         verify_invariant_region(plain, other)
 
 
-def _brute_separation(ifs, level, base=None):
+def _brute_separation(ifs, level):
     """Cross-first-letter minimum over all level atoms, through core.dist."""
-    pts = cylinder_measure(ifs, level, base=base).points
+    pts = cylinder_measure(ifs, level).points
     k = len(ifs.maps) ** (level - 1)
     return min(
         float(np.min(dist(pts[g * k:(g + 1) * k, None], pts[None, (g + 1) * k:])))
@@ -258,16 +258,23 @@ def _brute_separation(ifs, level, base=None):
 
 
 def test_min_piece_separation_matches_brute_force(ifs14):
-    # fixed points of maps 0 and 5 take the realized bound, a point that
-    # no map fixes the conservative one; sample 16 refines past level 1
-    bases = (ifs14.maps[0].fixed_point(), ifs14.maps[5].fixed_point(),
-             (0.5, 0.5, 0.3))
-    for base in bases:
-        for level in (1, 2):
-            want = _brute_separation(ifs14, level, base=base)
-            for sample in (16, 4096):
-                got = min_piece_separation(ifs14, level, base=base, sample=sample)
-                assert got == pytest.approx(want, rel=1e-12)
+    # sample 16 refines past level 1
+    for level in (1, 2):
+        want = _brute_separation(ifs14, level)
+        for sample in (16, 4096):
+            got = min_piece_separation(ifs14, level, sample=sample)
+            assert got == pytest.approx(want, rel=1e-12)
+    # unequal ratios: the drift bound uses the largest; sample 3 refines
+    # from level 1, 9 from level 2, 4096 runs the dense pass only
+    mixed = Ifs(n=1, maps=tuple(
+        Similarity(n=1, q=np.array(q), r=r)
+        for q, r in (((0.0, 0.0, 0.0), 0.35), ((0.6, 0.1, 0.2), 0.2),
+                     ((0.2, 0.7, 0.5), 0.3))))
+    for level in (3, 4, 5):
+        want = _brute_separation(mixed, level)
+        for sample in (3, 9, 4096):
+            got = min_piece_separation(mixed, level, sample=sample)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -280,16 +287,6 @@ def test_min_piece_separation_refinement_matches_brute_force(ifs14, brute3, samp
     # sample 16 refines two levels past the dense pass, 256 one, 4096 none
     got = min_piece_separation(ifs14, 3, sample=sample)
     assert got == pytest.approx(brute3, rel=1e-12)
-
-
-def test_min_piece_separation_off_attractor_base():
-    # level-1 anchors of this base come closer than any level-4 pair, so
-    # only the conservative bound keeps the minimum's ancestors
-    pair = Ifs(n=1, maps=(Similarity(n=1, q=np.zeros(3), r=0.3),
-                          Similarity(n=1, q=np.array([0.1, 0.0, 0.5]), r=0.3)))
-    base = (0.0, 5.0, 0.0)
-    got = min_piece_separation(pair, 4, base=base, sample=2)
-    assert got == pytest.approx(_brute_separation(pair, 4, base=base), rel=1e-12)
 
 
 def test_min_piece_separation_single_map():

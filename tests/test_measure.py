@@ -196,7 +196,7 @@ def _sweep_call(mu, kind, center, arg):
         return np.append(res.value, res.atom_count_used)
     if kind == "maximal":
         return maximal_transform(mu, params, f, center, arg)
-    return np.array([v for _, v in growth_profile(mu, params, center, arg)])
+    return growth_profile(mu, params, center, arg)
 
 
 _LADDER = [0.25, 0.0625, 0.015625]

@@ -216,11 +216,11 @@ def test_growth_profile_matches_annuli():
     p = mu.points[11]
     eps = [0.5, 0.25, 0.125, 0.0625]
     prof = growth_profile(mu, params, p, eps)
-    assert len(prof) == 4
-    for (e_out, value), e in zip(prof, eps):
-        assert e_out == e
+    # the layout of truncations: one column per cutoff
+    assert prof.shape == (3, 4)
+    for j, e in enumerate(eps):
         ann = annulus_transform(mu, params, p, e, 1.0)
-        np.testing.assert_allclose(value, ann, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(prof[:, j], ann, rtol=1e-12, atol=1e-13)
     with pytest.raises(ValueError):
         growth_profile(mu, params, p, [0.5, 0.6])
     with pytest.raises(ValueError):

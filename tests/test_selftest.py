@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import heisriesz.core as core
-from heisriesz.selftest import CheckResult, all_passed, run_selftest
+from heisriesz.selftest import CheckResult, run_selftest
 
 EXPECTED_CHECKS = {
     "reference_values",
@@ -25,14 +25,14 @@ EXPECTED_CHECKS = {
 def test_full_suite_passes():
     results = run_selftest(samples=2000, seed=0)
     assert {r.name for r in results} == EXPECTED_CHECKS
-    assert all_passed(results)
+    assert all(r.passed for r in results)
     for r in results:
         assert r.worst <= r.tol, r.name
 
 
 def test_quick_mode_caps_samples():
     results = run_selftest(samples=50_000, quick=True)
-    assert all_passed(results)
+    assert all(r.passed for r in results)
     assert max(r.samples for r in results) <= 1000
 
 
@@ -46,7 +46,7 @@ def test_truncation_check_is_exact():
 def test_check_result_passed_property():
     assert CheckResult("x", 10, 1e-13, 1e-12).passed
     assert not CheckResult("x", 10, 1e-11, 1e-12).passed
-    assert not all_passed([CheckResult("x", 1, 1.0, 0.5)])
+    assert not CheckResult("x", 1, 1.0, 0.5).passed
 
 
 def test_twist_sign_mutation_is_caught(monkeypatch):
@@ -56,7 +56,7 @@ def test_twist_sign_mutation_is_caught(monkeypatch):
     orig = core.symplectic_form
     monkeypatch.setattr(core, "symplectic_form", lambda p, q: -orig(p, q))
     results = run_selftest(samples=500, seed=0)
-    assert not all_passed(results)
+    assert not all(r.passed for r in results)
     failing = [r.name for r in results if not r.passed]
     assert failing[0] == "reference_values"
     assoc = next(r for r in results if r.name == "associativity")
