@@ -6,6 +6,15 @@ quadratically under dilations.  Every operation below accepts either an
 :class:`HPoint` or a plain float array whose last axis has length 2n+1;
 batches broadcast over the leading axes.  Wrapped points are validated on
 construction, raw arrays are assumed finite (measure constructors check).
+
+Batch operations take ``out=``, a point-shaped (..., 2n+1) float array
+that they fill and return instead of allocating; the scalar-valued
+:func:`symplectic_form` and :func:`koranyi_norm` form their terms in its
+horizontal part and return its last coordinate.  Only :func:`dilate`
+may overlap ``out`` with its input.  The steps are the allocating
+path's, so the bits are too (past n = 3, with ``out`` in the input's
+memory order).  Callers use the returned array, so that a replaced
+function still reaches them.
 """
 
 from __future__ import annotations
@@ -93,7 +102,7 @@ def _wrap(out: np.ndarray, n: int, wrapped: bool):
     return out
 
 
-def symplectic_form(p, q):
+def symplectic_form(p, q, out=None):
     """A(p, q) = -2 sum_i (p_i q_{i+n} - p_{i+n} q_i).
 
     Bilinear and antisymmetric in the horizontal parts; the vertical
@@ -104,16 +113,27 @@ def symplectic_form(p, q):
     b, _, _ = _coords(q, n)
     x1, y1 = a[..., :n], a[..., n : 2 * n]
     x2, y2 = b[..., :n], b[..., n : 2 * n]
-    return -2.0 * np.sum(x1 * y2 - y1 * x2, axis=-1)
+    if out is None:
+        return -2.0 * np.sum(x1 * y2 - y1 * x2, axis=-1)
+    terms = np.multiply(x1, y2, out=out[..., n : 2 * n])
+    terms -= np.multiply(y1, x2, out=out[..., :n])
+    form = np.sum(terms, axis=-1, out=out[..., -1])
+    form *= -2.0
+    return form
 
 
-def group_mul(p, q):
+def group_mul(p, q, out=None):
     """Group product p . q."""
     a, n, wa = _coords(p)
     b, _, wb = _coords(q, n)
-    horiz = a[..., :-1] + b[..., :-1]
-    vert = a[..., -1] + b[..., -1] + symplectic_form(a, b)
-    out = np.concatenate([horiz, vert[..., None]], axis=-1)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    # the vertical first, while the horizontal part of out is free for
+    # the form's terms and the partial sum
+    form = symplectic_form(a, b, out=out)
+    vert = np.add(a[..., -1], b[..., -1], out=out[..., 0])
+    np.add(vert, form, out=out[..., -1])
+    np.add(a[..., :-1], b[..., :-1], out=out[..., :-1])
     return _wrap(out, n, wa and wb)
 
 
@@ -123,21 +143,31 @@ def group_inv(p):
     return _wrap(-a, n, wrapped)
 
 
-def left_displacement(p, q):
+def left_displacement(p, q, out=None):
     """p^{-1} . q, computed directly to avoid an intermediate product."""
     a, n, wa = _coords(p)
     b, _, wb = _coords(q, n)
-    horiz = b[..., :-1] - a[..., :-1]
-    vert = b[..., -1] - a[..., -1] - symplectic_form(a, b)
-    out = np.concatenate([horiz, vert[..., None]], axis=-1)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    # as in group_mul: the vertical first
+    form = symplectic_form(a, b, out=out)
+    vert = np.subtract(b[..., -1], a[..., -1], out=out[..., 0])
+    np.subtract(vert, form, out=out[..., -1])
+    np.subtract(b[..., :-1], a[..., :-1], out=out[..., :-1])
     return _wrap(out, n, wa and wb)
 
 
-def koranyi_norm(p):
+def koranyi_norm(p, out=None):
     """Gauge norm (|horizontal|^4 + vertical^2)^(1/4)."""
     a, _, _ = _coords(p)
-    sq = np.sum(a[..., :-1] ** 2, axis=-1)
-    return (sq * sq + a[..., -1] ** 2) ** 0.25
+    if out is None:
+        sq = np.sum(a[..., :-1] ** 2, axis=-1)
+        return (sq * sq + a[..., -1] ** 2) ** 0.25
+    sq = np.sum(np.square(a[..., :-1], out=out[..., :-1]), axis=-1,
+                out=out[..., -1])
+    sq *= sq
+    sq += np.square(a[..., -1], out=out[..., 0])
+    return np.power(sq, 0.25, out=sq)
 
 
 def dist(p, q):
@@ -157,17 +187,18 @@ def _check_ratio(r) -> float:
     return r
 
 
-def dilate(r, p):
+def dilate(r, p, out=None):
     """Anisotropic dilation: horizontal part times r, vertical part times r^2."""
     r = _check_ratio(r)
     a, n, wrapped = _coords(p)
-    out = a.copy()
-    out[..., :-1] *= r
-    out[..., -1] *= r * r
+    if out is None:
+        out = np.empty(a.shape)
+    np.multiply(a[..., :-1], r, out=out[..., :-1])
+    np.multiply(a[..., -1], r * r, out=out[..., -1])
     return _wrap(out, n, wrapped)
 
 
-def blowup_map(a, r, p):
+def blowup_map(a, r, p, out=None):
     """Zoom of scale r at the point a: dilate the displacement a^{-1} . p by 1/r."""
     r = _check_ratio(r)
-    return dilate(1.0 / r, left_displacement(a, p))
+    return dilate(1.0 / r, left_displacement(a, p, out=out), out=out)

@@ -413,7 +413,8 @@ def blowup_measure(mu: DiscreteMeasure, a, r: float, s: float | None = None,
         factor = 1.0 / mass
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
-    pts = blowup_map(c, r, mu.points)
+    # built in the coordinate-major array the measure keeps
+    pts = blowup_map(c, r, mu.points, out=np.empty_like(mu.points, order="F"))
     spacing = mu.spacing / r if mu.spacing is not None else None
     return DiscreteMeasure(
         n=mu.n,

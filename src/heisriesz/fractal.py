@@ -27,7 +27,8 @@ import numpy as np
 
 from . import core
 from .core import HPoint, ambient_dim, dilate, dist, group_mul
-from .measure import DEFAULT_ATOM_CAP, AtomCapExceeded, DiscreteMeasure
+from .measure import (CHUNK, DEFAULT_ATOM_CAP, AtomCapExceeded,
+                      DiscreteMeasure, chunk_slices)
 
 __all__ = [
     "Similarity",
@@ -228,6 +229,11 @@ def cylinder_measure(ifs: Ifs, level: int,
 
     Atom index encodes the word with the first letter most significant,
     so the children of parent index p occupy p*N .. p*N + N - 1.
+
+    Each level is built in place: map m sends the parents, rows
+    0 .. N^k - 1, to rows m*N^k .., so map 0 overwrites them and goes
+    last.  Parents are dilated one chunk at a time into a CHUNK-row
+    scratch, so memory is the output plus O(CHUNK).
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
@@ -240,11 +246,14 @@ def cylinder_measure(ifs: Ifs, level: int,
         )
     pts = np.empty((count, ambient_dim(n)), order="F")
     pts[0] = maps[0].fixed_point().coords
+    scratch = np.empty((min(count, CHUNK), ambient_dim(n)), order="F")
     size = 1
     for _ in range(level):
-        prev = pts[:size].copy()
-        for m, s in enumerate(maps):
-            pts[m * size:(m + 1) * size] = s.apply(prev)
+        for m in range(N - 1, -1, -1):
+            s = maps[m]
+            for sl in chunk_slices(size):
+                d = dilate(s.r, pts[sl], out=scratch[:sl.stop - sl.start])
+                group_mul(s.q, d, out=pts[m * size + sl.start:m * size + sl.stop])
         size *= N
 
     ratios = ifs.ratios
@@ -257,9 +266,9 @@ def cylinder_measure(ifs: Ifs, level: int,
         size = 1
         factors = ratios ** a
         for _ in range(level):
-            prev = weights[:size].copy()
-            for m in range(N):
-                weights[m * size:(m + 1) * size] = factors[m] * prev
+            for m in range(N - 1, -1, -1):
+                np.multiply(factors[m], weights[:size],
+                            out=weights[m * size:(m + 1) * size])
             size *= N
 
     spacing = float(np.max(ratios)) ** level

@@ -5,6 +5,7 @@ ten-million-atom measures stay practical.  The coordinate array is
 coordinate-major (Fortran order), so each coordinate of a chunk of atoms
 is one contiguous run;
 ball masses and every transform are one :func:`binned_sweep` over it.
+Validation and sweeps need O(CHUNK) memory beyond the atoms.
 Each measure keeps, once computed, the reach of every chunk from its
 first atom, which lets a sweep skip the chunks that the triangle
 inequality puts outside the distance window it reads; ``points`` and
@@ -56,9 +57,15 @@ def binned_sweep(mu, center, edges, columns):
     of radius r is the window [-inf, r] and the truncation d > eps is
     [eps, inf].  One pass walks the atoms in fixed chunk order; for each
     chunk it takes the displacements u = center^{-1} q and distances
-    d = ||u|| from :mod:`core`, and ``columns(sl, u, d)`` returns the
-    chunk's per-atom values as a list of k arrays.  Returns the
+    d = ||u|| from :mod:`core`, and ``columns(sl, u, d, out)`` returns
+    the chunk's per-atom values as k arrays: arrays of its own, or rows
+    of ``out``, a (2n+1, len(d)) scratch that it may fill.  Returns the
     (k, len(edges) - 1) per-bin sums and the per-bin atom counts.
+
+    Each call allocates one coordinate-major workspace of CHUNK rows (u,
+    the norm's terms and d, bin indices, columns) and writes every chunk
+    into it, so a sweep's cost does not depend on what the allocator
+    holds from earlier work, and sweeps may run on several threads.
 
     A chunk is skipped when the triangle inequality, applied to the
     distance of its first atom from the centre and its cached reach,
@@ -79,22 +86,31 @@ def binned_sweep(mu, center, edges, columns):
     far = ((gap - reach > edges[-1] + margin)
            | (gap + reach <= edges[0] - margin))
 
-    def binned(sl, u, d):
-        bins = np.searchsorted(edges, d, side="left")
-        return (np.array([np.bincount(bins, weights=col, minlength=nbins)
-                          for col in columns(sl, u, d)], dtype=float),
-                np.bincount(bins, minlength=nbins))
-
-    # an empty chunk sets the shapes, so a sweep that skips every chunk
-    # still returns zero-filled bins
-    sums, counts = binned(slice(0, 0), np.empty((0, c.shape[-1])), np.empty(0))
+    rows, dim = min(len(mu), CHUNK), ambient_dim(mu.n)
+    u_ws = np.empty((rows, dim), order="F")
+    norm_ws = np.empty((rows, dim), order="F")
+    bins_ws = np.empty(rows, dtype=np.intp)
+    above_ws = np.empty(rows, dtype=bool)
+    cols_ws = np.empty((dim, rows))
+    # an empty chunk sets the column count, so a sweep that skips every
+    # chunk still returns zero-filled bins
+    k = len(columns(slice(0, 0), u_ws[:0], norm_ws[:0, -1], cols_ws[:, :0]))
+    sums, counts = np.zeros((k, nbins)), np.zeros(nbins, dtype=np.intp)
     for sl, skip in zip(chunk_slices(len(mu)), far):
         if skip:
             continue
-        u = core.left_displacement(c, mu.points[sl])
-        chunk_sums, chunk_counts = binned(sl, u, core.koranyi_norm(u))
-        sums += chunk_sums
-        counts += chunk_counts
+        m = sl.stop - sl.start
+        u = core.left_displacement(c, mu.points[sl], out=u_ws[:m])
+        d = core.koranyi_norm(u, out=norm_ws[:m])
+        # the bin of d is the count of edges below it, which for
+        # ascending edges is searchsorted(edges, d, side="left")
+        bins, above = bins_ws[:m], above_ws[:m]
+        bins.fill(0)
+        for e in edges:
+            bins += np.less(e, d, out=above)
+        for j, col in enumerate(columns(sl, u, d, cols_ws[:, :m])):
+            sums[j] += np.bincount(bins, weights=col, minlength=nbins)
+        counts += np.bincount(bins, minlength=nbins)
     # the outer two bins lie outside the window
     return sums[:, 1:-1], counts[1:-1]
 
@@ -109,7 +125,7 @@ def closed_ball_sums(mu, center, radii, column):
     radii = np.asarray(radii, dtype=float)
     edges = np.unique(radii)
     sums, _ = binned_sweep(mu, center, np.concatenate([[-np.inf], edges]),
-                           lambda sl, u, d: [column(sl, u, d)])
+                           lambda sl, u, d, out: [column(sl, u, d)])
     inside = np.cumsum(sums[0])
     return inside[np.searchsorted(edges, radii)]
 
@@ -155,9 +171,11 @@ class DiscreteMeasure:
             )
         if wts.shape != (pts.shape[0],):
             raise ValueError("weights must be a vector matching the atom count")
-        if not np.all(np.isfinite(pts)):
+        # one chunk at a time, so that checking a measure costs O(CHUNK)
+        if not all(np.all(np.isfinite(pts[sl])) for sl in chunk_slices(len(pts))):
             raise ValueError("atom coordinates must be finite")
-        if wts.size and (not np.all(np.isfinite(wts)) or np.any(wts <= 0.0)):
+        if not all(np.all(np.isfinite(wts[sl])) and not np.any(wts[sl] <= 0.0)
+                   for sl in chunk_slices(len(wts))):
             raise ValueError("weights must be finite and strictly positive")
         if self.spacing is not None and not self.spacing > 0.0:
             raise ValueError("spacing must be positive when given")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _coords
-from .measure import DiscreteMeasure, binned_sweep
+from .measure import CHUNK, DiscreteMeasure, binned_sweep
 
 __all__ = [
     "RieszParams",
@@ -94,19 +94,38 @@ def coordinate_function(index: int):
 def _kernel_columns(params: RieszParams, mu: DiscreteMeasure, f):
     """Per-chunk columns of weighted kernel terms for :func:`binned_sweep`.
 
-    Rows at zero displacement are zeroed; they are excluded from every
-    truncation anyway and must not poison sums with NaN.
+    The 2n+1 columns are written into the rows the sweep hands over;
+    a scratch row and a mask of CHUNK entries are allocated here, once
+    per transform.  Rows at zero displacement are zeroed; they are
+    excluded from every truncation anyway and must not poison sums with
+    NaN.
     """
     if params.n != mu.n:
         raise ValueError(f"kernel on H^{params.n} applied to a measure on H^{mu.n}")
+    rows = min(len(mu), CHUNK)
+    safe_ws, positive_ws = np.empty(rows), np.empty(rows, dtype=bool)
 
-    def columns(sl, u, d):
-        safe = np.where(d > 0.0, d, 1.0)
-        scale = mu.weights[sl] if f is None else mu.weights[sl] * f(mu.points[sl])
-        scale = np.where(d > 0.0, scale, 0.0)
-        horiz = scale / safe ** (params.s + 1.0)
-        return [u[:, i] * horiz for i in range(2 * params.n)] + [
-            u[:, -1] * scale / safe ** (params.s + 2.0)]
+    def columns(sl, u, d, out):
+        positive = np.greater(d, 0.0, out=positive_ws[:len(d)])
+        safe = safe_ws[:len(d)]
+        safe.fill(1.0)
+        np.copyto(safe, d, where=positive)
+        # out[-1] holds the scaled weights until the vertical column
+        # overwrites them, out[-2] the horizontal factor until the last
+        # horizontal column does
+        scale, horiz = out[-1], out[-2]
+        scale.fill(0.0)
+        if f is None:
+            np.copyto(scale, mu.weights[sl], where=positive)
+        else:
+            np.multiply(mu.weights[sl], f(mu.points[sl]), out=scale,
+                        where=positive)
+        np.divide(scale, np.power(safe, params.s + 1.0, out=horiz), out=horiz)
+        for i in range(2 * params.n):
+            np.multiply(u[:, i], horiz, out=out[i])
+        np.multiply(u[:, -1], scale, out=out[-1])
+        np.divide(out[-1], np.power(safe, params.s + 2.0, out=safe), out=out[-1])
+        return out
 
     return columns
 

@@ -38,7 +38,8 @@ def test_selftest_quick_passes(tmp_path, capsys):
 
 def test_selftest_names_first_failure(tmp_path, capsys, monkeypatch):
     orig = core.symplectic_form
-    monkeypatch.setattr(core, "symplectic_form", lambda p, q: -orig(p, q))
+    monkeypatch.setattr(core, "symplectic_form",
+                        lambda p, q, out=None: -orig(p, q, out=out))
     code = _run(["selftest", "--quick", "--out", str(tmp_path / "run")])
     assert code == 1
     captured = capsys.readouterr()

@@ -169,8 +169,9 @@ def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):
     # every twist in the package goes through core.symplectic_form, so
     # mirroring the group law here must move each caller's output
     from heisriesz.diagnostics import cone_deficiency, horest_check
-    from heisriesz.fractal import (Ifs, Similarity, min_piece_separation,
-                                   phi_fixed_point, verify_invariant_region)
+    from heisriesz.fractal import (Ifs, Similarity, cylinder_measure,
+                                   min_piece_separation, phi_fixed_point,
+                                   verify_invariant_region)
     from heisriesz.riesz import (RieszParams, growth_profile,
                                  maximal_transform, truncated_transform,
                                  truncations)
@@ -188,11 +189,13 @@ def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):
         for q in ((0.0, 0.0, 0.0), (0.6, 0.1, 0.2), (0.2, 0.7, 0.5))))
 
     def outputs():
+        cylinder = cylinder_measure(trio, 3)
         with pytest.raises(ValueError) as isotropy:
             make_horizontal(2, [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
         region = verify_invariant_region(ifs14, phi64, sample_count=5000)
         return {
             "separation": min_piece_separation(trio, 3),
+            "cylinder": cylinder.points.tobytes(),
             "horest": horest_check(1, 0.5, trials=5000, seed=2).min_margin,
             "transform": tuple(truncated_transform(mu2, params, None, center, 0.01).value),
             "growth": tuple(map(tuple, growth_profile(
@@ -211,7 +214,8 @@ def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):
     before = outputs()
     assert before["region"][0]
     orig = core.symplectic_form
-    monkeypatch.setattr(core, "symplectic_form", lambda p, q: -orig(p, q))
+    monkeypatch.setattr(core, "symplectic_form",
+                        lambda p, q, out=None: -orig(p, q, out=out))
     after = outputs()
     for key, value in before.items():
         assert after[key] != value, key

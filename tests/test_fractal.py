@@ -1,6 +1,8 @@
 """Self-similar systems: maps, cylinder measures, tilt grid, separation."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +127,49 @@ def test_cylinder_measure_structure(ifs14, mu2, mu3):
     # deepening a word by the zero letter refines in place: atom 16j of
     # the next level sits exactly on atom j of this one
     np.testing.assert_array_equal(mu3.points[::16], mu2.points)
+
+
+def _unequal_trio():
+    return Ifs(n=1, maps=tuple(
+        Similarity(n=1, q=np.array(q), r=r)
+        for q, r in (((0.0, 0.0, 0.0), 0.35), ((0.6, 0.1, 0.2), 0.2),
+                     ((0.2, 0.7, 0.5), 0.3))))
+
+
+# SHA-256 of the points' and weights' bytes, recorded before the build
+# moved in place; the trio covers the unequal-ratio weights
+_CYLINDER_DIGESTS = [
+    (lambda: make_strichartz_ifs(1, 0.25), 5,
+     "a408210e1abe971b5a9763e07f8d623b1a76804a9b99665b7aa04c650205ee53"),
+    (lambda: make_strichartz_ifs(2, 0.25), 3,
+     "493e70da02900500e0d851d4eda8f23bb260bf906090ffdb77e681bf78b69eca"),
+    (lambda: make_strichartz_ifs(1, 0.125), 4,
+     "eee0233093656a314d4c2aa72002ab745e58321776944065ba00733d048629ba"),
+    (_unequal_trio, 6,
+     "df151b17b4e00b1f5e5e17629d74cc6010c087d663b7d71497de2ec5c16832d9"),
+]
+
+
+@pytest.mark.parametrize("make, level, digest", _CYLINDER_DIGESTS,
+                         ids=["n1_r4_L5", "n2_r4_L3", "n1_r8_L4", "trio_L6"])
+def test_cylinder_measure_bytes_are_pinned(make, level, digest):
+    mu = cylinder_measure(make(), level)
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(mu.points).tobytes())
+    h.update(mu.weights.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_cylinder_measure_memory_is_output_plus_a_chunk(ifs14):
+    tracemalloc.start()
+    try:
+        mu = cylinder_measure(ifs14, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a copy of the last level's parents alone would be 1.5 MB, and a
+    # full-size validation temporary 3 MB
+    assert peak - mu.points.nbytes - mu.weights.nbytes < 3e6
 
 
 def test_cylinder_measure_atom_cap(ifs14):

@@ -57,6 +57,22 @@ def test_validation_errors():
         DiscreteMeasure(1, pts, w, spacing=0.0)
 
 
+@pytest.mark.parametrize("row", [CHUNK + 17, 2 * CHUNK + 5])
+def test_validation_reaches_every_chunk(row):
+    # validation runs one chunk at a time: a bad entry in a middle chunk
+    # and in the last, partial chunk is still found
+    pts = np.zeros((2 * CHUNK + 10, 3))
+    w = np.ones(len(pts))
+    bad = pts.copy()
+    bad[row, 2] = np.nan
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        DiscreteMeasure(1, bad, w)
+    zero = w.copy()
+    zero[row] = 0.0
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        DiscreteMeasure(1, pts, zero)
+
+
 def test_ball_mass_closed_ball_and_vector_radii():
     mu = _square_measure()
     center = np.array([0.0, 0.0, 0.0])
@@ -170,9 +186,9 @@ def displaced(monkeypatch):
     rows = []
     orig = core.left_displacement
 
-    def counting(p, q):
+    def counting(p, q, out=None):
         rows.append(len(q))
-        return orig(p, q)
+        return orig(p, q, out=out)
 
     monkeypatch.setattr(core, "left_displacement", counting)
     return rows
