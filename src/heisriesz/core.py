@@ -9,12 +9,13 @@ construction, raw arrays are assumed finite (measure constructors check).
 
 Batch operations take ``out=``, a point-shaped (..., 2n+1) float array
 that they fill and return instead of allocating; the scalar-valued
-:func:`symplectic_form` and :func:`koranyi_norm` form their terms in its
-horizontal part and return its last coordinate.  Only :func:`dilate`
-may overlap ``out`` with its input.  The steps are the allocating
-path's, so the bits are too (past n = 3, with ``out`` in the input's
-memory order).  Callers use the returned array, so that a replaced
-function still reaches them.
+:func:`symplectic_form` and :func:`koranyi_norm` use its first
+coordinates as scratch and return its last coordinate.  Only
+:func:`dilate` may overlap ``out`` with its input.  Sums over the
+coordinates run left to right, one coordinate view ``a[..., i]`` at a
+time, with and without ``out`` and in any memory order, so every layout
+gives the same bits.  Callers use the returned array, so that a
+replaced function still reaches them.
 """
 
 from __future__ import annotations
@@ -102,6 +103,14 @@ def _wrap(out: np.ndarray, n: int, wrapped: bool):
     return out
 
 
+def _scalars(shape, out, count: int):
+    """``count`` scalar-per-point arrays: the last coordinate of ``out``
+    followed by its first ones, or fresh arrays of ``shape``."""
+    if out is None:
+        return [np.empty(shape) for _ in range(count)]
+    return [out[..., -1]] + [out[..., i] for i in range(count - 1)]
+
+
 def symplectic_form(p, q, out=None):
     """A(p, q) = -2 sum_i (p_i q_{i+n} - p_{i+n} q_i).
 
@@ -111,15 +120,18 @@ def symplectic_form(p, q, out=None):
     """
     a, n, _ = _coords(p)
     b, _, _ = _coords(q, n)
-    x1, y1 = a[..., :n], a[..., n : 2 * n]
-    x2, y2 = b[..., :n], b[..., n : 2 * n]
-    if out is None:
-        return -2.0 * np.sum(x1 * y2 - y1 * x2, axis=-1)
-    terms = np.multiply(x1, y2, out=out[..., n : 2 * n])
-    terms -= np.multiply(y1, x2, out=out[..., :n])
-    form = np.sum(terms, axis=-1, out=out[..., -1])
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    form, term, cross = _scalars(shape, out, 3)
+    for i in range(n):
+        t = np.multiply(a[..., i], b[..., n + i], out=term if i else form)
+        t -= np.multiply(a[..., n + i], b[..., i], out=cross)
+        if i:
+            form += t
+    # np.sum starts from +0.0; adding it last turns an all-zero sum's
+    # -0.0 into +0.0 and leaves every other value as it is
+    form += 0.0
     form *= -2.0
-    return form
+    return form[()]
 
 
 def group_mul(p, q, out=None):
@@ -157,27 +169,37 @@ def left_displacement(p, q, out=None):
     return _wrap(out, n, wa and wb)
 
 
+def _gauge(sq, v, tmp):
+    """(sq^2 + v^2)^(1/4), written into sq; tmp is scratch shaped like sq
+    and may be v itself.  The one gauge step behind every norm."""
+    sq *= sq
+    sq += np.square(v, out=tmp)
+    return np.power(sq, 0.25, out=sq)
+
+
 def koranyi_norm(p, out=None):
     """Gauge norm (|horizontal|^4 + vertical^2)^(1/4)."""
-    a, _, _ = _coords(p)
-    if out is None:
-        sq = np.sum(a[..., :-1] ** 2, axis=-1)
-        return (sq * sq + a[..., -1] ** 2) ** 0.25
-    sq = np.sum(np.square(a[..., :-1], out=out[..., :-1]), axis=-1,
-                out=out[..., -1])
-    sq *= sq
-    sq += np.square(a[..., -1], out=out[..., 0])
-    return np.power(sq, 0.25, out=sq)
+    a, n, _ = _coords(p)
+    sq, tmp = _scalars(a.shape[:-1], out, 2)
+    np.square(a[..., 0], out=sq)
+    for i in range(1, 2 * n):
+        sq += np.square(a[..., i], out=tmp)
+    return _gauge(sq, a[..., -1], tmp)[()]
 
 
 def dist(p, q):
     """Left-invariant gauge distance d(p, q) = ||p^{-1} . q||."""
     a, n, _ = _coords(p)
     b, _, _ = _coords(q, n)
-    dh = b[..., :-1] - a[..., :-1]
-    dv = b[..., -1] - a[..., -1] - symplectic_form(a, b)
-    sq = np.sum(dh * dh, axis=-1)
-    return (sq * sq + dv * dv) ** 0.25
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    dv = np.subtract(b[..., -1], a[..., -1], out=np.empty(shape))
+    dv -= symplectic_form(a, b)
+    sq, dh = np.empty(shape), np.empty(shape)
+    np.subtract(b[..., 0], a[..., 0], out=sq)
+    sq *= sq
+    for i in range(1, 2 * n):
+        sq += np.square(np.subtract(b[..., i], a[..., i], out=dh), out=dh)
+    return _gauge(sq, dv, dv)[()]
 
 
 def _check_ratio(r) -> float:

@@ -363,25 +363,26 @@ def horest_check(n: int, delta: float, trials: int = 1_000_000,
         ok = x[:, -1] > (delta * norm) ** 2
         ok &= x[:, -1] > 0.0
         rejected += int(batch - np.count_nonzero(ok))
-        x = x[ok][: trials - done]
-        if x.shape[0] == 0:
+        keep = np.flatnonzero(ok)[: trials - done]
+        if len(keep) == 0:
             continue
-        norm = norm[ok][: trials - done]
-        m = x.shape[0]
+        x, norm = x[keep], norm[keep]
+        m = len(keep)
 
         rho = delta * delta * norm / (100.0 * n)
         u = np.empty((m, dim))
         u[:, :-1] = rng.uniform(-1.0, 1.0, size=(m, 2 * n)) * rho[:, None]
         u[:, -1] = rng.uniform(-1.0, 1.0, size=m) * rho * rho
+        # pull draws outside the gauge ball of radius rho onto its sphere
         unorm = koranyi_norm(u)
-        scale = np.where(unorm > rho, rho / np.where(unorm == 0, 1, unorm), 1.0)
+        scale = np.divide(rho, unorm, out=np.ones(m), where=unorm > rho)
         u[:, :-1] *= scale[:, None]
         u[:, -1] *= scale * scale
 
         # y = x . u; only the vertical coordinate matters
-        yv = x[:, -1] + u[:, -1] + core.symplectic_form(x, u)
-        bound = 0.5 * (delta * norm) ** 2
-        margin = yv - bound
+        margin = x[:, -1] + u[:, -1]
+        margin += core.symplectic_form(x, u)
+        margin -= 0.5 * (delta * norm) ** 2
         violations += int(np.count_nonzero(margin < 0.0))
         min_margin = min(min_margin, float(np.min(margin)))
         done += m

@@ -63,7 +63,7 @@ def binned_sweep(mu, center, edges, columns):
     (k, len(edges) - 1) per-bin sums and the per-bin atom counts.
 
     Each call allocates one coordinate-major workspace of CHUNK rows (u,
-    the norm's terms and d, bin indices, columns) and writes every chunk
+    the norm's scratch and d, bin indices, columns) and writes every chunk
     into it, so a sweep's cost does not depend on what the allocator
     holds from earlier work, and sweeps may run on several threads.
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _coords
+from .core import _coords, koranyi_norm
 from .measure import CHUNK, DiscreteMeasure, binned_sweep
 
 __all__ = [
@@ -72,8 +72,7 @@ class TransformResult:
 def riesz_kernel(params: RieszParams, p):
     """Kernel vector at a displacement; undefined at the identity."""
     x, _, _ = _coords(p, params.n)
-    sq = np.sum(x[..., :-1] ** 2, axis=-1)
-    nrm = (sq * sq + x[..., -1] ** 2) ** 0.25
+    nrm = koranyi_norm(x)
     if np.any(nrm == 0.0):
         raise ValueError("kernel is undefined at the group identity")
     out = np.empty_like(x)

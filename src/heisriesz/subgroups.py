@@ -160,7 +160,16 @@ def _monotone_cubic_root(b, c, iterations: int = 90):
     return 0.5 * (lo + hi)
 
 
-def _horizontal_distance(spec: SubgroupSpec, xh, xv):
+def _row_sum(terms):
+    """Sum over the last axis, left to right from +0.0 as np.sum does for
+    fewer than 8 terms, so the bits do not depend on the memory layout."""
+    total = np.zeros(terms.shape[:-1])
+    for i in range(terms.shape[-1]):
+        total += terms[..., i]
+    return total
+
+
+def _horizontal_distance(spec: SubgroupSpec, x):
     """Gauge distance to a horizontal subgroup, solved in closed form.
 
     Minimising ||x^{-1} (g, 0)||^4 over g in G reduces, after splitting g
@@ -169,19 +178,21 @@ def _horizontal_distance(spec: SubgroupSpec, xh, xv):
     strictly increasing cubic; its unique root is the global minimiser.
     """
     if spec.dim_basis == 0:
-        sq = np.sum(xh * xh, axis=-1)
-        return (sq * sq + xv * xv) ** 0.25
+        return koranyi_norm(x)
+    xh, xv = x[..., :-1], x[..., -1]
     bas = spec.basis
     coeff = xh @ bas.T
     proj = coeff @ bas
-    d2 = np.sum((xh - proj) ** 2, axis=-1)
+    d2 = _row_sum((xh - proj) ** 2)
     m = _symplectic_gradient(spec.n, xh)
     mc = m @ bas.T
-    lam = np.sqrt(np.sum(mc * mc, axis=-1))
-    beta0 = -xv + np.sum(mc * coeff, axis=-1)
+    lam = np.sqrt(_row_sum(mc * mc))
+    beta0 = -xv + _row_sum(mc * coeff)
     t = _monotone_cubic_root(4.0 * d2 + 2.0 * lam * lam, 2.0 * lam * beta0)
-    value = (t * t + d2) ** 2 + (beta0 + lam * t) ** 2
-    return value ** 0.25
+    # the minimum is the gauge norm of a point with squared horizontal
+    # length t^2 + D^2 and vertical part beta0 + Lam t
+    sq, v = np.asarray(t * t + d2), np.asarray(beta0 + lam * t)
+    return core._gauge(sq, v, v)
 
 
 def dist_to_subgroup(p, spec: SubgroupSpec):
@@ -193,14 +204,13 @@ def dist_to_subgroup(p, spec: SubgroupSpec):
     """
     x, _, _ = _coords(p, spec.n)
     xh = x[..., :-1]
-    xv = x[..., -1]
     if spec.kind == TAXIS:
-        out = np.sqrt(np.sum(xh * xh, axis=-1))
+        out = np.sqrt(_row_sum(xh * xh))
     elif spec.kind == VERTICAL:
         proj = (xh @ spec.basis.T) @ spec.basis
-        out = np.sqrt(np.sum((xh - proj) ** 2, axis=-1))
+        out = np.sqrt(_row_sum((xh - proj) ** 2))
     else:
-        out = _horizontal_distance(spec, xh, xv)
+        out = _horizontal_distance(spec, x)
     return float(out) if out.ndim == 0 else out
 
 

@@ -161,6 +161,18 @@ def test_criterion_7_cone_deficiency_floor(mu5):
           f"over 8 points x 4 radii, floor {floor:.10f} (pinned 0.0830078125)")
 
 
+# (hypothesis rejections, min_margin.hex()) of each seed-0 run; the
+# sampling and the arithmetic are deterministic, so these are exact
+HOREST_PINS = {
+    (1, 0.1): (3463, "0x1.b577b62889bebp-14"),
+    (1, 0.5): (97903, "0x1.7573961d44f0bp-11"),
+    (1, 0.9): (834952, "0x1.75d28354f73edp-11"),
+    (2, 0.1): (7067, "0x1.1d8ab9ef84cd4p-11"),
+    (2, 0.5): (210447, "0x1.5e805110630d6p-8"),
+    (2, 0.9): (3737338, "0x1.29c7c98ce3912p-7"),
+}
+
+
 def test_criterion_8_vertical_lower_bound_holds():
     worst_margin = np.inf
     combos = 0
@@ -169,6 +181,8 @@ def test_criterion_8_vertical_lower_bound_holds():
             report = horest_check(n, delta, trials=1_000_000, seed=0)
             assert report.passed, (n, delta)
             assert report.violations == 0
+            assert (report.hypothesis_rejections,
+                    report.min_margin.hex()) == HOREST_PINS[n, delta]
             worst_margin = min(worst_margin, report.min_margin)
             combos += 1
     print(f"[PASS] criterion 8: 0 violations in {combos} x 1e6 perturbation "

@@ -1,5 +1,9 @@
 """Group operations, gauge norm, and the zoom map."""
 
+import ast
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -233,3 +237,106 @@ def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):
     # a consistently mirrored law keeps the corner family's separation
     # exactly; mixing a private copy of the law into one step would not
     assert min_piece_separation(ifs14, 3) == 0.30356975675054104
+
+
+def _batch(n, seed, size):
+    """Two C-order batches with zero horizontal parts mixed in, so that
+    some form terms are -0.0 and the sign of a zero sum is pinned too."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-2.0, 2.0, size=(size, 2 * n + 1))
+    q = rng.uniform(-2.0, 2.0, size=(size, 2 * n + 1))
+    p[::4, :-1] = 0.0
+    q[1::6, n:-1] = 0.0
+    return p, q
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_every_layout_gives_the_same_bits(n):
+    # coordinates are summed left to right one view at a time, so C
+    # order, F order, out= in either order and a single point agree
+    # bit for bit; numpy's own last-axis sum would not past n = 3
+    p, q = _batch(n, 40 + n, 3000)
+    pf, qf = np.asfortranarray(p), np.asfortranarray(q)
+    calls = {
+        "dist": lambda p, q, out: dist(p, q),
+        "norm": lambda p, q, out: koranyi_norm(p, out=out),
+        "form": lambda p, q, out: symplectic_form(p, q, out=out),
+    }
+    for name, call in calls.items():
+        ref = call(p, q, None)
+        assert call(pf, qf, None).tobytes() == ref.tobytes(), name
+        for order in "CF":
+            out = np.empty(p.shape, order=order)
+            assert np.array(call(p, q, out)).tobytes() == ref.tobytes(), name
+        single = [call(p[i], q[i], None) for i in range(20)]
+        assert all(type(v) is np.float64 for v in single), name
+        assert np.array(single).tobytes() == ref[:20].tobytes(), name
+
+
+@pytest.mark.parametrize("n, digests", [
+    (1, ("4fceef22b3469875a3031e86277c4968897388e762ff62208257ebe4c4777ffe",
+         "c92aa2c4ce41bf3f58b7e894435adae465e182327cd5188e365472fb8b0b53b4",
+         "847a13d0928007c89c805b35e0da93643d0a72d1eb3b4f5e6e044538a125f649")),
+    (2, ("40a395dd04a5c1f30aafaf024d556f884f2989a9b97e7ab251870f2fbd3956e8",
+         "6f5231856a636158cccda0299d69ca76b287b8875babafd60e9d749f89323d98",
+         "8072acf8065437a3eaee07fc334cdd8039d791e836941b3769eeddef7bd68b0e")),
+    (3, ("d380bdbbaadc90f50bf09a25b188a61c870568dec2fdad9b8ee37a382576c23b",
+         "e15f17f867339226a4396759ac547568289b14efc0b21f713228e4aaefebe159",
+         "d4f54ac551ed3617c69d08152e4931411c42f40dfb911d5a3336c100bffb6cb7")),
+])
+def test_batch_bits_are_pinned(n, digests):
+    # dist, koranyi_norm and symplectic_form of 4096 C-order pairs,
+    # recorded while the sums were numpy's last-axis np.sum
+    p, q = _batch(n, 100 + n, 4096)
+    got = tuple(hashlib.sha256(v.tobytes()).hexdigest() for v in
+                (dist(p, q), koranyi_norm(p), symplectic_form(p, q)))
+    assert got == digests
+
+
+def test_corrupted_norm_reaches_every_caller(monkeypatch, ifs14, mu2):
+    # every gauge norm in the package ends in core._gauge, so scaling it
+    # here must move each caller's output
+    from heisriesz.fractal import min_piece_separation
+    from heisriesz.riesz import RieszParams, riesz_kernel, truncated_transform
+    from heisriesz.subgroups import dist_to_subgroup, make_horizontal
+
+    params = RieszParams(s=2.0, n=1)
+    center = mu2.points[37]
+    p, q = _batch(1, 7, 64)
+    point = make_horizontal(1, [])
+    line = make_horizontal(1, [[0.6, 0.8]])
+
+    def outputs():
+        return {
+            "dist": dist(p, q).tobytes(),
+            "ball_mass": tuple(mu2.ball_mass(center, [0.3, 0.4, 0.5, 0.6])),
+            "transform": tuple(truncated_transform(mu2, params, None, center, 0.01).value),
+            "kernel": riesz_kernel(params, q).tobytes(),
+            "subgroup_point": dist_to_subgroup(q, point).tobytes(),
+            "subgroup_line": dist_to_subgroup(q, line).tobytes(),
+            "separation": min_piece_separation(ifs14, 3),
+        }
+
+    before = outputs()
+    orig = core._gauge
+
+    def stretched(sq, v, tmp):
+        g = orig(sq, v, tmp)
+        g *= 1.25
+        return g
+
+    monkeypatch.setattr(core, "_gauge", stretched)
+    after = outputs()
+    for key, value in before.items():
+        assert after[key] != value, key
+    assert after["dist"] == (1.25 * np.frombuffer(before["dist"])).tobytes()
+
+
+def test_core_sums_no_last_axis():
+    # a reduction over axis=-1 sums contiguous coordinates pairwise from
+    # 8 terms on, so its bits would depend on the memory layout again
+    tree = ast.parse(Path(core.__file__).read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.keyword) and node.arg == "axis"
+             and ast.unparse(node.value) in ("-1", "(-1,)")]
+    assert found == []
