@@ -349,6 +349,21 @@ def horest_check(n: int, delta: float, trials: int = 1_000_000,
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
     dim = 2 * n + 1
+    # buffers for the largest batch, which is the first
+    rows = min(131072, 2 * trials + 64)
+    draws, vert = np.empty((rows, 2 * n)), np.empty(rows)
+    pool, x_ws, u_ws = (np.empty((rows, dim)) for _ in range(3))
+    # coordinate-major, so that a norm (its last coordinate) is contiguous
+    scratch = np.empty((rows, dim), order="F")
+    norm_ws, rho_ws, scale_ws = np.empty(rows), np.empty(rows), np.empty(rows)
+
+    def uniform(out, a, b):
+        # rng.uniform(a, b) is a + (b - a) U for the same U, so these are
+        # its bits from the same draws
+        v = rng.random(out=out)
+        v *= b - a
+        v += a
+        return v
 
     done = 0
     rejected = 0
@@ -356,33 +371,45 @@ def horest_check(n: int, delta: float, trials: int = 1_000_000,
     min_margin = math.inf
     while done < trials:
         batch = min(131072, 2 * (trials - done) + 64)
-        x = np.empty((batch, dim))
-        x[:, :-1] = rng.uniform(-1.0, 1.0, size=(batch, 2 * n))
-        x[:, -1] = rng.uniform(0.0, 2.0, size=batch)
-        norm = koranyi_norm(x)
-        ok = x[:, -1] > (delta * norm) ** 2
+        x = pool[:batch]
+        x[:, :-1] = uniform(draws[:batch], -1.0, 1.0)
+        x[:, -1] = uniform(vert[:batch], 0.0, 2.0)
+        norm = koranyi_norm(x, out=scratch[:batch])
+        bound = np.multiply(norm, delta, out=scratch[:batch, 0])
+        bound *= bound
+        ok = x[:, -1] > bound
         ok &= x[:, -1] > 0.0
         rejected += int(batch - np.count_nonzero(ok))
         keep = np.flatnonzero(ok)[: trials - done]
         if len(keep) == 0:
             continue
-        x, norm = x[keep], norm[keep]
         m = len(keep)
+        # the indices are valid, and mode="clip" lets take write into out
+        # directly instead of through a temporary
+        x = np.take(x, keep, axis=0, out=x_ws[:m], mode="clip")
+        norm = np.take(norm, keep, out=norm_ws[:m], mode="clip")
 
-        rho = delta * delta * norm / (100.0 * n)
-        u = np.empty((m, dim))
-        u[:, :-1] = rng.uniform(-1.0, 1.0, size=(m, 2 * n)) * rho[:, None]
-        u[:, -1] = rng.uniform(-1.0, 1.0, size=m) * rho * rho
+        rho = np.multiply(norm, delta * delta, out=rho_ws[:m])
+        rho /= 100.0 * n
+        u = u_ws[:m]
+        np.multiply(uniform(draws[:m], -1.0, 1.0), rho[:, None], out=u[:, :-1])
+        np.multiply(uniform(vert[:m], -1.0, 1.0), rho, out=u[:, -1])
+        u[:, -1] *= rho
         # pull draws outside the gauge ball of radius rho onto its sphere
-        unorm = koranyi_norm(u)
-        scale = np.divide(rho, unorm, out=np.ones(m), where=unorm > rho)
+        unorm = koranyi_norm(u, out=scratch[:m])
+        scale = scale_ws[:m]
+        scale.fill(1.0)
+        np.divide(rho, unorm, out=scale, where=unorm > rho)
         u[:, :-1] *= scale[:, None]
-        u[:, -1] *= scale * scale
+        u[:, -1] *= np.square(scale, out=scale)
 
         # y = x . u; only the vertical coordinate matters
-        margin = x[:, -1] + u[:, -1]
-        margin += core.symplectic_form(x, u)
-        margin -= 0.5 * (delta * norm) ** 2
+        margin = np.add(x[:, -1], u[:, -1], out=vert[:m])
+        margin += core.symplectic_form(x, u, out=scratch[:m])
+        bound = np.multiply(norm, delta, out=scratch[:m, 0])
+        bound *= bound
+        bound *= 0.5
+        margin -= bound
         violations += int(np.count_nonzero(margin < 0.0))
         min_margin = min(min_margin, float(np.min(margin)))
         done += m

@@ -7,12 +7,13 @@ is one contiguous run;
 ball masses and every transform are one :func:`binned_sweep` over it.
 Validation and sweeps need O(CHUNK) memory beyond the atoms.
 Each measure keeps, once computed, the reach of every chunk from its
-first atom, which lets a sweep skip the chunks that the triangle
-inequality puts outside the distance window it reads; ``points`` and
-``weights`` are read-only, so that cache cannot go stale.  Measures are
-written to and read from CSV files with the header
-``x1,...,x{2n+1},weight``; the label and the resolution scale are given
-on reading.
+first atom, which gives a sweep the range of distance bins each chunk
+can reach: it skips the chunks that the triangle inequality puts
+outside the window it reads, and sums a chunk that falls in one bin
+without binning its atoms.  ``points`` and ``weights`` are read-only,
+so that cache cannot go stale.  Measures are written to and read from
+CSV files with the header ``x1,...,x{2n+1},weight``; the label and the
+resolution scale are given on reading.
 """
 
 from __future__ import annotations
@@ -63,19 +64,35 @@ def binned_sweep(mu, center, edges, columns):
     (k, len(edges) - 1) per-bin sums and the per-bin atom counts.
 
     Each call allocates one coordinate-major workspace of CHUNK rows (u,
-    the norm's scratch and d, bin indices, columns) and writes every chunk
+    the norm's scratch and d, bin masks, columns) and writes every chunk
     into it, so a sweep's cost does not depend on what the allocator
     holds from earlier work, and sweeps may run on several threads.
 
-    A chunk is skipped when the triangle inequality, applied to the
-    distance of its first atom from the centre and its cached reach,
-    puts all of its atoms outside the window.  Such a chunk would add
-    exact zeros to every bin, and the other chunks are reduced in the
-    same order, so skipping does not change a bit of the result.
+    The triangle inequality, applied to the distance of a chunk's first
+    atom from the centre and the chunk's cached reach, bounds the
+    distances of all its atoms, and so the range of bins they can fall
+    in.  A chunk whose range misses the window is skipped.  A chunk whose
+    range is one bin adds the pairwise sum ``np.add.reduce`` of each
+    column to that bin, and its length to the bin's count, without
+    comparing a single distance with an edge.  Any other chunk, for each
+    window bin in its range, adds the pairwise sum of a zero-filled copy
+    of each column that holds only the atoms of that bin
+    (:func:`_bin_sums`).  Bins outside the window are never summed, so
+    the columns may hold NaN or inf for atoms there.  Across chunks the
+    sums are taken in chunk order.  A bin that holds every atom of a
+    chunk gets the same bits from either path, and a bin that holds none
+    gets +0.0 or nothing, so pruning does not change a bit of the
+    result.  Against exact arithmetic, a bin's sum over c chunks errs by
+    at most about (35 + c) u sum |terms|, u = 2^-53 (numpy's pairwise sum
+    takes each term of a chunk through at most 35 additions).  Earlier
+    releases summed each chunk sequentially with ``np.bincount``, within
+    (CHUNK + c) u sum |terms|, and their results differ from these in
+    the last bits.
     """
     c, _, _ = _coords(center, mu.n)
     edges = np.asarray(edges, dtype=float)
-    nbins = len(edges) + 1
+    # window bins are 1..top, numbered by the count of edges below d
+    top = len(edges) - 1
     anchors, reach = mu.points[::CHUNK], mu.chunk_reach()
     gap = dist(c, anchors)
     # rounding can move a computed gauge distance by up to about the
@@ -83,36 +100,57 @@ def binned_sweep(mu, center, edges, columns):
     # cancelled vertical term), so the margin scales with the sizes
     margin = 1e-7 * mu.n * (1.0 + core.koranyi_norm(c)
                             + core.koranyi_norm(anchors) + reach)
-    far = ((gap - reach > edges[-1] + margin)
-           | (gap + reach <= edges[0] - margin))
+    # bin(x) = searchsorted(edges, x) is monotone in x, so a chunk's
+    # atoms lie in the bins first..last
+    first = np.searchsorted(edges, gap - reach - margin)
+    last = np.searchsorted(edges, gap + reach + margin)
 
     rows, dim = min(len(mu), CHUNK), ambient_dim(mu.n)
     u_ws = np.empty((rows, dim), order="F")
     norm_ws = np.empty((rows, dim), order="F")
-    bins_ws = np.empty(rows, dtype=np.intp)
-    above_ws = np.empty(rows, dtype=bool)
+    inside_ws = np.empty((2, rows), dtype=bool)
     cols_ws = np.empty((dim, rows))
     # an empty chunk sets the column count, so a sweep that skips every
     # chunk still returns zero-filled bins
     k = len(columns(slice(0, 0), u_ws[:0], norm_ws[:0, -1], cols_ws[:, :0]))
-    sums, counts = np.zeros((k, nbins)), np.zeros(nbins, dtype=np.intp)
-    for sl, skip in zip(chunk_slices(len(mu)), far):
-        if skip:
+    sums, counts = np.zeros((k, top)), np.zeros(top, dtype=np.intp)
+    for sl, lo, hi in zip(chunk_slices(len(mu)), first, last):
+        if hi < 1 or lo > top:
             continue
         m = sl.stop - sl.start
         u = core.left_displacement(c, mu.points[sl], out=u_ws[:m])
         d = core.koranyi_norm(u, out=norm_ws[:m])
-        # the bin of d is the count of edges below it, which for
-        # ascending edges is searchsorted(edges, d, side="left")
-        bins, above = bins_ws[:m], above_ws[:m]
-        bins.fill(0)
-        for e in edges:
-            bins += np.less(e, d, out=above)
-        for j, col in enumerate(columns(sl, u, d, cols_ws[:, :m])):
-            sums[j] += np.bincount(bins, weights=col, minlength=nbins)
-        counts += np.bincount(bins, minlength=nbins)
-    # the outer two bins lie outside the window
-    return sums[:, 1:-1], counts[1:-1]
+        cols = columns(sl, u, d, cols_ws[:, :m])
+        if lo == hi:
+            sums[:, lo - 1] += [np.add.reduce(col) for col in cols]
+            counts[lo - 1] += m
+            continue
+        for b in range(max(lo, 1), min(hi, top) + 1):
+            # the norm's first coordinate is free once d is known
+            bin_sums, count = _bin_sums(cols, d, edges[b - 1], edges[b],
+                                        inside_ws[:, :m], norm_ws[:m, 0])
+            sums[:, b - 1] += bin_sums
+            counts[b - 1] += count
+    return sums, counts
+
+
+def _bin_sums(cols, d, lower, upper, inside, part):
+    """Pairwise sums of each column over the atoms with lower < d <= upper,
+    and their count.
+
+    ``inside`` is (2, len(d)) boolean scratch.  Each column is copied
+    into the zero-filled scratch row ``part`` where the atom is inside,
+    so a bin that holds every atom gets the bits of ``np.add.reduce`` of
+    the column itself.
+    """
+    mask = np.less(lower, d, out=inside[0])
+    mask &= np.less_equal(d, upper, out=inside[1])
+    sums = []
+    for col in cols:
+        part.fill(0.0)
+        np.copyto(part, col, where=mask)
+        sums.append(np.add.reduce(part))
+    return sums, np.count_nonzero(mask)
 
 
 def closed_ball_sums(mu, center, radii, column):

@@ -10,16 +10,19 @@ Truncated transforms sum w(q) f(q) K(p^{-1} q) over atoms with
 d(p, q) > eps (closed balls are excluded, so ties at eps drop out).
 Every transform is one :func:`~heisriesz.measure.binned_sweep`: the
 kernel terms are summed per distance bin (edges at the cutoffs, with an
-open end at +inf where the transform reaches infinity) in fixed chunk
-order, and truncations are suffix sums of those per-bin sums, so no
-per-atom term array is kept or sorted.  :func:`truncations` and
-:func:`growth_profile` return one (2n+1, K) array, column j for the
-j-th cutoff.  The sweep skips every chunk that lies wholly inside the
-innermost cutoff or, for the growth profile, wholly beyond radius 1;
-those chunks add nothing, so the values are the same bits as a full
-sweep.  The annular transform r < d <= R is defined as truncated(r) -
-truncated(R), so that identity holds exactly in floating point, not
-just up to rounding.
+open end at +inf where the transform reaches infinity), pairwise within
+each chunk and in fixed chunk order across chunks, and truncations are
+suffix sums of those per-bin sums, so no per-atom term array is kept or
+sorted.  :func:`truncations` and :func:`growth_profile` return one
+(2n+1, K) array, column j for the j-th cutoff.  The sweep skips every
+chunk that lies wholly inside the innermost cutoff or, for the growth
+profile, wholly beyond radius 1, and sums a chunk that lies in one bin
+without comparing its distances with the cutoffs; the values are the
+same bits as a full sweep.  They differ from releases that summed each
+chunk sequentially in the last bits, within the bound that
+:func:`~heisriesz.measure.binned_sweep` states.  The annular transform
+r < d <= R is defined as truncated(r) - truncated(R), so that identity
+holds exactly in floating point, not just up to rounding.
 """
 
 from __future__ import annotations
@@ -93,37 +96,31 @@ def coordinate_function(index: int):
 def _kernel_columns(params: RieszParams, mu: DiscreteMeasure, f):
     """Per-chunk columns of weighted kernel terms for :func:`binned_sweep`.
 
-    The 2n+1 columns are written into the rows the sweep hands over;
-    a scratch row and a mask of CHUNK entries are allocated here, once
-    per transform.  Rows at zero displacement are zeroed; they are
-    excluded from every truncation anyway and must not poison sums with
-    NaN.
+    The 2n+1 columns are written into the rows the sweep hands over; one
+    scratch row of CHUNK entries for d^(s+2) is allocated here, once per
+    transform.  Every window a transform sweeps starts at a cutoff
+    eps > 0, so an atom at zero displacement always falls in the sweep's
+    bin below the window, which is never summed; its terms are left as
+    the NaN of 0/0, and the divisions run without warnings.
     """
     if params.n != mu.n:
         raise ValueError(f"kernel on H^{params.n} applied to a measure on H^{mu.n}")
-    rows = min(len(mu), CHUNK)
-    safe_ws, positive_ws = np.empty(rows), np.empty(rows, dtype=bool)
+    power_ws = np.empty(min(len(mu), CHUNK))
 
     def columns(sl, u, d, out):
-        positive = np.greater(d, 0.0, out=positive_ws[:len(d)])
-        safe = safe_ws[:len(d)]
-        safe.fill(1.0)
-        np.copyto(safe, d, where=positive)
-        # out[-1] holds the scaled weights until the vertical column
-        # overwrites them, out[-2] the horizontal factor until the last
-        # horizontal column does
-        scale, horiz = out[-1], out[-2]
-        scale.fill(0.0)
-        if f is None:
-            np.copyto(scale, mu.weights[sl], where=positive)
-        else:
-            np.multiply(mu.weights[sl], f(mu.points[sl]), out=scale,
-                        where=positive)
-        np.divide(scale, np.power(safe, params.s + 1.0, out=horiz), out=horiz)
-        for i in range(2 * params.n):
-            np.multiply(u[:, i], horiz, out=out[i])
-        np.multiply(u[:, -1], scale, out=out[-1])
-        np.divide(out[-1], np.power(safe, params.s + 2.0, out=safe), out=out[-1])
+        # with a density, out[-1] holds the scaled weights until the
+        # vertical column overwrites them; out[-2] holds the horizontal
+        # factor until the last horizontal column does
+        scale, horiz = mu.weights[sl], out[-2]
+        if f is not None:
+            scale = np.multiply(scale, f(mu.points[sl]), out=out[-1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(scale, np.power(d, params.s + 1.0, out=horiz), out=horiz)
+            for i in range(2 * params.n):
+                np.multiply(u[:, i], horiz, out=out[i])
+            np.multiply(u[:, -1], scale, out=out[-1])
+            np.divide(out[-1], np.power(d, params.s + 2.0, out=power_ws[:len(d)]),
+                      out=out[-1])
         return out
 
     return columns

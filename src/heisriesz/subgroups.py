@@ -169,6 +169,16 @@ def _row_sum(terms):
     return total
 
 
+def _coefficients(xh, basis):
+    """xh @ basis.T, each entry a left-to-right :func:`_row_sum`."""
+    return np.stack([_row_sum(xh * b) for b in basis], axis=-1)
+
+
+def _projection(coeff, basis):
+    """coeff @ basis, summed left to right over the basis vectors."""
+    return _row_sum(coeff[..., None, :] * basis.T)
+
+
 def _horizontal_distance(spec: SubgroupSpec, x):
     """Gauge distance to a horizontal subgroup, solved in closed form.
 
@@ -181,11 +191,10 @@ def _horizontal_distance(spec: SubgroupSpec, x):
         return koranyi_norm(x)
     xh, xv = x[..., :-1], x[..., -1]
     bas = spec.basis
-    coeff = xh @ bas.T
-    proj = coeff @ bas
-    d2 = _row_sum((xh - proj) ** 2)
+    coeff = _coefficients(xh, bas)
+    d2 = _row_sum((xh - _projection(coeff, bas)) ** 2)
     m = _symplectic_gradient(spec.n, xh)
-    mc = m @ bas.T
+    mc = _coefficients(m, bas)
     lam = np.sqrt(_row_sum(mc * mc))
     beta0 = -xv + _row_sum(mc * coeff)
     t = _monotone_cubic_root(4.0 * d2 + 2.0 * lam * lam, 2.0 * lam * beta0)
@@ -207,7 +216,7 @@ def dist_to_subgroup(p, spec: SubgroupSpec):
     if spec.kind == TAXIS:
         out = np.sqrt(_row_sum(xh * xh))
     elif spec.kind == VERTICAL:
-        proj = (xh @ spec.basis.T) @ spec.basis
+        proj = _projection(_coefficients(xh, spec.basis), spec.basis)
         out = np.sqrt(_row_sum((xh - proj) ** 2))
     else:
         out = _horizontal_distance(spec, x)

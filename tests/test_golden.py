@@ -24,7 +24,7 @@ from heisriesz.cli import main
 GOLDEN = {
     ("selftest",): {
         "selftest.json":
-            "21bc47df1effd5f899fbc35c21d2ce788ad06286402bf7a116c7bff6d2dcb69b",
+            "575c2d5a7af1402250b6fa430f5a347524c4103c5deddf2c9686c20dcea7f220",
     },
     ("ifs", "generate"): {
         "ifs_generate.json":
@@ -42,21 +42,21 @@ GOLDEN = {
     },
     ("riesz", "transform"): {
         "riesz_transform.csv":
-            "1a776f8ff359ee89573c4747a3215b8c053b7efb631b1ebb64f6cc1c4398247c",
+            "ef2832ed03bc4ab1114860279b0972720efaefcf11aef2e671dae244f6942071",
         "riesz_transform.json":
-            "9834ae08dc745ee766121b7bd0a2b55a9253840b7b9e5d8505d25108b4e733cc",
+            "37381a318170406040428eb9bfd2c939e4c0937753f176b634d6551d0d06231e",
     },
     ("riesz", "divergence"): {
         "riesz_divergence.csv":
-            "a716c13967f6db2ead0a2c29d2edbef270a402ef71f31d6d13508d2bc3ece723",
+            "ae905377ecec4b10b25d477619b0c8d55cc307afad704f885b27d7286f0432b8",
         "riesz_divergence.json":
-            "5fbb3d46ea3228bfbca7e0004f0f1d4ce14ddb7319c4e6e0f911b135c92b55e7",
+            "2be013c220bf3790a8433fbe4bbf78ddce2313280f9f406a73eeda1ecb7cafa4",
     },
     ("riesz", "subgroup-probe"): {
         "subgroup_probe.csv":
-            "74fc226f01faa8c2478f3118665e090e4237a16fe6796dadcf6af044863cdf26",
+            "2a40d9d65434ed724086f1ede89ab74a5bc45d735eead4423a2f8f2c115924fd",
         "subgroup_probe.json":
-            "c4b1679c5b5cb342efac894c0ee8fa5935ba10ba1c8078b1d94df8720bcc24a8",
+            "95784cb197a06a417285cc0749ea4ce8de52f59e40b90096385e416f7e4578fc",
     },
     ("tangent", "blowup"): {
         "blowup.json":
@@ -141,9 +141,9 @@ CONFIG_GOLDEN = {
     }),
     "transform-csv-coords": (0, {
         "riesz_transform.csv":
-            "23757b5c690b104139221be7335bf7c2da4c87c14bc86343b9f60c6f7d084858",
+            "c85a79d408ba4cd974000c7d2ff5030cfff3291851d621bcb926de1e862b7215",
         "riesz_transform.json":
-            "e1e61dccaae627806cf66938f5e06ac1862905b7ab3bd4178a262b7340235649",
+            "674cbeb4e483769b5574e952b8e051b3690a182484fc8f536b441521d8001e11",
     }),
     "verify-custom": (0, {
         "ifs_verify.json":
@@ -151,9 +151,9 @@ CONFIG_GOLDEN = {
     }),
     "subgroup-probe-horizontal-n2": (0, {
         "subgroup_probe.csv":
-            "f79f859234991516e8b87f55b6e242d30e3d085ae8b2cc6acb050a44dd9821e8",
+            "4a715ace929eb20a6e6bda7644ec6d24bec3ba6c0d051ae8b8d9682393f7fd14",
         "subgroup_probe.json":
-            "9adb3f2cea37c361218ea5cec43a2fa6e5f4c14b58705392253be30283bf0c40",
+            "1f9d6ae666fed96f51c71584f368e386b23bc0d679a65ac3cea4de0a7f9d7058",
     }),
 }
 

@@ -272,6 +272,44 @@ def test_pruned_sweep_is_bitwise_the_full_sweep(request, monkeypatch, displaced,
     np.testing.assert_array_equal(pruned, full)
 
 
+@pytest.fixture
+def masked_chunks(monkeypatch, displaced):
+    """Chunks, numbered from 1 in sweep order, that sum their bins through
+    measure._bin_sums rather than as one bin."""
+    chunks = set()
+    orig = measure._bin_sums
+
+    def recording(*args):
+        chunks.add(len(displaced))
+        return orig(*args)
+
+    monkeypatch.setattr(measure, "_bin_sums", recording)
+    return chunks
+
+
+def test_pruned_sweeps_take_both_reduction_paths(request, monkeypatch, displaced,
+                                                 masked_chunks):
+    # the pruned-vs-full comparison above checks the one-bin path against
+    # the masked one only if the pruned sweeps take both paths; without
+    # pruning, every chunk takes the masked path
+    one_bin = masked = 0
+    for name, center, kind, arg, skipped in _PRUNE_CASES:
+        mu = request.getfixturevalue(name)
+        c = mu.points[center] if isinstance(center, int) else np.array(center)
+        displaced.clear()
+        masked_chunks.clear()
+        _sweep_call(mu, kind, c, arg)
+        one_bin += len(displaced) - len(masked_chunks)
+        masked += len(masked_chunks)
+    assert one_bin > 0 and masked > 0, (one_bin, masked)
+    mu = request.getfixturevalue("mu_h2")
+    _unpruned(monkeypatch, mu)
+    displaced.clear()
+    masked_chunks.clear()
+    _sweep_call(mu, "growth", mu.points[0], [0.5, 0.25])
+    assert masked_chunks == set(range(1, len(displaced) + 1)) != set()
+
+
 @pytest.mark.parametrize("name, center", [("mu5", -1), ("mu_h2", -1)])
 def test_pruning_keeps_atoms_exactly_on_an_edge(request, monkeypatch, name, center):
     # edges at each chunk's nearest and farthest atom are where the

@@ -1,12 +1,15 @@
 """Kernel values and the truncated singular-integral machinery."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from heisriesz.core import dilate, dist, group_inv, group_mul
-from heisriesz.measure import DiscreteMeasure, binned_sweep
+from heisriesz.core import (dilate, dist, group_inv, group_mul, koranyi_norm,
+                            left_displacement)
+from heisriesz.measure import DiscreteMeasure, binned_sweep, chunk_slices
 from heisriesz.riesz import (
     RieszParams,
     _kernel_columns,
@@ -256,3 +259,72 @@ def test_vertical_axis_sample_nearly_cancels():
     p = mu.points[len(mu) // 2]
     ann = annulus_transform(mu, params, p, 0.125, 1.0)
     assert float(np.max(np.abs(ann))) < 1e-6
+
+
+# Error bound of a sweep's per-bin sums.  In a chunk, a bin's sum is
+# numpy's pairwise np.add.reduce of a row of at most CHUNK = 2^16 terms
+# (zeros where an atom lies in another bin, which add no error).  In that
+# sum every term passes through at most 35 additions: 1 because the
+# reduction starts from the first entry, 10 for the halvings down to
+# blocks of at most 128 terms, and 24 inside a block of k terms, which
+# has eight running sums of k // 8 terms, a three-level tree over them
+# and then k % 8 leftover terms added one by one, so
+# (k // 8 - 1) + 3 + k % 8 <= 14 + 3 + 7.  The chunk sums are then added
+# in chunk order, at most one more addition per chunk.  A sum in which every term
+# passes through at most h additions errs by at most
+# gamma_h * sum |x|, gamma_h = h u / (1 - h u), u = 2^-53 (Higham,
+# "The accuracy of floating point summation", SIAM J. Sci. Comput. 14,
+# 1993), and math.fsum is correctly rounded, so it is within u sum |x|
+# of the exact sum.
+_PAIRWISE_DEPTH = 35
+
+
+@pytest.mark.parametrize("center, f, edges", [
+    (0, None, [0.00390625, 0.015625, 0.0625, 0.25, 1.0]),
+    (-1, None, [0.00390625, 0.015625, 0.0625, 0.25, 1.0]),
+    (54321, coordinate_function(2), [0.015625, 0.0625, 0.25, np.inf]),
+])
+def test_sweep_sums_stay_within_the_pairwise_bound(mu5, center, f, edges):
+    params = RieszParams(s=2.0, n=1)
+    p = mu5.points[center]
+    columns = _kernel_columns(params, mu5, f)
+    sums, counts = binned_sweep(mu5, p, edges, columns)
+    slices = list(chunk_slices(len(mu5)))
+    # the same per-atom terms, chunk by chunk, gathered per bin
+    terms = [[] for _ in range(len(edges) - 1)]
+    for sl in slices:
+        u = left_displacement(p, mu5.points[sl])
+        d = koranyi_norm(u)
+        cols = np.array(columns(sl, u, d, np.empty((3, len(d)))))
+        for b in range(len(edges) - 1):
+            terms[b].append(cols[:, (edges[b] < d) & (d <= edges[b + 1])])
+    u = 2.0 ** -53
+    h = _PAIRWISE_DEPTH + len(slices)
+    for b, parts in enumerate(terms):
+        x = np.concatenate(parts, axis=1)
+        assert counts[b] == x.shape[1]
+        for j in range(3):
+            exact = math.fsum(x[j])
+            bound = (h * u / (1.0 - h * u) + u) * math.fsum(np.abs(x[j]))
+            assert abs(sums[j, b] - exact) <= bound, (b, j)
+
+
+def test_transform_centred_on_an_atom_is_finite_without_warnings(mu5):
+    # the centre atom's own terms are 0/0; they stay in the bin below
+    # every window, which the sweep never sums
+    params = RieszParams(s=2.0, n=1)
+    eps = [0.25, 0.0625, 0.015625]
+    for p in (mu5.points[0], mu5.points[12345]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [
+                truncated_transform(mu5, params, None, p, 1e-9).value,
+                truncated_transform(mu5, params, coordinate_function(0), p,
+                                    0.0625).value,
+                truncations(mu5, params, None, p, eps),
+                maximal_transform(mu5, params, None, p, eps),
+                growth_profile(mu5, params, p, eps),
+            ]
+        assert all(np.all(np.isfinite(v)) for v in values)
+        assert truncated_transform(mu5, params, None, p, 1e-9).atom_count_used \
+            == len(mu5) - 1

@@ -152,3 +152,30 @@ def test_subspace_distance_between_lines():
 def test_unknown_subgroup_kind_rejected():
     with pytest.raises(ValueError):
         SubgroupSpec("diagonal", 1, np.zeros((0, 2)))
+
+
+def _layout_subgroups(n, rng):
+    # random directions, so the orthonormal bases have no zero entries;
+    # vectors in the first n horizontal coordinates span isotropic planes
+    line = rng.normal(size=2 * n)
+    plane = rng.normal(size=(2, 2 * n))
+    yield "vertical line", make_vertical(n, [line])
+    yield "vertical plane", make_vertical(n, plane)
+    yield "horizontal line", make_horizontal(n, [line])
+    if n >= 2:
+        lagrangian = np.pad(rng.normal(size=(2, n)), ((0, 0), (0, n)))
+        yield "horizontal plane", make_horizontal(n, lagrangian)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_subgroup_distance_bits_do_not_depend_on_the_layout(n):
+    # the projections are summed left to right over coordinate views, as
+    # core does; a BLAS product gave C and F order different bits
+    rng = np.random.default_rng(60 + n)
+    x = rng.uniform(-2.0, 2.0, size=(2000, 2 * n + 1))
+    xf = np.asfortranarray(x)
+    for name, spec in _layout_subgroups(n, rng):
+        ref = dist_to_subgroup(x, spec)
+        assert dist_to_subgroup(xf, spec).tobytes() == ref.tobytes(), name
+        single = [dist_to_subgroup(p, spec) for p in x[:50]]
+        assert np.array(single).tobytes() == ref[:50].tobytes(), name
