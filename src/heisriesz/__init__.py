@@ -32,7 +32,6 @@ from .subgroups import (
     in_cone,
     make_horizontal,
     make_vertical,
-    subspace_distance,
 )
 from .riesz import (
     RieszParams,

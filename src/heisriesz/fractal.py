@@ -224,8 +224,9 @@ def cylinder_measure(ifs: Ifs, level: int,
     One atom per word of length `level`, placed at the word applied to
     the fixed point of map 0, which lies in the invariant set and makes
     each level's atoms a subset of the next.  Equal-ratio systems get
-    exact weights N^(-level); otherwise the weight of a word is the
-    product of r_i^a over its letters.
+    exact weights N^(-level), held once as a zero-stride vector (8 bytes,
+    not 8 N^level); otherwise the weight of a word is the product of
+    r_i^a over its letters, stored in full.
 
     Atom index encodes the word with the first letter most significant,
     so the children of parent index p occupy p*N .. p*N + N - 1.
@@ -258,7 +259,7 @@ def cylinder_measure(ifs: Ifs, level: int,
 
     ratios = ifs.ratios
     if np.all(ratios == ratios[0]):
-        weights = np.full(count, float(N) ** (-level))
+        weights = np.broadcast_to(float(N) ** (-level), (count,))
     else:
         a = similarity_dimension(ifs)
         weights = np.empty(count)

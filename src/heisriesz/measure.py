@@ -1,11 +1,12 @@
 """Weighted atomic measures on H^n.
 
 Atoms are stored as a dense coordinate array plus a weight vector so that
-ten-million-atom measures stay practical.  The coordinate array is
-coordinate-major (Fortran order), so each coordinate of a chunk of atoms
-is one contiguous run;
-ball masses and every transform are one :func:`binned_sweep` over it.
-Validation and sweeps need O(CHUNK) memory beyond the atoms.
+ten-million-atom measures stay practical.  Equal weights may be held
+once, as a zero-stride vector (``np.broadcast_to``), which is kept as
+given.  The coordinate array is coordinate-major (Fortran order), so
+each coordinate of a chunk of atoms is one contiguous run; ball masses
+and every transform are one :func:`binned_sweep` over it.
+Validation, sweeps and CSV reads need O(CHUNK) memory beyond the atoms.
 Each measure keeps, once computed, the reach of every chunk from its
 first atom, which gives a sweep the range of distance bins each chunk
 can reach: it skips the chunks that the triangle inequality puts
@@ -189,7 +190,11 @@ class DiscreteMeasure:
 
     ``points`` and ``weights`` are kept as read-only views of the given
     arrays (no copy is made), so an in-place write through the measure
-    raises instead of invalidating its cached chunk reach.
+    raises instead of invalidating its cached chunk reach.  A weight
+    vector with zero stride, such as ``np.broadcast_to(w, (N,))``, is
+    kept as given: equal weights are then held once, in 8 bytes, not
+    8N, and every sweep, sum and CSV row reads the same bits as from
+    the full vector.  Any other vector is stored C-contiguous.
     """
 
     n: int
@@ -202,7 +207,10 @@ class DiscreteMeasure:
         if self.n < 1:
             raise ValueError(f"group index must be >= 1, got {self.n}")
         pts = np.asfortranarray(self.points, dtype=float)
-        wts = np.ascontiguousarray(self.weights, dtype=float)
+        wts = np.asarray(self.weights, dtype=float)
+        # a zero-stride vector (one weight held once) is kept as given
+        if wts.ndim != 1 or wts.strides != (0,):
+            wts = np.ascontiguousarray(wts)
         if pts.ndim != 2 or pts.shape[1] != ambient_dim(self.n):
             raise ValueError(
                 f"points must have shape (N, {ambient_dim(self.n)}), got {pts.shape}"
@@ -286,13 +294,44 @@ class DiscreteMeasure:
 
     @classmethod
     def from_csv(cls, path, label: str = "", spacing: float | None = None):
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-        cols = header.split(",")
-        if len(cols) < 4 or cols[-1] != "weight":
-            raise ValueError(f"unrecognised measure header: {header!r}")
+        """Read a measure written by :meth:`to_csv`.
+
+        One binary pass counts the rows; the coordinate-major points and
+        the weights are allocated once and filled from ``np.loadtxt``
+        blocks of CHUNK rows, so a read holds the measure plus one block.
+        Blank and comment lines are skipped as ``np.loadtxt`` skips them
+        (numpy warns about them when it reads by rows, and the arrays are
+        then trimmed, by a copy).
+        """
+        with open(path, "rb") as fh:
+            header = fh.readline().decode("utf-8").strip()
+            cols = header.split(",")
+            if len(cols) < 4 or cols[-1] != "weight":
+                raise ValueError(f"unrecognised measure header: {header!r}")
+            rows, last = 0, b"\n"
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                rows += block.count(b"\n")
+                last = block[-1:]
+            if last != b"\n":
+                rows += 1
         n = group_index(len(cols) - 1)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] != len(cols):
-            raise ValueError("row width does not match the header")
-        return cls(n, data[:, :-1], data[:, -1], label=label, spacing=spacing)
+        pts, wts = np.empty((rows, len(cols) - 1), order="F"), np.empty(rows)
+        filled = 0
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.readline()
+            while filled < rows:
+                want = min(CHUNK, rows - filled)
+                data = np.loadtxt(fh, delimiter=",", max_rows=want, ndmin=2)
+                got = len(data)
+                if got == 0:
+                    break
+                if data.shape[1] != len(cols):
+                    raise ValueError("row width does not match the header")
+                pts[filled:filled + got] = data[:, :-1]
+                wts[filled:filled + got] = data[:, -1]
+                filled += got
+                # the next block must not be parsed while this one is held
+                del data
+                if got < want:
+                    break
+        return cls(n, pts[:filled], wts[:filled], label=label, spacing=spacing)

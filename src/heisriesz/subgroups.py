@@ -30,7 +30,6 @@ __all__ = [
     "dist_to_subgroup",
     "in_cone",
     "haar_sample",
-    "subspace_distance",
 ]
 
 VERTICAL = "vertical"
@@ -307,17 +306,3 @@ def haar_sample(
     )
     return DiscreteMeasure(spec.n, pts, np.full(len(pts), cell),
                            label=label, spacing=spacing)
-
-
-def subspace_distance(v: SubgroupSpec, w: SubgroupSpec) -> float:
-    """Operator-norm distance of the horizontal projections of two subgroups.
-
-    Mixed kinds are allowed; the center line contributes the zero
-    projection.  For two lines at angle theta the value is |sin theta|.
-    """
-    if v.n != w.n:
-        raise ValueError("subgroups live in different groups")
-    d = 2 * v.n
-    pv = v.basis.T @ v.basis if v.dim_basis else np.zeros((d, d))
-    pw = w.basis.T @ w.basis if w.dim_basis else np.zeros((d, d))
-    return float(np.linalg.norm(pv - pw, 2))

@@ -167,9 +167,19 @@ def test_cylinder_measure_memory_is_output_plus_a_chunk(ifs14):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a copy of the last level's parents alone would be 1.5 MB, and a
-    # full-size validation temporary 3 MB
-    assert peak - mu.points.nbytes - mu.weights.nbytes < 3e6
+    # equal ratios: the weight is held once, so the measure holds its
+    # points alone; a full weight vector would be 8.4 MB, a copy of the
+    # last level's parents 1.5 MB, and a full-size validation temporary
+    # 3 MB
+    assert mu.weights.strides == (0,)
+    assert peak - mu.points.nbytes < 3e6
+
+
+def test_unequal_ratio_weights_are_stored_in_full():
+    mu = cylinder_measure(_unequal_trio(), 4)
+    assert mu.weights.flags.c_contiguous
+    assert mu.weights.strides == (mu.weights.itemsize,)
+    assert len(np.unique(mu.weights)) > 1
 
 
 def test_cylinder_measure_atom_cap(ifs14):

@@ -4,6 +4,7 @@ import io
 import sys
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,10 +12,10 @@ import pytest
 
 from heisriesz import core, measure
 from heisriesz.core import dist
-from heisriesz.diagnostics import cone_deficiency
+from heisriesz.diagnostics import blowup_measure, cone_deficiency
 from heisriesz.measure import CHUNK, DiscreteMeasure, chunk_slices
 from heisriesz.riesz import (RieszParams, coordinate_function, growth_profile,
-                             maximal_transform, truncated_transform)
+                             maximal_transform, truncated_transform, truncations)
 from heisriesz.subgroups import make_vertical
 
 
@@ -146,6 +147,42 @@ def test_csv_write_memory_is_bounded_by_the_chunk(tmp_path, mu5, monkeypatch):
     assert sum(rows) == len(mu5)
     # the full (N, 4) row array alone would be 33.5 MB
     assert peak < 10e6
+
+
+def test_csv_read_memory_is_the_measure_plus_a_block(tmp_path):
+    # rows that cross two block boundaries, each with distinct values;
+    # the whole (N, 4) loadtxt result alone would be 4.2 MB
+    rows = 2 * CHUNK + 5
+    path = tmp_path / "mu.csv"
+    path.write_text("x1,x2,x3,weight\n" + "".join(
+        f"{i},{-i},{0.5 * i},{i + 1}\n" for i in range(rows)))
+    tracemalloc.start()
+    try:
+        mu = DiscreteMeasure.from_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - mu.points.nbytes - mu.weights.nbytes < 3e6
+    i = np.arange(rows, dtype=float)
+    np.testing.assert_array_equal(mu.points, np.column_stack([i, -i, 0.5 * i]))
+    np.testing.assert_array_equal(mu.weights, i + 1)
+    assert mu.points.flags.f_contiguous
+
+
+def test_csv_header_only_reads_as_an_empty_measure(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("x1,x2,x3,x4,x5,weight\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu = DiscreteMeasure.from_csv(path)
+    assert mu.n == 2 and len(mu) == 0 and mu.points.shape == (0, 5)
+
+
+def test_csv_rejects_a_row_width_off_the_header(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("x1,x2,x3,weight\n1,2,3\n4,5,6\n")
+    with pytest.raises(ValueError, match="row width"):
+        DiscreteMeasure.from_csv(path)
 
 
 def test_csv_rejects_malformed_header(tmp_path):
@@ -398,6 +435,51 @@ def test_measure_keeps_the_callers_arrays_writable():
     pts[0, 0] = 1.0
     w[0] = 2.0
     assert mu.points[0, 0] == 1.0 and mu.weights[0] == 2.0
+
+
+def test_weights_held_once_give_the_bits_of_the_full_vector(tmp_path, displaced,
+                                                           masked_chunks):
+    rng = np.random.default_rng(21)
+    pts = np.asfortranarray(rng.uniform(-1.0, 1.0, size=(2 * CHUNK + 5, 3)))
+    once = DiscreteMeasure(1, pts, np.broadcast_to(1 / 3, (len(pts),)))
+    full = DiscreteMeasure(1, pts, np.full(len(pts), 1 / 3))
+    assert once.weights.strides == (0,) and full.weights.flags.c_contiguous
+    params = RieszParams(s=2.0, n=1)
+    f = coordinate_function(2)
+    taxis = make_vertical(1, [])
+    # chunks straddle the bins around an atom (the masked path) and lie
+    # in one bin seen from far away (the one-bin path)
+    near, far = pts[7], np.array([6.0, 0.0, 0.0])
+
+    def outputs(mu, name):
+        path = tmp_path / f"{name}.csv"
+        mu.to_csv(path)
+        zoom = blowup_measure(mu, near, 0.5, s=2.0)
+        return [
+            mu.ball_mass(near, [0.125, 0.5, 10.0]), mu.ball_mass(far, 10.0),
+            cone_deficiency(mu, 2.0, near, taxis, 0.5, [0.25, 0.5]),
+            truncated_transform(mu, params, None, near, 0.05).value,
+            truncated_transform(mu, params, f, near, 0.05).value,
+            truncated_transform(mu, params, f, far, 0.5).value,
+            truncations(mu, params, f, near, [0.5, 0.25, 0.125]),
+            growth_profile(mu, params, near, [0.5, 0.25, 0.125]),
+            mu.total_mass, path.read_bytes(), zoom.points, zoom.weights,
+        ]
+
+    got = outputs(once, "once")
+    assert len(displaced) > len(masked_chunks) > 0
+    want = outputs(full, "full")
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    with pytest.raises(ValueError):
+        once.weights[0] = 1.0
+    with pytest.raises(ValueError):
+        DiscreteMeasure(1, np.zeros((3, 3)), np.broadcast_to(0.0, (3,)))
+    # any other stride is stored contiguous
+    w = np.linspace(1.0, 2.0, 10)
+    mu = DiscreteMeasure(1, np.zeros((5, 3)), w[::2])
+    assert mu.weights.flags.c_contiguous
+    np.testing.assert_array_equal(mu.weights, w[::2])
 
 
 def test_empty_measure_sweeps_to_zero():

@@ -11,7 +11,6 @@ from heisriesz.subgroups import (
     in_cone,
     make_horizontal,
     make_vertical,
-    subspace_distance,
 )
 
 
@@ -137,16 +136,6 @@ def test_haar_sample_horizontal_line():
     np.testing.assert_allclose(mu.total_mass, 2.0, rtol=1e-12)
     assert np.all(mu.points[:, 0] == 0.0)
     assert np.all(mu.points[:, 2] == 0.0)
-
-
-def test_subspace_distance_between_lines():
-    a = make_horizontal(1, [[1.0, 0.0]])
-    for theta in (0.0, 0.3, np.pi / 2):
-        b = make_horizontal(1, [[np.cos(theta), np.sin(theta)]])
-        assert subspace_distance(a, b) == pytest.approx(abs(np.sin(theta)), abs=1e-12)
-    t = make_vertical(1, [])
-    assert subspace_distance(a, t) == pytest.approx(1.0, rel=1e-12)
-    assert subspace_distance(t, t) == 0.0
 
 
 def test_unknown_subgroup_kind_rejected():
