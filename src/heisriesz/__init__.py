@@ -5,7 +5,7 @@ The package is organised bottom-up:
 * ``core``        group arithmetic, Koranyi gauge, dilations, blow-up maps
 * ``measure``     weighted atomic measures, chunked sweeps, CSV round trips
 * ``subgroups``   homogeneous subgroups, cones, Haar grid samples
-* ``riesz``       kernels and truncated / annular / maximal transforms
+* ``riesz``       kernels, truncated and maximal transforms, growth profiles
 * ``fractal``     corner-and-offset similarity systems and their invariants
 * ``diagnostics`` regularity, divergence, cone-deficiency and blow-up probes
 * ``cli``         the ``heisriesz`` command line front end
@@ -21,7 +21,6 @@ from .core import (
     group_inv,
     group_mul,
     koranyi_norm,
-    origin,
     symplectic_form,
 )
 from .measure import AtomCapExceeded, DEFAULT_ATOM_CAP, DiscreteMeasure
@@ -36,8 +35,6 @@ from .subgroups import (
 from .riesz import (
     RieszParams,
     TransformResult,
-    annulus_transform,
-    coordinate_function,
     growth_profile,
     maximal_transform,
     riesz_kernel,
@@ -64,7 +61,6 @@ from .diagnostics import (
     ad_regularity_report,
     blowup_measure,
     cone_deficiency,
-    discrepancy_to_haar,
     divergence_probe,
     horest_check,
     subgroup_boundedness_probe,

@@ -549,7 +549,7 @@ def _cmd_riesz_subgroup(cfg: RunConfig) -> Outcome:
     report = subgroup_boundedness_probe(
         spec, float(block["s"]), eps, window=float(block["window"]),
         resolution=int(block["resolution"]), points=count, seed=cfg.seed,
-        slope_tol=float(block["slope_tol"]))
+        slope_tol=float(block["slope_tol"]), atom_cap=cfg.atom_cap)
     payload = {k: v for k, v in asdict(report).items()
                if k not in ("per_point_max", "seed")}
     return Outcome(payload, {"riesz": block},

@@ -28,7 +28,6 @@ __all__ = [
     "HPoint",
     "ambient_dim",
     "group_index",
-    "origin",
     "symplectic_form",
     "group_mul",
     "group_inv",
@@ -75,11 +74,6 @@ class HPoint:
     def __repr__(self) -> str:
         body = np.array2string(self.coords, separator=", ")
         return f"HPoint(n={self.n}, coords={body})"
-
-
-def origin(n: int) -> HPoint:
-    """The group identity of H^n."""
-    return HPoint(n, np.zeros(ambient_dim(n)))
 
 
 def _coords(p, n: int | None = None):

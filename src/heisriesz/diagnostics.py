@@ -31,7 +31,7 @@ from . import core
 # dist and in_cone stay bound here: perfbench's span recorder wraps
 # diagnostics.dist and diagnostics.in_cone
 from .core import _coords, blowup_map, dist, koranyi_norm
-from .measure import DiscreteMeasure, closed_ball_sums
+from .measure import DEFAULT_ATOM_CAP, DiscreteMeasure, closed_ball_sums
 from .riesz import RieszParams, growth_profile
 from .subgroups import SubgroupSpec, cone_mask, haar_sample, in_cone
 
@@ -46,7 +46,6 @@ __all__ = [
     "HorestReport",
     "horest_check",
     "blowup_measure",
-    "discrepancy_to_haar",
 ]
 
 
@@ -67,7 +66,7 @@ def _resolution_floor(mu: DiscreteMeasure) -> float:
 def _checked_radii(mu: DiscreteMeasure, radii) -> np.ndarray:
     """The radii as an array: nonempty, positive, none below the floor."""
     rad = np.asarray(radii, dtype=float)
-    if rad.size == 0 or np.any(rad <= 0.0):
+    if rad.size == 0 or not np.all(rad > 0.0):
         raise ValueError("radii must be a nonempty list of positive numbers")
     floor = _resolution_floor(mu)
     if np.any(rad < floor):
@@ -266,7 +265,8 @@ class BoundednessReport:
 def subgroup_boundedness_probe(V: SubgroupSpec, s: float, eps_grid,
                                window: float = 2.0, resolution: int = 2048,
                                points: int = 8, seed: int = 0,
-                               slope_tol: float = 0.01) -> BoundednessReport:
+                               slope_tol: float = 0.01,
+                               atom_cap: int = DEFAULT_ATOM_CAP) -> BoundednessReport:
     """Check that truncations of the transform stay bounded on a subgroup.
 
     Builds the Haar sample of V, picks `points` atoms well inside the
@@ -283,7 +283,7 @@ def subgroup_boundedness_probe(V: SubgroupSpec, s: float, eps_grid,
             f"kernel degree {s} must match the subgroup dimension "
             f"{V.hausdorff_dimension}"
         )
-    haar = haar_sample(V, window, resolution)
+    haar = haar_sample(V, window, resolution, atom_cap=atom_cap)
     params = RieszParams(s=s, n=V.n)
     rng = np.random.default_rng(seed)
     norms = koranyi_norm(haar.points)
@@ -452,31 +452,3 @@ def blowup_measure(mu: DiscreteMeasure, a, r: float, s: float | None = None,
         spacing=spacing,
     )
 
-
-def discrepancy_to_haar(nu: DiscreteMeasure, V: SubgroupSpec, test_balls,
-                        window: float | None = None,
-                        resolution: int = 512) -> float:
-    """Worst relative ball-mass disagreement between nu and Haar on V.
-
-    Compares nu(B)/haar(B) over the given (center, radius) family
-    against the fixed Lebesgue normalization of the Haar sample; 0
-    means the family cannot tell them apart.  The reference window is
-    auto-sized to cover every test ball unless given explicitly.
-    """
-    balls = [(np.asarray(_coords(c, nu.n)[0], dtype=float), float(r))
-             for c, r in test_balls]
-    if not balls:
-        raise ValueError("the test family must contain at least one ball")
-    if window is None:
-        window = 1.25 * max(float(koranyi_norm(c)) + r for c, r in balls)
-    haar = haar_sample(V, window, resolution)
-    worst = 0.0
-    for c, r in balls:
-        reference = haar.ball_mass(c, r)
-        if reference <= 0.0:
-            raise ValueError(
-                f"test ball at radius {r:g} misses the Haar sample; "
-                "use a finer resolution or larger window"
-            )
-        worst = max(worst, abs(nu.ball_mass(c, r) - reference) / reference)
-    return worst

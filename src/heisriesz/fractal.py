@@ -167,7 +167,7 @@ def make_strichartz_ifs(n: int, r: float) -> Ifs:
     return Ifs(n=n, maps=tuple(maps), strichartz=meta)
 
 
-def similarity_dimension(ifs: Ifs, residual_tol: float = 1e-12) -> float:
+def similarity_dimension(ifs: Ifs) -> float:
     """The unique a >= 0 with sum_i r_i^a = 1, by bisection.
 
     The map a -> sum r_i^a is strictly decreasing from N at a = 0, so
@@ -195,7 +195,7 @@ def similarity_dimension(ifs: Ifs, residual_tol: float = 1e-12) -> float:
         else:
             hi = mid
     a = 0.5 * (lo + hi)
-    if abs(excess(a)) > residual_tol:
+    if abs(excess(a)) > 1e-12:
         raise RuntimeError(f"dimension residual {excess(a):.3e} above tolerance")
     return a
 
@@ -458,7 +458,7 @@ class _TiltOperator:
 
 
 def phi_fixed_point(n: int, r: float, resolution: int,
-                    tol: float = 1e-10, max_iter: int = 200) -> GridFunction:
+                    tol: float = 1e-10) -> GridFunction:
     """Solve the tilt self-consistency equation on a grid.
 
     Iterates the contraction from zero until the sup-norm update drops
@@ -479,7 +479,7 @@ def phi_fixed_point(n: int, r: float, resolution: int,
     f = np.zeros(len(op.theta))
     history = []
     ratio_cap = r * r + 0.01
-    for _ in range(max_iter):
+    for _ in range(200):
         new = op.apply(f)
         update = float(np.max(np.abs(new - f)))
         history.append(update)
@@ -494,7 +494,7 @@ def phi_fixed_point(n: int, r: float, resolution: int,
         if update < tol:
             break
     else:
-        raise RuntimeError(f"no convergence within {max_iter} iterations")
+        raise RuntimeError("no convergence within 200 iterations")
 
     final = op.apply(f)
     residual = float(np.max(np.abs((final - f)[op.in_cell])))

@@ -245,7 +245,7 @@ class DiscreteMeasure:
         ``radius`` may be a scalar or a sequence; the return type follows.
         """
         radii = np.atleast_1d(np.asarray(radius, dtype=float))
-        if np.any(radii < 0.0):
+        if not np.all(radii >= 0.0):
             raise ValueError("radii must be nonnegative")
         totals = closed_ball_sums(self, center, radii,
                                   lambda sl, u, d: self.weights[sl])

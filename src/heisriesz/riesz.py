@@ -20,9 +20,7 @@ profile, wholly beyond radius 1, and sums a chunk that lies in one bin
 without comparing its distances with the cutoffs; the values are the
 same bits as a full sweep.  They differ from releases that summed each
 chunk sequentially in the last bits, within the bound that
-:func:`~heisriesz.measure.binned_sweep` states.  The annular transform
-r < d <= R is defined as truncated(r) - truncated(R), so that identity
-holds exactly in floating point, not just up to rounding.
+:func:`~heisriesz.measure.binned_sweep` states.
 """
 
 from __future__ import annotations
@@ -40,10 +38,8 @@ __all__ = [
     "riesz_kernel",
     "truncated_transform",
     "truncations",
-    "annulus_transform",
     "maximal_transform",
     "growth_profile",
-    "coordinate_function",
 ]
 
 
@@ -68,8 +64,6 @@ class TransformResult:
     """Value of a truncated transform at one point."""
 
     value: np.ndarray
-    epsilon: float
-    atom_count_used: int
 
 
 def riesz_kernel(params: RieszParams, p):
@@ -82,15 +76,6 @@ def riesz_kernel(params: RieszParams, p):
     out[..., :-1] = x[..., :-1] / nrm[..., None] ** (params.s + 1.0)
     out[..., -1] = x[..., -1] / nrm ** (params.s + 2.0)
     return out
-
-
-def coordinate_function(index: int):
-    """Density picking one coordinate of the atom position."""
-
-    def f(pts: np.ndarray) -> np.ndarray:
-        return pts[..., index]
-
-    return f
 
 
 def _kernel_columns(params: RieszParams, mu: DiscreteMeasure, f):
@@ -133,7 +118,7 @@ def _running_sums(mu: DiscreteMeasure, params: RieszParams, f, p, eps_list,
     The cutoffs must be nonempty, strictly decreasing and in (0, top).
     """
     eps = np.asarray(eps_list, dtype=float)
-    if (eps.size == 0 or np.any(eps <= 0.0) or np.any(eps >= top)
+    if (eps.size == 0 or not np.all(eps > 0.0) or not np.all(eps < top)
             or np.any(np.diff(eps) >= 0.0)):
         raise ValueError("cutoffs must be a nonempty, strictly decreasing list "
                          f"in (0, {top:g}), got {eps.tolist()}")
@@ -146,21 +131,7 @@ def _running_sums(mu: DiscreteMeasure, params: RieszParams, f, p, eps_list,
 def truncated_transform(mu: DiscreteMeasure, params: RieszParams, f, p,
                         eps: float) -> TransformResult:
     """Sum of weighted kernel terms over atoms with d(p, q) > eps."""
-    if not eps > 0.0:
-        raise ValueError(f"truncation radius must be positive, got {eps}")
-    sums, counts = binned_sweep(mu, p, [eps, np.inf],
-                                _kernel_columns(params, mu, f))
-    return TransformResult(value=sums[:, 0], epsilon=float(eps),
-                           atom_count_used=int(counts[0]))
-
-
-def annulus_transform(mu: DiscreteMeasure, params: RieszParams, p,
-                      inner: float, outer: float) -> np.ndarray:
-    """Transform of the constant density over the annulus inner < d <= outer."""
-    if not (0.0 < inner < outer):
-        raise ValueError(f"need 0 < inner < outer, got ({inner}, {outer})")
-    return (truncated_transform(mu, params, None, p, inner).value
-            - truncated_transform(mu, params, None, p, outer).value)
+    return TransformResult(value=truncations(mu, params, f, p, [eps])[:, 0])
 
 
 def truncations(mu: DiscreteMeasure, params: RieszParams, f, p,
@@ -186,12 +157,13 @@ def maximal_transform(mu: DiscreteMeasure, params: RieszParams, f, p,
 
 def growth_profile(mu: DiscreteMeasure, params: RieszParams, p,
                    eps_list) -> np.ndarray:
-    """Annulus transforms of the constant density over (eps_j, 1].
+    """Transforms of the constant density over the annuli (eps_j, 1].
 
     The list must be strictly decreasing and in (0, 1); column j of the
-    (2n+1, len(eps_list)) result is the annulus (eps_list[j], 1], the
-    layout of :func:`truncations`.  One sweep serves every cutoff, and
-    the values agree with :func:`annulus_transform` up to summation
+    (2n+1, len(eps_list)) result sums the atoms with
+    eps_list[j] < d(p, q) <= 1, in the layout of :func:`truncations`.
+    One sweep serves every cutoff, and column j agrees with the
+    difference of the truncations at eps_list[j] and 1 up to summation
     order.
     """
     return _running_sums(mu, params, None, p, eps_list, 1.0)

@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from heisriesz.core import origin
 from heisriesz.diagnostics import (
     _fit_slope,
     ad_regularity_report,
@@ -191,7 +190,7 @@ def test_criterion_8_vertical_lower_bound_holds():
 
 def test_criterion_9_blowup_self_similarity(ifs14, mu5):
     worst = 0.0
-    center = origin(1).coords
+    center = np.zeros(3)
     for j in (1, 2):
         nu = blowup_measure(mu5, center, 0.25 ** j, s=2.0)
         coarse = cylinder_measure(ifs14, 5 - j)

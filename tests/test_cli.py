@@ -123,6 +123,15 @@ def test_atom_cap_exit(tmp_path, capsys):
     assert "atom cap" in capsys.readouterr().err
 
 
+def test_subgroup_probe_respects_the_atom_cap(tmp_path, capsys):
+    # the default vertical sample is a grid of 2,048 atoms
+    cfg = _write_config(tmp_path, {"atom_cap": 1000})
+    code = _run(["riesz", "subgroup-probe", "--config", cfg,
+                 "--out", str(tmp_path / "o")])
+    assert code == 4
+    assert "atom cap" in capsys.readouterr().err
+
+
 def test_expectation_contradiction_exit(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = _write_config(

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from heisriesz.core import dist, group_inv, group_mul, origin
+from heisriesz.core import dist, group_inv, group_mul
 from heisriesz.diagnostics import (
     GrowthReport,
     ad_regularity_report,
     blowup_measure,
     cone_deficiency,
-    discrepancy_to_haar,
     divergence_probe,
     horest_check,
     subgroup_boundedness_probe,
@@ -17,7 +16,7 @@ from heisriesz.diagnostics import (
 from heisriesz.diagnostics import _fit_slope
 from heisriesz.measure import DiscreteMeasure
 from heisriesz.riesz import RieszParams
-from heisriesz.subgroups import haar_sample, make_horizontal, make_vertical
+from heisriesz.subgroups import make_horizontal, make_vertical
 
 
 def _segment_measure(count=4096, half_width=1.0):
@@ -60,6 +59,20 @@ def test_ad_regularity_rejects_noise_radii():
         ad_regularity_report(mu, 1.0, radii=())
 
 
+def test_nan_radii_are_rejected(mu3):
+    # a NaN fails every comparison; unchecked, the ball B(c, nan) held
+    # the total mass and the report came out irregular with implied_c inf
+    c = mu3.points[0]
+    with pytest.raises(ValueError):
+        mu3.ball_mass(c, np.nan)
+    with pytest.raises(ValueError):
+        mu3.ball_mass(c, [0.25, np.nan])
+    with pytest.raises(ValueError):
+        ad_regularity_report(mu3, 2.0, centers=[c], radii=(0.25, np.nan))
+    with pytest.raises(ValueError):
+        cone_deficiency(mu3, 2.0, c, make_vertical(1, []), 0.5, [np.nan])
+
+
 def test_ad_regularity_sampled_centers_shape():
     mu = _segment_measure(count=512)
     report = ad_regularity_report(mu, 1.0, centers=8, radii=(0.25,), seed=3)
@@ -72,22 +85,22 @@ def test_cone_deficiency_full_versus_empty():
     t = make_vertical(1, [])
     # the segment is horizontal: every atom sits at full distance from
     # the vertical axis, so nothing is swallowed by the cone
-    ratios = cone_deficiency(mu, 1.0, origin(1).coords, t, 0.5, [0.25, 0.125])
+    ratios = cone_deficiency(mu, 1.0, np.zeros(3), t, 0.5, [0.25, 0.125])
     np.testing.assert_allclose(ratios, 2.0, rtol=2e-2)
     # against its own line the measure lies inside every cone
     h = make_horizontal(1, [[1.0, 0.0]])
-    ratios_h = cone_deficiency(mu, 1.0, origin(1).coords, h, 0.5, [0.25, 0.125])
+    ratios_h = cone_deficiency(mu, 1.0, np.zeros(3), h, 0.5, [0.25, 0.125])
     np.testing.assert_array_equal(ratios_h, 0.0)
 
 
 def test_cone_deficiency_monotone_in_aperture():
     mu = _segment_measure(count=1024)
     t = make_vertical(1, [])
-    narrow = cone_deficiency(mu, 1.0, origin(1).coords, t, 0.2, [0.25])
-    wide = cone_deficiency(mu, 1.0, origin(1).coords, t, 0.8, [0.25])
+    narrow = cone_deficiency(mu, 1.0, np.zeros(3), t, 0.2, [0.25])
+    wide = cone_deficiency(mu, 1.0, np.zeros(3), t, 0.8, [0.25])
     assert np.all(narrow >= wide)
     with pytest.raises(ValueError):
-        cone_deficiency(mu, 1.0, origin(1).coords, t, 1.2, [0.25])
+        cone_deficiency(mu, 1.0, np.zeros(3), t, 1.2, [0.25])
 
 
 def test_divergence_probe_on_symmetric_measure():
@@ -98,7 +111,7 @@ def test_divergence_probe_on_symmetric_measure():
     w = np.tile(rng.uniform(0.1, 1.0, size=128), 2)
     mu = DiscreteMeasure(1, pts, w)
     params = RieszParams(s=2.0, n=1)
-    reports = divergence_probe(mu, params, [origin(1).coords], [0.5, 0.25, 0.125])
+    reports = divergence_probe(mu, params, [np.zeros(3)], [0.5, 0.25, 0.125])
     assert len(reports) == 1
     rep = reports[0]
     assert rep.verdict == "bounded"
@@ -169,19 +182,19 @@ def test_horest_check_small_run():
 
 
 def test_blowup_power_normalization_exact(mu3):
-    nu = blowup_measure(mu3, origin(1).coords, 0.25, s=2.0)
+    nu = blowup_measure(mu3, np.zeros(3), 0.25, s=2.0)
     np.testing.assert_array_equal(nu.weights, mu3.weights * 16.0)
     assert nu.spacing == pytest.approx(mu3.spacing * 4.0, rel=1e-15)
     assert "blowup" in nu.label
     with pytest.raises(ValueError):
-        blowup_measure(mu3, origin(1).coords, 0.25)
+        blowup_measure(mu3, np.zeros(3), 0.25)
     with pytest.raises(ValueError):
-        blowup_measure(mu3, origin(1).coords, 0.25, s=2.0, normalization="mass")
+        blowup_measure(mu3, np.zeros(3), 0.25, s=2.0, normalization="mass")
 
 
 def test_blowup_ball_mass_normalization(mu3):
-    nu = blowup_measure(mu3, origin(1).coords, 0.25, normalization="ball-mass")
-    assert nu.ball_mass(origin(1).coords, 1.0) == pytest.approx(1.0, rel=1e-12)
+    nu = blowup_measure(mu3, np.zeros(3), 0.25, normalization="ball-mass")
+    assert nu.ball_mass(np.zeros(3), 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_blowup_at_fixed_point_translates_lower_level(ifs14, mu2, mu3):
@@ -193,18 +206,3 @@ def test_blowup_at_fixed_point_translates_lower_level(ifs14, mu2, mu3):
     block = nu.points[5 * 256 : 6 * 256]
     expected = group_mul(group_inv(v), mu2.points)
     assert float(np.max(np.abs(block - expected))) < 1e-10
-
-
-def test_discrepancy_to_haar_identity_and_scale():
-    t = make_vertical(1, [])
-    nu = haar_sample(t, 2.0, 512)
-    balls = [([0.0, 0.0, 0.5], 0.5), ([0.0, 0.0, -1.0], 0.7)]
-    assert discrepancy_to_haar(nu, t, balls, window=2.0, resolution=512) == 0.0
-    tripled = DiscreteMeasure(1, nu.points, nu.weights * 3.0)
-    assert discrepancy_to_haar(
-        tripled, t, balls, window=2.0, resolution=512
-    ) == pytest.approx(2.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        discrepancy_to_haar(nu, t, [], window=2.0)
-    with pytest.raises(ValueError):
-        discrepancy_to_haar(nu, t, [([50.0, 0.0, 0.0], 0.1)], window=2.0)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heisriesz.core import dilate, dist, group_mul, origin
+from heisriesz.core import dilate, dist, group_mul
 from heisriesz.fractal import (
     GridFunction,
     Ifs,
@@ -61,7 +61,7 @@ def test_similarity_apply_and_fixed_point(ifs14):
     fp = s.fixed_point()
     np.testing.assert_allclose(np.asarray(s.apply(fp.coords)), fp.coords, atol=1e-15)
     # the zero-corner map is the plain dilation, fixed at the identity
-    np.testing.assert_array_equal(ifs14.maps[0].fixed_point().coords, origin(1).coords)
+    np.testing.assert_array_equal(ifs14.maps[0].fixed_point().coords, np.zeros(3))
 
 
 def test_similarity_validation():
@@ -118,7 +118,7 @@ def test_word_similarity_matches_apply_word(ifs14):
 def test_cylinder_measure_structure(ifs14, mu2, mu3):
     mu0 = cylinder_measure(ifs14, 0)
     assert len(mu0) == 1
-    np.testing.assert_array_equal(mu0.points[0], origin(1).coords)
+    np.testing.assert_array_equal(mu0.points[0], np.zeros(3))
     assert len(mu2) == 256
     np.testing.assert_allclose(mu2.total_mass, 1.0, rtol=1e-12)
     assert mu2.spacing == pytest.approx(0.25 ** 2, rel=1e-15)

@@ -24,7 +24,7 @@ from heisriesz.cli import main
 GOLDEN = {
     ("selftest",): {
         "selftest.json":
-            "575c2d5a7af1402250b6fa430f5a347524c4103c5deddf2c9686c20dcea7f220",
+            "53782dad99f437d053757782851fb587d42b581f79975323d704f065726f2bfc",
     },
     ("ifs", "generate"): {
         "ifs_generate.json":

@@ -13,8 +13,8 @@ import pytest
 from heisriesz import core, measure
 from heisriesz.core import dist
 from heisriesz.diagnostics import blowup_measure, cone_deficiency
-from heisriesz.measure import CHUNK, DiscreteMeasure, chunk_slices
-from heisriesz.riesz import (RieszParams, coordinate_function, growth_profile,
+from heisriesz.measure import CHUNK, DiscreteMeasure, binned_sweep, chunk_slices
+from heisriesz.riesz import (RieszParams, _kernel_columns, growth_profile,
                              maximal_transform, truncated_transform, truncations)
 from heisriesz.subgroups import make_vertical
 
@@ -239,14 +239,19 @@ def _unpruned(monkeypatch, mu):
 
 def _sweep_call(mu, kind, center, arg):
     params = RieszParams(s=2.0, n=mu.n)
-    f = coordinate_function(0)
+
+    def f(pts):
+        return pts[..., 0]
+
     if kind == "ball":
         return mu.ball_mass(center, arg)
     if kind == "cone":
         return cone_deficiency(mu, 2.0, center, make_vertical(mu.n, []), 0.5, arg)
     if kind == "truncated":
-        res = truncated_transform(mu, params, f, center, arg)
-        return np.append(res.value, res.atom_count_used)
+        # the one sweep of truncated_transform, with its atom count
+        sums, counts = binned_sweep(mu, center, [arg, np.inf],
+                                    _kernel_columns(params, mu, f))
+        return np.append(sums[:, 0], counts)
     if kind == "maximal":
         return maximal_transform(mu, params, f, center, arg)
     return growth_profile(mu, params, center, arg)
@@ -365,21 +370,22 @@ def test_pruning_keeps_atoms_exactly_on_an_edge(request, monkeypatch, name, cent
 
     def outputs():
         # one ball per edge: a vector of radii would open the window to
-        # the largest one
+        # the largest one; the atom counts come from the truncation's sweep
         return ([mu.ball_mass(c, e) for e in edges],
-                [truncated_transform(mu, params, None, c, e) for e in far])
+                [truncated_transform(mu, params, None, c, e).value for e in far],
+                [binned_sweep(mu, c, [e, np.inf],
+                              _kernel_columns(params, mu, None))[1][0] for e in far])
 
-    masses, truncations = outputs()
+    masses, values, used = outputs()
     np.testing.assert_allclose(masses, [mu.weights[d <= e].sum() for e in edges],
                                rtol=1e-12)
-    for e, res in zip(far, truncations):
-        assert res.atom_count_used == np.count_nonzero(d > e)
+    for e, count in zip(far, used):
+        assert count == np.count_nonzero(d > e)
     _unpruned(monkeypatch, mu)
-    masses_full, truncations_full = outputs()
+    masses_full, values_full, used_full = outputs()
     np.testing.assert_array_equal(masses, masses_full)
-    for res, res_full in zip(truncations, truncations_full):
-        np.testing.assert_array_equal(res.value, res_full.value)
-        assert res.atom_count_used == res_full.atom_count_used
+    np.testing.assert_array_equal(values, values_full)
+    assert used == used_full
 
 
 def test_pruning_margin_covers_rounding(monkeypatch):
@@ -445,7 +451,10 @@ def test_weights_held_once_give_the_bits_of_the_full_vector(tmp_path, displaced,
     full = DiscreteMeasure(1, pts, np.full(len(pts), 1 / 3))
     assert once.weights.strides == (0,) and full.weights.flags.c_contiguous
     params = RieszParams(s=2.0, n=1)
-    f = coordinate_function(2)
+
+    def f(atoms):
+        return atoms[..., 2]
+
     taxis = make_vertical(1, [])
     # chunks straddle the bins around an atom (the masked path) and lie
     # in one bin seen from far away (the one-bin path)
@@ -485,9 +494,12 @@ def test_weights_held_once_give_the_bits_of_the_full_vector(tmp_path, displaced,
 def test_empty_measure_sweeps_to_zero():
     mu = DiscreteMeasure(1, np.zeros((0, 3)), np.zeros(0))
     assert mu.ball_mass([0.0, 0.0, 0.0], 1.0) == 0.0
-    res = truncated_transform(mu, RieszParams(s=2.0, n=1), None, [0.0, 0.0, 0.0], 0.5)
+    params = RieszParams(s=2.0, n=1)
+    res = truncated_transform(mu, params, None, [0.0, 0.0, 0.0], 0.5)
     np.testing.assert_array_equal(res.value, np.zeros(3))
-    assert res.atom_count_used == 0
+    _, counts = binned_sweep(mu, [0.0, 0.0, 0.0], [0.5, np.inf],
+                             _kernel_columns(params, mu, None))
+    assert counts[0] == 0
 
 
 def test_chunk_reach_is_computed_once_across_threads(monkeypatch):

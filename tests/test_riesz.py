@@ -13,14 +13,27 @@ from heisriesz.measure import DiscreteMeasure, binned_sweep, chunk_slices
 from heisriesz.riesz import (
     RieszParams,
     _kernel_columns,
-    annulus_transform,
-    coordinate_function,
     growth_profile,
     maximal_transform,
     riesz_kernel,
     truncated_transform,
     truncations,
 )
+
+
+def _used(mu, params, f, p, eps):
+    """Atoms with d(p, q) > eps, counted by the sweep the truncation makes."""
+    _, counts = binned_sweep(mu, p, [eps, np.inf], _kernel_columns(params, mu, f))
+    return int(counts[0])
+
+
+def _coordinate(i):
+    """Density picking coordinate i of the atom position."""
+
+    def f(pts):
+        return pts[..., i]
+
+    return f
 
 
 def _random_measure(seed, count=64, n=1):
@@ -91,16 +104,14 @@ def test_truncated_transform_matches_hand_loop():
             used += 1
     res = truncated_transform(mu, params, None, p, eps)
     np.testing.assert_allclose(res.value, expected, rtol=1e-12, atol=1e-14)
-    assert res.atom_count_used == used
-    assert res.epsilon == eps
+    assert _used(mu, params, None, p, eps) == used
 
 
 def test_truncated_transform_with_density():
     mu = _random_measure(32, count=16)
     params = RieszParams(s=2.0, n=1)
     p = np.array([0.0, 0.0, 0.0])
-    f = coordinate_function(2)
-    res = truncated_transform(mu, params, f, p, 0.5)
+    res = truncated_transform(mu, params, _coordinate(2), p, 0.5)
     reweighted = DiscreteMeasure(1, mu.points, mu.weights * np.abs(mu.points[:, 2]))
     # signs differ where the coordinate is negative, so compare by a loop
     expected = np.zeros(3)
@@ -118,7 +129,7 @@ def test_center_atom_never_contributes():
     params = RieszParams(s=2.0, n=1)
     res = truncated_transform(mu, params, None, mu.points[3], 1e-9)
     assert np.all(np.isfinite(res.value))
-    assert res.atom_count_used <= len(mu) - 1
+    assert _used(mu, params, None, mu.points[3], 1e-9) <= len(mu) - 1
 
 
 def test_atoms_at_the_cutoff_are_excluded():
@@ -130,9 +141,9 @@ def test_atoms_at_the_cutoff_are_excluded():
     origin = np.zeros(3)
     np.testing.assert_array_equal(dist(origin, pts), [1.0, 1.0, 1.0, 1.0, 2.0])
     res = truncated_transform(mu, params, None, origin, 1.0)
-    assert res.atom_count_used == 1
+    assert _used(mu, params, None, origin, 1.0) == 1
     np.testing.assert_array_equal(res.value, 0.5 * riesz_kernel(params, pts[4]))
-    assert truncated_transform(mu, params, None, origin, 0.5).atom_count_used == 5
+    assert _used(mu, params, None, origin, 0.5) == 5
     # the closed ball keeps the ties
     assert mu.ball_mass(origin, 1.0) == 2.0
 
@@ -146,7 +157,7 @@ def test_atom_count_matches_brute_force_across_chunks():
     terms = mu.weights[:, None] * riesz_kernel(params, group_mul(group_inv(p), mu.points))
     for eps in (0.05, 0.5, 1.0, 2.5):
         res = truncated_transform(mu, params, None, p, eps)
-        assert res.atom_count_used == int((d > eps).sum())
+        assert _used(mu, params, None, p, eps) == int((d > eps).sum())
         keep = terms[d > eps]
         np.testing.assert_allclose(res.value, keep.sum(axis=0), rtol=0.0,
                                    atol=1e-12 * np.abs(keep).sum())
@@ -165,17 +176,19 @@ def test_truncation_radius_must_be_positive():
         truncated_transform(mu, params, None, mu.points[0], 0.0)
 
 
-def test_annulus_is_bitwise_difference_of_truncations():
-    mu = _random_measure(35, count=128)
-    params = RieszParams(s=2.5, n=1)
-    p = np.array([0.3, 0.3, 0.1])
-    lo, hi = 0.4, 1.7
-    t_lo = truncated_transform(mu, params, None, p, lo).value
-    t_hi = truncated_transform(mu, params, None, p, hi).value
-    ann = annulus_transform(mu, params, p, lo, hi)
-    np.testing.assert_array_equal(ann, t_lo - t_hi)
+@pytest.mark.parametrize("call, eps", [
+    (lambda mu, params, p, eps: truncated_transform(mu, params, None, p, eps[0]),
+     [np.nan]),
+    (lambda mu, params, p, eps: truncations(mu, params, None, p, eps), [np.nan]),
+    (lambda mu, params, p, eps: maximal_transform(mu, params, None, p, eps),
+     [np.nan, 0.25]),
+    (lambda mu, params, p, eps: growth_profile(mu, params, p, eps), [0.5, np.nan]),
+], ids=["truncated", "truncations", "maximal", "growth"])
+def test_nan_cutoffs_are_rejected(call, eps):
+    # a NaN fails every comparison, so it must be caught as not-in-range
+    mu = _random_measure(40, count=8)
     with pytest.raises(ValueError):
-        annulus_transform(mu, params, p, hi, lo)
+        call(mu, RieszParams(s=2.0, n=1), mu.points[0], eps)
 
 
 def test_maximal_dominates_each_truncation():
@@ -221,8 +234,9 @@ def test_growth_profile_matches_annuli():
     prof = growth_profile(mu, params, p, eps)
     # the layout of truncations: one column per cutoff
     assert prof.shape == (3, 4)
+    outer = truncated_transform(mu, params, None, p, 1.0).value
     for j, e in enumerate(eps):
-        ann = annulus_transform(mu, params, p, e, 1.0)
+        ann = truncated_transform(mu, params, None, p, e).value - outer
         np.testing.assert_allclose(prof[:, j], ann, rtol=1e-12, atol=1e-13)
     with pytest.raises(ValueError):
         growth_profile(mu, params, p, [0.5, 0.6])
@@ -257,7 +271,8 @@ def test_vertical_axis_sample_nearly_cancels():
     mu = haar_sample(t, window_radius=2.0, resolution=4096)
     params = RieszParams(s=2.0, n=1)
     p = mu.points[len(mu) // 2]
-    ann = annulus_transform(mu, params, p, 0.125, 1.0)
+    ann = (truncated_transform(mu, params, None, p, 0.125).value
+           - truncated_transform(mu, params, None, p, 1.0).value)
     assert float(np.max(np.abs(ann))) < 1e-6
 
 
@@ -282,7 +297,7 @@ _PAIRWISE_DEPTH = 35
 @pytest.mark.parametrize("center, f, edges", [
     (0, None, [0.00390625, 0.015625, 0.0625, 0.25, 1.0]),
     (-1, None, [0.00390625, 0.015625, 0.0625, 0.25, 1.0]),
-    (54321, coordinate_function(2), [0.015625, 0.0625, 0.25, np.inf]),
+    (54321, _coordinate(2), [0.015625, 0.0625, 0.25, np.inf]),
 ])
 def test_sweep_sums_stay_within_the_pairwise_bound(mu5, center, f, edges):
     params = RieszParams(s=2.0, n=1)
@@ -319,12 +334,11 @@ def test_transform_centred_on_an_atom_is_finite_without_warnings(mu5):
             warnings.simplefilter("error")
             values = [
                 truncated_transform(mu5, params, None, p, 1e-9).value,
-                truncated_transform(mu5, params, coordinate_function(0), p,
+                truncated_transform(mu5, params, _coordinate(0), p,
                                     0.0625).value,
                 truncations(mu5, params, None, p, eps),
                 maximal_transform(mu5, params, None, p, eps),
                 growth_profile(mu5, params, p, eps),
             ]
         assert all(np.all(np.isfinite(v)) for v in values)
-        assert truncated_transform(mu5, params, None, p, 1e-9).atom_count_used \
-            == len(mu5) - 1
+        assert _used(mu5, params, None, p, 1e-9) == len(mu5) - 1

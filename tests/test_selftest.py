@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import heisriesz.core as core
+import heisriesz.riesz as riesz
 from heisriesz.selftest import CheckResult, run_selftest
 
 EXPECTED_CHECKS = {
@@ -36,11 +37,35 @@ def test_quick_mode_caps_samples():
     assert max(r.samples for r in results) <= 1000
 
 
-def test_truncation_check_is_exact():
-    results = run_selftest(samples=2000, seed=1)
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_truncation_check_holds_the_summation_bound(seed):
+    # the tolerance is the derived 64 u, u = 2^-53, not zero: the swept
+    # sums are compared with exact sums of reference kernel terms
+    results = run_selftest(samples=2000, seed=seed)
     trunc = next(r for r in results if r.name == "truncation_consistency")
-    assert trunc.tol == 0.0
-    assert trunc.worst == 0.0
+    assert trunc.tol == 64 * 2.0 ** -53
+    assert 0.0 < trunc.worst <= trunc.tol
+
+
+def test_vertical_kernel_column_mutation_is_caught(monkeypatch):
+    # a sign flip in the sweep's vertical column keeps both covariance
+    # checks (they compare the transform with itself); only the
+    # reference kernel terms can catch it
+    orig = riesz._kernel_columns
+
+    def negated(params, mu, f):
+        columns = orig(params, mu, f)
+
+        def flipped(sl, u, d, out):
+            cols = columns(sl, u, d, out)
+            cols[-1] *= -1.0
+            return cols
+
+        return flipped
+
+    monkeypatch.setattr(riesz, "_kernel_columns", negated)
+    results = run_selftest(samples=500, seed=0)
+    assert [r.name for r in results if not r.passed] == ["truncation_consistency"]
 
 
 def test_check_result_passed_property():
