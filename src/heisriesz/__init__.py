@@ -12,7 +12,6 @@ The package is organised bottom-up:
 """
 
 from .core import (
-    HPoint,
     ambient_dim,
     blowup_map,
     dilate,

@@ -566,7 +566,7 @@ def _cmd_tangent_blowup(cfg: RunConfig) -> Outcome:
     else:
         if ifs is None:
             raise ConfigError("csv measures need an explicit blow-up 'point'")
-        center = word_similarity(ifs, block["word"]).fixed_point().coords
+        center = word_similarity(ifs, block["word"]).fixed_point()
     s = block["s"]
     if s is None and block["normalization"] == "power":
         s = _dimension_for(None, ifs)

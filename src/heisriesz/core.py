@@ -2,10 +2,10 @@
 
 A point is a coordinate vector (x_1, ..., x_2n, t).  The first 2n entries
 form the horizontal part, the final entry is the vertical part and scales
-quadratically under dilations.  Every operation below accepts either an
-:class:`HPoint` or a plain float array whose last axis has length 2n+1;
-batches broadcast over the leading axes.  Wrapped points are validated on
-construction, raw arrays are assumed finite (measure constructors check).
+quadratically under dilations.  Every operation below takes a float
+array whose last axis has length 2n+1; batches broadcast over the
+leading axes.  Arrays are assumed finite: measure constructors check
+their atoms, and every sweep checks its centre.
 
 Batch operations take ``out=``, a point-shaped (..., 2n+1) float array
 that they fill and return instead of allocating; the scalar-valued
@@ -20,12 +20,9 @@ replaced function still reaches them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "HPoint",
     "ambient_dim",
     "group_index",
     "symplectic_form",
@@ -50,51 +47,15 @@ def group_index(dim: int) -> int:
     return (dim - 1) // 2
 
 
-@dataclass(frozen=True, eq=False)
-class HPoint:
-    """A validated point of H^n: 2n+1 finite coordinates."""
-
-    n: int
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"group index must be a positive integer, got {self.n!r}")
-        c = np.array(self.coords, dtype=float)
-        if c.shape != (ambient_dim(self.n),):
-            raise ValueError(
-                f"expected {ambient_dim(self.n)} coordinates for H^{self.n}, "
-                f"got shape {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coordinates must be finite")
-        c.flags.writeable = False
-        object.__setattr__(self, "coords", c)
-
-    def __repr__(self) -> str:
-        body = np.array2string(self.coords, separator=", ")
-        return f"HPoint(n={self.n}, coords={body})"
-
-
 def _coords(p, n: int | None = None):
-    """Coerce a point argument to (array, n, was_wrapped)."""
-    if isinstance(p, HPoint):
-        if n is not None and p.n != n:
-            raise ValueError(f"group index mismatch: expected n={n}, got n={p.n}")
-        return p.coords, p.n, True
+    """Coerce a point argument to (array, n)."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim == 0:
         raise ValueError("a point must have at least one axis")
     m = group_index(arr.shape[-1])
     if n is not None and m != n:
         raise ValueError(f"group index mismatch: expected n={n}, got n={m}")
-    return arr, m, False
-
-
-def _wrap(out: np.ndarray, n: int, wrapped: bool):
-    if wrapped and out.ndim == 1:
-        return HPoint(n, out)
-    return out
+    return arr, m
 
 
 def _scalars(shape, out, count: int):
@@ -112,8 +73,8 @@ def symplectic_form(p, q, out=None):
     coordinates are ignored.  This is the correction term that makes the
     coordinate-wise sum a group law.
     """
-    a, n, _ = _coords(p)
-    b, _, _ = _coords(q, n)
+    a, n = _coords(p)
+    b, _ = _coords(q, n)
     shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     form, term, cross = _scalars(shape, out, 3)
     for i in range(n):
@@ -130,8 +91,8 @@ def symplectic_form(p, q, out=None):
 
 def group_mul(p, q, out=None):
     """Group product p . q."""
-    a, n, wa = _coords(p)
-    b, _, wb = _coords(q, n)
+    a, n = _coords(p)
+    b, _ = _coords(q, n)
     if out is None:
         out = np.empty(np.broadcast_shapes(a.shape, b.shape))
     # the vertical first, while the horizontal part of out is free for
@@ -140,19 +101,19 @@ def group_mul(p, q, out=None):
     vert = np.add(a[..., -1], b[..., -1], out=out[..., 0])
     np.add(vert, form, out=out[..., -1])
     np.add(a[..., :-1], b[..., :-1], out=out[..., :-1])
-    return _wrap(out, n, wa and wb)
+    return out
 
 
 def group_inv(p):
     """Group inverse, which is coordinate-wise negation."""
-    a, n, wrapped = _coords(p)
-    return _wrap(-a, n, wrapped)
+    a, _ = _coords(p)
+    return -a
 
 
 def left_displacement(p, q, out=None):
     """p^{-1} . q, computed directly to avoid an intermediate product."""
-    a, n, wa = _coords(p)
-    b, _, wb = _coords(q, n)
+    a, n = _coords(p)
+    b, _ = _coords(q, n)
     if out is None:
         out = np.empty(np.broadcast_shapes(a.shape, b.shape))
     # as in group_mul: the vertical first
@@ -160,7 +121,7 @@ def left_displacement(p, q, out=None):
     vert = np.subtract(b[..., -1], a[..., -1], out=out[..., 0])
     np.subtract(vert, form, out=out[..., -1])
     np.subtract(b[..., :-1], a[..., :-1], out=out[..., :-1])
-    return _wrap(out, n, wa and wb)
+    return out
 
 
 def _gauge(sq, v, tmp):
@@ -173,7 +134,7 @@ def _gauge(sq, v, tmp):
 
 def koranyi_norm(p, out=None):
     """Gauge norm (|horizontal|^4 + vertical^2)^(1/4)."""
-    a, n, _ = _coords(p)
+    a, n = _coords(p)
     sq, tmp = _scalars(a.shape[:-1], out, 2)
     np.square(a[..., 0], out=sq)
     for i in range(1, 2 * n):
@@ -183,8 +144,8 @@ def koranyi_norm(p, out=None):
 
 def dist(p, q):
     """Left-invariant gauge distance d(p, q) = ||p^{-1} . q||."""
-    a, n, _ = _coords(p)
-    b, _, _ = _coords(q, n)
+    a, n = _coords(p)
+    b, _ = _coords(q, n)
     shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     dv = np.subtract(b[..., -1], a[..., -1], out=np.empty(shape))
     dv -= symplectic_form(a, b)
@@ -206,12 +167,12 @@ def _check_ratio(r) -> float:
 def dilate(r, p, out=None):
     """Anisotropic dilation: horizontal part times r, vertical part times r^2."""
     r = _check_ratio(r)
-    a, n, wrapped = _coords(p)
+    a, _ = _coords(p)
     if out is None:
         out = np.empty(a.shape)
     np.multiply(a[..., :-1], r, out=out[..., :-1])
     np.multiply(a[..., -1], r * r, out=out[..., -1])
-    return _wrap(out, n, wrapped)
+    return out
 
 
 def blowup_map(a, r, p, out=None):

@@ -77,17 +77,22 @@ def _checked_radii(mu: DiscreteMeasure, radii) -> np.ndarray:
     return rad
 
 
+def _point_rows(mu: DiscreteMeasure, points) -> np.ndarray:
+    """An explicit list of points of mu's group as a (k, 2n+1) array."""
+    pts, _ = _coords(points, mu.n)
+    if pts.ndim != 2:
+        raise ValueError(f"points must have shape (k, {pts.shape[-1]}), "
+                         f"got {pts.shape}")
+    return pts
+
+
 def _center_coords(mu: DiscreteMeasure, centers, seed: int) -> np.ndarray:
     if isinstance(centers, (int, np.integer)):
         rng = np.random.default_rng(seed)
         take = min(int(centers), len(mu))
         idx = rng.choice(len(mu), size=take, replace=False)
         return mu.points[np.sort(idx)]
-    out = []
-    for c in centers:
-        arr, _, _ = _coords(c, mu.n)
-        out.append(arr)
-    return np.asarray(out)
+    return _point_rows(mu, centers)
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,7 @@ def cone_deficiency(mu: DiscreteMeasure, a: float, k, G: SubgroupSpec,
     if not (0.0 < delta < 1.0):
         raise ValueError(f"cone aperture must lie in (0, 1), got {delta}")
     rad = _checked_radii(mu, radii)
-    c, _, _ = _coords(k, mu.n)
+    c, _ = _coords(k, mu.n)
 
     def outside(sl, u, d):
         return np.where(cone_mask(u, d, G, delta), 0.0, mu.weights[sl])
@@ -176,11 +181,6 @@ class GrowthReport:
     slopes: np.ndarray
     verdict: str
     threshold: float
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.eps)
-        if e.size >= 2 and np.any(np.diff(e) >= 0.0):
-            raise ValueError("eps ladder must be strictly decreasing")
 
     @property
     def max_magnitudes(self) -> np.ndarray:
@@ -222,10 +222,9 @@ def divergence_probe(mu: DiscreteMeasure, params: RieszParams, points,
     if len(kept) < 2:
         raise ValueError("need at least two usable cutoffs above the floor")
 
-    coords = [(_coords(p, mu.n)[0], p) for p in points]
+    pts = _point_rows(mu, points)
 
-    def probe(entry):
-        arr, original = entry
+    def probe(arr):
         # rows are the ladder levels, columns the coordinates
         mags = np.abs(growth_profile(mu, params, arr, kept)).T
         slopes = np.array([_fit_slope(mags[:, i]) for i in range(mags.shape[1])])
@@ -238,10 +237,8 @@ def divergence_probe(mu: DiscreteMeasure, params: RieszParams, points,
             threshold=c,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(probe, coords))
-    return [probe(entry) for entry in coords]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(probe, pts))
 
 
 @dataclass(frozen=True)
@@ -429,7 +426,7 @@ def blowup_measure(mu: DiscreteMeasure, a, r: float, s: float | None = None,
     "ball-mass" they are divided by mu(B(a, r)), which must be positive.
     Atom spacing scales by 1/r along with all distances.
     """
-    c, _, _ = _coords(a, mu.n)
+    c, _ = _coords(a, mu.n)
     if normalization == "power":
         if s is None:
             raise ValueError("power normalization needs the exponent s")

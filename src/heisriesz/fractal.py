@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import HPoint, ambient_dim, dilate, dist, group_mul
+from .core import ambient_dim, dilate, dist, group_mul
 from .measure import (CHUNK, DEFAULT_ATOM_CAP, AtomCapExceeded,
                       DiscreteMeasure, chunk_slices)
 
@@ -72,7 +72,7 @@ class Similarity:
     def apply(self, p):
         return group_mul(self.q, dilate(self.r, p))
 
-    def fixed_point(self) -> HPoint:
+    def fixed_point(self) -> np.ndarray:
         """The unique point with S(p) = p, in closed form.
 
         Horizontally p' = q'/(1-r); the vertical twist A(q', p') then
@@ -82,7 +82,7 @@ class Similarity:
         out = np.empty_like(self.q)
         out[:-1] = self.q[:-1] / (1.0 - self.r)
         out[-1] = self.q[-1] / (1.0 - self.r * self.r)
-        return HPoint(self.n, out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ def cylinder_measure(ifs: Ifs, level: int,
             f"level {level} needs {count} atoms, over the cap of {atom_cap}"
         )
     pts = np.empty((count, ambient_dim(n)), order="F")
-    pts[0] = maps[0].fixed_point().coords
+    pts[0] = maps[0].fixed_point()
     scratch = np.empty((min(count, CHUNK), ambient_dim(n)), order="F")
     size = 1
     for _ in range(level):
@@ -411,42 +411,24 @@ class _TiltOperator:
     new = theta * (r^2 * interp(f, pullback) + twist), an affine map
     whose linear part has sup-norm at most r^2.
 
-    Ties in the nearest-point lookup are broken toward the
-    lexicographically smallest candidate point.
+    The corner cells are the products of the intervals [0, r] and
+    [1 - r, 1], one per axis, so the nearest cell takes on each axis
+    the nearer interval (the lower one for a coordinate at 1/2) and the
+    nearest point of the cell is the node clipped onto it.
     """
 
     def __init__(self, n: int, r: float, resolution: int) -> None:
         self.n, self.r, self.resolution = n, r, resolution
         axes = 2 * n
         M = resolution
-        corners = _strichartz_corners(n, r)
         shape = (M + 1,) * axes
         nodes = np.indices(shape, dtype=float).reshape(axes, -1).T / M
-        count = nodes.shape[0]
-
-        best_d = np.full(count, np.inf)
-        best_pt = np.zeros_like(nodes)
-        best_corner = np.zeros(count, dtype=np.int64)
-        for j, z in enumerate(corners):
-            clipped = np.clip(nodes, z, z + r)
-            d = np.sqrt(np.sum((nodes - clipped) ** 2, axis=-1))
-            closer = d < best_d
-            tie = d == best_d
-            if np.any(tie):
-                lex = np.zeros(count, dtype=bool)
-                undecided = tie.copy()
-                for axis in range(axes):
-                    less = undecided & (clipped[:, axis] < best_pt[:, axis])
-                    lex |= less
-                    undecided &= clipped[:, axis] == best_pt[:, axis]
-                closer = closer | (tie & lex)
-            best_d = np.where(closer, d, best_d)
-            best_pt[closer] = clipped[closer]
-            best_corner = np.where(closer, j, best_corner)
+        z = np.where(nodes > 0.5, 1.0 - r, 0.0)
+        best_pt = np.clip(nodes, z, z + r)
+        best_d = np.sqrt(np.sum((nodes - best_pt) ** 2, axis=-1))
 
         eps = 0.5 * (1.0 - 2.0 * r)
         self.theta = np.clip((eps - best_d) / eps, 0.0, 1.0)
-        z = corners[best_corner]
         self.twist = _tilt_term(z, best_pt)
         self.gather_idx, self.gather_w = _stencil((best_pt - z) / r, M)
         self.in_cell = best_d == 0.0
@@ -674,7 +656,7 @@ def min_piece_separation(ifs: Ifs, level: int, sample: int = 4096) -> float:
     N = len(maps)
     if N == 1:
         return math.inf
-    b = maps[0].fixed_point().coords
+    b = maps[0].fixed_point()
     r_max = float(np.max(ifs.ratios))
     rho0 = max(float(dist(b, s.apply(b))) for s in maps)
 

@@ -44,10 +44,11 @@ class AtomCapExceeded(RuntimeError):
     """Raised when a construction would exceed the configured atom cap."""
 
 
-def chunk_slices(total: int, chunk: int = CHUNK):
-    """Yield slices covering range(total) in fixed order (at least one)."""
-    for start in range(0, max(total, 1), chunk):
-        yield slice(start, min(start + chunk, total))
+def chunk_slices(total: int):
+    """Yield CHUNK-long slices covering range(total) in fixed order (at
+    least one)."""
+    for start in range(0, max(total, 1), CHUNK):
+        yield slice(start, min(start + CHUNK, total))
 
 
 def binned_sweep(mu, center, edges, columns):
@@ -62,7 +63,9 @@ def binned_sweep(mu, center, edges, columns):
     d = ||u|| from :mod:`core`, and ``columns(sl, u, d, out)`` returns
     the chunk's per-atom values as k arrays: arrays of its own, or rows
     of ``out``, a (2n+1, len(d)) scratch that it may fill.  Returns the
-    (k, len(edges) - 1) per-bin sums and the per-bin atom counts.
+    (k, len(edges) - 1) per-bin sums and the per-bin atom counts.  A
+    centre that is not finite raises ``ValueError``: every ball mass,
+    cone mass and transform reads its centre here.
 
     Each call allocates one coordinate-major workspace of CHUNK rows (u,
     the norm's scratch and d, bin masks, columns) and writes every chunk
@@ -90,7 +93,9 @@ def binned_sweep(mu, center, edges, columns):
     (CHUNK + c) u sum |terms|, and their results differ from these in
     the last bits.
     """
-    c, _, _ = _coords(center, mu.n)
+    c, _ = _coords(center, mu.n)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("the centre's coordinates must be finite")
     edges = np.asarray(edges, dtype=float)
     # window bins are 1..top, numbered by the count of edges below d
     top = len(edges) - 1

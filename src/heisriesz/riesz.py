@@ -68,7 +68,7 @@ class TransformResult:
 
 def riesz_kernel(params: RieszParams, p):
     """Kernel vector at a displacement; undefined at the identity."""
-    x, _, _ = _coords(p, params.n)
+    x, _ = _coords(p, params.n)
     nrm = koranyi_norm(x)
     if np.any(nrm == 0.0):
         raise ValueError("kernel is undefined at the group identity")

@@ -146,11 +146,11 @@ def _symplectic_gradient(n: int, xh: np.ndarray) -> np.ndarray:
     return m
 
 
-def _monotone_cubic_root(b, c, iterations: int = 90):
-    """Root of 4 t^3 + b t + c with b >= 0 (strictly increasing cubic)."""
+def _monotone_cubic_root(b, c):
+    """Root of 4 t^3 + b t + c, b >= 0 (an increasing cubic), by bisection."""
     top = np.cbrt(np.abs(c) / 4.0) + 1e-30
     lo, hi = -top, top
-    for _ in range(iterations):
+    for _ in range(90):
         mid = 0.5 * (lo + hi)
         g = 4.0 * mid * mid * mid + b * mid + c
         neg = g < 0.0
@@ -210,7 +210,7 @@ def dist_to_subgroup(p, spec: SubgroupSpec):
     absorbs the twist, leaving the Euclidean distance of the horizontal
     part to L.  The horizontal kind uses the exact quartic reduction.
     """
-    x, _, _ = _coords(p, spec.n)
+    x, _ = _coords(p, spec.n)
     xh = x[..., :-1]
     if spec.kind == TAXIS:
         out = np.sqrt(_row_sum(xh * xh))
@@ -230,7 +230,7 @@ def in_cone(p, q, spec: SubgroupSpec, delta: float):
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"cone aperture must lie in (0, 1), got {delta}")
-    u, _, _ = _coords(left_displacement(p, q), spec.n)
+    u, _ = _coords(left_displacement(p, q), spec.n)
     inside = cone_mask(u, koranyi_norm(u), spec, delta)
     return bool(inside) if inside.ndim == 0 else inside
 

@@ -9,7 +9,6 @@ import pytest
 
 from heisriesz import core
 from heisriesz.core import (
-    HPoint,
     ambient_dim,
     blowup_map,
     dilate,
@@ -66,7 +65,7 @@ def test_norm_worked_values():
     assert koranyi_norm([3.0, 0.0, 0.0]) == 3.0
     assert koranyi_norm([0.0, 0.0, 4.0]) == 2.0
     np.testing.assert_allclose(koranyi_norm([1.0, 0.0, 1.0]), 2.0 ** 0.25, rtol=1e-15)
-    assert koranyi_norm(HPoint(2, np.zeros(5))) == 0.0
+    assert koranyi_norm(np.zeros(5)) == 0.0
 
 
 def test_norm_homogeneity_under_dilation():
@@ -147,25 +146,6 @@ def test_ambient_dim_and_group_index_are_inverse():
 def test_mixed_group_index_rejected():
     with pytest.raises(ValueError):
         group_mul([1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0])
-
-
-def test_hpoint_wrapper():
-    p = HPoint(1, np.array([1.0, 2.0, 3.0]))
-    assert p.n == 1
-    np.testing.assert_array_equal(p.coords, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        HPoint(2, np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
-        HPoint(1, np.array([1.0, np.nan, 3.0]))
-
-
-def test_hpoint_accepted_by_operations():
-    # wrapped inputs come back wrapped
-    p = HPoint(1, np.array([1.0, 0.0, 0.0]))
-    q = HPoint(1, np.array([0.0, 1.0, 0.0]))
-    out = group_mul(p, q)
-    assert isinstance(out, HPoint)
-    np.testing.assert_array_equal(out.coords, [1.0, 1.0, -2.0])
 
 
 def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):

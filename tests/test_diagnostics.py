@@ -5,7 +5,6 @@ import pytest
 
 from heisriesz.core import dist, group_inv, group_mul
 from heisriesz.diagnostics import (
-    GrowthReport,
     ad_regularity_report,
     blowup_measure,
     cone_deficiency,
@@ -144,18 +143,6 @@ def test_divergence_probe_threaded_matches_serial():
         assert a.verdict == b.verdict
 
 
-def test_growth_report_validation():
-    with pytest.raises(ValueError):
-        GrowthReport(
-            point=np.zeros(3),
-            eps=(0.25, 0.5),
-            magnitudes=np.zeros((2, 3)),
-            slopes=np.zeros(3),
-            verdict="bounded",
-            threshold=0.05,
-        )
-
-
 def test_subgroup_probe_bounded_on_vertical_axis():
     t = make_vertical(1, [])
     report = subgroup_boundedness_probe(
@@ -201,7 +188,7 @@ def test_blowup_at_fixed_point_translates_lower_level(ifs14, mu2, mu3):
     # zooming by one contraction step at the fixed point of a map sends
     # that map's cylinder block onto a left translate of the coarser set
     s5 = ifs14.maps[5]
-    v = s5.fixed_point().coords
+    v = s5.fixed_point()
     nu = blowup_measure(mu3, v, 0.25, s=2.0)
     block = nu.points[5 * 256 : 6 * 256]
     expected = group_mul(group_inv(v), mu2.points)

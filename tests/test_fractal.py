@@ -21,6 +21,8 @@ from heisriesz.fractal import (
     verify_invariant_region,
     word_similarity,
 )
+from heisriesz.fractal import (_stencil, _strichartz_corners, _TiltOperator,
+                               _tilt_term)
 from heisriesz.measure import AtomCapExceeded
 
 
@@ -59,9 +61,9 @@ def test_similarity_apply_and_fixed_point(ifs14):
         s.apply(p), group_mul(s.q, dilate(s.r, p)), rtol=1e-15
     )
     fp = s.fixed_point()
-    np.testing.assert_allclose(np.asarray(s.apply(fp.coords)), fp.coords, atol=1e-15)
+    np.testing.assert_allclose(s.apply(fp), fp, atol=1e-15)
     # the zero-corner map is the plain dilation, fixed at the identity
-    np.testing.assert_array_equal(ifs14.maps[0].fixed_point().coords, np.zeros(3))
+    np.testing.assert_array_equal(ifs14.maps[0].fixed_point(), np.zeros(3))
 
 
 def test_similarity_validation():
@@ -108,7 +110,7 @@ def test_word_similarity_matches_apply_word(ifs14):
             folded = ifs14.maps[idx].apply(folded)
         np.testing.assert_allclose(np.asarray(s.apply(p)), np.asarray(folded),
                                    rtol=1e-15)
-    fp = s.fixed_point().coords
+    fp = s.fixed_point()
     np.testing.assert_allclose(np.asarray(s.apply(fp)), fp, atol=1e-15)
     for bad in ((), (16,), (-1,)):
         with pytest.raises(ValueError):
@@ -209,7 +211,7 @@ def test_cycle_atom_indices_bounds_and_errors(ifs14, mu3):
     assert len(idx) == 32
     # a constant word's atom converges to that map's fixed point
     i7 = int(cycle_atom_indices(16, 3, 16)[7])
-    fp = ifs14.maps[7].fixed_point().coords
+    fp = ifs14.maps[7].fixed_point()
     assert dist(mu3.points[i7], fp) < 0.25 ** 2
     with pytest.raises(ValueError):
         cycle_atom_indices(16, 0, 4)
@@ -233,6 +235,51 @@ def test_phi_fixed_point_pinned_value():
     phi = phi_fixed_point(1, 0.25, 256)
     value = phi.evaluate(np.array([0.3, 0.7]))
     assert value == pytest.approx(0.26890747691584826, rel=1e-12)
+
+
+def _cell_arrays(nodes, z, pt, r, M):
+    # the operator's per-node arrays for pull-backs through the points pt
+    # of the cells z + r Q
+    d = np.sqrt(np.sum((nodes - pt) ** 2, axis=-1))
+    eps = 0.5 * (1.0 - 2.0 * r)
+    idx, w = _stencil((pt - z) / r, M)
+    return (np.clip((eps - d) / eps, 0.0, 1.0), _tilt_term(z, pt), idx, w,
+            d == 0.0)
+
+
+def _operator_arrays(op):
+    return op.theta, op.twist, op.gather_idx, op.gather_w, op.in_cell
+
+
+@pytest.mark.parametrize("n, r, M", [(1, 0.25, 63), (1, 0.125, 33),
+                                     (2, 0.25, 15)])
+def test_tilt_operator_takes_the_nearest_cell(n, r, M):
+    # brute force over all 2^{2n} corner cells; M is odd, so no node has
+    # a coordinate at 1/2 and every node has one nearest cell
+    axes = 2 * n
+    nodes = np.indices((M + 1,) * axes, dtype=float).reshape(axes, -1).T / M
+    corners = _strichartz_corners(n, r)
+    clipped = np.clip(nodes[None], corners[:, None], corners[:, None] + r)
+    d = np.sqrt(np.sum((nodes[None] - clipped) ** 2, axis=-1))
+    best = np.argmin(d, axis=0)
+    assert np.all(np.sum(d == d[best, np.arange(len(nodes))], axis=0) == 1)
+    expected = _cell_arrays(nodes, corners[best],
+                            clipped[best, np.arange(len(nodes))], r, M)
+    for got, want in zip(_operator_arrays(_TiltOperator(n, r, M)), expected):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_tilt_operator_node_at_one_half_takes_the_lower_cell():
+    # at r = 0.3 the rounded distances from x = 1/2 to [0, r] and to
+    # [1 - r, 1] differ, and the upper one is the smaller
+    r, M = 0.3, 20
+    assert 1.0 - r - 0.5 < 0.5 - r
+    op = _TiltOperator(1, r, M)
+    node = np.array([[0.5, 0.0]])
+    i = (M // 2) * (M + 1)
+    lower = _cell_arrays(node, np.zeros((1, 2)), np.array([[r, 0.0]]), r, M)
+    for got, want in zip(_operator_arrays(op), lower):
+        np.testing.assert_array_equal(got[..., i], want[..., 0])
 
 
 def test_phi_fixed_point_resolution_guard():

@@ -12,7 +12,8 @@ import pytest
 
 from heisriesz import core, measure
 from heisriesz.core import dist
-from heisriesz.diagnostics import blowup_measure, cone_deficiency
+from heisriesz.diagnostics import (ad_regularity_report, blowup_measure,
+                                   cone_deficiency)
 from heisriesz.measure import CHUNK, DiscreteMeasure, binned_sweep, chunk_slices
 from heisriesz.riesz import (RieszParams, _kernel_columns, growth_profile,
                              maximal_transform, truncated_transform, truncations)
@@ -193,13 +194,35 @@ def test_csv_rejects_malformed_header(tmp_path):
 
 
 def test_chunk_slices_cover_range():
-    pieces = list(chunk_slices(10, 3))
-    assert pieces[0] == slice(0, 3)
+    total = 2 * CHUNK + 5
+    pieces = list(chunk_slices(total))
+    assert pieces[0] == slice(0, CHUNK)
     covered = []
     for sl in pieces:
         covered.extend(range(sl.start, sl.stop))
-    assert covered == list(range(10))
+    assert covered == list(range(total))
     assert list(chunk_slices(0)) == [slice(0, 0)]
+
+
+_CENTRE_READERS = {
+    "ball_mass": lambda mu, c: mu.ball_mass(c, 0.25),
+    "truncated_transform": lambda mu, c: truncated_transform(
+        mu, RieszParams(s=2.0, n=1), None, c, 0.25),
+    "growth_profile": lambda mu, c: growth_profile(
+        mu, RieszParams(s=2.0, n=1), c, [0.5, 0.25]),
+    "cone_deficiency": lambda mu, c: cone_deficiency(
+        mu, 2.0, c, make_vertical(1, []), 0.5, [0.25]),
+    "ad_regularity_report": lambda mu, c: ad_regularity_report(
+        mu, 2.0, centers=[c], radii=(0.25,)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_CENTRE_READERS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_centre_is_rejected(mu3, reader, bad):
+    # every reader takes its centre through binned_sweep, which checks it
+    with pytest.raises(ValueError, match="finite"):
+        _CENTRE_READERS[reader](mu3, np.array([bad, 0.0, 0.0]))
 
 
 # ----------------------------------------------------------------------
