@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ambient_dim
 from .diagnostics import (_center_coords, _resolution_floor,
                           ad_regularity_report, blowup_measure,
                           cone_deficiency, divergence_probe,
@@ -64,62 +63,57 @@ class ConfigError(ValueError):
     """Bad or inconsistent run configuration."""
 
 
-# Per-block defaults; a config key outside its block's table is an error.
-_IFS_DEFAULTS = {
-    "kind": "strichartz",
-    "r": 0.25,
-    "maps": None,
-    "level": 4,
-    "quick_level": 3,
-    "resolution": 256,
-    "phi_tol": 1e-10,
-    "samples": 100_000,
-    "separation_level": 4,
-    "expect": None,
-}
-_MEASURE_DEFAULTS = {"csv": None, "label": "", "spacing": None}
-_RIESZ_DEFAULTS = {
-    "s": 2.0,
-    "eps": None,
-    "eps_start": None,
-    "eps_ratio": None,
-    "eps_count": None,
-    "points": None,
-    "point_coords": None,
-    "level": None,
-    "quick_level": None,
-    "c": 0.05,
-    "fraction": 0.75,
-    "window": 2.0,
-    "resolution": 2048,
-    "slope_tol": 0.01,
-    "subgroup": None,
-    "expect": None,
-}
-_DIAG_DEFAULTS = {
-    "a": None,
-    "centers": 64,
-    "radii": (0.25, 0.0625, 0.015625, 0.00390625),
-    "c_cap": 50.0,
-    "level": 5,
-    "quick_level": 4,
-    "delta": 0.5,
-    "cone_points": 8,
-    "cone_subgroups": 8,
-    "expect": None,
-}
-_TANGENT_DEFAULTS = {
-    "word": (0,),
-    "r": 0.25,
-    "level": 5,
-    "quick_level": 4,
-    "normalization": "power",
-    "s": None,
-    "point": None,
-}
-_SELFTEST_DEFAULTS = {"samples": 10_000, "eq_tol": 1e-12}
+# The run settings a config may set at its top level, beside the blocks.
+_RUN_KEYS = ("schema", "n", "seed", "threads", "quick", "atom_cap", "out")
 
-_BLOCK_NAMES = ("ifs", "measure", "riesz", "diagnostics", "tangent", "selftest")
+# Per-block defaults; a config key outside its block's table is an error.
+# A level left None is the command's own full or --quick level.
+_DEFAULTS = {
+    "ifs": {
+        "kind": "strichartz",
+        "r": 0.25,
+        "maps": None,
+        "level": None,
+        "resolution": 256,
+        "samples": 100_000,
+        "separation_level": 4,
+        "expect": None,
+    },
+    "measure": {"csv": None, "spacing": None},
+    "riesz": {
+        "s": 2.0,
+        "eps": None,
+        "points": None,
+        "level": None,
+        "c": 0.05,
+        "fraction": 0.75,
+        "window": 2.0,
+        "resolution": 2048,
+        "slope_tol": 0.01,
+        "subgroup": None,
+        "expect": None,
+    },
+    "diagnostics": {
+        "a": None,
+        "centers": 64,
+        "radii": (0.25, 0.0625, 0.015625, 0.00390625),
+        "c_cap": 50.0,
+        "level": None,
+        "delta": 0.5,
+        "cone_points": 8,
+        "cone_subgroups": 8,
+        "expect": None,
+    },
+    "tangent": {
+        "word": (0,),
+        "r": 0.25,
+        "level": None,
+        "normalization": "power",
+        "s": None,
+        "point": None,
+    },
+    "selftest": {"samples": 10_000},
+}
 
 
 @dataclass
@@ -132,7 +126,8 @@ class RunConfig:
     out: str
     blocks: dict
 
-    def section(self, name: str, defaults: dict) -> dict:
+    def section(self, name: str) -> dict:
+        defaults = _DEFAULTS[name]
         block = self.blocks.get(name, {})
         if not isinstance(block, dict):
             raise ConfigError(f"config block {name!r} must be a JSON object")
@@ -156,9 +151,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("config root must be a JSON object")
     if raw.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema: {raw.get('schema')!r}")
-    known = set(_BLOCK_NAMES) | {"schema", "n", "seed", "threads", "quick",
-                                 "atom_cap", "out"}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(_DEFAULTS) - set(_RUN_KEYS))
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {', '.join(unknown)}")
     n = int(raw.get("n", 1))
@@ -174,7 +167,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
     if atom_cap < 1:
         raise ConfigError(f"atom cap must be >= 1, got {atom_cap}")
-    blocks = {k: raw[k] for k in _BLOCK_NAMES if k in raw}
+    blocks = {k: raw[k] for k in _DEFAULTS if k in raw}
     return RunConfig(n=n, seed=seed, threads=threads, quick=quick,
                      atom_cap=atom_cap, out=out, blocks=blocks)
 
@@ -250,7 +243,7 @@ def _run(cfg: RunConfig, command: str, stem: str, csv: str | None,
 # ----------------------------------------------------------------------
 
 def _build_ifs(cfg: RunConfig):
-    block = cfg.section("ifs", _IFS_DEFAULTS)
+    block = cfg.section("ifs")
     kind = block["kind"]
     if kind == "strichartz":
         ifs = make_strichartz_ifs(cfg.n, float(block["r"]))
@@ -273,29 +266,26 @@ def _build_ifs(cfg: RunConfig):
 
 
 def _pick_level(block: dict, cfg: RunConfig, full: int, quick: int) -> int:
-    """The block's level, or under --quick its quick level but never finer."""
-    level = int(full if block.get("level") is None else block["level"])
-    if not cfg.quick:
-        return level
-    quick_level = block.get("quick_level")
-    return min(level, int(quick if quick_level is None else quick_level))
+    """The block's level, else the command's full level; under --quick
+    the lesser of that and the command's quick level."""
+    level = full if block["level"] is None else int(block["level"])
+    return min(level, quick) if cfg.quick else level
 
 
-def _measure_for(cfg: RunConfig, name: str, defaults: dict, full: int,
-                 quick: int):
+def _measure_for(cfg: RunConfig, name: str, full: int, quick: int):
     """The command's block and its measure: the 'measure' block's CSV if
     present, else a cylinder measure at the block's level.
 
     Returns (block, measure, ifs or None, config sections).
     """
-    block = cfg.section(name, defaults)
+    block = cfg.section(name)
     level = _pick_level(block, cfg, full, quick)
     if "measure" in cfg.blocks:
-        m = cfg.section("measure", _MEASURE_DEFAULTS)
+        m = cfg.section("measure")
         if not m["csv"]:
             raise ConfigError("measure block requires a 'csv' path")
         try:
-            mu = DiscreteMeasure.from_csv(m["csv"], label=m["label"] or str(m["csv"]),
+            mu = DiscreteMeasure.from_csv(m["csv"], label=str(m["csv"]),
                                           spacing=m["spacing"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load measure: {exc}") from None
@@ -318,15 +308,10 @@ def _dimension_for(explicit, ifs) -> float:
 
 
 def _eps_schedule(block: dict, start: float, ratio: float, count: int) -> np.ndarray:
-    if block["eps"] is not None:
-        eps = np.asarray(block["eps"], dtype=float)
-    else:
-        start = float(block["eps_start"]) if block["eps_start"] is not None else start
-        ratio = float(block["eps_ratio"]) if block["eps_ratio"] is not None else ratio
-        count = int(block["eps_count"]) if block["eps_count"] is not None else count
-        if not (0.0 < ratio < 1.0) or count < 1 or start <= 0.0:
-            raise ConfigError("eps schedule needs start > 0, 0 < ratio < 1, count >= 1")
-        eps = start * ratio ** np.arange(count)
+    """The block's cutoffs, else the geometric ladder start * ratio^k."""
+    if block["eps"] is None:
+        return start * ratio ** np.arange(count)
+    eps = np.asarray(block["eps"], dtype=float)
     if eps.ndim != 1 or eps.size == 0 or np.any(eps <= 0.0) \
             or np.any(np.diff(eps) >= 0.0):
         raise ConfigError("eps values must be positive and strictly decreasing")
@@ -368,9 +353,9 @@ def _cone_family(n: int, count: int, seed: int):
 # ----------------------------------------------------------------------
 
 def _cmd_selftest(cfg: RunConfig) -> Outcome:
-    block = cfg.section("selftest", _SELFTEST_DEFAULTS)
+    block = cfg.section("selftest")
     results = run_selftest(samples=int(block["samples"]), seed=cfg.seed,
-                           eq_tol=float(block["eq_tol"]), quick=cfg.quick)
+                           quick=cfg.quick)
     lines = [f"[{'ok' if r.passed else 'FAIL':>4}] {r.name}: "
              f"worst={r.worst:.3e} tol={r.tol:.1e} samples={r.samples}"
              for r in results]
@@ -413,10 +398,10 @@ def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
         sep_level = max(1, sep_level - 1)
     payload, lines = {}, []
     region = None
-    if ifs.strichartz is not None:
-        phi = phi_fixed_point(cfg.n, ifs.strichartz.r,
+    if block["kind"] == "strichartz":
+        phi = phi_fixed_point(cfg.n, float(block["r"]),
                               resolution=int(block["resolution"]),
-                              tol=float(block["phi_tol"]))
+                              atom_cap=cfg.atom_cap)
         region = verify_invariant_region(ifs, phi, sample_count=samples,
                                          seed=cfg.seed)
         ratios = phi.contraction_ratios()
@@ -443,8 +428,7 @@ def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_measure_ad(cfg: RunConfig) -> Outcome:
-    diag, mu, ifs, sections = _measure_for(cfg, "diagnostics", _DIAG_DEFAULTS,
-                                           full=5, quick=4)
+    diag, mu, ifs, sections = _measure_for(cfg, "diagnostics", full=5, quick=4)
     a = _dimension_for(diag["a"], ifs)
     report = ad_regularity_report(mu, a, centers=diag["centers"],
                                   radii=_radii_for(cfg, diag, mu),
@@ -460,16 +444,11 @@ def _cmd_measure_ad(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_riesz_transform(cfg: RunConfig) -> Outcome:
-    block, mu, _, sections = _measure_for(cfg, "riesz", _RIESZ_DEFAULTS,
-                                          full=4, quick=3)
+    block, mu, _, sections = _measure_for(cfg, "riesz", full=4, quick=3)
     params = RieszParams(s=float(block["s"]), n=mu.n)
     eps = _eps_schedule(block, start=0.25, ratio=0.25, count=3)
-    if block["point_coords"] is not None:
-        pts = np.asarray(block["point_coords"], dtype=float).reshape(
-            -1, ambient_dim(mu.n))
-    else:
-        count = 8 if block["points"] is None else int(block["points"])
-        pts = _center_coords(mu, count, cfg.seed)
+    points = 8 if block["points"] is None else block["points"]
+    pts = _center_coords(mu, points, cfg.seed)
     rows = []
     per_eps_max = np.zeros(eps.size)
     for i, p in enumerate(pts):
@@ -491,19 +470,18 @@ def _cmd_riesz_transform(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_riesz_divergence(cfg: RunConfig) -> Outcome:
-    block, mu, ifs, sections = _measure_for(cfg, "riesz", _RIESZ_DEFAULTS,
-                                            full=6, quick=5)
+    block, mu, ifs, sections = _measure_for(cfg, "riesz", full=6, quick=5)
     params = RieszParams(s=float(block["s"]), n=mu.n)
     eps = _eps_schedule(block, start=0.25, ratio=0.25,
                         count=4 if cfg.quick else 5)
-    count = 32 if block["points"] is None else int(block["points"])
-    if ifs is not None:
+    points = 32 if block["points"] is None else block["points"]
+    if ifs is not None and isinstance(points, int):
         # cycle atoms see scale-periodic annuli, the clean growth probes
         idx = cycle_atom_indices(len(ifs.maps), sections["ifs"]["level_used"],
-                                 count, seed=cfg.seed)
+                                 points, seed=cfg.seed)
         pts = mu.points[idx]
     else:
-        pts = _center_coords(mu, count, cfg.seed)
+        pts = _center_coords(mu, points, cfg.seed)
     reports = divergence_probe(mu, params, pts, eps, c=float(block["c"]),
                                threads=cfg.threads)
     diverging = sum(r.verdict == "diverging" for r in reports)
@@ -535,7 +513,7 @@ def _cmd_riesz_divergence(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_riesz_subgroup(cfg: RunConfig) -> Outcome:
-    block = cfg.section("riesz", _RIESZ_DEFAULTS)
+    block = cfg.section("riesz")
     raw_sub = {} if block["subgroup"] is None else block["subgroup"]
     if not isinstance(raw_sub, dict) or set(raw_sub) - {"kind", "basis"}:
         raise ConfigError("subgroup block must be {kind, basis}")
@@ -559,8 +537,7 @@ def _cmd_riesz_subgroup(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_tangent_blowup(cfg: RunConfig) -> Outcome:
-    block, mu, ifs, sections = _measure_for(cfg, "tangent", _TANGENT_DEFAULTS,
-                                            full=5, quick=4)
+    block, mu, ifs, sections = _measure_for(cfg, "tangent", full=5, quick=4)
     if block["point"] is not None:
         center = np.asarray(block["point"], dtype=float)
     else:
@@ -588,8 +565,7 @@ def _cmd_tangent_blowup(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_cone_deficiency(cfg: RunConfig) -> Outcome:
-    diag, mu, ifs, sections = _measure_for(cfg, "diagnostics", _DIAG_DEFAULTS,
-                                           full=5, quick=4)
+    diag, mu, ifs, sections = _measure_for(cfg, "diagnostics", full=5, quick=4)
     a = _dimension_for(diag["a"], ifs)
     pts = _center_coords(mu, int(diag["cone_points"]), cfg.seed)
     requested = int(diag["cone_subgroups"])

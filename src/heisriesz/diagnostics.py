@@ -441,10 +441,14 @@ def blowup_measure(mu: DiscreteMeasure, a, r: float, s: float | None = None,
     # built in the coordinate-major array the measure keeps
     pts = blowup_map(c, r, mu.points, out=np.empty_like(mu.points, order="F"))
     spacing = mu.spacing / r if mu.spacing is not None else None
+    w = mu.weights
+    # equal weights held once stay held once, with the same bits
+    weights = (np.broadcast_to(w[:1] * factor, w.shape) if w.strides == (0,)
+               else w * factor)
     return DiscreteMeasure(
         n=mu.n,
         points=pts,
-        weights=mu.weights * factor,
+        weights=weights,
         label=f"blowup r={r:g} norm={normalization} of [{mu.label}]",
         spacing=spacing,
     )

@@ -32,7 +32,6 @@ from .measure import (CHUNK, DEFAULT_ATOM_CAP, AtomCapExceeded,
 
 __all__ = [
     "Similarity",
-    "StrichartzMeta",
     "Ifs",
     "make_strichartz_ifs",
     "similarity_dimension",
@@ -86,16 +85,6 @@ class Similarity:
 
 
 @dataclass(frozen=True)
-class StrichartzMeta:
-    """Corner-family parameters: ratio, corner translations, offsets."""
-
-    n: int
-    r: float
-    corners: np.ndarray
-    offsets: np.ndarray
-
-
-@dataclass(frozen=True)
 class Ifs:
     """A finite system of similarities with a common group index.
 
@@ -106,7 +95,6 @@ class Ifs:
 
     n: int
     maps: tuple
-    strichartz: StrichartzMeta | None = None
 
     def __post_init__(self) -> None:
         maps = tuple(self.maps)
@@ -119,18 +107,14 @@ class Ifs:
                 )
         maps = tuple(sorted(maps, key=lambda s: s.r))
         object.__setattr__(self, "maps", maps)
-        if self.strichartz is not None:
-            if len(maps) != 2 ** (2 * self.n + 2):
-                raise ValueError(
-                    "corner-family metadata requires exactly "
-                    f"{2 ** (2 * self.n + 2)} maps, got {len(maps)}"
-                )
-            if not (0.0 < self.strichartz.r < 0.5):
-                raise ValueError("corner-family ratio must lie in (0, 1/2)")
 
     @property
     def ratios(self) -> np.ndarray:
         return np.array([s.r for s in self.maps])
+
+
+# the corner family's vertical offsets, one block of maps each
+_STRICHARTZ_OFFSETS = (0.0, 0.25, 0.5, 0.75)
 
 
 def _strichartz_corners(n: int, r: float) -> np.ndarray:
@@ -153,18 +137,9 @@ def make_strichartz_ifs(n: int, r: float) -> Ifs:
     """
     if not (0.0 < r < 0.5):
         raise ValueError(f"corner family requires r in (0, 1/2), got {r}")
-    corners = _strichartz_corners(n, r)
-    offsets = np.array([0.0, 0.25, 0.5, 0.75])
-    dim = ambient_dim(n)
-    maps = []
-    for t in offsets:
-        for z in corners:
-            q = np.zeros(dim)
-            q[:-1] = z
-            q[-1] = t
-            maps.append(Similarity(n=n, q=q, r=r))
-    meta = StrichartzMeta(n=n, r=r, corners=corners, offsets=offsets)
-    return Ifs(n=n, maps=tuple(maps), strichartz=meta)
+    maps = [Similarity(n=n, q=np.append(z, t), r=r)
+            for t in _STRICHARTZ_OFFSETS for z in _strichartz_corners(n, r)]
+    return Ifs(n=n, maps=tuple(maps))
 
 
 def similarity_dimension(ifs: Ifs) -> float:
@@ -440,12 +415,14 @@ class _TiltOperator:
 
 
 def phi_fixed_point(n: int, r: float, resolution: int,
-                    tol: float = 1e-10) -> GridFunction:
+                    atom_cap: int = DEFAULT_ATOM_CAP) -> GridFunction:
     """Solve the tilt self-consistency equation on a grid.
 
     Iterates the contraction from zero until the sup-norm update drops
-    below tol.  The update ratios must stay below r^2 once past the
+    below 1e-10.  The update ratios must stay below r^2 once past the
     first step; anything larger signals a bug and raises RuntimeError.
+    The interpolation stencil holds (resolution + 1)^{2n} 2^{2n} entries;
+    more than `atom_cap` raise AtomCapExceeded before any is allocated.
     Beyond the taper distance from the corner cells the function is
     identically zero.  When 1/r divides the resolution the pull-backs
     land on exact grid nodes and the returned residual reflects pure
@@ -456,6 +433,12 @@ def phi_fixed_point(n: int, r: float, resolution: int,
     if resolution * r < 2.0:
         raise ValueError(
             f"resolution {resolution} leaves corner cells under 2 cells wide"
+        )
+    entries = (resolution + 1) ** (2 * n) * 2 ** (2 * n)
+    if entries > atom_cap:
+        raise AtomCapExceeded(
+            f"tilt grid at resolution {resolution} needs {entries} stencil "
+            f"entries, over the cap of {atom_cap}"
         )
     op = _TiltOperator(n, r, resolution)
     f = np.zeros(len(op.theta))
@@ -473,7 +456,7 @@ def phi_fixed_point(n: int, r: float, resolution: int,
                     f"{ratio_cap:.6f}"
                 )
         f = new
-        if update < tol:
+        if update < 1e-10:
             break
     else:
         raise RuntimeError("no convergence within 200 iterations")
@@ -554,17 +537,20 @@ def verify_invariant_region(ifs: Ifs, phi: GridFunction,
     R is the unit-height band over Q between phi and phi + 1.  Sampled
     points of R are pushed through every map with `Similarity.apply`, so
     through the package's group law; the image must land back between
-    phi and phi + 1 over its corner cell, with margins reported.
+    phi and phi + 1 over its corner cell, with margins reported.  The
+    maps must equal those of ``make_strichartz_ifs(phi.n, phi.r)``, the
+    corner family phi was built for; any other system raises ValueError.
     """
-    if ifs.strichartz is None:
-        raise ValueError("invariant-region check requires a corner-family system")
-    meta = ifs.strichartz
-    if phi.n != ifs.n or phi.r != meta.r:
-        raise ValueError("tilt grid was built for different parameters")
-    n, r = ifs.n, meta.r
+    n, r = phi.n, phi.r
+    family = make_strichartz_ifs(n, r).maps
+    if len(ifs.maps) != len(family) or not all(
+            s.r == t.r and np.array_equal(s.q, t.q)
+            for s, t in zip(ifs.maps, family)):
+        raise ValueError("invariant-region check needs the corner family "
+                         "that the tilt grid was built for")
     rng = np.random.default_rng(seed)
 
-    sup_resid = _ss2_residual_sup(phi, meta.corners)
+    sup_resid = _ss2_residual_sup(phi, _strichartz_corners(n, r))
     exact_lattice = abs(phi.resolution * r - round(phi.resolution * r)) < 1e-9
     safety = 1.000001 if exact_lattice else 2.0
     slack = safety * sup_resid + 1e-15
@@ -591,7 +577,7 @@ def verify_invariant_region(ifs: Ifs, phi: GridFunction,
         violations += count
 
     thickness = r * r
-    spacing = float(np.min(np.diff(np.sort(meta.offsets))))
+    spacing = float(np.min(np.diff(_STRICHARTZ_OFFSETS)))
     vertical_sep = spacing - thickness
     horizontal_gap = 1.0 - 2.0 * r
     return RegionReport(

@@ -254,19 +254,19 @@ def _check_dilation_covariance(rng, samples, tol):
 
 
 def run_selftest(samples: int = 10_000, seed: int = 0,
-                 eq_tol: float = 1e-12, quick: bool = False) -> list:
+                 quick: bool = False) -> list:
     """Run every named identity check and return their results.
 
-    The six exact-arithmetic identities (group algebra, metric scaling,
-    kernel symmetries) are held to eq_tol.  The transform covariance
+    The exact-arithmetic identities (group algebra, metric scaling,
+    kernel symmetries) are held to 1e-12.  The transform covariance
     checks push sums through products of coordinates around 10^2, so
-    they carry a correspondingly looser tolerance, and the truncation
-    check the summation bound :data:`TRUNCATION_TOL`.
+    they carry the looser 1e-10, and the truncation check the summation
+    bound :data:`TRUNCATION_TOL`.
     """
     if quick:
         samples = min(samples, 1000)
     rng = np.random.default_rng(seed)
-    cov_tol = max(1e-10, eq_tol)
+    eq_tol, cov_tol = 1e-12, 1e-10
     return [
         _check_reference_values(rng, samples, eq_tol),
         _check_associativity(rng, samples, eq_tol),

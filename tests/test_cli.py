@@ -3,12 +3,14 @@
 import csv
 import importlib
 import json
+import re
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heisriesz.cli as cli
 import heisriesz.core as core
 from heisriesz.cli import main
 
@@ -116,9 +118,37 @@ def test_unknown_keys_are_config_errors(tmp_path):
     assert _run(["selftest", "--config", cfg3, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("block,key", [
+    ("ifs", "quick_level"), ("ifs", "phi_tol"), ("measure", "label"),
+    ("riesz", "eps_start"), ("riesz", "eps_ratio"), ("riesz", "eps_count"),
+    ("riesz", "point_coords"), ("riesz", "quick_level"),
+    ("diagnostics", "quick_level"), ("tangent", "quick_level"),
+    ("selftest", "eq_tol"),
+])
+def test_removed_keys_are_unknown(tmp_path, capsys, block, key):
+    # each repeated a value held elsewhere: the commands' own levels, the
+    # one cutoff list, the one points entry, the library's tolerances
+    # and the CSV path that labels a measure
+    command = {"ifs": ["ifs", "generate"], "measure": ["measure", "ad-report"],
+               "riesz": ["riesz", "transform"],
+               "diagnostics": ["measure", "ad-report"],
+               "tangent": ["tangent", "blowup"], "selftest": ["selftest"]}[block]
+    cfg = _write_config(tmp_path, {block: {key: 1}})
+    assert _run([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown keys in {block!r}: {key}" in capsys.readouterr().err
+
+
 def test_atom_cap_exit(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"atom_cap": 10, "ifs": {"level": 2}})
     code = _run(["ifs", "generate", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 4
+    assert "atom cap" in capsys.readouterr().err
+
+
+def test_ifs_verify_respects_the_atom_cap(tmp_path, capsys):
+    # the tilt grid at resolution 32 holds 33^2 * 4 = 4356 stencil entries
+    cfg = _write_config(tmp_path, {"atom_cap": 1000, "ifs": {"resolution": 32}})
+    code = _run(["ifs", "verify", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 4
     assert "atom cap" in capsys.readouterr().err
 
@@ -176,7 +206,7 @@ def test_transform_zero_far_from_support(tmp_path):
         {
             "riesz": {
                 "level": 2,
-                "point_coords": [[0.5, 0.5, 0.25]],
+                "points": [[0.5, 0.5, 0.25]],
                 "eps": [8.0, 4.0],
             }
         },
@@ -219,6 +249,17 @@ def test_divergence_smoke(tmp_path):
     with open(out / "riesz_divergence.csv") as fh:
         rows = list(csv.reader(fh))[1:]
     assert len(rows) == 4 * 4 * 3
+
+
+def test_divergence_takes_a_list_of_points(tmp_path):
+    # on a cylinder measure a count picks cycle atoms; a list is probed as given
+    points = [[0.0, 0.0, 0.0], [0.75, 0.0, 0.25], [0.1, 0.2, 0.3]]
+    cfg = _write_config(tmp_path, {"riesz": {
+        "level": 3, "points": points, "eps": [0.5, 0.25, 0.125, 0.0625]}})
+    out = tmp_path / "run"
+    assert _run(["riesz", "divergence", "--config", cfg, "--out", str(out)]) == 0
+    res = json.loads((out / "riesz_divergence.json").read_text())["results"]
+    assert [p["point"] for p in res["per_point"]] == points
 
 
 def test_measure_ad_report(tmp_path):
@@ -415,6 +456,20 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"heisriesz.{module}")
     for name in mod.__all__:
         assert hasattr(mod, name), f"heisriesz.{module}.{name}"
+
+
+def test_readme_lists_every_config_key():
+    # README's key list and the CLI's default tables are one surface: a
+    # key added, removed or renamed on one side only fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("Config keys", 1)[1].split("\n\n", 2)[1]
+    listed = {}
+    for item in section.split("\n- "):
+        name, keys = item.lstrip("- ").split(":", 1)
+        listed[name.strip("`")] = re.findall(r"`(\w+)`", keys)
+    tables = {"top level": list(cli._RUN_KEYS),
+              **{name: list(table) for name, table in cli._DEFAULTS.items()}}
+    assert listed == tables
 
 
 def test_every_name_perfbench_wraps_resolves(monkeypatch):

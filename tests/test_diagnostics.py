@@ -171,6 +171,12 @@ def test_horest_check_small_run():
 def test_blowup_power_normalization_exact(mu3):
     nu = blowup_measure(mu3, np.zeros(3), 0.25, s=2.0)
     np.testing.assert_array_equal(nu.weights, mu3.weights * 16.0)
+    # equal weights held once stay held once
+    assert mu3.weights.strides == nu.weights.strides == (0,)
+    seg = _segment_measure(count=64)
+    full = blowup_measure(seg, np.zeros(3), 0.25, s=2.0).weights
+    assert full.strides == (8,)
+    np.testing.assert_array_equal(full, seg.weights * 16.0)
     assert nu.spacing == pytest.approx(mu3.spacing * 4.0, rel=1e-15)
     assert "blowup" in nu.label
     with pytest.raises(ValueError):

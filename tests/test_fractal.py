@@ -39,7 +39,6 @@ def test_corner_family_layout(ifs14):
     np.testing.assert_array_equal(qs[8], [0.0, 0.0, 0.5])
     np.testing.assert_array_equal(qs[12], [0.0, 0.0, 0.75])
     assert np.all(ifs14.ratios == 0.25)
-    assert ifs14.strichartz is not None
 
 
 def test_corner_family_second_group():
@@ -289,6 +288,17 @@ def test_phi_fixed_point_resolution_guard():
         phi_fixed_point(1, 0.6, 64)
 
 
+def test_phi_fixed_point_respects_the_atom_cap():
+    # the stencil holds (M + 1)^{2n} 2^{2n} entries: 33^2 * 4 at M = 32
+    assert phi_fixed_point(1, 0.25, 32, atom_cap=33 ** 2 * 4).resolution == 32
+    with pytest.raises(AtomCapExceeded, match="4356 stencil entries"):
+        phi_fixed_point(1, 0.25, 32, atom_cap=33 ** 2 * 4 - 1)
+    # n = 2 at the default resolution would need about 7e10 entries; the
+    # default cap refuses it before allocating anything
+    with pytest.raises(AtomCapExceeded):
+        phi_fixed_point(2, 0.25, 256)
+
+
 def test_grid_function_eval_reproduces_affine():
     res = 8
     nodes = np.linspace(0.0, 1.0, res + 1)
@@ -347,6 +357,21 @@ def test_invariant_region_parameter_mismatch(ifs14):
     plain = Ifs(n=1, maps=(Similarity(n=1, r=0.25, q=np.zeros(3)),))
     with pytest.raises(ValueError):
         verify_invariant_region(plain, other)
+
+
+def test_invariant_region_needs_the_corner_family_maps(ifs14, phi64):
+    # sixteen maps at the right ratio are not enough: moving a single
+    # translation by a tenth makes the system another one
+    maps = list(ifs14.maps)
+    moved = maps[5].q.copy()
+    moved[-1] += 0.1
+    maps[5] = Similarity(n=1, q=moved, r=0.25)
+    with pytest.raises(ValueError, match="corner family"):
+        verify_invariant_region(Ifs(n=1, maps=tuple(maps)), phi64)
+    # an equal system built apart from make_strichartz_ifs is accepted
+    rebuilt = Ifs(n=1, maps=tuple(Similarity(n=1, q=s.q.copy(), r=s.r)
+                                  for s in ifs14.maps))
+    assert verify_invariant_region(rebuilt, phi64, sample_count=1000).certified
 
 
 def _brute_separation(ifs, level):

@@ -24,43 +24,43 @@ from heisriesz.cli import main
 GOLDEN = {
     ("selftest",): {
         "selftest.json":
-            "53782dad99f437d053757782851fb587d42b581f79975323d704f065726f2bfc",
+            "d1fa9e3af946cfb90d3dc60fdc643c8d31704650a1903d1ccfca1a1b97192f0c",
     },
     ("ifs", "generate"): {
         "ifs_generate.json":
-            "0570efb0d8dab255c6b91401a331452855ffe5af328e937f77a1011a322a1570",
+            "a5055ae4e1a9e9e63d654a6d0d185c3aa5ee70b0945278a4589274753bc7285a",
         "ifs_measure.csv":
             "5d0688b1dab4ac5c110c86779b1adb4f523b985bcf44bd7e0b55929a51337efe",
     },
     ("ifs", "verify"): {
         "ifs_verify.json":
-            "f71aa843cbfc8b714b0b15a0bb88d058cc27c8ea84cf2265ed2bb8a90e78fde9",
+            "a95fec8344c44eb9fcdaab23b5744285ac9a3c8066ad072bccd70d0624d57f83",
     },
     ("measure", "ad-report"): {
         "ad_report.json":
-            "9dbb7cfffad043444f7dcf0e37b92bce626186a5ae335c3e2712ded6d6d56fc6",
+            "30af6f2cadfcb0148b60c12dd2035f710df28e6caad77f2bbc751a07a0d965bb",
     },
     ("riesz", "transform"): {
         "riesz_transform.csv":
             "ef2832ed03bc4ab1114860279b0972720efaefcf11aef2e671dae244f6942071",
         "riesz_transform.json":
-            "37381a318170406040428eb9bfd2c939e4c0937753f176b634d6551d0d06231e",
+            "4e4fcbca1acb6bf74e8e87869a34cdf9ff28c3821776282ce9ba042f8439f645",
     },
     ("riesz", "divergence"): {
         "riesz_divergence.csv":
             "ae905377ecec4b10b25d477619b0c8d55cc307afad704f885b27d7286f0432b8",
         "riesz_divergence.json":
-            "2be013c220bf3790a8433fbe4bbf78ddce2313280f9f406a73eeda1ecb7cafa4",
+            "204d55b91db11ab1b5c034a7d3bb7a38e01aab734b2c9ae6b9e844d15206cd5f",
     },
     ("riesz", "subgroup-probe"): {
         "subgroup_probe.csv":
             "2a40d9d65434ed724086f1ede89ab74a5bc45d735eead4423a2f8f2c115924fd",
         "subgroup_probe.json":
-            "95784cb197a06a417285cc0749ea4ce8de52f59e40b90096385e416f7e4578fc",
+            "f041d830c33b6743a17480db1c615ef8d3b04971b045e7c0b43dd541ad689656",
     },
     ("tangent", "blowup"): {
         "blowup.json":
-            "f01ca12e476c5d8b189d0688020f4d337ad9694b92b61858875fc75f4a7f90c8",
+            "a8aa9668b11f25ef76ada4b22ad421acc7968a0dcb1ff989f691bbe0e5f96f3a",
         "blowup_measure.csv":
             "b8a71b508fd9a99a9fe9224dea32ce90699ef09755453a6897192bb974e5d034",
     },
@@ -68,7 +68,7 @@ GOLDEN = {
         "cone_deficiency.csv":
             "8baabdc83ca08b5447a1d056fde634e9c25263d9c8c7b69a0425fee99345b360",
         "cone_deficiency.json":
-            "ee8ce8fdacfbe792d65cf041b0a81219b73753855b1dd1adc011e1f2fd61b6d9",
+            "167eb331a4af6620a41717f8d860ac5dafbd24f964cd8c3a3884e0c8eb811104",
     },
 }
 
@@ -105,7 +105,7 @@ CONFIG_RUNS = {
     }),
     "transform-csv-coords": (("riesz", "transform"), {
         "measure": QUICK_MEASURE,
-        "riesz": {"point_coords": [[0.1, 0.2, 0.3], [0.5, 0.5, 0.25]],
+        "riesz": {"points": [[0.1, 0.2, 0.3], [0.5, 0.5, 0.25]],
                   "eps": [0.5, 0.125, 0.03125]},
     }),
     "verify-custom": (("ifs", "verify"), {
@@ -125,17 +125,17 @@ CONFIG_RUNS = {
 CONFIG_GOLDEN = {
     "ad-report-csv": (0, {
         "ad_report.json":
-            "94a26e34b2148e0bbbd5335d24d60571137d15bfed206452e98d6a9503ee5100",
+            "596215ade1411f0c5e3167c6fd7d4226d2d7f3728121047e372acfc461858415",
     }),
     "cone-deficiency-csv": (0, {
         "cone_deficiency.csv":
             "427311cbfc13a55cc168a7b66ba3cfc515a6b8029dd5c72090f08cce18ef2f63",
         "cone_deficiency.json":
-            "181d88c06ba41b4ac1a9cbfa816b61c546bdfa6013aa8737fa493950413203b8",
+            "cca4f69aee489824142ee6d53a36e3ae8640203949ae382d5b881e0b15fab752",
     }),
     "blowup-csv-point": (0, {
         "blowup.json":
-            "345d40b767e5f21842836c9bd83053201f98672f8a4241a02e3dcdfb93676b77",
+            "25f92467057a99ab4140b56dae2738227dc3f323a9b1683f693f9ce8eaac1cb9",
         "blowup_measure.csv":
             "ba261037874d506f3def2d15752f7f66abd997459905a4ea60b40a27800112ae",
     }),
@@ -143,17 +143,17 @@ CONFIG_GOLDEN = {
         "riesz_transform.csv":
             "c85a79d408ba4cd974000c7d2ff5030cfff3291851d621bcb926de1e862b7215",
         "riesz_transform.json":
-            "674cbeb4e483769b5574e952b8e051b3690a182484fc8f536b441521d8001e11",
+            "6cc8fd8c02792126742462390e250cbdca73e8197e2cbffd752fe377d3bf2e40",
     }),
     "verify-custom": (0, {
         "ifs_verify.json":
-            "53e6bb7abab73bbee37488475b78f0c813175d8fb2f511c15271cbfe79a6356b",
+            "2e3626939ceb5ca3403c044f837e6f59d926b12bb95b28e91837bf5516f5f913",
     }),
     "subgroup-probe-horizontal-n2": (0, {
         "subgroup_probe.csv":
             "4a715ace929eb20a6e6bda7644ec6d24bec3ba6c0d051ae8b8d9682393f7fd14",
         "subgroup_probe.json":
-            "1f9d6ae666fed96f51c71584f368e386b23bc0d679a65ac3cea4de0a7f9d7058",
+            "8ed05516e05c526cfd5fada19d63722246e16778b632e7294f55799cde6679b1",
     }),
 }
 
