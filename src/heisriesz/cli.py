@@ -200,6 +200,12 @@ class Outcome:
 def _run(cfg: RunConfig, command: str, stem: str, csv: str | None,
          compute) -> int:
     """Compute a command, write its CSV and JSON report, print, gate."""
+    ifs_block = cfg.blocks.get("ifs")
+    if (command != "ifs generate" and isinstance(ifs_block, dict)
+            and "level" in ifs_block):
+        # every other command takes its level from its own block
+        raise ConfigError("config key 'ifs.level' is read only by "
+                          f"'ifs generate', not by '{command}'")
     res = compute(cfg)
     folder = Path(cfg.out)
     folder.mkdir(parents=True, exist_ok=True)

@@ -126,10 +126,17 @@ def left_displacement(p, q, out=None):
 
 def _gauge(sq, v, tmp):
     """(sq^2 + v^2)^(1/4), written into sq; tmp is scratch shaped like sq
-    and may be v itself.  The one gauge step behind every norm."""
+    and may be v itself.  The one gauge step behind every norm.
+
+    The root is two square roots.  IEEE 754 rounds each ``sqrt``
+    correctly, so the result is within 1 ulp of the exact fourth root
+    of the computed sum, and it has the same bits at every numpy SIMD
+    level (numpy's ``np.power`` loops differ by CPU feature).
+    """
     sq *= sq
     sq += np.square(v, out=tmp)
-    return np.power(sq, 0.25, out=sq)
+    np.sqrt(sq, out=sq)
+    return np.sqrt(sq, out=sq)
 
 
 def koranyi_norm(p, out=None):

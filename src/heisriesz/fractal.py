@@ -151,7 +151,7 @@ def similarity_dimension(ifs: Ifs) -> float:
     ratios = ifs.ratios
 
     def excess(a: float) -> float:
-        return float(np.sum(ratios ** a)) - 1.0
+        return float(np.sum([math.pow(r, a) for r in ratios])) - 1.0
 
     if len(ratios) == 1:
         return 0.0
@@ -240,7 +240,7 @@ def cylinder_measure(ifs: Ifs, level: int,
         weights = np.empty(count)
         weights[0] = 1.0
         size = 1
-        factors = ratios ** a
+        factors = [math.pow(r, a) for r in ratios]
         for _ in range(level):
             for m in range(N - 1, -1, -1):
                 np.multiply(factors[m], weights[:size],

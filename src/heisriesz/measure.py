@@ -65,7 +65,10 @@ def binned_sweep(mu, center, edges, columns):
     of ``out``, a (2n+1, len(d)) scratch that it may fill.  Returns the
     (k, len(edges) - 1) per-bin sums and the per-bin atom counts.  A
     centre that is not finite raises ``ValueError``: every ball mass,
-    cone mass and transform reads its centre here.
+    cone mass and transform reads its centre here.  The distances end in
+    two correctly rounded square roots (``core._gauge``), so they, the
+    bins and the counts have the same bits at every numpy SIMD level;
+    the sums do too when the columns use no CPU-dependent loop.
 
     Each call allocates one coordinate-major workspace of CHUNK rows (u,
     the norm's scratch and d, bin masks, columns) and writes every chunk

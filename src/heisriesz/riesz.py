@@ -6,6 +6,14 @@ u_{2n+1} / ||u||^(s+2).  Every component is then s-homogeneous: dilating
 the argument by r scales the whole vector by r^(-s).  The kernel is odd
 under the group inverse.
 
+The transforms form the terms without a power when s is an integer:
+d^(s+1) is a product of d's, and the vertical entry is the horizontal
+factor w/d^(s+1) divided once more by d.  Their bits are then the same
+at every numpy SIMD level.  For any other s they keep one ``np.power``,
+whose last bits depend on the CPU features numpy dispatches to.
+:func:`riesz_kernel` is the independent reference that the self-test
+compares the transforms with; it takes both powers with ``**``.
+
 Truncated transforms sum w(q) f(q) K(p^{-1} q) over atoms with
 d(p, q) > eps (closed balls are excluded, so ties at eps drop out).
 Every transform is one :func:`~heisriesz.measure.binned_sweep`: the
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _coords, koranyi_norm
-from .measure import CHUNK, DiscreteMeasure, binned_sweep
+from .measure import DiscreteMeasure, binned_sweep
 
 __all__ = [
     "RieszParams",
@@ -81,16 +89,20 @@ def riesz_kernel(params: RieszParams, p):
 def _kernel_columns(params: RieszParams, mu: DiscreteMeasure, f):
     """Per-chunk columns of weighted kernel terms for :func:`binned_sweep`.
 
-    The 2n+1 columns are written into the rows the sweep hands over; one
-    scratch row of CHUNK entries for d^(s+2) is allocated here, once per
-    transform.  Every window a transform sweeps starts at a cutoff
-    eps > 0, so an atom at zero displacement always falls in the sweep's
-    bin below the window, which is never summed; its terms are left as
-    the NaN of 0/0, and the divisions run without warnings.
+    The 2n+1 columns are written into the rows the sweep hands over, and
+    nothing else is allocated.  The horizontal factor w/d^(s+1) is formed
+    once; d^(s+1) is a product of d's when s is an integer and one
+    ``np.power`` otherwise.  Horizontal column i is u_i times the factor,
+    and the vertical column is u_v times the factor, divided by d.  Every
+    window a transform sweeps starts at a cutoff eps > 0, so an atom at
+    zero displacement always falls in the sweep's bin below the window,
+    which is never summed; its terms are left as the NaN of 0 * inf, and
+    the arithmetic runs without warnings.
     """
     if params.n != mu.n:
         raise ValueError(f"kernel on H^{params.n} applied to a measure on H^{mu.n}")
-    power_ws = np.empty(min(len(mu), CHUNK))
+    degree = params.s + 1.0
+    factors = int(degree) if degree.is_integer() else 0
 
     def columns(sl, u, d, out):
         # with a density, out[-1] holds the scaled weights until the
@@ -99,13 +111,19 @@ def _kernel_columns(params: RieszParams, mu: DiscreteMeasure, f):
         scale, horiz = mu.weights[sl], out[-2]
         if f is not None:
             scale = np.multiply(scale, f(mu.points[sl]), out=out[-1])
+        if factors:
+            # s > 0, so an integer s + 1 is at least 2
+            np.multiply(d, d, out=horiz)
+            for _ in range(factors - 2):
+                horiz *= d
+        else:
+            np.power(d, degree, out=horiz)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(scale, np.power(d, params.s + 1.0, out=horiz), out=horiz)
+            np.divide(scale, horiz, out=horiz)
+            np.multiply(u[:, -1], horiz, out=out[-1])
+            np.divide(out[-1], d, out=out[-1])
             for i in range(2 * params.n):
                 np.multiply(u[:, i], horiz, out=out[i])
-            np.multiply(u[:, -1], scale, out=out[-1])
-            np.divide(out[-1], np.power(d, params.s + 2.0, out=power_ws[:len(d)]),
-                      out=out[-1])
         return out
 
     return columns

@@ -104,7 +104,7 @@ def _check_dilation_scaling(rng, samples, tol):
     for n in GROUP_INDICES:
         p, q = _points(rng, samples, n), _points(rng, samples, n)
         base = core.dist(p, q)
-        for r in np.exp(rng.uniform(-2.0, 2.0, size=4)):
+        for r in map(math.exp, rng.uniform(-2.0, 2.0, size=4)):
             moved = core.dist(core.dilate(r, p), core.dilate(r, q))
             err = np.abs(moved - r * base) / (r * (1.0 + base))
             worst = max(worst, float(np.max(err)))
@@ -116,7 +116,7 @@ def _check_norm_homogeneity(rng, samples, tol):
     for n in GROUP_INDICES:
         p = _points(rng, samples, n)
         base = core.koranyi_norm(p)
-        for r in np.exp(rng.uniform(-2.0, 2.0, size=4)):
+        for r in map(math.exp, rng.uniform(-2.0, 2.0, size=4)):
             moved = core.koranyi_norm(core.dilate(r, p))
             err = np.abs(moved - r * base) / (r * (1.0 + base))
             worst = max(worst, float(np.max(err)))
@@ -154,7 +154,7 @@ def _check_kernel_homogeneity(rng, samples, tol):
             params = riesz.RieszParams(s=s, n=n)
             p = _points(rng, samples, n)
             base = riesz.riesz_kernel(params, p)
-            for r in np.exp(rng.uniform(-1.5, 1.5, size=2)):
+            for r in map(math.exp, rng.uniform(-1.5, 1.5, size=2)):
                 moved = riesz.riesz_kernel(params, core.dilate(r, p))
                 target = r ** (-s) * base
                 worst = max(worst, _scaled(moved - target, target))
@@ -177,12 +177,14 @@ def _check_truncation_consistency(rng, samples, tol):
     (one sweep per cutoff) at three quantile cutoffs are compared with
     ``math.fsum`` of w ``riesz_kernel``(u) over the atoms with d > eps,
     u and d as the sweep takes them, scaled by the sum of |terms|.  With
-    u = 2^-53 that deviation is at most (38 + 20 + 1) u to first order:
+    u = 2^-53 that deviation is at most (38 + 21 + 1) u to first order:
     256 atoms are one chunk, so the sweep adds each term at most 35 + 1
-    times and the running sum over three bins twice more; each kernel
-    formula forms a term with a power (within 4 ulps, 8 u), a division
-    and a product, so the two differ by at most 20 u; ``math.fsum``
-    rounds once.  TRUNCATION_TOL = 64 u is the next power of two.
+    times and the running sum over three bins twice more; the reference
+    forms a term with a power (within 4 ulps, 8 u), a division and a
+    product, and the sweep with a power or at most three products, a
+    division, a product and, for the vertical column, one more division,
+    so the two differ by at most 21 u; ``math.fsum`` rounds once.
+    TRUNCATION_TOL = 64 u is the next power of two.
     """
     trials = max(4, samples // 512)
     worst = 0.0
@@ -240,7 +242,7 @@ def _check_dilation_covariance(rng, samples, tol):
             mu = _random_measure(rng, n, 256)
             p = rng.uniform(-3.0, 3.0, size=2 * n + 1)
             eps = 0.7 * float(np.median(core.dist(p, mu.points)))
-            r = float(np.exp(rng.uniform(-1.5, 1.5)))
+            r = math.exp(rng.uniform(-1.5, 1.5))
             nu = DiscreteMeasure(
                 n=n, points=core.dilate(r, mu.points),
                 weights=mu.weights * r ** params.s, label="dilated",

@@ -167,7 +167,7 @@ HOREST_PINS = {
     (1, 0.5): (97903, "0x1.7573961d44f0bp-11"),
     (1, 0.9): (834952, "0x1.75d28354f73edp-11"),
     (2, 0.1): (7067, "0x1.1d8ab9ef84cd4p-11"),
-    (2, 0.5): (210447, "0x1.5e805110630d6p-8"),
+    (2, 0.5): (210447, "0x1.5e805110630d4p-8"),
     (2, 0.9): (3737338, "0x1.29c7c98ce3912p-7"),
 }
 

@@ -118,6 +118,21 @@ def test_unknown_keys_are_config_errors(tmp_path):
     assert _run(["selftest", "--config", cfg3, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["measure", "ad-report"], ["ifs", "verify"], ["riesz", "transform"],
+    ["selftest"],
+])
+def test_ifs_level_outside_ifs_generate_is_config_error(tmp_path, capsys,
+                                                        command):
+    # only ifs generate reads ifs.level; any other command would report
+    # it beside the level it used from its own block
+    cfg = _write_config(tmp_path, {"ifs": {"level": 2}})
+    out = tmp_path / "o"
+    assert _run([*command, "--config", cfg, "--out", str(out)]) == 2
+    assert "'ifs.level'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("block,key", [
     ("ifs", "quick_level"), ("ifs", "phi_tol"), ("measure", "label"),
     ("riesz", "eps_start"), ("riesz", "eps_ratio"), ("riesz", "eps_count"),

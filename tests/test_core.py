@@ -253,19 +253,20 @@ def test_every_layout_gives_the_same_bits(n):
 
 
 @pytest.mark.parametrize("n, digests", [
-    (1, ("4fceef22b3469875a3031e86277c4968897388e762ff62208257ebe4c4777ffe",
-         "c92aa2c4ce41bf3f58b7e894435adae465e182327cd5188e365472fb8b0b53b4",
+    (1, ("5b104c6044d6f7990e421a653ff4730649b8d78d1ed74b68933afc52f0845b7c",
+         "0b15372b8aa09852c0b166ccf74dc5262676d953a5f0b033e318578b5a15df24",
          "847a13d0928007c89c805b35e0da93643d0a72d1eb3b4f5e6e044538a125f649")),
-    (2, ("40a395dd04a5c1f30aafaf024d556f884f2989a9b97e7ab251870f2fbd3956e8",
-         "6f5231856a636158cccda0299d69ca76b287b8875babafd60e9d749f89323d98",
+    (2, ("f142f2556e8fd67017e9426a3e4f5f975c9342c22660fde216f4c80474462511",
+         "1c0877b87dbe9bcafcd5e2e309c50c7a38cc303e68717490f87b7987c2d44baa",
          "8072acf8065437a3eaee07fc334cdd8039d791e836941b3769eeddef7bd68b0e")),
-    (3, ("d380bdbbaadc90f50bf09a25b188a61c870568dec2fdad9b8ee37a382576c23b",
-         "e15f17f867339226a4396759ac547568289b14efc0b21f713228e4aaefebe159",
+    (3, ("0eb7907f484c48b9d7d44052f2269109d794f31a79452c414b5361cbd1bc2daa",
+         "a1583c5209f709ee9f3027d0df110896eacc02b409347d3d30c7fba86e70dbde",
          "d4f54ac551ed3617c69d08152e4931411c42f40dfb911d5a3336c100bffb6cb7")),
 ])
 def test_batch_bits_are_pinned(n, digests):
-    # dist, koranyi_norm and symplectic_form of 4096 C-order pairs,
-    # recorded while the sums were numpy's last-axis np.sum
+    # dist, koranyi_norm and symplectic_form of 4096 C-order pairs; the
+    # form's digests were recorded while the sums were numpy's last-axis
+    # np.sum, the two gauge distances' with the root as two square roots
     p, q = _batch(n, 100 + n, 4096)
     got = tuple(hashlib.sha256(v.tobytes()).hexdigest() for v in
                 (dist(p, q), koranyi_norm(p), symplectic_form(p, q)))

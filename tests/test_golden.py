@@ -24,7 +24,7 @@ from heisriesz.cli import main
 GOLDEN = {
     ("selftest",): {
         "selftest.json":
-            "d1fa9e3af946cfb90d3dc60fdc643c8d31704650a1903d1ccfca1a1b97192f0c",
+            "20ad83be1d7d37b51b741d6dedd8dc50e1388f89b9436a0ec72a36fbad093e46",
     },
     ("ifs", "generate"): {
         "ifs_generate.json":
@@ -42,21 +42,21 @@ GOLDEN = {
     },
     ("riesz", "transform"): {
         "riesz_transform.csv":
-            "ef2832ed03bc4ab1114860279b0972720efaefcf11aef2e671dae244f6942071",
+            "49aa44e75c3372e31884484b987c22c9439042e06acc100d29ecec96cfa212f9",
         "riesz_transform.json":
-            "4e4fcbca1acb6bf74e8e87869a34cdf9ff28c3821776282ce9ba042f8439f645",
+            "bc1ba6ae958b870987f3736cb7f320c54686471b1926794f119053b6bedc7e55",
     },
     ("riesz", "divergence"): {
         "riesz_divergence.csv":
-            "ae905377ecec4b10b25d477619b0c8d55cc307afad704f885b27d7286f0432b8",
+            "b8ca5fce28855e3d820b24325793c974df8a42ba6d797e87aec64d4b6bdbef47",
         "riesz_divergence.json":
-            "204d55b91db11ab1b5c034a7d3bb7a38e01aab734b2c9ae6b9e844d15206cd5f",
+            "d41feda0f58f2895ffa6a9a08922de7ab9a161121f14796804ab116306b67956",
     },
     ("riesz", "subgroup-probe"): {
         "subgroup_probe.csv":
-            "2a40d9d65434ed724086f1ede89ab74a5bc45d735eead4423a2f8f2c115924fd",
+            "952fce8fac7b2a2399868ab3a161b515a0558191bf4870e9f8f1f23aba1b134e",
         "subgroup_probe.json":
-            "f041d830c33b6743a17480db1c615ef8d3b04971b045e7c0b43dd541ad689656",
+            "b38e3dddd62dbb8f7c7d82ba8fb27744545db7149ec5c06d6aa8909132e7eb42",
     },
     ("tangent", "blowup"): {
         "blowup.json":
@@ -141,7 +141,7 @@ CONFIG_GOLDEN = {
     }),
     "transform-csv-coords": (0, {
         "riesz_transform.csv":
-            "c85a79d408ba4cd974000c7d2ff5030cfff3291851d621bcb926de1e862b7215",
+            "2d19ab520c2ebc093a4ab932304c6c1c5d7dc6cd4ee21a78ec0f3094907a4b57",
         "riesz_transform.json":
             "6cc8fd8c02792126742462390e250cbdca73e8197e2cbffd752fe377d3bf2e40",
     }),

@@ -415,9 +415,9 @@ def test_pruning_margin_covers_rounding(monkeypatch):
     # three points on a horizontal line, q between c and a: in exact
     # arithmetic d(c, q) = d(c, a) - d(a, q), but the computed distances
     # break that by an ulp, so a margin of zero would skip q's chunk
-    c = np.array([-0.4482971586351133, 2.287207346292238, -2.050697109104336])
-    q = np.array([-0.4417049493001976, 2.287207346292238, -2.020541609866105])
-    a = np.array([-0.4405368689455752, 2.287207346292238, -2.0151983259298007])
+    c = np.array([-0.007281465369706641, -1.680192330144295, -0.6851247929272839])
+    q = np.array([-0.0058060500734748175, -1.680192330144295, -0.6900827558562964])
+    a = np.array([0.005856556717471557, -1.680192330144295, -0.7292736008155702])
     radius = core.koranyi_norm(core.left_displacement(c, q[None]))[0]
     assert dist(c, a) - dist(a, q) > radius
     mu = DiscreteMeasure(1, np.vstack([np.tile(c, (CHUNK, 1)), a, q]),

@@ -1,0 +1,89 @@
+"""The pinned bits do not depend on numpy's SIMD level.
+
+numpy picks some of its loops by CPU feature at run time, and a loop
+such as ``np.power`` or ``np.exp`` can give other last bits under
+AVX-512 than under AVX2 or SSE.  The package keeps them off every
+pinned path, so a process with all of numpy's dispatched features
+switched off (``NPY_DISABLE_CPU_FEATURES``) must reproduce this one's
+digests: the ``test_core`` batch pins, the cylinder pins, and the
+``selftest`` and ``riesz transform`` quick outputs.  Every pinned run
+has an integer kernel degree; for a non-integer s the sweep kernel keeps
+one ``np.power``, and nothing of it is pinned here.
+
+Run as a script, this file prints the digests as one JSON line.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import heisriesz
+from heisriesz.cli import main
+from heisriesz.core import dist, koranyi_norm, symplectic_form
+from heisriesz.fractal import cylinder_measure
+
+from test_core import _batch
+from test_fractal import _CYLINDER_DIGESTS
+
+
+def _found_features():
+    simd = np.show_config(mode="dicts").get("SIMD Extensions", {})
+    return list(simd.get("found", []))
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _digests() -> dict:
+    out = {}
+    for n in (1, 2, 3):
+        p, q = _batch(n, 100 + n, 4096)
+        out[f"batch n={n}"] = [_sha(v.tobytes()) for v in
+                               (dist(p, q), koranyi_norm(p), symplectic_form(p, q))]
+    for i, (make, level, _) in enumerate(_CYLINDER_DIGESTS):
+        mu = cylinder_measure(make(), level)
+        out[f"cylinder {i}"] = _sha(np.ascontiguousarray(mu.points).tobytes()
+                                    + mu.weights.tobytes())
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in (["selftest"], ["riesz", "transform"]):
+            run = Path(tmp) / "-".join(command)
+            run.mkdir()
+            os.chdir(run)
+            try:
+                assert main([*command, "--quick", "--out", "."]) == 0
+            finally:
+                os.chdir(home)
+            for f in sorted(run.iterdir()):
+                out[f.name] = _sha(f.read_bytes())
+    return out
+
+
+def test_digests_match_with_every_dispatched_feature_off():
+    found = _found_features()
+    if not found:
+        pytest.skip("numpy dispatches no CPU feature above its baseline here")
+    src = str(Path(heisriesz.__file__).resolve().parent.parent)
+    # features this process already runs without stay off in the child
+    off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split() + found
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(off),
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, __file__], env=env, timeout=300,
+                          capture_output=True, text=True, check=True)
+    child = json.loads(proc.stdout.strip().splitlines()[-1])
+    # the switch took effect: the child's numpy finds nothing to dispatch
+    assert child.pop("found") == []
+    assert child == _digests()
+
+
+if __name__ == "__main__":
+    print(json.dumps({**_digests(), "found": _found_features()}))

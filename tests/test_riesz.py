@@ -19,6 +19,7 @@ from heisriesz.riesz import (
     truncated_transform,
     truncations,
 )
+from heisriesz.selftest import TRUNCATION_TOL
 
 
 def _used(mu, params, f, p, eps):
@@ -224,6 +225,29 @@ def test_truncations_match_single_cutoffs(mu5):
             np.abs(np.cumsum(sums[:, ::-1], axis=1)).max(axis=1))
     with pytest.raises(ValueError):
         truncations(mu5, params, None, centers[0], [0.0625, 0.25])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("s", [1.0, 2.0, 3.0, 4.0 / 3.0])
+def test_truncations_match_exact_reference_sums(s, n):
+    # s = 1, 2, 3 form d^(s+1) by products and s = 4/3 (the r = 1/8
+    # family) by np.power; either way each swept truncation stays within
+    # the derived bound of the math.fsum of riesz_kernel terms.  Fails
+    # when the vertical column drops its / d or d^s replaces d^(s+1)
+    params = RieszParams(s=s, n=n)
+    rng = np.random.default_rng(60 + n)
+    for _ in range(8):
+        mu = _random_measure(rng.integers(2 ** 32), count=256, n=n)
+        p = rng.uniform(-2, 2, size=2 * n + 1)
+        u = left_displacement(p, mu.points)
+        d = koranyi_norm(u)
+        eps = np.quantile(d, [0.75, 0.5, 0.25])
+        table = truncations(mu, params, None, p, eps)
+        for j, e in enumerate(eps):
+            terms = mu.weights[d > e, None] * riesz_kernel(params, u[d > e])
+            exact = np.array([math.fsum(col) for col in terms.T])
+            scale = np.array([math.fsum(col) for col in np.abs(terms).T])
+            assert np.all(np.abs(table[:, j] - exact) <= TRUNCATION_TOL * scale)
 
 
 def test_growth_profile_matches_annuli():
