@@ -77,6 +77,15 @@ def _checked_radii(mu: DiscreteMeasure, radii) -> np.ndarray:
     return rad
 
 
+def _radius_powers(rad: np.ndarray, a: float) -> np.ndarray:
+    """r^a per radius through ``math.pow``, which numpy's SIMD level does
+    not move; for a = 2, r * r, the correctly rounded square that numpy's
+    ``r ** 2`` also gives and ``math.pow`` misses for about one r in 1,000."""
+    if a == 2.0:
+        return rad * rad
+    return np.array([math.pow(r, a) for r in rad])
+
+
 def _point_rows(mu: DiscreteMeasure, points) -> np.ndarray:
     """An explicit list of points of mu's group as a (k, 2n+1) array."""
     pts, _ = _coords(points, mu.n)
@@ -131,9 +140,10 @@ def ad_regularity_report(mu: DiscreteMeasure, a: float, centers=64,
         raise ValueError(f"radius above the support diameter bound {diam:g}")
 
     pts = _center_coords(mu, centers, seed)
+    scale = _radius_powers(rad, a)
     ratios = np.empty((len(pts), rad.size))
     for i, c in enumerate(pts):
-        ratios[i] = mu.ball_mass(c, rad) / rad ** a
+        ratios[i] = mu.ball_mass(c, rad) / scale
     min_ratio = float(np.min(ratios))
     max_ratio = float(np.max(ratios))
     implied = max(max_ratio, 1.0 / min_ratio) if min_ratio > 0.0 else math.inf
@@ -162,7 +172,7 @@ def cone_deficiency(mu: DiscreteMeasure, a: float, k, G: SubgroupSpec,
         return np.where(cone_mask(u, d, G, delta), 0.0, mu.weights[sl])
 
     masses = closed_ball_sums(mu, c, rad, outside)
-    return masses / rad ** a
+    return masses / _radius_powers(rad, a)
 
 
 @dataclass(frozen=True)
@@ -329,6 +339,17 @@ class HorestReport:
     def passed(self) -> bool:
         return self.violations == 0
 
+    @property
+    def proved_margin(self) -> float:
+        """Closed-form lower bound on (y_v - bound) / (delta ||x||)^2.
+
+        With rho = delta^2 ||x|| / (100 n), |A(x, u)| <= 2 |x'| |u'| <=
+        2 ||x|| rho and |u_v| <= rho^2, so the hypothesis x_v >
+        (delta ||x||)^2 gives y_v >= (delta ||x||)^2 (1 - 2/(100 n) -
+        delta^2/(10^4 n^2)); the bound takes half of that.
+        """
+        return 0.5 - 2.0 / (100.0 * self.n) - self.delta ** 2 / (1e4 * self.n ** 2)
+
 
 def horest_check(n: int, delta: float, trials: int = 1_000_000,
                  seed: int = 0) -> HorestReport:
@@ -346,21 +367,22 @@ def horest_check(n: int, delta: float, trials: int = 1_000_000,
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
     dim = 2 * n + 1
-    # buffers for the largest batch, which is the first
+    # buffers for the largest batch, which is the first; the points are
+    # coordinate-major, so that every coordinate the norm, the form and
+    # the gathers read is one contiguous column
     rows = min(131072, 2 * trials + 64)
-    draws, vert = np.empty((rows, 2 * n)), np.empty(rows)
-    pool, x_ws, u_ws = (np.empty((rows, dim)) for _ in range(3))
-    # coordinate-major, so that a norm (its last coordinate) is contiguous
-    scratch = np.empty((rows, dim), order="F")
-    norm_ws, rho_ws, scale_ws = np.empty(rows), np.empty(rows), np.empty(rows)
+    draws = np.empty((rows, 2 * n))
+    pool, x, u, scratch = (np.empty((rows, dim), order="F") for _ in range(4))
+    norm_ws, rho_ws, scale_ws, margin_ws = (np.empty(rows) for _ in range(4))
 
-    def uniform(out, a, b):
-        # rng.uniform(a, b) is a + (b - a) U for the same U, so these are
-        # its bits from the same draws
-        v = rng.random(out=out)
-        v *= b - a
-        v += a
-        return v
+    def uniform(out, count):
+        # rng.uniform(a, b) is a + (b - a) U for the same U: these are the
+        # bits of (-1, 1) horizontals, drawn in C order, and of (0, 2)
+        # verticals, where adding 0.0 to 2 U moves no bit
+        h = np.multiply(rng.random(out=draws[:count]), 2.0, out=out[:count, :-1])
+        h -= 1.0
+        v = np.multiply(rng.random(out=out[:count, -1]), 2.0, out=out[:count, -1])
+        return h, v
 
     done = 0
     rejected = 0
@@ -368,41 +390,41 @@ def horest_check(n: int, delta: float, trials: int = 1_000_000,
     min_margin = math.inf
     while done < trials:
         batch = min(131072, 2 * (trials - done) + 64)
-        x = pool[:batch]
-        x[:, :-1] = uniform(draws[:batch], -1.0, 1.0)
-        x[:, -1] = uniform(vert[:batch], 0.0, 2.0)
-        norm = koranyi_norm(x, out=scratch[:batch])
+        uniform(pool, batch)
+        norm = koranyi_norm(pool[:batch], out=scratch[:batch])
         bound = np.multiply(norm, delta, out=scratch[:batch, 0])
         bound *= bound
-        ok = x[:, -1] > bound
-        ok &= x[:, -1] > 0.0
+        # bound >= 0, so the hypothesis also gives a positive vertical part
+        ok = pool[:batch, -1] > bound
         rejected += int(batch - np.count_nonzero(ok))
         keep = np.flatnonzero(ok)[: trials - done]
         if len(keep) == 0:
             continue
         m = len(keep)
-        # the indices are valid, and mode="clip" lets take write into out
-        # directly instead of through a temporary
-        x = np.take(x, keep, axis=0, out=x_ws[:m], mode="clip")
+        # the indices are valid, and mode="clip" lets take write into its
+        # contiguous out directly instead of through a temporary
+        for i in range(dim):
+            np.take(pool[:batch, i], keep, out=x[:m, i], mode="clip")
         norm = np.take(norm, keep, out=norm_ws[:m], mode="clip")
 
         rho = np.multiply(norm, delta * delta, out=rho_ws[:m])
         rho /= 100.0 * n
-        u = u_ws[:m]
-        np.multiply(uniform(draws[:m], -1.0, 1.0), rho[:, None], out=u[:, :-1])
-        np.multiply(uniform(vert[:m], -1.0, 1.0), rho, out=u[:, -1])
-        u[:, -1] *= rho
+        uh, uv = uniform(u, m)
+        uh *= rho[:, None]
+        uv -= 1.0
+        uv *= rho
+        uv *= rho
         # pull draws outside the gauge ball of radius rho onto its sphere
-        unorm = koranyi_norm(u, out=scratch[:m])
+        unorm = koranyi_norm(u[:m], out=scratch[:m])
         scale = scale_ws[:m]
         scale.fill(1.0)
         np.divide(rho, unorm, out=scale, where=unorm > rho)
-        u[:, :-1] *= scale[:, None]
-        u[:, -1] *= np.square(scale, out=scale)
+        uh *= scale[:, None]
+        uv *= np.square(scale, out=scale)
 
         # y = x . u; only the vertical coordinate matters
-        margin = np.add(x[:, -1], u[:, -1], out=vert[:m])
-        margin += core.symplectic_form(x, u, out=scratch[:m])
+        margin = np.add(x[:m, -1], uv, out=margin_ws[:m])
+        margin += core.symplectic_form(x[:m], u[:m], out=scratch[:m])
         bound = np.multiply(norm, delta, out=scratch[:m, 0])
         bound *= bound
         bound *= 0.5

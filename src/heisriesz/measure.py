@@ -309,7 +309,8 @@ class DiscreteMeasure:
         blocks of CHUNK rows, so a read holds the measure plus one block.
         Blank and comment lines are skipped as ``np.loadtxt`` skips them
         (numpy warns about them when it reads by rows, and the arrays are
-        then trimmed, by a copy).
+        then trimmed, by a copy).  Weights that all have the same bits
+        are held once, as a zero-stride vector.
         """
         with open(path, "rb") as fh:
             header = fh.readline().decode("utf-8").strip()
@@ -342,4 +343,11 @@ class DiscreteMeasure:
                 del data
                 if got < want:
                     break
-        return cls(n, pts[:filled], wts[:filled], label=label, spacing=spacing)
+        wts = wts[:filled]
+        # equal weights are held once, as a cylinder measure holds them;
+        # the copy lets the full vector go
+        same = wts[:1].view(np.int64)
+        if filled and all(np.all(wts[sl].view(np.int64) == same)
+                          for sl in chunk_slices(filled)):
+            wts = np.broadcast_to(wts[:1].copy(), (filled,))
+        return cls(n, pts[:filled], wts, label=label, spacing=spacing)

@@ -173,7 +173,7 @@ HOREST_PINS = {
 
 
 def test_criterion_8_vertical_lower_bound_holds():
-    worst_margin = np.inf
+    worst_margin = worst_proved = np.inf
     combos = 0
     for n in (1, 2):
         for delta in (0.1, 0.5, 0.9):
@@ -182,10 +182,13 @@ def test_criterion_8_vertical_lower_bound_holds():
             assert report.violations == 0
             assert (report.hypothesis_rejections,
                     report.min_margin.hex()) == HOREST_PINS[n, delta]
+            assert report.proved_margin > 0.0
             worst_margin = min(worst_margin, report.min_margin)
+            worst_proved = min(worst_proved, report.proved_margin)
             combos += 1
     print(f"[PASS] criterion 8: 0 violations in {combos} x 1e6 perturbation "
-          f"trials, worst margin {worst_margin:.3e} above the bound")
+          f"trials, worst margin {worst_margin:.3e} above the bound, proved "
+          f"margin {worst_proved:.6f} (delta ||x||)^2")
 
 
 def test_criterion_9_blowup_self_similarity(ifs14, mu5):

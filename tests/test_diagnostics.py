@@ -162,10 +162,41 @@ def test_horest_check_small_run():
     assert report.violations == 0
     assert report.trials == 20_000
     assert report.min_margin > 0.0
+    # 1/2 - 2/(100 n) - delta^2/(10^4 n^2)
+    assert report.proved_margin == pytest.approx(0.479975, rel=1e-15)
+    assert horest_check(2, 0.9, trials=1).proved_margin == pytest.approx(
+        0.5 - 0.01 - 0.81 / 4e4, rel=1e-15)
     with pytest.raises(ValueError):
         horest_check(1, 1.5, trials=10)
     with pytest.raises(ValueError):
         horest_check(1, 0.5, trials=0)
+
+
+# (hypothesis rejections, min_margin.hex()) of seed-0 runs: one trial
+# and 64 trials cap the first batch's kept rows, and 131073 trials take
+# a second batch after a full one of 131072 draws
+HOREST_EDGE_PINS = {
+    (1, 1, 0.5): (4, "0x1.6924b9ab3abacp+0"),
+    (1, 1, 0.9): (35, "0x1.e2e9f0ae06d9bp-1"),
+    (1, 2, 0.5): (11, "0x1.cc28c26038f40p-2"),
+    (1, 2, 0.9): (53, "0x1.ff4059740737ep-1"),
+    (64, 1, 0.5): (7, "0x1.c0681556e6944p-4"),
+    (64, 1, 0.9): (93, "0x1.7a49ed2f32522p-3"),
+    (64, 2, 0.5): (32, "0x1.6c308b91ca3a3p-3"),
+    (64, 2, 0.9): (295, "0x1.43c494f291838p-2"),
+    (131073, 1, 0.5): (13227, "0x1.414f1c59e90f5p-9"),
+    (131073, 1, 0.9): (113593, "0x1.c2dee693c2b78p-9"),
+    (131073, 2, 0.5): (30220, "0x1.ce12f55fd07acp-7"),
+    (131073, 2, 0.9): (489985, "0x1.668691eee9603p-6"),
+}
+
+
+@pytest.mark.parametrize("trials, n, delta", sorted(HOREST_EDGE_PINS))
+def test_horest_check_batch_edges_are_pinned(trials, n, delta):
+    report = horest_check(n, delta, trials=trials, seed=0)
+    assert report.violations == 0
+    assert (report.hypothesis_rejections,
+            report.min_margin.hex()) == HOREST_EDGE_PINS[trials, n, delta]
 
 
 def test_blowup_power_normalization_exact(mu3):

@@ -394,15 +394,36 @@ def test_min_piece_separation_matches_brute_force(ifs14):
             assert got == pytest.approx(want, rel=1e-12)
     # unequal ratios: the drift bound uses the largest; sample 3 refines
     # from level 1, 9 from level 2, 4096 runs the dense pass only
-    mixed = Ifs(n=1, maps=tuple(
-        Similarity(n=1, q=np.array(q), r=r)
-        for q, r in (((0.0, 0.0, 0.0), 0.35), ((0.6, 0.1, 0.2), 0.2),
-                     ((0.2, 0.7, 0.5), 0.3))))
+    mixed = _mixed_trio()
     for level in (3, 4, 5):
         want = _brute_separation(mixed, level)
         for sample in (3, 9, 4096):
             got = min_piece_separation(mixed, level, sample=sample)
             assert got == pytest.approx(want, rel=1e-12)
+
+
+def _mixed_trio():
+    return Ifs(n=1, maps=tuple(
+        Similarity(n=1, q=np.array(q), r=r)
+        for q, r in (((0.0, 0.0, 0.0), 0.35), ((0.6, 0.1, 0.2), 0.2),
+                     ((0.2, 0.7, 0.5), 0.3))))
+
+
+@pytest.mark.parametrize("family, level, want", [
+    ("ifs14", 3, "0x1.36dafd8531683p-2"),
+    ("ifs14", 4, "0x1.21b5ebc63a956p-2"),
+    ("mixed", 3, "0x1.badd07ea7ba4cp-2"),
+    ("mixed", 4, "0x1.ad9770f9201c1p-2"),
+    ("mixed", 5, "0x1.aa05bd37af911p-2"),
+])
+def test_min_piece_separation_bits_do_not_depend_on_sample(ifs14, family,
+                                                           level, want):
+    # every word is composed by the same one-letter appends whether the
+    # dense pass or the refinement builds it, so the dense pass's depth
+    # moves no bit of the result
+    ifs = ifs14 if family == "ifs14" else _mixed_trio()
+    for sample in (3, 16, 256, 4096):
+        assert min_piece_separation(ifs, level, sample=sample) == float.fromhex(want)
 
 
 @pytest.fixture(scope="module")

@@ -170,6 +170,31 @@ def test_csv_read_memory_is_the_measure_plus_a_block(tmp_path):
     assert mu.points.flags.f_contiguous
 
 
+def test_csv_equal_weights_read_back_held_once(tmp_path, mu2):
+    path = tmp_path / "mu2.csv"
+    mu2.to_csv(path)
+    back = DiscreteMeasure.from_csv(path)
+    assert back.weights.strides == (0,)
+    assert back.weights.tobytes() == mu2.weights.tobytes()
+    # its blow-ups keep the one weight too
+    nu = blowup_measure(back, back.points[3], 0.25, s=2.0)
+    assert nu.weights.strides == (0,)
+
+
+def test_csv_one_differing_weight_keeps_a_full_vector(tmp_path):
+    # the odd weight sits in the second block of the equality test
+    rows = CHUNK + 5
+    lines = [f"{i},0,0,0.5\n" for i in range(rows)]
+    path = tmp_path / "mu.csv"
+    path.write_text("x1,x2,x3,weight\n" + "".join(lines))
+    assert DiscreteMeasure.from_csv(path).weights.strides == (0,)
+    lines[-1] = f"{rows - 1},0,0,0.25\n"
+    path.write_text("x1,x2,x3,weight\n" + "".join(lines))
+    w = DiscreteMeasure.from_csv(path).weights
+    assert w.flags.c_contiguous and w.strides == (8,)
+    assert w[-1] == 0.25 and np.all(w[:-1] == 0.5)
+
+
 def test_csv_header_only_reads_as_an_empty_measure(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("x1,x2,x3,x4,x5,weight\n")

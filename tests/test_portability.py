@@ -5,7 +5,9 @@ such as ``np.power`` or ``np.exp`` can give other last bits under
 AVX-512 than under AVX2 or SSE.  The package keeps them off every
 pinned path, so a process with all of numpy's dispatched features
 switched off (``NPY_DISABLE_CPU_FEATURES``) must reproduce this one's
-digests: the ``test_core`` batch pins, the cylinder pins, and the
+digests: the ``test_core`` batch pins, the cylinder pins, a small
+``horest_check`` run, the corner family's level-3 separation, ball-mass
+and cone ratios at the non-integer dimension a = 4/3, and the
 ``selftest`` and ``riesz transform`` quick outputs.  Every pinned run
 has an integer kernel degree; for a non-integer s the sweep kernel keeps
 one ``np.power``, and nothing of it is pinned here.
@@ -27,7 +29,11 @@ import pytest
 import heisriesz
 from heisriesz.cli import main
 from heisriesz.core import dist, koranyi_norm, symplectic_form
-from heisriesz.fractal import cylinder_measure
+from heisriesz.diagnostics import (ad_regularity_report, cone_deficiency,
+                                   horest_check)
+from heisriesz.fractal import (cylinder_measure, make_strichartz_ifs,
+                               min_piece_separation)
+from heisriesz.subgroups import make_vertical
 
 from test_core import _batch
 from test_fractal import _CYLINDER_DIGESTS
@@ -52,6 +58,16 @@ def _digests() -> dict:
         mu = cylinder_measure(make(), level)
         out[f"cylinder {i}"] = _sha(np.ascontiguousarray(mu.points).tobytes()
                                     + mu.weights.tobytes())
+    horest = horest_check(2, 0.5, trials=20_000, seed=3)
+    out["horest"] = [horest.hypothesis_rejections, horest.min_margin.hex()]
+    out["separation"] = min_piece_separation(make_strichartz_ifs(1, 0.25), 3).hex()
+    # r^a at a non-integer a, on the r = 1/8 family's level-3 measure
+    mu = cylinder_measure(make_strichartz_ifs(1, 0.125), 3)
+    radii = np.linspace(0.05, 0.6, 12)
+    ad = ad_regularity_report(mu, 4.0 / 3.0, centers=8, radii=radii, seed=1)
+    cone = cone_deficiency(mu, 4.0 / 3.0, ad.centers[0], make_vertical(1, []),
+                           0.5, radii)
+    out["a=4/3"] = _sha(ad.ratios.tobytes() + cone.tobytes())
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for command in (["selftest"], ["riesz", "transform"]):
