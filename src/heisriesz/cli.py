@@ -43,7 +43,8 @@ from .fractal import (Ifs, Similarity, cycle_atom_indices, cylinder_measure,
                       make_strichartz_ifs, min_piece_separation,
                       phi_fixed_point, similarity_dimension,
                       verify_invariant_region, word_similarity)
-from .measure import DEFAULT_ATOM_CAP, AtomCapExceeded, DiscreteMeasure
+from .measure import (DEFAULT_ATOM_CAP, AtomCapExceeded, DiscreteMeasure,
+                      write_csv)
 from .riesz import RieszParams, truncations
 from .selftest import run_selftest
 from .subgroups import make_horizontal, make_vertical
@@ -75,7 +76,6 @@ _DEFAULTS = {
         "maps": None,
         "level": None,
         "resolution": 256,
-        "samples": 100_000,
         "separation_level": 4,
         "expect": None,
     },
@@ -112,7 +112,7 @@ _DEFAULTS = {
         "s": None,
         "point": None,
     },
-    "selftest": {"samples": 10_000},
+    "selftest": {},
 }
 
 
@@ -172,12 +172,6 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
                      atom_cap=atom_cap, out=out, blocks=blocks)
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
-
-
 @dataclass
 class Outcome:
     """What a command computed; :func:`_run` writes and reports it.
@@ -216,10 +210,7 @@ def _run(cfg: RunConfig, command: str, stem: str, csv: str | None,
             res.csv.to_csv(path)
         else:
             header, rows = res.csv
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(header + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+            write_csv(path, header, [np.array(list(rows), dtype=float)])
         payload, message = {**payload, "csv": csv}, message.format(csv=path)
     # the run settings without the raw blocks, then the resolved blocks
     config = {k: v for k, v in vars(cfg).items() if k != "blocks"}
@@ -360,8 +351,7 @@ def _cone_family(n: int, count: int, seed: int):
 
 def _cmd_selftest(cfg: RunConfig) -> Outcome:
     block = cfg.section("selftest")
-    results = run_selftest(samples=int(block["samples"]), seed=cfg.seed,
-                           quick=cfg.quick)
+    results = run_selftest(seed=cfg.seed, quick=cfg.quick)
     lines = [f"[{'ok' if r.passed else 'FAIL':>4}] {r.name}: "
              f"worst={r.worst:.3e} tol={r.tol:.1e} samples={r.samples}"
              for r in results]
@@ -397,10 +387,8 @@ def _cmd_ifs_generate(cfg: RunConfig) -> Outcome:
 
 def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
     ifs, block = _build_ifs(cfg)
-    samples = int(block["samples"])
     sep_level = int(block["separation_level"])
     if cfg.quick:
-        samples = min(samples, max(1000, samples // 10))
         sep_level = max(1, sep_level - 1)
     payload, lines = {}, []
     region = None
@@ -408,8 +396,9 @@ def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
         phi = phi_fixed_point(cfg.n, float(block["r"]),
                               resolution=int(block["resolution"]),
                               atom_cap=cfg.atom_cap)
-        region = verify_invariant_region(ifs, phi, sample_count=samples,
-                                         seed=cfg.seed)
+        region = verify_invariant_region(
+            ifs, phi, sample_count=10_000 if cfg.quick else 100_000,
+            seed=cfg.seed)
         ratios = phi.contraction_ratios()
         payload["phi"] = {
             "resolution": phi.resolution,
@@ -427,8 +416,7 @@ def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
     payload["verdict"] = verdict
     lines.append(f"piece separation at level {sep_level}: {separation:.6g} "
                  f"-> {verdict}")
-    sections = {"ifs": {**block, "samples_used": samples,
-                        "separation_level_used": sep_level}}
+    sections = {"ifs": {**block, "separation_level_used": sep_level}}
     return Outcome(payload, sections, "\n".join(lines), verdict,
                    block["expect"])
 

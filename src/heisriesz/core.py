@@ -14,8 +14,10 @@ coordinates as scratch and return its last coordinate.  Only
 :func:`dilate` may overlap ``out`` with its input.  Sums over the
 coordinates run left to right, one coordinate view ``a[..., i]`` at a
 time, with and without ``out`` and in any memory order, so every layout
-gives the same bits.  Callers use the returned array, so that a
-replaced function still reaches them.
+gives the same bits.  Callers use the returned array, and every module
+calls :func:`symplectic_form`, :func:`group_mul` and :func:`dilate`
+through this module, not through a name bound at import, so a replaced
+one reaches every caller.
 """
 
 from __future__ import annotations
@@ -164,20 +166,24 @@ def dist(p, q):
     return _gauge(sq, dv, dv)[()]
 
 
-def _check_ratio(r) -> float:
-    r = float(r)
-    if not np.isfinite(r) or r <= 0.0:
+def _check_ratio(r) -> np.ndarray:
+    r = np.asarray(r, dtype=float)
+    # NaN fails both comparisons
+    if not np.all((r > 0.0) & (r < np.inf)):
         raise ValueError(f"dilation factor must be a finite positive number, got {r}")
     return r
 
 
 def dilate(r, p, out=None):
-    """Anisotropic dilation: horizontal part times r, vertical part times r^2."""
+    """Anisotropic dilation: horizontal part times r, vertical part times r^2.
+
+    ``r`` is one ratio or one per point, broadcast over the leading axes.
+    """
     r = _check_ratio(r)
     a, _ = _coords(p)
     if out is None:
-        out = np.empty(a.shape)
-    np.multiply(a[..., :-1], r, out=out[..., :-1])
+        out = np.empty(np.broadcast_shapes(a.shape, r.shape + (1,)))
+    np.multiply(a[..., :-1], r[..., None], out=out[..., :-1])
     np.multiply(a[..., -1], r * r, out=out[..., -1])
     return out
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import ambient_dim, dilate, dist, group_mul
+from .core import ambient_dim, dist
 from .measure import (CHUNK, DEFAULT_ATOM_CAP, AtomCapExceeded,
                       DiscreteMeasure, chunk_slices)
 
@@ -69,7 +69,7 @@ class Similarity:
         object.__setattr__(self, "q", q)
 
     def apply(self, p):
-        return group_mul(self.q, dilate(self.r, p))
+        return core.group_mul(self.q, core.dilate(self.r, p))
 
     def fixed_point(self) -> np.ndarray:
         """The unique point with S(p) = p, in closed form.
@@ -228,8 +228,9 @@ def cylinder_measure(ifs: Ifs, level: int,
         for m in range(N - 1, -1, -1):
             s = maps[m]
             for sl in chunk_slices(size):
-                d = dilate(s.r, pts[sl], out=scratch[:sl.stop - sl.start])
-                group_mul(s.q, d, out=pts[m * size + sl.start:m * size + sl.stop])
+                d = core.dilate(s.r, pts[sl], out=scratch[:sl.stop - sl.start])
+                core.group_mul(s.q, d,
+                               out=pts[m * size + sl.start:m * size + sl.stop])
         size *= N
 
     ratios = ifs.ratios
@@ -609,9 +610,8 @@ def _compose_after(q: np.ndarray, rw: np.ndarray, sq: np.ndarray, sr):
     shape = np.broadcast_shapes(q.shape, sq.shape)
     shifted, out = (np.moveaxis(np.empty(shape[-1:] + shape[:-1]), 0, -1)
                     for _ in range(2))
-    np.multiply(rw[..., None], sq[..., :-1], out=shifted[..., :-1])
-    np.multiply(rw * rw, sq[..., -1], out=shifted[..., -1])
-    return group_mul(q, shifted, out=out), rw * sr
+    core.dilate(rw, sq, out=shifted)
+    return core.group_mul(q, shifted, out=out), rw * sr
 
 
 def min_piece_separation(ifs: Ifs, level: int, sample: int = 256) -> float:

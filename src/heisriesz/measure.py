@@ -28,7 +28,7 @@ from . import core
 from .core import ambient_dim, dist, group_index, _coords
 
 __all__ = ["AtomCapExceeded", "DEFAULT_ATOM_CAP", "DiscreteMeasure",
-           "binned_sweep", "closed_ball_sums"]
+           "binned_sweep", "closed_ball_sums", "write_csv"]
 
 # Default ceiling on atom counts; a level-6 cylinder measure of the
 # sixteen-map system (16^6 atoms) must fit below it.
@@ -49,6 +49,21 @@ def chunk_slices(total: int):
     least one)."""
     for start in range(0, max(total, 1), CHUNK):
         yield slice(start, min(start + CHUNK, total))
+
+
+def write_csv(path, header: str, columns) -> None:
+    """Write the line ``header``, then one line per row of ``columns``.
+
+    ``columns`` are arrays of equal length, each one column or a block
+    of columns, joined side by side.  Every value is written as
+    ``"%.17g"``, which reads back with the same bits and writes an
+    integral value without a point, CHUNK rows at a time.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for sl in chunk_slices(len(columns[0])):
+            np.savetxt(fh, np.column_stack([c[sl] for c in columns]),
+                       delimiter=",", fmt="%.17g")
 
 
 def binned_sweep(mu, center, edges, columns):
@@ -294,11 +309,7 @@ class DiscreteMeasure:
 
     def to_csv(self, path) -> None:
         cols = [f"x{i + 1}" for i in range(ambient_dim(self.n))] + ["weight"]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            for sl in chunk_slices(len(self)):
-                rows = np.column_stack([self.points[sl], self.weights[sl]])
-                np.savetxt(fh, rows, delimiter=",", fmt="%.17g")
+        write_csv(path, ",".join(cols), [self.points, self.weights])
 
     @classmethod
     def from_csv(cls, path, label: str = "", spacing: float | None = None):

@@ -138,14 +138,6 @@ def make_horizontal(n: int, basis) -> SubgroupSpec:
     return SubgroupSpec(n, HORIZONTAL, rows)
 
 
-def _symplectic_gradient(n: int, xh: np.ndarray) -> np.ndarray:
-    """Vector m with <m, w> = 2 sum_i (x_i w_{i+n} - x_{i+n} w_i)."""
-    m = np.empty_like(xh)
-    m[..., :n] = -2.0 * xh[..., n:]
-    m[..., n:] = 2.0 * xh[..., :n]
-    return m
-
-
 def _monotone_cubic_root(b, c):
     """Root of 4 t^3 + b t + c, b >= 0 (an increasing cubic), by bisection."""
     top = np.cbrt(np.abs(c) / 4.0) + 1e-30
@@ -192,8 +184,10 @@ def _horizontal_distance(spec: SubgroupSpec, x):
     bas = spec.basis
     coeff = _coefficients(xh, bas)
     d2 = _row_sum((xh - _projection(coeff, bas)) ** 2)
-    m = _symplectic_gradient(spec.n, xh)
-    mc = _coefficients(m, bas)
+    # <m, b_j> = -A(x, b_j) for the twist's gradient m in the horizontal
+    # part, each b_j taken at vertical coordinate zero
+    rows = np.pad(bas, ((0, 0), (0, 1)))
+    mc = np.stack([-core.symplectic_form(x, b) for b in rows], axis=-1)
     lam = np.sqrt(_row_sum(mc * mc))
     beta0 = -xv + _row_sum(mc * coeff)
     t = _monotone_cubic_root(4.0 * d2 + 2.0 * lam * lam, 2.0 * lam * beta0)

@@ -78,28 +78,18 @@ def test_ifs_generate_is_deterministic(tmp_path):
 
 def test_ifs_verify_quick(tmp_path):
     out = tmp_path / "run"
-    cfg = _write_config(tmp_path, {"ifs": {"resolution": 32, "samples": 20_000}})
+    cfg = _write_config(tmp_path, {"ifs": {"resolution": 32}})
     code = _run(["ifs", "verify", "--config", cfg, "--quick", "--out", str(out)])
     assert code == 0
     doc = json.loads((out / "ifs_verify.json").read_text())
     res = doc["results"]
     assert res["verdict"] == "certified"
     assert res["region"]["violations"] == 0
+    assert res["region"]["sample_count"] == 10_000
     assert res["phi"]["residual"] == 0.0
     assert res["separation"]["value"] > 0.0
     assert doc["config"]["ifs"]["separation_level_used"] == 3
     assert res["separation"]["level"] == 3
-
-
-def test_ifs_verify_quick_never_samples_more(tmp_path):
-    # --quick samples a tenth, at least 1000, but never more than the full run
-    out = tmp_path / "run"
-    cfg = _write_config(tmp_path, {"ifs": {"resolution": 32, "samples": 500,
-                                           "separation_level": 2}})
-    assert _run(["ifs", "verify", "--config", cfg, "--quick", "--out", str(out)]) == 0
-    doc = json.loads((out / "ifs_verify.json").read_text())
-    assert doc["config"]["ifs"]["samples_used"] == 500
-    assert doc["results"]["region"]["sample_count"] == 500
 
 
 def test_bad_ratio_is_config_error(tmp_path, capsys):
@@ -138,12 +128,12 @@ def test_ifs_level_outside_ifs_generate_is_config_error(tmp_path, capsys,
     ("riesz", "eps_start"), ("riesz", "eps_ratio"), ("riesz", "eps_count"),
     ("riesz", "point_coords"), ("riesz", "quick_level"),
     ("diagnostics", "quick_level"), ("tangent", "quick_level"),
-    ("selftest", "eq_tol"),
+    ("selftest", "eq_tol"), ("ifs", "samples"), ("selftest", "samples"),
 ])
 def test_removed_keys_are_unknown(tmp_path, capsys, block, key):
-    # each repeated a value held elsewhere: the commands' own levels, the
-    # one cutoff list, the one points entry, the library's tolerances
-    # and the CSV path that labels a measure
+    # each repeated a value held elsewhere: the commands' own levels and
+    # sample counts, the one cutoff list, the one points entry, the
+    # library's tolerances and the CSV path that labels a measure
     command = {"ifs": ["ifs", "generate"], "measure": ["measure", "ad-report"],
                "riesz": ["riesz", "transform"],
                "diagnostics": ["measure", "ad-report"],

@@ -148,28 +148,38 @@ def test_mixed_group_index_rejected():
         group_mul([1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0])
 
 
+def _trio():
+    """Three generic maps of ratio 0.3 in H^1."""
+    from heisriesz.fractal import Ifs, Similarity
+    return Ifs(n=1, maps=tuple(
+        Similarity(n=1, q=np.array(q), r=0.3)
+        for q in ((0.0, 0.0, 0.0), (0.6, 0.1, 0.2), (0.2, 0.7, 0.5))))
+
+
 def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):
     # every twist in the package goes through core.symplectic_form, so
     # mirroring the group law here must move each caller's output
     from heisriesz.diagnostics import cone_deficiency, horest_check
-    from heisriesz.fractal import (Ifs, Similarity, cylinder_measure,
-                                   min_piece_separation, phi_fixed_point,
-                                   verify_invariant_region)
+    from heisriesz.fractal import (cylinder_measure, min_piece_separation,
+                                   phi_fixed_point, verify_invariant_region)
     from heisriesz.riesz import (RieszParams, growth_profile,
                                  maximal_transform, truncated_transform,
                                  truncations)
-    from heisriesz.subgroups import in_cone, make_horizontal, make_vertical
+    from heisriesz.subgroups import (dist_to_subgroup, in_cone,
+                                     make_horizontal, make_vertical)
 
     params = RieszParams(s=2.0, n=1)
     center = mu2.points[37]
     radii = np.array([0.3, 0.4, 0.5, 0.6, 0.8])
     axis = make_vertical(1, [])
+    line = make_horizontal(1, [[0.6, 0.8]])
+    plane = make_horizontal(2, [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    rng = np.random.default_rng(3)
+    p1, p2 = rng.uniform(-1.0, 1.0, (64, 3)), rng.uniform(-1.0, 1.0, (64, 5))
     # the corner family is symmetric enough that its mirror image is an
     # isometric copy, so its separation cannot tell the two laws apart;
     # three generic maps can
-    trio = Ifs(n=1, maps=tuple(
-        Similarity(n=1, q=np.array(q), r=0.3)
-        for q in ((0.0, 0.0, 0.0), (0.6, 0.1, 0.2), (0.2, 0.7, 0.5))))
+    trio = _trio()
 
     def outputs():
         cylinder = cylinder_measure(trio, 3)
@@ -189,6 +199,12 @@ def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):
                 mu2, params, None, center, [0.5, 0.25, 0.125]))),
             "ball_mass": tuple(mu2.ball_mass(center, radii)),
             "cone": tuple(cone_deficiency(mu2, 2.0, center, axis, 0.5, radii)),
+            "subgroup_line": dist_to_subgroup(p1, line).tobytes(),
+            "subgroup_plane": dist_to_subgroup(p2, plane).tobytes(),
+            # mu2.points[0] is the identity, whose displacements do not
+            # depend on the law: only the distance to the line can move
+            "cone_line": tuple(cone_deficiency(mu2, 2.0, mu2.points[0], line,
+                                               0.5, radii)),
             "isotropy": str(isotropy.value),
             "region": (region.certified, region.min_lower_margin,
                        region.min_upper_margin),
@@ -211,11 +227,57 @@ def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):
                        [mu2.weights[outside & (d <= r)].sum() for r in radii]])
     np.testing.assert_array_equal(after["ball_mass"], masses[0])
     np.testing.assert_array_equal(after["cone"], masses[1] / radii ** 2.0)
+    # the closed-form distance to the line is the minimum of core.dist
+    # along it under the mirrored law too
+    t = np.linspace(-3.0, 3.0, 60001)
+    brute = [np.min(core.dist(x, np.outer(t, [0.6, 0.8, 0.0]))) for x in p1[:8]]
+    np.testing.assert_allclose(np.frombuffer(after["subgroup_line"])[:8], brute,
+                               rtol=0.0, atol=1e-7)
     mirrored = phi_fixed_point(1, 0.25, 64)
     assert not np.array_equal(mirrored.values, phi64.values)
     # a consistently mirrored law keeps the corner family's separation
     # exactly; mixing a private copy of the law into one step would not
     assert min_piece_separation(ifs14, 3) == 0.30356975675054104
+
+
+def test_corrupted_dilation_reaches_every_caller(monkeypatch, ifs14, mu2,
+                                                 phi64):
+    # cylinder atoms, word composites, the maps and the zoom all dilate
+    # through core.dilate, so scaling its vertical factor here must move
+    # each of these outputs
+    from heisriesz.diagnostics import blowup_measure
+    from heisriesz.fractal import (cylinder_measure, min_piece_separation,
+                                   verify_invariant_region, word_similarity)
+
+    trio = _trio()
+    s = trio.maps[2]
+
+    def outputs():
+        region = verify_invariant_region(ifs14, phi64, sample_count=5000)
+        fixed = s.fixed_point()
+        return {
+            "cylinder": cylinder_measure(trio, 3).points.tobytes(),
+            "word": word_similarity(trio, (1, 2)).q.tobytes(),
+            "separation": min_piece_separation(trio, 3),
+            "blowup": blowup_measure(mu2, mu2.points[37], 0.25,
+                                     s=2.0).points.tobytes(),
+            "region": (region.min_lower_margin, region.min_upper_margin),
+            "fixed_point": float(np.max(np.abs(s.apply(fixed) - fixed))),
+        }
+
+    before = outputs()
+    assert before["fixed_point"] < 1e-15
+    orig = core.dilate
+
+    def stretched(r, p, out=None):
+        d = orig(r, p, out=out)
+        d[..., -1] *= 1.25
+        return d
+
+    monkeypatch.setattr(core, "dilate", stretched)
+    after = outputs()
+    for key, value in before.items():
+        assert after[key] != value, key
 
 
 def _batch(n, seed, size):

@@ -24,33 +24,33 @@ from heisriesz.cli import main
 GOLDEN = {
     ("selftest",): {
         "selftest.json":
-            "20ad83be1d7d37b51b741d6dedd8dc50e1388f89b9436a0ec72a36fbad093e46",
+            "090600518d018c9209024979363343ba15577ae8fb1a458148eba225a26f4a86",
     },
     ("ifs", "generate"): {
         "ifs_generate.json":
-            "a5055ae4e1a9e9e63d654a6d0d185c3aa5ee70b0945278a4589274753bc7285a",
+            "ec1101a64d0eb4b604134bee0bb14c618528fc6ba129a5eeafd2a71d5c67a755",
         "ifs_measure.csv":
             "5d0688b1dab4ac5c110c86779b1adb4f523b985bcf44bd7e0b55929a51337efe",
     },
     ("ifs", "verify"): {
         "ifs_verify.json":
-            "a95fec8344c44eb9fcdaab23b5744285ac9a3c8066ad072bccd70d0624d57f83",
+            "ae1b7c698008c6023d0b499aecc11caff1e7e4de36a4086aeda59d335c69622a",
     },
     ("measure", "ad-report"): {
         "ad_report.json":
-            "30af6f2cadfcb0148b60c12dd2035f710df28e6caad77f2bbc751a07a0d965bb",
+            "4fdb43cc14ecbfd2c3ea9dd768007fed3c9b9d1ac2eeeeca18b97fe61fd56f70",
     },
     ("riesz", "transform"): {
         "riesz_transform.csv":
             "49aa44e75c3372e31884484b987c22c9439042e06acc100d29ecec96cfa212f9",
         "riesz_transform.json":
-            "bc1ba6ae958b870987f3736cb7f320c54686471b1926794f119053b6bedc7e55",
+            "d1459a9dde275767086476b3099e9cbbf1598bfdb16428bede996a5271c62ca7",
     },
     ("riesz", "divergence"): {
         "riesz_divergence.csv":
             "b8ca5fce28855e3d820b24325793c974df8a42ba6d797e87aec64d4b6bdbef47",
         "riesz_divergence.json":
-            "d41feda0f58f2895ffa6a9a08922de7ab9a161121f14796804ab116306b67956",
+            "b34ad0039bc7729715574e2888a68418659eaae8aaf0667f18ce989ecffa3006",
     },
     ("riesz", "subgroup-probe"): {
         "subgroup_probe.csv":
@@ -60,7 +60,7 @@ GOLDEN = {
     },
     ("tangent", "blowup"): {
         "blowup.json":
-            "a8aa9668b11f25ef76ada4b22ad421acc7968a0dcb1ff989f691bbe0e5f96f3a",
+            "53b94a55297dc0892e50194fe563179e5a821f6d70d46c6343d9af640443ffdc",
         "blowup_measure.csv":
             "b8a71b508fd9a99a9fe9224dea32ce90699ef09755453a6897192bb974e5d034",
     },
@@ -68,7 +68,7 @@ GOLDEN = {
         "cone_deficiency.csv":
             "8baabdc83ca08b5447a1d056fde634e9c25263d9c8c7b69a0425fee99345b360",
         "cone_deficiency.json":
-            "167eb331a4af6620a41717f8d860ac5dafbd24f964cd8c3a3884e0c8eb811104",
+            "13be2f3106c702faf9d977ce8bf98ac79ea24a783541913e470d7cf816bbbc44",
     },
 }
 
@@ -147,7 +147,7 @@ CONFIG_GOLDEN = {
     }),
     "verify-custom": (0, {
         "ifs_verify.json":
-            "2e3626939ceb5ca3403c044f837e6f59d926b12bb95b28e91837bf5516f5f913",
+            "a4cd8793b65df5c45beb3f670f46a62785eb9ed958a0c426cc469e224062745f",
     }),
     "subgroup-probe-horizontal-n2": (0, {
         "subgroup_probe.csv":
