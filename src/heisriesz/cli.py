@@ -323,11 +323,26 @@ def _radii_for(cfg: RunConfig, diag: dict, mu: DiscreteMeasure) -> tuple:
     return tuple(r for r in radii if r >= _resolution_floor(mu))
 
 
-def _cone_family(n: int, count: int, seed: int):
-    """Draws from the cones' subgroup family: the center line plus, for
-    n >= 2, horizontal planes (there are none in the n = 1 group, so the
-    draws all collapse to the center line there)."""
+def _cone_family(n: int, a: float, count: int, seed: int):
+    """Draws from the homogeneous subgroups of Hausdorff dimension a.
+
+    For a = 2: the center line plus, for n >= 2, horizontal planes (there
+    are none in the n = 1 group, so the draws all collapse to the center
+    line there).  For an integer a in [3, 2n + 2]: vertical subgroups
+    L x T with dim L = a - 2, the whole group once when L = R^{2n}.  No
+    other a is the dimension of a homogeneous subgroup of H^n.
+    """
+    if not (float(a).is_integer() and 2 <= a <= 2 * n + 2):
+        raise ConfigError(
+            f"cone-deficiency needs an integer dimension a in [2, {2 * n + 2}] "
+            f"for n = {n}, got a = {a}")
+    dim_l = int(a) - 2
     rng = np.random.default_rng(seed)
+    if dim_l > 0:
+        specs = [make_vertical(n, rng.normal(size=(dim_l, 2 * n)))
+                 for _ in range(max(count, 1) if dim_l < 2 * n else 1)]
+        return [(spec, {"kind": "vertical", "basis": spec.basis.tolist()})
+                for spec in specs]
     specs = [(make_vertical(n, []), {"kind": "taxis"})]
     if n >= 2:
         while len(specs) < count:
@@ -563,7 +578,7 @@ def _cmd_cone_deficiency(cfg: RunConfig) -> Outcome:
     a = _dimension_for(diag["a"], ifs)
     pts = _center_coords(mu, int(diag["cone_points"]), cfg.seed)
     requested = int(diag["cone_subgroups"])
-    family = _cone_family(mu.n, requested, cfg.seed)
+    family = _cone_family(mu.n, a, requested, cfg.seed)
     radii = _radii_for(cfg, diag, mu)
     rows = []
     floor = math.inf

@@ -379,10 +379,9 @@ def horest_check(n: int, delta: float, trials: int = 1_000_000,
         # rng.uniform(a, b) is a + (b - a) U for the same U: these are the
         # bits of (-1, 1) horizontals, drawn in C order, and of (0, 2)
         # verticals, where adding 0.0 to 2 U moves no bit
-        h = np.multiply(rng.random(out=draws[:count]), 2.0, out=out[:count, :-1])
-        h -= 1.0
-        v = np.multiply(rng.random(out=out[:count, -1]), 2.0, out=out[:count, -1])
-        return h, v
+        np.multiply(rng.random(out=draws[:count]), 2.0, out=out[:count, :-1])
+        out[:count, :-1] -= 1.0
+        np.multiply(rng.random(out=out[:count, -1]), 2.0, out=out[:count, -1])
 
     done = 0
     rejected = 0
@@ -409,21 +408,19 @@ def horest_check(n: int, delta: float, trials: int = 1_000_000,
 
         rho = np.multiply(norm, delta * delta, out=rho_ws[:m])
         rho /= 100.0 * n
-        uh, uv = uniform(u, m)
-        uh *= rho[:, None]
-        uv -= 1.0
-        uv *= rho
-        uv *= rho
+        # a draw from the box (-1, 1)^{2n+1}, dilated by rho
+        uniform(u, m)
+        u[:m, -1] -= 1.0
+        core.dilate(rho, u[:m], out=u[:m])
         # pull draws outside the gauge ball of radius rho onto its sphere
         unorm = koranyi_norm(u[:m], out=scratch[:m])
         scale = scale_ws[:m]
         scale.fill(1.0)
         np.divide(rho, unorm, out=scale, where=unorm > rho)
-        uh *= scale[:, None]
-        uv *= np.square(scale, out=scale)
+        core.dilate(scale, u[:m], out=u[:m])
 
         # y = x . u; only the vertical coordinate matters
-        margin = np.add(x[:m, -1], uv, out=margin_ws[:m])
+        margin = np.add(x[:m, -1], u[:m, -1], out=margin_ws[:m])
         margin += core.symplectic_form(x[:m], u[:m], out=scratch[:m])
         bound = np.multiply(norm, delta, out=scratch[:m, 0])
         bound *= bound

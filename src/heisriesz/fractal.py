@@ -614,17 +614,16 @@ def _compose_after(q: np.ndarray, rw: np.ndarray, sq: np.ndarray, sr):
     return core.group_mul(q, shifted, out=out), rw * sr
 
 
-def min_piece_separation(ifs: Ifs, level: int, sample: int = 256) -> float:
+def min_piece_separation(ifs: Ifs, level: int) -> float:
     """Exact minimal gauge distance across distinct first-letter cylinders.
 
     Branch and bound over word pairs with different first letters, each
     word w stood for by its anchor w(b), b the fixed point of map 0 (the
-    base of :func:`cylinder_measure`).  A dense pass covers the deepest
-    level whose word count stays within `sample`; the pairs that may
-    still hold the minimum are then refined one letter at a time on
-    alternate sides, the N children of a fixed-size chunk of parent
-    pairs at once, until both words reach `level` = L.  A level-l anchor
-    lies within
+    base of :func:`cylinder_measure`).  The search starts from the
+    N(N-1)/2 pairs of distinct one-letter words and refines the pairs
+    that may still hold the minimum one letter at a time on alternate
+    sides, the N children of a fixed-size chunk of parent pairs at once,
+    until both words reach `level` = L.  A level-l anchor lies within
 
         drift(l) = r^l rho0 (1 - r^(L-l)) / (1 - r)
 
@@ -637,16 +636,13 @@ def min_piece_separation(ifs: Ifs, level: int, sample: int = 256) -> float:
     first letter, so every distance computed is realized at level L and
     U is the least one seen so far.  Pruning keeps every ancestor pair of
     the minimum (with 1e-12 slack for rounding), so the result is exact.
-    Every word is composed by the same one-letter appends in both passes,
-    so `sample` moves no bit of it, only the runtime.  The dense pass
-    measures every cross pair, the refinement only the children of pairs
-    near the minimum: for the 16-map corner family the default of 256
-    words (level 2, about 30k distances) measures 0.4M distances in all
-    at level 4 and 1.7M at level 5, against 8.0M and 9.4M when the dense
-    pass covers 4,096 words (level 3, 7.9M).  Memory grows with the chunk
-    (CHUNK = 2^16 distances at a time) and the surviving pairs, not with
-    the pair count at `level`; more than 2^22 surviving pairs raise
-    RuntimeError.  A one-map system has no cross pairs and returns +inf.
+    Every word is composed by one-letter appends, as in
+    :func:`word_similarity`.  For the 16-map corner family the search
+    measures 0.34M distances at level 4 and 1.7M at level 5.  Memory
+    grows with the chunk (CHUNK = 2^16 distances at a time) and the
+    surviving pairs, not with the pair count at `level`; more than 2^22
+    surviving pairs raise RuntimeError.  A one-map system has no cross
+    pairs and returns +inf.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
@@ -658,10 +654,6 @@ def min_piece_separation(ifs: Ifs, level: int, sample: int = 256) -> float:
     r_max = float(np.max(ifs.ratios))
     rho0 = max(float(dist(b, s.apply(b))) for s in maps)
 
-    coarse = 1
-    while coarse < level and N ** (coarse + 1) <= max(sample, N):
-        coarse += 1
-
     def drift(lvl: int) -> float:
         return r_max ** lvl * rho0 * (1.0 - r_max ** (level - lvl)) / (1.0 - r_max)
 
@@ -669,27 +661,19 @@ def min_piece_separation(ifs: Ifs, level: int, sample: int = 256) -> float:
         # the anchor w(b) is the translation of w followed by tau_b
         return _compose_after(qc, rc, b, 1.0)[0]
 
-    # composites (q, rw) for every coarse-level word, each parent followed
-    # by all N letters: the first letter stays most significant, so each
-    # first letter owns a block of `group` rows
     sq, sr = np.stack([s.q for s in maps]), ifs.ratios
-    q, rw = sq, sr
-    for _ in range(coarse - 1):
-        q, rw = _compose_after(q[:, None], rw[:, None], sq, sr)
-        q, rw = q.reshape(-1, q.shape[-1]), rw.ravel()
-    group = len(rw) // N
+
+    def letter_pairs():
+        """The one-letter pairs (i, j), i < j, from CHUNK cells of the
+        N x N table at a time."""
+        for start in range(0, N * N, CHUNK):
+            i, j = np.divmod(np.arange(start, min(start + CHUNK, N * N)), N)
+            i, j = i[i < j], j[i < j]
+            if len(i):
+                yield sq[i], sr[i], sq[j], sr[j]
 
     # CHUNK distances at a time: each child holds its own composite,
     # anchor and distance, and a larger chunk measured no faster
-    def anchor_pairs():
-        """Each block's rows against the anchors of all later blocks."""
-        rows = max(1, CHUNK // len(rw))
-        for later in range(group, len(rw), group):
-            for start in range(later - group, later, rows):
-                stop = min(start + rows, later)
-                yield (q[start:stop, None], rw[start:stop, None],
-                       q[None, later:], rw[None, later:])
-
     def child_pairs(pairs, side: int):
         """The N children of one side of a chunk of parent pairs at once,
         letters on the leading axis."""
@@ -730,8 +714,8 @@ def min_piece_separation(ifs: Ifs, level: int, sample: int = 256) -> float:
         sel = cols[0] <= upper + slack
         return least, [c[sel] for c in cols[1:]]
 
-    levels = [coarse, coarse]
-    least, pairs = prune(anchor_pairs(), levels)
+    levels = [1, 1]
+    least, pairs = prune(letter_pairs(), levels)
     while pairs is not None:
         # refine the shallower side, the first on a tie
         side = int(levels[1] < levels[0])

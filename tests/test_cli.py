@@ -13,6 +13,7 @@ import pytest
 import heisriesz.cli as cli
 import heisriesz.core as core
 from heisriesz.cli import main
+from heisriesz.subgroups import make_vertical
 
 
 def _write_config(tmp_path, doc):
@@ -352,6 +353,38 @@ def test_cone_deficiency_cli(tmp_path):
     with open(out / "cone_deficiency.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["point_index", "subgroup_index", "radius", "ratio"]
+
+
+def test_cone_deficiency_n2_tests_subgroups_of_the_measure_dimension(tmp_path):
+    # the n = 2 corner family has a = 3, so every subgroup is L x T with
+    # L a horizontal line, none the center line or a horizontal plane
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, {"n": 2, "diagnostics": {
+        "level": 2, "cone_points": 2, "cone_subgroups": 3, "radii": [0.5]}})
+    assert _run(["cone-deficiency", "--config", cfg, "--out", str(out)]) == 0
+    res = json.loads((out / "cone_deficiency.json").read_text())["results"]
+    assert res["a"] == 3.0
+    assert len(res["subgroups"]) == 3
+    for desc in res["subgroups"]:
+        assert desc["kind"] == "vertical"
+        assert make_vertical(2, desc["basis"]).hausdorff_dimension == 3
+
+
+@pytest.mark.parametrize("doc", [
+    {"ifs": {"r": 0.125}},
+    {"diagnostics": {"a": 4.5}},
+    {"diagnostics": {"a": 1.0}},
+], ids=["a=4/3", "a=4.5", "a=1"])
+def test_cone_deficiency_without_a_subgroup_of_dimension_a(tmp_path, capsys,
+                                                           doc):
+    # 4/3 is no subgroup's dimension, H^1 itself has dimension 4, and the
+    # cone family starts at the center line's 2
+    doc.setdefault("diagnostics", {}).update(level=2, radii=[0.5])
+    cfg = _write_config(tmp_path, doc)
+    code = _run(["cone-deficiency", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "got a = " in err
 
 
 def test_flag_overrides_config(tmp_path):

@@ -242,10 +242,10 @@ def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):
 
 def test_corrupted_dilation_reaches_every_caller(monkeypatch, ifs14, mu2,
                                                  phi64):
-    # cylinder atoms, word composites, the maps and the zoom all dilate
-    # through core.dilate, so scaling its vertical factor here must move
-    # each of these outputs
-    from heisriesz.diagnostics import blowup_measure
+    # cylinder atoms, word composites, the maps, the zoom and the
+    # vertical-bound check's ball draws all dilate through core.dilate,
+    # so scaling its vertical factor here must move each of these outputs
+    from heisriesz.diagnostics import blowup_measure, horest_check
     from heisriesz.fractal import (cylinder_measure, min_piece_separation,
                                    verify_invariant_region, word_similarity)
 
@@ -263,6 +263,7 @@ def test_corrupted_dilation_reaches_every_caller(monkeypatch, ifs14, mu2,
                                      s=2.0).points.tobytes(),
             "region": (region.min_lower_margin, region.min_upper_margin),
             "fixed_point": float(np.max(np.abs(s.apply(fixed) - fixed))),
+            "horest": horest_check(1, 0.5, trials=5000).min_margin,
         }
 
     before = outputs()

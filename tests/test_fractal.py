@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from heisriesz import fractal
 from heisriesz.core import dilate, dist, group_mul
 from heisriesz.fractal import (
     GridFunction,
@@ -386,20 +387,14 @@ def _brute_separation(ifs, level):
 
 
 def test_min_piece_separation_matches_brute_force(ifs14):
-    # sample 16 refines past level 1
     for level in (1, 2):
         want = _brute_separation(ifs14, level)
-        for sample in (16, 4096):
-            got = min_piece_separation(ifs14, level, sample=sample)
-            assert got == pytest.approx(want, rel=1e-12)
-    # unequal ratios: the drift bound uses the largest; sample 3 refines
-    # from level 1, 9 from level 2, 4096 runs the dense pass only
+        assert min_piece_separation(ifs14, level) == pytest.approx(want, rel=1e-12)
+    # unequal ratios: the drift bound uses the largest
     mixed = _mixed_trio()
     for level in (3, 4, 5):
         want = _brute_separation(mixed, level)
-        for sample in (3, 9, 4096):
-            got = min_piece_separation(mixed, level, sample=sample)
-            assert got == pytest.approx(want, rel=1e-12)
+        assert min_piece_separation(mixed, level) == pytest.approx(want, rel=1e-12)
 
 
 def _mixed_trio():
@@ -415,15 +410,14 @@ def _mixed_trio():
     ("mixed", 3, "0x1.badd07ea7ba4cp-2"),
     ("mixed", 4, "0x1.ad9770f9201c1p-2"),
     ("mixed", 5, "0x1.aa05bd37af911p-2"),
+    ("r8", 3, "0x1.ce12949eaf465p-2"),
+    ("n2", 2, "0x1.3a13de01ef15dp-2"),
 ])
-def test_min_piece_separation_bits_do_not_depend_on_sample(ifs14, family,
-                                                           level, want):
-    # every word is composed by the same one-letter appends whether the
-    # dense pass or the refinement builds it, so the dense pass's depth
-    # moves no bit of the result
-    ifs = ifs14 if family == "ifs14" else _mixed_trio()
-    for sample in (3, 16, 256, 4096):
-        assert min_piece_separation(ifs, level, sample=sample) == float.fromhex(want)
+def test_min_piece_separation_bits(ifs14, family, level, want):
+    ifs = {"ifs14": lambda: ifs14, "mixed": _mixed_trio,
+           "r8": lambda: make_strichartz_ifs(1, 0.125),
+           "n2": lambda: make_strichartz_ifs(2, 0.25)}[family]()
+    assert min_piece_separation(ifs, level) == float.fromhex(want)
 
 
 @pytest.fixture(scope="module")
@@ -431,10 +425,15 @@ def brute3(ifs14):
     return _brute_separation(ifs14, 3)
 
 
-@pytest.mark.parametrize("sample", [16, 256, 4096])
-def test_min_piece_separation_refinement_matches_brute_force(ifs14, brute3, sample):
-    # sample 16 refines two levels past the dense pass, 256 one, 4096 none
-    got = min_piece_separation(ifs14, 3, sample=sample)
+@pytest.mark.parametrize("chunk", [16, 256, 4096])
+def test_min_piece_separation_refinement_matches_brute_force(ifs14, brute3,
+                                                             chunk, monkeypatch):
+    # a chunk of 16 splits the one-letter table into its 16 rows, the
+    # last with no pair i < j, and each refinement into 1-parent pieces;
+    # the distances are elementwise, so the chunk moves no bit
+    monkeypatch.setattr(fractal, "CHUNK", chunk)
+    got = min_piece_separation(ifs14, 3)
+    assert got == float.fromhex("0x1.36dafd8531683p-2")
     assert got == pytest.approx(brute3, rel=1e-12)
 
 

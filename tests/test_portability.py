@@ -6,11 +6,12 @@ AVX-512 than under AVX2 or SSE.  The package keeps them off every
 pinned path, so a process with all of numpy's dispatched features
 switched off (``NPY_DISABLE_CPU_FEATURES``) must reproduce this one's
 digests: the ``test_core`` batch pins, the cylinder pins, a small
-``horest_check`` run, the corner family's level-3 separation, ball-mass
-and cone ratios at the non-integer dimension a = 4/3, and the
-``selftest`` and ``riesz transform`` quick outputs.  Every pinned run
-has an integer kernel degree; for a non-integer s the sweep kernel keeps
-one ``np.power``, and nothing of it is pinned here.
+``horest_check`` run, the corner family's level-3 and the unequal-ratio
+trio's level-5 separation, ball-mass and cone ratios at the non-integer
+dimension a = 4/3, and the ``selftest`` and ``riesz transform`` quick
+outputs.  Every pinned run has an integer kernel degree; for a
+non-integer s the sweep kernel keeps one ``np.power``, and nothing of it
+is pinned here.
 
 Run as a script, this file prints the digests as one JSON line.
 """
@@ -36,7 +37,7 @@ from heisriesz.fractal import (cylinder_measure, make_strichartz_ifs,
 from heisriesz.subgroups import make_vertical
 
 from test_core import _batch
-from test_fractal import _CYLINDER_DIGESTS
+from test_fractal import _CYLINDER_DIGESTS, _mixed_trio
 
 
 def _found_features():
@@ -61,6 +62,7 @@ def _digests() -> dict:
     horest = horest_check(2, 0.5, trials=20_000, seed=3)
     out["horest"] = [horest.hypothesis_rejections, horest.min_margin.hex()]
     out["separation"] = min_piece_separation(make_strichartz_ifs(1, 0.25), 3).hex()
+    out["separation trio L5"] = min_piece_separation(_mixed_trio(), 5).hex()
     # r^a at a non-integer a, on the r = 1/8 family's level-3 measure
     mu = cylinder_measure(make_strichartz_ifs(1, 0.125), 3)
     radii = np.linspace(0.05, 0.6, 12)
