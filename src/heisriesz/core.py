@@ -12,12 +12,13 @@ that they fill and return instead of allocating; the scalar-valued
 :func:`symplectic_form` and :func:`koranyi_norm` use its first
 coordinates as scratch and return its last coordinate.  Only
 :func:`dilate` may overlap ``out`` with its input.  Sums over the
-coordinates run left to right, one coordinate view ``a[..., i]`` at a
-time, with and without ``out`` and in any memory order, so every layout
-gives the same bits.  Callers use the returned array, and every module
-calls :func:`symplectic_form`, :func:`group_mul` and :func:`dilate`
-through this module, not through a name bound at import, so a replaced
-one reaches every caller.
+coordinates run left to right and horizontal blocks are written one
+coordinate view ``a[..., i]`` at a time (a 2-D ufunc over a C-order
+batch runs one 2n-element loop per point), with or without ``out`` and
+in any memory order, so every layout gives the same bits.  Callers use
+the returned array, and every module calls :func:`symplectic_form`,
+:func:`group_mul` and :func:`dilate` through this module, not through a
+name bound at import, so a replaced one reaches every caller.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def group_mul(p, q, out=None):
     form = symplectic_form(a, b, out=out)
     vert = np.add(a[..., -1], b[..., -1], out=out[..., 0])
     np.add(vert, form, out=out[..., -1])
-    np.add(a[..., :-1], b[..., :-1], out=out[..., :-1])
+    for i in range(2 * n):
+        np.add(a[..., i], b[..., i], out=out[..., i])
     return out
 
 
@@ -122,7 +124,8 @@ def left_displacement(p, q, out=None):
     form = symplectic_form(a, b, out=out)
     vert = np.subtract(b[..., -1], a[..., -1], out=out[..., 0])
     np.subtract(vert, form, out=out[..., -1])
-    np.subtract(b[..., :-1], a[..., :-1], out=out[..., :-1])
+    for i in range(2 * n):
+        np.subtract(b[..., i], a[..., i], out=out[..., i])
     return out
 
 
@@ -168,8 +171,8 @@ def dist(p, q):
 
 def _check_ratio(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
-    # NaN fails both comparisons
-    if not np.all((r > 0.0) & (r < np.inf)):
+    # a NaN anywhere makes the minimum NaN, which fails the comparison
+    if r.size and not (r.min() > 0.0 and r.max() < np.inf):
         raise ValueError(f"dilation factor must be a finite positive number, got {r}")
     return r
 
@@ -180,11 +183,12 @@ def dilate(r, p, out=None):
     ``r`` is one ratio or one per point, broadcast over the leading axes.
     """
     r = _check_ratio(r)
-    a, _ = _coords(p)
+    a, n = _coords(p)
     if out is None:
         out = np.empty(np.broadcast_shapes(a.shape, r.shape + (1,)))
-    np.multiply(a[..., :-1], r[..., None], out=out[..., :-1])
     np.multiply(a[..., -1], r * r, out=out[..., -1])
+    for i in range(2 * n):
+        np.multiply(a[..., i], r, out=out[..., i])
     return out
 
 

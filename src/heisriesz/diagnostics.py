@@ -377,9 +377,10 @@ def horest_check(n: int, delta: float, trials: int = 1_000_000,
 
     def uniform(out, count):
         # rng.uniform(a, b) is a + (b - a) U for the same U: these are the
-        # bits of (-1, 1) horizontals, drawn in C order, and of (0, 2)
-        # verticals, where adding 0.0 to 2 U moves no bit
-        np.multiply(rng.random(out=draws[:count]), 2.0, out=out[:count, :-1])
+        # bits of (-1, 1) horizontals, drawn in C order and scaled column
+        # by column, and of (0, 2) verticals, where adding 0.0 moves no bit
+        for i, col in enumerate(rng.random(out=draws[:count]).T):
+            np.multiply(col, 2.0, out=out[:count, i])
         out[:count, :-1] -= 1.0
         np.multiply(rng.random(out=out[:count, -1]), 2.0, out=out[:count, -1])
 

@@ -301,9 +301,9 @@ def _tilt_term(z: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _stencil(pts: np.ndarray, resolution: int):
     """Multilinear interpolation stencil on the node grid of [0,1]^axes.
 
-    Returns the flat node indices and weights of the 2^axes cell corners
-    around each point, stacked corner-first; points outside the cube are
-    clamped onto it.
+    Yields the flat node indices and weights of the 2^axes cell corners
+    around the points one corner at a time, bit i of a corner taking the
+    upper node on axis i; points outside the cube are clamped onto it.
     """
     axes = pts.shape[-1]
     u = np.clip(pts, 0.0, 1.0) * resolution
@@ -311,17 +311,18 @@ def _stencil(pts: np.ndarray, resolution: int):
     hi = u - i0
     lo = 1.0 - hi
     strides = (resolution + 1) ** np.arange(axes - 1, -1, -1)
-    idx = np.empty((2 ** axes,) + pts.shape[:-1], dtype=np.int64)
-    idx[...] = i0 @ strides
-    weight = np.ones(idx.shape)
+    base = i0 @ strides
     for corner in range(2 ** axes):
-        for axis in range(axes):
-            if (corner >> axis) & 1:
-                idx[corner] += strides[axis]
-                weight[corner] *= hi[..., axis]
-            else:
-                weight[corner] *= lo[..., axis]
-    return idx, weight
+        upper = [(corner >> axis) & 1 for axis in range(axes)]
+        weight = np.ones(base.shape)
+        for axis, bit in enumerate(upper):
+            weight *= (hi if bit else lo)[..., axis]
+        yield base + int(np.dot(upper, strides)), weight
+
+
+def _interpolate(corners, flat_values: np.ndarray):
+    """Sum of weight * value over the corners, in order from +0 as np.sum."""
+    return sum(weight * flat_values[idx] for idx, weight in corners)
 
 
 @dataclass(frozen=True)
@@ -365,10 +366,10 @@ class GridFunction:
         w = np.asarray(pts, dtype=float)
         if w.shape[-1] != axes:
             raise ValueError(f"points must have {axes} coordinates")
-        if np.any((w < -1e-12) | (w > 1.0 + 1e-12)):
+        # a NaN makes both extremes NaN, which fails the comparisons
+        if w.size and not (w.min() >= -1e-12 and w.max() <= 1.0 + 1e-12):
             raise ValueError("points must lie in Q = [0, 1]^{2n}")
-        idx, weight = _stencil(w, self.resolution)
-        return np.sum(weight * self.values.ravel()[idx], axis=0)
+        return _interpolate(_stencil(w, self.resolution), self.values.ravel())
 
     def contraction_ratios(self) -> np.ndarray:
         """Successive sup-update ratios of the producing iteration."""
@@ -406,12 +407,13 @@ class _TiltOperator:
         eps = 0.5 * (1.0 - 2.0 * r)
         self.theta = np.clip((eps - best_d) / eps, 0.0, 1.0)
         self.twist = _tilt_term(z, best_pt)
-        self.gather_idx, self.gather_w = _stencil((best_pt - z) / r, M)
+        self.gather_idx, self.gather_w = map(
+            np.stack, zip(*_stencil((best_pt - z) / r, M)))
         self.in_cell = best_d == 0.0
         self.shape = shape
 
     def apply(self, flat_values: np.ndarray) -> np.ndarray:
-        interp = np.sum(self.gather_w * flat_values[self.gather_idx], axis=0)
+        interp = _interpolate(zip(self.gather_idx, self.gather_w), flat_values)
         return self.theta * (self.r * self.r * interp + self.twist)
 
 
@@ -538,9 +540,12 @@ def verify_invariant_region(ifs: Ifs, phi: GridFunction,
     R is the unit-height band over Q between phi and phi + 1.  Sampled
     points of R are pushed through every map with `Similarity.apply`, so
     through the package's group law; the image must land back between
-    phi and phi + 1 over its corner cell, with margins reported.  The
-    maps must equal those of ``make_strichartz_ifs(phi.n, phi.r)``, the
-    corner family phi was built for; any other system raises ValueError.
+    phi and phi + 1 over its corner cell, with margins reported.  phi is
+    evaluated once per horizontal translation q', not once per map: every
+    image has the horizontal part q' + r w' whatever the vertical offset,
+    so the 4 maps over one corner share its bits exactly.  The maps must
+    equal those of ``make_strichartz_ifs(phi.n, phi.r)``, the corner
+    family phi was built for; any other system raises ValueError.
     """
     n, r = phi.n, phi.r
     family = make_strichartz_ifs(n, r).maps
@@ -564,9 +569,12 @@ def verify_invariant_region(ifs: Ifs, phi: GridFunction,
     witness = None
     min_lower = math.inf
     min_upper = math.inf
+    bases = {}
     for s in ifs.maps:
         image = s.apply(samples)
-        base = phi.evaluate(image[:, :-1])
+        if (key := s.q[:-1].tobytes()) not in bases:
+            bases[key] = phi.evaluate(image[:, :-1])
+        base = bases[key]
         lower = image[:, -1] - base
         upper = base + 1.0 - image[:, -1]
         min_lower = min(min_lower, float(np.min(lower)))

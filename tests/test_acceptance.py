@@ -84,6 +84,11 @@ def test_criterion_3_tilt_grid_converges(phi256):
 def test_criterion_4_invariant_region_and_separation(ifs14, phi256):
     report = verify_invariant_region(ifs14, phi256, sample_count=100_000, seed=0)
     assert report.violations == 0
+    # the report's bits, pinned: the samples, the group law, the tilt
+    # interpolation and the slack all reach them
+    assert report.min_lower_margin.hex() == "-0x1.52485250b2434p-14"
+    assert report.min_upper_margin.hex() == "0x1.7fd6f5362d518p-3"
+    assert report.slack.hex() == "0x1.6d6f27a57f5dcp-12"
     assert report.disjoint_certified
     assert report.certified
     # slabs: thickness r^2 strictly below the offset spacing 1/4

@@ -86,6 +86,14 @@ def test_dilate_rejects_bad_ratio():
     for r in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             dilate(r, [1.0, 0.0, 0.0])
+        # one bad ratio anywhere in a per-point array raises too
+        for i in (0, 2, 4):
+            ratios = np.full(5, 0.5)
+            ratios[i] = r
+            with pytest.raises(ValueError, match="finite positive"):
+                dilate(ratios, np.ones((5, 3)))
+    # an empty batch has no ratio to check and dilates to an empty batch
+    assert dilate(np.zeros(0), np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_dist_is_left_invariant():
@@ -313,6 +321,43 @@ def test_every_layout_gives_the_same_bits(n):
         single = [call(p[i], q[i], None) for i in range(20)]
         assert all(type(v) is np.float64 for v in single), name
         assert np.array(single).tobytes() == ref[:20].tobytes(), name
+
+
+def _strided_copy(a):
+    """a in every other row of a wider buffer: strides unlike C or F order."""
+    view = np.empty((2 * len(a), a.shape[1] + 2))[::2, 1:-1]
+    view[...] = a
+    return view
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_group_law_bits_do_not_depend_on_layout(n):
+    # the horizontal blocks are written one coordinate column at a time,
+    # so C order, F order and a strided slice give the same bits, into a
+    # fresh array, into out= of any layout, and dilating in place
+    p, q = _batch(n, 60 + n, 2000)
+    r = np.random.default_rng(n).uniform(0.1, 3.0, len(p))
+    calls = {
+        "mul": lambda p, q, out: group_mul(p, q, out=out),
+        "disp": lambda p, q, out: core.left_displacement(p, q, out=out),
+        "dilate": lambda p, q, out: dilate(0.3, p, out=out),
+        "dilate per point": lambda p, q, out: dilate(r, p, out=out),
+        "blowup": lambda p, q, out: blowup_map(p[7], 0.2, q, out=out),
+    }
+    layouts = (np.ascontiguousarray, np.asfortranarray, _strided_copy)
+    for name, call in calls.items():
+        ref = call(p, q, None)
+        for layout in layouts:
+            for out in (None, np.empty(p.shape), np.empty(p.shape, order="F"),
+                        _strided_copy(np.empty(p.shape))):
+                got = np.ascontiguousarray(call(layout(p), layout(q), out))
+                assert got.tobytes() == ref.tobytes(), name
+    for ratio in (0.3, r):
+        ref = dilate(ratio, p)
+        for layout in layouts:
+            a = layout(p.copy())
+            assert dilate(ratio, a, out=a) is a
+            assert np.ascontiguousarray(a).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("n, digests", [

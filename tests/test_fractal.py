@@ -243,7 +243,7 @@ def _cell_arrays(nodes, z, pt, r, M):
     # of the cells z + r Q
     d = np.sqrt(np.sum((nodes - pt) ** 2, axis=-1))
     eps = 0.5 * (1.0 - 2.0 * r)
-    idx, w = _stencil((pt - z) / r, M)
+    idx, w = map(np.stack, zip(*_stencil((pt - z) / r, M)))
     return (np.clip((eps - d) / eps, 0.0, 1.0), _tilt_term(z, pt), idx, w,
             d == 0.0)
 
@@ -332,9 +332,13 @@ def test_grid_function_rejects_points_outside_q():
     edge = g.evaluate(np.array([[1.0, 0.0], [0.0, 1.0]]))
     slack = g.evaluate(np.array([[1.0 + 1e-13, -1e-13], [-1e-13, 1.0 + 1e-13]]))
     np.testing.assert_array_equal(slack, edge)
-    for bad in ([1.0 + 1e-9, 0.5], [0.5, -1e-9], [2.0, 0.5]):
+    for bad in ([1.0 + 1e-9, 0.5], [0.5, -1e-9], [2.0, 0.5], [np.nan, 0.5],
+                [0.5, np.nan], [np.inf, 0.5], [0.5, -np.inf]):
         with pytest.raises(ValueError, match="must lie in Q"):
             g.evaluate(np.array([[0.5, 0.5], bad]))
+        with pytest.raises(ValueError, match="must lie in Q"):
+            g.evaluate(np.array(bad))
+    assert g.evaluate(np.zeros((0, 2))).shape == (0,)
 
 
 def test_invariant_region_certified(ifs14, phi64):
