@@ -14,8 +14,9 @@ satisfying, on each corner cell Q_j = z_j + r Q,
     phi(w) = r^2 phi((w - z_j) / r) + h_j(w),
     h_j(w) = -2 sum_i (z_{j,i} w_{i+n} - z_{j,i+n} w_i),
 
-which is the fixed point of a contraction with ratio r^2 and is found
-here by iterating that operator on a grid.
+which is the fixed point of a contraction with ratio r^2.  h_j splits
+over the planes (i, n+i), so phi is a sum of planar solutions, found
+here by iterating that operator on one grid of [0,1]^2.
 """
 
 from __future__ import annotations
@@ -119,13 +120,8 @@ _STRICHARTZ_OFFSETS = (0.0, 0.25, 0.5, 0.75)
 
 def _strichartz_corners(n: int, r: float) -> np.ndarray:
     """Corner translations {0, 1-r}^{2n}, bit i of the index driving axis i."""
-    count = 2 ** (2 * n)
-    corners = np.zeros((count, 2 * n))
-    for j in range(count):
-        for axis in range(2 * n):
-            if (j >> axis) & 1:
-                corners[j, axis] = 1.0 - r
-    return corners
+    bits = (np.arange(2 ** (2 * n))[:, None] >> np.arange(2 * n)) & 1
+    return bits * (1.0 - r)
 
 
 def make_strichartz_ifs(n: int, r: float) -> Ifs:
@@ -299,25 +295,21 @@ def _tilt_term(z: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _stencil(pts: np.ndarray, resolution: int):
-    """Multilinear interpolation stencil on the node grid of [0,1]^axes.
+    """Bilinear interpolation stencil on the node grid of [0,1]^2.
 
-    Yields the flat node indices and weights of the 2^axes cell corners
+    Yields the flat node indices and weights of the 4 cell corners
     around the points one corner at a time, bit i of a corner taking the
-    upper node on axis i; points outside the cube are clamped onto it.
+    upper node on axis i; points outside the square are clamped onto it.
     """
-    axes = pts.shape[-1]
     u = np.clip(pts, 0.0, 1.0) * resolution
     i0 = np.clip(u.astype(np.int64), 0, resolution - 1)
     hi = u - i0
     lo = 1.0 - hi
-    strides = (resolution + 1) ** np.arange(axes - 1, -1, -1)
-    base = i0 @ strides
-    for corner in range(2 ** axes):
-        upper = [(corner >> axis) & 1 for axis in range(axes)]
-        weight = np.ones(base.shape)
-        for axis, bit in enumerate(upper):
-            weight *= (hi if bit else lo)[..., axis]
-        yield base + int(np.dot(upper, strides)), weight
+    base = i0[..., 0] * (resolution + 1) + i0[..., 1]
+    for up1 in (0, 1):
+        for up0 in (0, 1):
+            yield (base + up0 * (resolution + 1) + up1,
+                   (hi if up0 else lo)[..., 0] * (hi if up1 else lo)[..., 1])
 
 
 def _interpolate(corners, flat_values: np.ndarray):
@@ -327,13 +319,13 @@ def _interpolate(corners, flat_values: np.ndarray):
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real function on Q = [0,1]^{2n} given by values on a uniform grid.
+    """Tilt function phi(w) = sum_i phi_1(w_i, w_{n+i}) on Q = [0,1]^{2n}.
 
-    `resolution` counts cells per axis, so values has resolution + 1
-    nodes per axis.  Evaluation between nodes is multilinear, which
-    preserves sup-norm bounds.  Instances produced by the fixed-point
-    solver also carry the iteration's sup-update history and the
-    measured self-consistency residual at cell nodes.
+    phi_1 is given by values on the (resolution + 1)^2 nodes of a
+    uniform grid of [0,1]^2, whatever n; between nodes it is bilinear,
+    which preserves sup-norm bounds.  Instances produced by the
+    fixed-point solver also carry the planar iteration's sup-update
+    history and the measured self-consistency residual at cell nodes.
     """
 
     n: int
@@ -344,11 +336,10 @@ class GridFunction:
     residual: float | None = None
 
     def __post_init__(self) -> None:
-        axes = 2 * self.n
         values = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if values.shape != (self.resolution + 1,) * axes:
+        if values.shape != (self.resolution + 1,) * 2:
             raise ValueError(
-                f"values must have shape {(self.resolution + 1,) * axes}, "
+                f"values must have shape {(self.resolution + 1,) * 2}, "
                 f"got {values.shape}"
             )
         if not np.all(np.isfinite(values)):
@@ -357,19 +348,22 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
     def evaluate(self, pts) -> np.ndarray:
-        """Multilinear interpolation at horizontal points (..., 2n) of Q.
+        """phi at horizontal points (..., 2n) of Q, planes added in order.
 
         Points up to 1e-12 outside Q (rounding in z + r w can land an
         ulp past 1) are clamped onto it; points farther out raise.
         """
-        axes = 2 * self.n
+        n = self.n
         w = np.asarray(pts, dtype=float)
-        if w.shape[-1] != axes:
-            raise ValueError(f"points must have {axes} coordinates")
+        if w.shape[-1] != 2 * n:
+            raise ValueError(f"points must have {2 * n} coordinates")
         # a NaN makes both extremes NaN, which fails the comparisons
         if w.size and not (w.min() >= -1e-12 and w.max() <= 1.0 + 1e-12):
             raise ValueError("points must lie in Q = [0, 1]^{2n}")
-        return _interpolate(_stencil(w, self.resolution), self.values.ravel())
+        flat = self.values.ravel()
+        # w[..., i::n] is the plane (w_i, w_{n+i}); for n = 1 it is w
+        return sum(_interpolate(_stencil(w[..., i::n], self.resolution), flat)
+                   for i in range(n))
 
     def contraction_ratios(self) -> np.ndarray:
         """Successive sup-update ratios of the producing iteration."""
@@ -380,12 +374,12 @@ class GridFunction:
 
 
 class _TiltOperator:
-    """Precomputed grid form of the tilt-function contraction.
+    """Precomputed grid form of the planar tilt-function contraction.
 
-    Every node gets a taper factor theta, a pull-back position inside
-    Q (through the nearest corner-cell point when the node lies in the
-    gap region), and the twist value there.  One application is then
-    new = theta * (r^2 * interp(f, pullback) + twist), an affine map
+    Every node of [0,1]^2 gets a taper factor theta, a pull-back position
+    inside it (through the nearest corner-cell point when the node lies
+    in the gap region), and the twist value there.  One application is
+    then new = theta * (r^2 * interp(f, pullback) + twist), an affine map
     whose linear part has sup-norm at most r^2.
 
     The corner cells are the products of the intervals [0, r] and
@@ -394,12 +388,9 @@ class _TiltOperator:
     nearest point of the cell is the node clipped onto it.
     """
 
-    def __init__(self, n: int, r: float, resolution: int) -> None:
-        self.n, self.r, self.resolution = n, r, resolution
-        axes = 2 * n
-        M = resolution
-        shape = (M + 1,) * axes
-        nodes = np.indices(shape, dtype=float).reshape(axes, -1).T / M
+    def __init__(self, r: float, M: int) -> None:
+        self.r = r
+        nodes = np.indices((M + 1, M + 1), dtype=float).reshape(2, -1).T / M
         z = np.where(nodes > 0.5, 1.0 - r, 0.0)
         best_pt = np.clip(nodes, z, z + r)
         best_d = np.sqrt(np.sum((nodes - best_pt) ** 2, axis=-1))
@@ -410,7 +401,6 @@ class _TiltOperator:
         self.gather_idx, self.gather_w = map(
             np.stack, zip(*_stencil((best_pt - z) / r, M)))
         self.in_cell = best_d == 0.0
-        self.shape = shape
 
     def apply(self, flat_values: np.ndarray) -> np.ndarray:
         interp = _interpolate(zip(self.gather_idx, self.gather_w), flat_values)
@@ -419,17 +409,20 @@ class _TiltOperator:
 
 def phi_fixed_point(n: int, r: float, resolution: int,
                     atom_cap: int = DEFAULT_ATOM_CAP) -> GridFunction:
-    """Solve the tilt self-consistency equation on a grid.
+    """Solve the tilt self-consistency equation on the planar grid.
 
-    Iterates the contraction from zero until the sup-norm update drops
-    below 1e-10.  The update ratios must stay below r^2 once past the
-    first step; anything larger signals a bug and raises RuntimeError.
-    The interpolation stencil holds (resolution + 1)^{2n} 2^{2n} entries;
-    more than `atom_cap` raise AtomCapExceeded before any is allocated.
-    Beyond the taper distance from the corner cells the function is
-    identically zero.  When 1/r divides the resolution the pull-backs
-    land on exact grid nodes and the returned residual reflects pure
-    iteration error; otherwise it also carries interpolation error.
+    h_z is a sum over the planes (i, n+i) and each corner cell a product
+    of planar ones, so the planar solution summed over the planes solves
+    it for every n.  Iterates the planar contraction from zero until the
+    sup-norm update drops below 1e-10.  The update ratios must stay
+    below r^2 once past the first step; anything larger signals a bug
+    and raises RuntimeError.  The stencil holds (resolution + 1)^2 4
+    entries for every n; more than `atom_cap` raise AtomCapExceeded
+    before any is allocated.  Beyond the taper distance from the corner
+    cells the function is identically zero.  When 1/r divides the
+    resolution the pull-backs land on exact grid nodes and the returned
+    residual (n times the planar one) reflects pure iteration error;
+    otherwise it also carries interpolation error.
     """
     if not (0.0 < r < 0.5):
         raise ValueError(f"tilt construction requires r in (0, 1/2), got {r}")
@@ -437,13 +430,13 @@ def phi_fixed_point(n: int, r: float, resolution: int,
         raise ValueError(
             f"resolution {resolution} leaves corner cells under 2 cells wide"
         )
-    entries = (resolution + 1) ** (2 * n) * 2 ** (2 * n)
+    entries = (resolution + 1) ** 2 * 4
     if entries > atom_cap:
         raise AtomCapExceeded(
             f"tilt grid at resolution {resolution} needs {entries} stencil "
             f"entries, over the cap of {atom_cap}"
         )
-    op = _TiltOperator(n, r, resolution)
+    op = _TiltOperator(r, resolution)
     f = np.zeros(len(op.theta))
     history = []
     ratio_cap = r * r + 0.01
@@ -470,30 +463,33 @@ def phi_fixed_point(n: int, r: float, resolution: int,
         n=n,
         r=r,
         resolution=resolution,
-        values=f.reshape(op.shape),
+        values=f.reshape(resolution + 1, -1),
         history=tuple(history),
-        residual=residual,
+        residual=n * residual,
     )
 
 
-def _ss2_residual_sup(phi: GridFunction, corners: np.ndarray) -> float:
+def _ss2_residual_sup(phi: GridFunction) -> float:
     """Exact sup of the grid self-consistency defect over the corner cells.
 
-    On each cell the defect is piecewise multilinear on the sublattice
-    z_j + (r/M) Z^{2n} (for M divisible by 1/r that lattice refines the
-    node grid), so its maximum is attained at sublattice points and a
-    finite scan is exact.  For other resolutions the scan is still a
-    dense probe; callers add a safety factor in that case.
+    The defect is a sum of planar ones whose planes vary independently,
+    so its sup is n times the planar sup over the 4 planar cells.  On
+    each the defect is piecewise bilinear on the sublattice z_j + (r/M)
+    Z^2 (for M divisible by 1/r that lattice refines the node grid), so
+    its maximum is attained at sublattice points and a finite scan is
+    exact.  For other resolutions the scan is still a dense probe;
+    callers add a safety factor in that case.
     """
-    M, r, axes = phi.resolution, phi.r, 2 * phi.n
+    M, r = phi.resolution, phi.r
+    flat = phi.values.ravel()
     sup = 0.0
-    grid = np.indices((M + 1,) * axes, dtype=float).reshape(axes, -1).T / M
-    pulled = r * r * phi.evaluate(grid)
-    for z in corners:
+    grid = np.indices((M + 1, M + 1), dtype=float).reshape(2, -1).T / M
+    pulled = r * r * _interpolate(_stencil(grid, M), flat)
+    for z in _strichartz_corners(1, r):
         w = z + r * grid
-        resid = phi.evaluate(w) - (pulled + _tilt_term(z, w))
+        resid = _interpolate(_stencil(w, M), flat) - (pulled + _tilt_term(z, w))
         sup = max(sup, float(np.max(np.abs(resid))))
-    return sup
+    return phi.n * sup
 
 
 @dataclass(frozen=True)
@@ -556,7 +552,7 @@ def verify_invariant_region(ifs: Ifs, phi: GridFunction,
                          "that the tilt grid was built for")
     rng = np.random.default_rng(seed)
 
-    sup_resid = _ss2_residual_sup(phi, _strichartz_corners(n, r))
+    sup_resid = _ss2_residual_sup(phi)
     exact_lattice = abs(phi.resolution * r - round(phi.resolution * r)) < 1e-9
     safety = 1.000001 if exact_lattice else 2.0
     slack = safety * sup_resid + 1e-15

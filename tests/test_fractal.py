@@ -252,21 +252,19 @@ def _operator_arrays(op):
     return op.theta, op.twist, op.gather_idx, op.gather_w, op.in_cell
 
 
-@pytest.mark.parametrize("n, r, M", [(1, 0.25, 63), (1, 0.125, 33),
-                                     (2, 0.25, 15)])
-def test_tilt_operator_takes_the_nearest_cell(n, r, M):
-    # brute force over all 2^{2n} corner cells; M is odd, so no node has
-    # a coordinate at 1/2 and every node has one nearest cell
-    axes = 2 * n
-    nodes = np.indices((M + 1,) * axes, dtype=float).reshape(axes, -1).T / M
-    corners = _strichartz_corners(n, r)
+@pytest.mark.parametrize("r, M", [(0.25, 63), (0.125, 33)])
+def test_tilt_operator_takes_the_nearest_cell(r, M):
+    # brute force over the 4 planar corner cells; M is odd, so no node
+    # has a coordinate at 1/2 and every node has one nearest cell
+    nodes = np.indices((M + 1, M + 1), dtype=float).reshape(2, -1).T / M
+    corners = _strichartz_corners(1, r)
     clipped = np.clip(nodes[None], corners[:, None], corners[:, None] + r)
     d = np.sqrt(np.sum((nodes[None] - clipped) ** 2, axis=-1))
     best = np.argmin(d, axis=0)
     assert np.all(np.sum(d == d[best, np.arange(len(nodes))], axis=0) == 1)
     expected = _cell_arrays(nodes, corners[best],
                             clipped[best, np.arange(len(nodes))], r, M)
-    for got, want in zip(_operator_arrays(_TiltOperator(n, r, M)), expected):
+    for got, want in zip(_operator_arrays(_TiltOperator(r, M)), expected):
         np.testing.assert_array_equal(got, want)
 
 
@@ -275,7 +273,7 @@ def test_tilt_operator_node_at_one_half_takes_the_lower_cell():
     # [1 - r, 1] differ, and the upper one is the smaller
     r, M = 0.3, 20
     assert 1.0 - r - 0.5 < 0.5 - r
-    op = _TiltOperator(1, r, M)
+    op = _TiltOperator(r, M)
     node = np.array([[0.5, 0.0]])
     i = (M // 2) * (M + 1)
     lower = _cell_arrays(node, np.zeros((1, 2)), np.array([[r, 0.0]]), r, M)
@@ -291,14 +289,51 @@ def test_phi_fixed_point_resolution_guard():
 
 
 def test_phi_fixed_point_respects_the_atom_cap():
-    # the stencil holds (M + 1)^{2n} 2^{2n} entries: 33^2 * 4 at M = 32
-    assert phi_fixed_point(1, 0.25, 32, atom_cap=33 ** 2 * 4).resolution == 32
-    with pytest.raises(AtomCapExceeded, match="4356 stencil entries"):
-        phi_fixed_point(1, 0.25, 32, atom_cap=33 ** 2 * 4 - 1)
-    # n = 2 at the default resolution would need about 7e10 entries; the
-    # default cap refuses it before allocating anything
-    with pytest.raises(AtomCapExceeded):
-        phi_fixed_point(2, 0.25, 256)
+    # the planar stencil holds (M + 1)^2 4 entries for every n: 33^2 * 4
+    # at M = 32
+    for n in (1, 2):
+        assert phi_fixed_point(n, 0.25, 32,
+                               atom_cap=33 ** 2 * 4).resolution == 32
+        with pytest.raises(AtomCapExceeded, match="4356 stencil entries"):
+            phi_fixed_point(n, 0.25, 32, atom_cap=33 ** 2 * 4 - 1)
+    # so n = 2 at the default resolution fits the default cap
+    assert phi_fixed_point(2, 0.25, 256).values.shape == (257, 257)
+
+
+def test_phi_is_a_sum_over_the_symplectic_planes():
+    # phi(w) = phi_1(w_0, w_2) + phi_1(w_1, w_3) in H^2, bit for bit
+    planar, phi = phi_fixed_point(1, 0.25, 64), phi_fixed_point(2, 0.25, 64)
+    np.testing.assert_array_equal(phi.values, planar.values)
+    w = np.random.default_rng(17).random((5000, 4))
+    np.testing.assert_array_equal(phi.evaluate(w), planar.evaluate(w[:, [0, 2]])
+                                  + planar.evaluate(w[:, [1, 3]]))
+    # the n-plane defect is the planar one n times over, attained with
+    # the same cell and point in every plane
+    reports = [verify_invariant_region(make_strichartz_ifs(n, 0.25), f,
+                                       sample_count=2000)
+               for n, f in ((1, planar), (2, phi))]
+    assert reports[1].discretization_sup == 2.0 * reports[0].discretization_sup
+    assert reports[1].certified
+
+
+class _MisPaired(GridFunction):
+    """The planar sum over the axis pairs (0, 1) and (2, 3) of H^2, which
+    are not symplectic planes."""
+
+    def evaluate(self, pts):
+        return super().evaluate(np.asarray(pts)[..., [0, 2, 1, 3]])
+
+
+def test_region_check_fails_on_the_wrong_planes():
+    phi = phi_fixed_point(2, 0.25, 64)
+    wrong = _MisPaired(n=2, r=0.25, resolution=64, values=phi.values)
+    report = verify_invariant_region(make_strichartz_ifs(2, 0.25), wrong,
+                                     sample_count=5000)
+    # the grid and its defect scan are the same; only the pairing differs
+    assert report.slack < 1e-2
+    assert not report.certified
+    assert report.violations > 0
+    assert report.min_lower_margin < -1.0
 
 
 def test_grid_function_eval_reproduces_affine():

@@ -9,8 +9,8 @@ affected digests and names the moved fields in CHANGES.md.
 A second set pins the config-driven paths: a relative ``measure.csv``
 block (the --quick cylinder measure copied into the run directory), an
 explicit blow-up point, explicit transform points and cutoffs, a
-two-map custom system and a horizontal subgroup in H^2.  Those runs
-pin their exit code too.
+two-map custom system, the corner family in H^2 under --quick and a
+horizontal subgroup in H^2.  Those runs pin their exit code too.
 """
 
 import hashlib
@@ -113,6 +113,11 @@ CONFIG_RUNS = {
                 "maps": [{"q": [0.0, 0.0, 0.0], "r": 0.25},
                          {"q": [0.75, 0.0, 0.0], "r": 0.25}]},
     }),
+    # the corner family in H^2 through the planar tilt sum: "expect"
+    # turns any other verdict into exit 3
+    "verify-corner-n2": (("ifs", "verify"), {
+        "n": 2, "quick": True, "ifs": {"expect": "certified"},
+    }),
     "subgroup-probe-horizontal-n2": (("riesz", "subgroup-probe"), {
         "n": 2,
         "riesz": {"s": 1.0, "resolution": 256, "eps": [0.5, 0.25, 0.125],
@@ -148,6 +153,10 @@ CONFIG_GOLDEN = {
     "verify-custom": (0, {
         "ifs_verify.json":
             "a4cd8793b65df5c45beb3f670f46a62785eb9ed958a0c426cc469e224062745f",
+    }),
+    "verify-corner-n2": (0, {
+        "ifs_verify.json":
+            "7b4462aeb938c3ecde02c8348ba9595fdbd1e58676b5c848265f971ace409c1b",
     }),
     "subgroup-probe-horizontal-n2": (0, {
         "subgroup_probe.csv":

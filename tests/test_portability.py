@@ -7,12 +7,12 @@ pinned path, so a process with all of numpy's dispatched features
 switched off (``NPY_DISABLE_CPU_FEATURES``) must reproduce this one's
 digests: the ``test_core`` batch pins, the cylinder pins, a small
 ``horest_check`` run, the corner family's level-3 and the unequal-ratio
-trio's level-5 separation, a small invariant-region report (the tilt
-grid, its interpolation and the group law), ball-mass and cone ratios
-at the non-integer dimension a = 4/3, and the ``selftest`` and
-``riesz transform`` quick outputs.  Every pinned run has an integer
-kernel degree; for a non-integer s the sweep kernel keeps one
-``np.power``, and nothing of it is pinned here.
+trio's level-5 separation, small invariant-region reports in H^1 and
+H^2 (the tilt grid, its interpolation, the sum over the planes and the
+group law), ball-mass and cone ratios at the non-integer dimension
+a = 4/3, and the ``selftest`` and ``riesz transform`` quick outputs.
+Every pinned run has an integer kernel degree; for a non-integer s the
+sweep kernel keeps one ``np.power``, and nothing of it is pinned here.
 
 Run as a script, this file prints the digests as one JSON line.
 """
@@ -65,12 +65,13 @@ def _digests() -> dict:
     out["horest"] = [horest.hypothesis_rejections, horest.min_margin.hex()]
     out["separation"] = min_piece_separation(make_strichartz_ifs(1, 0.25), 3).hex()
     out["separation trio L5"] = min_piece_separation(_mixed_trio(), 5).hex()
-    phi = phi_fixed_point(1, 0.25, 64)
-    region = verify_invariant_region(make_strichartz_ifs(1, 0.25), phi,
-                                     sample_count=5000, seed=0)
-    out["region"] = [_sha(phi.values.tobytes()), region.violations,
-                     region.min_lower_margin.hex(),
-                     region.min_upper_margin.hex(), region.slack.hex()]
+    for n, key in ((1, "region"), (2, "region n=2")):
+        phi = phi_fixed_point(n, 0.25, 64)
+        region = verify_invariant_region(make_strichartz_ifs(n, 0.25), phi,
+                                         sample_count=5000, seed=0)
+        out[key] = [_sha(phi.values.tobytes()), region.violations,
+                    region.min_lower_margin.hex(),
+                    region.min_upper_margin.hex(), region.slack.hex()]
     # r^a at a non-integer a, on the r = 1/8 family's level-3 measure
     mu = cylinder_measure(make_strichartz_ifs(1, 0.125), 3)
     radii = np.linspace(0.05, 0.6, 12)
