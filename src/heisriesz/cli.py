@@ -67,6 +67,9 @@ class ConfigError(ValueError):
 # The run settings a config may set at its top level, beside the blocks.
 _RUN_KEYS = ("schema", "n", "seed", "threads", "quick", "atom_cap", "out")
 
+# The share of probe points that must diverge for a "diverging" verdict.
+DIVERGING_FRACTION = 0.75
+
 # Per-block defaults; a config key outside its block's table is an error.
 # A level left None is the command's own full or --quick level.
 _DEFAULTS = {
@@ -79,25 +82,19 @@ _DEFAULTS = {
         "separation_level": 4,
         "expect": None,
     },
-    "measure": {"csv": None, "spacing": None},
+    "measure": {"csv": None, "spacing": None, "a": None},
     "riesz": {
-        "s": 2.0,
         "eps": None,
         "points": None,
         "level": None,
-        "c": 0.05,
-        "fraction": 0.75,
         "window": 2.0,
         "resolution": 2048,
-        "slope_tol": 0.01,
         "subgroup": None,
         "expect": None,
     },
     "diagnostics": {
-        "a": None,
         "centers": 64,
         "radii": (0.25, 0.0625, 0.015625, 0.00390625),
-        "c_cap": 50.0,
         "level": None,
         "delta": 0.5,
         "cone_points": 8,
@@ -109,7 +106,6 @@ _DEFAULTS = {
         "r": 0.25,
         "level": None,
         "normalization": "power",
-        "s": None,
         "point": None,
     },
     "selftest": {},
@@ -137,6 +133,17 @@ class RunConfig:
         return {**defaults, **block}
 
 
+def _integer_setting(settings: dict, key: str, least: int) -> int:
+    """A JSON integer >= least; an integral float such as 1e7 passes, a
+    bool or a fraction is an error, never coerced."""
+    value = settings[key]
+    integral = (isinstance(value, int) and not isinstance(value, bool)
+                or isinstance(value, float) and value.is_integer())
+    if not integral or value < least:
+        raise ConfigError(f"{key!r} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     raw = {}
     if args.config:
@@ -154,22 +161,20 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     unknown = sorted(set(raw) - set(_DEFAULTS) - set(_RUN_KEYS))
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {', '.join(unknown)}")
-    n = int(raw.get("n", 1))
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-    threads = (args.threads if args.threads is not None
-               else int(raw.get("threads", 1)))
-    atom_cap = int(raw.get("atom_cap", DEFAULT_ATOM_CAP))
-    quick = bool(args.quick) if args.quick is not None else bool(raw.get("quick", False))
-    out = args.out if args.out is not None else str(raw.get("out", "."))
-    if n < 1:
-        raise ConfigError(f"group index must be >= 1, got {n}")
-    if threads < 1:
-        raise ConfigError(f"thread count must be >= 1, got {threads}")
-    if atom_cap < 1:
-        raise ConfigError(f"atom cap must be >= 1, got {atom_cap}")
+    # the flags override the file's values
+    settings = {"n": 1, "seed": 0, "threads": 1, "quick": False,
+                "atom_cap": DEFAULT_ATOM_CAP, "out": ".", **raw,
+                **{k: v for k, v in vars(args).items()
+                   if k in _RUN_KEYS and v is not None}}
+    n, threads, atom_cap = (_integer_setting(settings, key, 1)
+                            for key in ("n", "threads", "atom_cap"))
+    quick = settings["quick"]
+    if not isinstance(quick, bool):
+        raise ConfigError(f"'quick' must be true or false, got {quick!r}")
     blocks = {k: raw[k] for k in _DEFAULTS if k in raw}
-    return RunConfig(n=n, seed=seed, threads=threads, quick=quick,
-                     atom_cap=atom_cap, out=out, blocks=blocks)
+    return RunConfig(n=n, seed=_integer_setting(settings, "seed", 0),
+                     threads=threads, quick=quick,
+                     atom_cap=atom_cap, out=str(settings["out"]), blocks=blocks)
 
 
 @dataclass
@@ -273,7 +278,8 @@ def _measure_for(cfg: RunConfig, name: str, full: int, quick: int):
     """The command's block and its measure: the 'measure' block's CSV if
     present, else a cylinder measure at the block's level.
 
-    Returns (block, measure, ifs or None, config sections).
+    Returns (block, measure, ifs or None, dimension, config sections);
+    the dimension is the CSV's 'measure.a', else the similarity dimension.
     """
     block = cfg.section(name)
     level = _pick_level(block, cfg, full, quick)
@@ -281,6 +287,11 @@ def _measure_for(cfg: RunConfig, name: str, full: int, quick: int):
         m = cfg.section("measure")
         if not m["csv"]:
             raise ConfigError("measure block requires a 'csv' path")
+        a = m["a"]
+        if isinstance(a, bool) or not isinstance(a, (int, float)) \
+                or not 0.0 < a < math.inf:
+            raise ConfigError("a csv measure needs its dimension 'measure.a', "
+                              f"a positive number, got {a!r}")
         try:
             mu = DiscreteMeasure.from_csv(m["csv"], label=str(m["csv"]),
                                           spacing=m["spacing"])
@@ -289,19 +300,11 @@ def _measure_for(cfg: RunConfig, name: str, full: int, quick: int):
         if mu.spacing is None:
             print(f"note: measure {m['csv']} has no 'spacing'; the "
                   "4x-spacing resolution floor is off", file=sys.stderr)
-        return block, mu, None, {name: block, "measure": m}
+        return block, mu, None, float(a), {name: block, "measure": m}
     ifs, ifs_block = _build_ifs(cfg)
     mu = cylinder_measure(ifs, level, atom_cap=cfg.atom_cap)
-    return block, mu, ifs, {name: block,
-                            "ifs": {**ifs_block, "level_used": level}}
-
-
-def _dimension_for(explicit, ifs) -> float:
-    if explicit is not None:
-        return float(explicit)
-    if ifs is None:
-        raise ConfigError("an explicit dimension 'a' is required for csv measures")
-    return similarity_dimension(ifs)
+    return block, mu, ifs, similarity_dimension(ifs), {
+        name: block, "ifs": {**ifs_block, "level_used": level}}
 
 
 def _eps_schedule(block: dict, start: float, ratio: float, count: int) -> np.ndarray:
@@ -437,11 +440,11 @@ def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_measure_ad(cfg: RunConfig) -> Outcome:
-    diag, mu, ifs, sections = _measure_for(cfg, "diagnostics", full=5, quick=4)
-    a = _dimension_for(diag["a"], ifs)
+    diag, mu, _, a, sections = _measure_for(cfg, "diagnostics", full=5,
+                                            quick=4)
     report = ad_regularity_report(mu, a, centers=diag["centers"],
                                   radii=_radii_for(cfg, diag, mu),
-                                  seed=cfg.seed, c_cap=float(diag["c_cap"]))
+                                  seed=cfg.seed)
     verdict = "regular" if report.regular else "irregular"
     payload = {k: v for k, v in asdict(report).items()
                if k not in ("ratios", "seed")}
@@ -453,8 +456,8 @@ def _cmd_measure_ad(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_riesz_transform(cfg: RunConfig) -> Outcome:
-    block, mu, _, sections = _measure_for(cfg, "riesz", full=4, quick=3)
-    params = RieszParams(s=float(block["s"]), n=mu.n)
+    block, mu, _, a, sections = _measure_for(cfg, "riesz", full=4, quick=3)
+    params = RieszParams(s=a, n=mu.n)
     eps = _eps_schedule(block, start=0.25, ratio=0.25, count=3)
     points = 8 if block["points"] is None else block["points"]
     pts = _center_coords(mu, points, cfg.seed)
@@ -479,8 +482,8 @@ def _cmd_riesz_transform(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_riesz_divergence(cfg: RunConfig) -> Outcome:
-    block, mu, ifs, sections = _measure_for(cfg, "riesz", full=6, quick=5)
-    params = RieszParams(s=float(block["s"]), n=mu.n)
+    block, mu, ifs, a, sections = _measure_for(cfg, "riesz", full=6, quick=5)
+    params = RieszParams(s=a, n=mu.n)
     eps = _eps_schedule(block, start=0.25, ratio=0.25,
                         count=4 if cfg.quick else 5)
     points = 32 if block["points"] is None else block["points"]
@@ -491,11 +494,10 @@ def _cmd_riesz_divergence(cfg: RunConfig) -> Outcome:
         pts = mu.points[idx]
     else:
         pts = _center_coords(mu, points, cfg.seed)
-    reports = divergence_probe(mu, params, pts, eps, c=float(block["c"]),
-                               threads=cfg.threads)
+    reports = divergence_probe(mu, params, pts, eps, threads=cfg.threads)
     diverging = sum(r.verdict == "diverging" for r in reports)
     bounded = sum(r.verdict == "bounded" for r in reports)
-    needed = math.ceil(float(block["fraction"]) * len(reports))
+    needed = math.ceil(DIVERGING_FRACTION * len(reports))
     overall = "diverging" if diverging >= needed else "not-diverging"
     rows = [(i, e, c, m) for i, rep in enumerate(reports)
             for k, e in enumerate(rep.eps)
@@ -533,10 +535,11 @@ def _cmd_riesz_subgroup(cfg: RunConfig) -> Outcome:
     spec = make(cfg.n, raw_sub.get("basis", []))
     eps = _eps_schedule(block, start=0.5, ratio=0.5, count=8)
     count = 8 if block["points"] is None else int(block["points"])
+    # the kernel degree is the dimension of the subgroup's Haar measure
     report = subgroup_boundedness_probe(
-        spec, float(block["s"]), eps, window=float(block["window"]),
-        resolution=int(block["resolution"]), points=count, seed=cfg.seed,
-        slope_tol=float(block["slope_tol"]), atom_cap=cfg.atom_cap)
+        spec, float(spec.hausdorff_dimension), eps,
+        window=float(block["window"]), resolution=int(block["resolution"]),
+        points=count, seed=cfg.seed, atom_cap=cfg.atom_cap)
     payload = {k: v for k, v in asdict(report).items()
                if k not in ("per_point_max", "seed")}
     return Outcome(payload, {"riesz": block},
@@ -546,18 +549,15 @@ def _cmd_riesz_subgroup(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_tangent_blowup(cfg: RunConfig) -> Outcome:
-    block, mu, ifs, sections = _measure_for(cfg, "tangent", full=5, quick=4)
+    block, mu, ifs, a, sections = _measure_for(cfg, "tangent", full=5, quick=4)
     if block["point"] is not None:
         center = np.asarray(block["point"], dtype=float)
     else:
         if ifs is None:
             raise ConfigError("csv measures need an explicit blow-up 'point'")
         center = word_similarity(ifs, block["word"]).fixed_point()
-    s = block["s"]
-    if s is None and block["normalization"] == "power":
-        s = _dimension_for(None, ifs)
-    nu = blowup_measure(mu, center, float(block["r"]),
-                        s=None if s is None else float(s),
+    s = a if block["normalization"] == "power" else None
+    nu = blowup_measure(mu, center, float(block["r"]), s=s,
                         normalization=str(block["normalization"]))
     payload = {
         "r": float(block["r"]),
@@ -574,8 +574,8 @@ def _cmd_tangent_blowup(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_cone_deficiency(cfg: RunConfig) -> Outcome:
-    diag, mu, ifs, sections = _measure_for(cfg, "diagnostics", full=5, quick=4)
-    a = _dimension_for(diag["a"], ifs)
+    diag, mu, _, a, sections = _measure_for(cfg, "diagnostics", full=5,
+                                            quick=4)
     pts = _center_coords(mu, int(diag["cone_points"]), cfg.seed)
     requested = int(diag["cone_subgroups"])
     family = _cone_family(mu.n, a, requested, cfg.seed)

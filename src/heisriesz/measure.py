@@ -106,10 +106,7 @@ def binned_sweep(mu, center, edges, columns):
     gets +0.0 or nothing, so pruning does not change a bit of the
     result.  Against exact arithmetic, a bin's sum over c chunks errs by
     at most about (35 + c) u sum |terms|, u = 2^-53 (numpy's pairwise sum
-    takes each term of a chunk through at most 35 additions).  Earlier
-    releases summed each chunk sequentially with ``np.bincount``, within
-    (CHUNK + c) u sum |terms|, and their results differ from these in
-    the last bits.
+    takes each term of a chunk through at most 35 additions).
     """
     c, _ = _coords(center, mu.n)
     if not np.all(np.isfinite(c)):

@@ -26,9 +26,7 @@ sorted.  :func:`truncations` and :func:`growth_profile` return one
 chunk that lies wholly inside the innermost cutoff or, for the growth
 profile, wholly beyond radius 1, and sums a chunk that lies in one bin
 without comparing its distances with the cutoffs; the values are the
-same bits as a full sweep.  They differ from releases that summed each
-chunk sequentially in the last bits, within the bound that
-:func:`~heisriesz.measure.binned_sweep` states.
+same bits as a full sweep.
 """
 
 from __future__ import annotations

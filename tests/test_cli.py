@@ -1,7 +1,9 @@
 """Command-line surface: configs, exit codes, files, determinism."""
 
+import ast
 import csv
 import importlib
+import inspect
 import json
 import re
 import types
@@ -13,6 +15,7 @@ import pytest
 import heisriesz.cli as cli
 import heisriesz.core as core
 from heisriesz.cli import main
+from heisriesz.fractal import make_strichartz_ifs, similarity_dimension
 from heisriesz.subgroups import make_vertical
 
 
@@ -130,11 +133,15 @@ def test_ifs_level_outside_ifs_generate_is_config_error(tmp_path, capsys,
     ("riesz", "point_coords"), ("riesz", "quick_level"),
     ("diagnostics", "quick_level"), ("tangent", "quick_level"),
     ("selftest", "eq_tol"), ("ifs", "samples"), ("selftest", "samples"),
+    ("riesz", "s"), ("diagnostics", "a"), ("tangent", "s"),
+    ("riesz", "c"), ("riesz", "fraction"), ("riesz", "slope_tol"),
+    ("diagnostics", "c_cap"),
 ])
 def test_removed_keys_are_unknown(tmp_path, capsys, block, key):
     # each repeated a value held elsewhere: the commands' own levels and
     # sample counts, the one cutoff list, the one points entry, the
-    # library's tolerances and the CSV path that labels a measure
+    # library's tolerances, the CSV path that labels a measure and the
+    # measure's own dimension; a verdict threshold is the library's
     command = {"ifs": ["ifs", "generate"], "measure": ["measure", "ad-report"],
                "riesz": ["riesz", "transform"],
                "diagnostics": ["measure", "ad-report"],
@@ -205,6 +212,25 @@ def test_subgroup_probe_bounded(tmp_path):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("n,kind,basis,s", [
+    (2, "horizontal", [[1, 0, 0, 0]], 1.0),
+    (1, "vertical", [[1, 0]], 3.0),
+], ids=["horizontal-line-n2", "vertical-plane-n1"])
+def test_subgroup_probe_takes_the_subgroup_dimension(tmp_path, n, kind, basis,
+                                                     s):
+    # the kernel degree is the subgroup's Hausdorff dimension, the one
+    # degree the probe accepts, with no key to set it
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, {"n": n, "riesz": {
+        "resolution": 256, "eps": [0.5, 0.25, 0.125], "points": 4,
+        "subgroup": {"kind": kind, "basis": basis}}})
+    assert _run(["riesz", "subgroup-probe", "--config", cfg,
+                 "--out", str(out)]) == 0
+    res = json.loads((out / "subgroup_probe.json").read_text())["results"]
+    assert res["s"] == s and isinstance(res["s"], float)
+    assert res["verdict"] == "bounded"
+
+
 def test_transform_zero_far_from_support(tmp_path):
     out = tmp_path / "run"
     cfg = _write_config(
@@ -268,6 +294,32 @@ def test_divergence_takes_a_list_of_points(tmp_path):
     assert [p["point"] for p in res["per_point"]] == points
 
 
+def test_divergence_on_the_h2_corner_family_runs_at_dimension_3(tmp_path):
+    # 64 maps of ratio 1/4: the kernel degree is 3, at which the
+    # truncations grow at the cycle points; at degree 2 none would
+    cfg = _write_config(tmp_path, {"n": 2, "riesz": {"level": 3}})
+    out = tmp_path / "run"
+    # the quick level's floor 4 * 4^-3 leaves the cutoffs 1/4 and 1/16
+    with pytest.warns(UserWarning, match="resolution floor"):
+        assert _run(["riesz", "divergence", "--config", cfg, "--quick",
+                     "--out", str(out)]) == 0
+    res = json.loads((out / "riesz_divergence.json").read_text())["results"]
+    assert res["eps"] == [0.25, 0.0625]
+    assert res["s"] == 3.0
+    assert res["overall"] == "diverging"
+
+
+def test_transform_degree_is_the_similarity_dimension(tmp_path):
+    # the r = 1/8 family has dimension 4/3, not the r = 1/4 family's 2
+    cfg = _write_config(tmp_path, {"ifs": {"r": 0.125},
+                                   "riesz": {"level": 2, "points": 2}})
+    out = tmp_path / "run"
+    assert _run(["riesz", "transform", "--config", cfg, "--out", str(out)]) == 0
+    res = json.loads((out / "riesz_transform.json").read_text())["results"]
+    assert res["s"] == similarity_dimension(make_strichartz_ifs(1, 0.125))
+    assert res["s"] == 1.3333333333333335
+
+
 def test_measure_ad_report(tmp_path):
     out = tmp_path / "run"
     cfg = _write_config(
@@ -294,8 +346,9 @@ def test_measure_block_feeds_other_commands(tmp_path):
             "measure": {
                 "csv": str(gen_out / "ifs_measure.csv"),
                 "spacing": 0.25 ** 3,
+                "a": 2.0,
             },
-            "diagnostics": {"a": 2.0, "centers": 4, "radii": [0.25]},
+            "diagnostics": {"centers": 4, "radii": [0.25]},
         },
     )
     code = _run(["measure", "ad-report", "--config", cfg2, "--out", str(ad_out)])
@@ -313,8 +366,9 @@ def test_csv_measure_without_spacing_notes_the_floor(tmp_path, capsys):
     for extra in ({}, {"spacing": 0.25 ** 3}):
         out = tmp_path / f"ad{len(notes)}"
         cfg2 = _write_config(tmp_path, {
-            "measure": {"csv": str(gen_out / "ifs_measure.csv"), **extra},
-            "diagnostics": {"a": 2.0, "centers": 4, "radii": [0.25]},
+            "measure": {"csv": str(gen_out / "ifs_measure.csv"), "a": 2.0,
+                        **extra},
+            "diagnostics": {"centers": 4, "radii": [0.25]},
         })
         assert _run(["measure", "ad-report", "--config", cfg2, "--out", str(out)]) == 0
         err = capsys.readouterr().err
@@ -323,6 +377,25 @@ def test_csv_measure_without_spacing_notes_the_floor(tmp_path, capsys):
     assert notes[0].count("\n") == 1
     assert "no 'spacing'" in notes[0] and "resolution floor is off" in notes[0]
     assert notes[1] == ""
+
+
+@pytest.mark.parametrize("a", [None, 0.0, -2.0, "2", True])
+def test_csv_measure_needs_its_dimension(tmp_path, capsys, a):
+    # a CSV holds atoms, not the dimension the kernel degree and the
+    # ball-mass exponent come from
+    gen = _write_config(tmp_path, {"ifs": {"level": 2}})
+    assert _run(["ifs", "generate", "--config", gen,
+                 "--out", str(tmp_path / "gen")]) == 0
+    capsys.readouterr()
+    block = {"csv": str(tmp_path / "gen" / "ifs_measure.csv")}
+    if a is not None:
+        block["a"] = a
+    cfg = _write_config(tmp_path, {"measure": block,
+                                   "riesz": {"points": 2}})
+    out = tmp_path / "o"
+    assert _run(["riesz", "transform", "--config", cfg, "--out", str(out)]) == 2
+    assert "'measure.a'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tangent_blowup(tmp_path):
@@ -372,14 +445,19 @@ def test_cone_deficiency_n2_tests_subgroups_of_the_measure_dimension(tmp_path):
 
 @pytest.mark.parametrize("doc", [
     {"ifs": {"r": 0.125}},
-    {"diagnostics": {"a": 4.5}},
-    {"diagnostics": {"a": 1.0}},
+    {"measure": {"a": 4.5}},
+    {"measure": {"a": 1.0}},
 ], ids=["a=4/3", "a=4.5", "a=1"])
 def test_cone_deficiency_without_a_subgroup_of_dimension_a(tmp_path, capsys,
                                                            doc):
     # 4/3 is no subgroup's dimension, H^1 itself has dimension 4, and the
-    # cone family starts at the center line's 2
-    doc.setdefault("diagnostics", {}).update(level=2, radii=[0.5])
+    # cone family starts at the center line's 2; a CSV measure states its a
+    if "measure" in doc:
+        gen = _write_config(tmp_path, {"ifs": {"level": 2}})
+        assert _run(["ifs", "generate", "--config", gen,
+                     "--out", str(tmp_path / "gen")]) == 0
+        doc["measure"]["csv"] = str(tmp_path / "gen" / "ifs_measure.csv")
+    doc["diagnostics"] = {"level": 2, "radii": [0.5]}
     cfg = _write_config(tmp_path, doc)
     code = _run(["cone-deficiency", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
@@ -426,6 +504,33 @@ def test_malformed_value_is_config_error(tmp_path, capsys, command, doc, quick):
     code = _run([*command, "--config", cfg, *quick, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("quick", "false"), ("quick", 1), ("quick", None),
+    ("n", 1.7), ("n", True), ("n", "1"),
+    ("seed", 2.9), ("seed", False),
+    ("threads", True), ("threads", 1.5),
+    ("atom_cap", 1e7 + 0.5), ("atom_cap", [10]),
+])
+def test_run_settings_keep_their_json_type(tmp_path, capsys, key, value):
+    # a run setting is never coerced: bool("false") is True and
+    # int(1.7) is 1, so either would run something other than asked
+    cfg = _write_config(tmp_path, {key: value})
+    out = tmp_path / "o"
+    assert _run(["selftest", "--config", cfg, "--out", str(out)]) == 2
+    assert f"{key!r} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_run_settings_pass(tmp_path):
+    # JSON has one number type: 1e7 and 2.0 are integers
+    cfg = _write_config(tmp_path, {"atom_cap": 1e7, "seed": 2.0,
+                                   "ifs": {"level": 1}})
+    out = tmp_path / "run"
+    assert _run(["ifs", "generate", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "ifs_generate.json").read_text())
+    assert (doc["config"]["atom_cap"], doc["config"]["seed"]) == (10_000_000, 2)
 
 
 @pytest.mark.parametrize("command,report", [
@@ -510,15 +615,66 @@ def test_readme_lists_every_config_key():
     assert listed == tables
 
 
-def test_every_name_perfbench_wraps_resolves(monkeypatch):
-    # the traced benchmark replaces vars(owner)[attr] for each target; a
-    # name deleted here would otherwise surface only as a KeyError there
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's span table, imported read-only, and the namespace of
+    package modules (``hz``) through which the benchmark calls."""
     monkeypatch.syspath_prepend(
         str(Path(__file__).resolve().parent.parent / "perfbench"))
     spans = importlib.import_module("spans")
-    hz = types.SimpleNamespace(**{
+    return spans, types.SimpleNamespace(**{
         name: importlib.import_module(f"heisriesz.{name}")
         for name in spans.LAYERS
     })
-    for t in spans.targets(hz):
+
+
+def test_every_name_perfbench_wraps_resolves(perfbench):
+    # the traced benchmark replaces vars(owner)[attr] for each target; a
+    # name deleted here would otherwise surface only as a KeyError there
+    spans, hz = perfbench
+    targets = spans.targets(hz)
+    assert len(targets) == 24
+    for t in targets:
         assert t.attr in vars(t.owner), f"{t.owner.__name__}.{t.attr}"
+
+
+def test_every_call_perfbench_makes_binds(perfbench):
+    # the benchmark's workloads call the library with keywords; a
+    # parameter renamed or deleted here would otherwise surface only when
+    # the benchmark runs.  Each call on a heisriesz module (through ``hz``
+    # or an alias of one of its modules) must bind to today's signature.
+    _, hz = perfbench
+    source = (Path(__file__).resolve().parent.parent / "perfbench"
+              / "workloads.py").read_text()
+    tree = ast.parse(source)
+    names = {"hz": hz}
+    for node in ast.walk(tree):
+        # aliases such as ``D = hz.diagnostics`` or ``F, ifs = hz.fractal, x``
+        if isinstance(node, ast.Assign):
+            target, value = node.targets[0], node.value
+            pairs = (zip(target.elts, value.elts)
+                     if isinstance(target, ast.Tuple)
+                     and isinstance(value, ast.Tuple) else [(target, value)])
+            for t, v in pairs:
+                if (isinstance(t, ast.Name) and isinstance(v, ast.Attribute)
+                        and ast.unparse(v).startswith("hz.")):
+                    names[t.id] = eval(ast.unparse(v), {"hz": hz})
+    bound = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        root = node.func
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if not (isinstance(root, ast.Name) and root.id in names
+                and root is not node.func):
+            continue
+        text = ast.unparse(node.func)
+        fn = eval(text, {}, names)
+        sig = inspect.signature(fn)
+        sig.bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        if node.keywords:
+            bound.add(text.rsplit(".", 1)[1])
+    assert {"verify_invariant_region", "horest_check", "divergence_probe",
+            "subgroup_boundedness_probe", "ad_regularity_report",
+            "blowup_measure", "from_csv"} <= bound

@@ -38,29 +38,29 @@ GOLDEN = {
     },
     ("measure", "ad-report"): {
         "ad_report.json":
-            "4fdb43cc14ecbfd2c3ea9dd768007fed3c9b9d1ac2eeeeca18b97fe61fd56f70",
+            "89b985c501d97c298f0a6f10099e9930705b39e151e787706714040e8427c243",
     },
     ("riesz", "transform"): {
         "riesz_transform.csv":
             "49aa44e75c3372e31884484b987c22c9439042e06acc100d29ecec96cfa212f9",
         "riesz_transform.json":
-            "d1459a9dde275767086476b3099e9cbbf1598bfdb16428bede996a5271c62ca7",
+            "763195a9afc45a0fdff89f02e8f3469d92be80d0eb01878265803df27ae928e6",
     },
     ("riesz", "divergence"): {
         "riesz_divergence.csv":
             "b8ca5fce28855e3d820b24325793c974df8a42ba6d797e87aec64d4b6bdbef47",
         "riesz_divergence.json":
-            "b34ad0039bc7729715574e2888a68418659eaae8aaf0667f18ce989ecffa3006",
+            "236d1ddcb98f795e30302c52bdd6e7599e336b549ced3bf1284a9f359554d05e",
     },
     ("riesz", "subgroup-probe"): {
         "subgroup_probe.csv":
             "952fce8fac7b2a2399868ab3a161b515a0558191bf4870e9f8f1f23aba1b134e",
         "subgroup_probe.json":
-            "b38e3dddd62dbb8f7c7d82ba8fb27744545db7149ec5c06d6aa8909132e7eb42",
+            "e29c213da194917f5acf8321c395baddd63e02a9396593d2b2cdeaaa76d1f4eb",
     },
     ("tangent", "blowup"): {
         "blowup.json":
-            "53b94a55297dc0892e50194fe563179e5a821f6d70d46c6343d9af640443ffdc",
+            "20192ecc26efb7e9f1d34b1ec40cd0ca9c14ff147900040b361680311ee74104",
         "blowup_measure.csv":
             "b8a71b508fd9a99a9fe9224dea32ce90699ef09755453a6897192bb974e5d034",
     },
@@ -68,7 +68,7 @@ GOLDEN = {
         "cone_deficiency.csv":
             "8baabdc83ca08b5447a1d056fde634e9c25263d9c8c7b69a0425fee99345b360",
         "cone_deficiency.json":
-            "13be2f3106c702faf9d977ce8bf98ac79ea24a783541913e470d7cf816bbbc44",
+            "701d61293604f2ca6678c561ef73edbc1fd02206e5529eaa8e78ba6a06730c3d",
     },
 }
 
@@ -88,20 +88,21 @@ def test_quick_outputs_match_golden(command, tmp_path, monkeypatch):
     assert digests == GOLDEN[command]
 
 
-QUICK_MEASURE = {"csv": "ifs_measure.csv"}
+# the --quick measure and its dimension, which a CSV does not carry
+QUICK_MEASURE = {"csv": "ifs_measure.csv", "a": 2.0}
 
 CONFIG_RUNS = {
     "ad-report-csv": (("measure", "ad-report"), {
         "measure": {**QUICK_MEASURE, "spacing": 0.015625},
-        "diagnostics": {"a": 2.0, "centers": 16},
+        "diagnostics": {"centers": 16},
     }),
     "cone-deficiency-csv": (("cone-deficiency",), {
         "measure": {**QUICK_MEASURE, "spacing": 0.015625},
-        "diagnostics": {"a": 2.0, "cone_points": 4},
+        "diagnostics": {"cone_points": 4},
     }),
     "blowup-csv-point": (("tangent", "blowup"), {
         "measure": QUICK_MEASURE,
-        "tangent": {"point": [0.0, 0.0, 0.0], "r": 0.25, "s": 2.0},
+        "tangent": {"point": [0.0, 0.0, 0.0], "r": 0.25},
     }),
     "transform-csv-coords": (("riesz", "transform"), {
         "measure": QUICK_MEASURE,
@@ -118,9 +119,10 @@ CONFIG_RUNS = {
     "verify-corner-n2": (("ifs", "verify"), {
         "n": 2, "quick": True, "ifs": {"expect": "certified"},
     }),
+    # the kernel degree is the line's dimension 1, with no "s" key
     "subgroup-probe-horizontal-n2": (("riesz", "subgroup-probe"), {
         "n": 2,
-        "riesz": {"s": 1.0, "resolution": 256, "eps": [0.5, 0.25, 0.125],
+        "riesz": {"resolution": 256, "eps": [0.5, 0.25, 0.125],
                   "points": 4,
                   "subgroup": {"kind": "horizontal",
                                "basis": [[1.0, 0.0, 0.0, 0.0]]}},
@@ -130,17 +132,17 @@ CONFIG_RUNS = {
 CONFIG_GOLDEN = {
     "ad-report-csv": (0, {
         "ad_report.json":
-            "596215ade1411f0c5e3167c6fd7d4226d2d7f3728121047e372acfc461858415",
+            "cfd85bd9ee0fb59852930957d15129c2ad319941e5e030255c15d9df245a5c0a",
     }),
     "cone-deficiency-csv": (0, {
         "cone_deficiency.csv":
             "427311cbfc13a55cc168a7b66ba3cfc515a6b8029dd5c72090f08cce18ef2f63",
         "cone_deficiency.json":
-            "cca4f69aee489824142ee6d53a36e3ae8640203949ae382d5b881e0b15fab752",
+            "3029321f092b355ff33ffc7f433d2e17aa5b0e5c3f3ea87d039e1aba785eb95b",
     }),
     "blowup-csv-point": (0, {
         "blowup.json":
-            "25f92467057a99ab4140b56dae2738227dc3f323a9b1683f693f9ce8eaac1cb9",
+            "ce28539e90a0a725bddb633ae6bb5c1d9fe942806727b0c7f43bbab01aa7e970",
         "blowup_measure.csv":
             "ba261037874d506f3def2d15752f7f66abd997459905a4ea60b40a27800112ae",
     }),
@@ -148,7 +150,7 @@ CONFIG_GOLDEN = {
         "riesz_transform.csv":
             "2d19ab520c2ebc093a4ab932304c6c1c5d7dc6cd4ee21a78ec0f3094907a4b57",
         "riesz_transform.json":
-            "6cc8fd8c02792126742462390e250cbdca73e8197e2cbffd752fe377d3bf2e40",
+            "0187c2a11b4ceebd08df342578be8898c4e6e3fc87a458e88f8ff076ba23d085",
     }),
     "verify-custom": (0, {
         "ifs_verify.json":
@@ -162,7 +164,7 @@ CONFIG_GOLDEN = {
         "subgroup_probe.csv":
             "4a715ace929eb20a6e6bda7644ec6d24bec3ba6c0d051ae8b8d9682393f7fd14",
         "subgroup_probe.json":
-            "8ed05516e05c526cfd5fada19d63722246e16778b632e7294f55799cde6679b1",
+            "d5b168873ceaa19077d8edac9679744d25a10bd446db1806ae57778df56b9f4f",
     }),
 }
 
