@@ -44,7 +44,7 @@ from .fractal import (Ifs, Similarity, cycle_atom_indices, cylinder_measure,
                       phi_fixed_point, similarity_dimension,
                       verify_invariant_region, word_similarity)
 from .measure import (DEFAULT_ATOM_CAP, AtomCapExceeded, DiscreteMeasure,
-                      write_csv)
+                      _worker_cap, write_csv)
 from .riesz import RieszParams, truncations
 from .selftest import run_selftest
 from .subgroups import make_horizontal, make_vertical
@@ -205,7 +205,9 @@ def _run(cfg: RunConfig, command: str, stem: str, csv: str | None,
         # every other command takes its level from its own block
         raise ConfigError("config key 'ifs.level' is read only by "
                           f"'ifs generate', not by '{command}'")
-    res = compute(cfg)
+    # every sweep of the run spreads its chunks over at most cfg.threads
+    with _worker_cap(cfg.threads):
+        res = compute(cfg)
     folder = Path(cfg.out)
     folder.mkdir(parents=True, exist_ok=True)
     payload, message = res.payload, res.message

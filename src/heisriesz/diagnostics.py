@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,8 @@ from . import core
 # dist and in_cone stay bound here: perfbench's span recorder wraps
 # diagnostics.dist and diagnostics.in_cone
 from .core import _coords, blowup_map, dist, koranyi_norm
-from .measure import DEFAULT_ATOM_CAP, DiscreteMeasure, closed_ball_sums
+from .measure import (DEFAULT_ATOM_CAP, DiscreteMeasure, _worker_cap,
+                      closed_ball_sums)
 from .riesz import RieszParams, growth_profile
 from .subgroups import SubgroupSpec, cone_mask, haar_sample, in_cone
 
@@ -210,7 +210,7 @@ def _growth_verdict(max_mag: np.ndarray, c: float) -> str:
 
 def divergence_probe(mu: DiscreteMeasure, params: RieszParams, points,
                      eps_schedule, c: float = 0.05,
-                     threads: int = 1) -> list:
+                     threads: int | None = None) -> list:
     """Growth profiles of the annulus transform at several support points.
 
     The schedule is trimmed at the measure's resolution floor (with a
@@ -219,6 +219,11 @@ def divergence_probe(mu: DiscreteMeasure, params: RieszParams, points,
     rises by at least `c` per level, strictly, over the last half of
     the ladder; "bounded" when the overall fitted slope stays within
     `c`; anything else is "inconclusive".
+
+    The points are profiled one after another.  ``threads`` caps the
+    threads that each profile's sweep spreads its chunks over (None: as
+    many as the process has CPUs); the reports have the same bits at
+    every value.
     """
     eps = [float(e) for e in eps_schedule]
     floor = _resolution_floor(mu)
@@ -232,6 +237,8 @@ def divergence_probe(mu: DiscreteMeasure, params: RieszParams, points,
     if len(kept) < 2:
         raise ValueError("need at least two usable cutoffs above the floor")
 
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     pts = _point_rows(mu, points)
 
     def probe(arr):
@@ -247,8 +254,8 @@ def divergence_probe(mu: DiscreteMeasure, params: RieszParams, points,
             threshold=c,
         )
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(probe, pts))
+    with _worker_cap(threads):
+        return [probe(arr) for arr in pts]
 
 
 @dataclass(frozen=True)

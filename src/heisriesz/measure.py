@@ -11,15 +11,22 @@ Each measure keeps, once computed, the reach of every chunk from its
 first atom, which gives a sweep the range of distance bins each chunk
 can reach: it skips the chunks that the triangle inequality puts
 outside the window it reads, and sums a chunk that falls in one bin
-without binning its atoms.  ``points`` and ``weights`` are read-only,
-so that cache cannot go stale.  Measures are written to and read from
-CSV files with the header ``x1,...,x{2n+1},weight``; the label and the
-resolution scale are given on reading.
+without binning its atoms.  A sweep over many chunks, and the reach
+itself, run on as many threads as the process has CPUs (fewer where
+the sweep workspaces would pass SWEEP_BYTES), with the same bits as on
+one.  ``points`` and ``weights`` are read-only, so that cache cannot go
+stale.  Measures are written to and read from CSV files with the
+header ``x1,...,x{2n+1},weight``; the label and the resolution scale
+are given on reading.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +46,20 @@ DEFAULT_ATOM_CAP = 20_000_000
 # for a level-6 growth profile), and peak memory is O(CHUNK), not O(N).
 CHUNK = 1 << 16
 
+# A sweep that keeps fewer chunks runs on the calling thread.  Helper
+# threads for the level-5 sweeps (16 chunks) raised a level-5 query
+# run's peak RSS by 12 MB (their malloc arenas) with no time gained; the
+# growth sweeps at level-6 cycle points keep 67 to 256 chunks.
+PARALLEL_CHUNKS = 32
+
+# Bytes that the workspaces of one sweep's worker threads hold together;
+# two n = 1 workspaces (4.86 MB each) fit, so peak sweep memory stays
+# bounded by the chunk at every CPU count.
+SWEEP_BYTES = 10 * 10 ** 6
+
+# The cap on a sweep's worker threads, set by _worker_cap; None is every CPU.
+_WORKER_CAP = contextvars.ContextVar("heisriesz_sweep_workers", default=None)
+
 
 class AtomCapExceeded(RuntimeError):
     """Raised when a construction would exceed the configured atom cap."""
@@ -49,6 +70,68 @@ def chunk_slices(total: int):
     least one)."""
     for start in range(0, max(total, 1), CHUNK):
         yield slice(start, min(start + CHUNK, total))
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one (Linux), else every CPU."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _worker_cap(threads):
+    """Cap the workers of every sweep made in the block at ``threads``;
+    None leaves every CPU to them."""
+    token = _WORKER_CAP.set(threads)
+    try:
+        yield
+    finally:
+        _WORKER_CAP.reset(token)
+
+
+def _map_chunks(worker, chunks, n: int) -> list:
+    """``[work(chunk) for chunk in chunks]`` for a measure on H^n, where
+    each thread that works takes ``work = worker()`` once, so that it can
+    hold a workspace of its own.
+
+    Fewer than PARALLEL_CHUNKS chunks run on the calling thread.  More
+    are spread over it and helper threads, as many in all as the process
+    has CPUs, at most the cap of :func:`_worker_cap`, and at most as many
+    as SWEEP_BYTES holds of sweep workspaces: CHUNK rows of u, the norm's
+    scratch and the columns, 2n+1 doubles each, plus two masks.  Each
+    thread takes the next chunk not yet taken, and the results keep the
+    order of ``chunks``.  An exception in any thread reaches the caller.
+    """
+    workers = 1
+    if len(chunks) >= PARALLEL_CHUNKS:
+        cap = _WORKER_CAP.get()
+        workspace = CHUNK * (24 * ambient_dim(n) + 2)
+        workers = min(_cpu_count(), len(chunks), SWEEP_BYTES // workspace,
+                      len(chunks) if cap is None else cap)
+    if workers <= 1:
+        work = worker()
+        return [work(chunk) for chunk in chunks]
+    results = [None] * len(chunks)
+    taken, lock = iter(range(len(chunks))), threading.Lock()
+
+    def drain():
+        work = worker()
+        while True:
+            with lock:
+                i = next(taken, None)
+            if i is None:
+                return
+            results[i] = work(chunks[i])
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
+    return results
 
 
 def write_csv(path, header: str, columns) -> None:
@@ -73,11 +156,12 @@ def binned_sweep(mu, center, edges, columns):
     the atoms with edges[i] < d <= edges[i+1], and atoms outside the
     window (edges[0], edges[-1]] contribute nothing.  So a closed ball
     of radius r is the window [-inf, r] and the truncation d > eps is
-    [eps, inf].  One pass walks the atoms in fixed chunk order; for each
+    [eps, inf].  One pass walks the atoms chunk by chunk; for each
     chunk it takes the displacements u = center^{-1} q and distances
     d = ||u|| from :mod:`core`, and ``columns(sl, u, d, out)`` returns
     the chunk's per-atom values as k arrays: arrays of its own, or rows
-    of ``out``, a (2n+1, len(d)) scratch that it may fill.  Returns the
+    of ``out``, a (2n+1, len(d)) scratch that it may fill (several
+    threads may call it at once, each with its own ``out``).  Returns the
     (k, len(edges) - 1) per-bin sums and the per-bin atom counts.  A
     centre that is not finite raises ``ValueError``: every ball mass,
     cone mass and transform reads its centre here.  The distances end in
@@ -85,10 +169,15 @@ def binned_sweep(mu, center, edges, columns):
     bins and the counts have the same bits at every numpy SIMD level;
     the sums do too when the columns use no CPU-dependent loop.
 
-    Each call allocates one coordinate-major workspace of CHUNK rows (u,
-    the norm's scratch and d, bin masks, columns) and writes every chunk
-    into it, so a sweep's cost does not depend on what the allocator
-    holds from earlier work, and sweeps may run on several threads.
+    Each thread that works on a call allocates one coordinate-major
+    workspace of CHUNK rows (u, the norm's scratch and d, bin masks,
+    columns) and writes each chunk it takes into it, so a sweep's cost
+    does not depend on what the allocator holds from earlier work.  A
+    sweep that keeps PARALLEL_CHUNKS chunks or more spreads them over
+    the calling thread and helper threads (:func:`_map_chunks`).  Each
+    chunk's per-bin sums and counts are kept, and the caller adds them
+    into the bins in chunk order, as one thread does, so the result has
+    the same bits at every thread count.
 
     The triangle inequality, applied to the distance of a chunk's first
     atom from the centre and the chunk's cached reach, bounds the
@@ -126,32 +215,44 @@ def binned_sweep(mu, center, edges, columns):
     first = np.searchsorted(edges, gap - reach - margin)
     last = np.searchsorted(edges, gap + reach + margin)
 
-    rows, dim = min(len(mu), CHUNK), ambient_dim(mu.n)
-    u_ws = np.empty((rows, dim), order="F")
-    norm_ws = np.empty((rows, dim), order="F")
-    inside_ws = np.empty((2, rows), dtype=bool)
-    cols_ws = np.empty((dim, rows))
+    dim = ambient_dim(mu.n)
     # an empty chunk sets the column count, so a sweep that skips every
     # chunk still returns zero-filled bins
-    k = len(columns(slice(0, 0), u_ws[:0], norm_ws[:0, -1], cols_ws[:, :0]))
-    sums, counts = np.zeros((k, top)), np.zeros(top, dtype=np.intp)
-    for sl, lo, hi in zip(chunk_slices(len(mu)), first, last):
-        if hi < 1 or lo > top:
-            continue
-        m = sl.stop - sl.start
-        u = core.left_displacement(c, mu.points[sl], out=u_ws[:m])
-        d = core.koranyi_norm(u, out=norm_ws[:m])
-        cols = columns(sl, u, d, cols_ws[:, :m])
-        if lo == hi:
-            sums[:, lo - 1] += [np.add.reduce(col) for col in cols]
-            counts[lo - 1] += m
-            continue
-        for b in range(max(lo, 1), min(hi, top) + 1):
+    k = len(columns(slice(0, 0), np.empty((0, dim), order="F"), np.empty(0),
+                    np.empty((dim, 0))))
+    kept = [(sl, lo, hi) for sl, lo, hi in zip(chunk_slices(len(mu)), first, last)
+            if hi >= 1 and lo <= top]
+
+    def sweeper():
+        rows = min(len(mu), CHUNK)
+        u_ws = np.empty((rows, dim), order="F")
+        norm_ws = np.empty((rows, dim), order="F")
+        inside_ws = np.empty((2, rows), dtype=bool)
+        cols_ws = np.empty((dim, rows))
+
+        def sweep_chunk(chunk):
+            """The chunk's first window bin, and its (sums, count) per bin
+            from there on."""
+            sl, lo, hi = chunk
+            m = sl.stop - sl.start
+            u = core.left_displacement(c, mu.points[sl], out=u_ws[:m])
+            d = core.koranyi_norm(u, out=norm_ws[:m])
+            cols = columns(sl, u, d, cols_ws[:, :m])
+            if lo == hi:
+                return lo - 1, [([np.add.reduce(col) for col in cols], m)]
             # the norm's first coordinate is free once d is known
-            bin_sums, count = _bin_sums(cols, d, edges[b - 1], edges[b],
-                                        inside_ws[:, :m], norm_ws[:m, 0])
-            sums[:, b - 1] += bin_sums
-            counts[b - 1] += count
+            return max(lo, 1) - 1, [
+                _bin_sums(cols, d, edges[b - 1], edges[b], inside_ws[:, :m],
+                          norm_ws[:m, 0])
+                for b in range(max(lo, 1), min(hi, top) + 1)]
+
+        return sweep_chunk
+
+    sums, counts = np.zeros((k, top)), np.zeros(top, dtype=np.intp)
+    for start, bins in _map_chunks(sweeper, kept, mu.n):
+        for b, (bin_sums, count) in enumerate(bins, start):
+            sums[:, b] += bin_sums
+            counts[b] += count
     return sums, counts
 
 
@@ -240,8 +341,10 @@ class DiscreteMeasure:
         # one chunk at a time, so that checking a measure costs O(CHUNK)
         if not all(np.all(np.isfinite(pts[sl])) for sl in chunk_slices(len(pts))):
             raise ValueError("atom coordinates must be finite")
-        if not all(np.all(np.isfinite(wts[sl])) and not np.any(wts[sl] <= 0.0)
-                   for sl in chunk_slices(len(wts))):
+        # a zero-stride vector holds one weight, so its first entry is all
+        held = wts[:1] if wts.strides == (0,) else wts
+        if not all(np.all(np.isfinite(held[sl])) and not np.any(held[sl] <= 0.0)
+                   for sl in chunk_slices(len(held))):
             raise ValueError("weights must be finite and strictly positive")
         if self.spacing is not None and not self.spacing > 0.0:
             raise ValueError("spacing must be positive when given")
@@ -283,9 +386,10 @@ class DiscreteMeasure:
         with self._reach_lock:
             if self._reach is None or self._reach[0] is not self.points:
                 pts = self.points
-                reach = np.array([dist(pts[sl.start], pts[sl]).max()
-                                  for sl in chunk_slices(len(self))
-                                  if sl.stop > sl.start], dtype=float)
+                reach = np.array(_map_chunks(
+                    lambda: lambda sl: dist(pts[sl.start], pts[sl]).max(),
+                    [sl for sl in chunk_slices(len(self)) if sl.stop > sl.start],
+                    self.n), dtype=float)
                 self._reach = (pts, reach)
             return self._reach[1]
 
@@ -293,12 +397,10 @@ class DiscreteMeasure:
         """Upper bound for the support diameter via the triangle inequality."""
         if len(self) == 0:
             return 0.0
-        top = 0.0
         ref = self.points[0]
-        for sl in chunk_slices(len(self)):
-            d = dist(ref, self.points[sl])
-            top = max(top, float(d.max()))
-        return 2.0 * top
+        return 2.0 * max(0.0, *_map_chunks(
+            lambda: lambda sl: float(dist(ref, self.points[sl]).max()),
+            list(chunk_slices(len(self))), self.n))
 
     # ------------------------------------------------------------------
     # serialisation

@@ -14,6 +14,7 @@ import pytest
 
 import heisriesz.cli as cli
 import heisriesz.core as core
+import heisriesz.measure as measure
 from heisriesz.cli import main
 from heisriesz.fractal import make_strichartz_ifs, similarity_dimension
 from heisriesz.subgroups import make_vertical
@@ -562,14 +563,21 @@ def test_blowup_word_validation(tmp_path, capsys, word):
     assert "config error" in capsys.readouterr().err
 
 
-def test_thread_count_does_not_move_the_output(tmp_path, monkeypatch):
+def test_thread_count_does_not_move_the_output(tmp_path, monkeypatch,
+                                               helper_pools):
+    # every sweep of the level-5 measure spreads its 16 chunks over the
+    # threads the run allows
+    monkeypatch.setattr(measure, "PARALLEL_CHUNKS", 1)
+    monkeypatch.setattr(measure, "_cpu_count", lambda: 64)
     docs = {}
     for threads in ("1", "2"):
         run_dir = tmp_path / threads
         run_dir.mkdir()
         monkeypatch.chdir(run_dir)
+        helper_pools.clear()
         assert _run(["riesz", "divergence", "--quick", "--threads", threads,
                      "--out", "."]) == 0
+        assert set(helper_pools) == ({1} if threads == "2" else set())
         docs[threads] = json.loads((run_dir / "riesz_divergence.json").read_text())
     csvs = [(tmp_path / t / "riesz_divergence.csv").read_bytes() for t in "12"]
     assert csvs[0] == csvs[1]

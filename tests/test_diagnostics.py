@@ -137,10 +137,13 @@ def test_divergence_probe_threaded_matches_serial():
     pts = [mu.points[5], mu.points[100], mu.points[300]]
     eps = [0.5, 0.25, 0.125]
     serial = divergence_probe(mu, params, pts, eps, threads=1)
-    threaded = divergence_probe(mu, params, pts, eps, threads=3)
-    for a, b in zip(serial, threaded):
-        np.testing.assert_array_equal(a.magnitudes, b.magnitudes)
-        assert a.verdict == b.verdict
+    for threads in (3, None):
+        threaded = divergence_probe(mu, params, pts, eps, threads=threads)
+        for a, b in zip(serial, threaded):
+            np.testing.assert_array_equal(a.magnitudes, b.magnitudes)
+            assert a.verdict == b.verdict
+    with pytest.raises(ValueError, match="threads"):
+        divergence_probe(mu, params, pts, eps, threads=0)
 
 
 def test_subgroup_probe_bounded_on_vertical_axis():

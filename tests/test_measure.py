@@ -1,7 +1,9 @@
 """Discrete measures: construction, ball masses, serialisation."""
 
 import io
+import os
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -13,7 +15,7 @@ import pytest
 from heisriesz import core, measure
 from heisriesz.core import dist
 from heisriesz.diagnostics import (ad_regularity_report, blowup_measure,
-                                   cone_deficiency)
+                                   cone_deficiency, divergence_probe)
 from heisriesz.measure import CHUNK, DiscreteMeasure, binned_sweep, chunk_slices
 from heisriesz.riesz import (RieszParams, _kernel_columns, growth_profile,
                              maximal_transform, truncated_transform, truncations)
@@ -57,6 +59,24 @@ def test_validation_errors():
         DiscreteMeasure(1, bad, w)
     with pytest.raises(ValueError):
         DiscreteMeasure(1, pts, w, spacing=0.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+def test_weights_held_once_are_checked_once(monkeypatch, bad):
+    totals = []
+    slices = measure.chunk_slices
+
+    def recording(total):
+        totals.append(total)
+        return slices(total)
+
+    monkeypatch.setattr(measure, "chunk_slices", recording)
+    pts = np.zeros((2 * CHUNK + 5, 3))
+    DiscreteMeasure(1, pts, np.broadcast_to(0.5, (len(pts),)))
+    # the coordinates chunk by chunk, the one weight once
+    assert totals == [len(pts), 1]
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        DiscreteMeasure(1, pts, np.broadcast_to(bad, (len(pts),)))
 
 
 @pytest.mark.parametrize("row", [CHUNK + 17, 2 * CHUNK + 5])
@@ -265,14 +285,21 @@ def mu_h2():
     return DiscreteMeasure(2, pts, rng.uniform(0.5, 1.0, size=len(pts)))
 
 
+def _chunk_key(p, q):
+    # a sweep's chunk, named by its centre and its first atom: worker
+    # threads reach the chunks in no fixed order
+    return np.asarray(p, dtype=float).tobytes(), q[0].tobytes()
+
+
 @pytest.fixture
 def displaced(monkeypatch):
-    """Rows that reach core.left_displacement, one entry per call."""
-    rows = []
+    """Rows of each chunk that reaches core.left_displacement, keyed by
+    _chunk_key."""
+    rows = {}
     orig = core.left_displacement
 
     def counting(p, q, out=None):
-        rows.append(len(q))
+        rows[_chunk_key(p, q)] = len(q)
         return orig(p, q, out=out)
 
     monkeypatch.setattr(core, "left_displacement", counting)
@@ -349,7 +376,7 @@ def test_pruned_sweep_is_bitwise_the_full_sweep(request, monkeypatch, displaced,
     mu = request.getfixturevalue(name)
     c = mu.points[center] if isinstance(center, int) else np.array(center)
     pruned = _sweep_call(mu, kind, c, arg)
-    rows = sum(displaced)
+    rows = sum(displaced.values())
     assert {"none": rows == len(mu), "some": 0 < rows < len(mu),
             "all": rows == 0}[skipped], rows
     if skipped == "all":
@@ -358,21 +385,27 @@ def test_pruned_sweep_is_bitwise_the_full_sweep(request, monkeypatch, displaced,
     _unpruned(monkeypatch, mu)
     displaced.clear()
     full = _sweep_call(mu, kind, c, arg)
-    assert sum(displaced) == len(mu)
+    assert sum(displaced.values()) == len(mu)
     np.testing.assert_array_equal(pruned, full)
 
 
 @pytest.fixture
 def masked_chunks(monkeypatch, displaced):
-    """Chunks, numbered from 1 in sweep order, that sum their bins through
+    """Chunks, keyed as in ``displaced``, that sum their bins through
     measure._bin_sums rather than as one bin."""
-    chunks = set()
-    orig = measure._bin_sums
+    chunks, current = set(), threading.local()
+    displace, bin_sums = core.left_displacement, measure._bin_sums
+
+    def displacing(p, q, out=None):
+        # a chunk's bins are summed on the thread that displaced it
+        current.key = _chunk_key(p, q)
+        return displace(p, q, out=out)
 
     def recording(*args):
-        chunks.add(len(displaced))
-        return orig(*args)
+        chunks.add(current.key)
+        return bin_sums(*args)
 
+    monkeypatch.setattr(core, "left_displacement", displacing)
     monkeypatch.setattr(measure, "_bin_sums", recording)
     return chunks
 
@@ -397,7 +430,7 @@ def test_pruned_sweeps_take_both_reduction_paths(request, monkeypatch, displaced
     displaced.clear()
     masked_chunks.clear()
     _sweep_call(mu, "growth", mu.points[0], [0.5, 0.25])
-    assert masked_chunks == set(range(1, len(displaced) + 1)) != set()
+    assert masked_chunks == set(displaced) != set()
 
 
 @pytest.mark.parametrize("name, center", [("mu5", -1), ("mu_h2", -1)])
@@ -457,7 +490,7 @@ def test_sweep_skips_far_chunks(mu5, displaced):
     # fails when pruning is off: a quarter-radius ball at the corner
     # atom lies inside two of the sixteen level-1 cylinders' reach
     mu5.ball_mass(mu5.points[0], 0.25)
-    assert 0 < sum(displaced) < len(mu5)
+    assert 0 < sum(displaced.values()) < len(mu5)
 
 
 def test_chunk_reach_matches_brute_force(mu_h2):
@@ -572,3 +605,143 @@ def test_chunk_reach_is_computed_once_across_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert calls == [CHUNK, CHUNK, 5]
     assert all(r is results[0] for r in results)
+
+
+# ----------------------------------------------------------------------
+# sweeps on worker threads
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def pools(monkeypatch, helper_pools):
+    """512-atom chunks, 64 CPUs and helper threads for every sweep of two
+    chunks or more; the helper count of each sweep's pool, in order."""
+    monkeypatch.setattr(measure, "CHUNK", 512)
+    monkeypatch.setattr(measure, "PARALLEL_CHUNKS", 2)
+    monkeypatch.setattr(measure, "_cpu_count", lambda: 64)
+    return helper_pools
+
+
+def _clusters(chunk):
+    """Forty-one chunks and a partial one of 77 atoms; chunk k is a tight
+    cluster at 0.25 k along x1."""
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-0.05, 0.05, size=(41 * chunk + 77, 3))
+    pts[:, 0] += 0.25 * (np.arange(len(pts)) // chunk)
+    pts[:, 2] *= 0.01
+    return np.asfortranarray(pts), rng.uniform(0.5, 1.0, size=len(pts))
+
+
+def test_sweeps_keep_their_bits_at_every_worker_count(pools, displaced,
+                                                      masked_chunks):
+    pts, w = _clusters(measure.CHUNK)
+    params = RieszParams(s=2.0, n=1)
+    taxis = make_vertical(1, [])
+    # an atom: its own term is the NaN of 0 * inf, in the bin below
+    # every truncation's window
+    c = pts[3 * measure.CHUNK + 10]
+
+    def f(atoms):
+        return atoms[..., 1]
+
+    def outputs(workers):
+        mu = DiscreteMeasure(1, pts, w)
+        with measure._worker_cap(workers):
+            return [
+                mu.chunk_reach(), mu.diameter_bound(),
+                truncations(mu, params, f, c, [2.0, 1.0, 0.5, 0.25, 0.03]),
+                maximal_transform(mu, params, None, c, [1.5, 0.7, 0.2]),
+                growth_profile(mu, params, c, [0.5, 0.25, 0.125, 0.03]),
+                mu.ball_mass(c, [0.1, 0.6, 1.7]),
+                cone_deficiency(mu, 2.0, c, taxis, 0.5, [0.25, 1.0]),
+            ]
+
+    want = outputs(1)
+    assert pools == [] and not np.any(np.isnan(want[2]))
+    for workers in (2, 5):
+        pools.clear()
+        # more threads than cores, switching often: a chunk taken twice or
+        # a result lost would show in the bits
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = outputs(workers)
+        finally:
+            sys.setswitchinterval(interval)
+        # the reach, the diameter and one sweep per call, each on the
+        # calling thread and workers - 1 helpers
+        assert pools == [workers - 1] * 7
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    # the growth sweep skips chunks beyond radius 1 and takes both the
+    # one-bin and the masked path
+    mu = DiscreteMeasure(1, pts, w)
+    displaced.clear()
+    masked_chunks.clear()
+    with measure._worker_cap(5):
+        growth_profile(mu, params, c, [0.5, 0.25, 0.125, 0.03])
+    assert 0 < len(masked_chunks) < len(displaced) < 42
+
+
+def test_empty_measure_sweeps_to_zero_with_threads_for_every_sweep(
+        monkeypatch, pools):
+    monkeypatch.setattr(measure, "PARALLEL_CHUNKS", 0)
+    mu = DiscreteMeasure(1, np.zeros((0, 3)), np.zeros(0))
+    with measure._worker_cap(5):
+        assert mu.ball_mass([0.0, 0.0, 0.0], [1.0, 2.0]).tolist() == [0.0, 0.0]
+        sums, counts = binned_sweep(mu, [0.0, 0.0, 0.0], [0.5, 1.0, np.inf],
+                                    _kernel_columns(RieszParams(s=2.0, n=1),
+                                                    mu, None))
+        assert mu.diameter_bound() == 0.0 and len(mu.chunk_reach()) == 0
+    assert sums.tobytes() == np.zeros((3, 2)).tobytes()
+    assert counts.tolist() == [0, 0] and pools == []
+
+
+def test_divergence_probe_caps_the_threads_of_its_sweeps(pools):
+    pts, w = _clusters(measure.CHUNK)
+    mu = DiscreteMeasure(1, pts, w)
+    mu.chunk_reach()
+    params = RieszParams(s=2.0, n=1)
+    centres = pts[[5 * measure.CHUNK, 20 * measure.CHUNK]]
+    pools.clear()
+    want = divergence_probe(mu, params, centres, [0.5, 0.25, 0.125], threads=1)
+    assert pools == []
+    for threads in (3, None):
+        got = divergence_probe(mu, params, centres, [0.5, 0.25, 0.125],
+                               threads=threads)
+        # one sweep per point; with no cap, a thread per chunk kept
+        assert pools == [2, 2] if threads else len(pools) == 2 < min(pools)
+        assert [r.magnitudes.tobytes() for r in got] == [
+            r.magnitudes.tobytes() for r in want]
+        pools.clear()
+    assert measure._WORKER_CAP.get() is None
+
+
+@pytest.mark.parametrize("raiser", ["helper", "caller"])
+def test_an_error_in_a_worker_reaches_the_caller(pools, raiser):
+    pts, w = _clusters(measure.CHUNK)
+    mu = DiscreteMeasure(1, pts, w)
+    mu.chunk_reach()
+    pools.clear()
+
+    def columns(sl, u, d, out):
+        # the empty chunk that sets the column count is the caller's
+        on_caller = threading.current_thread() is threading.main_thread()
+        if len(d) and on_caller == (raiser == "caller"):
+            raise RuntimeError(f"chunk at {sl.start}")
+        # the other thread is slow, so that both take chunks
+        time.sleep(0.001)
+        return [d]
+
+    with measure._worker_cap(2), pytest.raises(RuntimeError, match="chunk at"):
+        binned_sweep(mu, pts[0], [-np.inf, np.inf], columns)
+    assert pools == [1]
+
+
+def test_cpu_count_falls_back_where_there_is_no_affinity(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert measure._cpu_count() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert measure._cpu_count() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert measure._cpu_count() == 1

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from heisriesz import measure
 from heisriesz.core import (dilate, dist, group_inv, group_mul, koranyi_norm,
                             left_displacement)
 from heisriesz.measure import DiscreteMeasure, binned_sweep, chunk_slices
@@ -269,21 +270,30 @@ def test_growth_profile_matches_annuli():
 
 
 @pytest.mark.parametrize("call", ["truncated", "growth"])
-def test_sweep_memory_is_bounded_by_the_chunk(call, mu5):
+def test_sweep_memory_is_bounded_by_the_chunk(call, mu5, monkeypatch,
+                                              helper_pools):
     # the level-5 coordinates alone are 25 MB; one full term array or
-    # distance sort would need several times that
+    # distance sort would need several times that.  With 64 CPUs and
+    # every sweep spread over threads, their workspaces stay within it too.
     params = RieszParams(s=2.0, n=1)
     p = mu5.points[12345]
-    tracemalloc.start()
-    try:
-        if call == "truncated":
-            truncated_transform(mu5, params, None, p, 0.0625)
-        else:
-            growth_profile(mu5, params, p, [0.25, 0.0625, 0.015625])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 10e6
+    for cpus in (None, 64):
+        if cpus is not None:
+            monkeypatch.setattr(measure, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(measure, "PARALLEL_CHUNKS", 1)
+        tracemalloc.start()
+        try:
+            if call == "truncated":
+                truncated_transform(mu5, params, None, p, 0.0625)
+            else:
+                growth_profile(mu5, params, p, [0.25, 0.0625, 0.015625])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, cpus
+        # the calling thread alone, or with one helper: two workspaces
+        # fill the budget
+        assert helper_pools == ([] if cpus is None else [1])
 
 
 def test_vertical_axis_sample_nearly_cancels():
