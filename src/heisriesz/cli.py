@@ -6,14 +6,14 @@ Usage:
     heisriesz ifs verify
     heisriesz measure ad-report
     heisriesz riesz transform
-    heisriesz riesz divergence [--quick] [--threads N]
+    heisriesz riesz divergence [--quick]
     heisriesz riesz subgroup-probe
     heisriesz tangent blowup
     heisriesz cone-deficiency
 
 Configuration comes from a JSON file (--config PATH) with optional
 blocks "ifs", "measure", "riesz", "diagnostics", "tangent", "selftest";
-the flags --seed, --threads, --quick and --out override file values.
+the flags --seed, --quick and --out override file values.
 Every JSON report embeds the resolved configuration, the seed and the
 package version, so a fixed config and seed reproduce identical bytes.
 CSV output uses '.' decimals, no locale.
@@ -44,7 +44,7 @@ from .fractal import (Ifs, Similarity, cycle_atom_indices, cylinder_measure,
                       phi_fixed_point, similarity_dimension,
                       verify_invariant_region, word_similarity)
 from .measure import (DEFAULT_ATOM_CAP, AtomCapExceeded, DiscreteMeasure,
-                      _worker_cap, write_csv)
+                      write_csv)
 from .riesz import RieszParams, truncations
 from .selftest import run_selftest
 from .subgroups import make_horizontal, make_vertical
@@ -65,13 +65,14 @@ class ConfigError(ValueError):
 
 
 # The run settings a config may set at its top level, beside the blocks.
-_RUN_KEYS = ("schema", "n", "seed", "threads", "quick", "atom_cap", "out")
+_RUN_KEYS = ("schema", "n", "seed", "quick", "atom_cap", "out")
 
 # The share of probe points that must diverge for a "diverging" verdict.
 DIVERGING_FRACTION = 0.75
 
 # Per-block defaults; a config key outside its block's table is an error.
-# A level left None is the command's own full or --quick level.
+# A level left None is the command's own full level, or one below it
+# under --quick.
 _DEFAULTS = {
     "ifs": {
         "kind": "strichartz",
@@ -79,7 +80,6 @@ _DEFAULTS = {
         "maps": None,
         "level": None,
         "resolution": 256,
-        "separation_level": 4,
         "expect": None,
     },
     "measure": {"csv": None, "spacing": None, "a": None},
@@ -116,7 +116,6 @@ _DEFAULTS = {
 class RunConfig:
     n: int
     seed: int
-    threads: int
     quick: bool
     atom_cap: int
     out: str
@@ -162,19 +161,19 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {', '.join(unknown)}")
     # the flags override the file's values
-    settings = {"n": 1, "seed": 0, "threads": 1, "quick": False,
+    settings = {"n": 1, "seed": 0, "quick": False,
                 "atom_cap": DEFAULT_ATOM_CAP, "out": ".", **raw,
                 **{k: v for k, v in vars(args).items()
                    if k in _RUN_KEYS and v is not None}}
-    n, threads, atom_cap = (_integer_setting(settings, key, 1)
-                            for key in ("n", "threads", "atom_cap"))
+    n, atom_cap = (_integer_setting(settings, key, 1)
+                   for key in ("n", "atom_cap"))
     quick = settings["quick"]
     if not isinstance(quick, bool):
         raise ConfigError(f"'quick' must be true or false, got {quick!r}")
     blocks = {k: raw[k] for k in _DEFAULTS if k in raw}
     return RunConfig(n=n, seed=_integer_setting(settings, "seed", 0),
-                     threads=threads, quick=quick,
-                     atom_cap=atom_cap, out=str(settings["out"]), blocks=blocks)
+                     quick=quick, atom_cap=atom_cap, out=str(settings["out"]),
+                     blocks=blocks)
 
 
 @dataclass
@@ -200,14 +199,12 @@ def _run(cfg: RunConfig, command: str, stem: str, csv: str | None,
          compute) -> int:
     """Compute a command, write its CSV and JSON report, print, gate."""
     ifs_block = cfg.blocks.get("ifs")
-    if (command != "ifs generate" and isinstance(ifs_block, dict)
-            and "level" in ifs_block):
+    if (command not in ("ifs generate", "ifs verify")
+            and isinstance(ifs_block, dict) and "level" in ifs_block):
         # every other command takes its level from its own block
         raise ConfigError("config key 'ifs.level' is read only by "
-                          f"'ifs generate', not by '{command}'")
-    # every sweep of the run spreads its chunks over at most cfg.threads
-    with _worker_cap(cfg.threads):
-        res = compute(cfg)
+                          f"'ifs generate' and 'ifs verify', not by '{command}'")
+    res = compute(cfg)
     folder = Path(cfg.out)
     folder.mkdir(parents=True, exist_ok=True)
     payload, message = res.payload, res.message
@@ -269,14 +266,15 @@ def _build_ifs(cfg: RunConfig):
     return ifs, block
 
 
-def _pick_level(block: dict, cfg: RunConfig, full: int, quick: int) -> int:
+def _pick_level(block: dict, cfg: RunConfig, full: int) -> int:
     """The block's level, else the command's full level; under --quick
-    the lesser of that and the command's quick level."""
-    level = full if block["level"] is None else int(block["level"])
-    return min(level, quick) if cfg.quick else level
+    the lesser of that and the quick level, one below the full level."""
+    level = (full if block["level"] is None
+             else _integer_setting(block, "level", 0))
+    return min(level, full - 1) if cfg.quick else level
 
 
-def _measure_for(cfg: RunConfig, name: str, full: int, quick: int):
+def _measure_for(cfg: RunConfig, name: str, full: int):
     """The command's block and its measure: the 'measure' block's CSV if
     present, else a cylinder measure at the block's level.
 
@@ -284,7 +282,7 @@ def _measure_for(cfg: RunConfig, name: str, full: int, quick: int):
     the dimension is the CSV's 'measure.a', else the similarity dimension.
     """
     block = cfg.section(name)
-    level = _pick_level(block, cfg, full, quick)
+    level = _pick_level(block, cfg, full)
     if "measure" in cfg.blocks:
         m = cfg.section("measure")
         if not m["csv"]:
@@ -390,7 +388,7 @@ def _cmd_selftest(cfg: RunConfig) -> Outcome:
 
 def _cmd_ifs_generate(cfg: RunConfig) -> Outcome:
     ifs, block = _build_ifs(cfg)
-    level = _pick_level(block, cfg, full=4, quick=3)
+    level = _pick_level(block, cfg, full=4)
     mu = cylinder_measure(ifs, level, atom_cap=cfg.atom_cap)
     payload = {
         "atoms": len(mu),
@@ -407,9 +405,7 @@ def _cmd_ifs_generate(cfg: RunConfig) -> Outcome:
 
 def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
     ifs, block = _build_ifs(cfg)
-    sep_level = int(block["separation_level"])
-    if cfg.quick:
-        sep_level = max(1, sep_level - 1)
+    level = _pick_level(block, cfg, full=4)
     payload, lines = {}, []
     region = None
     if block["kind"] == "strichartz":
@@ -429,21 +425,20 @@ def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
         payload["region"] = asdict(region)
         lines.append(f"region: {region.violations} violations / "
                      f"{region.sample_count} samples, slack {region.slack:.3e}")
-    separation = min_piece_separation(ifs, sep_level)
+    separation = min_piece_separation(ifs, level)
     certified = (region is None or region.certified) and separation > 0.0
     verdict = "certified" if certified else "uncertified"
-    payload["separation"] = {"level": sep_level, "value": separation}
+    payload["separation"] = {"level": level, "value": separation}
     payload["verdict"] = verdict
-    lines.append(f"piece separation at level {sep_level}: {separation:.6g} "
+    lines.append(f"piece separation at level {level}: {separation:.6g} "
                  f"-> {verdict}")
-    sections = {"ifs": {**block, "separation_level_used": sep_level}}
+    sections = {"ifs": {**block, "level_used": level}}
     return Outcome(payload, sections, "\n".join(lines), verdict,
                    block["expect"])
 
 
 def _cmd_measure_ad(cfg: RunConfig) -> Outcome:
-    diag, mu, _, a, sections = _measure_for(cfg, "diagnostics", full=5,
-                                            quick=4)
+    diag, mu, _, a, sections = _measure_for(cfg, "diagnostics", full=5)
     report = ad_regularity_report(mu, a, centers=diag["centers"],
                                   radii=_radii_for(cfg, diag, mu),
                                   seed=cfg.seed)
@@ -458,7 +453,7 @@ def _cmd_measure_ad(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_riesz_transform(cfg: RunConfig) -> Outcome:
-    block, mu, _, a, sections = _measure_for(cfg, "riesz", full=4, quick=3)
+    block, mu, _, a, sections = _measure_for(cfg, "riesz", full=4)
     params = RieszParams(s=a, n=mu.n)
     eps = _eps_schedule(block, start=0.25, ratio=0.25, count=3)
     points = 8 if block["points"] is None else block["points"]
@@ -484,7 +479,7 @@ def _cmd_riesz_transform(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_riesz_divergence(cfg: RunConfig) -> Outcome:
-    block, mu, ifs, a, sections = _measure_for(cfg, "riesz", full=6, quick=5)
+    block, mu, ifs, a, sections = _measure_for(cfg, "riesz", full=6)
     params = RieszParams(s=a, n=mu.n)
     eps = _eps_schedule(block, start=0.25, ratio=0.25,
                         count=4 if cfg.quick else 5)
@@ -496,7 +491,7 @@ def _cmd_riesz_divergence(cfg: RunConfig) -> Outcome:
         pts = mu.points[idx]
     else:
         pts = _center_coords(mu, points, cfg.seed)
-    reports = divergence_probe(mu, params, pts, eps, threads=cfg.threads)
+    reports = divergence_probe(mu, params, pts, eps)
     diverging = sum(r.verdict == "diverging" for r in reports)
     bounded = sum(r.verdict == "bounded" for r in reports)
     needed = math.ceil(DIVERGING_FRACTION * len(reports))
@@ -551,7 +546,7 @@ def _cmd_riesz_subgroup(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_tangent_blowup(cfg: RunConfig) -> Outcome:
-    block, mu, ifs, a, sections = _measure_for(cfg, "tangent", full=5, quick=4)
+    block, mu, ifs, a, sections = _measure_for(cfg, "tangent", full=5)
     if block["point"] is not None:
         center = np.asarray(block["point"], dtype=float)
     else:
@@ -576,8 +571,7 @@ def _cmd_tangent_blowup(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_cone_deficiency(cfg: RunConfig) -> Outcome:
-    diag, mu, _, a, sections = _measure_for(cfg, "diagnostics", full=5,
-                                            quick=4)
+    diag, mu, _, a, sections = _measure_for(cfg, "diagnostics", full=5)
     pts = _center_coords(mu, int(diag["cone_points"]), cfg.seed)
     requested = int(diag["cone_subgroups"])
     family = _cone_family(mu.n, a, requested, cfg.seed)
@@ -647,7 +641,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None)
     common.add_argument("--quick", action="store_true", default=None,
                         help="reduced levels and sample counts")
     common.add_argument("--out", metavar="DIR", default=None,

@@ -78,11 +78,16 @@ def _checked_radii(mu: DiscreteMeasure, radii) -> np.ndarray:
 
 
 def _radius_powers(rad: np.ndarray, a: float) -> np.ndarray:
-    """r^a per radius through ``math.pow``, which numpy's SIMD level does
-    not move; for a = 2, r * r, the correctly rounded square that numpy's
-    ``r ** 2`` also gives and ``math.pow`` misses for about one r in 1,000."""
-    if a == 2.0:
-        return rad * rad
+    """r^a per radius.  For an integer a, the left-to-right product
+    r * r * ... * r, as the transform kernel forms d^(s+1): each step is
+    one correctly rounded multiply, where ``math.pow`` is not correctly
+    rounded (it misses r * r for about one r in 1,000).  Otherwise
+    ``math.pow``, which numpy's SIMD level does not move."""
+    if float(a).is_integer() and a >= 1:
+        power = rad.copy()
+        for _ in range(int(a) - 1):
+            power *= rad
+        return power
     return np.array([math.pow(r, a) for r in rad])
 
 

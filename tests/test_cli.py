@@ -1,5 +1,6 @@
 """Command-line surface: configs, exit codes, files, determinism."""
 
+import argparse
 import ast
 import csv
 import importlib
@@ -93,8 +94,20 @@ def test_ifs_verify_quick(tmp_path):
     assert res["region"]["sample_count"] == 10_000
     assert res["phi"]["residual"] == 0.0
     assert res["separation"]["value"] > 0.0
-    assert doc["config"]["ifs"]["separation_level_used"] == 3
+    assert doc["config"]["ifs"]["level_used"] == 3
     assert res["separation"]["level"] == 3
+
+
+def test_ifs_verify_quick_keeps_a_lower_ifs_level(tmp_path):
+    # the separation level is ifs.level, picked as every command picks
+    # its level: under --quick a level below the quick level 3 stays
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, {"ifs": {"level": 2, "resolution": 32}})
+    code = _run(["ifs", "verify", "--config", cfg, "--quick", "--out", str(out)])
+    assert code == 0
+    doc = json.loads((out / "ifs_verify.json").read_text())
+    assert doc["config"]["ifs"]["level_used"] == 2
+    assert doc["results"]["separation"]["level"] == 2
 
 
 def test_bad_ratio_is_config_error(tmp_path, capsys):
@@ -114,13 +127,13 @@ def test_unknown_keys_are_config_errors(tmp_path):
 
 
 @pytest.mark.parametrize("command", [
-    ["measure", "ad-report"], ["ifs", "verify"], ["riesz", "transform"],
+    ["measure", "ad-report"], ["tangent", "blowup"], ["riesz", "transform"],
     ["selftest"],
 ])
 def test_ifs_level_outside_ifs_generate_is_config_error(tmp_path, capsys,
                                                         command):
-    # only ifs generate reads ifs.level; any other command would report
-    # it beside the level it used from its own block
+    # only the ifs commands read ifs.level; any other command would
+    # report it beside the level it used from its own block
     cfg = _write_config(tmp_path, {"ifs": {"level": 2}})
     out = tmp_path / "o"
     assert _run([*command, "--config", cfg, "--out", str(out)]) == 2
@@ -497,7 +510,11 @@ def test_quick_never_runs_finer_than_the_full_run(tmp_path, command, block,
     (["riesz", "transform"], {"riesz": {"eps": ["a"]}}),
     (["measure", "ad-report"], {"diagnostics": {"level": [1]}}),
     (["selftest"], {"n": "x"}),
-], ids=["ifs-level", "riesz-points", "riesz-eps", "diag-level", "n"])
+    # a level is type-checked, not coerced: int(True) is 1, int(2.9) is 2
+    (["ifs", "generate"], {"ifs": {"level": True}}),
+    (["ifs", "verify"], {"ifs": {"level": 2.9}}),
+], ids=["ifs-level", "riesz-points", "riesz-eps", "diag-level", "n",
+        "ifs-level-bool", "ifs-level-fraction"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, doc, quick):
     # values read mid-command go through the same boundary as the ones
     # read while loading the config
@@ -511,7 +528,6 @@ def test_malformed_value_is_config_error(tmp_path, capsys, command, doc, quick):
     ("quick", "false"), ("quick", 1), ("quick", None),
     ("n", 1.7), ("n", True), ("n", "1"),
     ("seed", 2.9), ("seed", False),
-    ("threads", True), ("threads", 1.5),
     ("atom_cap", 1e7 + 0.5), ("atom_cap", [10]),
 ])
 def test_run_settings_keep_their_json_type(tmp_path, capsys, key, value):
@@ -521,6 +537,19 @@ def test_run_settings_keep_their_json_type(tmp_path, capsys, key, value):
     out = tmp_path / "o"
     assert _run(["selftest", "--config", cfg, "--out", str(out)]) == 2
     assert f"{key!r} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_threads_is_neither_a_key_nor_a_flag(tmp_path, capsys):
+    # sweeps use the CPUs the process may use, with the same bits at any
+    # count, so no setting picks their number
+    cfg = _write_config(tmp_path, {"threads": 2})
+    out = tmp_path / "o"
+    assert _run(["selftest", "--config", cfg, "--out", str(out)]) == 2
+    assert "unknown top-level config keys: threads" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as done:
+        _run(["selftest", "--threads", "2", "--out", str(out)])
+    assert done.value.code == 2
     assert not out.exists()
 
 
@@ -566,24 +595,21 @@ def test_blowup_word_validation(tmp_path, capsys, word):
 def test_thread_count_does_not_move_the_output(tmp_path, monkeypatch,
                                                helper_pools):
     # every sweep of the level-5 measure spreads its 16 chunks over the
-    # threads the run allows
+    # CPUs the process may use: none on one CPU, two workspaces' worth
+    # (one helper) on 64
     monkeypatch.setattr(measure, "PARALLEL_CHUNKS", 1)
-    monkeypatch.setattr(measure, "_cpu_count", lambda: 64)
-    docs = {}
-    for threads in ("1", "2"):
-        run_dir = tmp_path / threads
+    files = {}
+    for cpus in (1, 64):
+        monkeypatch.setattr(measure, "_cpu_count", lambda: cpus)
+        run_dir = tmp_path / str(cpus)
         run_dir.mkdir()
         monkeypatch.chdir(run_dir)
         helper_pools.clear()
-        assert _run(["riesz", "divergence", "--quick", "--threads", threads,
-                     "--out", "."]) == 0
-        assert set(helper_pools) == ({1} if threads == "2" else set())
-        docs[threads] = json.loads((run_dir / "riesz_divergence.json").read_text())
-    csvs = [(tmp_path / t / "riesz_divergence.csv").read_bytes() for t in "12"]
-    assert csvs[0] == csvs[1]
-    assert (docs["1"]["config"].pop("threads"),
-            docs["2"]["config"].pop("threads")) == (1, 2)
-    assert docs["1"] == docs["2"]
+        assert _run(["riesz", "divergence", "--quick", "--out", "."]) == 0
+        assert set(helper_pools) == ({1} if cpus == 64 else set())
+        files[cpus] = [(run_dir / name).read_bytes() for name in
+                       ("riesz_divergence.csv", "riesz_divergence.json")]
+    assert files[1] == files[64]
 
 
 COMMAND_WORDS = [["selftest"], ["ifs", "generate"], ["ifs", "verify"],
@@ -621,6 +647,24 @@ def test_readme_lists_every_config_key():
     tables = {"top level": list(cli._RUN_KEYS),
               **{name: list(table) for name, table in cli._DEFAULTS.items()}}
     assert listed == tables
+
+
+def test_readme_lists_every_common_flag():
+    # README's common flags and each command's options are one surface:
+    # a flag added or removed on one side only fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("Every command takes the common flags", 1)[1]
+    listed = re.findall(r"`(--[a-z-]+)", section.split("\n\n", 1)[0])
+    parser = cli._build_parser()
+    for words in COMMAND_WORDS:
+        command = parser
+        for word in words:
+            command = next(a for a in command._actions
+                           if isinstance(a, argparse._SubParsersAction)
+                           ).choices[word]
+        flags = [s for a in command._actions for s in a.option_strings
+                 if s not in ("-h", "--help")]
+        assert flags == listed, " ".join(words)
 
 
 @pytest.fixture

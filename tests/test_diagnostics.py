@@ -1,5 +1,7 @@
 """Scaling reports, growth probes, blow-ups, and the vertical lower bound."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from heisriesz.diagnostics import (
     horest_check,
     subgroup_boundedness_probe,
 )
-from heisriesz.diagnostics import _fit_slope
+from heisriesz.diagnostics import _fit_slope, _growth_verdict
 from heisriesz.measure import DiscreteMeasure
 from heisriesz.riesz import RieszParams
 from heisriesz.subgroups import make_horizontal, make_vertical
@@ -79,6 +81,22 @@ def test_ad_regularity_sampled_centers_shape():
     assert report.ratios.shape == (8, 1)
 
 
+def test_integer_exponents_scale_by_a_product_of_radii():
+    # for an integer a, r^a is the left-to-right product r * r * r, one
+    # rounding per step; math.pow(0.3, 3) lands one ulp lower
+    want = 1.0 / (0.3 * 0.3 * 0.3)
+    assert want != 1.0 / math.pow(0.3, 3)
+    # the ball of radius 0.3 about (1, 0, 0) holds that atom alone, and
+    # about (0.9, 0, 0) a horizontal step away, outside the vertical cone
+    mu = DiscreteMeasure(1, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], np.ones(2))
+    report = ad_regularity_report(mu, 3, centers=[[1.0, 0.0, 0.0]],
+                                  radii=(0.3,))
+    assert report.ratios[0, 0] == want
+    ratios = cone_deficiency(mu, 3, np.array([0.9, 0.0, 0.0]),
+                             make_vertical(1, []), 0.5, [0.3])
+    assert ratios[0] == want
+
+
 def test_cone_deficiency_full_versus_empty():
     mu = _segment_measure()
     t = make_vertical(1, [])
@@ -100,6 +118,14 @@ def test_cone_deficiency_monotone_in_aperture():
     assert np.all(narrow >= wide)
     with pytest.raises(ValueError):
         cone_deficiency(mu, 1.0, np.zeros(3), t, 1.2, [0.25])
+
+
+def test_one_flat_step_in_the_finer_half_is_not_diverging():
+    # the finer half (2, 2, 3) rises on average but not at every step
+    assert _growth_verdict(np.array([0.0, 1.0, 2.0, 2.0, 3.0]), 0.05) \
+        == "inconclusive"
+    assert _growth_verdict(np.array([0.0, 1.0, 2.0, 2.5, 3.0]), 0.05) \
+        == "diverging"
 
 
 def test_divergence_probe_on_symmetric_measure():

@@ -12,6 +12,7 @@ from heisriesz.core import dilate, dist, group_mul
 from heisriesz.fractal import (
     GridFunction,
     Ifs,
+    RegionReport,
     Similarity,
     cycle_atom_indices,
     cylinder_measure,
@@ -281,6 +282,14 @@ def test_tilt_operator_node_at_one_half_takes_the_lower_cell():
         np.testing.assert_array_equal(got[..., i], want[..., 0])
 
 
+def test_phi_fixed_point_rejects_a_slow_contraction(monkeypatch):
+    # an operator that contracts by 1/2, far above r^2 = 1/16, must
+    # trip the guard on its second update
+    monkeypatch.setattr(_TiltOperator, "apply", lambda self, f: 0.5 * f + 1.0)
+    with pytest.raises(RuntimeError, match="contraction violated"):
+        phi_fixed_point(1, 0.25, 16)
+
+
 def test_phi_fixed_point_resolution_guard():
     with pytest.raises(ValueError):
         phi_fixed_point(1, 0.25, 4)
@@ -391,6 +400,17 @@ def test_invariant_region_certified(ifs14, phi64):
     assert report.min_upper_margin >= -report.slack
 
 
+@pytest.mark.parametrize("slack, certified", [(0.009, True), (0.011, False)])
+def test_region_slack_above_a_tenth_of_the_separation_does_not_certify(
+        slack, certified):
+    report = RegionReport(
+        sample_count=100, violations=0, witness=None, min_lower_margin=0.0,
+        min_upper_margin=0.0, slack=slack, discretization_sup=0.0,
+        slab_thickness=0.0625, offset_spacing=0.25, vertical_separation=0.1,
+        horizontal_gap=0.5, disjoint_certified=True)
+    assert report.certified is certified
+
+
 def test_invariant_region_parameter_mismatch(ifs14):
     other = phi_fixed_point(1, 0.125, 64)
     with pytest.raises(ValueError):
@@ -434,6 +454,21 @@ def test_min_piece_separation_matches_brute_force(ifs14):
     for level in (3, 4, 5):
         want = _brute_separation(mixed, level)
         assert min_piece_separation(mixed, level) == pytest.approx(want, rel=1e-12)
+
+
+def test_min_piece_separation_matches_brute_force_on_random_systems():
+    # seeded 3-5-map systems in H^1 at levels 2 and 3: a pruning slack
+    # too small to keep every ancestor pair of the minimum loses it on
+    # some of them and reports a larger value
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        ifs = Ifs(n=1, maps=tuple(
+            Similarity(n=1, q=rng.uniform(-1.0, 1.0, 3),
+                       r=float(rng.uniform(0.3, 0.5)))
+            for _ in range(int(rng.integers(3, 6)))))
+        level = int(rng.integers(2, 4))
+        want = _brute_separation(ifs, level)
+        assert min_piece_separation(ifs, level) == pytest.approx(want, rel=1e-12)
 
 
 def _mixed_trio():

@@ -24,43 +24,43 @@ from heisriesz.cli import main
 GOLDEN = {
     ("selftest",): {
         "selftest.json":
-            "090600518d018c9209024979363343ba15577ae8fb1a458148eba225a26f4a86",
+            "ffdba81e80a0d57c41153091ea823242f493a03361f96862d82dc87fda418b1b",
     },
     ("ifs", "generate"): {
         "ifs_generate.json":
-            "ec1101a64d0eb4b604134bee0bb14c618528fc6ba129a5eeafd2a71d5c67a755",
+            "92853d1868f6687e54578259d88718bc34140ebe64230838e4c0ede1623fd270",
         "ifs_measure.csv":
             "5d0688b1dab4ac5c110c86779b1adb4f523b985bcf44bd7e0b55929a51337efe",
     },
     ("ifs", "verify"): {
         "ifs_verify.json":
-            "ae1b7c698008c6023d0b499aecc11caff1e7e4de36a4086aeda59d335c69622a",
+            "c41ac7b317a197b28469b6124855fa6b372d3bdcc8da5c14c2a2cc92d42ad5b0",
     },
     ("measure", "ad-report"): {
         "ad_report.json":
-            "89b985c501d97c298f0a6f10099e9930705b39e151e787706714040e8427c243",
+            "e6e6283263d9a5853ccc083f63a2b34501c7870958a34e6934f9235db56a85d3",
     },
     ("riesz", "transform"): {
         "riesz_transform.csv":
             "49aa44e75c3372e31884484b987c22c9439042e06acc100d29ecec96cfa212f9",
         "riesz_transform.json":
-            "763195a9afc45a0fdff89f02e8f3469d92be80d0eb01878265803df27ae928e6",
+            "8427aed88acf138ec8cf8d565eb8a4408f8a577c1f51114974301e092e8a679a",
     },
     ("riesz", "divergence"): {
         "riesz_divergence.csv":
             "b8ca5fce28855e3d820b24325793c974df8a42ba6d797e87aec64d4b6bdbef47",
         "riesz_divergence.json":
-            "236d1ddcb98f795e30302c52bdd6e7599e336b549ced3bf1284a9f359554d05e",
+            "cbf84aaa49b8d8496b931b6060609384702e22fbbb726ee1a8386a4a9b3a0967",
     },
     ("riesz", "subgroup-probe"): {
         "subgroup_probe.csv":
             "952fce8fac7b2a2399868ab3a161b515a0558191bf4870e9f8f1f23aba1b134e",
         "subgroup_probe.json":
-            "e29c213da194917f5acf8321c395baddd63e02a9396593d2b2cdeaaa76d1f4eb",
+            "da6dc395be286fb08826b599492c217b70c9b97b490490b49514d31359b57726",
     },
     ("tangent", "blowup"): {
         "blowup.json":
-            "20192ecc26efb7e9f1d34b1ec40cd0ca9c14ff147900040b361680311ee74104",
+            "a95e091d0b0845d8cfba3137c8e1b0f4b53d1a10f327aaba9e3eb1a6b3a34981",
         "blowup_measure.csv":
             "b8a71b508fd9a99a9fe9224dea32ce90699ef09755453a6897192bb974e5d034",
     },
@@ -68,7 +68,7 @@ GOLDEN = {
         "cone_deficiency.csv":
             "8baabdc83ca08b5447a1d056fde634e9c25263d9c8c7b69a0425fee99345b360",
         "cone_deficiency.json":
-            "701d61293604f2ca6678c561ef73edbc1fd02206e5529eaa8e78ba6a06730c3d",
+            "49b19629a84e8e2a353296ecbbcf547c49049098c6ee1e06771cbd8c8676459a",
     },
 }
 
@@ -110,7 +110,7 @@ CONFIG_RUNS = {
                   "eps": [0.5, 0.125, 0.03125]},
     }),
     "verify-custom": (("ifs", "verify"), {
-        "ifs": {"kind": "custom", "separation_level": 3,
+        "ifs": {"kind": "custom", "level": 3,
                 "maps": [{"q": [0.0, 0.0, 0.0], "r": 0.25},
                          {"q": [0.75, 0.0, 0.0], "r": 0.25}]},
     }),
@@ -132,17 +132,17 @@ CONFIG_RUNS = {
 CONFIG_GOLDEN = {
     "ad-report-csv": (0, {
         "ad_report.json":
-            "cfd85bd9ee0fb59852930957d15129c2ad319941e5e030255c15d9df245a5c0a",
+            "284e65bf44acf1a2655c196343080333dabb07b7a06484f5771e4f82d3389d00",
     }),
     "cone-deficiency-csv": (0, {
         "cone_deficiency.csv":
             "427311cbfc13a55cc168a7b66ba3cfc515a6b8029dd5c72090f08cce18ef2f63",
         "cone_deficiency.json":
-            "3029321f092b355ff33ffc7f433d2e17aa5b0e5c3f3ea87d039e1aba785eb95b",
+            "751891f00d917a53c5d9fe96c611d3f50be8ee73144e742eba615b333839811c",
     }),
     "blowup-csv-point": (0, {
         "blowup.json":
-            "ce28539e90a0a725bddb633ae6bb5c1d9fe942806727b0c7f43bbab01aa7e970",
+            "74491b291276069aa9fa660cd5af945adef512c6c7c11a429a278195f1b559d4",
         "blowup_measure.csv":
             "ba261037874d506f3def2d15752f7f66abd997459905a4ea60b40a27800112ae",
     }),
@@ -150,21 +150,21 @@ CONFIG_GOLDEN = {
         "riesz_transform.csv":
             "2d19ab520c2ebc093a4ab932304c6c1c5d7dc6cd4ee21a78ec0f3094907a4b57",
         "riesz_transform.json":
-            "0187c2a11b4ceebd08df342578be8898c4e6e3fc87a458e88f8ff076ba23d085",
+            "82cdf446526c50dcf2e1ec57671bf9ca050c4c313d6d2ae0e52be98f8d91c099",
     }),
     "verify-custom": (0, {
         "ifs_verify.json":
-            "a4cd8793b65df5c45beb3f670f46a62785eb9ed958a0c426cc469e224062745f",
+            "ac70b32505005dbfe46779afcf2db63779b893f58d99dc027856f43828718f31",
     }),
     "verify-corner-n2": (0, {
         "ifs_verify.json":
-            "7b4462aeb938c3ecde02c8348ba9595fdbd1e58676b5c848265f971ace409c1b",
+            "aa96692a3d4165fe2bf849e20c948be5f5e9c6acba7c9d1e42f922c1edb62402",
     }),
     "subgroup-probe-horizontal-n2": (0, {
         "subgroup_probe.csv":
             "4a715ace929eb20a6e6bda7644ec6d24bec3ba6c0d051ae8b8d9682393f7fd14",
         "subgroup_probe.json":
-            "d5b168873ceaa19077d8edac9679744d25a10bd446db1806ae57778df56b9f4f",
+            "accd38cbeb527abef780446a78737ba81f16fb9f4f9eba5f231b3bee5e78c3a8",
     }),
 }
 

@@ -128,6 +128,16 @@ def test_diameter_bound_dominates_true_diameter():
     assert mu.diameter_bound() >= true_diam - 1e-15
 
 
+def test_diameter_bound_is_tight_from_a_midpoint():
+    # the bound is twice the farthest atom from the first; with the first
+    # atom midway between the other two, the factor 2 is needed
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    mu = DiscreteMeasure(1, pts, np.ones(3))
+    brute = max(float(dist(p, q)) for p in pts for q in pts)
+    assert brute == 2.0
+    assert mu.diameter_bound() >= brute
+
+
 def test_csv_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(11)
     pts = rng.uniform(-5, 5, size=(50, 5))
