@@ -282,8 +282,10 @@ def _measure_for(cfg: RunConfig, name: str, full: int):
     the dimension is the CSV's 'measure.a', else the similarity dimension.
     """
     block = cfg.section(name)
-    level = _pick_level(block, cfg, full)
     if "measure" in cfg.blocks:
+        if block["level"] is not None:
+            raise ConfigError(f"config key '{name}.level' is not read when "
+                              "a 'measure' block supplies the atoms")
         m = cfg.section("measure")
         if not m["csv"]:
             raise ConfigError("measure block requires a 'csv' path")
@@ -301,6 +303,7 @@ def _measure_for(cfg: RunConfig, name: str, full: int):
             print(f"note: measure {m['csv']} has no 'spacing'; the "
                   "4x-spacing resolution floor is off", file=sys.stderr)
         return block, mu, None, float(a), {name: block, "measure": m}
+    level = _pick_level(block, cfg, full)
     ifs, ifs_block = _build_ifs(cfg)
     mu = cylinder_measure(ifs, level, atom_cap=cfg.atom_cap)
     return block, mu, ifs, similarity_dimension(ifs), {

@@ -542,8 +542,11 @@ def verify_invariant_region(ifs: Ifs, phi: GridFunction,
     so the 4 maps over one corner share its bits exactly.  The maps must
     equal those of ``make_strichartz_ifs(phi.n, phi.r)``, the corner
     family phi was built for; any other system raises ValueError.
+    Memory is the samples plus one block of CHUNK // 2 of them.
     """
     n, r = phi.n, phi.r
+    if sample_count < 1:
+        raise ValueError("sample_count must be positive")
     family = make_strichartz_ifs(n, r).maps
     if len(ifs.maps) != len(family) or not all(
             s.r == t.r and np.array_equal(s.q, t.q)
@@ -557,29 +560,35 @@ def verify_invariant_region(ifs: Ifs, phi: GridFunction,
     safety = 1.000001 if exact_lattice else 2.0
     slack = safety * sup_resid + 1e-15
 
-    samples = np.empty((sample_count, 2 * n + 1))
-    samples[:, :-1] = rng.random((sample_count, 2 * n))
-    samples[:, -1] = phi.evaluate(samples[:, :-1]) + rng.random(sample_count)
+    # the horizontal draws, then the vertical ones; U + phi is phi + U
+    horizontal = rng.random((sample_count, 2 * n))
+    vertical = rng.random(sample_count)
 
     violations = 0
-    witness = None
+    hit = None  # (map, sample) of the first violation of the lowest map
     min_lower = math.inf
     min_upper = math.inf
-    bases = {}
-    for s in ifs.maps:
-        image = s.apply(samples)
-        if (key := s.q[:-1].tobytes()) not in bases:
-            bases[key] = phi.evaluate(image[:, :-1])
-        base = bases[key]
-        lower = image[:, -1] - base
-        upper = base + 1.0 - image[:, -1]
-        min_lower = min(min_lower, float(np.min(lower)))
-        min_upper = min(min_upper, float(np.min(upper)))
-        bad = (lower < -slack) | (upper < -slack)
-        count = int(np.count_nonzero(bad))
-        if count and witness is None:
-            witness = samples[int(np.argmax(bad))].copy()
-        violations += count
+    for start in range(0, sample_count, CHUNK // 2):
+        block = slice(start, start + CHUNK // 2)
+        vertical[block] += phi.evaluate(horizontal[block])
+        samples = np.column_stack((horizontal[block], vertical[block]))
+        bases = {}
+        for j, s in enumerate(ifs.maps):
+            image = s.apply(samples)
+            if (key := s.q[:-1].tobytes()) not in bases:
+                bases[key] = phi.evaluate(image[:, :-1])
+            base = bases[key]
+            lower = image[:, -1] - base
+            upper = base + 1.0 - image[:, -1]
+            min_lower = min(min_lower, float(np.min(lower)))
+            min_upper = min(min_upper, float(np.min(upper)))
+            bad = (lower < -slack) | (upper < -slack)
+            count = int(np.count_nonzero(bad))
+            if count and (hit is None or j < hit[0]):
+                hit = (j, start + int(np.argmax(bad)))
+            violations += count
+    witness = (None if hit is None
+               else np.append(horizontal[hit[1]], vertical[hit[1]]))
 
     thickness = r * r
     spacing = float(np.min(np.diff(_STRICHARTZ_OFFSETS)))

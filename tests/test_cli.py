@@ -18,7 +18,7 @@ import heisriesz.core as core
 import heisriesz.measure as measure
 from heisriesz.cli import main
 from heisriesz.fractal import make_strichartz_ifs, similarity_dimension
-from heisriesz.subgroups import make_vertical
+from heisriesz.subgroups import make_horizontal, make_vertical
 
 
 def _write_config(tmp_path, doc):
@@ -138,6 +138,23 @@ def test_ifs_level_outside_ifs_generate_is_config_error(tmp_path, capsys,
     out = tmp_path / "o"
     assert _run([*command, "--config", cfg, "--out", str(out)]) == 2
     assert "'ifs.level'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,block", [
+    (["measure", "ad-report"], "diagnostics"), (["cone-deficiency"], "diagnostics"),
+    (["riesz", "transform"], "riesz"), (["riesz", "divergence"], "riesz"),
+    (["tangent", "blowup"], "tangent"),
+])
+def test_block_level_beside_a_measure_block_is_config_error(tmp_path, capsys,
+                                                            command, block):
+    # the CSV supplies the atoms, so the block's level would be reported
+    # in the config without having been read; the CSV is never opened
+    cfg = _write_config(tmp_path, {"measure": {"csv": "absent.csv", "a": 2.0},
+                                   block: {"level": 9}})
+    out = tmp_path / "o"
+    assert _run([*command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"'{block}.level'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -457,6 +474,25 @@ def test_cone_deficiency_n2_tests_subgroups_of_the_measure_dimension(tmp_path):
         assert make_vertical(2, desc["basis"]).hausdorff_dimension == 3
 
 
+def test_cone_deficiency_on_an_n2_csv_measure_of_dimension_2(tmp_path):
+    # a = 2 in H^2: the center line and horizontal planes, each of
+    # which must be isotropic for the subgroup to exist
+    gen = _write_config(tmp_path, {"n": 2, "ifs": {"level": 1}})
+    assert _run(["ifs", "generate", "--config", gen,
+                 "--out", str(tmp_path / "gen")]) == 0
+    cfg = _write_config(tmp_path, {
+        "measure": {"csv": str(tmp_path / "gen" / "ifs_measure.csv"), "a": 2.0},
+        "diagnostics": {"cone_points": 2, "cone_subgroups": 3, "radii": [0.5]}})
+    out = tmp_path / "run"
+    assert _run(["cone-deficiency", "--config", cfg, "--out", str(out)]) == 0
+    res = json.loads((out / "cone_deficiency.json").read_text())["results"]
+    assert res["a"] == 2.0
+    kinds = [desc["kind"] for desc in res["subgroups"]]
+    assert kinds == ["taxis", "horizontal", "horizontal"]
+    for desc in res["subgroups"][1:]:
+        assert make_horizontal(2, desc["basis"]).hausdorff_dimension == 2
+
+
 @pytest.mark.parametrize("doc", [
     {"ifs": {"r": 0.125}},
     {"measure": {"a": 4.5}},
@@ -471,7 +507,9 @@ def test_cone_deficiency_without_a_subgroup_of_dimension_a(tmp_path, capsys,
         assert _run(["ifs", "generate", "--config", gen,
                      "--out", str(tmp_path / "gen")]) == 0
         doc["measure"]["csv"] = str(tmp_path / "gen" / "ifs_measure.csv")
-    doc["diagnostics"] = {"level": 2, "radii": [0.5]}
+    # a CSV measure fixes the atoms, so only the cylinder measure takes a level
+    doc["diagnostics"] = ({"radii": [0.5]} if "measure" in doc
+                          else {"level": 2, "radii": [0.5]})
     cfg = _write_config(tmp_path, doc)
     code = _run(["cone-deficiency", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2

@@ -1,6 +1,7 @@
 """Scaling reports, growth probes, blow-ups, and the vertical lower bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,19 @@ def test_horest_check_batch_edges_are_pinned(trials, n, delta):
     assert report.violations == 0
     assert (report.hypothesis_rejections,
             report.min_margin.hex()) == HOREST_EDGE_PINS[trials, n, delta]
+
+
+def test_horest_check_memory_is_three_point_buffers():
+    tracemalloc.start()
+    try:
+        report = horest_check(2, 0.1, trials=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.violations == 0
+    # three 131072 x 5 point buffers take 15.7 MB and two scalar vectors
+    # 2.1 MB; four buffers, a draw buffer and four vectors took 32 MB
+    assert peak < 22e6
 
 
 def test_blowup_power_normalization_exact(mu3):

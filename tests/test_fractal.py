@@ -336,13 +336,57 @@ class _MisPaired(GridFunction):
 def test_region_check_fails_on_the_wrong_planes():
     phi = phi_fixed_point(2, 0.25, 64)
     wrong = _MisPaired(n=2, r=0.25, resolution=64, values=phi.values)
+    # more samples than one block of CHUNK // 2 = 32768
     report = verify_invariant_region(make_strichartz_ifs(2, 0.25), wrong,
-                                     sample_count=5000)
+                                     sample_count=40_000)
     # the grid and its defect scan are the same; only the pairing differs
     assert report.slack < 1e-2
     assert not report.certified
-    assert report.violations > 0
+    assert report.violations == 662407
+    assert report.witness.tobytes().hex() == (
+        "de9cec17db6feb3f20cf1be72032a13ffa79f8605659e73f"
+        "905cec24e27bc63f40bf8b0e45e4a93f")
     assert report.min_lower_margin < -1.0
+
+
+class _Bumped(GridFunction):
+    """phi raised by 1/2 on two discs of radius 1e-3, which the grid
+    values, and so the slack, do not see."""
+
+    def evaluate(self, pts):
+        w = np.asarray(pts)
+        near = sum(np.hypot(w[..., 0] - x, w[..., 1] - y) < 1e-3
+                   for x, y in ((0.1, 0.12), (0.9, 0.1)))
+        return super().evaluate(w) + 0.5 * near
+
+
+def test_region_witness_is_the_first_violation_of_the_lowest_map(phi64):
+    bumped = _Bumped(n=1, r=0.25, resolution=64, values=phi64.values)
+    report = verify_invariant_region(make_strichartz_ifs(1, 0.25), bumped,
+                                     sample_count=100_000, seed=2)
+    # maps 0 and 4 violate 4 times each, first at sample 71369 of the
+    # third block; maps 1 and 5 violate 5 times each, first at sample
+    # 12903 of the first block
+    assert report.violations == 18
+    horizontal = np.random.default_rng(2).random((100_000, 2))
+    np.testing.assert_array_equal(report.witness[:2], horizontal[71369])
+    assert report.witness.tobytes().hex() == (
+        "e4e568b9757ed93fbc97cbcd69b8de3f34243225f283c83f")
+
+
+def test_region_memory_is_the_samples_plus_a_block(phi64):
+    count = 400_000
+    tracemalloc.start()
+    try:
+        report = verify_invariant_region(make_strichartz_ifs(1, 0.25), phi64,
+                                         sample_count=count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.certified
+    # the samples take 9.6 MB and one block's temporaries about 7 MB;
+    # temporaries the size of the samples took 8.4 times the samples
+    assert peak < 2.0 * count * 3 * 8
 
 
 def test_grid_function_eval_reproduces_affine():

@@ -12,6 +12,7 @@ from heisriesz.subgroups import (
     make_horizontal,
     make_vertical,
 )
+from heisriesz.subgroups import _monotone_cubic_root
 
 
 def test_make_vertical_kinds_and_dimensions():
@@ -168,3 +169,15 @@ def test_subgroup_distance_bits_do_not_depend_on_the_layout(n):
         assert dist_to_subgroup(xf, spec).tobytes() == ref.tobytes(), name
         single = [dist_to_subgroup(p, spec) for p in x[:50]]
         assert np.array(single).tobytes() == ref[:50].tobytes(), name
+
+
+@pytest.mark.parametrize("b", [1.0, 7.5])
+def test_cubic_root_is_exact_far_below_its_bracket(b):
+    # 4t^3 + bt + c with |c| / b^(3/2) from 1e-3 down to 1e-12: the root,
+    # about -c/b, lies far inside the bracket cbrt(|c|/4) the bisection
+    # starts from, so only a full run of halvings resolves it
+    c = np.array([10.0 ** -k for k in range(3, 13)]) * b ** 1.5
+    c = np.concatenate([c, -c])
+    t = _monotone_cubic_root(b, c)
+    residual = 4.0 * t * t * t + b * t + c
+    assert np.all(np.abs(residual) <= 2.0 * np.spacing(np.abs(c)))
