@@ -142,7 +142,8 @@ def test_ifs_level_outside_ifs_generate_is_config_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command,block", [
-    (["measure", "ad-report"], "diagnostics"), (["cone-deficiency"], "diagnostics"),
+    (["measure", "ad-report"], "diagnostics"),
+    (["cone-deficiency"], "diagnostics"),
     (["riesz", "transform"], "riesz"), (["riesz", "divergence"], "riesz"),
     (["tangent", "blowup"], "tangent"),
 ])
