@@ -585,7 +585,8 @@ def _cmd_cone_deficiency(cfg: RunConfig) -> Outcome:
         for ki, k in enumerate(pts):
             ratios = cone_deficiency(mu, a, k, spec, float(diag["delta"]),
                                      radii)
-            floor = min(floor, float(ratios.min()))
+            # np.minimum keeps a NaN ratio, which fails floor > 0
+            floor = float(np.minimum(floor, ratios.min()))
             rows.extend((ki, gi, r, v) for r, v in zip(radii, ratios))
     verdict = "positive-floor" if floor > 0.0 else "nonpositive-floor"
     payload = {

@@ -536,7 +536,8 @@ def verify_invariant_region(ifs: Ifs, phi: GridFunction,
     R is the unit-height band over Q between phi and phi + 1.  Sampled
     points of R are pushed through every map with `Similarity.apply`, so
     through the package's group law; the image must land back between
-    phi and phi + 1 over its corner cell, with margins reported.  phi is
+    phi and phi + 1 over its corner cell, with margins reported; a NaN
+    margin counts as a violation and is kept as the least.  phi is
     evaluated once per horizontal translation q', not once per map: every
     image has the horizontal part q' + r w' whatever the vertical offset,
     so the 4 maps over one corner share its bits exactly.  The maps must
@@ -580,12 +581,12 @@ def verify_invariant_region(ifs: Ifs, phi: GridFunction,
             base = bases[key]
             lower = image[:, -1] - base
             upper = base + 1.0 - image[:, -1]
-            min_lower = min(min_lower, float(np.min(lower)))
-            min_upper = min(min_upper, float(np.min(upper)))
-            bad = (lower < -slack) | (upper < -slack)
-            count = int(np.count_nonzero(bad))
+            min_lower = float(np.minimum(min_lower, np.min(lower)))
+            min_upper = float(np.minimum(min_upper, np.min(upper)))
+            ok = (lower >= -slack) & (upper >= -slack)
+            count = len(ok) - int(np.count_nonzero(ok))
             if count and (hit is None or j < hit[0]):
-                hit = (j, start + int(np.argmax(bad)))
+                hit = (j, start + int(np.argmin(ok)))
             violations += count
     witness = (None if hit is None
                else np.append(horizontal[hit[1]], vertical[hit[1]]))
@@ -654,8 +655,8 @@ def min_piece_separation(ifs: Ifs, level: int) -> float:
     measures 0.34M distances at level 4 and 1.7M at level 5.  Memory
     grows with the chunk (CHUNK = 2^16 distances at a time) and the
     surviving pairs, not with the pair count at `level`; more than 2^22
-    surviving pairs raise RuntimeError.  A one-map system has no cross
-    pairs and returns +inf.
+    surviving pairs, or a NaN distance, raise RuntimeError.  A one-map
+    system has no cross pairs and returns +inf.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
@@ -707,7 +708,9 @@ def min_piece_separation(ifs: Ifs, level: int) -> float:
         least, kept, count = math.inf, [], 0
         for part in chunks:
             d = dist(positions(*part[:2]), positions(*part[2:]))
-            least = min(least, float(np.min(d)))
+            if math.isnan(dmin := float(np.min(d))):
+                raise RuntimeError(f"NaN distance at levels {levels}")
+            least = min(least, dmin)
             upper = min(upper, least)
             if not last:
                 sel = d <= upper + slack

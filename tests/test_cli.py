@@ -6,6 +6,7 @@ import csv
 import importlib
 import inspect
 import json
+import math
 import re
 import types
 from pathlib import Path
@@ -458,6 +459,24 @@ def test_cone_deficiency_cli(tmp_path):
     with open(out / "cone_deficiency.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["point_index", "subgroup_index", "radius", "ratio"]
+
+
+def test_cone_deficiency_nan_ratio_is_a_nonpositive_floor(tmp_path, capsys,
+                                                          monkeypatch):
+    # min(floor, nan) keeps floor, so all-NaN ratios would read as floor inf
+    monkeypatch.setattr(cli, "cone_deficiency",
+                        lambda mu, a, k, spec, delta, radii:
+                        np.full(len(radii), np.nan))
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, {"diagnostics": {
+        "level": 3, "cone_points": 2, "radii": [0.5, 0.25],
+        "expect": "positive-floor"}})
+    code = _run(["cone-deficiency", "--config", cfg, "--out", str(out)])
+    assert code == 3
+    assert "deficiency floor nan over" in capsys.readouterr().out
+    res = json.loads((out / "cone_deficiency.json").read_text())["results"]
+    assert math.isnan(res["floor"])
+    assert res["verdict"] == "nonpositive-floor"
 
 
 def test_cone_deficiency_n2_tests_subgroups_of_the_measure_dimension(tmp_path):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import heisriesz.core as core
 from heisriesz.core import dist, group_inv, group_mul
 from heisriesz.diagnostics import (
     ad_regularity_report,
@@ -200,6 +201,23 @@ def test_horest_check_small_run():
         horest_check(1, 1.5, trials=10)
     with pytest.raises(ValueError):
         horest_check(1, 0.5, trials=0)
+
+
+def test_horest_check_counts_a_nan_margin_as_a_violation(monkeypatch):
+    # NaN < 0 is false and min(m, nan) is m, so a NaN margin in every
+    # third row could pass with no violation and an infinite margin
+    orig = core.symplectic_form
+
+    def nan_thirds(p, q, out=None):
+        form = orig(p, q, out=out)
+        form[::3] = np.nan
+        return form
+
+    monkeypatch.setattr(core, "symplectic_form", nan_thirds)
+    report = horest_check(1, 0.5, 20_000)
+    assert report.violations == 6667
+    assert math.isnan(report.min_margin)
+    assert not report.passed
 
 
 # (hypothesis rejections, min_margin.hex()) of seed-0 runs: one trial

@@ -444,6 +444,28 @@ def test_invariant_region_certified(ifs14, phi64):
     assert report.min_upper_margin >= -report.slack
 
 
+def test_region_check_counts_a_nan_image_as_a_violation(ifs14, phi64,
+                                                        monkeypatch):
+    # a NaN margin fails neither lower < -slack nor upper < -slack, so a
+    # NaN vertical in every fifth image could still certify
+    orig = Similarity.apply
+
+    def nan_fifths(self, p):
+        image = orig(self, p)
+        image[::5, -1] = np.nan
+        return image
+
+    monkeypatch.setattr(Similarity, "apply", nan_fifths)
+    report = verify_invariant_region(ifs14, phi64, sample_count=5000, seed=0)
+    assert report.violations == 16 * 1000
+    assert not report.certified
+    assert math.isnan(report.min_lower_margin)
+    assert math.isnan(report.min_upper_margin)
+    # the first sample, through the first map
+    np.testing.assert_array_equal(
+        report.witness[:-1], np.random.default_rng(0).random((5000, 2))[0])
+
+
 @pytest.mark.parametrize("slack, certified", [(0.009, True), (0.011, False)])
 def test_region_slack_above_a_tenth_of_the_separation_does_not_certify(
         slack, certified):
@@ -553,6 +575,21 @@ def test_min_piece_separation_refinement_matches_brute_force(ifs14, brute3,
     got = min_piece_separation(ifs14, 3)
     assert got == float.fromhex("0x1.36dafd8531683p-2")
     assert got == pytest.approx(brute3, rel=1e-12)
+
+
+def test_min_piece_separation_raises_on_a_nan_distance(ifs14, monkeypatch):
+    # min(least, nan) keeps least, so NaN distances could leave +inf
+    orig = fractal.dist
+
+    def nan_sevenths(p, q):
+        d = orig(p, q)
+        if np.ndim(d):
+            d.flat[::7] = np.nan
+        return d
+
+    monkeypatch.setattr(fractal, "dist", nan_sevenths)
+    with pytest.raises(RuntimeError, match="NaN distance"):
+        min_piece_separation(ifs14, 3)
 
 
 def test_min_piece_separation_single_map():
