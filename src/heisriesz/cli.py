@@ -65,49 +65,34 @@ class ConfigError(ValueError):
 
 
 # The run settings a config may set at its top level, beside the blocks.
-_RUN_KEYS = ("schema", "n", "seed", "quick", "atom_cap", "out")
+# A level left None is the command's own full level, or one below it
+# under --quick; a verdict other than a set expect contradicts it.
+_RUN_KEYS = ("schema", "n", "seed", "quick", "atom_cap", "level", "expect",
+             "out")
 
 # The share of probe points that must diverge for a "diverging" verdict.
 DIVERGING_FRACTION = 0.75
 
 # Per-block defaults; a config key outside its block's table is an error.
-# A level left None is the command's own full level, or one below it
-# under --quick.
 _DEFAULTS = {
-    "ifs": {
-        "kind": "strichartz",
-        "r": 0.25,
-        "maps": None,
-        "level": None,
-        "resolution": 256,
-        "expect": None,
-    },
+    "ifs": {"kind": "strichartz", "r": 0.25, "maps": None, "resolution": 256},
     "measure": {"csv": None, "spacing": None, "a": None},
     "riesz": {
         "eps": None,
         "points": None,
-        "level": None,
         "window": 2.0,
         "resolution": 2048,
         "subgroup": None,
-        "expect": None,
     },
     "diagnostics": {
         "centers": 64,
         "radii": (0.25, 0.0625, 0.015625, 0.00390625),
-        "level": None,
         "delta": 0.5,
         "cone_points": 8,
         "cone_subgroups": 8,
-        "expect": None,
     },
-    "tangent": {
-        "word": (0,),
-        "r": 0.25,
-        "level": None,
-        "normalization": "power",
-        "point": None,
-    },
+    "tangent": {"word": (0,), "r": 0.25, "normalization": "power",
+                "point": None},
     "selftest": {},
 }
 
@@ -118,18 +103,14 @@ class RunConfig:
     seed: int
     quick: bool
     atom_cap: int
+    level: int | None
+    expect: object
     out: str
     blocks: dict
 
     def section(self, name: str) -> dict:
-        defaults = _DEFAULTS[name]
-        block = self.blocks.get(name, {})
-        if not isinstance(block, dict):
-            raise ConfigError(f"config block {name!r} must be a JSON object")
-        unknown = sorted(set(block) - set(defaults))
-        if unknown:
-            raise ConfigError(f"unknown keys in {name!r}: {', '.join(unknown)}")
-        return {**defaults, **block}
+        """The block's keys over its defaults."""
+        return {**_DEFAULTS[name], **self.blocks.get(name, {})}
 
 
 def _integer_setting(settings: dict, key: str, least: int) -> int:
@@ -160,9 +141,17 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     unknown = sorted(set(raw) - set(_DEFAULTS) - set(_RUN_KEYS))
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {', '.join(unknown)}")
+    blocks = {k: raw[k] for k in _DEFAULTS if k in raw}
+    for name, block in blocks.items():
+        if not isinstance(block, dict):
+            raise ConfigError(f"config block {name!r} must be a JSON object")
+        unknown = sorted(set(block) - set(_DEFAULTS[name]))
+        if unknown:
+            raise ConfigError(f"unknown keys in {name!r}: {', '.join(unknown)}")
     # the flags override the file's values
     settings = {"n": 1, "seed": 0, "quick": False,
-                "atom_cap": DEFAULT_ATOM_CAP, "out": ".", **raw,
+                "atom_cap": DEFAULT_ATOM_CAP, "level": None, "expect": None,
+                "out": ".", **raw,
                 **{k: v for k, v in vars(args).items()
                    if k in _RUN_KEYS and v is not None}}
     n, atom_cap = (_integer_setting(settings, key, 1)
@@ -170,9 +159,12 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     quick = settings["quick"]
     if not isinstance(quick, bool):
         raise ConfigError(f"'quick' must be true or false, got {quick!r}")
-    blocks = {k: raw[k] for k in _DEFAULTS if k in raw}
+    level = settings["level"]
     return RunConfig(n=n, seed=_integer_setting(settings, "seed", 0),
-                     quick=quick, atom_cap=atom_cap, out=str(settings["out"]),
+                     quick=quick, atom_cap=atom_cap,
+                     level=(None if level is None
+                            else _integer_setting(settings, "level", 0)),
+                     expect=settings["expect"], out=str(settings["out"]),
                      blocks=blocks)
 
 
@@ -182,15 +174,14 @@ class Outcome:
 
     ``csv`` is a measure or a (header, rows) pair, written to the
     command's CSV file; ``message`` may name that file as ``{csv}``.
-    A ``failure`` line fails the run; a ``verdict`` other than a
-    configured ``expect`` contradicts it.
+    A ``failure`` line fails the run; a ``verdict`` other than the
+    run's ``expect`` contradicts it.
     """
 
     payload: dict
     sections: dict
     message: str
     verdict: str | None = None
-    expect: object = None
     csv: object = None
     failure: str | None = None
 
@@ -198,12 +189,6 @@ class Outcome:
 def _run(cfg: RunConfig, command: str, stem: str, csv: str | None,
          compute) -> int:
     """Compute a command, write its CSV and JSON report, print, gate."""
-    ifs_block = cfg.blocks.get("ifs")
-    if (command not in ("ifs generate", "ifs verify")
-            and isinstance(ifs_block, dict) and "level" in ifs_block):
-        # every other command takes its level from its own block
-        raise ConfigError("config key 'ifs.level' is read only by "
-                          f"'ifs generate' and 'ifs verify', not by '{command}'")
     res = compute(cfg)
     folder = Path(cfg.out)
     folder.mkdir(parents=True, exist_ok=True)
@@ -232,8 +217,8 @@ def _run(cfg: RunConfig, command: str, stem: str, csv: str | None,
     if res.failure is not None:
         print(res.failure, file=sys.stderr)
         return EXIT_FAIL
-    if res.expect is not None and res.expect != res.verdict:
-        print(f"verdict {res.verdict!r} contradicts expected {res.expect!r}",
+    if cfg.expect is not None and cfg.expect != res.verdict:
+        print(f"verdict {res.verdict!r} contradicts expected {cfg.expect!r}",
               file=sys.stderr)
         return EXIT_CONTRADICTION
     return EXIT_OK
@@ -243,7 +228,12 @@ def _run(cfg: RunConfig, command: str, stem: str, csv: str | None,
 # shared plumbing
 # ----------------------------------------------------------------------
 
-def _build_ifs(cfg: RunConfig):
+def _build_ifs(cfg: RunConfig, full: int):
+    """The configured system, its level and its report section.
+
+    The level is the run's, else the command's full level; under --quick
+    the lesser of that and the quick level, one below the full level.
+    """
     block = cfg.section("ifs")
     kind = block["kind"]
     if kind == "strichartz":
@@ -263,28 +253,30 @@ def _build_ifs(cfg: RunConfig):
         ifs = Ifs(n=cfg.n, maps=maps)
     else:
         raise ConfigError(f"unknown ifs kind {kind!r}")
-    return ifs, block
+    level = full if cfg.level is None else cfg.level
+    if cfg.quick:
+        level = min(level, full - 1)
+    return ifs, level, {**block, "level_used": level}
 
 
-def _pick_level(block: dict, cfg: RunConfig, full: int) -> int:
-    """The block's level, else the command's full level; under --quick
-    the lesser of that and the quick level, one below the full level."""
-    level = (full if block["level"] is None
-             else _integer_setting(block, "level", 0))
-    return min(level, full - 1) if cfg.quick else level
+def _count_or_points(block: dict, key: str):
+    """The block's list of points as given, else its count: an integer
+    >= 1, type-checked as the run settings are."""
+    value = block[key]
+    return value if isinstance(value, list) else _integer_setting(block, key, 1)
 
 
 def _measure_for(cfg: RunConfig, name: str, full: int):
     """The command's block and its measure: the 'measure' block's CSV if
-    present, else a cylinder measure at the block's level.
+    present, else a cylinder measure at the run's level.
 
     Returns (block, measure, ifs or None, dimension, config sections);
     the dimension is the CSV's 'measure.a', else the similarity dimension.
     """
     block = cfg.section(name)
     if "measure" in cfg.blocks:
-        if block["level"] is not None:
-            raise ConfigError(f"config key '{name}.level' is not read when "
+        if cfg.level is not None:
+            raise ConfigError("config key 'level' is not read when "
                               "a 'measure' block supplies the atoms")
         m = cfg.section("measure")
         if not m["csv"]:
@@ -303,11 +295,10 @@ def _measure_for(cfg: RunConfig, name: str, full: int):
             print(f"note: measure {m['csv']} has no 'spacing'; the "
                   "4x-spacing resolution floor is off", file=sys.stderr)
         return block, mu, None, float(a), {name: block, "measure": m}
-    level = _pick_level(block, cfg, full)
-    ifs, ifs_block = _build_ifs(cfg)
+    ifs, level, ifs_block = _build_ifs(cfg, full)
     mu = cylinder_measure(ifs, level, atom_cap=cfg.atom_cap)
-    return block, mu, ifs, similarity_dimension(ifs), {
-        name: block, "ifs": {**ifs_block, "level_used": level}}
+    return block, mu, ifs, similarity_dimension(ifs), {name: block,
+                                                       "ifs": ifs_block}
 
 
 def _eps_schedule(block: dict, start: float, ratio: float, count: int) -> np.ndarray:
@@ -346,7 +337,7 @@ def _cone_family(n: int, a: float, count: int, seed: int):
     rng = np.random.default_rng(seed)
     if dim_l > 0:
         specs = [make_vertical(n, rng.normal(size=(dim_l, 2 * n)))
-                 for _ in range(max(count, 1) if dim_l < 2 * n else 1)]
+                 for _ in range(count if dim_l < 2 * n else 1)]
         return [(spec, {"kind": "vertical", "basis": spec.basis.tolist()})
                 for spec in specs]
     specs = [(make_vertical(n, []), {"kind": "taxis"})]
@@ -371,7 +362,6 @@ def _cone_family(n: int, a: float, count: int, seed: int):
 # ----------------------------------------------------------------------
 
 def _cmd_selftest(cfg: RunConfig) -> Outcome:
-    block = cfg.section("selftest")
     results = run_selftest(seed=cfg.seed, quick=cfg.quick)
     lines = [f"[{'ok' if r.passed else 'FAIL':>4}] {r.name}: "
              f"worst={r.worst:.3e} tol={r.tol:.1e} samples={r.samples}"
@@ -384,14 +374,13 @@ def _cmd_selftest(cfg: RunConfig) -> Outcome:
         "passed": passed,
         "total": len(results),
     }
-    return Outcome(payload, {"selftest": block}, "\n".join(lines),
+    return Outcome(payload, {"selftest": {}}, "\n".join(lines),
                    failure=f"first failing property: {failing[0]}"
                    if failing else None)
 
 
 def _cmd_ifs_generate(cfg: RunConfig) -> Outcome:
-    ifs, block = _build_ifs(cfg)
-    level = _pick_level(block, cfg, full=4)
+    ifs, level, block = _build_ifs(cfg, full=4)
     mu = cylinder_measure(ifs, level, atom_cap=cfg.atom_cap)
     payload = {
         "atoms": len(mu),
@@ -401,19 +390,19 @@ def _cmd_ifs_generate(cfg: RunConfig) -> Outcome:
         "maps": len(ifs.maps),
         "similarity_dimension": similarity_dimension(ifs),
     }
-    return Outcome(payload, {"ifs": {**block, "level_used": level}},
+    return Outcome(payload, {"ifs": block},
                    f"wrote {len(mu)} atoms (mass {mu.total_mass:.12g}) to {{csv}}",
                    csv=mu)
 
 
 def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
-    ifs, block = _build_ifs(cfg)
-    level = _pick_level(block, cfg, full=4)
+    ifs, level, block = _build_ifs(cfg, full=4)
     payload, lines = {}, []
     region = None
     if block["kind"] == "strichartz":
         phi = phi_fixed_point(cfg.n, float(block["r"]),
-                              resolution=int(block["resolution"]),
+                              resolution=_integer_setting(block,
+                                                          "resolution", 1),
                               atom_cap=cfg.atom_cap)
         region = verify_invariant_region(
             ifs, phi, sample_count=10_000 if cfg.quick else 100_000,
@@ -435,14 +424,13 @@ def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
     payload["verdict"] = verdict
     lines.append(f"piece separation at level {level}: {separation:.6g} "
                  f"-> {verdict}")
-    sections = {"ifs": {**block, "level_used": level}}
-    return Outcome(payload, sections, "\n".join(lines), verdict,
-                   block["expect"])
+    return Outcome(payload, {"ifs": block}, "\n".join(lines), verdict)
 
 
 def _cmd_measure_ad(cfg: RunConfig) -> Outcome:
     diag, mu, _, a, sections = _measure_for(cfg, "diagnostics", full=5)
-    report = ad_regularity_report(mu, a, centers=diag["centers"],
+    report = ad_regularity_report(mu, a,
+                                  centers=_count_or_points(diag, "centers"),
                                   radii=_radii_for(cfg, diag, mu),
                                   seed=cfg.seed)
     verdict = "regular" if report.regular else "irregular"
@@ -452,14 +440,14 @@ def _cmd_measure_ad(cfg: RunConfig) -> Outcome:
     return Outcome(payload, sections,
                    f"implied C = {report.implied_c:.4g} over "
                    f"{report.centers.shape[0]} centers (cap {report.c_cap:g}) "
-                   f"-> {verdict}", verdict, diag["expect"])
+                   f"-> {verdict}", verdict)
 
 
 def _cmd_riesz_transform(cfg: RunConfig) -> Outcome:
     block, mu, _, a, sections = _measure_for(cfg, "riesz", full=4)
     params = RieszParams(s=a, n=mu.n)
     eps = _eps_schedule(block, start=0.25, ratio=0.25, count=3)
-    points = 8 if block["points"] is None else block["points"]
+    points = 8 if block["points"] is None else _count_or_points(block, "points")
     pts = _center_coords(mu, points, cfg.seed)
     rows = []
     per_eps_max = np.zeros(eps.size)
@@ -486,7 +474,8 @@ def _cmd_riesz_divergence(cfg: RunConfig) -> Outcome:
     params = RieszParams(s=a, n=mu.n)
     eps = _eps_schedule(block, start=0.25, ratio=0.25,
                         count=4 if cfg.quick else 5)
-    points = 32 if block["points"] is None else block["points"]
+    points = (32 if block["points"] is None
+              else _count_or_points(block, "points"))
     if ifs is not None and isinstance(points, int):
         # cycle atoms see scale-periodic annuli, the clean growth probes
         idx = cycle_atom_indices(len(ifs.maps), sections["ifs"]["level_used"],
@@ -519,7 +508,7 @@ def _cmd_riesz_divergence(cfg: RunConfig) -> Outcome:
     }
     return Outcome(payload, sections,
                    f"{diverging}/{len(reports)} points diverging "
-                   f"(needed {needed}) -> {overall}", overall, block["expect"],
+                   f"(needed {needed}) -> {overall}", overall,
                    csv=("point_index,eps,coord,magnitude", rows))
 
 
@@ -534,17 +523,19 @@ def _cmd_riesz_subgroup(cfg: RunConfig) -> Outcome:
         raise ConfigError(f"unknown subgroup kind {kind!r}")
     spec = make(cfg.n, raw_sub.get("basis", []))
     eps = _eps_schedule(block, start=0.5, ratio=0.5, count=8)
-    count = 8 if block["points"] is None else int(block["points"])
+    count = (8 if block["points"] is None
+             else _integer_setting(block, "points", 1))
     # the kernel degree is the dimension of the subgroup's Haar measure
     report = subgroup_boundedness_probe(
         spec, float(spec.hausdorff_dimension), eps,
-        window=float(block["window"]), resolution=int(block["resolution"]),
+        window=float(block["window"]),
+        resolution=_integer_setting(block, "resolution", 1),
         points=count, seed=cfg.seed, atom_cap=cfg.atom_cap)
     payload = {k: v for k, v in asdict(report).items()
                if k not in ("per_point_max", "seed")}
     return Outcome(payload, {"riesz": block},
                    f"bound {report.bound:.4g}, slope {report.slope:.3e} "
-                   f"-> {report.verdict}", report.verdict, block["expect"],
+                   f"-> {report.verdict}", report.verdict,
                    csv=("eps,max_abs", zip(report.eps, report.per_eps_max)))
 
 
@@ -575,8 +566,9 @@ def _cmd_tangent_blowup(cfg: RunConfig) -> Outcome:
 
 def _cmd_cone_deficiency(cfg: RunConfig) -> Outcome:
     diag, mu, _, a, sections = _measure_for(cfg, "diagnostics", full=5)
-    pts = _center_coords(mu, int(diag["cone_points"]), cfg.seed)
-    requested = int(diag["cone_subgroups"])
+    pts = _center_coords(mu, _integer_setting(diag, "cone_points", 1),
+                         cfg.seed)
+    requested = _integer_setting(diag, "cone_subgroups", 1)
     family = _cone_family(mu.n, a, requested, cfg.seed)
     radii = _radii_for(cfg, diag, mu)
     rows = []
@@ -603,7 +595,6 @@ def _cmd_cone_deficiency(cfg: RunConfig) -> Outcome:
     return Outcome(payload, sections,
                    f"deficiency floor {floor:.6g} over {len(pts)} centers x "
                    f"{len(family)} subgroups -> {verdict}", verdict,
-                   diag["expect"],
                    csv=("point_index,subgroup_index,radius,ratio", rows))
 
 

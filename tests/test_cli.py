@@ -57,7 +57,7 @@ def test_selftest_names_first_failure(tmp_path, capsys, monkeypatch):
 
 def test_ifs_generate_writes_measure(tmp_path):
     out = tmp_path / "run"
-    cfg = _write_config(tmp_path, {"ifs": {"level": 2}})
+    cfg = _write_config(tmp_path, {"level": 2})
     code = _run(["ifs", "generate", "--config", cfg, "--out", str(out)])
     assert code == 0
     doc = json.loads((out / "ifs_generate.json").read_text())
@@ -71,7 +71,7 @@ def test_ifs_generate_writes_measure(tmp_path):
 
 
 def test_ifs_generate_is_deterministic(tmp_path):
-    cfg = _write_config(tmp_path, {"ifs": {"level": 2}})
+    cfg = _write_config(tmp_path, {"level": 2})
     a, b = tmp_path / "a", tmp_path / "b"
     assert _run(["ifs", "generate", "--config", cfg, "--out", str(a)]) == 0
     assert _run(["ifs", "generate", "--config", cfg, "--out", str(b)]) == 0
@@ -100,10 +100,10 @@ def test_ifs_verify_quick(tmp_path):
 
 
 def test_ifs_verify_quick_keeps_a_lower_ifs_level(tmp_path):
-    # the separation level is ifs.level, picked as every command picks
-    # its level: under --quick a level below the quick level 3 stays
+    # the separation level is the run's level, picked as every command
+    # picks its level: under --quick a level below the quick level 3 stays
     out = tmp_path / "run"
-    cfg = _write_config(tmp_path, {"ifs": {"level": 2, "resolution": 32}})
+    cfg = _write_config(tmp_path, {"level": 2, "ifs": {"resolution": 32}})
     code = _run(["ifs", "verify", "--config", cfg, "--quick", "--out", str(out)])
     assert code == 0
     doc = json.loads((out / "ifs_verify.json").read_text())
@@ -127,18 +127,32 @@ def test_unknown_keys_are_config_errors(tmp_path):
     assert _run(["selftest", "--config", cfg3, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("doc,error", [
+    ({"ifs": {"levle": 3}}, "unknown keys in 'ifs': levle"),
+    ({"tangent": "oops"}, "config block 'tangent' must be a JSON object"),
+], ids=["misspelt-key", "not-an-object"])
+def test_every_block_is_checked_on_load(tmp_path, capsys, doc, error):
+    # selftest reads no block, yet a block it would not read is still
+    # checked before any work starts
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert _run(["selftest", "--config", cfg, "--out", str(out)]) == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["measure", "ad-report"], ["tangent", "blowup"], ["riesz", "transform"],
     ["selftest"],
 ])
 def test_ifs_level_outside_ifs_generate_is_config_error(tmp_path, capsys,
                                                         command):
-    # only the ifs commands read ifs.level; any other command would
-    # report it beside the level it used from its own block
+    # the level is a run setting, so no block has one; selftest reads no
+    # block, and is caught by the check of every block on load
     cfg = _write_config(tmp_path, {"ifs": {"level": 2}})
     out = tmp_path / "o"
     assert _run([*command, "--config", cfg, "--out", str(out)]) == 2
-    assert "'ifs.level'" in capsys.readouterr().err
+    assert "unknown keys in 'ifs': level" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -150,13 +164,14 @@ def test_ifs_level_outside_ifs_generate_is_config_error(tmp_path, capsys,
 ])
 def test_block_level_beside_a_measure_block_is_config_error(tmp_path, capsys,
                                                             command, block):
-    # the CSV supplies the atoms, so the block's level would be reported
-    # in the config without having been read; the CSV is never opened
+    # the CSV supplies the atoms, so the run's level would be reported
+    # in the config without having been read, beside the command's own
+    # block; the CSV is never opened
     cfg = _write_config(tmp_path, {"measure": {"csv": "absent.csv", "a": 2.0},
-                                   block: {"level": 9}})
+                                   block: {}, "level": 9})
     out = tmp_path / "o"
     assert _run([*command, "--config", cfg, "--out", str(out)]) == 2
-    assert f"'{block}.level'" in capsys.readouterr().err
+    assert "config key 'level' is not read" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -169,12 +184,16 @@ def test_block_level_beside_a_measure_block_is_config_error(tmp_path, capsys,
     ("riesz", "s"), ("diagnostics", "a"), ("tangent", "s"),
     ("riesz", "c"), ("riesz", "fraction"), ("riesz", "slope_tol"),
     ("diagnostics", "c_cap"),
+    ("ifs", "level"), ("riesz", "level"), ("diagnostics", "level"),
+    ("tangent", "level"), ("ifs", "expect"), ("riesz", "expect"),
+    ("diagnostics", "expect"),
 ])
 def test_removed_keys_are_unknown(tmp_path, capsys, block, key):
     # each repeated a value held elsewhere: the commands' own levels and
     # sample counts, the one cutoff list, the one points entry, the
     # library's tolerances, the CSV path that labels a measure and the
-    # measure's own dimension; a verdict threshold is the library's
+    # measure's own dimension; a verdict threshold is the library's, and
+    # a level or an expected verdict is the run's
     command = {"ifs": ["ifs", "generate"], "measure": ["measure", "ad-report"],
                "riesz": ["riesz", "transform"],
                "diagnostics": ["measure", "ad-report"],
@@ -185,7 +204,7 @@ def test_removed_keys_are_unknown(tmp_path, capsys, block, key):
 
 
 def test_atom_cap_exit(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"atom_cap": 10, "ifs": {"level": 2}})
+    cfg = _write_config(tmp_path, {"atom_cap": 10, "level": 2})
     code = _run(["ifs", "generate", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 4
     assert "atom cap" in capsys.readouterr().err
@@ -213,8 +232,8 @@ def test_expectation_contradiction_exit(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
         {
+            "expect": "inconclusive",
             "riesz": {
-                "expect": "inconclusive",
                 "resolution": 256,
                 "eps": [0.5, 0.25, 0.125],
                 "points": 4,
@@ -227,6 +246,20 @@ def test_expectation_contradiction_exit(tmp_path, capsys):
     # the report is still written for inspection
     doc = json.loads((out / "subgroup_probe.json").read_text())
     assert doc["results"]["verdict"] == "bounded"
+
+
+def test_expect_on_a_command_without_a_verdict_is_a_contradiction(tmp_path,
+                                                                 capsys):
+    # riesz transform computes values, not a verdict, so no expectation
+    # holds; the report is still written
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, {"level": 2, "expect": "diverging",
+                                   "riesz": {"points": 2}})
+    code = _run(["riesz", "transform", "--config", cfg, "--out", str(out)])
+    assert code == 3
+    assert ("verdict None contradicts expected 'diverging'"
+            in capsys.readouterr().err)
+    assert (out / "riesz_transform.json").exists()
 
 
 def test_subgroup_probe_bounded(tmp_path):
@@ -269,8 +302,8 @@ def test_transform_zero_far_from_support(tmp_path):
     cfg = _write_config(
         tmp_path,
         {
+            "level": 2,
             "riesz": {
-                "level": 2,
                 "points": [[0.5, 0.5, 0.25]],
                 "eps": [8.0, 4.0],
             }
@@ -286,7 +319,7 @@ def test_transform_zero_far_from_support(tmp_path):
 
 def test_transform_smoke(tmp_path):
     out = tmp_path / "run"
-    cfg = _write_config(tmp_path, {"riesz": {"level": 2, "points": 4}})
+    cfg = _write_config(tmp_path, {"level": 2, "riesz": {"points": 4}})
     code = _run(["riesz", "transform", "--config", cfg, "--out", str(out)])
     assert code == 0
     doc = json.loads((out / "riesz_transform.json").read_text())
@@ -298,8 +331,8 @@ def test_divergence_smoke(tmp_path):
     cfg = _write_config(
         tmp_path,
         {
+            "level": 3,
             "riesz": {
-                "level": 3,
                 "points": 4,
                 "eps": [0.5, 0.25, 0.125, 0.0625],
             }
@@ -319,8 +352,8 @@ def test_divergence_smoke(tmp_path):
 def test_divergence_takes_a_list_of_points(tmp_path):
     # on a cylinder measure a count picks cycle atoms; a list is probed as given
     points = [[0.0, 0.0, 0.0], [0.75, 0.0, 0.25], [0.1, 0.2, 0.3]]
-    cfg = _write_config(tmp_path, {"riesz": {
-        "level": 3, "points": points, "eps": [0.5, 0.25, 0.125, 0.0625]}})
+    cfg = _write_config(tmp_path, {"level": 3, "riesz": {
+        "points": points, "eps": [0.5, 0.25, 0.125, 0.0625]}})
     out = tmp_path / "run"
     assert _run(["riesz", "divergence", "--config", cfg, "--out", str(out)]) == 0
     res = json.loads((out / "riesz_divergence.json").read_text())["results"]
@@ -330,7 +363,7 @@ def test_divergence_takes_a_list_of_points(tmp_path):
 def test_divergence_on_the_h2_corner_family_runs_at_dimension_3(tmp_path):
     # 64 maps of ratio 1/4: the kernel degree is 3, at which the
     # truncations grow at the cycle points; at degree 2 none would
-    cfg = _write_config(tmp_path, {"n": 2, "riesz": {"level": 3}})
+    cfg = _write_config(tmp_path, {"n": 2, "level": 3})
     out = tmp_path / "run"
     # the quick level's floor 4 * 4^-3 leaves the cutoffs 1/4 and 1/16
     with pytest.warns(UserWarning, match="resolution floor"):
@@ -345,7 +378,7 @@ def test_divergence_on_the_h2_corner_family_runs_at_dimension_3(tmp_path):
 def test_transform_degree_is_the_similarity_dimension(tmp_path):
     # the r = 1/8 family has dimension 4/3, not the r = 1/4 family's 2
     cfg = _write_config(tmp_path, {"ifs": {"r": 0.125},
-                                   "riesz": {"level": 2, "points": 2}})
+                                   "level": 2, "riesz": {"points": 2}})
     out = tmp_path / "run"
     assert _run(["riesz", "transform", "--config", cfg, "--out", str(out)]) == 0
     res = json.loads((out / "riesz_transform.json").read_text())["results"]
@@ -357,7 +390,7 @@ def test_measure_ad_report(tmp_path):
     out = tmp_path / "run"
     cfg = _write_config(
         tmp_path,
-        {"diagnostics": {"level": 3, "centers": 8, "radii": [0.25, 0.125]}},
+        {"level": 3, "diagnostics": {"centers": 8, "radii": [0.25, 0.125]}},
     )
     code = _run(["measure", "ad-report", "--config", cfg, "--out", str(out)])
     assert code == 0
@@ -370,7 +403,7 @@ def test_measure_ad_report(tmp_path):
 def test_measure_block_feeds_other_commands(tmp_path):
     # generate a measure, then point the ad-report at the CSV file
     gen_out = tmp_path / "gen"
-    cfg = _write_config(tmp_path, {"ifs": {"level": 3}})
+    cfg = _write_config(tmp_path, {"level": 3})
     assert _run(["ifs", "generate", "--config", cfg, "--out", str(gen_out)]) == 0
     ad_out = tmp_path / "ad"
     cfg2 = _write_config(
@@ -392,7 +425,7 @@ def test_measure_block_feeds_other_commands(tmp_path):
 
 def test_csv_measure_without_spacing_notes_the_floor(tmp_path, capsys):
     gen_out = tmp_path / "gen"
-    cfg = _write_config(tmp_path, {"ifs": {"level": 3}})
+    cfg = _write_config(tmp_path, {"level": 3})
     assert _run(["ifs", "generate", "--config", cfg, "--out", str(gen_out)]) == 0
     capsys.readouterr()
     notes = []
@@ -416,7 +449,7 @@ def test_csv_measure_without_spacing_notes_the_floor(tmp_path, capsys):
 def test_csv_measure_needs_its_dimension(tmp_path, capsys, a):
     # a CSV holds atoms, not the dimension the kernel degree and the
     # ball-mass exponent come from
-    gen = _write_config(tmp_path, {"ifs": {"level": 2}})
+    gen = _write_config(tmp_path, {"level": 2})
     assert _run(["ifs", "generate", "--config", gen,
                  "--out", str(tmp_path / "gen")]) == 0
     capsys.readouterr()
@@ -433,7 +466,7 @@ def test_csv_measure_needs_its_dimension(tmp_path, capsys, a):
 
 def test_tangent_blowup(tmp_path):
     out = tmp_path / "run"
-    cfg = _write_config(tmp_path, {"tangent": {"level": 3, "word": [0], "r": 0.25}})
+    cfg = _write_config(tmp_path, {"level": 3, "tangent": {"word": [0], "r": 0.25}})
     code = _run(["tangent", "blowup", "--config", cfg, "--out", str(out)])
     assert code == 0
     doc = json.loads((out / "blowup.json").read_text())
@@ -448,7 +481,7 @@ def test_cone_deficiency_cli(tmp_path):
     out = tmp_path / "run"
     cfg = _write_config(
         tmp_path,
-        {"diagnostics": {"level": 3, "cone_points": 2, "radii": [0.5, 0.25]}},
+        {"level": 3, "diagnostics": {"cone_points": 2, "radii": [0.5, 0.25]}},
     )
     code = _run(["cone-deficiency", "--config", cfg, "--out", str(out)])
     assert code == 0
@@ -468,9 +501,9 @@ def test_cone_deficiency_nan_ratio_is_a_nonpositive_floor(tmp_path, capsys,
                         lambda mu, a, k, spec, delta, radii:
                         np.full(len(radii), np.nan))
     out = tmp_path / "run"
-    cfg = _write_config(tmp_path, {"diagnostics": {
-        "level": 3, "cone_points": 2, "radii": [0.5, 0.25],
-        "expect": "positive-floor"}})
+    cfg = _write_config(tmp_path, {
+        "level": 3, "expect": "positive-floor",
+        "diagnostics": {"cone_points": 2, "radii": [0.5, 0.25]}})
     code = _run(["cone-deficiency", "--config", cfg, "--out", str(out)])
     assert code == 3
     assert "deficiency floor nan over" in capsys.readouterr().out
@@ -483,8 +516,8 @@ def test_cone_deficiency_n2_tests_subgroups_of_the_measure_dimension(tmp_path):
     # the n = 2 corner family has a = 3, so every subgroup is L x T with
     # L a horizontal line, none the center line or a horizontal plane
     out = tmp_path / "run"
-    cfg = _write_config(tmp_path, {"n": 2, "diagnostics": {
-        "level": 2, "cone_points": 2, "cone_subgroups": 3, "radii": [0.5]}})
+    cfg = _write_config(tmp_path, {"n": 2, "level": 2, "diagnostics": {
+        "cone_points": 2, "cone_subgroups": 3, "radii": [0.5]}})
     assert _run(["cone-deficiency", "--config", cfg, "--out", str(out)]) == 0
     res = json.loads((out / "cone_deficiency.json").read_text())["results"]
     assert res["a"] == 3.0
@@ -497,7 +530,7 @@ def test_cone_deficiency_n2_tests_subgroups_of_the_measure_dimension(tmp_path):
 def test_cone_deficiency_on_an_n2_csv_measure_of_dimension_2(tmp_path):
     # a = 2 in H^2: the center line and horizontal planes, each of
     # which must be isotropic for the subgroup to exist
-    gen = _write_config(tmp_path, {"n": 2, "ifs": {"level": 1}})
+    gen = _write_config(tmp_path, {"n": 2, "level": 1})
     assert _run(["ifs", "generate", "--config", gen,
                  "--out", str(tmp_path / "gen")]) == 0
     cfg = _write_config(tmp_path, {
@@ -523,13 +556,14 @@ def test_cone_deficiency_without_a_subgroup_of_dimension_a(tmp_path, capsys,
     # 4/3 is no subgroup's dimension, H^1 itself has dimension 4, and the
     # cone family starts at the center line's 2; a CSV measure states its a
     if "measure" in doc:
-        gen = _write_config(tmp_path, {"ifs": {"level": 2}})
+        gen = _write_config(tmp_path, {"level": 2})
         assert _run(["ifs", "generate", "--config", gen,
                      "--out", str(tmp_path / "gen")]) == 0
         doc["measure"]["csv"] = str(tmp_path / "gen" / "ifs_measure.csv")
     # a CSV measure fixes the atoms, so only the cylinder measure takes a level
-    doc["diagnostics"] = ({"radii": [0.5]} if "measure" in doc
-                          else {"level": 2, "radii": [0.5]})
+    doc["diagnostics"] = {"radii": [0.5]}
+    if "measure" not in doc:
+        doc["level"] = 2
     cfg = _write_config(tmp_path, doc)
     code = _run(["cone-deficiency", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
@@ -539,7 +573,7 @@ def test_cone_deficiency_without_a_subgroup_of_dimension_a(tmp_path, capsys,
 
 def test_flag_overrides_config(tmp_path):
     out = tmp_path / "run"
-    cfg = _write_config(tmp_path, {"seed": 7, "ifs": {"level": 2}})
+    cfg = _write_config(tmp_path, {"seed": 7, "level": 2})
     code = _run(["ifs", "generate", "--config", cfg, "--seed", "9", "--out", str(out)])
     assert code == 0
     doc = json.loads((out / "ifs_generate.json").read_text())
@@ -552,27 +586,42 @@ def test_flag_overrides_config(tmp_path):
 ])
 def test_quick_never_runs_finer_than_the_full_run(tmp_path, command, block,
                                                   report, level, atoms):
-    # both levels sit below the block's default quick level
-    cfg = _write_config(tmp_path, {block: {"level": level}})
+    # both levels sit below the command's quick level; the report echoes
+    # the run's level at top level, and the command's block has none
+    cfg = _write_config(tmp_path, {"level": level})
     out = tmp_path / "run"
     assert _run([*command, "--config", cfg, "--quick", "--out", str(out)]) == 0
     doc = json.loads((out / report).read_text())
+    assert doc["config"]["level"] == level
+    assert "level" not in doc["config"][block]
     assert doc["config"]["ifs"]["level_used"] == level
     assert doc["results"]["atoms"] == atoms
 
 
 @pytest.mark.parametrize("quick", [[], ["--quick"]], ids=["full", "quick"])
 @pytest.mark.parametrize("command,doc", [
-    (["ifs", "generate"], {"ifs": {"level": "x"}}),
+    (["ifs", "generate"], {"level": "x"}),
     (["riesz", "transform"], {"riesz": {"points": "x"}}),
     (["riesz", "transform"], {"riesz": {"eps": ["a"]}}),
-    (["measure", "ad-report"], {"diagnostics": {"level": [1]}}),
+    (["measure", "ad-report"], {"level": [1]}),
     (["selftest"], {"n": "x"}),
-    # a level is type-checked, not coerced: int(True) is 1, int(2.9) is 2
-    (["ifs", "generate"], {"ifs": {"level": True}}),
-    (["ifs", "verify"], {"ifs": {"level": 2.9}}),
+    # a level or a count is type-checked, not coerced: int(True) is 1,
+    # int(2.9) is 2
+    (["ifs", "generate"], {"level": True}),
+    (["ifs", "verify"], {"level": 2.9}),
+    (["cone-deficiency"], {"level": 2, "diagnostics": {"cone_points": 2.9}}),
+    (["cone-deficiency"], {"level": 2,
+                           "diagnostics": {"cone_subgroups": True}}),
+    (["measure", "ad-report"], {"level": 2, "diagnostics": {"centers": True}}),
+    (["riesz", "transform"], {"level": 2, "riesz": {"points": True}}),
+    (["riesz", "subgroup-probe"], {"riesz": {"points": 2.9}}),
+    (["riesz", "subgroup-probe"], {"riesz": {"resolution": 256.5}}),
+    (["ifs", "verify"], {"ifs": {"resolution": 32.7}}),
 ], ids=["ifs-level", "riesz-points", "riesz-eps", "diag-level", "n",
-        "ifs-level-bool", "ifs-level-fraction"])
+        "ifs-level-bool", "ifs-level-fraction", "cone-points-fraction",
+        "cone-subgroups-bool", "centers-bool", "riesz-points-bool",
+        "probe-points-fraction", "probe-resolution-fraction",
+        "ifs-resolution-fraction"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, doc, quick):
     # values read mid-command go through the same boundary as the ones
     # read while loading the config
@@ -587,6 +636,7 @@ def test_malformed_value_is_config_error(tmp_path, capsys, command, doc, quick):
     ("n", 1.7), ("n", True), ("n", "1"),
     ("seed", 2.9), ("seed", False),
     ("atom_cap", 1e7 + 0.5), ("atom_cap", [10]),
+    ("level", True), ("level", 2.9), ("level", "3"),
 ])
 def test_run_settings_keep_their_json_type(tmp_path, capsys, key, value):
     # a run setting is never coerced: bool("false") is True and
@@ -613,8 +663,7 @@ def test_threads_is_neither_a_key_nor_a_flag(tmp_path, capsys):
 
 def test_integral_float_run_settings_pass(tmp_path):
     # JSON has one number type: 1e7 and 2.0 are integers
-    cfg = _write_config(tmp_path, {"atom_cap": 1e7, "seed": 2.0,
-                                   "ifs": {"level": 1}})
+    cfg = _write_config(tmp_path, {"atom_cap": 1e7, "seed": 2.0, "level": 1})
     out = tmp_path / "run"
     assert _run(["ifs", "generate", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads((out / "ifs_generate.json").read_text())
@@ -644,7 +693,7 @@ def test_explicit_radii_below_floor_still_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("word", [[], [16]])
 def test_blowup_word_validation(tmp_path, capsys, word):
-    cfg = _write_config(tmp_path, {"tangent": {"level": 2, "word": word}})
+    cfg = _write_config(tmp_path, {"level": 2, "tangent": {"word": word}})
     code = _run(["tangent", "blowup", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
@@ -705,6 +754,17 @@ def test_readme_lists_every_config_key():
     tables = {"top level": list(cli._RUN_KEYS),
               **{name: list(table) for name, table in cli._DEFAULTS.items()}}
     assert listed == tables
+
+
+def test_readme_config_example_loads(tmp_path):
+    # the example under README's key list is a working config: a key
+    # removed from the CLI but left in the example fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("Config keys", 1)[1].split("```json\n", 1)[1]
+    path = _write_config(tmp_path, json.loads(example.split("```", 1)[0]))
+    cfg = cli._load_run_config(argparse.Namespace(config=path, seed=None,
+                                                  quick=None, out=None))
+    assert cfg.level is not None and cfg.blocks
 
 
 def test_readme_lists_every_common_flag():

@@ -24,43 +24,43 @@ from heisriesz.cli import main
 GOLDEN = {
     ("selftest",): {
         "selftest.json":
-            "ffdba81e80a0d57c41153091ea823242f493a03361f96862d82dc87fda418b1b",
+            "4e5878ac6b98356ca09110fb601a2db3702b967239206d7dc002462544c1b9bd",
     },
     ("ifs", "generate"): {
         "ifs_generate.json":
-            "92853d1868f6687e54578259d88718bc34140ebe64230838e4c0ede1623fd270",
+            "4bfd815cc36aea2b7e3ddda739199d1c732d376d809619777447b3d05226f7f1",
         "ifs_measure.csv":
             "5d0688b1dab4ac5c110c86779b1adb4f523b985bcf44bd7e0b55929a51337efe",
     },
     ("ifs", "verify"): {
         "ifs_verify.json":
-            "c41ac7b317a197b28469b6124855fa6b372d3bdcc8da5c14c2a2cc92d42ad5b0",
+            "a98b0d60bb371a5b1977c5d91ad1da95942f3adb8821ba1a41de54499cf52375",
     },
     ("measure", "ad-report"): {
         "ad_report.json":
-            "e6e6283263d9a5853ccc083f63a2b34501c7870958a34e6934f9235db56a85d3",
+            "012b367b13b031ee2aeb24f449db670c4fd4350a98c63719398e0bcbe36df38e",
     },
     ("riesz", "transform"): {
         "riesz_transform.csv":
             "49aa44e75c3372e31884484b987c22c9439042e06acc100d29ecec96cfa212f9",
         "riesz_transform.json":
-            "8427aed88acf138ec8cf8d565eb8a4408f8a577c1f51114974301e092e8a679a",
+            "c4c89fd8119aa5381fda5c8be8845f6ef95488516e5ade228a87fa34a9f55b9b",
     },
     ("riesz", "divergence"): {
         "riesz_divergence.csv":
             "b8ca5fce28855e3d820b24325793c974df8a42ba6d797e87aec64d4b6bdbef47",
         "riesz_divergence.json":
-            "cbf84aaa49b8d8496b931b6060609384702e22fbbb726ee1a8386a4a9b3a0967",
+            "1c1ae0d3a853bfb864e0f26448113f63278bb5913c91a6742ea9d7b285c24d05",
     },
     ("riesz", "subgroup-probe"): {
         "subgroup_probe.csv":
             "952fce8fac7b2a2399868ab3a161b515a0558191bf4870e9f8f1f23aba1b134e",
         "subgroup_probe.json":
-            "da6dc395be286fb08826b599492c217b70c9b97b490490b49514d31359b57726",
+            "33927db2ea10d406a993499105412f8a94f0eeab694f53b76e94bce54bd783e1",
     },
     ("tangent", "blowup"): {
         "blowup.json":
-            "a95e091d0b0845d8cfba3137c8e1b0f4b53d1a10f327aaba9e3eb1a6b3a34981",
+            "0aebf4194e3454a32760eda5f2131e9c476f35730250cd4aff16f6ec7b64fbef",
         "blowup_measure.csv":
             "b8a71b508fd9a99a9fe9224dea32ce90699ef09755453a6897192bb974e5d034",
     },
@@ -68,7 +68,7 @@ GOLDEN = {
         "cone_deficiency.csv":
             "8baabdc83ca08b5447a1d056fde634e9c25263d9c8c7b69a0425fee99345b360",
         "cone_deficiency.json":
-            "49b19629a84e8e2a353296ecbbcf547c49049098c6ee1e06771cbd8c8676459a",
+            "8c93664a1a43386192307ed02aea72c51bd9e1f0dc1eb0822b0441a878c91768",
     },
 }
 
@@ -110,14 +110,15 @@ CONFIG_RUNS = {
                   "eps": [0.5, 0.125, 0.03125]},
     }),
     "verify-custom": (("ifs", "verify"), {
-        "ifs": {"kind": "custom", "level": 3,
+        "level": 3,
+        "ifs": {"kind": "custom",
                 "maps": [{"q": [0.0, 0.0, 0.0], "r": 0.25},
                          {"q": [0.75, 0.0, 0.0], "r": 0.25}]},
     }),
     # the corner family in H^2 through the planar tilt sum: "expect"
     # turns any other verdict into exit 3
     "verify-corner-n2": (("ifs", "verify"), {
-        "n": 2, "quick": True, "ifs": {"expect": "certified"},
+        "n": 2, "quick": True, "expect": "certified",
     }),
     # the kernel degree is the line's dimension 1, with no "s" key
     "subgroup-probe-horizontal-n2": (("riesz", "subgroup-probe"), {
@@ -132,17 +133,17 @@ CONFIG_RUNS = {
 CONFIG_GOLDEN = {
     "ad-report-csv": (0, {
         "ad_report.json":
-            "284e65bf44acf1a2655c196343080333dabb07b7a06484f5771e4f82d3389d00",
+            "a406ffd36dc0c5d0608c359dc556bfdad8d55cdd9c10ebff16e7f5eb71095476",
     }),
     "cone-deficiency-csv": (0, {
         "cone_deficiency.csv":
             "427311cbfc13a55cc168a7b66ba3cfc515a6b8029dd5c72090f08cce18ef2f63",
         "cone_deficiency.json":
-            "751891f00d917a53c5d9fe96c611d3f50be8ee73144e742eba615b333839811c",
+            "e1624029e30efe686721aabb3dbfa848ab2dcda7e3c038e19022d75966f322fd",
     }),
     "blowup-csv-point": (0, {
         "blowup.json":
-            "74491b291276069aa9fa660cd5af945adef512c6c7c11a429a278195f1b559d4",
+            "057f9a6d7daa0fa02fcbbbbe3de81a9648f07c79b218b90e7ea2cde6e6ad2f08",
         "blowup_measure.csv":
             "ba261037874d506f3def2d15752f7f66abd997459905a4ea60b40a27800112ae",
     }),
@@ -150,21 +151,21 @@ CONFIG_GOLDEN = {
         "riesz_transform.csv":
             "2d19ab520c2ebc093a4ab932304c6c1c5d7dc6cd4ee21a78ec0f3094907a4b57",
         "riesz_transform.json":
-            "82cdf446526c50dcf2e1ec57671bf9ca050c4c313d6d2ae0e52be98f8d91c099",
+            "4700a1609b69b7812cc96aeb492a67e3fb58415b03b32fd857c3e09c40690ba7",
     }),
     "verify-custom": (0, {
         "ifs_verify.json":
-            "ac70b32505005dbfe46779afcf2db63779b893f58d99dc027856f43828718f31",
+            "0b46b9147930ac0fb4ea42eb11a4eb993b1fd7528d665ea31b0787de9746670a",
     }),
     "verify-corner-n2": (0, {
         "ifs_verify.json":
-            "aa96692a3d4165fe2bf849e20c948be5f5e9c6acba7c9d1e42f922c1edb62402",
+            "741a3ef2a537a69a2fe66d2367736fa35d4f78842a9e90cfebc41a359a806ae6",
     }),
     "subgroup-probe-horizontal-n2": (0, {
         "subgroup_probe.csv":
             "4a715ace929eb20a6e6bda7644ec6d24bec3ba6c0d051ae8b8d9682393f7fd14",
         "subgroup_probe.json":
-            "accd38cbeb527abef780446a78737ba81f16fb9f4f9eba5f231b3bee5e78c3a8",
+            "6734cd1718f585ad4bdec74e792aa23c6c037ccf21957533f5a3a8b1c01173c4",
     }),
 }
 
