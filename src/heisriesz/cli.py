@@ -1,15 +1,9 @@
 """Command-line front end: build systems and measures, run experiments.
 
-Usage:
-    heisriesz selftest [--quick]
-    heisriesz ifs generate [--out DIR]
-    heisriesz ifs verify
-    heisriesz measure ad-report
-    heisriesz riesz transform
-    heisriesz riesz divergence [--quick]
-    heisriesz riesz subgroup-probe
-    heisriesz tangent blowup
-    heisriesz cone-deficiency
+Usage: heisriesz COMMAND [--config PATH] [--seed N] [--quick] [--out DIR]
+for the commands selftest, ifs generate, ifs verify, measure ad-report,
+riesz transform, riesz divergence, riesz subgroup-probe, tangent blowup
+and cone-deficiency.
 
 Configuration comes from a JSON file (--config PATH) with optional
 blocks "ifs", "measure", "riesz", "diagnostics", "tangent", "selftest";
@@ -18,9 +12,10 @@ Every JSON report embeds the resolved configuration, the seed and the
 package version, so a fixed config and seed reproduce identical bytes.
 CSV output uses '.' decimals, no locale.
 
-Exit codes: 0 success, 1 failed selftest, 2 configuration error,
-3 computed verdict contradicts the configured "expect", 4 atom cap
-exceeded.
+Exit codes: 0 success, 1 failed selftest, 2 configuration error (a
+value not of its key's kind, or an "expect" that is not one of the
+command's verdicts, exits 2 before any work), 3 computed verdict
+contradicts the configured "expect", 4 atom cap exceeded.
 """
 
 from __future__ import annotations
@@ -31,6 +26,8 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,64 +61,120 @@ class ConfigError(ValueError):
     """Bad or inconsistent run configuration."""
 
 
-# The run settings a config may set at its top level, beside the blocks.
-# A level left None is the command's own full level, or one below it
-# under --quick; a verdict other than a set expect contradicts it.
-_RUN_KEYS = ("schema", "n", "seed", "quick", "atom_cap", "level", "expect",
-             "out")
-
 # The share of probe points that must diverge for a "diverging" verdict.
 DIVERGING_FRACTION = 0.75
 
-# Per-block defaults; a config key outside its block's table is an error.
-_DEFAULTS = {
-    "ifs": {"kind": "strichartz", "r": 0.25, "maps": None, "resolution": 256},
-    "measure": {"csv": None, "spacing": None, "a": None},
-    "riesz": {
-        "eps": None,
-        "points": None,
-        "window": 2.0,
-        "resolution": 2048,
-        "subgroup": None,
-    },
-    "diagnostics": {
-        "centers": 64,
-        "radii": (0.25, 0.0625, 0.015625, 0.00390625),
-        "delta": 0.5,
-        "cone_points": 8,
-        "cone_subgroups": 8,
-    },
-    "tangent": {"word": (0,), "r": 0.25, "normalization": "power",
-                "point": None},
+
+def _number(v) -> bool:
+    """A finite JSON number: never a bool, a string or NaN."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+class _Kind(NamedTuple):
+    """A setting's kind: its text in errors, its test, its typed value."""
+
+    text: str
+    test: Callable
+    typed: Callable = lambda v: v
+
+
+def _one_of(*choices) -> _Kind:
+    return _Kind(" or ".join(map(repr, choices)) or "unset",
+                 lambda v: not isinstance(v, bool) and v in choices)
+
+
+# JSON has one number type, so an integral float such as 1e7 is an integer
+_COUNT = _Kind("an integer >= 1",
+               lambda v: _number(v) and v == int(v) >= 1, int)
+_INDEX = _Kind("an integer >= 0",
+               lambda v: _number(v) and v == int(v) >= 0, int)
+_REAL = _Kind("a finite number", _number, float)
+_POSITIVE = _Kind("a positive number", lambda v: _number(v) and v > 0, float)
+_POINT = _Kind("a list of numbers",
+               lambda v: isinstance(v, list) and all(map(_number, v)),
+               lambda v: [float(x) for x in v])
+_RADII = _Kind("a nonempty list of positive numbers",
+               lambda v: _POINT.test(v) and v != [] and min(v) > 0,
+               _POINT.typed)
+_CUTOFFS = _Kind("a nonempty, strictly decreasing list of positive numbers",
+                 lambda v: _RADII.test(v)
+                 and all(a > b for a, b in zip(v, v[1:])), _POINT.typed)
+_POINTS = _Kind("an integer >= 1 or a list of points",
+                lambda v: _COUNT.test(v) or isinstance(v, list)
+                and all(map(_POINT.test, v)),
+                lambda v: int(v) if _number(v) else list(map(_POINT.typed, v)))
+_WORD = _Kind("a list of integers >= 0",
+              lambda v: isinstance(v, list) and all(map(_INDEX.test, v)),
+              lambda v: list(map(int, v)))
+_MAPS = _Kind("a list of maps {q: list of numbers, r: number}",
+              lambda v: isinstance(v, list) and all(
+                  isinstance(m, dict) and set(m) == {"q", "r"}
+                  and _POINT.test(m["q"]) and _number(m["r"]) for m in v),
+              lambda v: [{"q": _POINT.typed(m["q"]), "r": float(m["r"])}
+                         for m in v])
+_STRING = _Kind("a string", lambda v: isinstance(v, str))
+_BOOL = _Kind("true or false", lambda v: isinstance(v, bool))
+_OBJECT = _Kind("a JSON object", lambda v: isinstance(v, dict))
+_VERDICT = _Kind("a verdict of the command", lambda v: False)  # per command
+
+# Every config key and its (default, kind): the run settings, then each
+# block's table.  A key whose default is None may be None, the command's
+# own value: a level left None is the command's full level, or one below.
+_SETTINGS = {
+    "schema": (SCHEMA_VERSION, _one_of(SCHEMA_VERSION)), "n": (1, _COUNT),
+    "seed": (0, _INDEX), "quick": (False, _BOOL),
+    "atom_cap": (DEFAULT_ATOM_CAP, _COUNT), "level": (None, _INDEX),
+    "expect": (None, _VERDICT), "out": (".", _STRING),
+    "ifs": {"kind": ("strichartz", _one_of("strichartz", "custom")),
+            "r": (0.25, _REAL), "maps": (None, _MAPS),
+            "resolution": (256, _COUNT)},
+    "measure": {"csv": (None, _STRING), "spacing": (None, _POSITIVE),
+                "a": (None, _POSITIVE)},
+    "riesz": {"eps": (None, _CUTOFFS), "points": (None, _POINTS),
+              "window": (2.0, _POSITIVE), "resolution": (2048, _COUNT),
+              "subgroup": (None, _OBJECT)},
+    "diagnostics": {"centers": (64, _POINTS),
+                    "radii": ((0.25, 0.0625, 0.015625, 0.00390625), _RADII),
+                    "delta": (0.5, _REAL), "cone_points": (8, _COUNT),
+                    "cone_subgroups": (8, _COUNT)},
+    "tangent": {"word": ((0,), _WORD), "r": (0.25, _REAL),
+                "normalization": ("power", _one_of("power", "ball-mass")),
+                "point": (None, _POINT)},
     "selftest": {},
 }
 
 
-@dataclass
-class RunConfig:
-    n: int
-    seed: int
-    quick: bool
-    atom_cap: int
-    level: int | None
-    expect: object
-    out: str
-    blocks: dict
+class RunConfig(SimpleNamespace):
+    """The top-level settings as attributes, the given blocks as blocks."""
 
     def section(self, name: str) -> dict:
         """The block's keys over its defaults."""
-        return {**_DEFAULTS[name], **self.blocks.get(name, {})}
+        return {**{k: d for k, (d, _) in _SETTINGS[name].items()},
+                **self.blocks.get(name, {})}
 
 
-def _integer_setting(settings: dict, key: str, least: int) -> int:
-    """A JSON integer >= least; an integral float such as 1e7 passes, a
-    bool or a fraction is an error, never coerced."""
-    value = settings[key]
-    integral = (isinstance(value, int) and not isinstance(value, bool)
-                or isinstance(value, float) and value.is_integer())
-    if not integral or value < least:
-        raise ConfigError(f"{key!r} must be an integer >= {least}, got {value!r}")
-    return int(value)
+def _checked(doc, table: dict, name: str | None = None) -> dict:
+    """A config object's typed values, each checked by its kind; name is
+    None at the top level, whose nested tables check the blocks."""
+    if not isinstance(doc, dict):
+        where = "config root" if name is None else f"config block {name!r}"
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - set(table))
+    if unknown:
+        where = f"keys in {name!r}" if name else "top-level config keys"
+        raise ConfigError(f"unknown {where}: {', '.join(unknown)}")
+    typed = {}
+    for key, value in doc.items():
+        if isinstance(table[key], dict):
+            typed[key] = _checked(value, table[key], key)
+            continue
+        default, kind = table[key]
+        if not (value is None and default is None or kind.test(value)):
+            label = key if name is None else f"{name}.{key}"
+            raise ConfigError(f"{label!r} must be {kind.text}, got {value!r}")
+        typed[key] = None if value is None else kind.typed(value)
+    return typed
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -134,38 +187,15 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-    if raw.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema: {raw.get('schema')!r}")
-    unknown = sorted(set(raw) - set(_DEFAULTS) - set(_RUN_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {', '.join(unknown)}")
-    blocks = {k: raw[k] for k in _DEFAULTS if k in raw}
-    for name, block in blocks.items():
-        if not isinstance(block, dict):
-            raise ConfigError(f"config block {name!r} must be a JSON object")
-        unknown = sorted(set(block) - set(_DEFAULTS[name]))
-        if unknown:
-            raise ConfigError(f"unknown keys in {name!r}: {', '.join(unknown)}")
+    table = {**_SETTINGS, "expect": (None, _one_of(*args.entry[4]))}
     # the flags override the file's values
-    settings = {"n": 1, "seed": 0, "quick": False,
-                "atom_cap": DEFAULT_ATOM_CAP, "level": None, "expect": None,
-                "out": ".", **raw,
-                **{k: v for k, v in vars(args).items()
-                   if k in _RUN_KEYS and v is not None}}
-    n, atom_cap = (_integer_setting(settings, key, 1)
-                   for key in ("n", "atom_cap"))
-    quick = settings["quick"]
-    if not isinstance(quick, bool):
-        raise ConfigError(f"'quick' must be true or false, got {quick!r}")
-    level = settings["level"]
-    return RunConfig(n=n, seed=_integer_setting(settings, "seed", 0),
-                     quick=quick, atom_cap=atom_cap,
-                     level=(None if level is None
-                            else _integer_setting(settings, "level", 0)),
-                     expect=settings["expect"], out=str(settings["out"]),
-                     blocks=blocks)
+    flags = {k: v for k, v in vars(args).items()
+             if k in _SETTINGS and v is not None}
+    given = {**_checked(raw, table), **_checked(flags, table)}
+    # the run settings over their defaults; the blocks given remain
+    run = {k: given.pop(k, e[0]) for k, e in _SETTINGS.items()
+           if isinstance(e, tuple)}
+    return RunConfig(**run, blocks=given)
 
 
 @dataclass
@@ -201,8 +231,9 @@ def _run(cfg: RunConfig, command: str, stem: str, csv: str | None,
             header, rows = res.csv
             write_csv(path, header, [np.array(list(rows), dtype=float)])
         payload, message = {**payload, "csv": csv}, message.format(csv=path)
-    # the run settings without the raw blocks, then the resolved blocks
-    config = {k: v for k, v in vars(cfg).items() if k != "blocks"}
+    # the run settings but the schema, which the report states, then blocks
+    config = {k: v for k, v in vars(cfg).items()
+              if k not in ("schema", "blocks")}
     doc = {
         "command": command,
         "version": __version__,
@@ -235,35 +266,18 @@ def _build_ifs(cfg: RunConfig, full: int):
     the lesser of that and the quick level, one below the full level.
     """
     block = cfg.section("ifs")
-    kind = block["kind"]
-    if kind == "strichartz":
-        ifs = make_strichartz_ifs(cfg.n, float(block["r"]))
-    elif kind == "custom":
-        raw_maps = block["maps"]
-        if not raw_maps:
-            raise ConfigError("custom ifs requires a nonempty 'maps' list")
-        try:
-            maps = tuple(
-                Similarity(n=cfg.n, q=np.asarray(m["q"], dtype=float),
-                           r=float(m["r"]))
-                for m in raw_maps
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad ifs map entry: {exc}") from None
-        ifs = Ifs(n=cfg.n, maps=maps)
+    if block["kind"] == "strichartz":
+        ifs = make_strichartz_ifs(cfg.n, block["r"])
+    elif not block["maps"]:
+        raise ConfigError("custom ifs requires a nonempty 'maps' list")
     else:
-        raise ConfigError(f"unknown ifs kind {kind!r}")
+        ifs = Ifs(n=cfg.n, maps=tuple(
+            Similarity(n=cfg.n, q=np.asarray(m["q"]), r=m["r"])
+            for m in block["maps"]))
     level = full if cfg.level is None else cfg.level
     if cfg.quick:
         level = min(level, full - 1)
     return ifs, level, {**block, "level_used": level}
-
-
-def _count_or_points(block: dict, key: str):
-    """The block's list of points as given, else its count: an integer
-    >= 1, type-checked as the run settings are."""
-    value = block[key]
-    return value if isinstance(value, list) else _integer_setting(block, key, 1)
 
 
 def _measure_for(cfg: RunConfig, name: str, full: int):
@@ -279,22 +293,18 @@ def _measure_for(cfg: RunConfig, name: str, full: int):
             raise ConfigError("config key 'level' is not read when "
                               "a 'measure' block supplies the atoms")
         m = cfg.section("measure")
-        if not m["csv"]:
-            raise ConfigError("measure block requires a 'csv' path")
-        a = m["a"]
-        if isinstance(a, bool) or not isinstance(a, (int, float)) \
-                or not 0.0 < a < math.inf:
-            raise ConfigError("a csv measure needs its dimension 'measure.a', "
-                              f"a positive number, got {a!r}")
+        if m["csv"] is None or m["a"] is None:
+            raise ConfigError("a measure block needs its CSV 'measure.csv' "
+                              "and the CSV's dimension 'measure.a'")
         try:
-            mu = DiscreteMeasure.from_csv(m["csv"], label=str(m["csv"]),
+            mu = DiscreteMeasure.from_csv(m["csv"], label=m["csv"],
                                           spacing=m["spacing"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load measure: {exc}") from None
         if mu.spacing is None:
             print(f"note: measure {m['csv']} has no 'spacing'; the "
                   "4x-spacing resolution floor is off", file=sys.stderr)
-        return block, mu, None, float(a), {name: block, "measure": m}
+        return block, mu, None, m["a"], {name: block, "measure": m}
     ifs, level, ifs_block = _build_ifs(cfg, full)
     mu = cylinder_measure(ifs, level, atom_cap=cfg.atom_cap)
     return block, mu, ifs, similarity_dimension(ifs), {name: block,
@@ -303,21 +313,15 @@ def _measure_for(cfg: RunConfig, name: str, full: int):
 
 def _eps_schedule(block: dict, start: float, ratio: float, count: int) -> np.ndarray:
     """The block's cutoffs, else the geometric ladder start * ratio^k."""
-    if block["eps"] is None:
-        return start * ratio ** np.arange(count)
-    eps = np.asarray(block["eps"], dtype=float)
-    if eps.ndim != 1 or eps.size == 0 or np.any(eps <= 0.0) \
-            or np.any(np.diff(eps) >= 0.0):
-        raise ConfigError("eps values must be positive and strictly decreasing")
-    return eps
+    return (start * ratio ** np.arange(count) if block["eps"] is None
+            else np.asarray(block["eps"]))
 
 
 def _radii_for(cfg: RunConfig, diag: dict, mu: DiscreteMeasure) -> tuple:
     """Configured radii as given; default radii only down to the floor."""
-    radii = tuple(float(r) for r in diag["radii"])
     if "radii" in cfg.blocks.get("diagnostics", {}):
-        return radii
-    return tuple(r for r in radii if r >= _resolution_floor(mu))
+        return diag["radii"]
+    return tuple(r for r in diag["radii"] if r >= _resolution_floor(mu))
 
 
 def _cone_family(n: int, a: float, count: int, seed: int):
@@ -329,7 +333,7 @@ def _cone_family(n: int, a: float, count: int, seed: int):
     L x T with dim L = a - 2, the whole group once when L = R^{2n}.  No
     other a is the dimension of a homogeneous subgroup of H^n.
     """
-    if not (float(a).is_integer() and 2 <= a <= 2 * n + 2):
+    if not (a.is_integer() and 2 <= a <= 2 * n + 2):
         raise ConfigError(
             f"cone-deficiency needs an integer dimension a in [2, {2 * n + 2}] "
             f"for n = {n}, got a = {a}")
@@ -400,9 +404,8 @@ def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
     payload, lines = {}, []
     region = None
     if block["kind"] == "strichartz":
-        phi = phi_fixed_point(cfg.n, float(block["r"]),
-                              resolution=_integer_setting(block,
-                                                          "resolution", 1),
+        phi = phi_fixed_point(cfg.n, block["r"],
+                              resolution=block["resolution"],
                               atom_cap=cfg.atom_cap)
         region = verify_invariant_region(
             ifs, phi, sample_count=10_000 if cfg.quick else 100_000,
@@ -420,8 +423,8 @@ def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
     separation = min_piece_separation(ifs, level)
     certified = (region is None or region.certified) and separation > 0.0
     verdict = "certified" if certified else "uncertified"
-    payload["separation"] = {"level": level, "value": separation}
-    payload["verdict"] = verdict
+    payload.update(separation={"level": level, "value": separation},
+                   verdict=verdict)
     lines.append(f"piece separation at level {level}: {separation:.6g} "
                  f"-> {verdict}")
     return Outcome(payload, {"ifs": block}, "\n".join(lines), verdict)
@@ -430,7 +433,7 @@ def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
 def _cmd_measure_ad(cfg: RunConfig) -> Outcome:
     diag, mu, _, a, sections = _measure_for(cfg, "diagnostics", full=5)
     report = ad_regularity_report(mu, a,
-                                  centers=_count_or_points(diag, "centers"),
+                                  centers=diag["centers"],
                                   radii=_radii_for(cfg, diag, mu),
                                   seed=cfg.seed)
     verdict = "regular" if report.regular else "irregular"
@@ -447,7 +450,7 @@ def _cmd_riesz_transform(cfg: RunConfig) -> Outcome:
     block, mu, _, a, sections = _measure_for(cfg, "riesz", full=4)
     params = RieszParams(s=a, n=mu.n)
     eps = _eps_schedule(block, start=0.25, ratio=0.25, count=3)
-    points = 8 if block["points"] is None else _count_or_points(block, "points")
+    points = 8 if block["points"] is None else block["points"]
     pts = _center_coords(mu, points, cfg.seed)
     rows = []
     per_eps_max = np.zeros(eps.size)
@@ -474,8 +477,7 @@ def _cmd_riesz_divergence(cfg: RunConfig) -> Outcome:
     params = RieszParams(s=a, n=mu.n)
     eps = _eps_schedule(block, start=0.25, ratio=0.25,
                         count=4 if cfg.quick else 5)
-    points = (32 if block["points"] is None
-              else _count_or_points(block, "points"))
+    points = 32 if block["points"] is None else block["points"]
     if ifs is not None and isinstance(points, int):
         # cycle atoms see scale-periodic annuli, the clean growth probes
         idx = cycle_atom_indices(len(ifs.maps), sections["ifs"]["level_used"],
@@ -514,8 +516,11 @@ def _cmd_riesz_divergence(cfg: RunConfig) -> Outcome:
 
 def _cmd_riesz_subgroup(cfg: RunConfig) -> Outcome:
     block = cfg.section("riesz")
+    count = 8 if block["points"] is None else block["points"]
+    if isinstance(count, list):
+        raise ConfigError("'riesz.points' is a count in riesz subgroup-probe")
     raw_sub = {} if block["subgroup"] is None else block["subgroup"]
-    if not isinstance(raw_sub, dict) or set(raw_sub) - {"kind", "basis"}:
+    if set(raw_sub) - {"kind", "basis"}:
         raise ConfigError("subgroup block must be {kind, basis}")
     kind = raw_sub.get("kind", "vertical")
     make = {"vertical": make_vertical, "horizontal": make_horizontal}.get(kind)
@@ -523,13 +528,10 @@ def _cmd_riesz_subgroup(cfg: RunConfig) -> Outcome:
         raise ConfigError(f"unknown subgroup kind {kind!r}")
     spec = make(cfg.n, raw_sub.get("basis", []))
     eps = _eps_schedule(block, start=0.5, ratio=0.5, count=8)
-    count = (8 if block["points"] is None
-             else _integer_setting(block, "points", 1))
     # the kernel degree is the dimension of the subgroup's Haar measure
     report = subgroup_boundedness_probe(
         spec, float(spec.hausdorff_dimension), eps,
-        window=float(block["window"]),
-        resolution=_integer_setting(block, "resolution", 1),
+        window=block["window"], resolution=block["resolution"],
         points=count, seed=cfg.seed, atom_cap=cfg.atom_cap)
     payload = {k: v for k, v in asdict(report).items()
                if k not in ("per_point_max", "seed")}
@@ -542,16 +544,16 @@ def _cmd_riesz_subgroup(cfg: RunConfig) -> Outcome:
 def _cmd_tangent_blowup(cfg: RunConfig) -> Outcome:
     block, mu, ifs, a, sections = _measure_for(cfg, "tangent", full=5)
     if block["point"] is not None:
-        center = np.asarray(block["point"], dtype=float)
+        center = np.asarray(block["point"])
     else:
         if ifs is None:
             raise ConfigError("csv measures need an explicit blow-up 'point'")
         center = word_similarity(ifs, block["word"]).fixed_point()
     s = a if block["normalization"] == "power" else None
-    nu = blowup_measure(mu, center, float(block["r"]), s=s,
-                        normalization=str(block["normalization"]))
+    nu = blowup_measure(mu, center, block["r"], s=s,
+                        normalization=block["normalization"])
     payload = {
-        "r": float(block["r"]),
+        "r": block["r"],
         "normalization": block["normalization"],
         "s": s,
         "center": center,
@@ -560,34 +562,31 @@ def _cmd_tangent_blowup(cfg: RunConfig) -> Outcome:
         "label": nu.label,
     }
     return Outcome(payload, sections,
-                   f"blow-up at r={float(block['r']):g}: {len(nu)} atoms, "
+                   f"blow-up at r={block['r']:g}: {len(nu)} atoms, "
                    f"mass {nu.total_mass:.6g}", csv=nu)
 
 
 def _cmd_cone_deficiency(cfg: RunConfig) -> Outcome:
     diag, mu, _, a, sections = _measure_for(cfg, "diagnostics", full=5)
-    pts = _center_coords(mu, _integer_setting(diag, "cone_points", 1),
-                         cfg.seed)
-    requested = _integer_setting(diag, "cone_subgroups", 1)
-    family = _cone_family(mu.n, a, requested, cfg.seed)
+    pts = _center_coords(mu, diag["cone_points"], cfg.seed)
+    family = _cone_family(mu.n, a, diag["cone_subgroups"], cfg.seed)
     radii = _radii_for(cfg, diag, mu)
     rows = []
     floor = math.inf
     for gi, (spec, _) in enumerate(family):
         for ki, k in enumerate(pts):
-            ratios = cone_deficiency(mu, a, k, spec, float(diag["delta"]),
-                                     radii)
+            ratios = cone_deficiency(mu, a, k, spec, diag["delta"], radii)
             # np.minimum keeps a NaN ratio, which fails floor > 0
             floor = float(np.minimum(floor, ratios.min()))
             rows.extend((ki, gi, r, v) for r, v in zip(radii, ratios))
     verdict = "positive-floor" if floor > 0.0 else "nonpositive-floor"
     payload = {
         "a": a,
-        "delta": float(diag["delta"]),
+        "delta": diag["delta"],
         "radii": radii,
         "points": pts,
         "subgroups": [desc for _, desc in family],
-        "requested_subgroups": requested,
+        "requested_subgroups": diag["cone_subgroups"],
         "distinct_subgroups": len(family),
         "floor": floor,
         "verdict": verdict,
@@ -602,34 +601,35 @@ def _cmd_cone_deficiency(cfg: RunConfig) -> Outcome:
 # parser / entry point
 # ----------------------------------------------------------------------
 
-# (words, JSON stem, CSV name, compute, help), in the order of --help
+# (words, JSON stem, CSV name, compute, verdicts, help), in the order of
+# --help; a run's expect is one of its command's verdicts
 COMMANDS = (
-    (("selftest",), "selftest", None, _cmd_selftest,
+    (("selftest",), "selftest", None, _cmd_selftest, (),
      "run the algebraic identity checks"),
     (("ifs", "generate"), "ifs_generate", "ifs_measure.csv", _cmd_ifs_generate,
-     "write a cylinder measure CSV"),
+     (), "write a cylinder measure CSV"),
     (("ifs", "verify"), "ifs_verify", None, _cmd_ifs_verify,
-     "invariant region and piece separation"),
+     ("certified", "uncertified"), "invariant region and piece separation"),
     (("measure", "ad-report"), "ad_report", None, _cmd_measure_ad,
-     "ball-mass regularity report"),
+     ("regular", "irregular"), "ball-mass regularity report"),
     (("riesz", "transform"), "riesz_transform", "riesz_transform.csv",
-     _cmd_riesz_transform, "truncated transform values at sample points"),
+     _cmd_riesz_transform, (), "truncated transform values at sample points"),
     (("riesz", "divergence"), "riesz_divergence", "riesz_divergence.csv",
-     _cmd_riesz_divergence, "annulus growth profiles on the fractal"),
+     _cmd_riesz_divergence, ("diverging", "not-diverging"),
+     "annulus growth profiles on the fractal"),
     (("riesz", "subgroup-probe"), "subgroup_probe", "subgroup_probe.csv",
-     _cmd_riesz_subgroup, "boundedness on a subgroup's Haar sample"),
+     _cmd_riesz_subgroup, ("bounded", "inconclusive"),
+     "boundedness on a subgroup's Haar sample"),
     (("tangent", "blowup"), "blowup", "blowup_measure.csv", _cmd_tangent_blowup,
-     "zoomed measure at a cylinder fixed point"),
+     (), "zoomed measure at a cylinder fixed point"),
     (("cone-deficiency",), "cone_deficiency", "cone_deficiency.csv",
-     _cmd_cone_deficiency, "mass outside cones around subgroups"),
+     _cmd_cone_deficiency, ("positive-floor", "nonpositive-floor"),
+     "mass outside cones around subgroups"),
 )
 
-_GROUP_HELP = {
-    "ifs": "build and verify the corner family",
-    "measure": "measure statistics",
-    "riesz": "transform experiments",
-    "tangent": "blow-up measures",
-}
+_GROUP_HELP = {"ifs": "build and verify the corner family",
+               "measure": "measure statistics",
+               "riesz": "transform experiments", "tangent": "blow-up measures"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -663,15 +663,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    words, stem, csv, compute, _ = args.entry
+    args = _build_parser().parse_args(argv)
+    words, stem, csv, compute, _, _ = args.entry
     try:
-        cfg = _load_run_config(args)
-        return _run(cfg, " ".join(words), stem, csv, compute)
+        return _run(_load_run_config(args), " ".join(words), stem, csv,
+                    compute)
     except (TypeError, ValueError) as exc:
-        # includes ConfigError: a bad value read while a command loads or
-        # computes from its config is a configuration error
+        # includes ConfigError, and a config value the library rejects
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AtomCapExceeded as exc:

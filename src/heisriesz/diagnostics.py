@@ -32,7 +32,7 @@ from . import core
 from .core import _coords, blowup_map, dist, koranyi_norm
 from .measure import (DEFAULT_ATOM_CAP, DiscreteMeasure, _worker_cap,
                       closed_ball_sums)
-from .riesz import RieszParams, growth_profile
+from .riesz import RieszParams, _radius_powers, growth_profile
 from .subgroups import SubgroupSpec, cone_mask, haar_sample, in_cone
 
 __all__ = [
@@ -75,20 +75,6 @@ def _checked_radii(mu: DiscreteMeasure, radii) -> np.ndarray:
             "(4x atom spacing); the ratio would be discretization noise"
         )
     return rad
-
-
-def _radius_powers(rad: np.ndarray, a: float) -> np.ndarray:
-    """r^a per radius.  For an integer a, the left-to-right product
-    r * r * ... * r, as the transform kernel forms d^(s+1): each step is
-    one correctly rounded multiply, where ``math.pow`` is not correctly
-    rounded (it misses r * r for about one r in 1,000).  Otherwise
-    ``math.pow``, which numpy's SIMD level does not move."""
-    if float(a).is_integer() and a >= 1:
-        power = rad.copy()
-        for _ in range(int(a) - 1):
-            power *= rad
-        return power
-    return np.array([math.pow(r, a) for r in rad])
 
 
 def _point_rows(mu: DiscreteMeasure, points) -> np.ndarray:

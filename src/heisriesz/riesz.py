@@ -11,8 +11,8 @@ d^(s+1) is a product of d's, and the vertical entry is the horizontal
 factor w/d^(s+1) divided once more by d.  Their bits are then the same
 at every numpy SIMD level.  For any other s they keep one ``np.power``,
 whose last bits depend on the CPU features numpy dispatches to.
-:func:`riesz_kernel` is the independent reference that the self-test
-compares the transforms with; it takes both powers with ``**``.
+:func:`riesz_kernel`, the self-test's independent reference, takes
+d^(s+1) and d^(s+2) by ``_radius_powers``, with the same bits at every level.
 
 Truncated transforms sum w(q) f(q) K(p^{-1} q) over atoms with
 d(p, q) > eps (closed balls are excluded, so ties at eps drop out).
@@ -31,6 +31,7 @@ same bits as a full sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,19 @@ class TransformResult:
     value: np.ndarray
 
 
+def _radius_powers(rad, a: float) -> np.ndarray:
+    """r^a per entry, at any shape: a left-to-right product of r's at an
+    integer a (``math.pow`` misses r * r for about one r in 1,000), else
+    ``math.pow``.  numpy's SIMD level moves neither."""
+    rad = np.asarray(rad)
+    if float(a).is_integer() and a >= 1:
+        power = rad.copy()
+        for _ in range(int(a) - 1):
+            power *= rad
+        return power
+    return np.array([math.pow(r, a) for r in rad.ravel()]).reshape(rad.shape)
+
+
 def riesz_kernel(params: RieszParams, p):
     """Kernel vector at a displacement; undefined at the identity."""
     x, _ = _coords(p, params.n)
@@ -79,8 +93,9 @@ def riesz_kernel(params: RieszParams, p):
     if np.any(nrm == 0.0):
         raise ValueError("kernel is undefined at the group identity")
     out = np.empty_like(x)
-    out[..., :-1] = x[..., :-1] / nrm[..., None] ** (params.s + 1.0)
-    out[..., -1] = x[..., -1] / nrm ** (params.s + 2.0)
+    horizontal = _radius_powers(nrm, params.s + 1.0)
+    out[..., :-1] = x[..., :-1] / horizontal[..., None]
+    out[..., -1] = x[..., -1] / _radius_powers(nrm, params.s + 2.0)
     return out
 
 

@@ -248,18 +248,18 @@ def test_expectation_contradiction_exit(tmp_path, capsys):
     assert doc["results"]["verdict"] == "bounded"
 
 
-def test_expect_on_a_command_without_a_verdict_is_a_contradiction(tmp_path,
-                                                                 capsys):
+def test_expect_on_a_command_without_a_verdict_is_a_config_error(tmp_path,
+                                                                capsys):
     # riesz transform computes values, not a verdict, so no expectation
-    # holds; the report is still written
+    # can hold, and the run stops before any work
     out = tmp_path / "run"
     cfg = _write_config(tmp_path, {"level": 2, "expect": "diverging",
                                    "riesz": {"points": 2}})
     code = _run(["riesz", "transform", "--config", cfg, "--out", str(out)])
-    assert code == 3
-    assert ("verdict None contradicts expected 'diverging'"
+    assert code == 2
+    assert ("'expect' must be unset, got 'diverging'"
             in capsys.readouterr().err)
-    assert (out / "riesz_transform.json").exists()
+    assert not out.exists()
 
 
 def test_subgroup_probe_bounded(tmp_path):
@@ -617,18 +617,38 @@ def test_quick_never_runs_finer_than_the_full_run(tmp_path, command, block,
     (["riesz", "subgroup-probe"], {"riesz": {"points": 2.9}}),
     (["riesz", "subgroup-probe"], {"riesz": {"resolution": 256.5}}),
     (["ifs", "verify"], {"ifs": {"resolution": 32.7}}),
+    # a verdict the command cannot give, a string, bool or fraction where
+    # a number or a letter goes, and an output directory that is no
+    # string: each is refused by its kind, not coerced
+    (["ifs", "verify"], {"expect": "certifed"}),
+    (["tangent", "blowup"], {"level": 2, "tangent": {"r": "0.25"}}),
+    (["cone-deficiency"], {"level": 2, "diagnostics": {"delta": True}}),
+    (["tangent", "blowup"], {"level": 2, "tangent": {"word": [0.9]}}),
+    (["measure", "ad-report"], {"level": 2,
+                                "diagnostics": {"radii": ["0.25"]}}),
+    (["riesz", "transform"], {"level": 2, "riesz": {"eps": ["0.5", "0.25"]}}),
+    (["ifs", "generate"], {"level": 2, "ifs": {"r": "0.125"}}),
+    (["riesz", "subgroup-probe"], {"riesz": {"window": "2"}}),
+    (["ifs", "generate"], {"level": 2, "ifs": {
+        "kind": "custom", "maps": [{"q": ["0", "0", "0"], "r": "0.25"}]}}),
+    (["selftest"], {"out": 5}),
 ], ids=["ifs-level", "riesz-points", "riesz-eps", "diag-level", "n",
         "ifs-level-bool", "ifs-level-fraction", "cone-points-fraction",
         "cone-subgroups-bool", "centers-bool", "riesz-points-bool",
         "probe-points-fraction", "probe-resolution-fraction",
-        "ifs-resolution-fraction"])
-def test_malformed_value_is_config_error(tmp_path, capsys, command, doc, quick):
-    # values read mid-command go through the same boundary as the ones
-    # read while loading the config
+        "ifs-resolution-fraction", "misspelt-expect", "tangent-r-string",
+        "delta-bool", "word-fraction", "radii-strings", "eps-strings",
+        "ifs-r-string", "window-string", "map-strings", "out-number"])
+def test_malformed_value_is_config_error(tmp_path, capsys, monkeypatch,
+                                         command, doc, quick):
+    # every value is checked by its kind while the config loads, so the
+    # run stops before any work and writes nothing, not even a directory
     cfg = _write_config(tmp_path, doc)
-    code = _run([*command, "--config", cfg, *quick, "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
+    monkeypatch.chdir(tmp_path)
+    assert _run([*command, "--config", cfg, *quick]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and " must be " in err
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
 
 @pytest.mark.parametrize("key,value", [
@@ -743,16 +763,21 @@ def test_every_exported_name_resolves(module):
 
 
 def test_readme_lists_every_config_key():
-    # README's key list and the CLI's default tables are one surface: a
-    # key added, removed or renamed on one side only fails here
+    # README's key list and the CLI's settings table are one surface: a
+    # key added, removed or renamed, or a kind changed, on one side only
+    # fails here
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("Config keys", 1)[1].split("\n\n", 2)[1]
     listed = {}
     for item in section.split("\n- "):
         name, keys = item.lstrip("- ").split(":", 1)
-        listed[name.strip("`")] = re.findall(r"`(\w+)`", keys)
-    tables = {"top level": list(cli._RUN_KEYS),
-              **{name: list(table) for name, table in cli._DEFAULTS.items()}}
+        listed[name.strip("`")] = re.findall(r"`(\w+)` \(([^)]*)\)",
+                                             " ".join(keys.split()))
+    blocks = {k: v for k, v in cli._SETTINGS.items() if isinstance(v, dict)}
+    tables = {"top level": [(k, entry[1].text) for k, entry
+                            in cli._SETTINGS.items() if k not in blocks],
+              **{name: [(k, kind.text) for k, (_, kind) in table.items()]
+                 for name, table in blocks.items()}}
     assert listed == tables
 
 
@@ -762,8 +787,8 @@ def test_readme_config_example_loads(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     example = readme.split("Config keys", 1)[1].split("```json\n", 1)[1]
     path = _write_config(tmp_path, json.loads(example.split("```", 1)[0]))
-    cfg = cli._load_run_config(argparse.Namespace(config=path, seed=None,
-                                                  quick=None, out=None))
+    cfg = cli._load_run_config(cli._build_parser().parse_args(
+        ["riesz", "transform", "--config", path]))
     assert cfg.level is not None and cfg.blocks
 
 

@@ -19,12 +19,12 @@ import shutil
 
 import pytest
 
-from heisriesz.cli import main
+from heisriesz.cli import COMMANDS, main
 
 GOLDEN = {
     ("selftest",): {
         "selftest.json":
-            "4e5878ac6b98356ca09110fb601a2db3702b967239206d7dc002462544c1b9bd",
+            "9e9a8654671fb96d197d570279f8cedfc3b87a8f7e2772c04e11f7fcb8846316",
     },
     ("ifs", "generate"): {
         "ifs_generate.json":
@@ -86,6 +86,13 @@ def test_quick_outputs_match_golden(command, tmp_path, monkeypatch):
     digests = {name: hashlib.sha256(data).hexdigest()
                for name, data in runs[0].items()}
     assert digests == GOLDEN[command]
+    # the verdict, if any, is one that the command's entry declares, so
+    # an "expect" can name it
+    _, stem, _, _, verdicts, _ = next(e for e in COMMANDS
+                                      if e[0] == command)
+    results = json.loads(runs[0][f"{stem}.json"])["results"]
+    verdict = results.get("verdict", results.get("overall"))
+    assert verdict in verdicts if verdicts else verdict is None
 
 
 # the --quick measure and its dimension, which a CSV does not carry

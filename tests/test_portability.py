@@ -14,6 +14,11 @@ a = 4/3, and the ``selftest`` and ``riesz transform`` quick outputs.
 Every pinned run has an integer kernel degree; for a non-integer s the
 sweep kernel keeps one ``np.power``, and nothing of it is pinned here.
 
+A second test reruns this file and ``test_selftest.py`` with only
+numpy's AVX-512 loops switched off, the AVX2 level of most x86 CPUs, so
+a pin recorded on an AVX-512 machine that moves at AVX2 fails where it
+is recorded.
+
 Run as a script, this file prints the digests as one JSON line.
 """
 
@@ -110,6 +115,36 @@ def test_digests_match_with_every_dispatched_feature_off():
     # the switch took effect: the child's numpy finds nothing to dispatch
     assert child.pop("found") == []
     assert child == _digests()
+
+
+# numpy's AVX-512 dispatch targets; a name the CPU lacks is ignored, so
+# on a CPU without AVX-512 the rerun is at its own level
+AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def test_selftest_and_portability_pins_hold_at_avx2():
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(
+               [*os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split(),
+                *AVX512]),
+           "PYTHONPATH": os.pathsep.join(
+               [str(tests.parent / "src"),
+                *filter(None, [os.environ.get("PYTHONPATH")])])}
+    # the child prints the features its numpy found, then runs the two
+    # files without this test
+    code = ("import json, sys, numpy as np, pytest; "
+            "print(json.dumps(np.show_config(mode='dicts')"
+            "['SIMD Extensions'].get('found', []))); "
+            "sys.exit(pytest.main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "-q", "-p", "no:cacheprovider",
+         "-k", "not pins_hold_at_avx2", str(tests / "test_selftest.py"),
+         str(tests / "test_portability.py")],
+        cwd=tests.parent, env=env, timeout=300, capture_output=True,
+        text=True)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
+    found = json.loads(proc.stdout.splitlines()[0])
+    assert not set(found) & set(AVX512)
 
 
 if __name__ == "__main__":
