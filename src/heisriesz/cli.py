@@ -6,8 +6,8 @@ riesz transform, riesz divergence, riesz subgroup-probe, tangent blowup
 and cone-deficiency.
 
 Configuration comes from a JSON file (--config PATH) with optional
-blocks "ifs", "measure", "riesz", "diagnostics", "tangent", "selftest";
-the flags --seed, --quick and --out override file values.
+blocks "ifs", "measure", "riesz", "diagnostics" and "tangent"; the
+flags --seed, --quick and --out override file values.
 Every JSON report embeds the resolved configuration, the seed and the
 package version, so a fixed config and seed reproduce identical bytes.
 CSV output uses '.' decimals, no locale.
@@ -100,22 +100,29 @@ _RADII = _Kind("a nonempty list of positive numbers",
 _CUTOFFS = _Kind("a nonempty, strictly decreasing list of positive numbers",
                  lambda v: _RADII.test(v)
                  and all(a > b for a, b in zip(v, v[1:])), _POINT.typed)
+_POINT_LIST = _Kind("a list of points",
+                    lambda v: isinstance(v, list) and all(map(_POINT.test, v)),
+                    lambda v: list(map(_POINT.typed, v)))
 _POINTS = _Kind("an integer >= 1 or a list of points",
-                lambda v: _COUNT.test(v) or isinstance(v, list)
-                and all(map(_POINT.test, v)),
-                lambda v: int(v) if _number(v) else list(map(_POINT.typed, v)))
+                lambda v: _COUNT.test(v) or _POINT_LIST.test(v),
+                lambda v: int(v) if _number(v) else _POINT_LIST.typed(v))
 _WORD = _Kind("a list of integers >= 0",
               lambda v: isinstance(v, list) and all(map(_INDEX.test, v)),
               lambda v: list(map(int, v)))
-_MAPS = _Kind("a list of maps {q: list of numbers, r: number}",
-              lambda v: isinstance(v, list) and all(
+_MAPS = _Kind("a nonempty list of maps {q: list of numbers, r: number}",
+              lambda v: isinstance(v, list) and v != [] and all(
                   isinstance(m, dict) and set(m) == {"q", "r"}
                   and _POINT.test(m["q"]) and _number(m["r"]) for m in v),
               lambda v: [{"q": _POINT.typed(m["q"]), "r": float(m["r"])}
                          for m in v])
+# both keys optional: a vertical subgroup of no basis is the center line
+_SUB = {"kind": _one_of("vertical", "horizontal"), "basis": _POINT_LIST}
+_SUBGROUP = _Kind("{kind: 'vertical' or 'horizontal', basis: list of points}",
+                  lambda v: isinstance(v, dict) and set(v) <= set(_SUB)
+                  and all(_SUB[k].test(x) for k, x in v.items()),
+                  lambda v: {k: _SUB[k].typed(x) for k, x in v.items()})
 _STRING = _Kind("a string", lambda v: isinstance(v, str))
 _BOOL = _Kind("true or false", lambda v: isinstance(v, bool))
-_OBJECT = _Kind("a JSON object", lambda v: isinstance(v, dict))
 _VERDICT = _Kind("a verdict of the command", lambda v: False)  # per command
 
 # Every config key and its (default, kind): the run settings, then each
@@ -126,14 +133,13 @@ _SETTINGS = {
     "seed": (0, _INDEX), "quick": (False, _BOOL),
     "atom_cap": (DEFAULT_ATOM_CAP, _COUNT), "level": (None, _INDEX),
     "expect": (None, _VERDICT), "out": (".", _STRING),
-    "ifs": {"kind": ("strichartz", _one_of("strichartz", "custom")),
-            "r": (0.25, _REAL), "maps": (None, _MAPS),
+    "ifs": {"r": (0.25, _REAL), "maps": (None, _MAPS),
             "resolution": (256, _COUNT)},
     "measure": {"csv": (None, _STRING), "spacing": (None, _POSITIVE),
                 "a": (None, _POSITIVE)},
     "riesz": {"eps": (None, _CUTOFFS), "points": (None, _POINTS),
               "window": (2.0, _POSITIVE), "resolution": (2048, _COUNT),
-              "subgroup": (None, _OBJECT)},
+              "subgroup": (None, _SUBGROUP)},
     "diagnostics": {"centers": (64, _POINTS),
                     "radii": ((0.25, 0.0625, 0.015625, 0.00390625), _RADII),
                     "delta": (0.5, _REAL), "cone_points": (8, _COUNT),
@@ -141,7 +147,6 @@ _SETTINGS = {
     "tangent": {"word": ((0,), _WORD), "r": (0.25, _REAL),
                 "normalization": ("power", _one_of("power", "ball-mass")),
                 "point": (None, _POINT)},
-    "selftest": {},
 }
 
 
@@ -266,10 +271,8 @@ def _build_ifs(cfg: RunConfig, full: int):
     the lesser of that and the quick level, one below the full level.
     """
     block = cfg.section("ifs")
-    if block["kind"] == "strichartz":
+    if block["maps"] is None:  # the corner family of ratio r
         ifs = make_strichartz_ifs(cfg.n, block["r"])
-    elif not block["maps"]:
-        raise ConfigError("custom ifs requires a nonempty 'maps' list")
     else:
         ifs = Ifs(n=cfg.n, maps=tuple(
             Similarity(n=cfg.n, q=np.asarray(m["q"]), r=m["r"])
@@ -296,6 +299,9 @@ def _measure_for(cfg: RunConfig, name: str, full: int):
         if m["csv"] is None or m["a"] is None:
             raise ConfigError("a measure block needs its CSV 'measure.csv' "
                               "and the CSV's dimension 'measure.a'")
+        # an unset blow-up point is a word's fixed point; a CSV has no words
+        if "point" in block and block["point"] is None:
+            raise ConfigError("csv measures need an explicit blow-up 'point'")
         try:
             mu = DiscreteMeasure.from_csv(m["csv"], label=m["csv"],
                                           spacing=m["spacing"])
@@ -378,7 +384,7 @@ def _cmd_selftest(cfg: RunConfig) -> Outcome:
         "passed": passed,
         "total": len(results),
     }
-    return Outcome(payload, {"selftest": {}}, "\n".join(lines),
+    return Outcome(payload, {}, "\n".join(lines),
                    failure=f"first failing property: {failing[0]}"
                    if failing else None)
 
@@ -403,7 +409,7 @@ def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
     ifs, level, block = _build_ifs(cfg, full=4)
     payload, lines = {}, []
     region = None
-    if block["kind"] == "strichartz":
+    if block["maps"] is None:
         phi = phi_fixed_point(cfg.n, block["r"],
                               resolution=block["resolution"],
                               atom_cap=cfg.atom_cap)
@@ -519,14 +525,10 @@ def _cmd_riesz_subgroup(cfg: RunConfig) -> Outcome:
     count = 8 if block["points"] is None else block["points"]
     if isinstance(count, list):
         raise ConfigError("'riesz.points' is a count in riesz subgroup-probe")
-    raw_sub = {} if block["subgroup"] is None else block["subgroup"]
-    if set(raw_sub) - {"kind", "basis"}:
-        raise ConfigError("subgroup block must be {kind, basis}")
-    kind = raw_sub.get("kind", "vertical")
-    make = {"vertical": make_vertical, "horizontal": make_horizontal}.get(kind)
-    if make is None:
-        raise ConfigError(f"unknown subgroup kind {kind!r}")
-    spec = make(cfg.n, raw_sub.get("basis", []))
+    sub = block["subgroup"] or {}
+    make = {"vertical": make_vertical,
+            "horizontal": make_horizontal}[sub.get("kind", "vertical")]
+    spec = make(cfg.n, sub.get("basis", []))
     eps = _eps_schedule(block, start=0.5, ratio=0.5, count=8)
     # the kernel degree is the dimension of the subgroup's Haar measure
     report = subgroup_boundedness_probe(
@@ -543,12 +545,8 @@ def _cmd_riesz_subgroup(cfg: RunConfig) -> Outcome:
 
 def _cmd_tangent_blowup(cfg: RunConfig) -> Outcome:
     block, mu, ifs, a, sections = _measure_for(cfg, "tangent", full=5)
-    if block["point"] is not None:
-        center = np.asarray(block["point"])
-    else:
-        if ifs is None:
-            raise ConfigError("csv measures need an explicit blow-up 'point'")
-        center = word_similarity(ifs, block["word"]).fixed_point()
+    center = (word_similarity(ifs, block["word"]).fixed_point()
+              if block["point"] is None else np.asarray(block["point"]))
     s = a if block["normalization"] == "power" else None
     nu = blowup_measure(mu, center, block["r"], s=s,
                         normalization=block["normalization"])
@@ -627,7 +625,7 @@ COMMANDS = (
      "mass outside cones around subgroups"),
 )
 
-_GROUP_HELP = {"ifs": "build and verify the corner family",
+_GROUP_HELP = {"ifs": "build and verify the self-similar system",
                "measure": "measure statistics",
                "riesz": "transform experiments", "tangent": "blow-up measures"}
 

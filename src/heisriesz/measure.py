@@ -162,12 +162,13 @@ def binned_sweep(mu, center, edges, columns):
     the chunk's per-atom values as k arrays: arrays of its own, or rows
     of ``out``, a (2n+1, len(d)) scratch that it may fill (several
     threads may call it at once, each with its own ``out``).  Returns the
-    (k, len(edges) - 1) per-bin sums and the per-bin atom counts.  A
-    centre that is not finite raises ``ValueError``: every ball mass,
-    cone mass and transform reads its centre here.  The distances end in
-    two correctly rounded square roots (``core._gauge``), so they, the
-    bins and the counts have the same bits at every numpy SIMD level;
-    the sums do too when the columns use no CPU-dependent loop.
+    (k, len(edges) - 1) per-bin sums; a column of ones counts the atoms
+    of each bin.  A centre that is not finite raises ``ValueError``:
+    every ball mass, cone mass and transform reads its centre here.  The
+    distances end in two correctly rounded square roots
+    (``core._gauge``), so they and the bins have the same bits at every
+    numpy SIMD level; the sums do too when the columns use no
+    CPU-dependent loop.
 
     Each thread that works on a call allocates one coordinate-major
     workspace of CHUNK rows (u, the norm's scratch and d, bin masks,
@@ -175,25 +176,24 @@ def binned_sweep(mu, center, edges, columns):
     does not depend on what the allocator holds from earlier work.  A
     sweep that keeps PARALLEL_CHUNKS chunks or more spreads them over
     the calling thread and helper threads (:func:`_map_chunks`).  Each
-    chunk's per-bin sums and counts are kept, and the caller adds them
-    into the bins in chunk order, as one thread does, so the result has
-    the same bits at every thread count.
+    chunk's per-bin sums are kept, and the caller adds them into the
+    bins in chunk order, as one thread does, so the result has the same
+    bits at every thread count.
 
     The triangle inequality, applied to the distance of a chunk's first
     atom from the centre and the chunk's cached reach, bounds the
     distances of all its atoms, and so the range of bins they can fall
     in.  A chunk whose range misses the window is skipped.  A chunk whose
     range is one bin adds the pairwise sum ``np.add.reduce`` of each
-    column to that bin, and its length to the bin's count, without
-    comparing a single distance with an edge.  Any other chunk, for each
-    window bin in its range, adds the pairwise sum of a zero-filled copy
-    of each column that holds only the atoms of that bin
-    (:func:`_bin_sums`).  Bins outside the window are never summed, so
-    the columns may hold NaN or inf for atoms there.  Across chunks the
-    sums are taken in chunk order.  A bin that holds every atom of a
-    chunk gets the same bits from either path, and a bin that holds none
-    gets +0.0 or nothing, so pruning does not change a bit of the
-    result.  Against exact arithmetic, a bin's sum over c chunks errs by
+    column to that bin without comparing a single distance with an
+    edge.  Any other chunk, for each window bin in its range, adds the
+    pairwise sum of a zero-filled copy of each column that holds only
+    the atoms of that bin (:func:`_bin_sums`).  Bins outside the window
+    are never summed, so the columns may hold NaN or inf for atoms
+    there.  Across chunks the sums are taken in chunk order.  A bin that
+    holds every atom of a chunk gets the same bits from either path, and
+    a bin that holds none gets +0.0 or nothing, so pruning does not
+    change a bit of the result.  Against exact arithmetic, a bin's sum over c chunks errs by
     at most about (35 + c) u sum |terms|, u = 2^-53 (numpy's pairwise sum
     takes each term of a chunk through at most 35 additions).
     """
@@ -231,15 +231,15 @@ def binned_sweep(mu, center, edges, columns):
         cols_ws = np.empty((dim, rows))
 
         def sweep_chunk(chunk):
-            """The chunk's first window bin, and its (sums, count) per bin
-            from there on."""
+            """The chunk's first window bin, and its sums per bin from
+            there on."""
             sl, lo, hi = chunk
             m = sl.stop - sl.start
             u = core.left_displacement(c, mu.points[sl], out=u_ws[:m])
             d = core.koranyi_norm(u, out=norm_ws[:m])
             cols = columns(sl, u, d, cols_ws[:, :m])
             if lo == hi:
-                return lo - 1, [([np.add.reduce(col) for col in cols], m)]
+                return lo - 1, [[np.add.reduce(col) for col in cols]]
             # the norm's first coordinate is free once d is known
             return max(lo, 1) - 1, [
                 _bin_sums(cols, d, edges[b - 1], edges[b], inside_ws[:, :m],
@@ -248,17 +248,15 @@ def binned_sweep(mu, center, edges, columns):
 
         return sweep_chunk
 
-    sums, counts = np.zeros((k, top)), np.zeros(top, dtype=np.intp)
+    sums = np.zeros((k, top))
     for start, bins in _map_chunks(sweeper, kept, mu.n):
-        for b, (bin_sums, count) in enumerate(bins, start):
+        for b, bin_sums in enumerate(bins, start):
             sums[:, b] += bin_sums
-            counts[b] += count
-    return sums, counts
+    return sums
 
 
 def _bin_sums(cols, d, lower, upper, inside, part):
-    """Pairwise sums of each column over the atoms with lower < d <= upper,
-    and their count.
+    """Pairwise sums of each column over the atoms with lower < d <= upper.
 
     ``inside`` is (2, len(d)) boolean scratch.  Each column is copied
     into the zero-filled scratch row ``part`` where the atom is inside,
@@ -272,7 +270,7 @@ def _bin_sums(cols, d, lower, upper, inside, part):
         part.fill(0.0)
         np.copyto(part, col, where=mask)
         sums.append(np.add.reduce(part))
-    return sums, np.count_nonzero(mask)
+    return sums
 
 
 def closed_ball_sums(mu, center, radii, column):
@@ -284,8 +282,8 @@ def closed_ball_sums(mu, center, radii, column):
     """
     radii = np.asarray(radii, dtype=float)
     edges = np.unique(radii)
-    sums, _ = binned_sweep(mu, center, np.concatenate([[-np.inf], edges]),
-                           lambda sl, u, d, out: [column(sl, u, d)])
+    sums = binned_sweep(mu, center, np.concatenate([[-np.inf], edges]),
+                        lambda sl, u, d, out: [column(sl, u, d)])
     inside = np.cumsum(sums[0])
     return inside[np.searchsorted(edges, radii)]
 

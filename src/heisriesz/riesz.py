@@ -154,7 +154,7 @@ def _running_sums(mu: DiscreteMeasure, params: RieszParams, f, p, eps_list,
         raise ValueError("cutoffs must be a nonempty, strictly decreasing list "
                          f"in (0, {top:g}), got {eps.tolist()}")
     edges = np.concatenate([eps[::-1], [top]])
-    sums, _ = binned_sweep(mu, p, edges, _kernel_columns(params, mu, f))
+    sums = binned_sweep(mu, p, edges, _kernel_columns(params, mu, f))
     # running sums of the bins from the outside in
     return np.cumsum(sums[:, ::-1], axis=1)
 

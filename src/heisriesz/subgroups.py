@@ -73,9 +73,7 @@ class SubgroupSpec:
 
 
 def _orthonormal_rows(vectors: np.ndarray, what: str) -> np.ndarray:
-    """Orthonormal basis of the row span; rejects dependent inputs."""
-    if vectors.shape[0] == 0:
-        return vectors
+    """Orthonormal basis of a nonempty row span; rejects dependent inputs."""
     scale = np.max(np.abs(vectors))
     if scale == 0.0:
         raise ValueError(f"{what}: zero vectors are not a basis")

@@ -130,7 +130,9 @@ def test_unknown_keys_are_config_errors(tmp_path):
 @pytest.mark.parametrize("doc,error", [
     ({"ifs": {"levle": 3}}, "unknown keys in 'ifs': levle"),
     ({"tangent": "oops"}, "config block 'tangent' must be a JSON object"),
-], ids=["misspelt-key", "not-an-object"])
+    # selftest has no block: there is nothing for one to set
+    ({"selftest": {}}, "unknown top-level config keys: selftest"),
+], ids=["misspelt-key", "not-an-object", "selftest-block"])
 def test_every_block_is_checked_on_load(tmp_path, capsys, doc, error):
     # selftest reads no block, yet a block it would not read is still
     # checked before any work starts
@@ -186,21 +188,64 @@ def test_block_level_beside_a_measure_block_is_config_error(tmp_path, capsys,
     ("diagnostics", "c_cap"),
     ("ifs", "level"), ("riesz", "level"), ("diagnostics", "level"),
     ("tangent", "level"), ("ifs", "expect"), ("riesz", "expect"),
-    ("diagnostics", "expect"),
+    ("diagnostics", "expect"), ("ifs", "kind"),
 ])
 def test_removed_keys_are_unknown(tmp_path, capsys, block, key):
     # each repeated a value held elsewhere: the commands' own levels and
     # sample counts, the one cutoff list, the one points entry, the
     # library's tolerances, the CSV path that labels a measure and the
-    # measure's own dimension; a verdict threshold is the library's, and
-    # a level or an expected verdict is the run's
+    # measure's own dimension; a verdict threshold is the library's, a
+    # level or an expected verdict is the run's, and a custom system is
+    # one whose 'maps' are given; the selftest block went whole, as it
+    # had no key left
     command = {"ifs": ["ifs", "generate"], "measure": ["measure", "ad-report"],
                "riesz": ["riesz", "transform"],
                "diagnostics": ["measure", "ad-report"],
                "tangent": ["tangent", "blowup"], "selftest": ["selftest"]}[block]
     cfg = _write_config(tmp_path, {block: {key: 1}})
     assert _run([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert f"unknown keys in {block!r}: {key}" in capsys.readouterr().err
+    assert ("unknown top-level config keys: selftest" if block == "selftest"
+            else f"unknown keys in {block!r}: {key}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,files,error", [
+    (["selftest"], {}, "cannot read config"),
+    (["selftest"], {"config.json": '{"seed": 1,'}, "config is not valid JSON"),
+    (["measure", "ad-report"], {
+        "config.json": json.dumps({"measure": {"csv": "bad.csv", "a": 2.0}}),
+        "bad.csv": "x1,x2,x3,weight\n0,0,zero,1\n"}, "cannot load measure"),
+    (["riesz", "subgroup-probe"], {
+        "config.json": json.dumps({"riesz": {"points": [[0.0, 0.0, 0.0]]}})},
+     "'riesz.points' is a count in riesz subgroup-probe"),
+    # a word's fixed point needs a system's words, which a CSV lacks;
+    # the run stops before it reads the CSV
+    (["tangent", "blowup"], {
+        "config.json": json.dumps({"measure": {"csv": "absent.csv", "a": 2.0}})},
+     "csv measures need an explicit blow-up 'point'"),
+], ids=["config-absent", "config-not-json", "csv-unparsable",
+        "probe-points-list", "blowup-csv-without-point"])
+def test_unusable_input_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                          command, files, error):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "o"
+    assert _run([*command, "--config", "config.json", "--out", str(out)]) == 2
+    assert f"config error: {error}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ifs_maps_are_the_system_run(tmp_path):
+    # given maps are the system; the corner family runs only without them
+    maps = [{"q": [0.0, 0.0, 0.0], "r": 0.25},
+            {"q": [0.75, 0.0, 0.0], "r": 0.25}]
+    cfg = _write_config(tmp_path, {"ifs": {"maps": maps}})
+    out = tmp_path / "run"
+    assert _run(["ifs", "generate", "--config", cfg, "--quick",
+                 "--out", str(out)]) == 0
+    res = json.loads((out / "ifs_generate.json").read_text())["results"]
+    assert (res["maps"], res["atoms"]) == (2, 2 ** 3)
+    assert res["similarity_dimension"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_atom_cap_exit(tmp_path, capsys):
@@ -630,15 +675,28 @@ def test_quick_never_runs_finer_than_the_full_run(tmp_path, command, block,
     (["ifs", "generate"], {"level": 2, "ifs": {"r": "0.125"}}),
     (["riesz", "subgroup-probe"], {"riesz": {"window": "2"}}),
     (["ifs", "generate"], {"level": 2, "ifs": {
-        "kind": "custom", "maps": [{"q": ["0", "0", "0"], "r": "0.25"}]}}),
+        "maps": [{"q": ["0", "0", "0"], "r": "0.25"}]}}),
     (["selftest"], {"out": 5}),
+    # an empty system has no set to run on
+    (["ifs", "generate"], {"level": 2, "ifs": {"maps": []}}),
+    # a subgroup's basis is a list of points, its kind one of two
+    (["riesz", "subgroup-probe"], {"riesz": {"subgroup": {
+        "kind": "vertical", "basis": [["1", "0"]]}}}),
+    (["riesz", "subgroup-probe"], {"riesz": {"subgroup": {
+        "kind": "vertical", "basis": [1, 0]}}}),
+    (["riesz", "subgroup-probe"], {"riesz": {"subgroup": {
+        "kind": "vertical", "basis": [], "s": 3}}}),
+    (["riesz", "subgroup-probe"], {"riesz": {"subgroup": {
+        "kind": "diagonal", "basis": [[1, 0]]}}}),
 ], ids=["ifs-level", "riesz-points", "riesz-eps", "diag-level", "n",
         "ifs-level-bool", "ifs-level-fraction", "cone-points-fraction",
         "cone-subgroups-bool", "centers-bool", "riesz-points-bool",
         "probe-points-fraction", "probe-resolution-fraction",
         "ifs-resolution-fraction", "misspelt-expect", "tangent-r-string",
         "delta-bool", "word-fraction", "radii-strings", "eps-strings",
-        "ifs-r-string", "window-string", "map-strings", "out-number"])
+        "ifs-r-string", "window-string", "map-strings", "out-number",
+        "maps-empty", "basis-strings", "basis-flat", "subgroup-extra-key",
+        "subgroup-kind-unknown"])
 def test_malformed_value_is_config_error(tmp_path, capsys, monkeypatch,
                                          command, doc, quick):
     # every value is checked by its kind while the config loads, so the

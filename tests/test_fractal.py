@@ -91,6 +91,12 @@ def test_similarity_dimension_mixed_ratios():
     assert similarity_dimension(ifs) == pytest.approx(expected, abs=1e-12)
 
 
+def test_similarity_dimension_of_one_map_is_zero():
+    # r^a = 1 only at a = 0: the attractor is the map's fixed point
+    ifs = Ifs(n=1, maps=(Similarity(n=1, r=0.5, q=np.ones(3)),))
+    assert similarity_dimension(ifs) == 0.0
+
+
 def test_ifs_sorts_maps_by_ratio():
     maps = (
         Similarity(n=1, r=0.4, q=np.zeros(3)),

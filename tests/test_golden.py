@@ -3,8 +3,10 @@
 Each command runs twice in fresh directories with the default config
 and `--out .`, so the reports carry no machine path.  Both runs must
 write identical bytes, and those bytes must hash to the recorded
-SHA-256 digests.  A change that moves output on purpose re-records the
-affected digests and names the moved fields in CHANGES.md.
+SHA-256 digests; `selftest` must write them from a fresh interpreter
+too, through `python -m heisriesz.cli`.  A change that moves output on
+purpose re-records the affected digests and names the moved fields in
+CHANGES.md.
 
 A second set pins the config-driven paths: a relative ``measure.csv``
 block (the --quick cylinder measure copied into the run directory), an
@@ -15,7 +17,11 @@ horizontal subgroup in H^2.  Those runs pin their exit code too.
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,33 +30,33 @@ from heisriesz.cli import COMMANDS, main
 GOLDEN = {
     ("selftest",): {
         "selftest.json":
-            "9e9a8654671fb96d197d570279f8cedfc3b87a8f7e2772c04e11f7fcb8846316",
+            "75841f572dd3321d3d37a58d14cb2f91d0c3d477097bbf6423d67cda01842398",
     },
     ("ifs", "generate"): {
         "ifs_generate.json":
-            "4bfd815cc36aea2b7e3ddda739199d1c732d376d809619777447b3d05226f7f1",
+            "9069d6feb093faede86f4102d591f419ef6be320e9987dbfab3d4d4aa18266aa",
         "ifs_measure.csv":
             "5d0688b1dab4ac5c110c86779b1adb4f523b985bcf44bd7e0b55929a51337efe",
     },
     ("ifs", "verify"): {
         "ifs_verify.json":
-            "a98b0d60bb371a5b1977c5d91ad1da95942f3adb8821ba1a41de54499cf52375",
+            "74b712f2da1cddaab5b39187ebfe086afa084b055936a5c43d4c9cc0513731e0",
     },
     ("measure", "ad-report"): {
         "ad_report.json":
-            "012b367b13b031ee2aeb24f449db670c4fd4350a98c63719398e0bcbe36df38e",
+            "ae14839cf86b75b04c76127ecdff0d519ec2391aabbf0e4a47f9a044f6155e44",
     },
     ("riesz", "transform"): {
         "riesz_transform.csv":
             "49aa44e75c3372e31884484b987c22c9439042e06acc100d29ecec96cfa212f9",
         "riesz_transform.json":
-            "c4c89fd8119aa5381fda5c8be8845f6ef95488516e5ade228a87fa34a9f55b9b",
+            "24a821e7c9dc9b64aeae5907d5b91342f3f4354da2c6aec638ae1a58aa98319f",
     },
     ("riesz", "divergence"): {
         "riesz_divergence.csv":
             "b8ca5fce28855e3d820b24325793c974df8a42ba6d797e87aec64d4b6bdbef47",
         "riesz_divergence.json":
-            "1c1ae0d3a853bfb864e0f26448113f63278bb5913c91a6742ea9d7b285c24d05",
+            "7757a072b07026e5f1ae57bcf6964caf2f33865821ea22eca340e8d9a6d4ff9f",
     },
     ("riesz", "subgroup-probe"): {
         "subgroup_probe.csv":
@@ -60,7 +66,7 @@ GOLDEN = {
     },
     ("tangent", "blowup"): {
         "blowup.json":
-            "0aebf4194e3454a32760eda5f2131e9c476f35730250cd4aff16f6ec7b64fbef",
+            "cd3e071be3087a97d966a47b4faa75b2fdfa7285ded71a29a975ddb1ca2989b6",
         "blowup_measure.csv":
             "b8a71b508fd9a99a9fe9224dea32ce90699ef09755453a6897192bb974e5d034",
     },
@@ -68,7 +74,7 @@ GOLDEN = {
         "cone_deficiency.csv":
             "8baabdc83ca08b5447a1d056fde634e9c25263d9c8c7b69a0425fee99345b360",
         "cone_deficiency.json":
-            "8c93664a1a43386192307ed02aea72c51bd9e1f0dc1eb0822b0441a878c91768",
+            "337aba413d4cb9f50ad601f3404f56353f1aa0b02cd380ead065cff77e6b9409",
     },
 }
 
@@ -95,6 +101,20 @@ def test_quick_outputs_match_golden(command, tmp_path, monkeypatch):
     assert verdict in verdicts if verdicts else verdict is None
 
 
+def test_module_entry_point_writes_the_golden_bytes(tmp_path):
+    # every other golden runs in this one process: the module run as a
+    # script, in a fresh interpreter, must write the same bytes
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    subprocess.run([sys.executable, "-m", "heisriesz.cli", "selftest",
+                    "--quick", "--out", "."], cwd=tmp_path, env=env,
+                   timeout=120, capture_output=True, check=True)
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in tmp_path.iterdir()}
+    assert digests == GOLDEN[("selftest",)]
+
+
 # the --quick measure and its dimension, which a CSV does not carry
 QUICK_MEASURE = {"csv": "ifs_measure.csv", "a": 2.0}
 
@@ -118,8 +138,7 @@ CONFIG_RUNS = {
     }),
     "verify-custom": (("ifs", "verify"), {
         "level": 3,
-        "ifs": {"kind": "custom",
-                "maps": [{"q": [0.0, 0.0, 0.0], "r": 0.25},
+        "ifs": {"maps": [{"q": [0.0, 0.0, 0.0], "r": 0.25},
                          {"q": [0.75, 0.0, 0.0], "r": 0.25}]},
     }),
     # the corner family in H^2 through the planar tilt sum: "expect"
@@ -162,11 +181,11 @@ CONFIG_GOLDEN = {
     }),
     "verify-custom": (0, {
         "ifs_verify.json":
-            "0b46b9147930ac0fb4ea42eb11a4eb993b1fd7528d665ea31b0787de9746670a",
+            "cc913bc89c7585db0e9feb1c009d4210a870c7bef18dd60e7aede0ea344e263c",
     }),
     "verify-corner-n2": (0, {
         "ifs_verify.json":
-            "741a3ef2a537a69a2fe66d2367736fa35d4f78842a9e90cfebc41a359a806ae6",
+            "e6c5d060fd2d936041d12659cb1a63d660556ed6a258095de54caa2767a251eb",
     }),
     "subgroup-probe-horizontal-n2": (0, {
         "subgroup_probe.csv":

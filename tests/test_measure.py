@@ -22,6 +22,12 @@ from heisriesz.riesz import (RieszParams, _kernel_columns, growth_profile,
 from heisriesz.subgroups import make_vertical
 
 
+def _counting(columns):
+    """A sweep's columns and a column of ones, whose bin sums count the
+    atoms of each bin."""
+    return lambda sl, u, d, out: [*columns(sl, u, d, out), np.ones(len(d))]
+
+
 def _square_measure():
     pts = np.array(
         [
@@ -225,6 +231,38 @@ def test_csv_one_differing_weight_keeps_a_full_vector(tmp_path):
     assert w[-1] == 0.25 and np.all(w[:-1] == 0.5)
 
 
+@pytest.mark.parametrize("variant,rows", [
+    ("no-final-newline", 5), ("blank-lines", 5), ("blank-lines", CHUNK),
+    ("comment-lines", 5), ("comment-lines", CHUNK),
+])
+def test_csv_reads_the_clean_rows_through_skipped_lines(tmp_path, variant,
+                                                         rows):
+    # the row count takes a last row without its newline, and counts the
+    # blank and '#' lines that np.loadtxt skips, so the arrays are
+    # trimmed: after a short block, or, with CHUNK rows, after a second
+    # block that reads no row
+    lines = [f"{i},{-i},{0.5 * i},0.25\n" for i in range(rows)]
+    clean = tmp_path / "clean.csv"
+    clean.write_text("x1,x2,x3,weight\n" + "".join(lines))
+    if variant == "no-final-newline":
+        lines[-1] = lines[-1].rstrip("\n")
+    else:
+        skipped = "\n" if variant == "blank-lines" else "# note\n"
+        for at in (rows, rows // 2, 0):
+            lines.insert(at, skipped)
+    path = tmp_path / "mu.csv"
+    path.write_text("x1,x2,x3,weight\n" + "".join(lines))
+    want = DiscreteMeasure.from_csv(clean)
+    with warnings.catch_warnings():
+        # numpy notes each skipped line that max_rows does not count
+        warnings.simplefilter("ignore", UserWarning)
+        got = DiscreteMeasure.from_csv(path)
+    assert got.points.shape == want.points.shape == (rows, 3)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.weights.strides == want.weights.strides == (0,)
+
+
 def test_csv_header_only_reads_as_an_empty_measure(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("x1,x2,x3,x4,x5,weight\n")
@@ -334,9 +372,8 @@ def _sweep_call(mu, kind, center, arg):
         return cone_deficiency(mu, 2.0, center, make_vertical(mu.n, []), 0.5, arg)
     if kind == "truncated":
         # the one sweep of truncated_transform, with its atom count
-        sums, counts = binned_sweep(mu, center, [arg, np.inf],
-                                    _kernel_columns(params, mu, f))
-        return np.append(sums[:, 0], counts)
+        return binned_sweep(mu, center, [arg, np.inf],
+                            _counting(_kernel_columns(params, mu, f)))[:, 0]
     if kind == "maximal":
         return maximal_transform(mu, params, f, center, arg)
     return growth_profile(mu, params, center, arg)
@@ -465,7 +502,8 @@ def test_pruning_keeps_atoms_exactly_on_an_edge(request, monkeypatch, name, cent
         return ([mu.ball_mass(c, e) for e in edges],
                 [truncated_transform(mu, params, None, c, e).value for e in far],
                 [binned_sweep(mu, c, [e, np.inf],
-                              _kernel_columns(params, mu, None))[1][0] for e in far])
+                              _counting(_kernel_columns(params, mu, None)))[-1, 0]
+                 for e in far])
 
     masses, values, used = outputs()
     np.testing.assert_allclose(masses, [mu.weights[d <= e].sum() for e in edges],
@@ -588,9 +626,9 @@ def test_empty_measure_sweeps_to_zero():
     params = RieszParams(s=2.0, n=1)
     res = truncated_transform(mu, params, None, [0.0, 0.0, 0.0], 0.5)
     np.testing.assert_array_equal(res.value, np.zeros(3))
-    _, counts = binned_sweep(mu, [0.0, 0.0, 0.0], [0.5, np.inf],
-                             _kernel_columns(params, mu, None))
-    assert counts[0] == 0
+    sums = binned_sweep(mu, [0.0, 0.0, 0.0], [0.5, np.inf],
+                        _counting(_kernel_columns(params, mu, None)))
+    assert sums[-1, 0] == 0
 
 
 def test_chunk_reach_is_computed_once_across_threads(monkeypatch):
@@ -699,12 +737,12 @@ def test_empty_measure_sweeps_to_zero_with_threads_for_every_sweep(
     mu = DiscreteMeasure(1, np.zeros((0, 3)), np.zeros(0))
     with measure._worker_cap(5):
         assert mu.ball_mass([0.0, 0.0, 0.0], [1.0, 2.0]).tolist() == [0.0, 0.0]
-        sums, counts = binned_sweep(mu, [0.0, 0.0, 0.0], [0.5, 1.0, np.inf],
-                                    _kernel_columns(RieszParams(s=2.0, n=1),
-                                                    mu, None))
+        sums = binned_sweep(mu, [0.0, 0.0, 0.0], [0.5, 1.0, np.inf],
+                            _counting(_kernel_columns(RieszParams(s=2.0, n=1),
+                                                      mu, None)))
         assert mu.diameter_bound() == 0.0 and len(mu.chunk_reach()) == 0
-    assert sums.tobytes() == np.zeros((3, 2)).tobytes()
-    assert counts.tolist() == [0, 0] and pools == []
+    assert sums[:3].tobytes() == np.zeros((3, 2)).tobytes()
+    assert sums[3].tolist() == [0, 0] and pools == []
 
 
 def test_divergence_probe_caps_the_threads_of_its_sweeps(pools):

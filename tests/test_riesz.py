@@ -22,11 +22,14 @@ from heisriesz.riesz import (
 )
 from heisriesz.selftest import TRUNCATION_TOL
 
+from test_measure import _counting
+
 
 def _used(mu, params, f, p, eps):
     """Atoms with d(p, q) > eps, counted by the sweep the truncation makes."""
-    _, counts = binned_sweep(mu, p, [eps, np.inf], _kernel_columns(params, mu, f))
-    return int(counts[0])
+    sums = binned_sweep(mu, p, [eps, np.inf],
+                        _counting(_kernel_columns(params, mu, f)))
+    return int(sums[-1, 0])
 
 
 def _coordinate(i):
@@ -220,7 +223,7 @@ def test_truncations_match_single_cutoffs(mu5):
         # the maximal transform as it was written before truncations
         # existed: one sweep, suffix sums, componentwise sup
         edges = np.concatenate([np.array(eps)[::-1], [np.inf]])
-        sums, _ = binned_sweep(mu5, p, edges, _kernel_columns(params, mu5, None))
+        sums = binned_sweep(mu5, p, edges, _kernel_columns(params, mu5, None))
         np.testing.assert_array_equal(
             maximal_transform(mu5, params, None, p, eps),
             np.abs(np.cumsum(sums[:, ::-1], axis=1)).max(axis=1))
@@ -337,7 +340,7 @@ def test_sweep_sums_stay_within_the_pairwise_bound(mu5, center, f, edges):
     params = RieszParams(s=2.0, n=1)
     p = mu5.points[center]
     columns = _kernel_columns(params, mu5, f)
-    sums, counts = binned_sweep(mu5, p, edges, columns)
+    sums = binned_sweep(mu5, p, edges, _counting(columns))
     slices = list(chunk_slices(len(mu5)))
     # the same per-atom terms, chunk by chunk, gathered per bin
     terms = [[] for _ in range(len(edges) - 1)]
@@ -351,7 +354,7 @@ def test_sweep_sums_stay_within_the_pairwise_bound(mu5, center, f, edges):
     h = _PAIRWISE_DEPTH + len(slices)
     for b, parts in enumerate(terms):
         x = np.concatenate(parts, axis=1)
-        assert counts[b] == x.shape[1]
+        assert sums[3, b] == x.shape[1]
         for j in range(3):
             exact = math.fsum(x[j])
             bound = (h * u / (1.0 - h * u) + u) * math.fsum(np.abs(x[j]))
