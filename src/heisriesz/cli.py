@@ -140,10 +140,9 @@ _SETTINGS = {
     "riesz": {"eps": (None, _CUTOFFS), "points": (None, _POINTS),
               "window": (2.0, _POSITIVE), "resolution": (2048, _COUNT),
               "subgroup": (None, _SUBGROUP)},
-    "diagnostics": {"centers": (64, _POINTS),
+    "diagnostics": {"centers": (None, _POINTS),
                     "radii": ((0.25, 0.0625, 0.015625, 0.00390625), _RADII),
-                    "delta": (0.5, _REAL), "cone_points": (8, _COUNT),
-                    "cone_subgroups": (8, _COUNT)},
+                    "delta": (0.5, _REAL), "cone_subgroups": (8, _COUNT)},
     "tangent": {"word": ((0,), _WORD), "r": (0.25, _REAL),
                 "normalization": ("power", _one_of("power", "ball-mass")),
                 "point": (None, _POINT)},
@@ -346,11 +345,9 @@ def _cone_family(n: int, a: float, count: int, seed: int):
     dim_l = int(a) - 2
     rng = np.random.default_rng(seed)
     if dim_l > 0:
-        specs = [make_vertical(n, rng.normal(size=(dim_l, 2 * n)))
-                 for _ in range(count if dim_l < 2 * n else 1)]
-        return [(spec, {"kind": "vertical", "basis": spec.basis.tolist()})
-                for spec in specs]
-    specs = [(make_vertical(n, []), {"kind": "taxis"})]
+        return [make_vertical(n, rng.normal(size=(dim_l, 2 * n)))
+                for _ in range(count if dim_l < 2 * n else 1)]
+    specs = [make_vertical(n, [])]
     if n >= 2:
         while len(specs) < count:
             u = rng.normal(size=2 * n)
@@ -361,9 +358,7 @@ def _cone_family(n: int, a: float, count: int, seed: int):
             norm_w = np.linalg.norm(w)
             if norm_w < 1e-6:
                 continue
-            basis = np.stack([u, w / norm_w])
-            specs.append((make_horizontal(n, basis),
-                          {"kind": "horizontal", "basis": basis.tolist()}))
+            specs.append(make_horizontal(n, np.stack([u, w / norm_w])))
     return specs
 
 
@@ -438,8 +433,8 @@ def _cmd_ifs_verify(cfg: RunConfig) -> Outcome:
 
 def _cmd_measure_ad(cfg: RunConfig) -> Outcome:
     diag, mu, _, a, sections = _measure_for(cfg, "diagnostics", full=5)
-    report = ad_regularity_report(mu, a,
-                                  centers=diag["centers"],
+    centers = 64 if diag["centers"] is None else diag["centers"]
+    report = ad_regularity_report(mu, a, centers=centers,
                                   radii=_radii_for(cfg, diag, mu),
                                   seed=cfg.seed)
     verdict = "regular" if report.regular else "irregular"
@@ -566,12 +561,13 @@ def _cmd_tangent_blowup(cfg: RunConfig) -> Outcome:
 
 def _cmd_cone_deficiency(cfg: RunConfig) -> Outcome:
     diag, mu, _, a, sections = _measure_for(cfg, "diagnostics", full=5)
-    pts = _center_coords(mu, diag["cone_points"], cfg.seed)
+    centers = 8 if diag["centers"] is None else diag["centers"]
+    pts = _center_coords(mu, centers, cfg.seed)
     family = _cone_family(mu.n, a, diag["cone_subgroups"], cfg.seed)
     radii = _radii_for(cfg, diag, mu)
     rows = []
     floor = math.inf
-    for gi, (spec, _) in enumerate(family):
+    for gi, spec in enumerate(family):
         for ki, k in enumerate(pts):
             ratios = cone_deficiency(mu, a, k, spec, diag["delta"], radii)
             # np.minimum keeps a NaN ratio, which fails floor > 0
@@ -583,7 +579,7 @@ def _cmd_cone_deficiency(cfg: RunConfig) -> Outcome:
         "delta": diag["delta"],
         "radii": radii,
         "points": pts,
-        "subgroups": [desc for _, desc in family],
+        "subgroups": [{"kind": s.kind, "basis": s.basis} for s in family],
         "requested_subgroups": diag["cone_subgroups"],
         "distinct_subgroups": len(family),
         "floor": floor,

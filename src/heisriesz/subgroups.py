@@ -1,4 +1,4 @@
-"""Homogeneous subgroups of H^n: vertical, horizontal, and the center line.
+"""Homogeneous subgroups of H^n: the vertical and the horizontal kind.
 
 A vertical subgroup is L x T for a linear subspace L of the horizontal
 layer; it always contains the center T and has metric dimension
@@ -6,8 +6,8 @@ dim(L) + 2 because the vertical direction counts twice.  A horizontal
 subgroup is an isotropic subspace of the horizontal layer embedded at
 vertical coordinate zero; isotropy (the bilinear form A vanishing on all
 pairs) is exactly the condition that makes it closed under the product,
-and caps its dimension at n.  The center T alone is the degenerate
-vertical case with metric dimension 2.
+and caps its dimension at n.  The center T alone is the vertical
+subgroup with L = {0}, of metric dimension 2.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .measure import AtomCapExceeded, DEFAULT_ATOM_CAP, DiscreteMeasure
 __all__ = [
     "VERTICAL",
     "HORIZONTAL",
-    "TAXIS",
     "SubgroupSpec",
     "make_vertical",
     "make_horizontal",
@@ -34,7 +33,6 @@ __all__ = [
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
-TAXIS = "taxis"
 
 
 @dataclass(frozen=True)
@@ -42,8 +40,8 @@ class SubgroupSpec:
     """A homogeneous subgroup described by an orthonormal horizontal basis.
 
     ``basis`` has shape (k, 2n); it spans L for the vertical kind and the
-    subgroup itself for the horizontal kind.  The center line carries an
-    empty basis.
+    subgroup itself for the horizontal kind.  The center line is the
+    vertical kind with an empty basis.
     """
 
     n: int
@@ -51,7 +49,7 @@ class SubgroupSpec:
     basis: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in (VERTICAL, HORIZONTAL, TAXIS):
+        if self.kind not in (VERTICAL, HORIZONTAL):
             raise ValueError(f"unknown subgroup kind: {self.kind!r}")
         b = np.asarray(self.basis, dtype=float).reshape(-1, 2 * self.n)
         b.flags.writeable = False
@@ -65,11 +63,7 @@ class SubgroupSpec:
     def hausdorff_dimension(self) -> int:
         # The vertical direction has homogeneity 2, each horizontal
         # direction homogeneity 1.
-        if self.kind == HORIZONTAL:
-            return self.dim_basis
-        if self.kind == TAXIS:
-            return 2
-        return self.dim_basis + 2
+        return self.dim_basis + (2 if self.kind == VERTICAL else 0)
 
 
 def _orthonormal_rows(vectors: np.ndarray, what: str) -> np.ndarray:
@@ -98,15 +92,15 @@ def _as_basis(n: int, basis) -> np.ndarray:
 def make_vertical(n: int, basis) -> SubgroupSpec:
     """Vertical subgroup L x T from spanning vectors of L.
 
-    An empty basis degenerates to the center line.  The returned basis is
+    An empty basis gives the center line.  The returned basis is
     orthonormalised; dependent inputs are rejected.
     """
     b = _as_basis(n, basis)
-    if b.shape[0] == 0:
-        return SubgroupSpec(n, TAXIS, b)
     if b.shape[0] > 2 * n:
         raise ValueError("more basis vectors than horizontal dimensions")
-    return SubgroupSpec(n, VERTICAL, _orthonormal_rows(b, "make_vertical"))
+    if b.shape[0]:
+        b = _orthonormal_rows(b, "make_vertical")
+    return SubgroupSpec(n, VERTICAL, b)
 
 
 def make_horizontal(n: int, basis) -> SubgroupSpec:
@@ -116,13 +110,11 @@ def make_horizontal(n: int, basis) -> SubgroupSpec:
     the offending pair, since such a span is not closed under the product.
     """
     b = _as_basis(n, basis)
-    if b.shape[0] > n:
+    if not 1 <= b.shape[0] <= n:
         raise ValueError(
-            f"a horizontal subgroup of H^{n} has dimension at most {n}, "
+            f"a horizontal subgroup of H^{n} has dimension 1 to {n}, "
             f"got {b.shape[0]} vectors"
         )
-    if b.shape[0] == 0:
-        return SubgroupSpec(n, HORIZONTAL, b)
     rows = _orthonormal_rows(b, "make_horizontal")
     # A(b_i, b_j) for every pair, taken at the zero-vertical points b_i
     pts = np.pad(rows, ((0, 0), (0, 1)))
@@ -160,7 +152,7 @@ def _row_sum(terms):
 
 def _coefficients(xh, basis):
     """xh @ basis.T, each entry a left-to-right :func:`_row_sum`."""
-    return np.stack([_row_sum(xh * b) for b in basis], axis=-1)
+    return _row_sum(xh[..., None, :] * basis)
 
 
 def _projection(coeff, basis):
@@ -176,8 +168,6 @@ def _horizontal_distance(spec: SubgroupSpec, x):
     quartic (t^2 + D^2)^2 + (beta0 + Lam t)^2 whose derivative is a
     strictly increasing cubic; its unique root is the global minimiser.
     """
-    if spec.dim_basis == 0:
-        return koranyi_norm(x)
     xh, xv = x[..., :-1], x[..., -1]
     bas = spec.basis
     coeff = _coefficients(xh, bas)
@@ -198,15 +188,14 @@ def _horizontal_distance(spec: SubgroupSpec, x):
 def dist_to_subgroup(p, spec: SubgroupSpec):
     """Gauge distance from a point (or batch) to the subgroup set.
 
-    Vertical kinds have the closed form: the free vertical coordinate
+    The vertical kind has the closed form: the free vertical coordinate
     absorbs the twist, leaving the Euclidean distance of the horizontal
-    part to L.  The horizontal kind uses the exact quartic reduction.
+    part to L (its length, for the center line).  The horizontal kind
+    uses the exact quartic reduction.
     """
     x, _ = _coords(p, spec.n)
-    xh = x[..., :-1]
-    if spec.kind == TAXIS:
-        out = np.sqrt(_row_sum(xh * xh))
-    elif spec.kind == VERTICAL:
+    if spec.kind == VERTICAL:
+        xh = x[..., :-1]
         proj = _projection(_coefficients(xh, spec.basis), spec.basis)
         out = np.sqrt(_row_sum((xh - proj) ** 2))
     else:
@@ -257,10 +246,8 @@ def haar_sample(
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     k = spec.dim_basis
-    has_vertical = spec.kind in (VERTICAL, TAXIS)
-    n_axes = k + (1 if has_vertical else 0)
-    if n_axes == 0:
-        raise ValueError("cannot grid a zero-dimensional subgroup")
+    has_vertical = spec.kind == VERTICAL
+    n_axes = k + has_vertical
     if resolution ** n_axes > atom_cap:
         raise AtomCapExceeded(
             f"haar grid would hold {resolution ** n_axes} atoms, cap is {atom_cap}"

@@ -17,6 +17,7 @@ import pytest
 import heisriesz.cli as cli
 import heisriesz.core as core
 import heisriesz.measure as measure
+import heisriesz.subgroups as subgroups
 from heisriesz.cli import main
 from heisriesz.fractal import make_strichartz_ifs, similarity_dimension
 from heisriesz.subgroups import make_horizontal, make_vertical
@@ -189,6 +190,7 @@ def test_block_level_beside_a_measure_block_is_config_error(tmp_path, capsys,
     ("ifs", "level"), ("riesz", "level"), ("diagnostics", "level"),
     ("tangent", "level"), ("ifs", "expect"), ("riesz", "expect"),
     ("diagnostics", "expect"), ("ifs", "kind"),
+    ("diagnostics", "cone_points"),
 ])
 def test_removed_keys_are_unknown(tmp_path, capsys, block, key):
     # each repeated a value held elsewhere: the commands' own levels and
@@ -196,8 +198,8 @@ def test_removed_keys_are_unknown(tmp_path, capsys, block, key):
     # library's tolerances, the CSV path that labels a measure and the
     # measure's own dimension; a verdict threshold is the library's, a
     # level or an expected verdict is the run's, and a custom system is
-    # one whose 'maps' are given; the selftest block went whole, as it
-    # had no key left
+    # one whose 'maps' are given, and cone apexes are the centers of
+    # cone-deficiency; the selftest block went whole, as it had no key left
     command = {"ifs": ["ifs", "generate"], "measure": ["measure", "ad-report"],
                "riesz": ["riesz", "transform"],
                "diagnostics": ["measure", "ad-report"],
@@ -222,8 +224,36 @@ def test_removed_keys_are_unknown(tmp_path, capsys, block, key):
     (["tangent", "blowup"], {
         "config.json": json.dumps({"measure": {"csv": "absent.csv", "a": 2.0}})},
      "csv measures need an explicit blow-up 'point'"),
+    # values of the right kind that the library refuses when it reads them
+    (["riesz", "subgroup-probe"], {"config.json": json.dumps(
+        {"riesz": {"subgroup": {"basis": [[0, 0]]}}})},
+     "make_vertical: zero vectors are not a basis"),
+    (["riesz", "subgroup-probe"], {"config.json": json.dumps(
+        {"riesz": {"subgroup": {"basis": [[1, 0, 0]]}}})},
+     "basis vectors must have length 2, got 3"),
+    (["riesz", "subgroup-probe"], {"config.json": json.dumps(
+        {"riesz": {"subgroup": {"basis": [[1, 0], [0, 1], [1, 1]]}}})},
+     "more basis vectors than horizontal dimensions"),
+    # a horizontal subgroup has a basis: the center line is vertical
+    (["riesz", "subgroup-probe"], {"config.json": json.dumps(
+        {"riesz": {"subgroup": {"kind": "horizontal"}}})},
+     "a horizontal subgroup of H^1 has dimension 1 to 1, got 0 vectors"),
+    (["riesz", "subgroup-probe"], {"config.json": json.dumps(
+        {"riesz": {"resolution": 1}})}, "resolution must be at least 2, got 1"),
+    (["riesz", "subgroup-probe"], {"config.json": json.dumps(
+        {"riesz": {"resolution": 2}})}, "no Haar atoms inside half the window"),
+    (["measure", "ad-report"], {"config.json": json.dumps(
+        {"level": 2, "diagnostics": {"radii": [5.0]}})},
+     "radius above the support diameter bound"),
+    (["tangent", "blowup"], {"config.json": json.dumps(
+        {"level": 2, "tangent": {"normalization": "ball-mass",
+                                 "point": [9, 9, 0]}})},
+     "ball of radius 0.25 at the center carries no mass"),
 ], ids=["config-absent", "config-not-json", "csv-unparsable",
-        "probe-points-list", "blowup-csv-without-point"])
+        "probe-points-list", "blowup-csv-without-point", "basis-zero",
+        "basis-length", "basis-too-many", "horizontal-without-basis",
+        "probe-resolution-1", "probe-resolution-2", "radius-above-diameter",
+        "blowup-empty-ball"])
 def test_unusable_input_is_a_config_error(tmp_path, capsys, monkeypatch,
                                           command, files, error):
     for name, text in files.items():
@@ -526,7 +556,7 @@ def test_cone_deficiency_cli(tmp_path):
     out = tmp_path / "run"
     cfg = _write_config(
         tmp_path,
-        {"level": 3, "diagnostics": {"cone_points": 2, "radii": [0.5, 0.25]}},
+        {"level": 3, "diagnostics": {"centers": 2, "radii": [0.5, 0.25]}},
     )
     code = _run(["cone-deficiency", "--config", cfg, "--out", str(out)])
     assert code == 0
@@ -548,7 +578,7 @@ def test_cone_deficiency_nan_ratio_is_a_nonpositive_floor(tmp_path, capsys,
     out = tmp_path / "run"
     cfg = _write_config(tmp_path, {
         "level": 3, "expect": "positive-floor",
-        "diagnostics": {"cone_points": 2, "radii": [0.5, 0.25]}})
+        "diagnostics": {"centers": 2, "radii": [0.5, 0.25]}})
     code = _run(["cone-deficiency", "--config", cfg, "--out", str(out)])
     assert code == 3
     assert "deficiency floor nan over" in capsys.readouterr().out
@@ -562,7 +592,7 @@ def test_cone_deficiency_n2_tests_subgroups_of_the_measure_dimension(tmp_path):
     # L a horizontal line, none the center line or a horizontal plane
     out = tmp_path / "run"
     cfg = _write_config(tmp_path, {"n": 2, "level": 2, "diagnostics": {
-        "cone_points": 2, "cone_subgroups": 3, "radii": [0.5]}})
+        "centers": 2, "cone_subgroups": 3, "radii": [0.5]}})
     assert _run(["cone-deficiency", "--config", cfg, "--out", str(out)]) == 0
     res = json.loads((out / "cone_deficiency.json").read_text())["results"]
     assert res["a"] == 3.0
@@ -580,15 +610,67 @@ def test_cone_deficiency_on_an_n2_csv_measure_of_dimension_2(tmp_path):
                  "--out", str(tmp_path / "gen")]) == 0
     cfg = _write_config(tmp_path, {
         "measure": {"csv": str(tmp_path / "gen" / "ifs_measure.csv"), "a": 2.0},
-        "diagnostics": {"cone_points": 2, "cone_subgroups": 3, "radii": [0.5]}})
+        "diagnostics": {"centers": 2, "cone_subgroups": 3, "radii": [0.5]}})
     out = tmp_path / "run"
     assert _run(["cone-deficiency", "--config", cfg, "--out", str(out)]) == 0
     res = json.loads((out / "cone_deficiency.json").read_text())["results"]
     assert res["a"] == 2.0
     kinds = [desc["kind"] for desc in res["subgroups"]]
-    assert kinds == ["taxis", "horizontal", "horizontal"]
+    assert kinds == ["vertical", "horizontal", "horizontal"]
+    assert res["subgroups"][0]["basis"] == []
     for desc in res["subgroups"][1:]:
         assert make_horizontal(2, desc["basis"]).hausdorff_dimension == 2
+
+
+@pytest.mark.parametrize("csv_measure", [False, True],
+                         ids=["corner-family-a=3", "csv-a=2"])
+def test_every_cone_subgroup_reads_back_as_a_riesz_subgroup(tmp_path,
+                                                            csv_measure):
+    # cone-deficiency names each subgroup as riesz.subgroup reads one:
+    # vertical lines at a = 3, the center line and horizontal planes at
+    # a = 2, each probed at its own dimension, which is the measure's
+    if csv_measure:
+        gen = _write_config(tmp_path, {"n": 2, "level": 1})
+        assert _run(["ifs", "generate", "--config", gen,
+                     "--out", str(tmp_path / "gen")]) == 0
+        doc = {"measure": {"csv": str(tmp_path / "gen" / "ifs_measure.csv"),
+                           "a": 2.0}}
+    else:
+        doc = {"level": 2}
+    cfg = _write_config(tmp_path, {"n": 2, **doc})
+    out = tmp_path / "cone"
+    assert _run(["cone-deficiency", "--config", cfg, "--out", str(out)]) == 0
+    res = json.loads((out / "cone_deficiency.json").read_text())["results"]
+    kinds = [desc["kind"] for desc in res["subgroups"]]
+    assert kinds == (["vertical"] + ["horizontal"] * 7 if csv_measure
+                     else ["vertical"] * 8)
+    for i, desc in enumerate(res["subgroups"]):
+        cfg = _write_config(tmp_path, {"n": 2, "riesz": {
+            "resolution": 64, "points": 2, "subgroup": desc}})
+        probe = tmp_path / f"probe{i}"
+        assert _run(["riesz", "subgroup-probe", "--config", cfg,
+                     "--out", str(probe)]) == 0
+        got = json.loads((probe / "subgroup_probe.json").read_text())
+        assert got["results"]["kind"] == desc["kind"]
+        assert got["results"]["s"] == res["a"]
+
+
+def test_config_and_library_take_the_same_subgroup_kinds():
+    # riesz.subgroup's kind is checked on load and again by SubgroupSpec;
+    # a kind that one of them takes and the other refuses fails here
+    kinds = {v for k, v in vars(subgroups).items()
+             if k.isupper() and isinstance(v, str)}
+
+    def library_takes(kind):
+        try:
+            subgroups.SubgroupSpec(1, kind, np.zeros((0, 2)))
+        except ValueError:
+            return False
+        return True
+
+    candidates = kinds | {"taxis", "diagonal", "center", ""}
+    assert {k for k in candidates if library_takes(k)} == kinds
+    assert {k for k in candidates if cli._SUB["kind"].test(k)} == kinds
 
 
 @pytest.mark.parametrize("doc", [
@@ -654,7 +736,7 @@ def test_quick_never_runs_finer_than_the_full_run(tmp_path, command, block,
     # int(2.9) is 2
     (["ifs", "generate"], {"level": True}),
     (["ifs", "verify"], {"level": 2.9}),
-    (["cone-deficiency"], {"level": 2, "diagnostics": {"cone_points": 2.9}}),
+    (["cone-deficiency"], {"level": 2, "diagnostics": {"centers": 2.9}}),
     (["cone-deficiency"], {"level": 2,
                            "diagnostics": {"cone_subgroups": True}}),
     (["measure", "ad-report"], {"level": 2, "diagnostics": {"centers": True}}),

@@ -156,6 +156,11 @@ def test_mixed_group_index_rejected():
         group_mul([1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0])
 
 
+def test_a_point_has_an_axis():
+    with pytest.raises(ValueError, match="a point must have at least one axis"):
+        core._coords(np.float64(1.0))
+
+
 def _trio():
     """Three generic maps of ratio 0.3 in H^1."""
     from heisriesz.fractal import Ifs, Similarity
@@ -391,7 +396,6 @@ def test_corrupted_norm_reaches_every_caller(monkeypatch, ifs14, mu2):
     params = RieszParams(s=2.0, n=1)
     center = mu2.points[37]
     p, q = _batch(1, 7, 64)
-    point = make_horizontal(1, [])
     line = make_horizontal(1, [[0.6, 0.8]])
 
     def outputs():
@@ -400,7 +404,6 @@ def test_corrupted_norm_reaches_every_caller(monkeypatch, ifs14, mu2):
             "ball_mass": tuple(mu2.ball_mass(center, [0.3, 0.4, 0.5, 0.6])),
             "transform": tuple(truncated_transform(mu2, params, None, center, 0.01).value),
             "kernel": riesz_kernel(params, q).tobytes(),
-            "subgroup_point": dist_to_subgroup(q, point).tobytes(),
             "subgroup_line": dist_to_subgroup(q, line).tobytes(),
             "separation": min_piece_separation(ifs14, 3),
         }

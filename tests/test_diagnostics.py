@@ -83,6 +83,14 @@ def test_ad_regularity_sampled_centers_shape():
     assert report.ratios.shape == (8, 1)
 
 
+def test_explicit_centers_are_a_list_of_points():
+    # one flat point is not a list of them
+    mu = _segment_measure(count=512)
+    with pytest.raises(ValueError,
+                       match=r"points must have shape \(k, 3\), got \(3,\)"):
+        ad_regularity_report(mu, 1.0, centers=[0.0, 0.0, 0.0], radii=(0.25,))
+
+
 def test_integer_exponents_scale_by_a_product_of_radii():
     # for an integer a, r^a is the left-to-right product r * r * r, one
     # rounding per step; math.pow(0.3, 3) lands one ulp lower

@@ -97,6 +97,14 @@ def test_similarity_dimension_of_one_map_is_zero():
     assert similarity_dimension(ifs) == 0.0
 
 
+def test_ifs_needs_maps_of_its_own_group():
+    with pytest.raises(ValueError, match="needs at least one map"):
+        Ifs(n=1, maps=())
+    with pytest.raises(ValueError,
+                       match="map group index 2 does not match system index 1"):
+        Ifs(n=1, maps=(Similarity(n=2, r=0.5, q=np.zeros(5)),))
+
+
 def test_ifs_sorts_maps_by_ratio():
     maps = (
         Similarity(n=1, r=0.4, q=np.zeros(3)),
@@ -195,6 +203,11 @@ def test_unequal_ratio_weights_are_stored_in_full():
 def test_cylinder_measure_atom_cap(ifs14):
     with pytest.raises(AtomCapExceeded):
         cylinder_measure(ifs14, 3, atom_cap=1000)
+
+
+def test_cylinder_measure_rejects_a_negative_level(ifs14):
+    with pytest.raises(ValueError, match="level must be >= 0, got -1"):
+        cylinder_measure(ifs14, -1)
 
 
 def test_cycle_atom_indices_worked_example():
@@ -416,6 +429,20 @@ def test_grid_function_validation():
         GridFunction(n=1, r=0.25, resolution=4, values=np.zeros((4, 4)))
     with pytest.raises(ValueError):
         GridFunction(n=1, r=0.25, resolution=4, values=np.full((5, 5), np.nan))
+    g = GridFunction(n=2, r=0.25, resolution=4, values=np.zeros((5, 5)))
+    with pytest.raises(ValueError, match="points must have 4 coordinates"):
+        g.evaluate(np.zeros((3, 2)))
+
+
+def test_contraction_ratios_need_two_updates():
+    # a ratio is one update over the one before it
+    for history in ((), (0.5,)):
+        g = GridFunction(n=1, r=0.25, resolution=4, values=np.zeros((5, 5)),
+                         history=history)
+        assert g.contraction_ratios().shape == (0,)
+    g = GridFunction(n=1, r=0.25, resolution=4, values=np.zeros((5, 5)),
+                     history=(0.5, 0.25))
+    assert g.contraction_ratios().tolist() == [0.5]
 
 
 def test_grid_function_rejects_points_outside_q():
@@ -490,6 +517,11 @@ def test_invariant_region_parameter_mismatch(ifs14):
     plain = Ifs(n=1, maps=(Similarity(n=1, r=0.25, q=np.zeros(3)),))
     with pytest.raises(ValueError):
         verify_invariant_region(plain, other)
+
+
+def test_invariant_region_needs_a_sample(ifs14, phi64):
+    with pytest.raises(ValueError, match="sample_count must be positive"):
+        verify_invariant_region(ifs14, phi64, sample_count=0)
 
 
 def test_invariant_region_needs_the_corner_family_maps(ifs14, phi64):

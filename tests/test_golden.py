@@ -44,7 +44,7 @@ GOLDEN = {
     },
     ("measure", "ad-report"): {
         "ad_report.json":
-            "ae14839cf86b75b04c76127ecdff0d519ec2391aabbf0e4a47f9a044f6155e44",
+            "3bc8cf6d7945c3c52d859bf2e6e250d0281cfdcc53ce5b0ef49d278c3c38949a",
     },
     ("riesz", "transform"): {
         "riesz_transform.csv":
@@ -62,7 +62,7 @@ GOLDEN = {
         "subgroup_probe.csv":
             "952fce8fac7b2a2399868ab3a161b515a0558191bf4870e9f8f1f23aba1b134e",
         "subgroup_probe.json":
-            "33927db2ea10d406a993499105412f8a94f0eeab694f53b76e94bce54bd783e1",
+            "c7056fb6ca73d8126074bc5e96f8f9a598ea67782994cfeb5009cae66d24599e",
     },
     ("tangent", "blowup"): {
         "blowup.json":
@@ -74,7 +74,7 @@ GOLDEN = {
         "cone_deficiency.csv":
             "8baabdc83ca08b5447a1d056fde634e9c25263d9c8c7b69a0425fee99345b360",
         "cone_deficiency.json":
-            "337aba413d4cb9f50ad601f3404f56353f1aa0b02cd380ead065cff77e6b9409",
+            "a102f8bab9e401213556b0722bb3cccf72099f489cdb0378d30de222545c3e93",
     },
 }
 
@@ -125,7 +125,7 @@ CONFIG_RUNS = {
     }),
     "cone-deficiency-csv": (("cone-deficiency",), {
         "measure": {**QUICK_MEASURE, "spacing": 0.015625},
-        "diagnostics": {"cone_points": 4},
+        "diagnostics": {"centers": 4},
     }),
     "blowup-csv-point": (("tangent", "blowup"), {
         "measure": QUICK_MEASURE,
@@ -159,13 +159,13 @@ CONFIG_RUNS = {
 CONFIG_GOLDEN = {
     "ad-report-csv": (0, {
         "ad_report.json":
-            "a406ffd36dc0c5d0608c359dc556bfdad8d55cdd9c10ebff16e7f5eb71095476",
+            "23f538eeb28b5ffe04ab5bbbf35afc36e12a52160cf014092fcfa7b53c5d7afb",
     }),
     "cone-deficiency-csv": (0, {
         "cone_deficiency.csv":
             "427311cbfc13a55cc168a7b66ba3cfc515a6b8029dd5c72090f08cce18ef2f63",
         "cone_deficiency.json":
-            "e1624029e30efe686721aabb3dbfa848ab2dcda7e3c038e19022d75966f322fd",
+            "254094a740378f58fc39a76eedbbcd34499c6743d26c9b428af307b2fbeecd28",
     }),
     "blowup-csv-point": (0, {
         "blowup.json":

@@ -54,6 +54,8 @@ def test_params_validation():
         RieszParams(s=0.0, n=1)
     with pytest.raises(ValueError):
         RieszParams(s=4.5, n=1)
+    with pytest.raises(ValueError, match="group index must be >= 1, got 0"):
+        RieszParams(s=1.0, n=0)
     RieszParams(s=6.0, n=2)
 
 

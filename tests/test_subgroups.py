@@ -12,12 +12,13 @@ from heisriesz.subgroups import (
     make_horizontal,
     make_vertical,
 )
-from heisriesz.subgroups import _monotone_cubic_root
+from heisriesz.subgroups import _coefficients, _monotone_cubic_root, _row_sum
 
 
 def test_make_vertical_kinds_and_dimensions():
+    # the center line is the vertical subgroup with L = {0}
     t = make_vertical(1, [])
-    assert t.kind == "taxis"
+    assert t.kind == "vertical"
     assert t.hausdorff_dimension == 2
     v = make_vertical(1, [[1.0, 0.0]])
     assert v.kind == "vertical"
@@ -130,6 +131,12 @@ def test_haar_sample_vertical_plane_structure():
     assert np.all(mu.points[:, 1] == 0.0)
 
 
+def test_haar_sample_needs_a_positive_window():
+    for window in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="window radius must be positive"):
+            haar_sample(make_vertical(1, []), window, 16)
+
+
 def test_haar_sample_horizontal_line():
     h = make_horizontal(1, [[0.0, 1.0]])
     mu = haar_sample(h, window_radius=1.0, resolution=32)
@@ -140,8 +147,11 @@ def test_haar_sample_horizontal_line():
 
 
 def test_unknown_subgroup_kind_rejected():
-    with pytest.raises(ValueError):
-        SubgroupSpec("diagonal", 1, np.zeros((0, 2)))
+    # the center line is a vertical subgroup, not a kind of its own
+    for kind in ("diagonal", "taxis"):
+        with pytest.raises(ValueError,
+                           match=f"unknown subgroup kind: '{kind}'"):
+            SubgroupSpec(1, kind, np.zeros((0, 2)))
 
 
 def _layout_subgroups(n, rng):
@@ -169,6 +179,34 @@ def test_subgroup_distance_bits_do_not_depend_on_the_layout(n):
         assert dist_to_subgroup(xf, spec).tobytes() == ref.tobytes(), name
         single = [dist_to_subgroup(p, spec) for p in x[:50]]
         assert np.array(single).tobytes() == ref[:50].tobytes(), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_center_line_distance_is_the_horizontal_length(n):
+    # the vertical path with L = {0} subtracts a projection of +0.0 from
+    # each coordinate, which keeps every bit of the horizontal length
+    rng = np.random.default_rng(70 + n)
+    x = rng.uniform(-2.0, 2.0, size=(2000, 2 * n + 1))
+    x[0, :-1] = -0.0
+    total = np.zeros(len(x))
+    for i in range(2 * n):
+        total += x[:, i] * x[:, i]
+    want = np.sqrt(total).tobytes()
+    spec = make_vertical(n, [])
+    assert dist_to_subgroup(x, spec).tobytes() == want
+    assert dist_to_subgroup(np.asfortranarray(x), spec).tobytes() == want
+
+
+def test_coefficients_sum_each_basis_vector_left_to_right():
+    rng = np.random.default_rng(75)
+    for n in (1, 2, 3):
+        xh = rng.uniform(-2.0, 2.0, size=(500, 2 * n))
+        for k in range(1, 2 * n + 1):
+            basis = rng.normal(size=(k, 2 * n))
+            want = np.stack([_row_sum(xh * b) for b in basis], axis=-1)
+            for arr in (xh, np.asfortranarray(xh)):
+                assert _coefficients(arr, basis).tobytes() == want.tobytes()
+        assert _coefficients(xh, np.zeros((0, 2 * n))).shape == (500, 0)
 
 
 @pytest.mark.parametrize("b", [1.0, 7.5])
