@@ -317,6 +317,38 @@ def _interpolate(corners, flat_values: np.ndarray):
     return sum(weight * flat_values[idx] for idx, weight in corners)
 
 
+# points per block of the tilt operator, its defect scan and the region
+# check: each of a block's temporaries takes 64 kB, so they hold their
+# inputs and outputs plus a megabyte or two at every size
+_BLOCK = 8192
+
+
+def _node_blocks(M: int):
+    """The nodes (i/M, j/M) of the (M + 1)^2 grid, i major, in blocks of
+    whole rows i, each with its slice of the flat node order."""
+    rows = max(1, _BLOCK // (M + 1))
+    j = np.arange(M + 1, dtype=float)
+    for start in range(0, M + 1, rows):
+        stop = min(start + rows, M + 1)
+        nodes = np.empty((stop - start, M + 1, 2))
+        nodes[..., 0] = np.arange(start, stop, dtype=float)[:, None]
+        nodes[..., 1] = j
+        nodes /= M
+        yield slice(start * (M + 1), stop * (M + 1)), nodes.reshape(-1, 2)
+
+
+def _sup_gap(a: np.ndarray, b: np.ndarray, where=None) -> float:
+    """max |a - b| over the entries that `where` selects (all by
+    default), a node block at a time; a NaN gap gives NaN."""
+    sup = 0.0
+    for start in range(0, len(a), _BLOCK):
+        sl = slice(start, start + _BLOCK)
+        sup = float(np.maximum(sup, np.max(
+            np.abs(a[sl] - b[sl]), initial=0.0,
+            where=True if where is None else where[sl])))
+    return sup
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Tilt function phi(w) = sum_i phi_1(w_i, w_{n+i}) on Q = [0,1]^{2n}.
@@ -386,25 +418,39 @@ class _TiltOperator:
     [1 - r, 1], one per axis, so the nearest cell takes on each axis
     the nearer interval (the lower one for a coordinate at 1/2) and the
     nearest point of the cell is the node clipped onto it.
+
+    Each node holds 65 bytes: 4 int32 stencil indices ((M + 1)^2 stays
+    far below 2^31 under the atom cap), 4 weights, theta, the twist and
+    a cell flag.  Building and applying work one node block at a time.
     """
 
     def __init__(self, r: float, M: int) -> None:
         self.r = r
-        nodes = np.indices((M + 1, M + 1), dtype=float).reshape(2, -1).T / M
-        z = np.where(nodes > 0.5, 1.0 - r, 0.0)
-        best_pt = np.clip(nodes, z, z + r)
-        best_d = np.sqrt(np.sum((nodes - best_pt) ** 2, axis=-1))
-
+        size = (M + 1) ** 2
+        self.theta, self.twist = np.empty(size), np.empty(size)
+        self.gather_idx = np.empty((4, size), dtype=np.int32)
+        self.gather_w = np.empty((4, size))
+        self.in_cell = np.empty(size, dtype=bool)
         eps = 0.5 * (1.0 - 2.0 * r)
-        self.theta = np.clip((eps - best_d) / eps, 0.0, 1.0)
-        self.twist = _tilt_term(z, best_pt)
-        self.gather_idx, self.gather_w = map(
-            np.stack, zip(*_stencil((best_pt - z) / r, M)))
-        self.in_cell = best_d == 0.0
+        for sl, nodes in _node_blocks(M):
+            z = np.where(nodes > 0.5, 1.0 - r, 0.0)
+            best_pt = np.clip(nodes, z, z + r)
+            best_d = np.sqrt(np.sum((nodes - best_pt) ** 2, axis=-1))
+            self.theta[sl] = np.clip((eps - best_d) / eps, 0.0, 1.0)
+            self.twist[sl] = _tilt_term(z, best_pt)
+            for c, (idx, w) in enumerate(_stencil((best_pt - z) / r, M)):
+                self.gather_idx[c, sl], self.gather_w[c, sl] = idx, w
+            self.in_cell[sl] = best_d == 0.0
 
-    def apply(self, flat_values: np.ndarray) -> np.ndarray:
-        interp = _interpolate(zip(self.gather_idx, self.gather_w), flat_values)
-        return self.theta * (self.r * self.r * interp + self.twist)
+    def apply(self, flat_values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """One application to the node values, written into `out`."""
+        for start in range(0, len(out), _BLOCK):
+            sl = slice(start, start + _BLOCK)
+            interp = _interpolate(zip(self.gather_idx[:, sl],
+                                      self.gather_w[:, sl]), flat_values)
+            np.multiply(self.theta[sl], self.r * self.r * interp
+                        + self.twist[sl], out=out[sl])
+        return out
 
 
 def phi_fixed_point(n: int, r: float, resolution: int,
@@ -418,8 +464,10 @@ def phi_fixed_point(n: int, r: float, resolution: int,
     below r^2 once past the first step; anything larger signals a bug
     and raises RuntimeError.  The stencil holds (resolution + 1)^2 4
     entries for every n; more than `atom_cap` raise AtomCapExceeded
-    before any is allocated.  Beyond the taper distance from the corner
-    cells the function is identically zero.  When 1/r divides the
+    before any is allocated.  Memory is the operator's 65 bytes a node,
+    two grids of iterates and one block of 8192 nodes: 5.7 MB at
+    resolution 256, 340 MB at 2048.  Beyond the taper distance from the
+    corner cells the function is identically zero.  When 1/r divides the
     resolution the pull-backs land on exact grid nodes and the returned
     residual (n times the planar one) reflects pure iteration error;
     otherwise it also carries interpolation error.
@@ -437,12 +485,12 @@ def phi_fixed_point(n: int, r: float, resolution: int,
             f"entries, over the cap of {atom_cap}"
         )
     op = _TiltOperator(r, resolution)
-    f = np.zeros(len(op.theta))
+    f, new = np.zeros(len(op.theta)), np.empty(len(op.theta))
     history = []
     ratio_cap = r * r + 0.01
     for _ in range(200):
-        new = op.apply(f)
-        update = float(np.max(np.abs(new - f)))
+        new = op.apply(f, new)
+        update = _sup_gap(new, f)
         history.append(update)
         if len(history) >= 2 and history[-2] > 0.0:
             ratio = update / history[-2]
@@ -451,14 +499,13 @@ def phi_fixed_point(n: int, r: float, resolution: int,
                     f"contraction violated: update ratio {ratio:.6f} exceeds "
                     f"{ratio_cap:.6f}"
                 )
-        f = new
+        f, new = new, f
         if update < 1e-10:
             break
     else:
         raise RuntimeError("no convergence within 200 iterations")
 
-    final = op.apply(f)
-    residual = float(np.max(np.abs((final - f)[op.in_cell])))
+    residual = _sup_gap(op.apply(f, new), f, where=op.in_cell)
     return GridFunction(
         n=n,
         r=r,
@@ -478,17 +525,19 @@ def _ss2_residual_sup(phi: GridFunction) -> float:
     Z^2 (for M divisible by 1/r that lattice refines the node grid), so
     its maximum is attained at sublattice points and a finite scan is
     exact.  For other resolutions the scan is still a dense probe;
-    callers add a safety factor in that case.
+    callers add a safety factor in that case.  The scan takes the grid a
+    block of rows at a time, so its memory is one block of 8192 nodes.
     """
     M, r = phi.resolution, phi.r
     flat = phi.values.ravel()
     sup = 0.0
-    grid = np.indices((M + 1, M + 1), dtype=float).reshape(2, -1).T / M
-    pulled = r * r * _interpolate(_stencil(grid, M), flat)
-    for z in _strichartz_corners(1, r):
-        w = z + r * grid
-        resid = _interpolate(_stencil(w, M), flat) - (pulled + _tilt_term(z, w))
-        sup = max(sup, float(np.max(np.abs(resid))))
+    for _, grid in _node_blocks(M):
+        pulled = r * r * _interpolate(_stencil(grid, M), flat)
+        for z in _strichartz_corners(1, r):
+            w = z + r * grid
+            resid = (_interpolate(_stencil(w, M), flat)
+                     - (pulled + _tilt_term(z, w)))
+            sup = max(sup, float(np.max(np.abs(resid))))
     return phi.n * sup
 
 
@@ -543,7 +592,9 @@ def verify_invariant_region(ifs: Ifs, phi: GridFunction,
     so the 4 maps over one corner share its bits exactly.  The maps must
     equal those of ``make_strichartz_ifs(phi.n, phi.r)``, the corner
     family phi was built for; any other system raises ValueError.
-    Memory is the samples plus one block of CHUNK // 2 of them.
+    Memory is the samples plus one block of 8192 of them, and the
+    defect scan's one block of grid nodes: 4.9 MB for 100,000 samples
+    in H^1.
     """
     n, r = phi.n, phi.r
     if sample_count < 1:
@@ -569,8 +620,8 @@ def verify_invariant_region(ifs: Ifs, phi: GridFunction,
     hit = None  # (map, sample) of the first violation of the lowest map
     min_lower = math.inf
     min_upper = math.inf
-    for start in range(0, sample_count, CHUNK // 2):
-        block = slice(start, start + CHUNK // 2)
+    for start in range(0, sample_count, _BLOCK):
+        block = slice(start, start + _BLOCK)
         vertical[block] += phi.evaluate(horizontal[block])
         samples = np.column_stack((horizontal[block], vertical[block]))
         bases = {}
@@ -652,11 +703,13 @@ def min_piece_separation(ifs: Ifs, level: int) -> float:
     the minimum (with 1e-12 slack for rounding), so the result is exact.
     Every word is composed by one-letter appends, as in
     :func:`word_similarity`.  For the 16-map corner family the search
-    measures 0.34M distances at level 4 and 1.7M at level 5.  Memory
-    grows with the chunk (CHUNK = 2^16 distances at a time) and the
-    surviving pairs, not with the pair count at `level`; more than 2^22
-    surviving pairs, or a NaN distance, raise RuntimeError.  A one-map
-    system has no cross pairs and returns +inf.
+    measures 0.34M distances at level 4 and 1.7M at level 5.  A level's
+    survivors are kept as indices into the pairs they refine, nearest
+    first, and its words are built only when the next level has
+    survivors, so memory is a chunk of 2^15 distances, the words of two
+    levels and one level's indices: 6.3 MB at n = 1 level 5.  More than
+    2^22 surviving pairs, or a NaN distance, raise RuntimeError.  A
+    one-map system has no cross pairs and returns +inf.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
@@ -677,36 +730,62 @@ def min_piece_separation(ifs: Ifs, level: int) -> float:
 
     sq, sr = np.stack([s.q for s in maps]), ifs.ratios
 
+    def pairs_of(words, side, idx):
+        """The pairs that idx names: with side None the one-letter pairs
+        (idx // N, idx % N), else the pairs words[idx // N] with the
+        letter idx % N appended on `side`."""
+        parent, letter = np.divmod(idx, N)
+        if side is None:
+            return [sq[parent], sr[parent], sq[letter], sr[letter]]
+        pairs = [x[parent] for x in words]
+        word = slice(2 * side, 2 * side + 2)
+        pairs[word] = _compose_after(*pairs[word], sq[letter], sr[letter])
+        return pairs
+
+    def build(words, side, idx):
+        """pairs_of(words, side, idx) in full, CHUNK // 4 pairs at a time."""
+        shapes = ((len(idx), sq.shape[1]), (len(idx),)) * 2
+        out = [np.empty(shape) for shape in shapes]
+        for start in range(0, len(idx), CHUNK // 4):
+            part = pairs_of(words, side, idx[start:start + CHUNK // 4])
+            for col, x in zip(out, part):
+                col[start:start + len(x)] = x
+        return out
+
     def letter_pairs():
         """The one-letter pairs (i, j), i < j, from CHUNK cells of the
-        N x N table at a time."""
+        N x N table at a time, with their cells i N + j."""
         for start in range(0, N * N, CHUNK):
-            i, j = np.divmod(np.arange(start, min(start + CHUNK, N * N)), N)
-            i, j = i[i < j], j[i < j]
-            if len(i):
-                yield sq[i], sr[i], sq[j], sr[j]
+            cells = np.arange(start, min(start + CHUNK, N * N))
+            cells = cells[cells // N < cells % N]
+            if len(cells):
+                yield pairs_of(None, None, cells), cells
 
-    # CHUNK distances at a time: each child holds its own composite,
-    # anchor and distance, and a larger chunk measured no faster
-    def child_pairs(pairs, side: int):
-        """The N children of one side of a chunk of parent pairs at once,
-        letters on the leading axis."""
-        step = max(1, CHUNK // N)
-        for start in range(0, len(pairs[0]), step):
-            part = [x[None, start:start + step] for x in pairs]
-            word = slice(2 * side, 2 * side + 2)
+    # CHUNK // 2 distances at a time: each child holds its own composite,
+    # anchor and distance, 0.8 MB a point array at n = 1; a chunk of
+    # CHUNK measured no faster, and CHUNK // 4 slower at n = 2
+    def child_pairs(words, side, idx, new_side):
+        """The N children on `new_side` of a chunk of the pairs
+        pairs_of(words, side, idx) at once, letters on the leading axis,
+        with their indices parent N + letter."""
+        step = max(1, CHUNK // (2 * N))
+        word = slice(2 * new_side, 2 * new_side + 2)
+        for start in range(0, len(idx), step):
+            stop = min(start + step, len(idx))
+            part = [x[None] for x in pairs_of(words, side, idx[start:stop])]
             part[word] = _compose_after(*part[word], sq[:, None], sr[:, None])
-            yield part
+            yield part, np.arange(start, stop) * N + np.arange(N)[:, None]
 
     upper = math.inf
 
     def prune(chunks, levels):
-        """Least distance over the chunks and the pairs that survive it."""
+        """Least distance over the chunks, and the indices of the pairs
+        that survive it, nearest first."""
         nonlocal upper
         slack = drift(levels[0]) + drift(levels[1]) + 1e-12
         last = levels == [level, level]
         least, kept, count = math.inf, [], 0
-        for part in chunks:
+        for part, flat in chunks:
             d = dist(positions(*part[:2]), positions(*part[2:]))
             if math.isnan(dmin := float(np.min(d))):
                 raise RuntimeError(f"NaN distance at levels {levels}")
@@ -714,9 +793,7 @@ def min_piece_separation(ifs: Ifs, level: int) -> float:
             upper = min(upper, least)
             if not last:
                 sel = d <= upper + slack
-                kept.append([d[sel]] + [
-                    np.broadcast_to(x, d.shape + x.shape[d.ndim:])[sel]
-                    for x in part])
+                kept.append((d[sel], flat[sel]))
                 count += len(kept[-1][0])
                 if count > 2 ** 22:
                     raise RuntimeError(
@@ -725,16 +802,25 @@ def min_piece_separation(ifs: Ifs, level: int) -> float:
                     )
         if last:
             return least, None
-        cols = [np.concatenate(col) for col in zip(*kept)]
-        # the bound only tightened while collecting: filter once at the end
-        sel = cols[0] <= upper + slack
-        return least, [c[sel] for c in cols[1:]]
+        # the bound only tightened while collecting: keep the pairs under
+        # the final one, nearest first, so that the next level's bound is
+        # close to final from its first chunk
+        d, flat = (np.concatenate(col) for col in zip(*kept))
+        near = np.flatnonzero(d <= upper + slack)
+        return least, flat[near[np.argsort(d[near], kind="stable")]]
 
+    # a level's pairs are pairs_of(words, side, idx); its words are built
+    # in full only once the next level has survivors, so the last level
+    # reads the pairs it refines a chunk at a time
     levels = [1, 1]
-    least, pairs = prune(letter_pairs(), levels)
-    while pairs is not None:
+    least, idx = prune(letter_pairs(), levels)
+    words = side = None
+    while idx is not None:
         # refine the shallower side, the first on a tie
-        side = int(levels[1] < levels[0])
-        levels[side] += 1
-        least, pairs = prune(child_pairs(pairs, side), levels)
+        new_side = int(levels[1] < levels[0])
+        levels[new_side] += 1
+        least, new_idx = prune(child_pairs(words, side, idx, new_side), levels)
+        if new_idx is not None:
+            words = build(words, side, idx)
+        side, idx = new_side, new_idx
     return least

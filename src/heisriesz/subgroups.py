@@ -35,6 +35,14 @@ VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
 
 
+def _check_horizontal_dimension(n: int, k: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(
+            f"a horizontal subgroup of H^{n} has dimension 1 to {n}, "
+            f"got {k} vectors"
+        )
+
+
 @dataclass(frozen=True)
 class SubgroupSpec:
     """A homogeneous subgroup described by an orthonormal horizontal basis.
@@ -52,6 +60,8 @@ class SubgroupSpec:
         if self.kind not in (VERTICAL, HORIZONTAL):
             raise ValueError(f"unknown subgroup kind: {self.kind!r}")
         b = np.asarray(self.basis, dtype=float).reshape(-1, 2 * self.n)
+        if self.kind == HORIZONTAL:
+            _check_horizontal_dimension(self.n, len(b))
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
 
@@ -110,11 +120,7 @@ def make_horizontal(n: int, basis) -> SubgroupSpec:
     the offending pair, since such a span is not closed under the product.
     """
     b = _as_basis(n, basis)
-    if not 1 <= b.shape[0] <= n:
-        raise ValueError(
-            f"a horizontal subgroup of H^{n} has dimension 1 to {n}, "
-            f"got {b.shape[0]} vectors"
-        )
+    _check_horizontal_dimension(n, b.shape[0])
     rows = _orthonormal_rows(b, "make_horizontal")
     # A(b_i, b_j) for every pair, taken at the zero-vertical points b_i
     pts = np.pad(rows, ((0, 0), (0, 1)))

@@ -662,8 +662,10 @@ def test_config_and_library_take_the_same_subgroup_kinds():
              if k.isupper() and isinstance(v, str)}
 
     def library_takes(kind):
+        # one basis vector: both kinds take it, and a horizontal subgroup
+        # needs at least one
         try:
-            subgroups.SubgroupSpec(1, kind, np.zeros((0, 2)))
+            subgroups.SubgroupSpec(1, kind, np.eye(2)[:1])
         except ValueError:
             return False
         return True

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import heisriesz.core as core
+import heisriesz.diagnostics as diagnostics
 from heisriesz.core import dist, group_inv, group_mul
 from heisriesz.diagnostics import (
     ad_regularity_report,
@@ -215,15 +216,19 @@ def test_horest_check_counts_a_nan_margin_as_a_violation(monkeypatch):
     # NaN < 0 is false and min(m, nan) is m, so a NaN margin in every
     # third row could pass with no violation and an infinite margin
     orig = core.symplectic_form
+    injected = []
 
     def nan_thirds(p, q, out=None):
         form = orig(p, q, out=out)
         form[::3] = np.nan
+        injected.append(len(form[::3]))
         return form
 
     monkeypatch.setattr(core, "symplectic_form", nan_thirds)
     report = horest_check(1, 0.5, 20_000)
-    assert report.violations == 6667
+    # every NaN row is a violation: the 20,000 rows run as blocks of
+    # 16384 and 3616, each from a new third
+    assert report.violations == sum(injected) == 5462 + 1206
     assert math.isnan(report.min_margin)
     assert not report.passed
 
@@ -255,7 +260,7 @@ def test_horest_check_batch_edges_are_pinned(trials, n, delta):
             report.min_margin.hex()) == HOREST_EDGE_PINS[trials, n, delta]
 
 
-def test_horest_check_memory_is_three_point_buffers():
+def test_horest_check_memory_is_the_accepted_rows_plus_a_block():
     tracemalloc.start()
     try:
         report = horest_check(2, 0.1, trials=200_000)
@@ -263,9 +268,47 @@ def test_horest_check_memory_is_three_point_buffers():
     finally:
         tracemalloc.stop()
     assert report.violations == 0
-    # three 131072 x 5 point buffers take 15.7 MB and two scalar vectors
-    # 2.1 MB; four buffers, a draw buffer and four vectors took 32 MB
-    assert peak < 22e6
+    # the accepted rows of x (131072 x 5) and their norms take 6.3 MB,
+    # and one block of 16384 rows 1.7 MB; three batch-size point buffers
+    # and two vectors took 20.0 MB
+    assert peak < 10e6
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_horest_blocks_draw_the_one_stream_of_the_seed(n, monkeypatch):
+    # each block reads its own segment of the seed's stream through a
+    # copy advanced to it; together they must draw every double of one
+    # default_rng(seed).random call once, in place
+    drawn, stream_at = [], diagnostics._stream_at
+
+    class Recorder:
+        def __init__(self, seed, offset):
+            self.gen, self.at = stream_at(seed, offset), offset
+
+        def random(self, out):
+            self.gen.random(out=out)
+            drawn.append((self.at, out.copy()))
+            self.at += out.size
+            return out
+
+    want = horest_check(n, 0.5, trials=100, seed=5)
+    monkeypatch.setattr(diagnostics, "_stream_at", Recorder)
+    # 48 rows a block: the 264 candidate rows of the one batch and its
+    # 100 accepted rows each end in a short block
+    monkeypatch.setattr(diagnostics, "_HOREST_BLOCK", 48)
+    got = horest_check(n, 0.5, trials=100, seed=5)
+    assert (got.hypothesis_rejections, got.min_margin.hex()) == (
+        want.hypothesis_rejections, want.min_margin.hex())
+    total = (2 * n + 1) * (264 + 100)
+    stream = np.random.default_rng(5).random(total)
+    uses = np.zeros(total, dtype=int)
+    for at, values in drawn:
+        assert np.array_equal(values, stream[at:at + values.size]), (
+            f"a block's draws differ from doubles {at}.. of the seed's "
+            "stream: if Generator.random no longer takes one 64-bit word "
+            "per double, horest_check's block segments are misplaced")
+        uses[at:at + values.size] += 1
+    assert np.all(uses == 1)
 
 
 def test_blowup_power_normalization_exact(mu3):

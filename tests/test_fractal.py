@@ -23,8 +23,8 @@ from heisriesz.fractal import (
     verify_invariant_region,
     word_similarity,
 )
-from heisriesz.fractal import (_stencil, _strichartz_corners, _TiltOperator,
-                               _tilt_term)
+from heisriesz.fractal import (_ss2_residual_sup, _stencil,
+                               _strichartz_corners, _TiltOperator, _tilt_term)
 from heisriesz.measure import AtomCapExceeded
 
 
@@ -258,6 +258,34 @@ def test_phi_fixed_point_pinned_value():
     assert value == pytest.approx(0.26890747691584826, rel=1e-12)
 
 
+def _traced_peak(call):
+    """The value of call() and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_phi_fixed_point_memory_is_the_operator_plus_a_block():
+    phi, peak = _traced_peak(lambda: phi_fixed_point(1, 0.25, 256))
+    assert phi.residual == 0.0
+    # the operator holds 65 bytes a node (4.3 MB for 257^2 nodes), the
+    # iteration two grids (1.1 MB) and one block of 8192 nodes about
+    # 0.3 MB: 5.7 MB; whole-grid temporaries peaked at 14.8 MB
+    assert peak < 7e6
+
+
+def test_defect_scan_memory_is_a_block():
+    phi = phi_fixed_point(1, 0.25, 256)
+    sup, peak = _traced_peak(lambda: _ss2_residual_sup(phi))
+    assert sup == float.fromhex("0x1.6d6f0fb284800p-12")
+    # one block of grid rows and its stencils take 1.3 MB; the scan over
+    # the whole 257^2 grid at once took 10.6 MB
+    assert peak < 2e6
+
+
 def _cell_arrays(nodes, z, pt, r, M):
     # the operator's per-node arrays for pull-backs through the points pt
     # of the cells z + r Q
@@ -304,7 +332,8 @@ def test_tilt_operator_node_at_one_half_takes_the_lower_cell():
 def test_phi_fixed_point_rejects_a_slow_contraction(monkeypatch):
     # an operator that contracts by 1/2, far above r^2 = 1/16, must
     # trip the guard on its second update
-    monkeypatch.setattr(_TiltOperator, "apply", lambda self, f: 0.5 * f + 1.0)
+    monkeypatch.setattr(_TiltOperator, "apply",
+                        lambda self, f, out: 0.5 * f + 1.0)
     with pytest.raises(RuntimeError, match="contraction violated"):
         phi_fixed_point(1, 0.25, 16)
 
@@ -355,7 +384,7 @@ class _MisPaired(GridFunction):
 def test_region_check_fails_on_the_wrong_planes():
     phi = phi_fixed_point(2, 0.25, 64)
     wrong = _MisPaired(n=2, r=0.25, resolution=64, values=phi.values)
-    # more samples than one block of CHUNK // 2 = 32768
+    # more samples than one block of 8192
     report = verify_invariant_region(make_strichartz_ifs(2, 0.25), wrong,
                                      sample_count=40_000)
     # the grid and its defect scan are the same; only the pairing differs
@@ -383,9 +412,9 @@ def test_region_witness_is_the_first_violation_of_the_lowest_map(phi64):
     bumped = _Bumped(n=1, r=0.25, resolution=64, values=phi64.values)
     report = verify_invariant_region(make_strichartz_ifs(1, 0.25), bumped,
                                      sample_count=100_000, seed=2)
-    # maps 0 and 4 violate 4 times each, first at sample 71369 of the
-    # third block; maps 1 and 5 violate 5 times each, first at sample
-    # 12903 of the first block
+    # maps 0 and 4 violate 4 times each, first at sample 71369; maps 1
+    # and 5 violate 5 times each, first at sample 12903, in an earlier
+    # block
     assert report.violations == 18
     horizontal = np.random.default_rng(2).random((100_000, 2))
     np.testing.assert_array_equal(report.witness[:2], horizontal[71369])
@@ -403,9 +432,11 @@ def test_region_memory_is_the_samples_plus_a_block(phi64):
     finally:
         tracemalloc.stop()
     assert report.certified
-    # the samples take 9.6 MB and one block's temporaries about 7 MB;
-    # temporaries the size of the samples took 8.4 times the samples
-    assert peak < 2.0 * count * 3 * 8
+    # the samples take 9.6 MB and one block of 8192 of them, or of the
+    # defect scan's grid nodes, 2.5 MB; blocks of 32768 samples and a
+    # whole-grid scan took 17.2 MB, temporaries the size of the samples
+    # 8.4 times the samples
+    assert peak < count * 3 * 8 + 3.5e6
 
 
 def test_grid_function_eval_reproduces_affine():
@@ -613,6 +644,15 @@ def test_min_piece_separation_refinement_matches_brute_force(ifs14, brute3,
     got = min_piece_separation(ifs14, 3)
     assert got == float.fromhex("0x1.36dafd8531683p-2")
     assert got == pytest.approx(brute3, rel=1e-12)
+
+
+def test_min_piece_separation_memory_is_the_pairs_plus_a_chunk(ifs14):
+    sep, peak = _traced_peak(lambda: min_piece_separation(ifs14, 5))
+    assert sep == float.fromhex("0x1.1c726cc8ae92fp-2")
+    # at most 49,020 pairs at a level: the words of two levels (64 bytes
+    # a pair), one level's indices and a chunk of 2^15 distances take
+    # 6.3 MB; pairs held three times over, in full, took 14.0 MB
+    assert peak < 8e6
 
 
 def test_min_piece_separation_raises_on_a_nan_distance(ifs14, monkeypatch):

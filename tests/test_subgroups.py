@@ -154,6 +154,18 @@ def test_unknown_subgroup_kind_rejected():
             SubgroupSpec(1, kind, np.zeros((0, 2)))
 
 
+def test_horizontal_spec_needs_one_to_n_vectors():
+    # the spec itself refuses the dimension, so an empty basis never
+    # reaches dist_to_subgroup, which has no vectors to stack
+    for n, k in ((1, 0), (1, 2), (2, 0), (2, 3)):
+        basis = np.eye(2 * n)[:k]
+        with pytest.raises(ValueError, match=(
+                rf"^a horizontal subgroup of H\^{n} has dimension 1 to {n}, "
+                rf"got {k} vectors$")):
+            SubgroupSpec(n, "horizontal", basis)
+    assert SubgroupSpec(1, "horizontal", [[1.0, 0.0]]).hausdorff_dimension == 1
+
+
 def _layout_subgroups(n, rng):
     # random directions, so the orthonormal bases have no zero entries;
     # vectors in the first n horizontal coordinates span isotropic planes
