@@ -708,8 +708,8 @@ def min_piece_separation(ifs: Ifs, level: int) -> float:
     first, and its words are built only when the next level has
     survivors, so memory is a chunk of 2^15 distances, the words of two
     levels and one level's indices: 6.3 MB at n = 1 level 5.  More than
-    2^22 surviving pairs, or a NaN distance, raise RuntimeError.  A
-    one-map system has no cross pairs and returns +inf.
+    2^22 surviving pairs raise AtomCapExceeded, and a NaN distance
+    RuntimeError.  A one-map system has no cross pairs and returns +inf.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
@@ -796,7 +796,7 @@ def min_piece_separation(ifs: Ifs, level: int) -> float:
                 kept.append((d[sel], flat[sel]))
                 count += len(kept[-1][0])
                 if count > 2 ** 22:
-                    raise RuntimeError(
+                    raise AtomCapExceeded(
                         f"over {2 ** 22} candidate pairs at levels {levels}; "
                         "the first-letter pieces may overlap"
                     )

@@ -62,7 +62,8 @@ _WORKER_CAP = contextvars.ContextVar("heisriesz_sweep_workers", default=None)
 
 
 class AtomCapExceeded(RuntimeError):
-    """Raised when a construction would exceed the configured atom cap."""
+    """Raised when a construction would exceed a size cap: the configured
+    atom cap, or the separation's cap on candidate pairs."""
 
 
 def chunk_slices(total: int):

@@ -302,6 +302,18 @@ def test_subgroup_probe_respects_the_atom_cap(tmp_path, capsys):
     assert "atom cap" in capsys.readouterr().err
 
 
+def test_separation_pair_cap_exit(tmp_path, capsys):
+    # 16 coincident maps keep every pair of pieces: the separation's cap
+    # on candidate pairs exits 4 before anything is written
+    maps = [{"q": [0, 0, 0], "r": 0.5}] * 16
+    cfg = _write_config(tmp_path, {"ifs": {"maps": maps}})
+    out = tmp_path / "o"
+    assert _run(["ifs", "verify", "--config", cfg, "--out", str(out)]) == 4
+    assert ("over 4194304 candidate pairs at levels [3, 3]"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_expectation_contradiction_exit(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = _write_config(

@@ -666,8 +666,18 @@ def test_min_piece_separation_raises_on_a_nan_distance(ifs14, monkeypatch):
         return d
 
     monkeypatch.setattr(fractal, "dist", nan_sevenths)
-    with pytest.raises(RuntimeError, match="NaN distance"):
+    with pytest.raises(RuntimeError, match="NaN distance") as caught:
         min_piece_separation(ifs14, 3)
+    assert caught.type is RuntimeError
+
+
+def test_min_piece_separation_caps_the_candidate_pairs():
+    # 64 coincident pieces keep all 2016 * 64^2 pairs at levels [2, 2]:
+    # past 2^22 the size cap raises, as the atom cap does
+    stack = Ifs(n=1, maps=(Similarity(n=1, r=0.5, q=np.zeros(3)),) * 64)
+    with pytest.raises(AtomCapExceeded,
+                       match=r"over 4194304 candidate pairs at levels \[2, 2\]"):
+        min_piece_separation(stack, 3)
 
 
 def test_min_piece_separation_single_map():

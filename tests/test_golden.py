@@ -2,20 +2,28 @@
 
 Each command runs twice in fresh directories with the default config
 and `--out .`, so the reports carry no machine path.  Both runs must
-write identical bytes, and those bytes must hash to the recorded
-SHA-256 digests; `selftest` must write them from a fresh interpreter
-too, through `python -m heisriesz.cli`.  A change that moves output on
-purpose re-records the affected digests and names the moved fields in
-CHANGES.md.
-
-A second set pins the config-driven paths: a relative ``measure.csv``
+write identical bytes, equal to the expected outputs stored in
+``tests/golden/<run>/``, where a run is named by the command's words
+joined with ``-``; `selftest` must write them from a fresh interpreter
+too, through `python -m heisriesz.cli`.  A second set pins the
+config-driven paths, each of which exits 0: a relative ``measure.csv``
 block (the --quick cylinder measure copied into the run directory), an
 explicit blow-up point, explicit transform points and cutoffs, a
 two-map custom system, the corner family in H^2 under --quick and a
-horizontal subgroup in H^2.  Those runs pin their exit code too.
+horizontal subgroup in H^2.
+
+An output of at most 20,000 bytes is stored as itself, a larger one as
+``<file>.sha256``, the hex SHA-256 of its bytes.  A run's directory
+holds exactly what the run writes, and every directory names a run.  A
+failure names the JSON paths or CSV lines that moved and the directory
+holding the written files.  To re-record a move made on purpose, copy
+the written file over the stored one (for a sidecar, write its
+`sha256sum` hex), so the move shows in `git diff`, and name the moved
+fields in CHANGES.md.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -27,60 +35,76 @@ import pytest
 
 from heisriesz.cli import COMMANDS, main
 
-GOLDEN = {
-    ("selftest",): {
-        "selftest.json":
-            "75841f572dd3321d3d37a58d14cb2f91d0c3d477097bbf6423d67cda01842398",
-    },
-    ("ifs", "generate"): {
-        "ifs_generate.json":
-            "9069d6feb093faede86f4102d591f419ef6be320e9987dbfab3d4d4aa18266aa",
-        "ifs_measure.csv":
-            "5d0688b1dab4ac5c110c86779b1adb4f523b985bcf44bd7e0b55929a51337efe",
-    },
-    ("ifs", "verify"): {
-        "ifs_verify.json":
-            "74b712f2da1cddaab5b39187ebfe086afa084b055936a5c43d4c9cc0513731e0",
-    },
-    ("measure", "ad-report"): {
-        "ad_report.json":
-            "3bc8cf6d7945c3c52d859bf2e6e250d0281cfdcc53ce5b0ef49d278c3c38949a",
-    },
-    ("riesz", "transform"): {
-        "riesz_transform.csv":
-            "49aa44e75c3372e31884484b987c22c9439042e06acc100d29ecec96cfa212f9",
-        "riesz_transform.json":
-            "24a821e7c9dc9b64aeae5907d5b91342f3f4354da2c6aec638ae1a58aa98319f",
-    },
-    ("riesz", "divergence"): {
-        "riesz_divergence.csv":
-            "b8ca5fce28855e3d820b24325793c974df8a42ba6d797e87aec64d4b6bdbef47",
-        "riesz_divergence.json":
-            "7757a072b07026e5f1ae57bcf6964caf2f33865821ea22eca340e8d9a6d4ff9f",
-    },
-    ("riesz", "subgroup-probe"): {
-        "subgroup_probe.csv":
-            "952fce8fac7b2a2399868ab3a161b515a0558191bf4870e9f8f1f23aba1b134e",
-        "subgroup_probe.json":
-            "c7056fb6ca73d8126074bc5e96f8f9a598ea67782994cfeb5009cae66d24599e",
-    },
-    ("tangent", "blowup"): {
-        "blowup.json":
-            "cd3e071be3087a97d966a47b4faa75b2fdfa7285ded71a29a975ddb1ca2989b6",
-        "blowup_measure.csv":
-            "b8a71b508fd9a99a9fe9224dea32ce90699ef09755453a6897192bb974e5d034",
-    },
-    ("cone-deficiency",): {
-        "cone_deficiency.csv":
-            "8baabdc83ca08b5447a1d056fde634e9c25263d9c8c7b69a0425fee99345b360",
-        "cone_deficiency.json":
-            "a102f8bab9e401213556b0722bb3cccf72099f489cdb0378d30de222545c3e93",
-    },
-}
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# outputs larger than this are stored as their SHA-256 digest
+SIDECAR_BYTES = 20_000
 
 
-@pytest.mark.parametrize("command", list(GOLDEN), ids="-".join)
-def test_quick_outputs_match_golden(command, tmp_path, monkeypatch):
+def _json_moves(got, want, path=""):
+    """The paths, such as ``results.subgroups[0].kind``, at which two
+    JSON values differ."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in sorted(got.keys() | want.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key in got and key in want:
+                yield from _json_moves(got[key], want[key], sub)
+            else:
+                yield sub
+    elif (isinstance(got, list) and isinstance(want, list)
+          and len(got) == len(want)):
+        for i, (x, y) in enumerate(zip(got, want)):
+            yield from _json_moves(x, y, f"{path}[{i}]")
+    elif json.dumps(got) != json.dumps(want):
+        yield path
+
+
+def _moved(written, stored):
+    """What moved in a written file against the stored one (its bytes,
+    or its digest for a sidecar), or None."""
+    name, data, want = written.name, written.read_bytes(), stored.read_bytes()
+    if stored.suffix == ".sha256":
+        digest = hashlib.sha256(data).hexdigest()
+        return None if digest == want.decode().split()[0] else (
+            f"{name}: SHA-256 {digest}")
+    if data == want:
+        return None
+    if name.endswith(".json"):
+        try:
+            paths = list(_json_moves(json.loads(data), json.loads(want)))
+        except ValueError:  # the written report is not JSON
+            paths = []
+        if paths:
+            return f"{name}: JSON paths {', '.join(paths[:10])}"
+    lines = [i for i, (x, y) in enumerate(itertools.zip_longest(
+        data.splitlines(), want.splitlines()), 1) if x != y]
+    return f"{name}: lines {lines[:5]}"
+
+
+def check_golden(run, folder, inputs=()):
+    """Assert that the files in `folder`, less `inputs`, are the outputs
+    stored in tests/golden/<run>/, no more and no fewer."""
+    run_dir = GOLDEN_DIR / run
+    stored = {f.name for f in run_dir.iterdir()} if run_dir.is_dir() else set()
+    # the stored name of each written file: itself, or its sidecar
+    names = {f.name + ".sha256" * (f.stat().st_size > SIDECAR_BYTES): f.name
+             for f in folder.iterdir() if f.name not in inputs}
+    moves = [f"{names[s]}: written, but no {s} is stored"
+             for s in sorted(names.keys() - stored)]
+    moves += [f"{s}: stored, not written"
+              for s in sorted(stored - names.keys())]
+    moves += filter(None, (_moved(folder / names[s], run_dir / s)
+                           for s in sorted(names.keys() & stored)))
+    assert not moves, (f"golden {run!r} moved; the written files are in "
+                       f"{folder}\n" + "\n".join(moves))
+
+
+QUICK_RUNS = {"-".join(entry[0]): entry for entry in COMMANDS}
+
+
+@pytest.mark.parametrize("run", list(QUICK_RUNS))
+def test_quick_outputs_match_golden(run, tmp_path, monkeypatch):
+    command, stem, _, _, verdicts, _ = QUICK_RUNS[run]
     runs = []
     for name in ("first", "second"):
         run_dir = tmp_path / name
@@ -89,13 +113,9 @@ def test_quick_outputs_match_golden(command, tmp_path, monkeypatch):
         assert main([*command, "--quick", "--out", "."]) == 0
         runs.append({f.name: f.read_bytes() for f in run_dir.iterdir()})
     assert runs[0] == runs[1]
-    digests = {name: hashlib.sha256(data).hexdigest()
-               for name, data in runs[0].items()}
-    assert digests == GOLDEN[command]
+    check_golden(run, tmp_path / "first")
     # the verdict, if any, is one that the command's entry declares, so
     # an "expect" can name it
-    _, stem, _, _, verdicts, _ = next(e for e in COMMANDS
-                                      if e[0] == command)
     results = json.loads(runs[0][f"{stem}.json"])["results"]
     verdict = results.get("verdict", results.get("overall"))
     assert verdict in verdicts if verdicts else verdict is None
@@ -110,9 +130,7 @@ def test_module_entry_point_writes_the_golden_bytes(tmp_path):
     subprocess.run([sys.executable, "-m", "heisriesz.cli", "selftest",
                     "--quick", "--out", "."], cwd=tmp_path, env=env,
                    timeout=120, capture_output=True, check=True)
-    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-               for f in tmp_path.iterdir()}
-    assert digests == GOLDEN[("selftest",)]
+    check_golden("selftest", tmp_path)
 
 
 # the --quick measure and its dimension, which a CSV does not carry
@@ -156,55 +174,36 @@ CONFIG_RUNS = {
     }),
 }
 
-CONFIG_GOLDEN = {
-    "ad-report-csv": (0, {
-        "ad_report.json":
-            "23f538eeb28b5ffe04ab5bbbf35afc36e12a52160cf014092fcfa7b53c5d7afb",
-    }),
-    "cone-deficiency-csv": (0, {
-        "cone_deficiency.csv":
-            "427311cbfc13a55cc168a7b66ba3cfc515a6b8029dd5c72090f08cce18ef2f63",
-        "cone_deficiency.json":
-            "254094a740378f58fc39a76eedbbcd34499c6743d26c9b428af307b2fbeecd28",
-    }),
-    "blowup-csv-point": (0, {
-        "blowup.json":
-            "057f9a6d7daa0fa02fcbbbbe3de81a9648f07c79b218b90e7ea2cde6e6ad2f08",
-        "blowup_measure.csv":
-            "ba261037874d506f3def2d15752f7f66abd997459905a4ea60b40a27800112ae",
-    }),
-    "transform-csv-coords": (0, {
-        "riesz_transform.csv":
-            "2d19ab520c2ebc093a4ab932304c6c1c5d7dc6cd4ee21a78ec0f3094907a4b57",
-        "riesz_transform.json":
-            "4700a1609b69b7812cc96aeb492a67e3fb58415b03b32fd857c3e09c40690ba7",
-    }),
-    "verify-custom": (0, {
-        "ifs_verify.json":
-            "cc913bc89c7585db0e9feb1c009d4210a870c7bef18dd60e7aede0ea344e263c",
-    }),
-    "verify-corner-n2": (0, {
-        "ifs_verify.json":
-            "e6c5d060fd2d936041d12659cb1a63d660556ed6a258095de54caa2767a251eb",
-    }),
-    "subgroup-probe-horizontal-n2": (0, {
-        "subgroup_probe.csv":
-            "4a715ace929eb20a6e6bda7644ec6d24bec3ba6c0d051ae8b8d9682393f7fd14",
-        "subgroup_probe.json":
-            "6734cd1718f585ad4bdec74e792aa23c6c037ccf21957533f5a3a8b1c01173c4",
-    }),
-}
+
+def test_every_golden_directory_names_a_run():
+    # a deleted run leaves no stale expected files behind
+    assert ({d.name for d in GOLDEN_DIR.iterdir()}
+            == QUICK_RUNS.keys() | CONFIG_RUNS.keys())
 
 
 @pytest.fixture(scope="module")
 def quick_measure(tmp_path_factory):
-    # the --quick measure whose bytes the ("ifs", "generate") entry pins
+    # the --quick measure, checked as the "ifs-generate" golden
     out = tmp_path_factory.mktemp("quick_measure")
-    assert main(["ifs", "generate", "--quick", "--out", str(out)]) == 0
-    path = out / "ifs_measure.csv"
-    assert (hashlib.sha256(path.read_bytes()).hexdigest()
-            == GOLDEN[("ifs", "generate")]["ifs_measure.csv"])
-    return path
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(out)
+        assert main(["ifs", "generate", "--quick", "--out", "."]) == 0
+    check_golden("ifs-generate", out)
+    return out / "ifs_measure.csv"
+
+
+def test_golden_check_fails_on_one_flipped_byte(quick_measure, tmp_path):
+    # a report stored as itself, and a CSV stored as its digest
+    for name, after, moved in (
+            ("ifs_generate.json", b'"atoms": ', r"JSON paths results\.atoms\b"),
+            ("ifs_measure.csv", b"\n", "ifs_measure.csv: SHA-256")):
+        copy = tmp_path / name
+        shutil.copytree(quick_measure.parent, copy)
+        data = bytearray((copy / name).read_bytes())
+        data[data.index(after) + len(after)] ^= 1
+        (copy / name).write_bytes(data)
+        with pytest.raises(AssertionError, match=moved):
+            check_golden("ifs-generate", copy)
 
 
 @pytest.mark.parametrize("name", list(CONFIG_RUNS))
@@ -220,11 +219,7 @@ def test_config_outputs_match_golden(name, quick_measure, tmp_path,
         if "measure" in config:
             shutil.copy(quick_measure, run_dir / "ifs_measure.csv")
         inputs = {f.name for f in run_dir.iterdir()}
-        code = main([*command, "--config", "config.json", "--out", "."])
-        runs.append((code, {f.name: f.read_bytes() for f in run_dir.iterdir()
-                            if f.name not in inputs}))
+        assert main([*command, "--config", "config.json", "--out", "."]) == 0
+        runs.append({f.name: f.read_bytes() for f in run_dir.iterdir()})
     assert runs[0] == runs[1]
-    code, files = runs[0]
-    digests = {name: hashlib.sha256(data).hexdigest()
-               for name, data in files.items()}
-    assert (code, digests) == CONFIG_GOLDEN[name]
+    check_golden(name, tmp_path / "first", inputs)
