@@ -667,7 +667,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AtomCapExceeded as exc:
-        print(f"atom cap exceeded: {exc}", file=sys.stderr)
+        # the message names the cap: the atom cap or the pair cap
+        print(exc, file=sys.stderr)
         return EXIT_RESOURCE
 
 

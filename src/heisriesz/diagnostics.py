@@ -31,7 +31,7 @@ from . import core
 # diagnostics.dist and diagnostics.in_cone
 from .core import _coords, blowup_map, dist, koranyi_norm
 from .measure import (DEFAULT_ATOM_CAP, DiscreteMeasure, _worker_cap,
-                      closed_ball_sums)
+                      chunk_slices, closed_ball_sums)
 from .riesz import RieszParams, _radius_powers, growth_profile
 from .subgroups import SubgroupSpec, cone_mask, haar_sample, in_cone
 
@@ -211,10 +211,11 @@ def divergence_probe(mu: DiscreteMeasure, params: RieszParams, points,
     the ladder; "bounded" when the overall fitted slope stays within
     `c`; anything else is "inconclusive".
 
-    The points are profiled one after another.  ``threads`` caps the
-    threads that each profile's sweep spreads its chunks over (None: as
-    many as the process has CPUs); the reports have the same bits at
-    every value.
+    Every point is profiled by one batched :func:`growth_profile`
+    sweep, which builds each chunk once, with the bits of a profile per
+    point.  ``threads`` caps the threads that the sweep spreads its
+    chunks over (None: as many as the process has CPUs); the reports
+    have the same bits at every value.
     """
     eps = [float(e) for e in eps_schedule]
     floor = _resolution_floor(mu)
@@ -232,9 +233,12 @@ def divergence_probe(mu: DiscreteMeasure, params: RieszParams, points,
         raise ValueError(f"threads must be at least 1, got {threads}")
     pts = _point_rows(mu, points)
 
-    def probe(arr):
+    with _worker_cap(threads):
+        profiles = growth_profile(mu, params, pts, kept)
+
+    def probe(arr, profile):
         # rows are the ladder levels, columns the coordinates
-        mags = np.abs(growth_profile(mu, params, arr, kept)).T
+        mags = np.abs(profile).T
         slopes = np.array([_fit_slope(mags[:, i]) for i in range(mags.shape[1])])
         return GrowthReport(
             point=arr,
@@ -245,8 +249,7 @@ def divergence_probe(mu: DiscreteMeasure, params: RieszParams, points,
             threshold=c,
         )
 
-    with _worker_cap(threads):
-        return [probe(arr) for arr in pts]
+    return [probe(arr, profile) for arr, profile in zip(pts, profiles)]
 
 
 @dataclass(frozen=True)
@@ -362,6 +365,19 @@ def _stream_at(seed: int, offset: int) -> np.random.Generator:
     return rng
 
 
+def _sphere_scale(rho, norm, out):
+    """rho / norm where norm > rho, else 1, written into ``out``.
+
+    Taken as fmin(rho / norm, 1), which takes 1 for a quotient of at
+    least 1 (an infinite one too) and for the NaN of 0/0, inf/inf or a
+    NaN input, as the masked divide ``np.divide(rho, norm, where=norm >
+    rho)`` over ones did, with the same bits; it runs about eight times
+    faster.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.fmin(np.divide(rho, norm, out=out), 1.0, out=out)
+
+
 def horest_check(n: int, delta: float, trials: int = 1_000_000,
                  seed: int = 0) -> HorestReport:
     """Test the lower bound y_{2n+1} >= delta^2 ||x||^2 / 2 by sampling.
@@ -446,10 +462,7 @@ def horest_check(n: int, delta: float, trials: int = 1_000_000,
             core.dilate(rho, u, out=u)
             # pull draws outside the gauge ball of radius rho onto its sphere
             unorm = koranyi_norm(u, out=scratch[:k])
-            scale = scratch[:k, 0]
-            scale.fill(1.0)
-            np.divide(rho, unorm, out=scale, where=unorm > rho)
-            core.dilate(scale, u, out=u)
+            core.dilate(_sphere_scale(rho, unorm, scratch[:k, 0]), u, out=u)
 
             # y = x . u; only the vertical coordinate matters
             margin = np.add(xs[:, -1], u[:, -1], out=margin_ws[:k])
@@ -490,8 +503,12 @@ def blowup_measure(mu: DiscreteMeasure, a, r: float, s: float | None = None,
         factor = 1.0 / mass
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
-    # built in the coordinate-major array the measure keeps
-    pts = blowup_map(c, r, mu.points, out=np.empty_like(mu.points, order="F"))
+    # built in the coordinate-major array the measure keeps, a chunk of
+    # the measure's rows at a time
+    pts = np.empty(mu.points.shape, order="F")
+    out = mu._row_buffer()
+    for sl in chunk_slices(len(mu)):
+        blowup_map(c, r, mu.rows(sl, out), out=pts[sl])
     spacing = mu.spacing / r if mu.spacing is not None else None
     w = mu.weights
     # equal weights held once stay held once, with the same bits

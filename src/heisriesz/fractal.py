@@ -28,7 +28,7 @@ import numpy as np
 
 from . import core
 from .core import ambient_dim, dist
-from .measure import (CHUNK, DEFAULT_ATOM_CAP, AtomCapExceeded,
+from .measure import (CHUNK, DEFAULT_ATOM_CAP, AtomCapExceeded, AtomTable,
                       DiscreteMeasure, chunk_slices)
 
 __all__ = [
@@ -200,12 +200,18 @@ def cylinder_measure(ifs: Ifs, level: int,
     r_i^a over its letters, stored in full.
 
     Atom index encodes the word with the first letter most significant,
-    so the children of parent index p occupy p*N .. p*N + N - 1.
+    so the children of parent index p occupy p*N .. p*N + N - 1, and the
+    atoms of first letter m are S_m applied to the level - 1 atoms.  An
+    equal-ratio measure of level >= 1 is held that way, as an
+    :class:`~heisriesz.measure.AtomTable` of its level - 1 atoms dilated
+    by the common ratio and its maps' translations (1/N of the
+    coordinates), whose rows a sweep builds a chunk at a time with the
+    bits of the full build; any other keeps all its atoms.
 
     Each level is built in place: map m sends the parents, rows
     0 .. N^k - 1, to rows m*N^k .., so map 0 overwrites them and goes
     last.  Parents are dilated one chunk at a time into a CHUNK-row
-    scratch, so memory is the output plus O(CHUNK).
+    scratch, so memory is the held atoms plus O(CHUNK).
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
@@ -214,23 +220,20 @@ def cylinder_measure(ifs: Ifs, level: int,
     count = N ** level
     if count > atom_cap:
         raise AtomCapExceeded(
-            f"level {level} needs {count} atoms, over the cap of {atom_cap}"
+            f"atom cap exceeded: level {level} needs {count} atoms, over the "
+            f"cap of {atom_cap}"
         )
-    pts = np.empty((count, ambient_dim(n)), order="F")
-    pts[0] = maps[0].fixed_point()
-    scratch = np.empty((min(count, CHUNK), ambient_dim(n)), order="F")
-    size = 1
-    for _ in range(level):
-        for m in range(N - 1, -1, -1):
-            s = maps[m]
-            for sl in chunk_slices(size):
-                d = core.dilate(s.r, pts[sl], out=scratch[:sl.stop - sl.start])
-                core.group_mul(s.q, d,
-                               out=pts[m * size + sl.start:m * size + sl.stop])
-        size *= N
-
     ratios = ifs.ratios
-    if np.all(ratios == ratios[0]):
+    equal = np.all(ratios == ratios[0])
+    if equal and level:
+        # every map dilates its parents by the one ratio first
+        parents = _cylinder_atoms(ifs, level - 1)
+        points = AtomTable(core.dilate(maps[0].r, parents, out=parents),
+                           [s.q for s in maps])
+    else:
+        points = _cylinder_atoms(ifs, level)
+
+    if equal:
         weights = np.broadcast_to(float(N) ** (-level), (count,))
     else:
         a = similarity_dimension(ifs)
@@ -247,11 +250,31 @@ def cylinder_measure(ifs: Ifs, level: int,
     spacing = float(np.max(ratios)) ** level
     return DiscreteMeasure(
         n=n,
-        points=pts,
+        points=points,
         weights=weights,
         label=f"cylinder level={level} maps={N} n={n}",
         spacing=spacing,
     )
+
+
+def _cylinder_atoms(ifs: Ifs, level: int) -> np.ndarray:
+    """The N^level cylinder atoms, coordinate-major, built in place."""
+    n, maps = ifs.n, ifs.maps
+    N = len(maps)
+    count = N ** level
+    pts = np.empty((count, ambient_dim(n)), order="F")
+    pts[0] = maps[0].fixed_point()
+    scratch = np.empty((min(count, CHUNK), ambient_dim(n)), order="F")
+    size = 1
+    for _ in range(level):
+        for m in range(N - 1, -1, -1):
+            s = maps[m]
+            for sl in chunk_slices(size):
+                d = core.dilate(s.r, pts[sl], out=scratch[:sl.stop - sl.start])
+                core.group_mul(s.q, d,
+                               out=pts[m * size + sl.start:m * size + sl.stop])
+        size *= N
+    return pts
 
 
 def cycle_atom_indices(num_maps: int, level: int, count: int,
@@ -481,8 +504,8 @@ def phi_fixed_point(n: int, r: float, resolution: int,
     entries = (resolution + 1) ** 2 * 4
     if entries > atom_cap:
         raise AtomCapExceeded(
-            f"tilt grid at resolution {resolution} needs {entries} stencil "
-            f"entries, over the cap of {atom_cap}"
+            f"atom cap exceeded: tilt grid at resolution {resolution} needs "
+            f"{entries} stencil entries, over the cap of {atom_cap}"
         )
     op = _TiltOperator(r, resolution)
     f, new = np.zeros(len(op.theta)), np.empty(len(op.theta))
@@ -797,8 +820,8 @@ def min_piece_separation(ifs: Ifs, level: int) -> float:
                 count += len(kept[-1][0])
                 if count > 2 ** 22:
                     raise AtomCapExceeded(
-                        f"over {2 ** 22} candidate pairs at levels {levels}; "
-                        "the first-letter pieces may overlap"
+                        f"pair cap exceeded: over {2 ** 22} candidate pairs at "
+                        f"levels {levels}; the first-letter pieces may overlap"
                     )
         if last:
             return least, None

@@ -22,11 +22,12 @@ open end at +inf where the transform reaches infinity), pairwise within
 each chunk and in fixed chunk order across chunks, and truncations are
 suffix sums of those per-bin sums, so no per-atom term array is kept or
 sorted.  :func:`truncations` and :func:`growth_profile` return one
-(2n+1, K) array, column j for the j-th cutoff.  The sweep skips every
-chunk that lies wholly inside the innermost cutoff or, for the growth
-profile, wholly beyond radius 1, and sums a chunk that lies in one bin
-without comparing its distances with the cutoffs; the values are the
-same bits as a full sweep.
+(2n+1, K) array, column j for the j-th cutoff, and for a (k, 2n+1)
+batch of points a (k, 2n+1, K) array from one sweep.  The sweep skips
+every chunk that lies wholly inside the innermost cutoff or, for the
+growth profile, wholly beyond radius 1, and sums a chunk that lies in
+one bin without comparing its distances with the cutoffs; the values
+are the same bits as a full sweep.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _kernel_columns(params: RieszParams, mu: DiscreteMeasure, f):
         # factor until the last horizontal column does
         scale, horiz = mu.weights[sl], out[-2]
         if f is not None:
-            scale = np.multiply(scale, f(mu.points[sl]), out=out[-1])
+            scale = np.multiply(scale, f(mu.rows(sl)), out=out[-1])
         if factors:
             # s > 0, so an integer s + 1 is at least 2
             np.multiply(d, d, out=horiz)
@@ -144,7 +145,8 @@ def _kernel_columns(params: RieszParams, mu: DiscreteMeasure, f):
 
 def _running_sums(mu: DiscreteMeasure, params: RieszParams, f, p, eps_list,
                   top: float) -> np.ndarray:
-    """Column j is the sum over eps_list[j] < d <= top, from one sweep.
+    """Column j is the sum over eps_list[j] < d <= top, from one sweep;
+    for a batch of points, one such (2n+1, K) array per point.
 
     The cutoffs must be nonempty, strictly decreasing and in (0, top).
     """
@@ -156,7 +158,7 @@ def _running_sums(mu: DiscreteMeasure, params: RieszParams, f, p, eps_list,
     edges = np.concatenate([eps[::-1], [top]])
     sums = binned_sweep(mu, p, edges, _kernel_columns(params, mu, f))
     # running sums of the bins from the outside in
-    return np.cumsum(sums[:, ::-1], axis=1)
+    return np.cumsum(sums[..., ::-1], axis=-1)
 
 
 def truncated_transform(mu: DiscreteMeasure, params: RieszParams, f, p,
@@ -183,7 +185,7 @@ def maximal_transform(mu: DiscreteMeasure, params: RieszParams, f, p,
     The grid must be strictly decreasing and positive; refining the grid
     can only increase the result.
     """
-    return np.abs(truncations(mu, params, f, p, eps_grid)).max(axis=1)
+    return np.abs(truncations(mu, params, f, p, eps_grid)).max(axis=-1)
 
 
 def growth_profile(mu: DiscreteMeasure, params: RieszParams, p,
@@ -195,6 +197,8 @@ def growth_profile(mu: DiscreteMeasure, params: RieszParams, p,
     eps_list[j] < d(p, q) <= 1, in the layout of :func:`truncations`.
     One sweep serves every cutoff, and column j agrees with the
     difference of the truncations at eps_list[j] and 1 up to summation
-    order.
+    order.  ``p`` may be a (k, 2n+1) batch of points: one sweep then
+    serves them all, building each chunk once, and result i, of shape
+    (k, 2n+1, len(eps_list)), has the bits of the call at p[i] alone.
     """
     return _running_sums(mu, params, None, p, eps_list, 1.0)

@@ -165,7 +165,7 @@ def _truncation_consistency(rng, trials):
     """
     for n, params, mu in _trials(rng, trials):
         p = rng.uniform(-3.0, 3.0, size=2 * n + 1)
-        u = core.left_displacement(p, mu.points)
+        u = core.left_displacement(p, mu.rows(slice(None)))
         d = core.koranyi_norm(u)
         eps = np.quantile(d, [0.75, 0.5, 0.25])
         table = riesz.truncations(mu, params, None, p, eps)
@@ -182,9 +182,10 @@ def _translation_covariance(rng, trials):
     for n, params, mu in _trials(rng, trials):
         a = rng.uniform(-3.0, 3.0, size=2 * n + 1)
         p = rng.uniform(-3.0, 3.0, size=2 * n + 1)
-        eps = 0.7 * float(np.median(core.dist(p, mu.points)))
+        atoms = mu.rows(slice(None))
+        eps = 0.7 * float(np.median(core.dist(p, atoms)))
         moved = DiscreteMeasure(
-            n=n, points=core.group_mul(a, mu.points),
+            n=n, points=core.group_mul(a, atoms),
             weights=mu.weights, label="moved",
         )
         rhs = _transform(mu, params, p, eps)
@@ -197,10 +198,11 @@ def _dilation_covariance(rng, trials):
     # cutoff r*eps at the dilated point reproduces the original vector
     for n, params, mu in _trials(rng, trials):
         p = rng.uniform(-3.0, 3.0, size=2 * n + 1)
-        eps = 0.7 * float(np.median(core.dist(p, mu.points)))
+        atoms = mu.rows(slice(None))
+        eps = 0.7 * float(np.median(core.dist(p, atoms)))
         r = math.exp(rng.uniform(-1.5, 1.5))
         nu = DiscreteMeasure(
-            n=n, points=core.dilate(r, mu.points),
+            n=n, points=core.dilate(r, atoms),
             weights=mu.weights * r ** params.s, label="dilated",
         )
         rhs = _transform(mu, params, p, eps)

@@ -256,7 +256,8 @@ def haar_sample(
     n_axes = k + has_vertical
     if resolution ** n_axes > atom_cap:
         raise AtomCapExceeded(
-            f"haar grid would hold {resolution ** n_axes} atoms, cap is {atom_cap}"
+            f"atom cap exceeded: haar grid would hold {resolution ** n_axes} "
+            f"atoms, cap is {atom_cap}"
         )
 
     def centers(extent: float) -> np.ndarray:

@@ -201,7 +201,7 @@ def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):
         region = verify_invariant_region(ifs14, phi64, sample_count=5000)
         return {
             "separation": min_piece_separation(trio, 3),
-            "cylinder": cylinder.points.tobytes(),
+            "cylinder": np.asarray(cylinder.points).tobytes(),
             "horest": horest_check(1, 0.5, trials=5000, seed=2).min_margin,
             "transform": tuple(truncated_transform(mu2, params, None, center, 0.01).value),
             "growth": tuple(map(tuple, growth_profile(
@@ -269,7 +269,7 @@ def test_corrupted_dilation_reaches_every_caller(monkeypatch, ifs14, mu2,
         region = verify_invariant_region(ifs14, phi64, sample_count=5000)
         fixed = s.fixed_point()
         return {
-            "cylinder": cylinder_measure(trio, 3).points.tobytes(),
+            "cylinder": np.asarray(cylinder_measure(trio, 3).points).tobytes(),
             "word": word_similarity(trio, (1, 2)).q.tobytes(),
             "separation": min_piece_separation(trio, 3),
             "blowup": blowup_measure(mu2, mu2.points[37], 0.25,

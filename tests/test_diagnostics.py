@@ -8,6 +8,7 @@ import pytest
 
 import heisriesz.core as core
 import heisriesz.diagnostics as diagnostics
+import heisriesz.measure as measure
 from heisriesz.core import dist, group_inv, group_mul
 from heisriesz.diagnostics import (
     ad_regularity_report,
@@ -19,7 +20,7 @@ from heisriesz.diagnostics import (
 )
 from heisriesz.diagnostics import _fit_slope, _growth_verdict
 from heisriesz.measure import DiscreteMeasure
-from heisriesz.riesz import RieszParams
+from heisriesz.riesz import RieszParams, growth_profile
 from heisriesz.subgroups import make_horizontal, make_vertical
 
 
@@ -231,6 +232,41 @@ def test_horest_check_counts_a_nan_margin_as_a_violation(monkeypatch):
     assert report.violations == sum(injected) == 5462 + 1206
     assert math.isnan(report.min_margin)
     assert not report.passed
+
+
+def test_sphere_scale_has_the_bits_of_the_masked_divide():
+    # zeros, infinities, NaNs, equal and adjacent doubles on either side
+    tiny, big = 5e-324, 1.7976931348623157e308
+    rho = np.array([0.0, 0.0, 1.0, 1.0, np.inf, np.inf, 1.0, np.nan, 0.0,
+                    1.0, 1.0, np.nextafter(1.0, 2.0), 1.0, tiny, big, 2.0,
+                    0.5, 3.0, 1e-300, 1e300])
+    norm = np.array([0.0, 1.0, 0.0, np.inf, 1.0, np.inf, np.nan, 1.0, np.nan,
+                     1.0, np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 0.0),
+                     tiny, tiny, big, 0.25, 7.0, 1e300, 1e-300])
+    want = np.ones_like(rho)
+    np.divide(rho, norm, out=want, where=norm > rho)
+    got = diagnostics._sphere_scale(rho, norm, np.empty_like(rho))
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_batched_divergence_probe_is_the_per_point_profiles(mu5, monkeypatch,
+                                                            helper_pools):
+    # one sweep builds each chunk of the level-5 table once for every
+    # point; on two workers, each holds the chunk it built
+    params = RieszParams(s=2.0, n=1)
+    pts = mu5.points[[0, 4369, 12345, 600000, len(mu5) - 1]]
+    eps = [0.25, 0.0625, 0.015625]
+    want = [growth_profile(mu5, params, p, eps) for p in pts]
+    monkeypatch.setattr(measure, "PARALLEL_CHUNKS", 1)
+    monkeypatch.setattr(measure, "_cpu_count", lambda: 64)
+    helper_pools.clear()
+    batch = growth_profile(mu5, params, pts, eps)
+    reports = divergence_probe(mu5, params, pts, eps)
+    assert helper_pools == [1, 1]
+    for p, profile, rep, one in zip(pts, batch, reports, want):
+        assert profile.tobytes() == one.tobytes()
+        assert rep.magnitudes.tobytes() == np.abs(one).T.tobytes()
+        assert rep.point.tobytes() == p.tobytes()
 
 
 # (hypothesis rejections, min_margin.hex()) of seed-0 runs: one trial

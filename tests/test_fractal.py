@@ -185,12 +185,21 @@ def test_cylinder_measure_memory_is_output_plus_a_chunk(ifs14):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # equal ratios: the weight is held once, so the measure holds its
-    # points alone; a full weight vector would be 8.4 MB, a copy of the
-    # last level's parents 1.5 MB, and a full-size validation temporary
-    # 3 MB
+    # equal ratios: the weight is held once, and the coordinates as the
+    # level-4 parents of a table (its nbytes), so the measure holds them
+    # alone; a full weight vector would be 8.4 MB, a copy of the parents
+    # 1.5 MB, and a full-size validation temporary 3 MB
     assert mu.weights.strides == (0,)
     assert peak - mu.points.nbytes < 3e6
+
+
+def test_level_6_measure_holds_its_level_5_atoms():
+    # the 16.8M atoms' coordinates would take 403 MB; the table holds the
+    # dilated level-5 atoms, 25.2 MB, and the build a chunk of scratch
+    mu, peak = _traced_peak(lambda: cylinder_measure(make_strichartz_ifs(1, 0.25), 6))
+    assert len(mu) == 16 ** 6 and mu.points.shape == (16 ** 6, 3)
+    assert mu.points.nbytes == 16 ** 5 * 3 * 8
+    assert peak < 30e6
 
 
 def test_unequal_ratio_weights_are_stored_in_full():
@@ -572,7 +581,7 @@ def test_invariant_region_needs_the_corner_family_maps(ifs14, phi64):
 
 def _brute_separation(ifs, level):
     """Cross-first-letter minimum over all level atoms, through core.dist."""
-    pts = cylinder_measure(ifs, level).points
+    pts = np.asarray(cylinder_measure(ifs, level).points)
     k = len(ifs.maps) ** (level - 1)
     return min(
         float(np.min(dist(pts[g * k:(g + 1) * k, None], pts[None, (g + 1) * k:])))

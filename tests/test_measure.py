@@ -12,11 +12,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from heisriesz import core, measure
+from heisriesz import core, fractal, measure
 from heisriesz.core import dist
 from heisriesz.diagnostics import (ad_regularity_report, blowup_measure,
                                    cone_deficiency, divergence_probe)
-from heisriesz.measure import CHUNK, DiscreteMeasure, binned_sweep, chunk_slices
+from heisriesz.measure import (CHUNK, AtomTable, DiscreteMeasure, binned_sweep,
+                               chunk_slices)
 from heisriesz.riesz import (RieszParams, _kernel_columns, growth_profile,
                              maximal_transform, truncated_transform, truncations)
 from heisriesz.subgroups import make_vertical
@@ -757,8 +758,8 @@ def test_divergence_probe_caps_the_threads_of_its_sweeps(pools):
     for threads in (3, None):
         got = divergence_probe(mu, params, centres, [0.5, 0.25, 0.125],
                                threads=threads)
-        # one sweep per point; with no cap, a thread per chunk kept
-        assert pools == [2, 2] if threads else len(pools) == 2 < min(pools)
+        # one sweep for both points; with no cap, a thread per chunk kept
+        assert pools == [2] if threads else len(pools) == 1 < min(pools)
         assert [r.magnitudes.tobytes() for r in got] == [
             r.magnitudes.tobytes() for r in want]
         pools.clear()
@@ -793,3 +794,64 @@ def test_cpu_count_falls_back_where_there_is_no_affinity(monkeypatch):
     assert measure._cpu_count() == (os.cpu_count() or 1)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert measure._cpu_count() == 1
+
+
+# ----------------------------------------------------------------------
+# cylinder measures held as their parents and maps
+# ----------------------------------------------------------------------
+
+
+def _two_maps():
+    return fractal.Ifs(n=1, maps=(
+        fractal.Similarity(n=1, q=np.array([0.0, 0.0, 0.0]), r=0.5),
+        fractal.Similarity(n=1, q=np.array([0.5, 0.25, 0.125]), r=0.5)))
+
+
+@pytest.mark.parametrize("make, level, chunk", [
+    (lambda: fractal.make_strichartz_ifs(1, 0.25), 5, CHUNK),
+    (lambda: fractal.make_strichartz_ifs(2, 0.25), 3, CHUNK),
+    # 2048 rows per first letter: the second chunk starts inside the
+    # first letter and ends in the second
+    (_two_maps, 12, 1500),
+], ids=["n1_L5", "n2_L3", "two_maps_L12"])
+def test_every_table_chunk_is_the_explicit_build(make, level, chunk,
+                                                 monkeypatch):
+    monkeypatch.setattr(measure, "CHUNK", chunk)
+    ifs = make()
+    mu = fractal.cylinder_measure(ifs, level)
+    full = fractal._cylinder_atoms(ifs, level)
+    assert isinstance(mu.points, AtomTable) and mu.points.shape == full.shape
+    out = mu._row_buffer()
+    for sl in chunk_slices(len(mu)):
+        rows = mu.rows(sl, out)
+        assert np.shares_memory(rows, out)
+        np.testing.assert_array_equal(rows.view(np.uint64),
+                                      full[sl].view(np.uint64))
+
+
+def test_table_indexing_builds_the_same_bits(mu5):
+    full = np.asarray(mu5.points)
+    assert full.flags.f_contiguous and full.shape == mu5.points.shape
+    idx = np.array([0, 7, 65535, 65536, 600001, len(mu5) - 1, -2])
+    for got, want in [(mu5.points[idx], full[idx]),
+                      (mu5.points[65530:131080], full[65530:131080]),
+                      (mu5.points[::CHUNK], full[::CHUNK]),
+                      (mu5.points[12345], full[12345]),
+                      (mu5.rows(slice(100, 200)), full[100:200])]:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(IndexError):
+        mu5.points[[len(mu5)]]
+    with pytest.raises(TypeError):
+        mu5.points[0, 0] = 1.0
+
+
+def test_a_table_row_that_overflows_is_refused_by_the_first_sweep():
+    # a finite dilated parent and translation, but the twist A(q, x) is
+    # 2e320
+    table = AtomTable([[1e160, 0.0, 0.0]], [[0.0, 1e160, 0.0]])
+    mu = DiscreteMeasure(1, table, np.ones(1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isinf(mu.points[0][2])
+        with pytest.raises(ValueError, match="finite"):
+            mu.ball_mass([0.0, 0.0, 0.0], 1.0)
