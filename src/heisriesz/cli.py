@@ -326,7 +326,12 @@ def _radii_for(cfg: RunConfig, diag: dict, mu: DiscreteMeasure) -> tuple:
     """Configured radii as given; default radii only down to the floor."""
     if "radii" in cfg.blocks.get("diagnostics", {}):
         return diag["radii"]
-    return tuple(r for r in diag["radii"] if r >= _resolution_floor(mu))
+    floor = _resolution_floor(mu)
+    radii = tuple(r for r in diag["radii"] if r >= floor)
+    if not radii:
+        raise ConfigError("every default radius lies below the resolution "
+                          f"floor {floor:g}; set 'diagnostics.radii'")
+    return radii
 
 
 def _cone_family(n: int, a: float, count: int, seed: int):
@@ -453,14 +458,11 @@ def _cmd_riesz_transform(cfg: RunConfig) -> Outcome:
     eps = _eps_schedule(block, start=0.25, ratio=0.25, count=3)
     points = 8 if block["points"] is None else block["points"]
     pts = _center_coords(mu, points, cfg.seed)
-    rows = []
-    per_eps_max = np.zeros(eps.size)
-    for i, p in enumerate(pts):
-        # one sweep per point: column k is the truncation at eps[k]
-        values = truncations(mu, params, None, p, eps)
-        per_eps_max = np.maximum(per_eps_max, np.abs(values).max(axis=0))
-        rows.extend((i, e, c, v) for k, e in enumerate(eps)
-                    for c, v in enumerate(values[:, k]))
+    # one sweep for every point: values[i][:, k] is the truncation at eps[k]
+    values = truncations(mu, params, None, pts, eps)
+    per_eps_max = np.abs(values).max(axis=(0, 1))
+    rows = [(i, e, c, v) for i, value in enumerate(values)
+            for k, e in enumerate(eps) for c, v in enumerate(value[:, k])]
     payload = {
         "s": params.s,
         "atoms": len(mu),
@@ -565,14 +567,13 @@ def _cmd_cone_deficiency(cfg: RunConfig) -> Outcome:
     pts = _center_coords(mu, centers, cfg.seed)
     family = _cone_family(mu.n, a, diag["cone_subgroups"], cfg.seed)
     radii = _radii_for(cfg, diag, mu)
-    rows = []
-    floor = math.inf
-    for gi, spec in enumerate(family):
-        for ki, k in enumerate(pts):
-            ratios = cone_deficiency(mu, a, k, spec, diag["delta"], radii)
-            # np.minimum keeps a NaN ratio, which fails floor > 0
-            floor = float(np.minimum(floor, ratios.min()))
-            rows.extend((ki, gi, r, v) for r, v in zip(radii, ratios))
+    # one sweep per subgroup: ratios[gi, ki] are centre ki's ratios
+    ratios = np.array([cone_deficiency(mu, a, pts, spec, diag["delta"], radii)
+                       for spec in family])
+    # min keeps a NaN ratio, which fails floor > 0
+    floor = float(ratios.min())
+    rows = [(ki, gi, r, v) for gi, per_centre in enumerate(ratios)
+            for ki, row in enumerate(per_centre) for r, v in zip(radii, row)]
     verdict = "positive-floor" if floor > 0.0 else "nonpositive-floor"
     payload = {
         "a": a,

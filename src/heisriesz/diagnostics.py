@@ -131,10 +131,7 @@ def ad_regularity_report(mu: DiscreteMeasure, a: float, centers=64,
         raise ValueError(f"radius above the support diameter bound {diam:g}")
 
     pts = _center_coords(mu, centers, seed)
-    scale = _radius_powers(rad, a)
-    ratios = np.empty((len(pts), rad.size))
-    for i, c in enumerate(pts):
-        ratios[i] = mu.ball_mass(c, rad) / scale
+    ratios = mu.ball_mass(pts, rad) / _radius_powers(rad, a)
     min_ratio = float(np.min(ratios))
     max_ratio = float(np.max(ratios))
     implied = max(max_ratio, 1.0 / min_ratio) if min_ratio > 0.0 else math.inf
@@ -152,17 +149,14 @@ def cone_deficiency(mu: DiscreteMeasure, a: float, k, G: SubgroupSpec,
     For each radius r this returns mu(B(k, r) \\ X(k, G, delta)) / r^a.
     Shrinking delta narrows the cone, so the ratios can only grow.
     Strictly positive values across radii witness that no piece of the
-    measure around k flattens onto the subgroup.
+    measure around k flattens onto the subgroup.  One point k gives (R,)
+    for R radii; an (m, 2n+1) batch, swept once, gives (m, R).
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"cone aperture must lie in (0, 1), got {delta}")
     rad = _checked_radii(mu, radii)
-    c, _ = _coords(k, mu.n)
-
-    def outside(sl, u, d):
-        return np.where(cone_mask(u, d, G, delta), 0.0, mu.weights[sl])
-
-    masses = closed_ball_sums(mu, c, rad, outside)
+    masses = closed_ball_sums(mu, k, rad, lambda sl, u, d: np.where(
+        cone_mask(u, d, G, delta), 0.0, mu.weights[sl]))
     return masses / _radius_powers(rad, a)
 
 
@@ -303,9 +297,8 @@ def subgroup_boundedness_probe(V: SubgroupSpec, s: float, eps_grid,
     sample_pts = haar.points[chosen]
 
     eps = [float(e) for e in eps_grid]
-    per_point = np.empty((take, len(eps)))
-    for i, p in enumerate(sample_pts):
-        per_point[i] = np.abs(growth_profile(haar, params, p, eps)).max(axis=0)
+    # one sweep for every point; rows are points, columns cutoffs
+    per_point = np.abs(growth_profile(haar, params, sample_pts, eps)).max(axis=1)
     per_eps = per_point.max(axis=0)
     slope = _fit_slope(per_eps)
     return BoundednessReport(

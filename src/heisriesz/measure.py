@@ -6,11 +6,14 @@ either explicit and coordinate-major (Fortran order), so each coordinate
 of a chunk of atoms is one contiguous run, or an :class:`AtomTable`: the
 level L - 1 atoms of an equal-ratio cylinder measure, dilated by its
 ratio, and its maps' translations, from which each chunk of atoms is
-built on demand, bit for bit as the full build makes it.  Every reader takes its rows through :meth:`DiscreteMeasure.rows`
-(or the table's indexing, which builds the same rows).  Equal weights
-may be held once, as a zero-stride vector (``np.broadcast_to``), which
-is kept as given.  Ball masses and every transform are one
-:func:`binned_sweep` over the atoms, for one centre or a batch.
+built on demand, bit for bit as the full build makes it.  Every reader
+takes its rows through :meth:`DiscreteMeasure.rows` (or the table's
+indexing, which builds the same rows).  Equal weights may be held once,
+as a zero-stride vector (``np.broadcast_to``), which is kept as given.
+Ball masses, cone masses and every transform are one
+:func:`binned_sweep` over the atoms, for one centre or a (k, 2n+1)
+batch: a ball mass is a float or (R,) for R radii at one centre, and
+(k,) or (k, R) for a batch.
 Validation, sweeps and CSV reads need O(CHUNK) memory beyond the held
 atoms.  Each measure keeps, once computed, the reach of every chunk from
 its first atom, which gives a sweep the range of distance bins each
@@ -391,19 +394,19 @@ def _bin_sums(cols, d, lower, upper, inside, part):
     return sums
 
 
-def closed_ball_sums(mu, center, radii, column):
+def closed_ball_sums(mu, centers, radii, column):
     """Sums of one per-atom column over the closed balls B(center, r).
 
-    ``column(sl, u, d)`` gives the values of the atoms in slice ``sl``
-    from their displacements and distances; radii may come in any order
-    and repeat.  One sweep serves every radius.
+    ``column(sl, u, d)`` gives the atoms' values in slice ``sl`` from
+    their displacements and distances; radii may repeat, in any order.
+    One sweep gives (R,) for R radii at one centre, (k, R) for a batch.
     """
     radii = np.asarray(radii, dtype=float)
     edges = np.unique(radii)
-    sums = binned_sweep(mu, center, np.concatenate([[-np.inf], edges]),
+    sums = binned_sweep(mu, centers, np.concatenate([[-np.inf], edges]),
                         lambda sl, u, d, out: [column(sl, u, d)])
-    inside = np.cumsum(sums[0])
-    return inside[np.searchsorted(edges, radii)]
+    inside = np.cumsum(sums[..., 0, :], axis=-1)
+    return inside[..., np.searchsorted(edges, radii)]
 
 
 @dataclass
@@ -524,18 +527,17 @@ class DiscreteMeasure:
         return float(self.weights.sum())
 
     def ball_mass(self, center, radius):
-        """Mass of the closed gauge ball(s) B(center, radius).
-
-        ``radius`` may be a scalar or a sequence; the return type follows.
+        """Mass of the closed gauge ball(s) B(center, radius), from one
+        sweep: a float or (R,) for a scalar or R radii at one centre, and
+        (k,) or (k, R) for a (k, 2n+1) batch of centres.
         """
-        radii = np.atleast_1d(np.asarray(radius, dtype=float))
+        radii = np.asarray(radius, dtype=float)
         if not np.all(radii >= 0.0):
             raise ValueError("radii must be nonnegative")
-        totals = closed_ball_sums(self, center, radii,
+        totals = closed_ball_sums(self, center, radii.ravel(),
                                   lambda sl, u, d: self.weights[sl])
-        if np.isscalar(radius) or np.asarray(radius).ndim == 0:
-            return float(totals[0])
-        return totals
+        totals = totals.reshape(totals.shape[:-1] + radii.shape)
+        return float(totals) if totals.ndim == 0 else totals
 
     def chunk_reach(self) -> np.ndarray:
         """Reach max d(a_k, q) of each sweep chunk k from its first atom a_k.

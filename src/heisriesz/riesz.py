@@ -172,8 +172,9 @@ def truncations(mu: DiscreteMeasure, params: RieszParams, f, p,
     """Truncated transforms at every cutoff of a grid, from one sweep.
 
     The grid must be strictly decreasing and positive; column j of the
-    (2n+1, len(eps_grid)) result is the truncation d > eps_grid[j].  It
-    agrees with :func:`truncated_transform` up to summation order.
+    (2n+1, len(eps_grid)) result is the truncation d > eps_grid[j], and
+    a (k, 2n+1) batch ``p`` gives (k, 2n+1, len(eps_grid)).  It agrees
+    with :func:`truncated_transform` up to summation order.
     """
     return _running_sums(mu, params, f, p, eps_grid, np.inf)
 

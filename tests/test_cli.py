@@ -17,6 +17,7 @@ import pytest
 import heisriesz.cli as cli
 import heisriesz.core as core
 import heisriesz.measure as measure
+import heisriesz.riesz as riesz
 import heisriesz.subgroups as subgroups
 from heisriesz.cli import main
 from heisriesz.fractal import make_strichartz_ifs, similarity_dimension
@@ -588,7 +589,7 @@ def test_cone_deficiency_nan_ratio_is_a_nonpositive_floor(tmp_path, capsys,
     # min(floor, nan) keeps floor, so all-NaN ratios would read as floor inf
     monkeypatch.setattr(cli, "cone_deficiency",
                         lambda mu, a, k, spec, delta, radii:
-                        np.full(len(radii), np.nan))
+                        np.full((len(k), len(radii)), np.nan))
     out = tmp_path / "run"
     cfg = _write_config(tmp_path, {
         "level": 3, "expect": "positive-floor",
@@ -599,6 +600,48 @@ def test_cone_deficiency_nan_ratio_is_a_nonpositive_floor(tmp_path, capsys,
     res = json.loads((out / "cone_deficiency.json").read_text())["results"]
     assert math.isnan(res["floor"])
     assert res["verdict"] == "nonpositive-floor"
+
+
+@pytest.mark.parametrize("words", [["measure", "ad-report"],
+                                   ["cone-deficiency"]])
+def test_default_radii_all_below_the_floor_are_a_config_error(tmp_path, capsys,
+                                                              words):
+    # level 1 has spacing 0.25, so the floor 1.0 is above every default
+    # radius; the message names the floor and the key that sets radii
+    cfg = _write_config(tmp_path, {"level": 1})
+    assert _run([*words, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "every default radius lies below the resolution floor 1;" in err
+    assert "'diagnostics.radii'" in err
+
+
+@pytest.mark.parametrize("words, doc", [
+    (["measure", "ad-report"], {}),
+    (["cone-deficiency"], {}),
+    # the level keeps the run short; 8 centres x 8 subgroups either way
+    (["cone-deficiency"], {"n": 2, "level": 2}),
+    (["riesz", "transform"], {}),
+    (["riesz", "subgroup-probe"], {}),
+], ids=["ad-report", "cone-deficiency", "cone-deficiency-n2", "transform",
+        "subgroup-probe"])
+def test_each_batch_of_centres_is_one_sweep(tmp_path, monkeypatch, words, doc):
+    # riesz binds binned_sweep at import, so the transforms' sweeps are
+    # counted there, and the ball and cone masses' in measure
+    sweeps = []
+    for module in (measure, riesz):
+        def counted(*args, _sweep=module.binned_sweep, **kwargs):
+            sweeps.append(len(np.atleast_2d(args[1])))
+            return _sweep(*args, **kwargs)
+        monkeypatch.setattr(module, "binned_sweep", counted)
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, doc)
+    assert _run([*words, "--quick", "--config", cfg, "--out", str(out)]) == 0
+    stem = next(e[1] for e in cli.COMMANDS if e[0] == tuple(words))
+    res = json.loads((out / f"{stem}.json").read_text())["results"]
+    # one sweep per subgroup for cone-deficiency, one in all elsewhere,
+    # each taking every centre of the run
+    centres = len(res["centers" if "centers" in res else "points"])
+    assert sweeps == [centres] * res.get("distinct_subgroups", 1)
 
 
 def test_cone_deficiency_n2_tests_subgroups_of_the_measure_dimension(tmp_path):

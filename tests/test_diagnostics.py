@@ -20,7 +20,7 @@ from heisriesz.diagnostics import (
 )
 from heisriesz.diagnostics import _fit_slope, _growth_verdict
 from heisriesz.measure import DiscreteMeasure
-from heisriesz.riesz import RieszParams, growth_profile
+from heisriesz.riesz import RieszParams, growth_profile, truncations
 from heisriesz.subgroups import make_horizontal, make_vertical
 
 
@@ -251,22 +251,49 @@ def test_sphere_scale_has_the_bits_of_the_masked_divide():
 
 def test_batched_divergence_probe_is_the_per_point_profiles(mu5, monkeypatch,
                                                             helper_pools):
-    # one sweep builds each chunk of the level-5 table once for every
-    # point; on two workers, each holds the chunk it built
+    # one sweep serves every point: ball masses, cone masses, truncations
+    # and growth profiles of a batch have the bits of the calls per point,
+    # on the level-5 table (each chunk built once for every point) and on
+    # an explicit copy, on one worker and on two, each holding its chunk
     params = RieszParams(s=2.0, n=1)
     pts = mu5.points[[0, 4369, 12345, 600000, len(mu5) - 1]]
     eps = [0.25, 0.0625, 0.015625]
-    want = [growth_profile(mu5, params, p, eps) for p in pts]
+    taxis = make_vertical(1, [])
+    queries = {
+        "ball_mass": lambda mu, p: mu.ball_mass(p, 0.25),
+        "ball_masses": lambda mu, p: mu.ball_mass(p, eps),
+        "cone": lambda mu, p: cone_deficiency(mu, 2.0, p, taxis, 0.5, eps),
+        "truncations": lambda mu, p: truncations(mu, params, None, p, eps),
+        "growth": lambda mu, p: growth_profile(mu, params, p, eps),
+    }
+    explicit = DiscreteMeasure(1, np.asarray(mu5.points), mu5.weights,
+                               spacing=mu5.spacing)
     monkeypatch.setattr(measure, "PARALLEL_CHUNKS", 1)
-    monkeypatch.setattr(measure, "_cpu_count", lambda: 64)
-    helper_pools.clear()
-    batch = growth_profile(mu5, params, pts, eps)
-    reports = divergence_probe(mu5, params, pts, eps)
-    assert helper_pools == [1, 1]
-    for p, profile, rep, one in zip(pts, batch, reports, want):
-        assert profile.tobytes() == one.tobytes()
-        assert rep.magnitudes.tobytes() == np.abs(one).T.tobytes()
-        assert rep.point.tobytes() == p.tobytes()
+    for mu in (mu5, explicit):
+        with measure._worker_cap(1):
+            want = {name: [np.asarray(query(mu, p)) for p in pts]
+                    for name, query in queries.items()}
+        for cpus in (1, 64):
+            monkeypatch.setattr(measure, "_cpu_count", lambda: cpus)
+            helper_pools.clear()
+            for name, query in queries.items():
+                batch = query(mu, pts)
+                assert batch.shape == (len(pts), *want[name][0].shape)
+                for got, one in zip(batch, want[name]):
+                    assert got.tobytes() == one.tobytes(), name
+            reports = divergence_probe(mu, params, pts, eps)
+            assert helper_pools == ([] if cpus == 1 else [1] * 6)
+            for p, rep, one in zip(pts, reports, want["growth"]):
+                assert rep.magnitudes.tobytes() == np.abs(one).T.tobytes()
+                assert rep.point.tobytes() == p.tobytes()
+    # a batch of one keeps its axis, and centres have at most two axes
+    assert mu5.ball_mass(pts[:1], eps).shape == (1, len(eps))
+    assert mu5.ball_mass(pts[:1], 0.25).shape == (1,)
+    assert cone_deficiency(mu5, 2.0, pts[:1], taxis, 0.5, eps).shape == (1, 3)
+    with pytest.raises(ValueError, match="centres must be one point"):
+        mu5.ball_mass(pts[None], eps)
+    with pytest.raises(ValueError, match="centres must be one point"):
+        cone_deficiency(mu5, 2.0, pts[None], taxis, 0.5, eps)
 
 
 # (hypothesis rejections, min_margin.hex()) of seed-0 runs: one trial
