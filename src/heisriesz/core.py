@@ -11,7 +11,10 @@ Batch operations take ``out=``, a point-shaped (..., 2n+1) float array
 that they fill and return instead of allocating; the scalar-valued
 :func:`symplectic_form` and :func:`koranyi_norm` use its first
 coordinates as scratch and return its last coordinate.  Only
-:func:`dilate` may overlap ``out`` with its input.  Sums over the
+:func:`dilate` may overlap ``out`` with its input; :func:`group_mul` and
+:func:`left_displacement` write scratch into ``out`` before they have
+read their inputs, so they refuse an ``out`` that may share memory with
+either.  Sums over the
 coordinates run left to right and horizontal blocks are written one
 coordinate view ``a[..., i]`` at a time (a 2-D ufunc over a C-order
 batch runs one 2n-element loop per point), with or without ``out`` and
@@ -92,12 +95,21 @@ def symplectic_form(p, q, out=None):
     return form[()]
 
 
+def _own_out(out, a, b):
+    """``out``, or a new array of the broadcast shape when None; one
+    that may share memory with ``a`` or ``b`` raises ``ValueError``."""
+    if out is None:
+        return np.empty(np.broadcast_shapes(a.shape, b.shape))
+    if np.may_share_memory(out, a) or np.may_share_memory(out, b):
+        raise ValueError("out must not share memory with the inputs")
+    return out
+
+
 def group_mul(p, q, out=None):
     """Group product p . q."""
     a, n = _coords(p)
     b, _ = _coords(q, n)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = _own_out(out, a, b)
     # the vertical first, while the horizontal part of out is free for
     # the form's terms and the partial sum
     form = symplectic_form(a, b, out=out)
@@ -118,8 +130,7 @@ def left_displacement(p, q, out=None):
     """p^{-1} . q, computed directly to avoid an intermediate product."""
     a, n = _coords(p)
     b, _ = _coords(q, n)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = _own_out(out, a, b)
     # as in group_mul: the vertical first
     form = symplectic_form(a, b, out=out)
     vert = np.subtract(b[..., -1], a[..., -1], out=out[..., 0])

@@ -27,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-# dist and in_cone stay bound here: perfbench's span recorder wraps
-# diagnostics.dist and diagnostics.in_cone
-from .core import _coords, blowup_map, dist, koranyi_norm
-from .measure import (DEFAULT_ATOM_CAP, DiscreteMeasure, _worker_cap,
-                      chunk_slices, closed_ball_sums)
+# dist, in_cone and blowup_map stay bound here: perfbench's span
+# recorder wraps diagnostics.dist, diagnostics.in_cone and
+# diagnostics.blowup_map
+from .core import _coords, ambient_dim, blowup_map, dist, koranyi_norm
+from .measure import (CHUNK, DEFAULT_ATOM_CAP, AtomView, DiscreteMeasure,
+                      _worker_cap, chunk_slices, closed_ball_sums)
 from .riesz import RieszParams, _radius_powers, growth_profile
 from .subgroups import SubgroupSpec, cone_mask, haar_sample, in_cone
 
@@ -475,12 +476,46 @@ def horest_check(n: int, delta: float, trials: int = 1_000_000,
     )
 
 
+class BlowupView(AtomView):
+    """The atoms of a measure moved by the blow-up map
+    delta_{1/r}(a^{-1} . q), built as they are read.
+
+    The view holds no atoms: rows ``sl`` are ``core.blowup_map`` of the
+    source's rows ``sl``, with the bits of the map applied to the whole
+    coordinate array.  The map cannot write over its input, so the rows
+    of a source that is itself a view are built into a buffer of their
+    own (``row_scratch``).  Every row is built once, a chunk at a time,
+    when the view is made, and a row that is not finite is refused.
+    """
+
+    def __init__(self, mu: DiscreteMeasure, a, r) -> None:
+        super().__init__(mu.points.shape)
+        # a copy, so that a later write to the caller's point cannot
+        # move the rows
+        self.source, self.center, self.r = mu, np.array(a, dtype=float), r
+        if isinstance(mu.points, AtomView):
+            self.row_scratch = 8 * ambient_dim(mu.n) + mu.points.row_scratch
+        out = np.empty((min(len(mu), CHUNK), ambient_dim(mu.n)), order="F")
+        if not all(np.all(np.isfinite(self.rows(sl, out)))
+                   for sl in chunk_slices(len(mu))):
+            raise ValueError("atom coordinates must be finite")
+
+    def rows(self, sl, out=None) -> np.ndarray:
+        start, stop, out = self._span(sl, out)
+        return blowup_map(self.center, self.r,
+                          self.source.rows(slice(start, stop)), out=out)
+
+    def _take(self, idx) -> np.ndarray:
+        return blowup_map(self.center, self.r, self.source.points[idx])
+
+
 def blowup_measure(mu: DiscreteMeasure, a, r: float, s: float | None = None,
                    normalization: str = "power") -> DiscreteMeasure:
     """Zoom of scale r at the point a, with renormalized weights.
 
-    Atoms move through the blow-up map delta_{1/r}(a^{-1} . q).  With
-    "power" normalization the weights gain a factor r^(-s); with
+    Atoms move through the blow-up map delta_{1/r}(a^{-1} . q), and
+    ``points`` is a :class:`BlowupView` of ``mu``: it holds no atoms.
+    With "power" normalization the weights gain a factor r^(-s); with
     "ball-mass" they are divided by mu(B(a, r)), which must be positive.
     Atom spacing scales by 1/r along with all distances.
     """
@@ -496,12 +531,6 @@ def blowup_measure(mu: DiscreteMeasure, a, r: float, s: float | None = None,
         factor = 1.0 / mass
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
-    # built in the coordinate-major array the measure keeps, a chunk of
-    # the measure's rows at a time
-    pts = np.empty(mu.points.shape, order="F")
-    out = mu._row_buffer()
-    for sl in chunk_slices(len(mu)):
-        blowup_map(c, r, mu.rows(sl, out), out=pts[sl])
     spacing = mu.spacing / r if mu.spacing is not None else None
     w = mu.weights
     # equal weights held once stay held once, with the same bits
@@ -509,9 +538,8 @@ def blowup_measure(mu: DiscreteMeasure, a, r: float, s: float | None = None,
                else w * factor)
     return DiscreteMeasure(
         n=mu.n,
-        points=pts,
+        points=BlowupView(mu, c, r),
         weights=weights,
         label=f"blowup r={r:g} norm={normalization} of [{mu.label}]",
         spacing=spacing,
     )
-

@@ -3,12 +3,15 @@
 Atoms are stored as a coordinate array plus a weight vector so that
 ten-million-atom measures stay practical.  The coordinate array is
 either explicit and coordinate-major (Fortran order), so each coordinate
-of a chunk of atoms is one contiguous run, or an :class:`AtomTable`: the
-level L - 1 atoms of an equal-ratio cylinder measure, dilated by its
-ratio, and its maps' translations, from which each chunk of atoms is
-built on demand, bit for bit as the full build makes it.  Every reader
-takes its rows through :meth:`DiscreteMeasure.rows` (or the table's
-indexing, which builds the same rows).  Equal weights may be held once,
+of a chunk of atoms is one contiguous run, or a read-only
+:class:`AtomView` that builds each chunk of atoms on demand.  One view
+is an :class:`AtomTable`: the level L - 1 atoms of an equal-ratio
+cylinder measure, dilated by its ratio, and its maps' translations,
+from which each chunk is built bit for bit as the full build makes it;
+another is a blow-up (``diagnostics.blowup_measure``), which maps its
+source's rows as they are read and holds no atoms.  Every reader takes
+its rows through :meth:`DiscreteMeasure.rows` (or the view's indexing,
+which builds the same rows).  Equal weights may be held once,
 as a zero-stride vector (``np.broadcast_to``), which is kept as given.
 Ball masses, cone masses and every transform are one
 :func:`binned_sweep` over the atoms, for one centre or a (k, 2n+1)
@@ -24,8 +27,9 @@ itself, run on as many threads as the process has CPUs (fewer where
 the sweep workspaces would pass SWEEP_BYTES), with the same bits as on
 one.  ``points`` and ``weights`` are read-only, so that cache cannot go
 stale.  Measures are written to and read from CSV files with the
-header ``x1,...,x{2n+1},weight``; the label and the resolution scale
-are given on reading.
+header ``x1,...,x{2n+1},weight``, with the bytes of ``np.savetxt``
+(``"%.17g"``) from a per-block table of each column's distinct values;
+the label and the resolution scale are given on reading.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 from . import core
 from .core import ambient_dim, dist, group_index, _coords
 
-__all__ = ["AtomCapExceeded", "AtomTable", "DEFAULT_ATOM_CAP",
+__all__ = ["AtomCapExceeded", "AtomTable", "AtomView", "DEFAULT_ATOM_CAP",
            "DiscreteMeasure", "binned_sweep", "closed_ball_sums", "write_csv"]
 
 # Default ceiling on atom counts; a level-6 cylinder measure of the
@@ -54,6 +58,10 @@ DEFAULT_ATOM_CAP = 20_000_000
 # for a level-6 growth profile), and peak memory is O(CHUNK), not O(N).
 CHUNK = 1 << 16
 
+# Rows per formatting block of write_csv: 65,536-row blocks raised the
+# level-5 query run's peak RSS by 28 MB.
+CSV_BLOCK = 1 << 13
+
 # A sweep that keeps fewer chunks runs on the calling thread.  Helper
 # threads for the level-5 sweeps (16 chunks) raised a level-5 query
 # run's peak RSS by 12 MB (their malloc arenas) with no time gained; the
@@ -63,8 +71,9 @@ PARALLEL_CHUNKS = 32
 # Bytes that the workspaces of one sweep's worker threads hold together,
 # so that peak sweep memory stays bounded by the chunk at every CPU
 # count.  A worker holds CHUNK rows of 2(2n+1)+1 doubles, and 3(2n+1)+1
-# when it sweeps a table's built chunk for a batch of centres, plus two
-# byte masks: 3.80 MB and 5.37 MB for n = 1, so two of either fit.
+# when it sweeps a view's built chunk for a batch of centres, plus two
+# byte masks and the view's row scratch: 3.80 MB and 5.37 MB for n = 1
+# with none, so two of either fit.
 SWEEP_BYTES = 11 * 10 ** 6
 
 # The cap on a sweep's worker threads, set by _worker_cap; None is every CPU.
@@ -150,18 +159,102 @@ def write_csv(path, header: str, columns) -> None:
     """Write the line ``header``, then one line per row of ``columns``.
 
     ``columns`` are arrays of equal length, each one column or a block
-    of columns, joined side by side.  Every value is written as
-    ``"%.17g"``, which reads back with the same bits and writes an
-    integral value without a point, CHUNK rows at a time.
+    of columns, joined side by side.  The bytes are those of one
+    ``np.savetxt(fh, np.column_stack(columns), fmt="%.17g",
+    delimiter=",")``: every value is written as ``"%.17g"`` of its
+    float, which reads back with the same bits and writes an integral
+    value without a point.  Rows are formatted CSV_BLOCK at a time
+    (:func:`_format_block`).
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for sl in chunk_slices(len(columns[0])):
-            np.savetxt(fh, np.column_stack([c[sl] for c in columns]),
-                       delimiter=",", fmt="%.17g")
+        for start in range(0, len(columns[0]), CSV_BLOCK):
+            sl = slice(start, start + CSV_BLOCK)
+            # savetxt's "%" formats an int column through its float
+            fh.write(_format_block(np.column_stack([c[sl] for c in columns])
+                                   .astype(float, copy=False)))
 
 
-class AtomTable:
+def _format_block(block) -> str:
+    """The CSV lines of a float block, each distinct value formatted once.
+
+    Each column's table of distinct values is keyed on the uint64 bit
+    pattern, so -0.0 and +0.0, which ``"%.17g"`` writes as ``-0`` and
+    ``0``, stay apart (keyed on the float, they would merge).  A table
+    is formatted by one ``%`` over all its values, which costs less per
+    value than one ``%`` each.
+    """
+    fields = []
+    for j in range(block.shape[1]):
+        keys, at = np.unique(np.ascontiguousarray(block[:, j]).view(np.uint64),
+                             return_inverse=True)
+        values = tuple(keys.view(float).tolist())
+        text = ("%.17g\n" * len(values) % values).splitlines()
+        fields.append(np.array(text, dtype=object)[at].tolist())
+    return "\n".join(map(",".join, zip(*fields))) + "\n"
+
+
+class AtomView:
+    """A read-only lazy view of an (N, 2n+1) array of atom coordinates.
+
+    A subclass holds what its rows are built from and supplies
+    ``rows(sl, out)``, which builds the rows of a slice of step 1 into
+    ``out`` (allocated when None), and ``_take(idx)``, which builds the
+    rows of a 1-D array of in-range indices into a new array.  ``len``,
+    ``shape``, ``[int]``, ``[int array]`` and ``[slice]`` build only the
+    rows asked for, ``np.asarray`` builds every row (coordinate-major),
+    and ``nbytes`` counts the bytes of the arrays held.  A subclass
+    checks that its rows are finite when it is made.  ``row_scratch``
+    is the bytes per row that ``rows`` allocates besides ``out``.
+    """
+
+    row_scratch = 0
+
+    def __init__(self, shape, held=()) -> None:
+        self.shape = tuple(shape)
+        self._held = held
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self._held)
+
+    def _span(self, sl, out):
+        """(start, stop, out) for rows ``sl``: ``out`` cut to their
+        count, or a coordinate-major array of it when None."""
+        start, stop, step = sl.indices(len(self))
+        if step != 1:
+            raise ValueError("rows are read in slices of step 1")
+        m = max(stop - start, 0)
+        out = np.empty((m, self.shape[1]), order="F") if out is None else out[:m]
+        return start, stop, out
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) and key.step in (None, 1):
+            return self.rows(key)
+        if isinstance(key, slice):
+            return self._take(np.arange(*key.indices(len(self))))
+        if isinstance(key, (int, np.integer)):
+            return self[[key]][0]
+        idx = np.asarray(key)
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise IndexError("a view is indexed by an int, a slice or a "
+                             "1-D int array")
+        idx = np.where(idx < 0, idx + len(self), idx).astype(np.int64)
+        if idx.size and not (0 <= idx.min() and idx.max() < len(self)):
+            raise IndexError(f"row index out of range for {len(self)} rows")
+        return self._take(idx)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a view's rows are built, so they are a copy")
+        out = self.rows(slice(None))
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+class AtomTable(AtomView):
     """Atom coordinates held as dilated parents and translations, built
     on demand.
 
@@ -173,38 +266,30 @@ class AtomTable:
     and its maps' translations: row m B + j is then S_m(parent j), by the
     ops of the last level of its build, with the bits of the full build.
 
-    The table is a read-only lazy view of the (len(translations) B, 2n+1)
-    coordinate array.  ``len``, ``shape``, ``[int]``, ``[int array]``
-    and ``[slice]`` build only the rows asked for, ``np.asarray`` builds
-    every row (coordinate-major), and ``nbytes`` counts the bytes held,
-    those of D.
+    The table is a view (:class:`AtomView`) of the (len(translations) B,
+    2n+1) coordinate array that holds D.  The parents are checked for
+    finiteness when it is made; a twist that overflows shows in the
+    measure's chunk reach.
     """
 
     def __init__(self, dilated, translations) -> None:
         dilated = np.asfortranarray(dilated, dtype=float)
         if dilated.ndim != 2:
             raise ValueError(f"dilated parents must be (B, 2n+1), got {dilated.shape}")
+        if not all(np.all(np.isfinite(dilated[sl]))
+                   for sl in chunk_slices(len(dilated))):
+            raise ValueError("atom coordinates must be finite")
         dilated.flags.writeable = False
         self.dilated = dilated
         self.translations = tuple(np.asarray(q, dtype=float) for q in translations)
-        self.shape = (len(self.translations) * len(dilated), dilated.shape[1])
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    @property
-    def nbytes(self) -> int:
-        return self.dilated.nbytes
+        super().__init__((len(self.translations) * len(dilated), dilated.shape[1]),
+                         (dilated,))
 
     def rows(self, sl, out=None) -> np.ndarray:
         """Rows ``sl`` (a slice of step 1) written into ``out``, a
         (>= m, 2n+1) array, allocated when None.  A slice that spans
         several first letters is built one letter segment at a time."""
-        start, stop, step = sl.indices(len(self))
-        if step != 1:
-            raise ValueError("rows are read in slices of step 1")
-        m = max(stop - start, 0)
-        out = np.empty((m, self.shape[1]), order="F") if out is None else out[:m]
+        start, stop, out = self._span(sl, out)
         at = start
         while at < stop:
             letter, j = divmod(at, len(self.dilated))
@@ -215,34 +300,12 @@ class AtomTable:
         return out
 
     def _take(self, idx) -> np.ndarray:
-        idx = np.asarray(idx)
-        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
-            raise IndexError("a table is indexed by an int, a slice or a "
-                             "1-D int array")
-        idx = np.where(idx < 0, idx + len(self), idx).astype(np.int64)
-        if idx.size and not (0 <= idx.min() and idx.max() < len(self)):
-            raise IndexError(f"row index out of range for {len(self)} rows")
         letters, j = np.divmod(idx, len(self.dilated))
         out = np.empty((len(idx), self.shape[1]), order="F")
         for letter in np.unique(letters):
             at = np.flatnonzero(letters == letter)
             out[at] = core.group_mul(self.translations[letter], self.dilated[j[at]])
         return out
-
-    def __getitem__(self, key):
-        if isinstance(key, slice) and key.step in (None, 1):
-            return self.rows(key)
-        if isinstance(key, slice):
-            return self._take(np.arange(*key.indices(len(self))))
-        if isinstance(key, (int, np.integer)):
-            return self._take([key])[0]
-        return self._take(key)
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("a table's rows are built, so they are a copy")
-        out = self.rows(slice(None))
-        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 def binned_sweep(mu, centers, edges, columns):
@@ -271,7 +334,7 @@ def binned_sweep(mu, centers, edges, columns):
     Each thread that works on a call allocates one coordinate-major
     workspace of CHUNK rows (u, the columns and d, bin masks) and writes
     each chunk it takes into it, so a sweep's cost does not depend on
-    what the allocator holds from earlier work.  A table's chunk is built
+    what the allocator holds from earlier work.  A view's chunk is built
     once per chunk (:meth:`DiscreteMeasure.rows`): into the columns'
     rows for one centre, where it is spent once u is formed, and into a
     buffer of its own for a batch, which every centre that the chunk can
@@ -332,9 +395,10 @@ def binned_sweep(mu, centers, edges, columns):
         centres = np.flatnonzero(keep[:, j])
         if centres.size:
             kept.append((sl, [(i, first[i, j], last[i, j]) for i in centres]))
-    # a table's chunk built for several centres needs rows of its own;
+    # a view's chunk built for several centres needs rows of its own;
     # for one, the columns' rows hold it until u is formed
-    held = isinstance(mu.points, AtomTable) and len(batch) > 1
+    view = isinstance(mu.points, AtomView)
+    held = view and len(batch) > 1
 
     def sweeper():
         rows = min(len(mu), CHUNK)
@@ -368,7 +432,8 @@ def binned_sweep(mu, centers, edges, columns):
         return sweep_chunk
 
     sums = np.zeros((len(batch), k, top))
-    row_bytes = 8 * ((3 if held else 2) * dim + 1) + 2
+    row_bytes = (8 * ((3 if held else 2) * dim + 1) + 2
+                 + (mu.points.row_scratch if view else 0))
     for results in _map_chunks(sweeper, kept, row_bytes):
         for i, start, bins in results:
             for b, bin_sums in enumerate(bins, start):
@@ -417,9 +482,10 @@ class DiscreteMeasure:
     ----------
     n : int
         Group index; coordinates have length 2n+1.
-    points : ndarray or AtomTable, shape (N, 2n+1)
-        Atom positions: an array, stored coordinate-major, or a table
-        that builds them on demand, kept as given.
+    points : ndarray or AtomView, shape (N, 2n+1)
+        Atom positions: an array, stored coordinate-major, or a view
+        that builds them on demand (an :class:`AtomTable`, or a
+        blow-up's view of its source), kept as given.
     weights : ndarray, shape (N,)
         Strictly positive atom masses.
     label : str
@@ -448,8 +514,8 @@ class DiscreteMeasure:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"group index must be >= 1, got {self.n}")
-        table = isinstance(self.points, AtomTable)
-        pts = self.points if table else np.asfortranarray(self.points, dtype=float)
+        view = isinstance(self.points, AtomView)
+        pts = self.points if view else np.asfortranarray(self.points, dtype=float)
         wts = np.asarray(self.weights, dtype=float)
         # a zero-stride vector (one weight held once) is kept as given
         if wts.ndim != 1 or wts.strides != (0,):
@@ -461,10 +527,9 @@ class DiscreteMeasure:
         if wts.shape != (pts.shape[0],):
             raise ValueError("weights must be a vector matching the atom count")
         # one chunk at a time, so that checking a measure costs O(CHUNK);
-        # a table's rows are translates of its dilated parents, and a
-        # twist that overflows shows in the chunk reach
-        held = pts.dilated if table else pts
-        if not all(np.all(np.isfinite(held[sl])) for sl in chunk_slices(len(held))):
+        # a view checks its rows when it is made
+        if not view and not all(np.all(np.isfinite(pts[sl]))
+                                for sl in chunk_slices(len(pts))):
             raise ValueError("atom coordinates must be finite")
         # a zero-stride vector holds one weight, so its first entry is all
         held = wts[:1] if wts.strides == (0,) else wts
@@ -473,7 +538,7 @@ class DiscreteMeasure:
             raise ValueError("weights must be finite and strictly positive")
         if self.spacing is not None and not self.spacing > 0.0:
             raise ValueError("spacing must be positive when given")
-        if not table:
+        if not view:
             pts = pts.view()
             pts.flags.writeable = False
         self.points = pts
@@ -488,26 +553,26 @@ class DiscreteMeasure:
     def rows(self, sl, out=None) -> np.ndarray:
         """Coordinates of the atoms in ``sl``, a slice of step 1.
 
-        An explicit array gives a read-only view.  A table builds the rows
-        into ``out``, a coordinate-major array of at least as many rows
-        (allocated when None), and returns them.
+        An explicit array gives a read-only view.  An :class:`AtomView`
+        builds the rows into ``out``, a coordinate-major array of at
+        least as many rows (allocated when None), and returns them.
         """
-        if isinstance(self.points, AtomTable):
+        if isinstance(self.points, AtomView):
             return self.points.rows(sl, out)
         return self.points[sl]
 
     def _row_buffer(self):
-        """``out`` for :meth:`rows` of one chunk: CHUNK rows for a table,
+        """``out`` for :meth:`rows` of one chunk: CHUNK rows for a view,
         None for an explicit array."""
-        if not isinstance(self.points, AtomTable):
+        if not isinstance(self.points, AtomView):
             return None
         return np.empty((min(len(self), CHUNK), ambient_dim(self.n)), order="F")
 
     def _chunk_max_dists(self, ref=None) -> np.ndarray:
         """The largest distance of each chunk's atoms from ``ref``, or
         from the chunk's first atom when None, in one chunked pass.  A
-        worker holds a table's built rows and the six temporaries of
-        ``core.dist`` per CHUNK row."""
+        worker holds a view's built rows (and their scratch) and the six
+        temporaries of ``core.dist`` per CHUNK row."""
         def worker():
             out = self._row_buffer()
 
@@ -517,10 +582,11 @@ class DiscreteMeasure:
 
             return farthest
 
-        built = ambient_dim(self.n) if isinstance(self.points, AtomTable) else 0
+        built = (8 * ambient_dim(self.n) + self.points.row_scratch
+                 if isinstance(self.points, AtomView) else 0)
         return np.array(_map_chunks(
             worker, [sl for sl in chunk_slices(len(self)) if sl.stop > sl.start],
-            8 * (built + 6)), dtype=float)
+            built + 8 * 6), dtype=float)
 
     @property
     def total_mass(self) -> float:
@@ -567,7 +633,7 @@ class DiscreteMeasure:
 
     def to_csv(self, path) -> None:
         cols = [f"x{i + 1}" for i in range(ambient_dim(self.n))] + ["weight"]
-        # a table's slices build their rows, a chunk at a time
+        # a view's slices build their rows, a block at a time
         write_csv(path, ",".join(cols), [self.points, self.weights])
 
     @classmethod

@@ -272,8 +272,8 @@ def test_corrupted_dilation_reaches_every_caller(monkeypatch, ifs14, mu2,
             "cylinder": np.asarray(cylinder_measure(trio, 3).points).tobytes(),
             "word": word_similarity(trio, (1, 2)).q.tobytes(),
             "separation": min_piece_separation(trio, 3),
-            "blowup": blowup_measure(mu2, mu2.points[37], 0.25,
-                                     s=2.0).points.tobytes(),
+            "blowup": np.asarray(blowup_measure(mu2, mu2.points[37], 0.25,
+                                                s=2.0).points).tobytes(),
             "region": (region.min_lower_margin, region.min_upper_margin),
             "fixed_point": float(np.max(np.abs(s.apply(fixed) - fixed))),
             "horest": horest_check(1, 0.5, trials=5000).min_margin,
@@ -431,3 +431,17 @@ def test_core_sums_no_last_axis():
              if isinstance(node, ast.keyword) and node.arg == "axis"
              and ast.unparse(node.value) in ("-1", "(-1,)")]
     assert found == []
+
+
+def test_group_law_refuses_an_out_that_overlaps_its_inputs():
+    rng = np.random.default_rng(3)
+    p, q = rng.normal(size=(2, 6, 3))
+    for law in (group_mul, core.left_displacement):
+        for out in (p, q, q[::-1], p.view()):
+            with pytest.raises(ValueError, match="share memory"):
+                law(p, q, out=out)
+        np.testing.assert_array_equal(law(p, q, out=np.empty((6, 3))), law(p, q))
+    # dilating in place stays allowed
+    want = dilate(0.5, q)
+    assert dilate(0.5, q, out=q) is q
+    assert q.tobytes() == want.tobytes()

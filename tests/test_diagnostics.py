@@ -405,3 +405,41 @@ def test_blowup_at_fixed_point_translates_lower_level(ifs14, mu2, mu3):
     block = nu.points[5 * 256 : 6 * 256]
     expected = group_mul(group_inv(v), mu2.points)
     assert float(np.max(np.abs(block - expected))) < 1e-10
+
+
+@pytest.mark.parametrize("source", ["table", "explicit", "blowup"])
+def test_blowup_view_rows_are_the_explicit_map(mu5, source):
+    explicit = np.asarray(mu5.points)
+    center = explicit[70_001]
+    mu = {"table": mu5,
+          "explicit": DiscreteMeasure(1, explicit, mu5.weights),
+          "blowup": blowup_measure(mu5, explicit[3], 0.5, s=2.0)}[source]
+    atoms = np.asarray(mu.points) if source == "blowup" else explicit
+    want = core.blowup_map(center, 0.25, atoms)
+    nu = blowup_measure(mu, center, 0.25, s=2.0)
+    assert isinstance(nu.points, diagnostics.BlowupView)
+    assert nu.points.shape == want.shape and nu.points.nbytes == 0
+    # a source that is a view builds its rows into scratch of their own,
+    # and a blow-up source its own source's rows too
+    assert nu.points.row_scratch == {"explicit": 0, "table": 24,
+                                     "blowup": 48}[source]
+    idx = np.array([0, 7, 65535, 65536, 600_001, len(mu) - 1, -2])
+    out = np.empty((measure.CHUNK, 3), order="F")
+    for got, expected in [
+            (nu.points.rows(slice(65530, 131080)), want[65530:131080]),
+            (nu.points.rows(slice(100, 200), out), want[100:200]),
+            (nu.points[12345], want[12345]), (nu.points[-1], want[-1]),
+            (nu.points[idx], want[idx]),
+            (nu.points[65530:131080], want[65530:131080]),
+            (nu.points[5:200_000:3], want[5:200_000:3]),
+            (np.asarray(nu.points), want)]:
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    with pytest.raises(IndexError):
+        nu.points[[len(mu)]]
+
+
+def test_a_blowup_whose_map_overflows_is_refused_when_built():
+    mu = DiscreteMeasure(1, [[0.0, 0.0, 0.0], [0.0, 0.0, 1e300]], np.ones(2))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        blowup_measure(mu, np.zeros(3), 1e-10, s=2.0)

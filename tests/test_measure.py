@@ -171,20 +171,65 @@ def test_csv_chunked_write_matches_one_savetxt(tmp_path):
     assert path.read_bytes() == ref.getvalue().encode()
 
 
+def _csv_bytes(columns):
+    """The bytes of one np.savetxt of the stacked columns."""
+    ref = io.StringIO()
+    np.savetxt(ref, np.column_stack(columns), delimiter=",", fmt="%.17g")
+    return ref.getvalue().encode()
+
+
+def _mixed_columns():
+    """Three blocks of rows that cycle through signed zeros, subnormals,
+    infinities, NaNs and integral floats, so that each value repeats
+    within a block and across its boundaries, beside an int column."""
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     np.inf, -np.inf, np.nan, -np.nan, 1.0, -3.0, 2.0 ** 53,
+                     1e16, 0.1, 1 / 3, -0.0, 7.0])
+    rows = 2 * measure.CSV_BLOCK + 5
+    floats = pool[np.arange(rows) % len(pool)]
+    ints = np.arange(rows, dtype=np.int64) % 11 - 5
+    ints[::997] = 2 ** 60 + 1
+    return floats, ints
+
+
+@pytest.mark.parametrize("case", ["mixed", "ints", "block_beside_column",
+                                  "no_rows"])
+def test_csv_writer_has_the_bytes_of_one_savetxt(tmp_path, case):
+    floats, ints = _mixed_columns()
+    columns = {
+        "mixed": [floats, ints],
+        "ints": [ints, ints[::-1]],
+        "block_beside_column": [np.column_stack([floats, -floats]), floats[::-1]],
+        "no_rows": [np.empty((0, 3)), np.empty(0)],
+    }[case]
+    path = tmp_path / "t.csv"
+    measure.write_csv(path, "h", columns)
+    assert path.read_bytes() == b"h\n" + _csv_bytes(columns)
+
+
 def test_csv_write_memory_is_bounded_by_the_chunk(tmp_path, mu5, monkeypatch):
     # row formatting is swapped for a recorder, since tracemalloc slows
-    # it tens of times over; the bytes are pinned by the test above
+    # it tens of times over; the bytes are pinned by the tests above
     rows = []
-    monkeypatch.setattr(np, "savetxt", lambda fh, data, **kw: rows.append(len(data)))
-    tracemalloc.start()
-    try:
-        mu5.to_csv(tmp_path / "mu5.csv")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(rows) == len(mu5)
+    monkeypatch.setattr(measure, "_format_block",
+                        lambda block: rows.append(len(block)) or "")
+
+    def peak_of(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     # the full (N, 4) row array alone would be 33.5 MB
-    assert peak < 10e6
+    assert peak_of(lambda: mu5.to_csv(tmp_path / "mu5.csv")) < 10e6
+    assert sum(rows) == len(mu5)
+    # a blow-up holds no atoms: the explicit array alone would be 25.2 MB
+    rows.clear()
+    assert peak_of(lambda: blowup_measure(mu5, np.zeros(3), 0.25, s=2.0)
+                   .to_csv(tmp_path / "zoom.csv")) < 10e6
+    assert sum(rows) == len(mu5)
 
 
 def test_csv_read_memory_is_the_measure_plus_a_block(tmp_path):
