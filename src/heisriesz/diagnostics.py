@@ -500,7 +500,7 @@ class BlowupView(AtomView):
                    for sl in chunk_slices(len(mu))):
             raise ValueError("atom coordinates must be finite")
 
-    def rows(self, sl, out=None) -> np.ndarray:
+    def rows(self, sl, out=None, block=None) -> np.ndarray:
         start, stop, out = self._span(sl, out)
         return blowup_map(self.center, self.r,
                           self.source.rows(slice(start, stop)), out=out)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
+from . import core, measure
 from .core import ambient_dim, dist
 from .measure import (CHUNK, DEFAULT_ATOM_CAP, AtomCapExceeded, AtomTable,
                       DiscreteMeasure, chunk_slices)
@@ -206,7 +206,12 @@ def cylinder_measure(ifs: Ifs, level: int,
     :class:`~heisriesz.measure.AtomTable` of its level - 1 atoms dilated
     by the common ratio and its maps' translations (1/N of the
     coordinates), whose rows a sweep builds a chunk at a time with the
-    bits of the full build; any other keeps all its atoms.
+    bits of the full build; any other keeps all its atoms.  When its
+    level - 1 has more than ``measure.CHUNK`` atoms (read at the call),
+    the level - 1 atoms are themselves such a table, of the level - 2
+    atoms, which the sweep dilates a parent block at a time, so it holds
+    1/N^2 of the coordinates (1.57 MB at level 6 of the sixteen-map
+    system in H^1).
 
     Each level is built in place: map m sends the parents, rows
     0 .. N^k - 1, to rows m*N^k .., so map 0 overwrites them and goes
@@ -227,9 +232,12 @@ def cylinder_measure(ifs: Ifs, level: int,
     equal = np.all(ratios == ratios[0])
     if equal and level:
         # every map dilates its parents by the one ratio first
-        parents = _cylinder_atoms(ifs, level - 1)
-        points = AtomTable(core.dilate(maps[0].r, parents, out=parents),
-                           [s.q for s in maps])
+        r, shifts = maps[0].r, [s.q for s in maps]
+        nested = level >= 2 and N ** (level - 1) > measure.CHUNK
+        parents = _cylinder_atoms(ifs, level - 2 if nested else level - 1)
+        points = AtomTable(core.dilate(r, parents, out=parents), shifts)
+        if nested:
+            points = AtomTable(points, shifts, ratio=r)
     else:
         points = _cylinder_atoms(ifs, level)
 

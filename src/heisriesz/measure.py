@@ -8,7 +8,9 @@ of a chunk of atoms is one contiguous run, or a read-only
 is an :class:`AtomTable`: the level L - 1 atoms of an equal-ratio
 cylinder measure, dilated by its ratio, and its maps' translations,
 from which each chunk is built bit for bit as the full build makes it;
-another is a blow-up (``diagnostics.blowup_measure``), which maps its
+the level L - 1 atoms may themselves be such a table, of the level
+L - 2 atoms, whose rows are built and dilated a parent block at a
+time (:class:`ParentBlock`); another is a blow-up (``diagnostics.blowup_measure``), which maps its
 source's rows as they are read and holds no atoms.  Every reader takes
 its rows through :meth:`DiscreteMeasure.rows` (or the view's indexing,
 which builds the same rows).  Equal weights may be held once,
@@ -73,7 +75,9 @@ PARALLEL_CHUNKS = 32
 # count.  A worker holds CHUNK rows of 2(2n+1)+1 doubles, and 3(2n+1)+1
 # when it sweeps a view's built chunk for a batch of centres, plus two
 # byte masks and the view's row scratch: 3.80 MB and 5.37 MB for n = 1
-# with none, so two of either fit.
+# with none, so two of either fit.  A nested table's parent block (2n+1
+# doubles a row) is a buffer of its own for one centre, 5.37 MB in all,
+# and the displacement rows for a batch, so two workers still fit.
 SWEEP_BYTES = 11 * 10 ** 6
 
 # The cap on a sweep's worker threads, set by _worker_cap; None is every CPU.
@@ -114,7 +118,7 @@ def _worker_cap(threads):
         _WORKER_CAP.reset(token)
 
 
-def _map_chunks(worker, chunks, row_bytes: int) -> list:
+def _map_chunks(worker, chunks, row_bytes: int, key=None) -> list:
     """``[work(chunk) for chunk in chunks]``, where each thread that
     works takes ``work = worker()`` once, so that it can hold a workspace
     of its own, of ``row_bytes`` per CHUNK row.
@@ -123,8 +127,9 @@ def _map_chunks(worker, chunks, row_bytes: int) -> list:
     are spread over it and helper threads, as many in all as the process
     has CPUs, at most the cap of :func:`_worker_cap`, and at most as many
     workspaces as SWEEP_BYTES holds.  Each thread takes the next chunk
-    not yet taken, and the results keep the order of ``chunks``.  An
-    exception in any thread reaches the caller.
+    not yet taken, in the order of ``key(chunk)`` (stably) when a key is
+    given, and the results keep the order of ``chunks``.  An exception
+    in any thread reaches the caller.
     """
     workers = 1
     if len(chunks) >= PARALLEL_CHUNKS:
@@ -132,11 +137,16 @@ def _map_chunks(worker, chunks, row_bytes: int) -> list:
         workers = min(_cpu_count(), len(chunks),
                       SWEEP_BYTES // (CHUNK * row_bytes),
                       len(chunks) if cap is None else cap)
+    order = range(len(chunks))
+    if key is not None:
+        order = sorted(order, key=lambda i: key(chunks[i]))
+    results = [None] * len(chunks)
     if workers <= 1:
         work = worker()
-        return [work(chunk) for chunk in chunks]
-    results = [None] * len(chunks)
-    taken, lock = iter(range(len(chunks))), threading.Lock()
+        for i in order:
+            results[i] = work(chunks[i])
+        return results
+    taken, lock = iter(order), threading.Lock()
 
     def drain():
         work = worker()
@@ -198,8 +208,10 @@ class AtomView:
     """A read-only lazy view of an (N, 2n+1) array of atom coordinates.
 
     A subclass holds what its rows are built from and supplies
-    ``rows(sl, out)``, which builds the rows of a slice of step 1 into
-    ``out`` (allocated when None), and ``_take(idx)``, which builds the
+    ``rows(sl, out, block)``, which builds the rows of a slice of step 1
+    into ``out`` (allocated when None), with ``block`` a
+    :class:`ParentBlock` for a nested :class:`AtomTable` and ignored by
+    any other view, and ``_take(idx)``, which builds the
     rows of a 1-D array of in-range indices into a new array.  ``len``,
     ``shape``, ``[int]``, ``[int array]`` and ``[slice]`` build only the
     rows asked for, ``np.asarray`` builds every row (coordinate-major),
@@ -254,6 +266,16 @@ class AtomView:
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
+class ParentBlock:
+    """A buffer that a nested :class:`AtomTable` builds dilated parent
+    rows into, and the (first row, row count) of the parent rows it
+    holds (None while it holds none), so that the next read of the same
+    parent rows takes them as they are."""
+
+    def __init__(self, rows) -> None:
+        self.rows, self.key = rows, None
+
+
 class AtomTable(AtomView):
     """Atom coordinates held as dilated parents and translations, built
     on demand.
@@ -266,46 +288,92 @@ class AtomTable(AtomView):
     and its maps' translations: row m B + j is then S_m(parent j), by the
     ops of the last level of its build, with the bits of the full build.
 
+    The parents may instead be a table T of B rows, with the ratio r:
+    then D[j] = delta_r(T[j]), built on demand by T's ``group_mul`` and
+    then ``core.dilate``, the ops of the last two levels of the build, so
+    a measure of level L holds its level L - 2 atoms.  Only one level of
+    tables nests.  The parent rows that one letter segment of a slice
+    reads, its parent block, are built into ``block``, a
+    :class:`ParentBlock` that keeps them for the next read of the same
+    rows (one of ``min(m, B)`` rows, ``row_scratch``, when None).
+
     The table is a view (:class:`AtomView`) of the (len(translations) B,
-    2n+1) coordinate array that holds D.  The parents are checked for
-    finiteness when it is made; a twist that overflows shows in the
-    measure's chunk reach.
+    2n+1) coordinate array that holds D or T's dilated parents.  The held
+    parents are checked for finiteness when they are made; a twist that
+    overflows shows in the measure's chunk reach.
     """
 
-    def __init__(self, dilated, translations) -> None:
-        dilated = np.asfortranarray(dilated, dtype=float)
-        if dilated.ndim != 2:
-            raise ValueError(f"dilated parents must be (B, 2n+1), got {dilated.shape}")
-        if not all(np.all(np.isfinite(dilated[sl]))
-                   for sl in chunk_slices(len(dilated))):
-            raise ValueError("atom coordinates must be finite")
-        dilated.flags.writeable = False
-        self.dilated = dilated
+    def __init__(self, parents, translations, ratio=None) -> None:
+        if isinstance(parents, AtomTable):
+            if parents.inner is not None or ratio is None:
+                raise ValueError("a table's parents are an array, or a table "
+                                 "of arrays with the ratio that dilates them")
+            self.inner, self.ratio = parents, float(ratio)
+            self.row_scratch = 8 * parents.shape[1]
+            held = parents._held
+        else:
+            dilated = np.asfortranarray(parents, dtype=float)
+            if dilated.ndim != 2:
+                raise ValueError(f"dilated parents must be (B, 2n+1), got {dilated.shape}")
+            if not all(np.all(np.isfinite(dilated[sl]))
+                       for sl in chunk_slices(len(dilated))):
+                raise ValueError("atom coordinates must be finite")
+            dilated.flags.writeable = False
+            self.inner, self.dilated, held = None, dilated, (dilated,)
+            parents = dilated
+        self.parent_count = len(parents)
         self.translations = tuple(np.asarray(q, dtype=float) for q in translations)
-        super().__init__((len(self.translations) * len(dilated), dilated.shape[1]),
-                         (dilated,))
+        super().__init__((len(self.translations) * len(parents), parents.shape[1]),
+                         held)
 
-    def rows(self, sl, out=None) -> np.ndarray:
+    def rows(self, sl, out=None, block=None) -> np.ndarray:
         """Rows ``sl`` (a slice of step 1) written into ``out``, a
         (>= m, 2n+1) array, allocated when None.  A slice that spans
-        several first letters is built one letter segment at a time."""
+        several first letters is built one letter segment at a time; a
+        nested table builds each segment's parent block into ``block``."""
         start, stop, out = self._span(sl, out)
+        if self.inner is not None and block is None:
+            block = ParentBlock(np.empty((min(len(out), self.parent_count),
+                                          self.shape[1]), order="F"))
         at = start
         while at < stop:
-            letter, j = divmod(at, len(self.dilated))
-            k = min(stop - at, len(self.dilated) - j)
-            core.group_mul(self.translations[letter], self.dilated[j:j + k],
+            letter, j = divmod(at, self.parent_count)
+            k = min(stop - at, self.parent_count - j)
+            core.group_mul(self.translations[letter], self._parent_block(j, k, block),
                            out=out[at - start:at - start + k])
             at += k
         return out
 
+    def _parent_block(self, j, k, block):
+        """Dilated parent rows j .. j + k - 1: held, or built into
+        ``block`` unless it holds them already."""
+        if self.inner is None:
+            return self.dilated[j:j + k]
+        if block.key != (j, k):
+            parents = self.inner.rows(slice(j, j + k), out=block.rows)
+            core.dilate(self.ratio, parents, out=parents)
+            block.key = (j, k)
+        return block.rows[:k]
+
     def _take(self, idx) -> np.ndarray:
-        letters, j = np.divmod(idx, len(self.dilated))
+        letters, j = np.divmod(idx, self.parent_count)
+        parents = (self.dilated[j] if self.inner is None
+                   else core.dilate(self.ratio, self.inner._take(j)))
         out = np.empty((len(idx), self.shape[1]), order="F")
         for letter in np.unique(letters):
             at = np.flatnonzero(letters == letter)
-            out[at] = core.group_mul(self.translations[letter], self.dilated[j[at]])
+            out[at] = core.group_mul(self.translations[letter], parents[at])
         return out
+
+
+def _parent_order(points):
+    """The key by which sweeps take the slices of their chunks: a nested
+    table's grouped by the parent row they start at (stably), so that a
+    worker that keeps its parent block builds each about once; None, for
+    chunk order, for any other atoms."""
+    if isinstance(points, AtomTable) and points.inner is not None:
+        return lambda sl: sl.start % points.parent_count
+    return None
 
 
 def binned_sweep(mu, centers, edges, columns):
@@ -338,9 +406,12 @@ def binned_sweep(mu, centers, edges, columns):
     once per chunk (:meth:`DiscreteMeasure.rows`): into the columns'
     rows for one centre, where it is spent once u is formed, and into a
     buffer of its own for a batch, which every centre that the chunk can
-    reach then sweeps.  A sweep that keeps PARALLEL_CHUNKS chunks or more
-    spreads them over the calling thread and helper threads
-    (:func:`_map_chunks`).  Each (centre, chunk) pair's per-bin sums are
+    reach then sweeps.  A nested table's parent block goes into a buffer
+    that the worker keeps across chunks for one centre (the chunks are
+    taken grouped by parent block, so a worker builds each about once),
+    and into u's rows, once per chunk, for a batch.  A sweep that keeps
+    PARALLEL_CHUNKS chunks or more spreads them over the calling thread
+    and helper threads (:func:`_map_chunks`).  Each (centre, chunk) pair's per-bin sums are
     kept, and the caller adds them into the centre's bins in chunk order,
     as one thread does, so the result has the same bits at every thread
     count and for a batch as for each centre alone.
@@ -399,6 +470,11 @@ def binned_sweep(mu, centers, edges, columns):
     # for one, the columns' rows hold it until u is formed
     view = isinstance(mu.points, AtomView)
     held = view and len(batch) > 1
+    by_parent = _parent_order(mu.points)
+    # a nested table's parent block: for one centre, a buffer of the
+    # worker's own that it keeps across chunks; for a batch, the
+    # displacement rows, free until the chunk's first centre
+    own_block = by_parent is not None and not held
 
     def sweeper():
         rows = min(len(mu), CHUNK)
@@ -407,13 +483,16 @@ def binned_sweep(mu, centers, edges, columns):
         cols_ws = np.empty((dim + 1, rows))
         inside_ws = np.empty((2, rows), dtype=bool)
         chunk_ws = np.empty((rows, dim), order="F") if held else cols_ws[:dim].T
+        kept_block = (ParentBlock(np.empty((rows, dim), order="F"))
+                      if own_block else None)
 
         def sweep_chunk(chunk):
             """Each kept centre's first window bin, and its sums per bin
             from there on."""
             sl, centres = chunk
             m = sl.stop - sl.start
-            q = mu.rows(sl, out=chunk_ws)
+            q = mu.rows(sl, out=chunk_ws, block=kept_block if own_block
+                        else ParentBlock(u_ws))
             out = []
             for i, lo, hi in centres:
                 u = core.left_displacement(batch[i], q, out=u_ws[:m])
@@ -432,9 +511,12 @@ def binned_sweep(mu, centers, edges, columns):
         return sweep_chunk
 
     sums = np.zeros((len(batch), k, top))
-    row_bytes = (8 * ((3 if held else 2) * dim + 1) + 2
-                 + (mu.points.row_scratch if view else 0))
-    for results in _map_chunks(sweeper, kept, row_bytes):
+    # a view's row scratch, but for the parent block that a batch builds
+    # into u
+    scratch = mu.points.row_scratch if view and (own_block or by_parent is None) else 0
+    key = None if by_parent is None else (lambda chunk: by_parent(chunk[0]))
+    for results in _map_chunks(sweeper, kept, 8 * ((3 if held else 2) * dim + 1)
+                               + 2 + scratch, key):
         for i, start, bins in results:
             for b, bin_sums in enumerate(bins, start):
                 sums[i, :, b] += bin_sums
@@ -550,15 +632,17 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def rows(self, sl, out=None) -> np.ndarray:
+    def rows(self, sl, out=None, block=None) -> np.ndarray:
         """Coordinates of the atoms in ``sl``, a slice of step 1.
 
         An explicit array gives a read-only view.  An :class:`AtomView`
         builds the rows into ``out``, a coordinate-major array of at
-        least as many rows (allocated when None), and returns them.
+        least as many rows (allocated when None), and returns them; a
+        nested table builds its parent rows into ``block``, a
+        :class:`ParentBlock` (its own when None).
         """
         if isinstance(self.points, AtomView):
-            return self.points.rows(sl, out)
+            return self.points.rows(sl, out, block)
         return self.points[sl]
 
     def _row_buffer(self):
@@ -571,13 +655,17 @@ class DiscreteMeasure:
     def _chunk_max_dists(self, ref=None) -> np.ndarray:
         """The largest distance of each chunk's atoms from ``ref``, or
         from the chunk's first atom when None, in one chunked pass.  A
-        worker holds a view's built rows (and their scratch) and the six
+        worker holds a view's built rows (and their scratch, a nested
+        table's parent block, which it keeps across chunks) and the six
         temporaries of ``core.dist`` per CHUNK row."""
+        by_parent = _parent_order(self.points)
+
         def worker():
             out = self._row_buffer()
+            block = None if by_parent is None else ParentBlock(np.empty_like(out))
 
             def farthest(sl):
-                rows = self.rows(sl, out)
+                rows = self.rows(sl, out, block)
                 return dist(rows[0] if ref is None else ref, rows).max()
 
             return farthest
@@ -586,7 +674,7 @@ class DiscreteMeasure:
                  if isinstance(self.points, AtomView) else 0)
         return np.array(_map_chunks(
             worker, [sl for sl in chunk_slices(len(self)) if sl.stop > sl.start],
-            built + 8 * 6), dtype=float)
+            built + 8 * 6, key=by_parent), dtype=float)
 
     @property
     def total_mass(self) -> float:
@@ -640,13 +728,15 @@ class DiscreteMeasure:
     def from_csv(cls, path, label: str = "", spacing: float | None = None):
         """Read a measure written by :meth:`to_csv`.
 
-        One binary pass counts the rows; the coordinate-major points and
-        the weights are allocated once and filled from ``np.loadtxt``
-        blocks of CHUNK rows, so a read holds the measure plus one block.
-        Blank and comment lines are skipped as ``np.loadtxt`` skips them
-        (numpy warns about them when it reads by rows, and the arrays are
-        then trimmed, by a copy).  Weights that all have the same bits
-        are held once, as a zero-stride vector.
+        One binary pass counts the rows; the coordinate-major points are
+        allocated once and filled from ``np.loadtxt`` blocks of CHUNK rows,
+        so a read holds the measure plus one block.  Blank and comment
+        lines are skipped as ``np.loadtxt`` skips them (numpy warns about
+        them when it reads by rows, and the points are then trimmed, by a
+        copy).  Weights that all have the bits of the first are held once,
+        as a zero-stride vector, as they are read: the full vector is
+        allocated, and its earlier rows filled with the first weight, only
+        when a block holds a weight with other bits.
         """
         with open(path, "rb") as fh:
             header = fh.readline().decode("utf-8").strip()
@@ -660,7 +750,9 @@ class DiscreteMeasure:
             if last != b"\n":
                 rows += 1
         n = group_index(len(cols) - 1)
-        pts, wts = np.empty((rows, len(cols) - 1), order="F"), np.empty(rows)
+        pts = np.empty((rows, len(cols) - 1), order="F")
+        # the first weight, and the full vector once another is read
+        first, wts = np.empty(0), None
         filled = 0
         with open(path, "r", encoding="utf-8") as fh:
             fh.readline()
@@ -673,17 +765,19 @@ class DiscreteMeasure:
                 if data.shape[1] != len(cols):
                     raise ValueError("row width does not match the header")
                 pts[filled:filled + got] = data[:, :-1]
-                wts[filled:filled + got] = data[:, -1]
+                if not filled:
+                    first = data[:1, -1].copy()
+                if wts is None and np.any(data[:, -1].view(np.int64)
+                                          != first.view(np.int64)):
+                    wts = np.empty(rows)
+                    wts[:filled] = first
+                if wts is not None:
+                    wts[filled:filled + got] = data[:, -1]
                 filled += got
                 # the next block must not be parsed while this one is held
                 del data
                 if got < want:
                     break
-        wts = wts[:filled]
-        # equal weights are held once, as a cylinder measure holds them;
-        # the copy lets the full vector go
-        same = wts[:1].view(np.int64)
-        if filled and all(np.all(wts[sl].view(np.int64) == same)
-                          for sl in chunk_slices(filled)):
-            wts = np.broadcast_to(wts[:1].copy(), (filled,))
+        wts = (np.broadcast_to(first, (filled,)) if wts is None
+               else wts[:filled])
         return cls(n, pts[:filled], wts, label=label, spacing=spacing)

@@ -19,6 +19,7 @@ from heisriesz.diagnostics import (
     subgroup_boundedness_probe,
 )
 from heisriesz.diagnostics import _fit_slope, _growth_verdict
+from heisriesz.fractal import cylinder_measure
 from heisriesz.measure import DiscreteMeasure
 from heisriesz.riesz import RieszParams, growth_profile, truncations
 from heisriesz.subgroups import make_horizontal, make_vertical
@@ -407,22 +408,27 @@ def test_blowup_at_fixed_point_translates_lower_level(ifs14, mu2, mu3):
     assert float(np.max(np.abs(block - expected))) < 1e-10
 
 
-@pytest.mark.parametrize("source", ["table", "explicit", "blowup"])
-def test_blowup_view_rows_are_the_explicit_map(mu5, source):
+@pytest.mark.parametrize("source", ["table", "explicit", "blowup", "nested"])
+def test_blowup_view_rows_are_the_explicit_map(mu5, ifs14, source, monkeypatch):
     explicit = np.asarray(mu5.points)
     center = explicit[70_001]
-    mu = {"table": mu5,
-          "explicit": DiscreteMeasure(1, explicit, mu5.weights),
-          "blowup": blowup_measure(mu5, explicit[3], 0.5, s=2.0)}[source]
+    if source == "nested":
+        # level 4 has more than a chunk of atoms: a table of tables
+        monkeypatch.setattr(measure, "CHUNK", 4096)
+    mu = {"table": lambda: mu5,
+          "explicit": lambda: DiscreteMeasure(1, explicit, mu5.weights),
+          "blowup": lambda: blowup_measure(mu5, explicit[3], 0.5, s=2.0),
+          "nested": lambda: cylinder_measure(ifs14, 5)}[source]()
     atoms = np.asarray(mu.points) if source == "blowup" else explicit
     want = core.blowup_map(center, 0.25, atoms)
     nu = blowup_measure(mu, center, 0.25, s=2.0)
     assert isinstance(nu.points, diagnostics.BlowupView)
     assert nu.points.shape == want.shape and nu.points.nbytes == 0
     # a source that is a view builds its rows into scratch of their own,
-    # and a blow-up source its own source's rows too
+    # a blow-up source its own source's rows too, and a table of tables
+    # its parent block
     assert nu.points.row_scratch == {"explicit": 0, "table": 24,
-                                     "blowup": 48}[source]
+                                     "blowup": 48, "nested": 48}[source]
     idx = np.array([0, 7, 65535, 65536, 600_001, len(mu) - 1, -2])
     out = np.empty((measure.CHUNK, 3), order="F")
     for got, expected in [

@@ -193,13 +193,30 @@ def test_cylinder_measure_memory_is_output_plus_a_chunk(ifs14):
     assert peak - mu.points.nbytes < 3e6
 
 
-def test_level_6_measure_holds_its_level_5_atoms():
-    # the 16.8M atoms' coordinates would take 403 MB; the table holds the
-    # dilated level-5 atoms, 25.2 MB, and the build a chunk of scratch
-    mu, peak = _traced_peak(lambda: cylinder_measure(make_strichartz_ifs(1, 0.25), 6))
-    assert len(mu) == 16 ** 6 and mu.points.shape == (16 ** 6, 3)
-    assert mu.points.nbytes == 16 ** 5 * 3 * 8
-    assert peak < 30e6
+def _held_level(n, level):
+    """The measure of the corner family at ``level``, with its build's
+    tracemalloc peak, after checking that it holds a table of tables:
+    its dilated level - 2 atoms."""
+    mu, peak = _traced_peak(lambda: cylinder_measure(make_strichartz_ifs(n, 0.25),
+                                                     level))
+    N, dim = 4 ** (n + 1), 2 * n + 1
+    assert len(mu) == N ** level and mu.points.shape == (N ** level, dim)
+    assert mu.points.inner is not None
+    assert mu.points.nbytes == N ** (level - 2) * dim * 8
+    return peak
+
+
+def test_level_6_measure_holds_its_level_4_atoms():
+    # the 16.8M atoms' coordinates would take 403 MB, and the level-5
+    # atoms 25.2 MB; the table holds the dilated level-4 atoms, 1.57 MB,
+    # and the build a chunk of scratch
+    assert _held_level(1, 6) < 5e6
+
+
+def test_n2_level_4_measure_holds_its_level_2_atoms():
+    # 64^4 atoms again: 671 MB of coordinates, 10.5 MB at level 3, and
+    # 0.16 MB held
+    assert _held_level(2, 4) < 1e6
 
 
 def test_unequal_ratio_weights_are_stored_in_full():

@@ -277,6 +277,43 @@ def test_csv_one_differing_weight_keeps_a_full_vector(tmp_path):
     assert w[-1] == 0.25 and np.all(w[:-1] == 0.5)
 
 
+def test_csv_read_of_equal_weights_allocates_no_weight_vector(tmp_path, mu5):
+    # the level-5 file: a full weight vector would be 8.4 MB, and one
+    # loadtxt block and its parse take under 3 MB
+    path = tmp_path / "mu5.csv"
+    mu5.to_csv(path)
+    tracemalloc.start()
+    try:
+        back = DiscreteMeasure.from_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.weights.strides == (0,)
+    assert back.weights.tobytes() == mu5.weights.tobytes()
+    assert peak - back.points.nbytes < 8e6
+
+
+@pytest.mark.parametrize("case", ["equal", "last_block", "last_row", "one_row"])
+def test_csv_weights_read_back_with_the_bits_of_loadtxt(tmp_path, case):
+    # equal weights up to the last block or the last row, whose rows
+    # before are then filled with the first weight
+    rows = 1 if case == "one_row" else 2 * CHUNK + 5
+    w = np.full(rows, 0.1)
+    if case == "last_block":
+        w[2 * CHUNK:] = 1 / 3
+        w[2 * CHUNK + 3] = 2.0
+    elif case == "last_row":
+        w[-1] = 0.1 + 2 ** -56
+    path = tmp_path / "mu.csv"
+    i = np.arange(rows, dtype=float)
+    DiscreteMeasure(1, np.column_stack([i, -i, 0.5 * i]), w).to_csv(path)
+    want = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    back = DiscreteMeasure.from_csv(path)
+    assert back.points.tobytes() == np.asfortranarray(want[:, :3]).tobytes()
+    assert back.weights.tobytes() == want[:, 3].tobytes()
+    assert back.weights.strides == ((8,) if case.startswith("last") else (0,))
+
+
 @pytest.mark.parametrize("variant,rows", [
     ("no-final-newline", 5), ("blank-lines", 5), ("blank-lines", CHUNK),
     ("comment-lines", 5), ("comment-lines", CHUNK),
@@ -852,29 +889,45 @@ def _two_maps():
         fractal.Similarity(n=1, q=np.array([0.5, 0.25, 0.125]), r=0.5)))
 
 
-@pytest.mark.parametrize("make, level, chunk", [
-    (lambda: fractal.make_strichartz_ifs(1, 0.25), 5, CHUNK),
-    (lambda: fractal.make_strichartz_ifs(2, 0.25), 3, CHUNK),
-    # 2048 rows per first letter: the second chunk starts inside the
+@pytest.mark.parametrize("make, level, chunk, nested", [
+    (lambda: fractal.make_strichartz_ifs(1, 0.25), 5, CHUNK, False),
+    (lambda: fractal.make_strichartz_ifs(2, 0.25), 3, CHUNK, False),
+    # 1024 rows per first letter: the second chunk starts inside the
     # first letter and ends in the second
-    (_two_maps, 12, 1500),
-], ids=["n1_L5", "n2_L3", "two_maps_L12"])
-def test_every_table_chunk_is_the_explicit_build(make, level, chunk,
+    (_two_maps, 11, 1500, False),
+    # level 4 has more than a chunk of atoms, so level 5 is a table of
+    # tables, each chunk inside one letter of either
+    (lambda: fractal.make_strichartz_ifs(1, 0.25), 5, 4096, True),
+    # 2048 rows per first letter, and 1024 per letter of the parents: the
+    # second chunk spans letters of the table, and the parent rows of the
+    # first chunk and of the second's second letter span the parents'
+    (_two_maps, 12, 1500, True),
+], ids=["n1_L5", "n2_L3", "two_maps_L11", "n1_L5_nested", "two_maps_L12"])
+def test_every_table_chunk_is_the_explicit_build(make, level, chunk, nested,
                                                  monkeypatch):
     monkeypatch.setattr(measure, "CHUNK", chunk)
     ifs = make()
     mu = fractal.cylinder_measure(ifs, level)
     full = fractal._cylinder_atoms(ifs, level)
     assert isinstance(mu.points, AtomTable) and mu.points.shape == full.shape
+    assert (mu.points.inner is not None) == nested
     out = mu._row_buffer()
-    for sl in chunk_slices(len(mu)):
+    slices = list(chunk_slices(len(mu)))
+    for sl in slices:
         rows = mu.rows(sl, out)
         assert np.shares_memory(rows, out)
         np.testing.assert_array_equal(rows.view(np.uint64),
                                       full[sl].view(np.uint64))
+    if nested:
+        # one parent block kept across reads in chunk order and back: a
+        # block taken for parent rows of another start, or of the same
+        # start and another length, would give other bits
+        block = measure.ParentBlock(np.empty_like(out))
+        for sl in slices + slices[::-1]:
+            assert mu.rows(sl, out, block).tobytes() == full[sl].tobytes()
 
 
-def test_table_indexing_builds_the_same_bits(mu5):
+def test_table_indexing_builds_the_same_bits(mu5, ifs14, monkeypatch):
     full = np.asarray(mu5.points)
     assert full.flags.f_contiguous and full.shape == mu5.points.shape
     idx = np.array([0, 7, 65535, 65536, 600001, len(mu5) - 1, -2])
@@ -889,6 +942,61 @@ def test_table_indexing_builds_the_same_bits(mu5):
         mu5.points[[len(mu5)]]
     with pytest.raises(TypeError):
         mu5.points[0, 0] = 1.0
+    # a table of tables takes its rows' parents from its own parents
+    monkeypatch.setattr(measure, "CHUNK", 4096)
+    nested = fractal.cylinder_measure(ifs14, 5).points
+    assert nested.inner is not None
+    for got, want in [(nested[idx], full[idx]), (nested[::4096], full[::4096]),
+                      (nested[5:200_000:3], full[5:200_000:3])]:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # one level of tables nests, and only with the ratio that dilates it
+    for parents, ratio in [(nested, 0.25), (nested.inner, None)]:
+        with pytest.raises(ValueError, match="table of arrays"):
+            AtomTable(parents, nested.translations, ratio=ratio)
+
+
+def _flat_and_nested(ifs, level):
+    """The equal-ratio cylinder measure of ``level`` twice: as a table of
+    its level - 1 atoms and as a table of tables."""
+    maps = ifs.maps
+    parents = fractal._cylinder_atoms(ifs, level - 1)
+    flat = AtomTable(core.dilate(maps[0].r, parents), [s.q for s in maps])
+    nested = fractal.cylinder_measure(ifs, level)
+    assert nested.points.inner is not None
+    return DiscreteMeasure(ifs.n, flat, nested.weights), nested
+
+
+def test_sweeps_over_a_nested_table_have_the_flat_table_bits(
+        ifs14, monkeypatch, helper_pools):
+    # 256 chunks of 4096 atoms over 16 parent blocks, on one worker and
+    # on two; a batch builds each chunk's parent block into the rows of
+    # its displacements
+    monkeypatch.setattr(measure, "CHUNK", 4096)
+    monkeypatch.setattr(measure, "PARALLEL_CHUNKS", 2)
+    monkeypatch.setattr(measure, "_cpu_count", lambda: 64)
+    params = RieszParams(s=2.0, n=1)
+
+    def outputs(mu, centres, workers):
+        with measure._worker_cap(workers):
+            return [mu.chunk_reach(), mu.diameter_bound(),
+                    truncations(mu, params, None, centres[0],
+                                [0.25, 0.0625, 0.015625]),
+                    growth_profile(mu, params, centres, [0.5, 0.25, 0.125, 0.0625]),
+                    mu.ball_mass(centres[0], [0.01, 0.1, 1.0]),
+                    mu.ball_mass(centres, [0.01, 0.1, 1.0])]
+
+    for workers in (1, 2):
+        flat, nested = _flat_and_nested(ifs14, 5)
+        centres = flat.points[[12345, 600_001, 1_000_000]]
+        want = outputs(flat, centres, workers)
+        helper_pools.clear()
+        got = outputs(nested, centres, workers)
+        # the reach, the diameter and four sweeps
+        assert helper_pools == ([1] * 6 if workers == 2 else [])
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_a_table_row_that_overflows_is_refused_by_the_first_sweep():

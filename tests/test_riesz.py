@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from heisriesz import measure
+from heisriesz import fractal, measure
 from heisriesz.core import (dilate, dist, group_inv, group_mul, koranyi_norm,
                             left_displacement)
 from heisriesz.measure import DiscreteMeasure, binned_sweep, chunk_slices
@@ -299,6 +299,41 @@ def test_sweep_memory_is_bounded_by_the_chunk(call, mu5, monkeypatch,
         # the calling thread alone, or with one helper: two workspaces
         # fill the budget
         assert helper_pools == ([] if cpus is None else [1])
+
+
+def test_level_6_sweeps_run_two_workers_within_the_budget(monkeypatch):
+    # a worker of a single-centre sweep holds its parent block beside its
+    # workspace (82 B a row), and a batch worker its built chunk (82 B a
+    # row, the parent block in its displacement rows): two fit in
+    # SWEEP_BYTES
+    ifs = fractal.make_strichartz_ifs(1, 0.25)
+    mu = fractal.cylinder_measure(ifs, 6)
+    assert mu.points.inner is not None
+    mu.chunk_reach()
+    points = mu.points[fractal.cycle_atom_indices(16, 6, 2)]
+    params = RieszParams(s=2.0, n=1)
+    monkeypatch.setattr(measure, "_cpu_count", lambda: 64)
+    workers = []
+    map_chunks = measure._map_chunks
+
+    def counting(worker, chunks, row_bytes, key=None):
+        def counted():
+            workers.append(row_bytes)
+            return worker()
+        return map_chunks(counted, chunks, row_bytes, key)
+
+    monkeypatch.setattr(measure, "_map_chunks", counting)
+    for call in (lambda: truncated_transform(mu, params, None, points[0], 0.0625),
+                 lambda: growth_profile(mu, params, points, [0.25, 0.0625, 0.015625])):
+        workers.clear()
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert workers == [82, 82]
+        assert peak < measure.SWEEP_BYTES + 1e6
 
 
 def test_vertical_axis_sample_nearly_cancels():
