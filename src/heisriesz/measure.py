@@ -411,10 +411,11 @@ def binned_sweep(mu, centers, edges, columns):
     taken grouped by parent block, so a worker builds each about once),
     and into u's rows, once per chunk, for a batch.  A sweep that keeps
     PARALLEL_CHUNKS chunks or more spreads them over the calling thread
-    and helper threads (:func:`_map_chunks`).  Each (centre, chunk) pair's per-bin sums are
-    kept, and the caller adds them into the centre's bins in chunk order,
-    as one thread does, so the result has the same bits at every thread
-    count and for a batch as for each centre alone.
+    and helper threads (:func:`_map_chunks`).  Each (centre, chunk)
+    pair's per-bin sums are kept, and the caller adds them into the
+    centre's bins in chunk order, as one thread does, so the result has
+    the same bits at every thread count and for a batch as for each
+    centre alone.
 
     The triangle inequality, applied to the distance of a chunk's first
     atom from the centre and the chunk's cached reach, bounds the
@@ -491,8 +492,7 @@ def binned_sweep(mu, centers, edges, columns):
             from there on."""
             sl, centres = chunk
             m = sl.stop - sl.start
-            q = mu.rows(sl, out=chunk_ws, block=kept_block if own_block
-                        else ParentBlock(u_ws))
+            q = mu.rows(sl, out=chunk_ws, block=kept_block or ParentBlock(u_ws))
             out = []
             for i, lo, hi in centres:
                 u = core.left_displacement(batch[i], q, out=u_ws[:m])
@@ -513,7 +513,8 @@ def binned_sweep(mu, centers, edges, columns):
     sums = np.zeros((len(batch), k, top))
     # a view's row scratch, but for the parent block that a batch builds
     # into u
-    scratch = mu.points.row_scratch if view and (own_block or by_parent is None) else 0
+    scratch = (mu.points.row_scratch if view and (own_block or by_parent is None)
+               else 0)
     key = None if by_parent is None else (lambda chunk: by_parent(chunk[0]))
     for results in _map_chunks(sweeper, kept, 8 * ((3 if held else 2) * dim + 1)
                                + 2 + scratch, key):
