@@ -10,8 +10,9 @@ cylinder measure, dilated by its ratio, and its maps' translations,
 from which each chunk is built bit for bit as the full build makes it;
 the level L - 1 atoms may themselves be such a table, of the level
 L - 2 atoms, whose rows are built and dilated a parent block at a
-time (:class:`ParentBlock`); another is a blow-up (``diagnostics.blowup_measure``), which maps its
-source's rows as they are read and holds no atoms.  Every reader takes
+time (:class:`ParentBlock`); another is a blow-up
+(``diagnostics.blowup_measure``), which maps its source's rows as they
+are read and holds no atoms.  Every reader takes
 its rows through :meth:`DiscreteMeasure.rows` (or the view's indexing,
 which builds the same rows).  Equal weights may be held once,
 as a zero-stride vector (``np.broadcast_to``), which is kept as given.
@@ -24,10 +25,12 @@ atoms.  Each measure keeps, once computed, the reach of every chunk from
 its first atom, which gives a sweep the range of distance bins each
 chunk can reach: it skips the chunks that the triangle inequality puts
 outside the window it reads, and sums a chunk that falls in one bin
-without binning its atoms.  A sweep over many chunks, and the reach
-itself, run on as many threads as the process has CPUs (fewer where
-the sweep workspaces would pass SWEEP_BYTES), with the same bits as on
-one.  ``points`` and ``weights`` are read-only, so that cache cannot go
+without binning its atoms.  A sweep and the reach take each chunk in
+pieces of half a chunk, along the split of numpy's pairwise sum, so
+that their sums keep the bits of whole-chunk sums.  A sweep over many
+chunks, and the reach itself, run on as many threads as the process has
+CPUs (fewer where the sweep workspaces would pass SWEEP_BYTES), with
+the same bits as on one.  ``points`` and ``weights`` are read-only, so that cache cannot go
 stale.  Measures are written to and read from CSV files with the
 header ``x1,...,x{2n+1},weight``, with the bytes of ``np.savetxt``
 (``"%.17g"``) from a per-block table of each column's distinct values;
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -72,13 +76,18 @@ PARALLEL_CHUNKS = 32
 
 # Bytes that the workspaces of one sweep's worker threads hold together,
 # so that peak sweep memory stays bounded by the chunk at every CPU
-# count.  A worker holds CHUNK rows of 2(2n+1)+1 doubles, and 3(2n+1)+1
-# when it sweeps a view's built chunk for a batch of centres, plus two
-# byte masks and the view's row scratch: 3.80 MB and 5.37 MB for n = 1
-# with none, so two of either fit.  A nested table's parent block (2n+1
-# doubles a row) is a buffer of its own for one centre, 5.37 MB in all,
-# and the displacement rows for a batch, so two workers still fit.
-SWEEP_BYTES = 11 * 10 ** 6
+# count.  A worker takes half a chunk of rows at a time (a piece) and
+# forms its per-centre rows there: u, the columns and d, and two byte
+# masks, 16(2n+1) + 10 bytes a row, 1.90 MB for n = 1 and 2.95 MB for
+# n = 2.  A batch over a view holds the piece's built rows beside them,
+# and a single-centre sweep over a nested table the piece's parent rows,
+# 2n+1 doubles a row: 2.69 MB in all for n = 1 and 4.26 MB for n = 2,
+# so two n = 2 workers fit.  Quarter-chunk pieces would hold less, but
+# two threads took longer than one on them: each numpy call is then too
+# short for the threads to overlap while they hand the GIL over.  More
+# than four workers of 1.90 MB would pass 10 MB for one sweep, so the
+# budget is no larger.
+SWEEP_BYTES = 9 * 10 ** 6
 
 # The cap on a sweep's worker threads, set by _worker_cap; None is every CPU.
 _WORKER_CAP = contextvars.ContextVar("heisriesz_sweep_workers", default=None)
@@ -118,33 +127,33 @@ def _worker_cap(threads):
         _WORKER_CAP.reset(token)
 
 
-def _map_chunks(worker, chunks, row_bytes: int, key=None) -> list:
-    """``[work(chunk) for chunk in chunks]``, where each thread that
+def _map_pieces(worker, pieces, chunks: int, workspace: int, key=None) -> list:
+    """``[work(piece) for piece in pieces]``, where each thread that
     works takes ``work = worker()`` once, so that it can hold a workspace
-    of its own, of ``row_bytes`` per CHUNK row.
+    of its own, of ``workspace`` bytes.
 
-    Fewer than PARALLEL_CHUNKS chunks run on the calling thread.  More
-    are spread over it and helper threads, as many in all as the process
-    has CPUs, at most the cap of :func:`_worker_cap`, and at most as many
-    workspaces as SWEEP_BYTES holds.  Each thread takes the next chunk
-    not yet taken, in the order of ``key(chunk)`` (stably) when a key is
-    given, and the results keep the order of ``chunks``.  An exception
-    in any thread reaches the caller.
+    The pieces cover ``chunks`` chunks; fewer than PARALLEL_CHUNKS chunks
+    run on the calling thread.  More are spread over it and helper
+    threads, as many in all as the process has CPUs, at most the cap of
+    :func:`_worker_cap`, and at most as many workspaces as SWEEP_BYTES
+    holds.  Each thread takes the next piece not yet taken, in the order
+    of ``key(piece)`` (stably) when a key is given, and the results keep
+    the order of ``pieces``.  An exception in any thread reaches the
+    caller.
     """
     workers = 1
-    if len(chunks) >= PARALLEL_CHUNKS:
+    if chunks >= PARALLEL_CHUNKS:
         cap = _WORKER_CAP.get()
-        workers = min(_cpu_count(), len(chunks),
-                      SWEEP_BYTES // (CHUNK * row_bytes),
-                      len(chunks) if cap is None else cap)
-    order = range(len(chunks))
+        workers = min(_cpu_count(), len(pieces), SWEEP_BYTES // workspace,
+                      len(pieces) if cap is None else cap)
+    order = range(len(pieces))
     if key is not None:
-        order = sorted(order, key=lambda i: key(chunks[i]))
-    results = [None] * len(chunks)
+        order = sorted(order, key=lambda i: key(pieces[i]))
+    results = [None] * len(pieces)
     if workers <= 1:
         work = worker()
         for i in order:
-            results[i] = work(chunks[i])
+            results[i] = work(pieces[i])
         return results
     taken, lock = iter(order), threading.Lock()
 
@@ -155,7 +164,7 @@ def _map_chunks(worker, chunks, row_bytes: int, key=None) -> list:
                 i = next(taken, None)
             if i is None:
                 return
-            results[i] = work(chunks[i])
+            results[i] = work(pieces[i])
 
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
         helpers = [pool.submit(drain) for _ in range(workers - 1)]
@@ -269,8 +278,8 @@ class AtomView:
 class ParentBlock:
     """A buffer that a nested :class:`AtomTable` builds dilated parent
     rows into, and the (first row, row count) of the parent rows it
-    holds (None while it holds none), so that the next read of the same
-    parent rows takes them as they are."""
+    holds (None while it holds none), so that a later read of any of
+    those parent rows takes them as they are."""
 
     def __init__(self, rows) -> None:
         self.rows, self.key = rows, None
@@ -292,10 +301,13 @@ class AtomTable(AtomView):
     then D[j] = delta_r(T[j]), built on demand by T's ``group_mul`` and
     then ``core.dilate``, the ops of the last two levels of the build, so
     a measure of level L holds its level L - 2 atoms.  Only one level of
-    tables nests.  The parent rows that one letter segment of a slice
-    reads, its parent block, are built into ``block``, a
-    :class:`ParentBlock` that keeps them for the next read of the same
-    rows (one of ``min(m, B)`` rows, ``row_scratch``, when None).
+    tables nests.  The parent rows that a slice reads come from
+    ``block``, a :class:`ParentBlock` (one of ``min(m, B)`` rows,
+    ``row_scratch``, when None): when it does not hold them, it is filled
+    with the dilated parents from the first one read on, as many as it
+    holds, so that a chunk read a piece at a time, and the next chunks
+    with the same parents, take them as they are.  A letter segment
+    longer than the block is read a block at a time.
 
     The table is a view (:class:`AtomView`) of the (len(translations) B,
     2n+1) coordinate array that holds D or T's dilated parents.  The held
@@ -330,7 +342,8 @@ class AtomTable(AtomView):
         """Rows ``sl`` (a slice of step 1) written into ``out``, a
         (>= m, 2n+1) array, allocated when None.  A slice that spans
         several first letters is built one letter segment at a time; a
-        nested table builds each segment's parent block into ``block``."""
+        nested table takes each segment's parent rows from ``block``, at
+        most as many at a time as it holds."""
         start, stop, out = self._span(sl, out)
         if self.inner is not None and block is None:
             block = ParentBlock(np.empty((min(len(out), self.parent_count),
@@ -339,21 +352,26 @@ class AtomTable(AtomView):
         while at < stop:
             letter, j = divmod(at, self.parent_count)
             k = min(stop - at, self.parent_count - j)
+            if self.inner is not None:
+                k = min(k, len(block.rows))
             core.group_mul(self.translations[letter], self._parent_block(j, k, block),
                            out=out[at - start:at - start + k])
             at += k
         return out
 
     def _parent_block(self, j, k, block):
-        """Dilated parent rows j .. j + k - 1: held, or built into
-        ``block`` unless it holds them already."""
+        """Dilated parent rows j .. j + k - 1: held, or taken from
+        ``block``, which is first filled from parent row j on, as many
+        rows as it holds, unless it holds them already."""
         if self.inner is None:
             return self.dilated[j:j + k]
-        if block.key != (j, k):
-            parents = self.inner.rows(slice(j, j + k), out=block.rows)
+        first, count = block.key or (0, 0)
+        if not first <= j <= j + k <= first + count:
+            first, count = j, min(len(block.rows), self.parent_count - j)
+            parents = self.inner.rows(slice(first, first + count), out=block.rows)
             core.dilate(self.ratio, parents, out=parents)
-            block.key = (j, k)
-        return block.rows[:k]
+            block.key = (first, count)
+        return block.rows[j - first:j - first + k]
 
     def _take(self, idx) -> np.ndarray:
         letters, j = np.divmod(idx, self.parent_count)
@@ -367,9 +385,9 @@ class AtomTable(AtomView):
 
 
 def _parent_order(points):
-    """The key by which sweeps take the slices of their chunks: a nested
+    """The key by which sweeps take the slices of their pieces: a nested
     table's grouped by the parent row they start at (stably), so that a
-    worker that keeps its parent block builds each about once; None, for
+    worker that keeps its parent rows builds each about once; None, for
     chunk order, for any other atoms."""
     if isinstance(points, AtomTable) and points.inner is not None:
         return lambda sl: sl.start % points.parent_count
@@ -384,9 +402,10 @@ def binned_sweep(mu, centers, edges, columns):
     edges[i] < d <= edges[i+1], and atoms outside the window
     (edges[0], edges[-1]] contribute nothing.  So a closed ball of radius
     r is the window [-inf, r] and the truncation d > eps is [eps, inf].
-    One pass walks the atoms chunk by chunk; for each chunk and centre it
+    One pass walks the atoms chunk by chunk, and each chunk a piece at a
+    time (:func:`_pieces`, half a chunk); for each piece and centre it
     takes the displacements u = center^{-1} q and distances d = ||u||
-    from :mod:`core`, and ``columns(sl, u, d, out)`` returns the chunk's
+    from :mod:`core`, and ``columns(sl, u, d, out)`` returns the piece's
     per-atom values as c arrays: arrays of its own, or rows of ``out``, a
     (2n+1, len(d)) scratch that it may fill (several threads may call it
     at once, each with its own ``out``), but no view of ``u``, whose rows
@@ -400,22 +419,26 @@ def binned_sweep(mu, centers, edges, columns):
     when the columns use no CPU-dependent loop.
 
     Each thread that works on a call allocates one coordinate-major
-    workspace of CHUNK rows (u, the columns and d, bin masks) and writes
-    each chunk it takes into it, so a sweep's cost does not depend on
-    what the allocator holds from earlier work.  A view's chunk is built
-    once per chunk (:meth:`DiscreteMeasure.rows`): into the columns'
-    rows for one centre, where it is spent once u is formed, and into a
-    buffer of its own for a batch, which every centre that the chunk can
-    reach then sweeps.  A nested table's parent block goes into a buffer
-    that the worker keeps across chunks for one centre (the chunks are
-    taken grouped by parent block, so a worker builds each about once),
-    and into u's rows, once per chunk, for a batch.  A sweep that keeps
-    PARALLEL_CHUNKS chunks or more spreads them over the calling thread
-    and helper threads (:func:`_map_chunks`).  Each (centre, chunk)
-    pair's per-bin sums are kept, and the caller adds them into the
-    centre's bins in chunk order, as one thread does, so the result has
-    the same bits at every thread count and for a batch as for each
-    centre alone.
+    workspace of half a chunk of rows (u, the columns and d, bin masks)
+    and writes each piece it takes into it, so a sweep's cost does not
+    depend on what the allocator holds from earlier work.  A view's
+    piece is built once (:meth:`DiscreteMeasure.rows`): into the
+    columns' rows for one centre, where it is spent once u is formed,
+    and into a buffer of its own for a batch, which every centre that
+    the piece's chunk can reach then sweeps.  A nested table's parent
+    rows go into a buffer that the worker keeps across pieces for one
+    centre (the pieces are taken grouped by parent row, so a worker
+    builds each about once), and into u's rows, once per piece, for a
+    batch.  A sweep that keeps PARALLEL_CHUNKS chunks or more spreads
+    their pieces over the calling thread and helper threads
+    (:func:`_map_pieces`).  Each (centre, piece) pair's per-bin sums
+    are kept; the caller adds a chunk's pieces along the split of
+    numpy's pairwise sum (:func:`_pairwise`), which gives the bits of
+    the sum over the whole chunk, and adds the chunks into the centre's
+    bins in chunk order, as one thread does, so the result has the same
+    bits at every thread count and for a batch as for each centre alone.
+    This rests on how numpy splits a pairwise sum, which a tier-1 test
+    checks on the installed numpy.
 
     The triangle inequality, applied to the distance of a chunk's first
     atom from the centre and the chunk's cached reach, bounds the
@@ -430,9 +453,10 @@ def binned_sweep(mu, centers, edges, columns):
     there.  Across chunks the sums are taken in chunk order.  A bin that
     holds every atom of a chunk gets the same bits from either path, and
     a bin that holds none gets +0.0 or nothing, so pruning does not
-    change a bit of the result.  Against exact arithmetic, a bin's sum over c chunks errs by
-    at most about (35 + c) u sum |terms|, u = 2^-53 (numpy's pairwise sum
-    takes each term of a chunk through at most 35 additions).
+    change a bit of the result.  Against exact arithmetic, a bin's sum
+    over c chunks errs by at most about (35 + c) u sum |terms|,
+    u = 2^-53 (numpy's pairwise sum takes each term of a chunk through
+    at most 35 additions).
     """
     c, _ = _coords(centers, mu.n)
     if c.ndim > 2:
@@ -467,61 +491,102 @@ def binned_sweep(mu, centers, edges, columns):
         centres = np.flatnonzero(keep[:, j])
         if centres.size:
             kept.append((sl, [(i, first[i, j], last[i, j]) for i in centres]))
-    # a view's chunk built for several centres needs rows of its own;
+    # a view's piece built for several centres needs rows of its own;
     # for one, the columns' rows hold it until u is formed
     view = isinstance(mu.points, AtomView)
     held = view and len(batch) > 1
     by_parent = _parent_order(mu.points)
-    # a nested table's parent block: for one centre, a buffer of the
-    # worker's own that it keeps across chunks; for a batch, the
-    # displacement rows, free until the chunk's first centre
+    # a nested table's parent rows: for one centre, a buffer of the
+    # worker's own that it keeps across pieces; for a batch, the
+    # displacement rows, free until the piece's first centre
     own_block = by_parent is not None and not held
 
     def sweeper():
-        rows = min(len(mu), CHUNK)
+        rows = min(len(mu), _piece_rows())
         u_ws = np.empty((rows, dim), order="F")
         # the columns and then d; the norm's scratch is the last column
         cols_ws = np.empty((dim + 1, rows))
         inside_ws = np.empty((2, rows), dtype=bool)
-        chunk_ws = np.empty((rows, dim), order="F") if held else cols_ws[:dim].T
-        kept_block = (ParentBlock(np.empty((rows, dim), order="F"))
-                      if own_block else None)
+        # a batch's built piece, or the parent rows one centre keeps
+        built_ws = np.empty((rows, dim), order="F") if held or own_block else None
+        kept_block = ParentBlock(built_ws) if own_block else None
 
-        def sweep_chunk(chunk):
-            """Each kept centre's first window bin, and its sums per bin
-            from there on."""
-            sl, centres = chunk
+        def sweep_piece(piece):
+            """Each of the chunk's kept centres' sums per bin over the
+            piece, from the centre's first window bin on."""
+            sl, centres = piece
             m = sl.stop - sl.start
-            q = mu.rows(sl, out=chunk_ws, block=kept_block or ParentBlock(u_ws))
+            if held:
+                q = mu.rows(sl, out=built_ws, block=ParentBlock(u_ws))
             out = []
             for i, lo, hi in centres:
+                if not held:
+                    q = mu.rows(sl, out=cols_ws[:dim, :m].T, block=kept_block)
                 u = core.left_displacement(batch[i], q, out=u_ws[:m])
                 d = core.koranyi_norm(u, out=cols_ws[dim - 1:, :m].T)
                 cols = columns(sl, u, d, cols_ws[:dim, :m])
                 if lo == hi:
-                    out.append((i, lo - 1, [[np.add.reduce(col) for col in cols]]))
+                    out.append(np.array([[np.add.reduce(col) for col in cols]]))
                     continue
                 # u is spent once the columns are formed
-                out.append((i, max(lo, 1) - 1, [
+                out.append(np.array([
                     _bin_sums(cols, d, edges[b - 1], edges[b], inside_ws[:, :m],
                               u_ws[:m, 0])
-                    for b in range(max(lo, 1), min(hi, top) + 1)]))
+                    for b in range(max(lo, 1), min(hi, top) + 1)]).reshape(-1, k))
             return out
 
-        return sweep_chunk
+        return sweep_piece
 
+    pieces = [(piece, centres) for sl, centres in kept for piece in _pieces(sl)]
+    # per worker, per piece row: u, the columns and d, the bin masks; a
+    # batch's built piece or one centre's kept parent rows; and a view's
+    # row scratch where the rows are built with no buffer of the worker's
+    row = 8 * (2 * dim + 1) + 2 + (8 * dim if held or own_block else 0)
+    if view and by_parent is None:
+        row += mu.points.row_scratch
+    key = None if by_parent is None else (lambda piece: by_parent(piece[0]))
+    done = dict(zip((sl.start for sl, _ in pieces),
+                    _map_pieces(sweeper, pieces, len(kept), _piece_rows() * row, key)))
     sums = np.zeros((len(batch), k, top))
-    # a view's row scratch, but for the parent block that a batch builds
-    # into u
-    scratch = (mu.points.row_scratch if view and (own_block or by_parent is None)
-               else 0)
-    key = None if by_parent is None else (lambda chunk: by_parent(chunk[0]))
-    for results in _map_chunks(sweeper, kept, 8 * ((3 if held else 2) * dim + 1)
-                               + 2 + scratch, key):
-        for i, start, bins in results:
-            for b, bin_sums in enumerate(bins, start):
-                sums[i, :, b] += bin_sums
+    for sl, centres in kept:
+        for at, (i, lo, hi) in enumerate(centres):
+            chunk = _pairwise(sl.start, sl.stop, lambda a, b: done[a][at])
+            start = lo - 1 if lo == hi else max(lo, 1) - 1
+            sums[i, :, start:start + len(chunk)] += chunk.T
     return sums if c.ndim == 2 else sums[0]
+
+
+def _piece_rows() -> int:
+    """The most rows that a sweep, or the reach pass, forms at once: half
+    a chunk, and at least the 128 values that numpy's pairwise sum adds
+    in one unrolled block."""
+    return max(CHUNK // 2, 128)
+
+
+def _pairwise(start, stop, piece, combine=np.add):
+    """``piece(a, b)`` for the pieces a .. b - 1 of rows start .. stop - 1,
+    combined along the tree of numpy's pairwise sum.
+
+    ``np.add.reduce`` of m > 128 doubles of one stride (zero included) is
+    the sum of the reductions of its first h values and of the rest, with
+    h = m // 2 rounded down to a multiple of 8 (numpy's ``pairwise_sum``).
+    Rows are split there, recursively, while more than
+    :func:`_piece_rows` remain, and the parts' values are combined left
+    to right, so per-piece reductions add up to the bits of the one
+    reduction over all the rows.  A tier-1 test checks the identity on
+    the installed numpy.
+    """
+    m = stop - start
+    if m <= _piece_rows():
+        return piece(start, stop)
+    h = m // 2 - m // 2 % 8
+    return combine(_pairwise(start, start + h, piece, combine),
+                   _pairwise(start + h, stop, piece, combine))
+
+
+def _pieces(sl) -> list:
+    """The slices of the pieces of ``sl``, in order (:func:`_pairwise`)."""
+    return _pairwise(sl.start, sl.stop, lambda a, b: [slice(a, b)], operator.add)
 
 
 def _bin_sums(cols, d, lower, upper, inside, part):
@@ -646,36 +711,47 @@ class DiscreteMeasure:
             return self.points.rows(sl, out, block)
         return self.points[sl]
 
-    def _row_buffer(self):
-        """``out`` for :meth:`rows` of one chunk: CHUNK rows for a view,
-        None for an explicit array."""
+    def _row_buffer(self, rows):
+        """``out`` for :meth:`rows` of at most ``rows`` rows: an array
+        for a view, None for an explicit array."""
         if not isinstance(self.points, AtomView):
             return None
-        return np.empty((min(len(self), CHUNK), ambient_dim(self.n)), order="F")
+        return np.empty((min(len(self), rows), ambient_dim(self.n)), order="F")
 
     def _chunk_max_dists(self, ref=None) -> np.ndarray:
         """The largest distance of each chunk's atoms from ``ref``, or
-        from the chunk's first atom when None, in one chunked pass.  A
-        worker holds a view's built rows (and their scratch, a nested
-        table's parent block, which it keeps across chunks) and the six
-        temporaries of ``core.dist`` per CHUNK row."""
+        from the chunk's first atom when None, in one pass over the
+        chunks' pieces (:func:`_pieces`; a max is exact in any order, and
+        NaN carries).  A worker holds, per piece row, a view's built rows
+        and the six temporaries of ``core.dist``, and a nested table's
+        parent rows, which it keeps across pieces."""
         by_parent = _parent_order(self.points)
+        view = isinstance(self.points, AtomView)
+        chunks = [sl for sl in chunk_slices(len(self)) if sl.stop > sl.start]
+        firsts = self.points[::CHUNK] if ref is None else None
+        pieces = [(piece, j) for j, sl in enumerate(chunks) for piece in _pieces(sl)]
 
         def worker():
-            out = self._row_buffer()
+            out = self._row_buffer(_piece_rows())
             block = None if by_parent is None else ParentBlock(np.empty_like(out))
 
-            def farthest(sl):
-                rows = self.rows(sl, out, block)
-                return dist(rows[0] if ref is None else ref, rows).max()
+            def farthest(piece):
+                sl, j = piece
+                return dist(firsts[j] if ref is None else ref,
+                            self.rows(sl, out, block)).max()
 
             return farthest
 
-        built = (8 * ambient_dim(self.n) + self.points.row_scratch
-                 if isinstance(self.points, AtomView) else 0)
-        return np.array(_map_chunks(
-            worker, [sl for sl in chunk_slices(len(self)) if sl.stop > sl.start],
-            built + 8 * 6, key=by_parent), dtype=float)
+        row = 8 * 6 + (8 * ambient_dim(self.n) if view else 0)
+        if by_parent is not None:
+            row += 8 * ambient_dim(self.n)
+        elif view:
+            row += self.points.row_scratch
+        key = None if by_parent is None else (lambda piece: by_parent(piece[0]))
+        done = dict(zip((sl.start for sl, _ in pieces), _map_pieces(
+            worker, pieces, len(chunks), _piece_rows() * row, key)))
+        return np.array([_pairwise(sl.start, sl.stop, lambda a, b: done[a], np.maximum)
+                         for sl in chunks], dtype=float)
 
     @property
     def total_mass(self) -> float:

@@ -255,7 +255,8 @@ def test_batched_divergence_probe_is_the_per_point_profiles(mu5, monkeypatch,
     # one sweep serves every point: ball masses, cone masses, truncations
     # and growth profiles of a batch have the bits of the calls per point,
     # on the level-5 table (each chunk built once for every point) and on
-    # an explicit copy, on one worker and on two, each holding its chunk
+    # an explicit copy, on one worker and on as many as SWEEP_BYTES holds:
+    # three that each hold their built piece, or four
     params = RieszParams(s=2.0, n=1)
     pts = mu5.points[[0, 4369, 12345, 600000, len(mu5) - 1]]
     eps = [0.25, 0.0625, 0.015625]
@@ -283,7 +284,8 @@ def test_batched_divergence_probe_is_the_per_point_profiles(mu5, monkeypatch,
                 for got, one in zip(batch, want[name]):
                     assert got.tobytes() == one.tobytes(), name
             reports = divergence_probe(mu, params, pts, eps)
-            assert helper_pools == ([] if cpus == 1 else [1] * 6)
+            assert helper_pools == ([] if cpus == 1
+                                    else [2 if mu is mu5 else 3] * 6)
             for p, rep, one in zip(pts, reports, want["growth"]):
                 assert rep.magnitudes.tobytes() == np.abs(one).T.tobytes()
                 assert rep.point.tobytes() == p.tobytes()

@@ -714,6 +714,38 @@ def test_empty_measure_sweeps_to_zero():
     assert sums[-1, 0] == 0
 
 
+@pytest.mark.parametrize("chunk", [CHUNK, 4096, 1500, 512])
+def test_piece_sums_have_the_bits_of_numpys_pairwise_sum(chunk, monkeypatch):
+    # a sweep sums each piece of a chunk and adds the pieces' sums along
+    # the split of numpy's pairwise sum, so that they add up to the bits
+    # of np.add.reduce over the chunk; a numpy that splits elsewhere fails
+    # here first.  Full and ragged chunks, at the chunk sizes the tests
+    # use too; columns that are contiguous, of a stride, or one weight
+    # held once
+    monkeypatch.setattr(measure, "CHUNK", chunk)
+    rng = np.random.default_rng(42)
+    values = (rng.standard_normal((chunk, 3))
+              * np.exp2(rng.integers(-30, 30, size=(chunk, 3))))
+    columns = {"contiguous": np.asfortranarray(values)[:, 1],
+               "strided": np.ascontiguousarray(values)[:, 1],
+               "zero-stride": np.broadcast_to(values[0, 0], (chunk,))}
+    piece = measure._piece_rows()
+    for m in sorted({chunk, chunk - 1, 40_001 * chunk // CHUNK, piece + 1,
+                     3 * chunk // 4 + 3}):
+        for name, col in columns.items():
+            pieces = []
+
+            def reduce(a, b):
+                pieces.append((a, b))
+                return np.add.reduce(col[a:b])
+
+            got = measure._pairwise(0, m, reduce)
+            assert got.tobytes() == np.add.reduce(col[:m]).tobytes(), (name, m)
+            assert len(pieces) > 1 and pieces[0][0] == 0 and pieces[-1][1] == m
+            assert all(b - a <= piece and b == c for (a, b), (c, _) in
+                       zip(pieces, pieces[1:] + [(m, None)]))
+
+
 def test_chunk_reach_is_computed_once_across_threads(monkeypatch):
     mu = DiscreteMeasure(1, np.random.default_rng(3).uniform(size=(2 * CHUNK + 5, 3)),
                          np.ones(2 * CHUNK + 5))
@@ -734,7 +766,8 @@ def test_chunk_reach_is_computed_once_across_threads(monkeypatch):
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert calls == [CHUNK, CHUNK, 5]
+    # one pass, each chunk half a chunk at a time
+    assert calls == [CHUNK // 2] * 4 + [5]
     assert all(r is results[0] for r in results)
 
 
@@ -911,7 +944,7 @@ def test_every_table_chunk_is_the_explicit_build(make, level, chunk, nested,
     full = fractal._cylinder_atoms(ifs, level)
     assert isinstance(mu.points, AtomTable) and mu.points.shape == full.shape
     assert (mu.points.inner is not None) == nested
-    out = mu._row_buffer()
+    out = mu._row_buffer(chunk)
     slices = list(chunk_slices(len(mu)))
     for sl in slices:
         rows = mu.rows(sl, out)

@@ -296,15 +296,41 @@ def test_sweep_memory_is_bounded_by_the_chunk(call, mu5, monkeypatch,
         finally:
             tracemalloc.stop()
         assert peak < 10e6, cpus
-        # the calling thread alone, or with one helper: two workspaces
-        # fill the budget
-        assert helper_pools == ([] if cpus is None else [1])
+        # the calling thread alone, or with three helpers: four workers'
+        # half-chunk rows fill the budget
+        assert helper_pools == ([] if cpus is None else [3])
 
 
-def test_level_6_sweeps_run_two_workers_within_the_budget(monkeypatch):
-    # a worker of a single-centre sweep holds its parent block beside its
-    # workspace (82 B a row), and a batch worker its built chunk (82 B a
-    # row, the parent block in its displacement rows): two fit in
+def _workspaces(monkeypatch):
+    """With 64 CPUs, the workspace bytes of each worker that a sweep
+    starts, in order."""
+    monkeypatch.setattr(measure, "_cpu_count", lambda: 64)
+    workers = []
+    map_pieces = measure._map_pieces
+
+    def counting(worker, pieces, chunks, workspace, key=None):
+        def counted():
+            workers.append(workspace)
+            return worker()
+        return map_pieces(counted, pieces, chunks, workspace, key)
+
+    monkeypatch.setattr(measure, "_map_pieces", counting)
+    return workers
+
+
+def _traced(call):
+    """call()'s value and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_level_6_sweeps_run_three_workers_within_the_budget(monkeypatch):
+    # a worker of a single-centre sweep holds its parent rows beside its
+    # half-chunk rows, and a batch worker its built piece (the parent
+    # rows in its displacement rows): 0.79 + 1.90 MB, three in
     # SWEEP_BYTES
     ifs = fractal.make_strichartz_ifs(1, 0.25)
     mu = fractal.cylinder_measure(ifs, 6)
@@ -312,28 +338,39 @@ def test_level_6_sweeps_run_two_workers_within_the_budget(monkeypatch):
     mu.chunk_reach()
     points = mu.points[fractal.cycle_atom_indices(16, 6, 2)]
     params = RieszParams(s=2.0, n=1)
-    monkeypatch.setattr(measure, "_cpu_count", lambda: 64)
-    workers = []
-    map_chunks = measure._map_chunks
-
-    def counting(worker, chunks, row_bytes, key=None):
-        def counted():
-            workers.append(row_bytes)
-            return worker()
-        return map_chunks(counted, chunks, row_bytes, key)
-
-    monkeypatch.setattr(measure, "_map_chunks", counting)
+    workers = _workspaces(monkeypatch)
     for call in (lambda: truncated_transform(mu, params, None, points[0], 0.0625),
                  lambda: growth_profile(mu, params, points, [0.25, 0.0625, 0.015625])):
         workers.clear()
-        tracemalloc.start()
-        try:
-            call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert workers == [82, 82]
+        _, peak = _traced(call)
+        assert workers == [32768 * (24 + 58)] * 3
         assert peak < measure.SWEEP_BYTES + 1e6
+
+
+def test_n2_sweeps_over_a_nested_table_run_two_workers(monkeypatch):
+    # level 3 has more than a chunk of atoms, so level 4 is a table of
+    # tables.  A worker holds half a chunk of parent rows or of built
+    # rows, 1.31 MB, and 2.95 MB of its own half-chunk rows, so two fit in
+    # SWEEP_BYTES, and the sweeps keep the bits of one worker
+    mu = fractal.cylinder_measure(fractal.make_strichartz_ifs(2, 0.25), 4)
+    assert mu.points.inner is not None
+    mu.chunk_reach()
+    points = mu.points[[5, 1_000_003, 9_000_001]]
+    params = RieszParams(s=4.0, n=2)
+    # 16, 256 and 85 chunks kept
+    monkeypatch.setattr(measure, "PARALLEL_CHUNKS", 1)
+    calls = [lambda: mu.ball_mass(points[1], [0.1, 0.3]),
+             lambda: truncations(mu, params, None, points[0], [0.3, 0.1]),
+             lambda: mu.ball_mass(points, [0.1, 0.3])]
+    with measure._worker_cap(1):
+        want = [call() for call in calls]
+    workers = _workspaces(monkeypatch)
+    for call, one in zip(calls, want):
+        workers.clear()
+        got, peak = _traced(call)
+        assert workers == [32768 * (40 + 90)] * 2
+        assert peak < measure.SWEEP_BYTES + 1e6
+        assert got.tobytes() == one.tobytes()
 
 
 def test_vertical_axis_sample_nearly_cancels():
