@@ -526,12 +526,14 @@ def binned_sweep(mu, centers, edges, columns):
                 d = core.koranyi_norm(u, out=cols_ws[dim - 1:, :m].T)
                 cols = columns(sl, u, d, cols_ws[:dim, :m])
                 if lo == hi:
-                    out.append(np.array([[np.add.reduce(col) for col in cols]]))
+                    out.append(np.array([np.add.reduce(cols, axis=1)
+                                         if isinstance(cols, np.ndarray) else
+                                         [np.add.reduce(col) for col in cols]]))
                     continue
                 # u is spent once the columns are formed
                 out.append(np.array([
                     _bin_sums(cols, d, edges[b - 1], edges[b], inside_ws[:, :m],
-                              u_ws[:m, 0])
+                              u_ws[:m].T)
                     for b in range(max(lo, 1), min(hi, top) + 1)]).reshape(-1, k))
             return out
 
@@ -592,18 +594,25 @@ def _pieces(sl) -> list:
 def _bin_sums(cols, d, lower, upper, inside, part):
     """Pairwise sums of each column over the atoms with lower < d <= upper.
 
-    ``inside`` is (2, len(d)) boolean scratch.  Each column is copied
-    into the zero-filled scratch row ``part`` where the atom is inside,
-    so a bin that holds every atom gets the bits of ``np.add.reduce`` of
-    the column itself.
+    ``inside`` is (2, len(d)) boolean scratch and ``part`` (2n+1, len(d))
+    float scratch with contiguous rows.  Each column is copied into a
+    zero-filled row of ``part`` where the atom is inside, so a bin that
+    holds every atom gets the bits of ``np.add.reduce`` of the column
+    itself; columns given as the rows of one array are copied and summed
+    together, by a reduction along the rows, which has the same bits.
     """
     mask = np.less(lower, d, out=inside[0])
     mask &= np.less_equal(d, upper, out=inside[1])
+    if isinstance(cols, np.ndarray) and len(cols) <= len(part):
+        rows = part[:len(cols)]
+        rows.fill(0.0)
+        np.copyto(rows, cols, where=mask)
+        return np.add.reduce(rows, axis=1)
     sums = []
     for col in cols:
-        part.fill(0.0)
-        np.copyto(part, col, where=mask)
-        sums.append(np.add.reduce(part))
+        part[0].fill(0.0)
+        np.copyto(part[0], col, where=mask)
+        sums.append(np.add.reduce(part[0]))
     return sums
 
 
