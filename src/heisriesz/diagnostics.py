@@ -483,9 +483,10 @@ class BlowupView(AtomView):
     The view holds no atoms: rows ``sl`` are ``core.blowup_map`` of the
     source's rows ``sl``, with the bits of the map applied to the whole
     coordinate array.  The map cannot write over its input, so the rows
-    of a source that is itself a view are built into a buffer of their
-    own (``row_scratch``).  Every row is built once, a chunk at a time,
-    when the view is made, and a row that is not finite is refused.
+    of a source that builds them are built into a buffer of their own
+    (``row_scratch``).  Every row is built once, a chunk at a time, when
+    the view is made, and a row that is not finite is refused.  The map
+    scales every distance by 1/r, so the reach is the source's over r.
     """
 
     def __init__(self, mu: DiscreteMeasure, a, r) -> None:
@@ -493,8 +494,8 @@ class BlowupView(AtomView):
         # a copy, so that a later write to the caller's point cannot
         # move the rows
         self.source, self.center, self.r = mu, np.array(a, dtype=float), r
-        if isinstance(mu.points, AtomView):
-            self.row_scratch = 8 * ambient_dim(mu.n) + mu.points.row_scratch
+        self.row_scratch = ((8 * ambient_dim(mu.n) if mu.points.builds else 0)
+                            + mu.points.row_scratch)
         out = np.empty((min(len(mu), CHUNK), ambient_dim(mu.n)), order="F")
         if not all(np.all(np.isfinite(self.rows(sl, out)))
                    for sl in chunk_slices(len(mu))):
@@ -507,6 +508,9 @@ class BlowupView(AtomView):
 
     def _take(self, idx) -> np.ndarray:
         return blowup_map(self.center, self.r, self.source.points[idx])
+
+    def chunk_reach(self) -> np.ndarray:
+        return self.source.chunk_reach() / self.r
 
 
 def blowup_measure(mu: DiscreteMeasure, a, r: float, s: float | None = None,

@@ -1,40 +1,34 @@
 """Weighted atomic measures on H^n.
 
-Atoms are stored as a coordinate array plus a weight vector so that
-ten-million-atom measures stay practical.  The coordinate array is
-either explicit and coordinate-major (Fortran order), so each coordinate
-of a chunk of atoms is one contiguous run, or a read-only
-:class:`AtomView` that builds each chunk of atoms on demand.  One view
-is an :class:`AtomTable`: the level L - 1 atoms of an equal-ratio
-cylinder measure, dilated by its ratio, and its maps' translations,
-from which each chunk is built bit for bit as the full build makes it;
-the level L - 1 atoms may themselves be such a table, of the level
-L - 2 atoms, whose rows are built and dilated a parent block at a
-time (:class:`ParentBlock`); another is a blow-up
-(``diagnostics.blowup_measure``), which maps its source's rows as they
-are read and holds no atoms.  Every reader takes
-its rows through :meth:`DiscreteMeasure.rows` (or the view's indexing,
-which builds the same rows).  Equal weights may be held once,
-as a zero-stride vector (``np.broadcast_to``), which is kept as given.
+Atoms are a coordinate view plus a weight vector, so that
+ten-million-atom measures stay practical.  Every ``points`` is an
+:class:`AtomView`: an :class:`ArrayView` of an explicit coordinate-major
+array (Fortran order, so each coordinate of a chunk of atoms is one
+contiguous run); an :class:`AtomTable`, the level L - 1 atoms of an
+equal-ratio cylinder measure, dilated by its ratio, and its maps'
+translations, from which each chunk is built bit for bit as the full
+build makes it (the level L - 1 atoms may themselves be such a table,
+built and dilated a parent block at a time, :class:`ParentBlock`); or a
+blow-up (``diagnostics.blowup_measure``), which maps its source's rows
+as they are read.  Every reader takes its rows through
+:meth:`DiscreteMeasure.rows` or the view's indexing.  Equal weights may
+be held once, as a zero-stride vector (``np.broadcast_to``).
+
 Ball masses, cone masses and every transform are one
 :func:`binned_sweep` over the atoms, for one centre or a (k, 2n+1)
-batch: a ball mass is a float or (R,) for R radii at one centre, and
-(k,) or (k, R) for a batch.
-Validation, sweeps and CSV reads need O(CHUNK) memory beyond the held
-atoms.  Each measure keeps, once computed, the reach of every chunk from
-its first atom, which gives a sweep the range of distance bins each
-chunk can reach: it skips the chunks that the triangle inequality puts
-outside the window it reads, and sums a chunk that falls in one bin
-without binning its atoms.  A sweep and the reach take each chunk in
-pieces of half a chunk, along the split of numpy's pairwise sum, so
-that their sums keep the bits of whole-chunk sums.  A sweep over many
-chunks, and the reach itself, run on as many threads as the process has
-CPUs (fewer where the sweep workspaces would pass SWEEP_BYTES), with
-the same bits as on one.  ``points`` and ``weights`` are read-only, so that cache cannot go
-stale.  Measures are written to and read from CSV files with the
-header ``x1,...,x{2n+1},weight``, with the bytes of ``np.savetxt``
-(``"%.17g"``) from a per-block table of each column's distinct values;
-the label and the resolution scale are given on reading.
+batch, in O(CHUNK) memory beyond the held atoms, as are validation and
+CSV reads.  Each measure caches the reach of every chunk from its first
+atom, which the view gives: a pass over held atoms, a table's from its
+parents and a blow-up's from its source, by the group law.  A sweep
+skips the chunks that the triangle inequality puts outside its window
+and sums a chunk that falls in one bin without binning it.  Sweeps and
+the reach pass take each chunk in half-chunk pieces, along the split
+of numpy's pairwise sum, on as many threads as the process has CPUs
+(fewer where the workspaces would pass SWEEP_BYTES), with the bits of
+one thread.  ``points`` and ``weights`` are read-only, so the reach
+cannot go stale.  CSV files have the header ``x1,...,x{2n+1},weight``
+and the bytes of ``np.savetxt`` (``"%.17g"``); the label and the
+resolution scale are given on reading.
 """
 
 from __future__ import annotations
@@ -52,8 +46,9 @@ import numpy as np
 from . import core
 from .core import ambient_dim, dist, group_index, _coords
 
-__all__ = ["AtomCapExceeded", "AtomTable", "AtomView", "DEFAULT_ATOM_CAP",
-           "DiscreteMeasure", "binned_sweep", "closed_ball_sums", "write_csv"]
+__all__ = ["AtomCapExceeded", "ArrayView", "AtomTable", "AtomView",
+           "DEFAULT_ATOM_CAP", "DiscreteMeasure", "binned_sweep",
+           "closed_ball_sums", "write_csv"]
 
 # Default ceiling on atom counts; a level-6 cylinder measure of the
 # sixteen-map system (16^6 atoms) must fit below it.
@@ -214,21 +209,25 @@ def _format_block(block) -> str:
 
 
 class AtomView:
-    """A read-only lazy view of an (N, 2n+1) array of atom coordinates.
+    """A read-only view of an (N, 2n+1) array of atom coordinates.
 
-    A subclass holds what its rows are built from and supplies
-    ``rows(sl, out, block)``, which builds the rows of a slice of step 1
-    into ``out`` (allocated when None), with ``block`` a
-    :class:`ParentBlock` for a nested :class:`AtomTable` and ignored by
-    any other view, and ``_take(idx)``, which builds the
-    rows of a 1-D array of in-range indices into a new array.  ``len``,
-    ``shape``, ``[int]``, ``[int array]`` and ``[slice]`` build only the
-    rows asked for, ``np.asarray`` builds every row (coordinate-major),
-    and ``nbytes`` counts the bytes of the arrays held.  A subclass
-    checks that its rows are finite when it is made.  ``row_scratch``
-    is the bytes per row that ``rows`` allocates besides ``out``.
+    A subclass supplies ``rows(sl, out, block)``, the rows of a slice of
+    step 1, built into ``out`` (allocated when None) or a view of held
+    rows, with ``block`` a nested table's :class:`ParentBlock`;
+    ``_take(idx)``, the rows of a 1-D array of in-range indices in a new
+    array; and ``chunk_reach()`` (:meth:`DiscreteMeasure.chunk_reach`).
+    ``len``, ``shape``, ``[int]``, ``[int array]`` and ``[slice]`` build
+    only the rows asked for, ``np.asarray`` builds every row
+    (coordinate-major), and ``nbytes`` counts the bytes of the arrays
+    held.  A subclass checks that its rows are finite when it is made.
+    ``builds`` says whether ``rows`` builds them, so that a reader that
+    reads them twice holds a buffer; ``parent_order`` is None or the key
+    by which sweeps take a nested table's slices; ``row_scratch`` is the
+    bytes per row that ``rows`` allocates besides ``out``.
     """
 
+    builds = True
+    parent_order = None
     row_scratch = 0
 
     def __init__(self, shape, held=()) -> None:
@@ -275,6 +274,41 @@ class AtomView:
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
+class ArrayView(AtomView):
+    """Atoms held as an explicit array: a read-only coordinate-major view
+    of the one given, with no copy when it is coordinate-major already.
+    ``rows``, indexing and ``np.asarray`` return it or views of it, a
+    write raises ``ValueError``, and the reach is one pass over its
+    chunks (:func:`_chunk_max_dists`)."""
+
+    builds = False
+
+    def __init__(self, points) -> None:
+        array = np.asfortranarray(points, dtype=float).view()
+        # one chunk at a time, so that checking costs O(CHUNK)
+        if not all(np.all(np.isfinite(array[sl]))
+                   for sl in chunk_slices(len(array))):
+            raise ValueError("atom coordinates must be finite")
+        array.flags.writeable = False
+        self.array = array
+        super().__init__(array.shape, (array,))
+
+    def rows(self, sl, out=None, block=None) -> np.ndarray:
+        return self.array[sl]
+
+    def __getitem__(self, key):
+        return self.array[key]
+
+    def __setitem__(self, key, value) -> None:
+        self.array[key] = value
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.array, dtype=dtype, copy=copy)
+
+    def chunk_reach(self) -> np.ndarray:
+        return _chunk_max_dists(self.array)
+
+
 class ParentBlock:
     """A buffer that a nested :class:`AtomTable` builds dilated parent
     rows into, and the (first row, row count) of the parent rows it
@@ -301,18 +335,14 @@ class AtomTable(AtomView):
     then D[j] = delta_r(T[j]), built on demand by T's ``group_mul`` and
     then ``core.dilate``, the ops of the last two levels of the build, so
     a measure of level L holds its level L - 2 atoms.  Only one level of
-    tables nests.  The parent rows that a slice reads come from
-    ``block``, a :class:`ParentBlock` (one of ``min(m, B)`` rows,
-    ``row_scratch``, when None): when it does not hold them, it is filled
-    with the dilated parents from the first one read on, as many as it
-    holds, so that a chunk read a piece at a time, and the next chunks
-    with the same parents, take them as they are.  A letter segment
-    longer than the block is read a block at a time.
-
-    The table is a view (:class:`AtomView`) of the (len(translations) B,
-    2n+1) coordinate array that holds D or T's dilated parents.  The held
-    parents are checked for finiteness when they are made; a twist that
-    overflows shows in the measure's chunk reach.
+    tables nests.  A slice reads its parent rows from ``block``, a
+    :class:`ParentBlock` (of ``min(m, B)`` rows, ``row_scratch``, when
+    None), which is filled from the first one read on unless it holds
+    them, so that the pieces of a chunk, and the next chunks with the
+    same parents, take them as they are; sweeps take such a table's
+    slices grouped by parent row (``parent_order``).  The held parents
+    are checked for finiteness when they are made; a twist that
+    overflows shows in the reach at the first row of a chunk or piece.
     """
 
     def __init__(self, parents, translations, ratio=None) -> None:
@@ -322,17 +352,13 @@ class AtomTable(AtomView):
                                  "of arrays with the ratio that dilates them")
             self.inner, self.ratio = parents, float(ratio)
             self.row_scratch = 8 * parents.shape[1]
+            self.parent_order = lambda sl: sl.start % self.parent_count
             held = parents._held
         else:
-            dilated = np.asfortranarray(parents, dtype=float)
-            if dilated.ndim != 2:
-                raise ValueError(f"dilated parents must be (B, 2n+1), got {dilated.shape}")
-            if not all(np.all(np.isfinite(dilated[sl]))
-                       for sl in chunk_slices(len(dilated))):
-                raise ValueError("atom coordinates must be finite")
-            dilated.flags.writeable = False
-            self.inner, self.dilated, held = None, dilated, (dilated,)
-            parents = dilated
+            parents = self.dilated = ArrayView(parents).array
+            if parents.ndim != 2:
+                raise ValueError(f"dilated parents must be (B, 2n+1), got {parents.shape}")
+            self.inner, held = None, (parents,)
         self.parent_count = len(parents)
         self.translations = tuple(np.asarray(q, dtype=float) for q in translations)
         super().__init__((len(self.translations) * len(parents), parents.shape[1]),
@@ -383,15 +409,24 @@ class AtomTable(AtomView):
             out[at] = core.group_mul(self.translations[letter], parents[at])
         return out
 
-
-def _parent_order(points):
-    """The key by which sweeps take the slices of their pieces: a nested
-    table's grouped by the parent row they start at (stably), so that a
-    worker that keeps its parent rows builds each about once; None, for
-    chunk order, for any other atoms."""
-    if isinstance(points, AtomTable) and points.inner is not None:
-        return lambda sl: sl.start % points.parent_count
-    return None
+    def chunk_reach(self) -> np.ndarray:
+        """Each chunk's reach from its first row a_k, with no row built
+        but a_k and the first row of each piece, a run of rows of one
+        chunk, letter m and parent chunk p.  Its rows q_m . D[j] lie
+        within d(a_k, q_m . D[p CHUNK]) + rho_p of a_k, as left
+        translation keeps distances, with rho_p the reach of parent chunk
+        p: one pass over held parents, or r times T's, as delta_r scales
+        distances by r."""
+        chunk, count = CHUNK, self.parent_count
+        starts = np.union1d(np.arange(0, len(self), chunk), np.add.outer(
+            count * np.arange(len(self.translations)), np.arange(0, count, chunk)))
+        firsts = starts - starts % count % chunk
+        parent_reach = (_chunk_max_dists(self.dilated) if self.inner is None
+                        else self.ratio * self.inner.chunk_reach())
+        anchors = np.arange(0, len(self), chunk)
+        bound = dist(self._take(anchors)[starts // chunk], self._take(firsts))
+        bound += parent_reach[firsts % count // chunk]
+        return np.maximum.reduceat(bound, np.searchsorted(starts, anchors))
 
 
 def binned_sweep(mu, centers, edges, columns):
@@ -421,42 +456,36 @@ def binned_sweep(mu, centers, edges, columns):
     Each thread that works on a call allocates one coordinate-major
     workspace of half a chunk of rows (u, the columns and d, bin masks)
     and writes each piece it takes into it, so a sweep's cost does not
-    depend on what the allocator holds from earlier work.  A view's
-    piece is built once (:meth:`DiscreteMeasure.rows`): into the
-    columns' rows for one centre, where it is spent once u is formed,
-    and into a buffer of its own for a batch, which every centre that
-    the piece's chunk can reach then sweeps.  A nested table's parent
-    rows go into a buffer that the worker keeps across pieces for one
-    centre (the pieces are taken grouped by parent row, so a worker
-    builds each about once), and into u's rows, once per piece, for a
-    batch.  A sweep that keeps PARALLEL_CHUNKS chunks or more spreads
-    their pieces over the calling thread and helper threads
-    (:func:`_map_pieces`).  Each (centre, piece) pair's per-bin sums
-    are kept; the caller adds a chunk's pieces along the split of
-    numpy's pairwise sum (:func:`_pairwise`), which gives the bits of
-    the sum over the whole chunk, and adds the chunks into the centre's
-    bins in chunk order, as one thread does, so the result has the same
-    bits at every thread count and for a batch as for each centre alone.
-    This rests on how numpy splits a pairwise sum, which a tier-1 test
-    checks on the installed numpy.
+    depend on what the allocator holds from earlier work.  A piece that
+    the view builds (``builds``) is built once: into the columns' rows
+    for one centre, spent once u is formed, and for a batch into a
+    buffer of its own, which every centre its chunk can reach sweeps.  A
+    nested table's parent rows go into a buffer that the worker keeps
+    across pieces for one centre (taken grouped by parent row, so a
+    worker builds each about once), and into u's rows, once per piece,
+    for a batch.  A sweep that keeps PARALLEL_CHUNKS chunks or more
+    spreads its pieces over helper threads (:func:`_map_pieces`).  Each
+    (centre, piece) pair's per-bin sums are kept; a chunk's pieces are
+    added along the split of numpy's pairwise sum (:func:`_pairwise`),
+    with the bits of the sum over the whole chunk, and the chunks in
+    chunk order, so the result has the same bits at every thread count
+    and for a batch as for each centre alone.
 
-    The triangle inequality, applied to the distance of a chunk's first
-    atom from the centre and the chunk's cached reach, bounds the
-    distances of all its atoms, and so the range of bins they can fall
-    in.  A chunk whose range misses the window is skipped.  A chunk whose
-    range is one bin adds the pairwise sum ``np.add.reduce`` of each
-    column to that bin without comparing a single distance with an
-    edge.  Any other chunk, for each window bin in its range, adds the
-    pairwise sum of a zero-filled copy of each column that holds only
-    the atoms of that bin (:func:`_bin_sums`).  Bins outside the window
-    are never summed, so the columns may hold NaN or inf for atoms
-    there.  Across chunks the sums are taken in chunk order.  A bin that
-    holds every atom of a chunk gets the same bits from either path, and
-    a bin that holds none gets +0.0 or nothing, so pruning does not
-    change a bit of the result.  Against exact arithmetic, a bin's sum
-    over c chunks errs by at most about (35 + c) u sum |terms|,
-    u = 2^-53 (numpy's pairwise sum takes each term of a chunk through
-    at most 35 additions).
+    The distance of a chunk's first atom from the centre and the chunk's
+    reach bound the distances of all its atoms, and so the range of bins
+    they can fall in.  A chunk whose range misses the window is skipped.
+    A chunk whose range is one bin adds the pairwise sum
+    ``np.add.reduce`` of each column to that bin without comparing a
+    distance with an edge.  Any other chunk, for each window bin in its
+    range, adds the pairwise sum of a zero-filled copy of each column
+    that holds only the atoms of that bin (:func:`_bin_sums`).  Bins
+    outside the window are never summed, so the columns may hold NaN or
+    inf for atoms there.  A bin that holds every atom of a chunk gets
+    the same bits from either path, and a bin that holds none gets +0.0
+    or nothing, so pruning does not change a bit of the result.  Against
+    exact arithmetic, a bin's sum over c chunks errs by at most about
+    (35 + c) u sum |terms|, u = 2^-53 (numpy's pairwise sum takes each
+    term of a chunk through at most 35 additions).
     """
     c, _ = _coords(centers, mu.n)
     if c.ndim > 2:
@@ -491,11 +520,10 @@ def binned_sweep(mu, centers, edges, columns):
         centres = np.flatnonzero(keep[:, j])
         if centres.size:
             kept.append((sl, [(i, first[i, j], last[i, j]) for i in centres]))
-    # a view's piece built for several centres needs rows of its own;
+    # a built piece swept for several centres needs rows of its own;
     # for one, the columns' rows hold it until u is formed
-    view = isinstance(mu.points, AtomView)
-    held = view and len(batch) > 1
-    by_parent = _parent_order(mu.points)
+    held = mu.points.builds and len(batch) > 1
+    by_parent = mu.points.parent_order
     # a nested table's parent rows: for one centre, a buffer of the
     # worker's own that it keeps across pieces; for a batch, the
     # displacement rows, free until the piece's first centre
@@ -544,7 +572,7 @@ def binned_sweep(mu, centers, edges, columns):
     # batch's built piece or one centre's kept parent rows; and a view's
     # row scratch where the rows are built with no buffer of the worker's
     row = 8 * (2 * dim + 1) + 2 + (8 * dim if held or own_block else 0)
-    if view and by_parent is None:
+    if by_parent is None:
         row += mu.points.row_scratch
     key = None if by_parent is None else (lambda piece: by_parent(piece[0]))
     done = dict(zip((sl.start for sl, _ in pieces),
@@ -589,6 +617,24 @@ def _pairwise(start, stop, piece, combine=np.add):
 def _pieces(sl) -> list:
     """The slices of the pieces of ``sl``, in order (:func:`_pairwise`)."""
     return _pairwise(sl.start, sl.stop, lambda a, b: [slice(a, b)], operator.add)
+
+
+def _chunk_max_dists(points) -> np.ndarray:
+    """The largest distance of each chunk's atoms of a held array from
+    the chunk's first atom, in one pass over the chunks' pieces (a max is
+    exact in any order, and NaN carries), with ``core.dist``'s six
+    temporaries per piece row."""
+    chunks = [sl for sl in chunk_slices(len(points)) if sl.stop > sl.start]
+    pieces = [(piece, sl.start) for sl in chunks for piece in _pieces(sl)]
+
+    def farthest(piece):
+        sl, first = piece
+        return dist(points[first], points[sl]).max()
+
+    done = dict(zip((sl.start for sl, _ in pieces), _map_pieces(
+        lambda: farthest, pieces, len(chunks), _piece_rows() * 8 * 6)))
+    return np.array([_pairwise(sl.start, sl.stop, lambda a, b: done[a], np.maximum)
+                     for sl in chunks], dtype=float)
 
 
 def _bin_sums(cols, d, lower, upper, inside, part):
@@ -639,10 +685,10 @@ class DiscreteMeasure:
     ----------
     n : int
         Group index; coordinates have length 2n+1.
-    points : ndarray or AtomView, shape (N, 2n+1)
-        Atom positions: an array, stored coordinate-major, or a view
-        that builds them on demand (an :class:`AtomTable`, or a
-        blow-up's view of its source), kept as given.
+    points : AtomView, shape (N, 2n+1)
+        Atom positions: a view that builds them on demand (an
+        :class:`AtomTable`, or a blow-up's view of its source), kept as
+        given, or an array, held as an :class:`ArrayView` of it.
     weights : ndarray, shape (N,)
         Strictly positive atom masses.
     label : str
@@ -652,18 +698,18 @@ class DiscreteMeasure:
         statistics are unreliable below four times this value; consumers
         use it as a resolution floor.
 
-    ``points`` and ``weights`` are kept as read-only views of the given
-    arrays (no copy is made), so an in-place write through the measure
-    raises instead of invalidating its cached chunk reach.  A weight
-    vector with zero stride, such as ``np.broadcast_to(w, (N,))``, is
-    kept as given: equal weights are then held once, in 8 bytes, not
-    8N, and every sweep, sum and CSV row reads the same bits as from
-    the full vector.  Any other vector is stored C-contiguous.  Readers
-    take atom rows through :meth:`rows`.
+    ``points`` and ``weights`` are read-only, and an array given for
+    either is kept as a view of it (no copy is made), so an in-place
+    write through the measure raises instead of invalidating its cached
+    chunk reach.  A weight vector with zero stride, such as
+    ``np.broadcast_to(w, (N,))``, is kept as given: equal weights are
+    then held once, in 8 bytes, not 8N, and every sweep, sum and CSV row
+    reads the same bits as from the full vector.  Any other vector is
+    stored C-contiguous.  Readers take atom rows through :meth:`rows`.
     """
 
     n: int
-    points: np.ndarray
+    points: AtomView
     weights: np.ndarray
     label: str = ""
     spacing: float | None = None
@@ -671,23 +717,17 @@ class DiscreteMeasure:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"group index must be >= 1, got {self.n}")
-        view = isinstance(self.points, AtomView)
-        pts = self.points if view else np.asfortranarray(self.points, dtype=float)
+        if not isinstance(self.points, AtomView):
+            self.points = ArrayView(self.points)
         wts = np.asarray(self.weights, dtype=float)
         # a zero-stride vector (one weight held once) is kept as given
         if wts.ndim != 1 or wts.strides != (0,):
             wts = np.ascontiguousarray(wts)
-        if len(pts.shape) != 2 or pts.shape[1] != ambient_dim(self.n):
-            raise ValueError(
-                f"points must have shape (N, {ambient_dim(self.n)}), got {pts.shape}"
-            )
-        if wts.shape != (pts.shape[0],):
+        shape = self.points.shape
+        if len(shape) != 2 or shape[1] != ambient_dim(self.n):
+            raise ValueError(f"points must have shape (N, {ambient_dim(self.n)}), got {shape}")
+        if wts.shape != (shape[0],):
             raise ValueError("weights must be a vector matching the atom count")
-        # one chunk at a time, so that checking a measure costs O(CHUNK);
-        # a view checks its rows when it is made
-        if not view and not all(np.all(np.isfinite(pts[sl]))
-                                for sl in chunk_slices(len(pts))):
-            raise ValueError("atom coordinates must be finite")
         # a zero-stride vector holds one weight, so its first entry is all
         held = wts[:1] if wts.strides == (0,) else wts
         if not all(np.all(np.isfinite(held[sl])) and not np.any(held[sl] <= 0.0)
@@ -695,10 +735,6 @@ class DiscreteMeasure:
             raise ValueError("weights must be finite and strictly positive")
         if self.spacing is not None and not self.spacing > 0.0:
             raise ValueError("spacing must be positive when given")
-        if not view:
-            pts = pts.view()
-            pts.flags.writeable = False
-        self.points = pts
         self.weights = wts.view()
         self.weights.flags.writeable = False
         self._reach = None
@@ -708,59 +744,9 @@ class DiscreteMeasure:
         return self.points.shape[0]
 
     def rows(self, sl, out=None, block=None) -> np.ndarray:
-        """Coordinates of the atoms in ``sl``, a slice of step 1.
-
-        An explicit array gives a read-only view.  An :class:`AtomView`
-        builds the rows into ``out``, a coordinate-major array of at
-        least as many rows (allocated when None), and returns them; a
-        nested table builds its parent rows into ``block``, a
-        :class:`ParentBlock` (its own when None).
-        """
-        if isinstance(self.points, AtomView):
-            return self.points.rows(sl, out, block)
-        return self.points[sl]
-
-    def _row_buffer(self, rows):
-        """``out`` for :meth:`rows` of at most ``rows`` rows: an array
-        for a view, None for an explicit array."""
-        if not isinstance(self.points, AtomView):
-            return None
-        return np.empty((min(len(self), rows), ambient_dim(self.n)), order="F")
-
-    def _chunk_max_dists(self, ref=None) -> np.ndarray:
-        """The largest distance of each chunk's atoms from ``ref``, or
-        from the chunk's first atom when None, in one pass over the
-        chunks' pieces (:func:`_pieces`; a max is exact in any order, and
-        NaN carries).  A worker holds, per piece row, a view's built rows
-        and the six temporaries of ``core.dist``, and a nested table's
-        parent rows, which it keeps across pieces."""
-        by_parent = _parent_order(self.points)
-        view = isinstance(self.points, AtomView)
-        chunks = [sl for sl in chunk_slices(len(self)) if sl.stop > sl.start]
-        firsts = self.points[::CHUNK] if ref is None else None
-        pieces = [(piece, j) for j, sl in enumerate(chunks) for piece in _pieces(sl)]
-
-        def worker():
-            out = self._row_buffer(_piece_rows())
-            block = None if by_parent is None else ParentBlock(np.empty_like(out))
-
-            def farthest(piece):
-                sl, j = piece
-                return dist(firsts[j] if ref is None else ref,
-                            self.rows(sl, out, block)).max()
-
-            return farthest
-
-        row = 8 * 6 + (8 * ambient_dim(self.n) if view else 0)
-        if by_parent is not None:
-            row += 8 * ambient_dim(self.n)
-        elif view:
-            row += self.points.row_scratch
-        key = None if by_parent is None else (lambda piece: by_parent(piece[0]))
-        done = dict(zip((sl.start for sl, _ in pieces), _map_pieces(
-            worker, pieces, len(chunks), _piece_rows() * row, key)))
-        return np.array([_pairwise(sl.start, sl.stop, lambda a, b: done[a], np.maximum)
-                         for sl in chunks], dtype=float)
+        """Coordinates of the atoms in ``sl``, a slice of step 1
+        (:meth:`AtomView.rows`)."""
+        return self.points.rows(sl, out, block)
 
     @property
     def total_mass(self) -> float:
@@ -782,24 +768,31 @@ class DiscreteMeasure:
     def chunk_reach(self) -> np.ndarray:
         """Reach max d(a_k, q) of each sweep chunk k from its first atom a_k.
 
-        One chunked distance pass, computed on first use and cached
-        against the ``points`` array; threads that ask at the same time
-        wait for the one computation.
+        The view gives it: a pass over held atoms, a table's from its
+        parents, a blow-up's from its source.  It is computed on first use
+        and cached against the ``points`` view; threads that ask at the
+        same time wait for the one computation.  A reach from parents or
+        a source sums at most three computed distances, each off by about
+        the square root of an ulp of the coordinates, so it may fall below
+        the built one (by 1.0e-14 of itself at ratio 0.2), far inside the
+        margin of 1e-7 n times the sizes that :func:`binned_sweep` adds.
         """
         with self._reach_lock:
             if self._reach is None or self._reach[0] is not self.points:
-                pts = self.points
-                reach = self._chunk_max_dists()
+                reach = self.points.chunk_reach()
                 if not np.all(np.isfinite(reach)):
                     raise ValueError("atom coordinates must be finite")
-                self._reach = (pts, reach)
+                self._reach = (self.points, reach)
             return self._reach[1]
 
     def diameter_bound(self) -> float:
-        """Upper bound for the support diameter via the triangle inequality."""
+        """Upper bound for the support diameter via the triangle
+        inequality: twice the largest d(a_0, a_k) + rho_k over the chunks'
+        first atoms a_k and reaches rho_k (:meth:`chunk_reach`)."""
         if len(self) == 0:
             return 0.0
-        return 2.0 * max(0.0, float(self._chunk_max_dists(self.points[0]).max()))
+        anchors = self.points[::CHUNK]
+        return 2.0 * float(np.max(dist(anchors[0], anchors) + self.chunk_reach()))
 
     # ------------------------------------------------------------------
     # serialisation

@@ -922,8 +922,9 @@ def test_thread_count_does_not_move_the_output(tmp_path, monkeypatch,
                                                helper_pools):
     # every sweep of the level-5 measure spreads its 16 chunks over the
     # CPUs the process may use: no helper on one CPU; on 64, as many
-    # workers as SWEEP_BYTES holds, three, for the reach pass and for a
-    # batch, whose workers each hold their built piece
+    # workers as SWEEP_BYTES holds, three, for a batch, whose workers each
+    # hold their built piece, and two for the reach pass over the table's
+    # held parents, one chunk of two pieces
     monkeypatch.setattr(measure, "PARALLEL_CHUNKS", 1)
     files = {}
     for cpus in (1, 64):
@@ -933,7 +934,7 @@ def test_thread_count_does_not_move_the_output(tmp_path, monkeypatch,
         monkeypatch.chdir(run_dir)
         helper_pools.clear()
         assert _run(["riesz", "divergence", "--quick", "--out", "."]) == 0
-        assert set(helper_pools) == ({2} if cpus == 64 else set())
+        assert set(helper_pools) == ({1, 2} if cpus == 64 else set())
         files[cpus] = [(run_dir / name).read_bytes() for name in
                        ("riesz_divergence.csv", "riesz_divergence.json")]
     assert files[1] == files[64]

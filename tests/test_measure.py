@@ -1,5 +1,6 @@
 """Discrete measures: construction, ball masses, serialisation."""
 
+import ast
 import io
 import os
 import sys
@@ -8,14 +9,16 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heisriesz import core, fractal, measure
 from heisriesz.core import dist
-from heisriesz.diagnostics import (ad_regularity_report, blowup_measure,
-                                   cone_deficiency, divergence_probe)
+from heisriesz.diagnostics import (BlowupView, ad_regularity_report,
+                                   blowup_measure, cone_deficiency,
+                                   divergence_probe)
 from heisriesz.measure import (CHUNK, AtomTable, DiscreteMeasure, binned_sweep,
                                chunk_slices)
 from heisriesz.riesz import (RieszParams, _kernel_columns, growth_profile,
@@ -249,7 +252,7 @@ def test_csv_read_memory_is_the_measure_plus_a_block(tmp_path):
     i = np.arange(rows, dtype=float)
     np.testing.assert_array_equal(mu.points, np.column_stack([i, -i, 0.5 * i]))
     np.testing.assert_array_equal(mu.weights, i + 1)
-    assert mu.points.flags.f_contiguous
+    assert np.asarray(mu.points).flags.f_contiguous
 
 
 def test_csv_equal_weights_read_back_held_once(tmp_path, mu2):
@@ -309,7 +312,7 @@ def test_csv_weights_read_back_with_the_bits_of_loadtxt(tmp_path, case):
     DiscreteMeasure(1, np.column_stack([i, -i, 0.5 * i]), w).to_csv(path)
     want = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     back = DiscreteMeasure.from_csv(path)
-    assert back.points.tobytes() == np.asfortranarray(want[:, :3]).tobytes()
+    assert np.asarray(back.points).tobytes() == np.asfortranarray(want[:, :3]).tobytes()
     assert back.weights.tobytes() == want[:, 3].tobytes()
     assert back.weights.strides == ((8,) if case.startswith("last") else (0,))
 
@@ -341,7 +344,7 @@ def test_csv_reads_the_clean_rows_through_skipped_lines(tmp_path, variant,
         warnings.simplefilter("ignore", UserWarning)
         got = DiscreteMeasure.from_csv(path)
     assert got.points.shape == want.points.shape == (rows, 3)
-    assert got.points.tobytes() == want.points.tobytes()
+    assert np.asarray(got.points).tobytes() == np.asarray(want.points).tobytes()
     assert got.weights.tobytes() == want.weights.tobytes()
     assert got.weights.strides == want.weights.strides == (0,)
 
@@ -639,9 +642,9 @@ def test_reach_cache_cannot_go_stale():
         mu.points[3, 2] = 9.0
     with pytest.raises(ValueError):
         mu.weights[0] = 9.0
-    # the cache belongs to the points array: a new array gets a new reach
+    # the cache belongs to the points view: a new view gets a new reach
     reach = mu.chunk_reach()
-    mu.points = core.dilate(2.0, mu.points)
+    mu.points = measure.ArrayView(core.dilate(2.0, mu.points))
     np.testing.assert_array_equal(mu.chunk_reach(), 2.0 * reach)
 
 
@@ -832,9 +835,9 @@ def test_sweeps_keep_their_bits_at_every_worker_count(pools, displaced,
             got = outputs(workers)
         finally:
             sys.setswitchinterval(interval)
-        # the reach, the diameter and one sweep per call, each on the
-        # calling thread and workers - 1 helpers
-        assert pools == [workers - 1] * 7
+        # the reach pass and one sweep per call, each on the calling
+        # thread and workers - 1 helpers; the diameter takes the reach
+        assert pools == [workers - 1] * 6
         for a, b in zip(got, want):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     # the growth sweep skips chunks beyond radius 1 and takes both the
@@ -944,7 +947,7 @@ def test_every_table_chunk_is_the_explicit_build(make, level, chunk, nested,
     full = fractal._cylinder_atoms(ifs, level)
     assert isinstance(mu.points, AtomTable) and mu.points.shape == full.shape
     assert (mu.points.inner is not None) == nested
-    out = mu._row_buffer(chunk)
+    out = np.empty((min(len(mu), chunk), full.shape[1]), order="F")
     slices = list(chunk_slices(len(mu)))
     for sl in slices:
         rows = mu.rows(sl, out)
@@ -1025,8 +1028,9 @@ def test_sweeps_over_a_nested_table_have_the_flat_table_bits(
         want = outputs(flat, centres, workers)
         helper_pools.clear()
         got = outputs(nested, centres, workers)
-        # the reach, the diameter and four sweeps
-        assert helper_pools == ([1] * 6 if workers == 2 else [])
+        # four sweeps: the reach comes from the parents, whose one held
+        # chunk takes no helper, and the diameter from the reach
+        assert helper_pools == ([1] * 4 if workers == 2 else [])
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -1041,3 +1045,123 @@ def test_a_table_row_that_overflows_is_refused_by_the_first_sweep():
         assert np.isinf(mu.points[0][2])
         with pytest.raises(ValueError, match="finite"):
             mu.ball_mass([0.0, 0.0, 0.0], 1.0)
+
+
+# ----------------------------------------------------------------------
+# chunk reach from the group law
+# ----------------------------------------------------------------------
+
+
+def _built_reach(mu):
+    """Each chunk's largest distance from its first atom, over its built
+    rows."""
+    reach = []
+    for sl in chunk_slices(len(mu)):
+        rows = mu.rows(sl)
+        reach.append(dist(rows[0], rows).max())
+    return np.array(reach)
+
+
+def _corner(n, r, level):
+    return lambda: fractal.cylinder_measure(fractal.make_strichartz_ifs(n, r), level)
+
+
+def _zoom(index, r):
+    def make():
+        mu = fractal.cylinder_measure(fractal.make_strichartz_ifs(1, 0.25), 5)
+        return blowup_measure(mu, mu.points[index], r, s=2.0)
+    return make
+
+
+@pytest.mark.parametrize("make, chunk, exact", [
+    (_corner(1, 0.25, 5), CHUNK, True),
+    (_corner(1, 0.25, 6), CHUNK, True),
+    (_corner(2, 0.25, 4), CHUNK, False),
+    (_corner(1, 0.2, 6), CHUNK, False),
+    # 2048 rows per first letter, each chunk of 1500 spanning letters of
+    # the table or of its parents
+    (lambda: fractal.cylinder_measure(_two_maps(), 12), 1500, False),
+    (_zoom(70_001, 0.25), CHUNK, True),
+    (_zoom(12_345, 0.3), CHUNK, False),
+], ids=["n1_L5", "n1_L6", "n2_L4", "r0.2_L6", "two_maps_L12", "zoom_r0.25",
+        "zoom_r0.3"])
+def test_every_view_reach_bounds_its_built_reach(make, chunk, exact, monkeypatch):
+    monkeypatch.setattr(measure, "CHUNK", chunk)
+    mu = make()
+    assert isinstance(mu.points, (AtomTable, BlowupView))
+    reach, built = mu.chunk_reach(), _built_reach(mu)
+    assert reach.shape == built.shape
+    # a reach from the parents or the source may fall below the built one
+    # by rounding (1e-14 of itself at ratio 0.2), far inside the margin of
+    # 1e-7 n (1 + |c| + |a_k| + reach) that the sweep adds
+    assert np.all(reach >= built * (1.0 - 1e-12))
+    # with a dyadic ratio and one letter and parent chunk per chunk, it is
+    # the built reach, bit for bit
+    if exact:
+        assert reach.tobytes() == built.tobytes()
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_a_table_or_zoom_reach_builds_none_of_its_rows(ifs14, monkeypatch, nested):
+    if nested:
+        monkeypatch.setattr(measure, "CHUNK", 4096)
+    mu = fractal.cylinder_measure(ifs14, 5)
+    nu = blowup_measure(mu, mu.points[70_001], 0.25, s=2.0)
+    assert (mu.points.inner is not None) == nested
+    built, taken = [], []
+    table_rows, zoom_rows, take = AtomTable.rows, BlowupView.rows, AtomTable._take
+
+    def rows(view, sl, out=None, block=None):
+        built.append((type(view).__name__, sl))
+        return (table_rows if isinstance(view, AtomTable) else zoom_rows)(
+            view, sl, out, block)
+
+    def counted(view, idx):
+        if view is mu.points:
+            taken.append(len(idx))
+        return take(view, idx)
+
+    monkeypatch.setattr(AtomTable, "rows", rows)
+    monkeypatch.setattr(BlowupView, "rows", rows)
+    monkeypatch.setattr(AtomTable, "_take", counted)
+    reach = nu.chunk_reach()
+    assert built == []
+    # the chunks' first rows and one row per piece, one chunk a piece
+    chunks = len(list(chunk_slices(len(mu))))
+    assert sum(taken) == 2 * chunks == 2 * len(reach)
+    assert mu.chunk_reach().tobytes() == (0.25 * reach).tobytes()
+
+
+def test_only_the_construction_sites_ask_which_view_they_hold():
+    # what differs between views is an attribute or a method of the view;
+    # isinstance against a view class only wraps an array, in
+    # DiscreteMeasure, or nests a table, in AtomTable
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(measure.__file__).parent.glob("*.py"))}
+    classes = [node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    views = {"AtomView"}
+    while True:
+        grown = views | {c.name for c in classes
+                         if {ast.unparse(b).split(".")[-1] for b in c.bases} & views}
+        if grown == views:
+            break
+        views = grown
+    assert views == {"AtomView", "ArrayView", "AtomTable", "BlowupView"}
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func) in (
+                    "isinstance", "issubclass"):
+                kinds = child.args[1]
+                kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if {ast.unparse(k).split(".")[-1] for k in kinds} & views:
+                    found.add(scope)
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for name, tree in trees.items():
+        visit(tree, name.removesuffix(".py"))
+    assert found == {"measure.DiscreteMeasure.__post_init__",
+                     "measure.AtomTable.__init__"}
