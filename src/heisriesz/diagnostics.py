@@ -491,8 +491,7 @@ class BlowupView(AtomView):
 
     def __init__(self, mu: DiscreteMeasure, a, r) -> None:
         super().__init__(mu.points.shape)
-        # a copy, so that a later write to the caller's point cannot
-        # move the rows
+        # a copy: a later write to the caller's point cannot move the rows
         self.source, self.center, self.r = mu, np.array(a, dtype=float), r
         self.row_scratch = ((8 * ambient_dim(mu.n) if mu.points.builds else 0)
                             + mu.points.row_scratch)

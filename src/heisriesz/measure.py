@@ -23,19 +23,17 @@ parents and a blow-up's from its source, by the group law.  A sweep
 skips the chunks that the triangle inequality puts outside its window
 and sums a chunk that falls in one bin without binning it.  Sweeps and
 the reach pass take each chunk in half-chunk pieces, along the split
-of numpy's pairwise sum, on as many threads as the process has CPUs
-(fewer where the workspaces would pass SWEEP_BYTES), with the bits of
-one thread.  ``points`` and ``weights`` are read-only, so the reach
-cannot go stale.  CSV files have the header ``x1,...,x{2n+1},weight``
-and the bytes of ``np.savetxt`` (``"%.17g"``); the label and the
-resolution scale are given on reading.
+of numpy's pairwise sum, on up to one thread per CPU, with the bits of
+one.  ``points`` and ``weights`` are read-only, so the reach cannot go
+stale.  CSV files have the header ``x1,...,x{2n+1},weight`` and the
+bytes of ``np.savetxt`` (``"%.17g"``); the label and the resolution
+scale are given on reading.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -105,9 +103,8 @@ def chunk_slices(total: int):
 def _cpu_count() -> int:
     """The CPUs this process may run on: its affinity set where the
     platform has one (Linux), else every CPU."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is not None:
-        return len(affinity(0))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -145,11 +142,6 @@ def _map_pieces(worker, pieces, chunks: int, workspace: int, key=None) -> list:
     if key is not None:
         order = sorted(order, key=lambda i: key(pieces[i]))
     results = [None] * len(pieces)
-    if workers <= 1:
-        work = worker()
-        for i in order:
-            results[i] = work(pieces[i])
-        return results
     taken, lock = iter(order), threading.Lock()
 
     def drain():
@@ -161,6 +153,9 @@ def _map_pieces(worker, pieces, chunks: int, workspace: int, key=None) -> list:
                 return
             results[i] = work(pieces[i])
 
+    if workers <= 1:
+        drain()
+        return results
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
         helpers = [pool.submit(drain) for _ in range(workers - 1)]
         drain()
@@ -219,11 +214,12 @@ class AtomView:
     ``len``, ``shape``, ``[int]``, ``[int array]`` and ``[slice]`` build
     only the rows asked for, ``np.asarray`` builds every row
     (coordinate-major), and ``nbytes`` counts the bytes of the arrays
-    held.  A subclass checks that its rows are finite when it is made.
-    ``builds`` says whether ``rows`` builds them, so that a reader that
-    reads them twice holds a buffer; ``parent_order`` is None or the key
-    by which sweeps take a nested table's slices; ``row_scratch`` is the
-    bytes per row that ``rows`` allocates besides ``out``.
+    held.  A subclass refuses rows that are not finite when it is made
+    or, for a table, at its first ``chunk_reach``.  ``builds`` says
+    whether ``rows`` builds them, so that a reader that reads them twice
+    holds a buffer; ``parent_order`` is None or the key by which sweeps
+    take a nested table's slices; ``row_scratch`` is the bytes per row
+    that ``rows`` allocates besides ``out``.
     """
 
     builds = True
@@ -340,9 +336,13 @@ class AtomTable(AtomView):
     None), which is filled from the first one read on unless it holds
     them, so that the pieces of a chunk, and the next chunks with the
     same parents, take them as they are; sweeps take such a table's
-    slices grouped by parent row (``parent_order``).  The held parents
-    are checked for finiteness when they are made; a twist that
-    overflows shows in the reach at the first row of a chunk or piece.
+    slices grouped by parent row (``parent_order``).
+
+    ``extent`` bounds each coordinate's size over the rows, from the held
+    parents and the translations (q . x twists x_t by at most
+    2 sum_i (|q_i| |x_{n+i}| + |q_{n+i}| |x_i|)), and the first
+    ``chunk_reach`` refuses a table unless it keeps every row, and every
+    distance between two rows, clear of overflow.
     """
 
     def __init__(self, parents, translations, ratio=None) -> None:
@@ -353,14 +353,22 @@ class AtomTable(AtomView):
             self.inner, self.ratio = parents, float(ratio)
             self.row_scratch = 8 * parents.shape[1]
             self.parent_order = lambda sl: sl.start % self.parent_count
-            held = parents._held
+            held, extent = parents._held, core.dilate(self.ratio, parents.extent)
         else:
             parents = self.dilated = ArrayView(parents).array
             if parents.ndim != 2:
                 raise ValueError(f"dilated parents must be (B, 2n+1), got {parents.shape}")
             self.inner, held = None, (parents,)
+            extent = np.maximum(parents.max(axis=0, initial=0.0),
+                                -parents.min(axis=0, initial=0.0))
         self.parent_count = len(parents)
         self.translations = tuple(np.asarray(q, dtype=float) for q in translations)
+        q = np.abs(np.reshape(self.translations, (-1, len(extent))))
+        swapped = np.roll(extent[:-1], len(extent) // 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q[:, -1] += extent[-1] + 2.0 * (q[:, :-1] * swapped).sum(axis=1)
+            q[:, :-1] += extent[:-1]
+            self.extent = q.max(axis=0, initial=0.0)
         super().__init__((len(self.translations) * len(parents), parents.shape[1]),
                          held)
 
@@ -417,6 +425,11 @@ class AtomTable(AtomView):
         translation keeps distances, with rho_p the reach of parent chunk
         p: one pass over held parents, or r times T's, as delta_r scales
         distances by r."""
+        # u between two rows has |u_h|^4 + u_t^2 <= 24 (|x_h|^4 + x_t^2), x = extent
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = np.square(self.extent[:-1]).sum()
+            if not size * size + self.extent[-1] ** 2 < np.finfo(float).max / 32:
+                raise ValueError("atom coordinates must be finite")
         chunk, count = CHUNK, self.parent_count
         starts = np.union1d(np.arange(0, len(self), chunk), np.add.outer(
             count * np.arange(len(self.translations)), np.arange(0, count, chunk)))
@@ -515,11 +528,9 @@ def binned_sweep(mu, centers, edges, columns):
     # chunk still returns zero-filled bins
     k = len(columns(slice(0, 0), np.empty((0, dim), order="F"), np.empty(0),
                     np.empty((dim, 0))))
-    kept = []
-    for j, sl in zip(range(keep.shape[1]), chunk_slices(len(mu))):
-        centres = np.flatnonzero(keep[:, j])
-        if centres.size:
-            kept.append((sl, [(i, first[i, j], last[i, j]) for i in centres]))
+    kept = [(sl, [(i, first[i, j], last[i, j]) for i in np.flatnonzero(keep[:, j])])
+            for j, sl in zip(range(keep.shape[1]), chunk_slices(len(mu)))
+            if keep[:, j].any()]
     # a built piece swept for several centres needs rows of its own;
     # for one, the columns' rows hold it until u is formed
     held = mu.points.builds and len(batch) > 1
@@ -616,7 +627,7 @@ def _pairwise(start, stop, piece, combine=np.add):
 
 def _pieces(sl) -> list:
     """The slices of the pieces of ``sl``, in order (:func:`_pairwise`)."""
-    return _pairwise(sl.start, sl.stop, lambda a, b: [slice(a, b)], operator.add)
+    return _pairwise(sl.start, sl.stop, lambda a, b: [slice(a, b)], list.__add__)
 
 
 def _chunk_max_dists(points) -> np.ndarray:
@@ -626,15 +637,10 @@ def _chunk_max_dists(points) -> np.ndarray:
     temporaries per piece row."""
     chunks = [sl for sl in chunk_slices(len(points)) if sl.stop > sl.start]
     pieces = [(piece, sl.start) for sl in chunks for piece in _pieces(sl)]
-
-    def farthest(piece):
-        sl, first = piece
-        return dist(points[first], points[sl]).max()
-
-    done = dict(zip((sl.start for sl, _ in pieces), _map_pieces(
-        lambda: farthest, pieces, len(chunks), _piece_rows() * 8 * 6)))
-    return np.array([_pairwise(sl.start, sl.stop, lambda a, b: done[a], np.maximum)
-                     for sl in chunks], dtype=float)
+    far = _map_pieces(lambda: lambda p: dist(points[p[1]], points[p[0]]).max(),
+                      pieces, len(chunks), _piece_rows() * 8 * 6)
+    return np.maximum.reduceat(np.array(far, dtype=float), np.searchsorted(
+        [first for _, first in pieces], [sl.start for sl in chunks]))
 
 
 def _bin_sums(cols, d, lower, upper, inside, part):
@@ -766,17 +772,14 @@ class DiscreteMeasure:
         return float(totals) if totals.ndim == 0 else totals
 
     def chunk_reach(self) -> np.ndarray:
-        """Reach max d(a_k, q) of each sweep chunk k from its first atom a_k.
-
-        The view gives it: a pass over held atoms, a table's from its
-        parents, a blow-up's from its source.  It is computed on first use
-        and cached against the ``points`` view; threads that ask at the
-        same time wait for the one computation.  A reach from parents or
-        a source sums at most three computed distances, each off by about
-        the square root of an ulp of the coordinates, so it may fall below
-        the built one (by 1.0e-14 of itself at ratio 0.2), far inside the
-        margin of 1e-7 n times the sizes that :func:`binned_sweep` adds.
-        """
+        """Reach max d(a_k, q) of each sweep chunk k from its first atom
+        a_k, as the view gives it, computed on first use and cached against
+        the ``points`` view; threads that ask at once wait for the one
+        computation.  A reach from parents or a source sums at most three
+        computed distances, each off by about the square root of an ulp of
+        the coordinates, so it may fall below the built one (by 1.0e-14 of
+        itself at ratio 0.2), far inside the margin of 1e-7 n times the
+        sizes that :func:`binned_sweep` adds."""
         with self._reach_lock:
             if self._reach is None or self._reach[0] is not self.points:
                 reach = self.points.chunk_reach()

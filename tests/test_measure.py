@@ -1047,6 +1047,27 @@ def test_a_table_row_that_overflows_is_refused_by_the_first_sweep():
             mu.ball_mass([0.0, 0.0, 0.0], 1.0)
 
 
+@pytest.mark.parametrize("nested", [False, True])
+def test_a_table_row_that_overflows_after_a_pieces_first_is_refused(nested):
+    # row 0, the only first row, is finite, and so are the distances
+    # between parents; only the twist of a later row, 2e310, overflows
+    if nested:
+        table = AtomTable(AtomTable([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                                    [[0.0, 0.0, 0.0], [1e70, 0.0, 0.0]]),
+                          [[0.0, 1e240, 0.0]], ratio=0.5)
+    else:
+        table = AtomTable([[0.0, 0.0, 0.0], [1e70, 0.0, 0.0]], [[0.0, 1e240, 0.0]])
+    mu = DiscreteMeasure(1, table, np.ones(len(table)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.all(np.isfinite(mu.points[0]))
+        assert np.isinf(mu.points[len(table) - 1][2])
+        with pytest.raises(ValueError, match="finite"):
+            mu.ball_mass([0.0, 1e240, 0.0], 1.0)
+    # rows of that size whose distances stay finite are swept
+    safe = AtomTable([[0.0, 0.0, 0.0], [1e70, 0.0, 0.0]], [[0.0, 1e70, 0.0]])
+    assert DiscreteMeasure(1, safe, np.ones(2)).ball_mass([0.0, 1e70, 0.0], 1.0) == 1.0
+
+
 # ----------------------------------------------------------------------
 # chunk reach from the group law
 # ----------------------------------------------------------------------
@@ -1071,6 +1092,30 @@ def _zoom(index, r):
         mu = fractal.cylinder_measure(fractal.make_strichartz_ifs(1, 0.25), 5)
         return blowup_measure(mu, mu.points[index], r, s=2.0)
     return make
+
+
+def _signed_table(n, nested):
+    """A table of both signs in every coordinate, flat or nested."""
+    rng = np.random.default_rng(7)
+    table = AtomTable(rng.normal(size=(40, 2 * n + 1)), rng.normal(size=(3, 2 * n + 1)))
+    if nested:
+        table = AtomTable(table, 4.0 * rng.normal(size=(5, 2 * n + 1)), ratio=0.5)
+    return DiscreteMeasure(n, table, np.ones(len(table)))
+
+
+@pytest.mark.parametrize("make, chunk, nested", [
+    (_corner(1, 0.25, 4), CHUNK, False), (_corner(1, 0.25, 5), 1024, True),
+    (_corner(2, 0.25, 3), 1024, True), (lambda: _signed_table(1, False), CHUNK, False),
+    (lambda: _signed_table(2, True), CHUNK, True)],
+    ids=["n1_L4", "n1_L5", "n2_L3", "signed_n1", "signed_n2_nested"])
+def test_a_table_extent_bounds_every_row(make, chunk, nested, monkeypatch):
+    monkeypatch.setattr(measure, "CHUNK", chunk)
+    mu = make()
+    assert (mu.points.inner is not None) == nested
+    rows = np.abs(np.asarray(mu.points))
+    assert np.all(rows <= mu.points.extent)
+    # the twists take the vertical rows near the bound: it is not slack
+    assert rows[:, -1].max() > 0.5 * mu.points.extent[-1]
 
 
 @pytest.mark.parametrize("make, chunk, exact", [
