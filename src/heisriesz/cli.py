@@ -306,6 +306,8 @@ def _measure_for(cfg: RunConfig, name: str, full: int):
                                           spacing=m["spacing"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load measure: {exc}") from None
+        if not len(mu):
+            raise ConfigError(f"measure {m['csv']} has no atoms")
         if mu.spacing is None:
             print(f"note: measure {m['csv']} has no 'spacing'; the "
                   "4x-spacing resolution floor is off", file=sys.stderr)

@@ -31,8 +31,8 @@ from . import core
 # recorder wraps diagnostics.dist, diagnostics.in_cone and
 # diagnostics.blowup_map
 from .core import _coords, ambient_dim, blowup_map, dist, koranyi_norm
-from .measure import (CHUNK, DEFAULT_ATOM_CAP, AtomView, DiscreteMeasure,
-                      _worker_cap, chunk_slices, closed_ball_sums)
+from .measure import (DEFAULT_ATOM_CAP, AtomView, DiscreteMeasure, _refuse_overflow,
+                      _twisted_extent, _worker_cap, closed_ball_sums)
 from .riesz import RieszParams, _radius_powers, growth_profile
 from .subgroups import SubgroupSpec, cone_mask, haar_sample, in_cone
 
@@ -484,9 +484,10 @@ class BlowupView(AtomView):
     source's rows ``sl``, with the bits of the map applied to the whole
     coordinate array.  The map cannot write over its input, so the rows
     of a source that builds them are built into a buffer of their own
-    (``row_scratch``).  Every row is built once, a chunk at a time, when
-    the view is made, and a row that is not finite is refused.  The map
-    scales every distance by 1/r, so the reach is the source's over r.
+    (``row_scratch``).  The map scales every distance by 1/r, so the
+    reach is the source's over r; the extent, delta_{1/r} of the twisted
+    bound of a^{-1} . (the source's extent), is refused when the view is
+    made if it could overflow, and no row is built.
     """
 
     def __init__(self, mu: DiscreteMeasure, a, r) -> None:
@@ -495,10 +496,10 @@ class BlowupView(AtomView):
         self.source, self.center, self.r = mu, np.array(a, dtype=float), r
         self.row_scratch = ((8 * ambient_dim(mu.n) if mu.points.builds else 0)
                             + mu.points.row_scratch)
-        out = np.empty((min(len(mu), CHUNK), ambient_dim(mu.n)), order="F")
-        if not all(np.all(np.isfinite(self.rows(sl, out)))
-                   for sl in chunk_slices(len(mu))):
-            raise ValueError("atom coordinates must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.extent = core.dilate(1.0 / core._check_ratio(r),
+                                      _twisted_extent([-self.center], mu.points.extent))
+        _refuse_overflow(self.extent)
 
     def rows(self, sl, out=None, block=None) -> np.ndarray:
         start, stop, out = self._span(sl, out)
@@ -520,13 +521,22 @@ def blowup_measure(mu: DiscreteMeasure, a, r: float, s: float | None = None,
     ``points`` is a :class:`BlowupView` of ``mu``: it holds no atoms.
     With "power" normalization the weights gain a factor r^(-s); with
     "ball-mass" they are divided by mu(B(a, r)), which must be positive.
-    Atom spacing scales by 1/r along with all distances.
+    Atom spacing scales by 1/r along with all distances.  An r or r^(-s)
+    that is not finite and positive raises ``ValueError``.
     """
     c, _ = _coords(a, mu.n)
+    if not 0.0 < float(r) < math.inf:
+        raise ValueError(f"the blow-up ratio r must be finite and positive, got {r!r}")
     if normalization == "power":
         if s is None:
             raise ValueError("power normalization needs the exponent s")
-        factor = float(r) ** (-s)
+        try:
+            factor = float(r) ** (-s)
+        except OverflowError:
+            factor = math.inf
+        if not 0.0 < factor < math.inf:
+            raise ValueError(f"the weight factor r^(-s) at r = {r!r}, s = {s!r} "
+                             "is not a finite positive double")
     elif normalization == "ball-mass":
         mass = mu.ball_mass(c, r)
         if mass <= 0.0:

@@ -8,9 +8,11 @@ contiguous run); an :class:`AtomTable`, the level L - 1 atoms of an
 equal-ratio cylinder measure, dilated by its ratio, and its maps'
 translations, from which each chunk is built bit for bit as the full
 build makes it (the level L - 1 atoms may themselves be such a table,
-built and dilated a parent block at a time, :class:`ParentBlock`); or a
-blow-up (``diagnostics.blowup_measure``), which maps its source's rows
-as they are read.  Every reader takes its rows through
+held with its ratio as a :class:`DilatedTable`); or a blow-up
+(``diagnostics.blowup_measure``), which maps its source's rows as they
+are read.  Each view takes its chunk reach and a bound on each
+coordinate (``extent``) from what it wraps, by the group law, with no
+row built.  Every reader takes its rows through
 :meth:`DiscreteMeasure.rows` or the view's indexing.  Equal weights may
 be held once, as a zero-stride vector (``np.broadcast_to``).
 
@@ -18,16 +20,14 @@ Ball masses, cone masses and every transform are one
 :func:`binned_sweep` over the atoms, for one centre or a (k, 2n+1)
 batch, in O(CHUNK) memory beyond the held atoms, as are validation and
 CSV reads.  Each measure caches the reach of every chunk from its first
-atom, which the view gives: a pass over held atoms, a table's from its
-parents and a blow-up's from its source, by the group law.  A sweep
-skips the chunks that the triangle inequality puts outside its window
-and sums a chunk that falls in one bin without binning it.  Sweeps and
-the reach pass take each chunk in half-chunk pieces, along the split
-of numpy's pairwise sum, on up to one thread per CPU, with the bits of
-one.  ``points`` and ``weights`` are read-only, so the reach cannot go
-stale.  CSV files have the header ``x1,...,x{2n+1},weight`` and the
-bytes of ``np.savetxt`` (``"%.17g"``); the label and the resolution
-scale are given on reading.
+atom.  A sweep skips the chunks that the triangle inequality puts
+outside its window and sums a chunk that falls in one bin without
+binning it.  Sweeps and the reach pass take each chunk in half-chunk
+pieces, along the split of numpy's pairwise sum, on up to one thread
+per CPU, with the bits of one.  ``points`` and ``weights`` are
+read-only, so the reach cannot go stale.  CSV files have the header
+``x1,...,x{2n+1},weight`` and the bytes of ``np.savetxt`` (``"%.17g"``);
+the label and the resolution scale are given on reading.
 """
 
 from __future__ import annotations
@@ -208,18 +208,20 @@ class AtomView:
 
     A subclass supplies ``rows(sl, out, block)``, the rows of a slice of
     step 1, built into ``out`` (allocated when None) or a view of held
-    rows, with ``block`` a nested table's :class:`ParentBlock`;
-    ``_take(idx)``, the rows of a 1-D array of in-range indices in a new
-    array; and ``chunk_reach()`` (:meth:`DiscreteMeasure.chunk_reach`).
-    ``len``, ``shape``, ``[int]``, ``[int array]`` and ``[slice]`` build
-    only the rows asked for, ``np.asarray`` builds every row
+    rows, with ``block`` a table's :class:`ParentBlock`; ``_take(idx)``,
+    the rows of a 1-D array of in-range indices in a new array;
+    ``chunk_reach()`` (:meth:`DiscreteMeasure.chunk_reach`); and
+    ``extent``, a bound on each coordinate's absolute value over the
+    rows.  ``len``, ``shape``, ``[int]``, ``[int array]`` and ``[slice]``
+    build only the rows asked for, ``np.asarray`` builds every row
     (coordinate-major), and ``nbytes`` counts the bytes of the arrays
-    held.  A subclass refuses rows that are not finite when it is made
-    or, for a table, at its first ``chunk_reach``.  ``builds`` says
-    whether ``rows`` builds them, so that a reader that reads them twice
-    holds a buffer; ``parent_order`` is None or the key by which sweeps
-    take a nested table's slices; ``row_scratch`` is the bytes per row
-    that ``rows`` allocates besides ``out``.
+    held.  An array refuses coordinates that are not finite when it is
+    made, and a table, at its first ``chunk_reach``, or a blow-up, when
+    it is made, an extent that could overflow (:func:`_refuse_overflow`).
+    ``builds`` says whether ``rows`` builds them, so that a reader that
+    reads them twice holds a buffer; ``parent_order`` is None or the key
+    by which sweeps take a nested table's slices; ``row_scratch`` is the
+    bytes per row that ``rows`` allocates besides ``out``.
     """
 
     builds = True
@@ -274,16 +276,19 @@ class ArrayView(AtomView):
     """Atoms held as an explicit array: a read-only coordinate-major view
     of the one given, with no copy when it is coordinate-major already.
     ``rows``, indexing and ``np.asarray`` return it or views of it, a
-    write raises ``ValueError``, and the reach is one pass over its
-    chunks (:func:`_chunk_max_dists`)."""
+    write raises ``ValueError``, the reach is one pass over its chunks,
+    and the extent is the largest |x| of each coordinate."""
 
     builds = False
 
     def __init__(self, points) -> None:
         array = np.asfortranarray(points, dtype=float).view()
-        # one chunk at a time, so that checking costs O(CHUNK)
-        if not all(np.all(np.isfinite(array[sl]))
-                   for sl in chunk_slices(len(array))):
+        # max |x| = max(max x, -min x) a chunk at a time, with no copy of
+        # the chunk; a NaN carries through both
+        self.extent = np.max([np.maximum(array[sl].max(axis=0, initial=0.0),
+                                         -array[sl].min(axis=0, initial=0.0))
+                              for sl in chunk_slices(len(array))], axis=0)
+        if not np.all(np.isfinite(self.extent)):
             raise ValueError("atom coordinates must be finite")
         array.flags.writeable = False
         self.array = array
@@ -302,17 +307,78 @@ class ArrayView(AtomView):
         return np.array(self.array, dtype=dtype, copy=copy)
 
     def chunk_reach(self) -> np.ndarray:
-        return _chunk_max_dists(self.array)
+        """The largest distance of each chunk's atoms from the chunk's
+        first atom, in one pass over the chunks' pieces (a max is exact
+        in any order, and NaN carries), with ``core.dist``'s six
+        temporaries per piece row."""
+        points = self.array
+        chunks = [sl for sl in chunk_slices(len(points)) if sl.stop > sl.start]
+        pieces = [(piece, sl.start) for sl in chunks for piece in _pieces(sl)]
+        far = _map_pieces(lambda: lambda p: dist(points[p[1]], points[p[0]]).max(),
+                          pieces, len(chunks), _piece_rows() * 8 * 6)
+        return np.maximum.reduceat(np.array(far, dtype=float), np.searchsorted(
+            [first for _, first in pieces], [sl.start for sl in chunks]))
 
 
 class ParentBlock:
-    """A buffer that a nested :class:`AtomTable` builds dilated parent
-    rows into, and the (first row, row count) of the parent rows it
-    holds (None while it holds none), so that a later read of any of
-    those parent rows takes them as they are."""
+    """A buffer that a table's parents may build their rows into, and the
+    parent rows last read through it, from row ``first`` on, so that a
+    later read of any of them takes them as they are."""
 
     def __init__(self, rows) -> None:
-        self.rows, self.key = rows, None
+        self.rows, self.first, self.held = rows, 0, rows[:0]
+
+    def read(self, parents, j, k):
+        """Rows j .. j + k - 1 of the view ``parents``, read from row j on,
+        as many as the buffer holds, unless they are held."""
+        if not self.first <= j <= j + k <= self.first + len(self.held):
+            self.first = j
+            self.held = parents.rows(slice(j, min(j + len(self.rows), len(parents))),
+                                     out=self.rows)
+        return self.held[j - self.first:j - self.first + k]
+
+
+def _twisted_extent(translations, extent) -> np.ndarray:
+    """A bound on each coordinate's size over q . x, for q in
+    ``translations`` and |x| <= ``extent``: q . x twists x_t by at most
+    2 sum_i (|q_i| |x_{n+i}| + |q_{n+i}| |x_i|)."""
+    q = np.abs(np.reshape(translations, (-1, len(extent))))
+    swapped = np.roll(extent[:-1], len(extent) // 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q[:, -1] += extent[-1] + 2.0 * (q[:, :-1] * swapped).sum(axis=1)
+        q[:, :-1] += extent[:-1]
+        return q.max(axis=0, initial=0.0)
+
+
+def _refuse_overflow(extent) -> None:
+    """Refuse rows bounded by ``extent`` unless each row, and each
+    distance between two, is clear of overflow: u between two rows has
+    |u_h|^4 + u_t^2 <= 24 (|x_h|^4 + x_t^2), x = extent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.square(extent[:-1]).sum()
+        if not size * size + extent[-1] ** 2 < np.finfo(float).max / 32:
+            raise ValueError("atom coordinates must be finite")
+
+
+class DilatedTable(AtomView):
+    """The rows delta_r(T[j]) of a table T of arrays, built by T into
+    ``out`` and dilated there: a nested :class:`AtomTable`'s parents.
+    delta_r scales distances by r, so the reach is r times T's."""
+
+    def __init__(self, table, ratio) -> None:
+        self.table, self.ratio = table, float(ratio)
+        self.extent = core.dilate(self.ratio, table.extent)
+        super().__init__(table.shape, table._held)
+
+    def rows(self, sl, out=None, block=None) -> np.ndarray:
+        rows = self.table.rows(sl, out)
+        return core.dilate(self.ratio, rows, out=rows)
+
+    def _take(self, idx) -> np.ndarray:
+        return core.dilate(self.ratio, self.table._take(idx))
+
+    def chunk_reach(self) -> np.ndarray:
+        return self.ratio * self.table.chunk_reach()
 
 
 class AtomTable(AtomView):
@@ -327,118 +393,75 @@ class AtomTable(AtomView):
     and its maps' translations: row m B + j is then S_m(parent j), by the
     ops of the last level of its build, with the bits of the full build.
 
-    The parents may instead be a table T of B rows, with the ratio r:
-    then D[j] = delta_r(T[j]), built on demand by T's ``group_mul`` and
-    then ``core.dilate``, the ops of the last two levels of the build, so
-    a measure of level L holds its level L - 2 atoms.  Only one level of
-    tables nests.  A slice reads its parent rows from ``block``, a
-    :class:`ParentBlock` (of ``min(m, B)`` rows, ``row_scratch``, when
-    None), which is filled from the first one read on unless it holds
-    them, so that the pieces of a chunk, and the next chunks with the
-    same parents, take them as they are; sweeps take such a table's
-    slices grouped by parent row (``parent_order``).
-
-    ``extent`` bounds each coordinate's size over the rows, from the held
-    parents and the translations (q . x twists x_t by at most
-    2 sum_i (|q_i| |x_{n+i}| + |q_{n+i}| |x_i|)), and the first
-    ``chunk_reach`` refuses a table unless it keeps every row, and every
-    distance between two rows, clear of overflow.
+    D is the view ``parents``, through which rows, indexing, reach and
+    extent take it: an :class:`ArrayView`, or for a table T of arrays and
+    the ratio r a :class:`DilatedTable`, by the ops of the last two levels
+    of the build, so a measure of level L holds its level L - 2 atoms
+    (one level of tables nests).  A slice reads D through ``block``, a
+    :class:`ParentBlock` (``min(m, B)`` rows of ``row_scratch`` when
+    None), so that the pieces of a chunk, and the next chunks with the
+    same parents, take rows that T built as they are; sweeps take a
+    nested table's slices grouped by parent row (``parent_order``).  The
+    first ``chunk_reach`` makes :func:`_refuse_overflow` of ``extent``,
+    :func:`_twisted_extent` of D's.
     """
 
     def __init__(self, parents, translations, ratio=None) -> None:
         if isinstance(parents, AtomTable):
-            if parents.inner is not None or ratio is None:
+            if parents.parents.builds or ratio is None:
                 raise ValueError("a table's parents are an array, or a table "
                                  "of arrays with the ratio that dilates them")
-            self.inner, self.ratio = parents, float(ratio)
+            parents = DilatedTable(parents, ratio)
             self.row_scratch = 8 * parents.shape[1]
             self.parent_order = lambda sl: sl.start % self.parent_count
-            held, extent = parents._held, core.dilate(self.ratio, parents.extent)
         else:
-            parents = self.dilated = ArrayView(parents).array
-            if parents.ndim != 2:
+            parents = ArrayView(parents)
+            if len(parents.shape) != 2:
                 raise ValueError(f"dilated parents must be (B, 2n+1), got {parents.shape}")
-            self.inner, held = None, (parents,)
-            extent = np.maximum(parents.max(axis=0, initial=0.0),
-                                -parents.min(axis=0, initial=0.0))
-        self.parent_count = len(parents)
-        self.translations = tuple(np.asarray(q, dtype=float) for q in translations)
-        q = np.abs(np.reshape(self.translations, (-1, len(extent))))
-        swapped = np.roll(extent[:-1], len(extent) // 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            q[:, -1] += extent[-1] + 2.0 * (q[:, :-1] * swapped).sum(axis=1)
-            q[:, :-1] += extent[:-1]
-            self.extent = q.max(axis=0, initial=0.0)
+        self.parents, self.parent_count = parents, len(parents)
+        self.translations = np.array(translations, dtype=float).reshape(-1, parents.shape[1])
+        self.extent = _twisted_extent(self.translations, parents.extent)
         super().__init__((len(self.translations) * len(parents), parents.shape[1]),
-                         held)
+                         parents._held)
 
     def rows(self, sl, out=None, block=None) -> np.ndarray:
         """Rows ``sl`` (a slice of step 1) written into ``out``, a
         (>= m, 2n+1) array, allocated when None.  A slice that spans
-        several first letters is built one letter segment at a time; a
-        nested table takes each segment's parent rows from ``block``, at
-        most as many at a time as it holds."""
+        several first letters is built one letter segment at a time, and
+        each segment takes its parent rows through ``block``, at most as
+        many at a time as it holds."""
         start, stop, out = self._span(sl, out)
-        if self.inner is not None and block is None:
+        if block is None:
+            # row_scratch a row: none for parents held, which build no row
             block = ParentBlock(np.empty((min(len(out), self.parent_count),
-                                          self.shape[1]), order="F"))
+                                          self.row_scratch // 8), order="F"))
         at = start
         while at < stop:
             letter, j = divmod(at, self.parent_count)
-            k = min(stop - at, self.parent_count - j)
-            if self.inner is not None:
-                k = min(k, len(block.rows))
-            core.group_mul(self.translations[letter], self._parent_block(j, k, block),
+            k = min(stop - at, self.parent_count - j, len(block.rows))
+            core.group_mul(self.translations[letter], block.read(self.parents, j, k),
                            out=out[at - start:at - start + k])
             at += k
         return out
 
-    def _parent_block(self, j, k, block):
-        """Dilated parent rows j .. j + k - 1: held, or taken from
-        ``block``, which is first filled from parent row j on, as many
-        rows as it holds, unless it holds them already."""
-        if self.inner is None:
-            return self.dilated[j:j + k]
-        first, count = block.key or (0, 0)
-        if not first <= j <= j + k <= first + count:
-            first, count = j, min(len(block.rows), self.parent_count - j)
-            parents = self.inner.rows(slice(first, first + count), out=block.rows)
-            core.dilate(self.ratio, parents, out=parents)
-            block.key = (first, count)
-        return block.rows[j - first:j - first + k]
-
     def _take(self, idx) -> np.ndarray:
         letters, j = np.divmod(idx, self.parent_count)
-        parents = (self.dilated[j] if self.inner is None
-                   else core.dilate(self.ratio, self.inner._take(j)))
-        out = np.empty((len(idx), self.shape[1]), order="F")
-        for letter in np.unique(letters):
-            at = np.flatnonzero(letters == letter)
-            out[at] = core.group_mul(self.translations[letter], parents[at])
-        return out
+        return core.group_mul(self.translations[letters], self.parents[j])
 
     def chunk_reach(self) -> np.ndarray:
         """Each chunk's reach from its first row a_k, with no row built
         but a_k and the first row of each piece, a run of rows of one
         chunk, letter m and parent chunk p.  Its rows q_m . D[j] lie
         within d(a_k, q_m . D[p CHUNK]) + rho_p of a_k, as left
-        translation keeps distances, with rho_p the reach of parent chunk
-        p: one pass over held parents, or r times T's, as delta_r scales
-        distances by r."""
-        # u between two rows has |u_h|^4 + u_t^2 <= 24 (|x_h|^4 + x_t^2), x = extent
-        with np.errstate(over="ignore", invalid="ignore"):
-            size = np.square(self.extent[:-1]).sum()
-            if not size * size + self.extent[-1] ** 2 < np.finfo(float).max / 32:
-                raise ValueError("atom coordinates must be finite")
+        translation keeps distances, with rho_p the reach of D's chunk p."""
+        _refuse_overflow(self.extent)
         chunk, count = CHUNK, self.parent_count
         starts = np.union1d(np.arange(0, len(self), chunk), np.add.outer(
             count * np.arange(len(self.translations)), np.arange(0, count, chunk)))
         firsts = starts - starts % count % chunk
-        parent_reach = (_chunk_max_dists(self.dilated) if self.inner is None
-                        else self.ratio * self.inner.chunk_reach())
         anchors = np.arange(0, len(self), chunk)
         bound = dist(self._take(anchors)[starts // chunk], self._take(firsts))
-        bound += parent_reach[firsts % count // chunk]
+        bound += self.parents.chunk_reach()[firsts % count // chunk]
         return np.maximum.reduceat(bound, np.searchsorted(starts, anchors))
 
 
@@ -628,19 +651,6 @@ def _pairwise(start, stop, piece, combine=np.add):
 def _pieces(sl) -> list:
     """The slices of the pieces of ``sl``, in order (:func:`_pairwise`)."""
     return _pairwise(sl.start, sl.stop, lambda a, b: [slice(a, b)], list.__add__)
-
-
-def _chunk_max_dists(points) -> np.ndarray:
-    """The largest distance of each chunk's atoms of a held array from
-    the chunk's first atom, in one pass over the chunks' pieces (a max is
-    exact in any order, and NaN carries), with ``core.dist``'s six
-    temporaries per piece row."""
-    chunks = [sl for sl in chunk_slices(len(points)) if sl.stop > sl.start]
-    pieces = [(piece, sl.start) for sl in chunks for piece in _pieces(sl)]
-    far = _map_pieces(lambda: lambda p: dist(points[p[1]], points[p[0]]).max(),
-                      pieces, len(chunks), _piece_rows() * 8 * 6)
-    return np.maximum.reduceat(np.array(far, dtype=float), np.searchsorted(
-        [first for _, first in pieces], [sl.start for sl in chunks]))
 
 
 def _bin_sums(cols, d, lower, upper, inside, part):

@@ -250,11 +250,30 @@ def test_removed_keys_are_unknown(tmp_path, capsys, block, key):
         {"level": 2, "tangent": {"normalization": "ball-mass",
                                  "point": [9, 9, 0]}})},
      "ball of radius 0.25 at the center carries no mass"),
+    # a ratio whose power normalization r^(-s) cannot be formed
+    (["tangent", "blowup"], {"config.json": json.dumps(
+        {"level": 2, "tangent": {"r": 0.0}})},
+     "the blow-up ratio r must be finite and positive, got 0.0"),
+    (["tangent", "blowup"], {"config.json": json.dumps(
+        {"level": 2, "tangent": {"r": 1e-200}})},
+     "the weight factor r^(-s) at r = 1e-200, s = 2.0 is not a finite positive double"),
+    # a header-only CSV reads as a measure with no atoms
+    *[(command, {"config.json": json.dumps(
+        {"measure": {"csv": "empty.csv", "a": 2.0}, **extra}),
+        "empty.csv": "x1,x2,x3,weight\n"}, "measure empty.csv has no atoms")
+      for command, extra in [(["riesz", "divergence"], {}),
+                             (["riesz", "transform"], {}),
+                             (["cone-deficiency"], {}),
+                             (["measure", "ad-report"], {}),
+                             (["tangent", "blowup"],
+                              {"tangent": {"point": [0.0, 0.0, 0.0]}})]],
 ], ids=["config-absent", "config-not-json", "csv-unparsable",
         "probe-points-list", "blowup-csv-without-point", "basis-zero",
         "basis-length", "basis-too-many", "horizontal-without-basis",
         "probe-resolution-1", "probe-resolution-2", "radius-above-diameter",
-        "blowup-empty-ball"])
+        "blowup-empty-ball", "blowup-r-zero", "blowup-r-power-overflow",
+        "empty-csv-divergence", "empty-csv-transform", "empty-csv-cone",
+        "empty-csv-ad-report", "empty-csv-blowup"])
 def test_unusable_input_is_a_config_error(tmp_path, capsys, monkeypatch,
                                           command, files, error):
     for name, text in files.items():

@@ -451,3 +451,9 @@ def test_a_blowup_whose_map_overflows_is_refused_when_built():
     mu = DiscreteMeasure(1, [[0.0, 0.0, 0.0], [0.0, 0.0, 1e300]], np.ones(2))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         blowup_measure(mu, np.zeros(3), 1e-10, s=2.0)
+    # finite rows whose distances could overflow, as a table's are, and a
+    # centre that is not finite
+    far = DiscreteMeasure(1, [[1e80, 0.0, 0.0]], np.ones(1))
+    for source, centre in [(far, np.zeros(3)), (mu, [np.nan, 0.0, 0.0])]:
+        with pytest.raises(ValueError, match="finite"):
+            blowup_measure(source, centre, 1.0, s=2.0)

@@ -201,7 +201,7 @@ def _held_level(n, level):
                                                      level))
     N, dim = 4 ** (n + 1), 2 * n + 1
     assert len(mu) == N ** level and mu.points.shape == (N ** level, dim)
-    assert mu.points.inner is not None
+    assert mu.points.parents.builds
     assert mu.points.nbytes == N ** (level - 2) * dim * 8
     return peak
 

@@ -946,7 +946,7 @@ def test_every_table_chunk_is_the_explicit_build(make, level, chunk, nested,
     mu = fractal.cylinder_measure(ifs, level)
     full = fractal._cylinder_atoms(ifs, level)
     assert isinstance(mu.points, AtomTable) and mu.points.shape == full.shape
-    assert (mu.points.inner is not None) == nested
+    assert mu.points.parents.builds == nested
     out = np.empty((min(len(mu), chunk), full.shape[1]), order="F")
     slices = list(chunk_slices(len(mu)))
     for sl in slices:
@@ -981,13 +981,13 @@ def test_table_indexing_builds_the_same_bits(mu5, ifs14, monkeypatch):
     # a table of tables takes its rows' parents from its own parents
     monkeypatch.setattr(measure, "CHUNK", 4096)
     nested = fractal.cylinder_measure(ifs14, 5).points
-    assert nested.inner is not None
+    assert nested.parents.builds
     for got, want in [(nested[idx], full[idx]), (nested[::4096], full[::4096]),
                       (nested[5:200_000:3], full[5:200_000:3])]:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     # one level of tables nests, and only with the ratio that dilates it
-    for parents, ratio in [(nested, 0.25), (nested.inner, None)]:
+    for parents, ratio in [(nested, 0.25), (nested.parents.table, None)]:
         with pytest.raises(ValueError, match="table of arrays"):
             AtomTable(parents, nested.translations, ratio=ratio)
 
@@ -999,7 +999,7 @@ def _flat_and_nested(ifs, level):
     parents = fractal._cylinder_atoms(ifs, level - 1)
     flat = AtomTable(core.dilate(maps[0].r, parents), [s.q for s in maps])
     nested = fractal.cylinder_measure(ifs, level)
-    assert nested.points.inner is not None
+    assert nested.points.parents.builds
     return DiscreteMeasure(ifs.n, flat, nested.weights), nested
 
 
@@ -1111,11 +1111,64 @@ def _signed_table(n, nested):
 def test_a_table_extent_bounds_every_row(make, chunk, nested, monkeypatch):
     monkeypatch.setattr(measure, "CHUNK", chunk)
     mu = make()
-    assert (mu.points.inner is not None) == nested
+    assert mu.points.parents.builds == nested
     rows = np.abs(np.asarray(mu.points))
     assert np.all(rows <= mu.points.extent)
     # the twists take the vertical rows near the bound: it is not slack
     assert rows[:, -1].max() > 0.5 * mu.points.extent[-1]
+
+
+def _zoom_source(kind):
+    """The n = 1 level-4 corner measure as an array, a table, a table of
+    tables (when CHUNK is below its level 3) or a zoom of the table."""
+    mu = fractal.cylinder_measure(fractal.make_strichartz_ifs(1, 0.25), 4)
+    if kind == "array":
+        return DiscreteMeasure(1, np.asarray(mu.points), mu.weights)
+    if kind == "zoom":
+        return blowup_measure(mu, mu.points[7], 0.5, s=2.0)
+    assert mu.points.parents.builds == (kind == "nested")
+    return mu
+
+
+_ZOOM_SOURCES = pytest.mark.parametrize("source, chunk", [
+    ("array", CHUNK), ("flat", CHUNK), ("nested", 1024), ("zoom", CHUNK)])
+
+
+@_ZOOM_SOURCES
+def test_a_zoom_extent_bounds_every_row(source, chunk, monkeypatch):
+    monkeypatch.setattr(measure, "CHUNK", chunk)
+    mu = _zoom_source(source)
+    nu = blowup_measure(mu, mu.points[12_345], 0.25, s=2.0)
+    rows = np.abs(np.asarray(nu.points))
+    assert np.all(rows <= nu.points.extent)
+    # the twist by the centre takes the vertical rows near the bound
+    assert rows[:, -1].max() > 0.1 * nu.points.extent[-1]
+
+
+@_ZOOM_SOURCES
+def test_making_a_zoom_builds_none_of_its_rows(source, chunk, monkeypatch):
+    monkeypatch.setattr(measure, "CHUNK", chunk)
+    mu = _zoom_source(source)
+    centre = mu.points[12_345]
+    read = []
+
+    def recorder(cls, name):
+        method = getattr(cls, name)
+
+        def recorded(view, *args, **kwargs):
+            read.append((cls.__name__, name))
+            return method(view, *args, **kwargs)
+        return recorded
+
+    for cls in (measure.AtomView, measure.ArrayView, AtomTable, measure.DilatedTable,
+                BlowupView):
+        for name in {"rows", "_take", "__getitem__"} & set(vars(cls)):
+            monkeypatch.setattr(cls, name, recorder(cls, name))
+    nu = blowup_measure(mu, centre, 0.25, s=2.0)
+    assert read == []
+    # the recorder sees a read
+    nu.points[0]
+    assert ("BlowupView", "_take") in read
 
 
 @pytest.mark.parametrize("make, chunk, exact", [
@@ -1151,8 +1204,8 @@ def test_a_table_or_zoom_reach_builds_none_of_its_rows(ifs14, monkeypatch, neste
     if nested:
         monkeypatch.setattr(measure, "CHUNK", 4096)
     mu = fractal.cylinder_measure(ifs14, 5)
-    nu = blowup_measure(mu, mu.points[70_001], 0.25, s=2.0)
-    assert (mu.points.inner is not None) == nested
+    centre = mu.points[70_001]
+    assert mu.points.parents.builds == nested
     built, taken = [], []
     table_rows, zoom_rows, take = AtomTable.rows, BlowupView.rows, AtomTable._take
 
@@ -1169,6 +1222,9 @@ def test_a_table_or_zoom_reach_builds_none_of_its_rows(ifs14, monkeypatch, neste
     monkeypatch.setattr(AtomTable, "rows", rows)
     monkeypatch.setattr(BlowupView, "rows", rows)
     monkeypatch.setattr(AtomTable, "_take", counted)
+    # making the zoom builds no row, and takes none
+    nu = blowup_measure(mu, centre, 0.25, s=2.0)
+    assert built == [] and taken == []
     reach = nu.chunk_reach()
     assert built == []
     # the chunks' first rows and one row per piece, one chunk a piece
@@ -1192,7 +1248,7 @@ def test_only_the_construction_sites_ask_which_view_they_hold():
         if grown == views:
             break
         views = grown
-    assert views == {"AtomView", "ArrayView", "AtomTable", "BlowupView"}
+    assert views == {"AtomView", "ArrayView", "AtomTable", "DilatedTable", "BlowupView"}
     found = set()
 
     def visit(node, scope):
