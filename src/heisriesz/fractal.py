@@ -710,56 +710,98 @@ def _compose_after(q: np.ndarray, rw: np.ndarray, sq: np.ndarray, sr):
     return core.group_mul(q, shifted, out=out), rw * sr
 
 
-def min_piece_separation(ifs: Ifs, level: int) -> float:
-    """Exact minimal gauge distance across distinct first-letter cylinders.
 
-    Branch and bound over word pairs with different first letters, each
-    word w stood for by its anchor w(b), b the fixed point of map 0 (the
-    base of :func:`cylinder_measure`).  The search starts from the
-    N(N-1)/2 pairs of distinct one-letter words and refines the pairs
-    that may still hold the minimum one letter at a time on alternate
-    sides, the N children of a fixed-size chunk of parent pairs at once,
-    until both words reach `level` = L.  A level-l anchor lies within
 
-        drift(l) = r^l rho0 (1 - r^(L-l)) / (1 - r)
-
-    of each of its level-L descendants (r the largest ratio, rho0 the
-    largest one-step displacement of b), so a pair of words at levels l
-    and l' and distance d is dropped once d - drift(l) - drift(l')
-    exceeds an upper bound U on the answer.
-
-    The anchor w(b) = w 0^(L-l)(b) is itself a level-L atom with the same
-    first letter, so every distance computed is realized at level L and
-    U is the least one seen so far.  Pruning keeps every ancestor pair of
-    the minimum (with 1e-12 slack for rounding), so the result is exact.
-    Every word is composed by one-letter appends, as in
-    :func:`word_similarity`.  For the 16-map corner family the search
-    measures 0.34M distances at level 4 and 1.7M at level 5.  A level's
-    survivors are kept as indices into the pairs they refine, nearest
-    first, and its words are built only when the next level has
-    survivors, so memory is a chunk of 2^15 distances, the words of two
-    levels and one level's indices: 6.3 MB at n = 1 level 5.  More than
-    2^22 surviving pairs raise AtomCapExceeded, and a NaN distance
-    RuntimeError.  A one-map system has no cross pairs and returns +inf.
-    """
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
+def _offset_product(ifs: Ifs):
+    """(Z, T, letter) for a system of one ratio whose maps are each
+    (z, t) of horizontal translations z in Z and vertical offsets t in T,
+    |T| >= 2, exactly once; else None.  Z holds the translations (z, 0),
+    T is sorted, and map letter[i, j] has the translation (Z[i], T[j])."""
     maps = ifs.maps
-    N = len(maps)
-    if N == 1:
-        return math.inf
-    b = maps[0].fixed_point()
-    r_max = float(np.max(ifs.ratios))
-    rho0 = max(float(dist(b, s.apply(b))) for s in maps)
+    q = np.stack([s.q for s in maps])
+    Z, zi = np.unique(q[:, :-1], axis=0, return_inverse=True)
+    T, ti = np.unique(q[:, -1], return_inverse=True)
+    letter = np.full((len(Z), len(T)), -1)
+    letter[zi.reshape(-1), ti] = np.arange(len(maps))
+    if (len(T) < 2 or letter.size != len(maps) or letter.min() < 0
+            or np.any(ifs.ratios != maps[0].r)):
+        return None
+    return np.hstack([Z, np.zeros((len(Z), 1))]), T, letter
 
-    def drift(lvl: int) -> float:
-        return r_max ** lvl * rho0 * (1.0 - r_max ** (level - lvl)) / (1.0 - r_max)
 
-    def positions(qc: np.ndarray, rc: np.ndarray) -> np.ndarray:
-        # the anchor w(b) is the translation of w followed by tau_b
-        return _compose_after(qc, rc, b, 1.0)[0]
+def _offset_weights(n: int, r: float, count: int) -> np.ndarray:
+    """The weights of c_w = sum_k weights[k] t_{w_k} over a word's first
+    `count` letters: a word's composite takes its first letter's
+    translation as it is and the k-th dilated by r^k (the ratios' running
+    product), as :func:`_compose_after` does."""
+    unit = np.zeros(ambient_dim(n))
+    unit[-1] = 1.0
+    ratios = np.cumprod(np.full(count - 1, r))
+    return np.append(1.0, core.dilate(ratios, unit)[:, -1])
 
-    sq, sr = np.stack([s.q for s in maps]), ifs.ratios
+
+def _offset_search(x, same, digits, weights, radius=None):
+    """Sums c = sum_k weights[k] e_k, e_k from the sorted digits[k] and
+    e_0 != 0 where `same`, against the targets x: with radius None the
+    sum nearest each target, else every sum within radius[i] of x[i], as
+    the arrays (i, indices of its digits into digits[k]).
+
+    Branch and bound over the digits, most significant first: a prefix
+    is dropped once the range of sums its tail can add lies farther from
+    x than the nearer end of another prefix's range (each end is a sum,
+    every later digit least or greatest).  Where neighbouring digits'
+    ranges overlap, two or more children of a prefix may hold the answer,
+    and each is kept.  A NaN target is searched as 0.
+    """
+    x = np.where(np.isnan(x), 0.0, x)
+    ends = np.array([[w * d[0], w * d[-1]] for w, d in zip(weights, digits)]
+                    + [[0.0, 0.0]])
+    lo, hi = np.cumsum(ends[::-1], axis=0)[::-1].T
+    at, c = np.arange(len(x)), np.zeros(len(x))
+    choice = np.empty((len(x), 0), dtype=np.intp)
+    for k, (w, d) in enumerate(zip(weights, digits)):
+        sums = c[:, None] + w * d
+        gap = x[at, None] - sums
+        if k == 0:
+            # a pair of words with one first letter needs t_0 != t'_0
+            gap[same[:, None] & (d == 0)] = np.inf
+        far = np.maximum(gap - hi[k + 1], lo[k + 1] - gap)
+        if radius is None:
+            near = np.minimum(np.abs(gap - lo[k + 1]), np.abs(gap - hi[k + 1]))
+            first = np.flatnonzero(np.diff(at, prepend=-1))
+            bound = np.minimum.reduceat(near.min(axis=1), first)[at]
+        else:
+            bound = radius[at]
+        rows, cols = np.nonzero(far <= bound[:, None])
+        at, c = at[rows], sums[rows, cols]
+        if radius is not None:
+            choice = np.column_stack([choice[rows], cols])
+    err = np.abs(x[at] - c)
+    if radius is not None:
+        keep = err <= radius[at]
+        return at[keep], choice[keep]
+    order = np.lexsort((err, at))
+    return c[order[np.flatnonzero(np.diff(at[order], prepend=-1))]]
+
+
+def _word_pair_search(sq, sr, level, drift, measure, coded):
+    """Branch and bound over pairs of words in the maps (sq, sr) with
+    different first letters, to `level` on both sides, for
+    :func:`min_piece_separation`; `measure(pairs, levels)` gives the
+    distances of a chunk of pairs.  A pair is its words' columns (q, rw)
+    each, followed by the word's letters as one base-N integer when
+    `coded`.  Returns the least distance and, when `coded`, the last
+    level's pairs within 1e-12 of it; coded words may share their first
+    letter, which `measure` then handles."""
+    N = len(sq)
+    width = 3 if coded else 2
+
+    def first(letter):
+        return [sq[letter], sr[letter]] + [letter] * coded
+
+    def append(words, letter):
+        q, rw = _compose_after(*words[:2], sq[letter], sr[letter])
+        return [q, rw] + [code * N + letter for code in words[2:]]
 
     def pairs_of(words, side, idx):
         """The pairs that idx names: with side None the one-letter pairs
@@ -767,28 +809,29 @@ def min_piece_separation(ifs: Ifs, level: int) -> float:
         letter idx % N appended on `side`."""
         parent, letter = np.divmod(idx, N)
         if side is None:
-            return [sq[parent], sr[parent], sq[letter], sr[letter]]
+            return first(parent) + first(letter)
         pairs = [x[parent] for x in words]
-        word = slice(2 * side, 2 * side + 2)
-        pairs[word] = _compose_after(*pairs[word], sq[letter], sr[letter])
+        word = slice(width * side, width * (side + 1))
+        pairs[word] = append(pairs[word], letter)
         return pairs
 
     def build(words, side, idx):
         """pairs_of(words, side, idx) in full, CHUNK // 4 pairs at a time."""
-        shapes = ((len(idx), sq.shape[1]), (len(idx),)) * 2
-        out = [np.empty(shape) for shape in shapes]
+        out = None
         for start in range(0, len(idx), CHUNK // 4):
             part = pairs_of(words, side, idx[start:start + CHUNK // 4])
+            if out is None:
+                out = [np.empty((len(idx),) + x.shape[1:], x.dtype) for x in part]
             for col, x in zip(out, part):
                 col[start:start + len(x)] = x
         return out
 
     def letter_pairs():
-        """The one-letter pairs (i, j), i < j, from CHUNK cells of the
-        N x N table at a time, with their cells i N + j."""
+        """The one-letter pairs (i, j), i < j (i <= j when coded), from
+        CHUNK cells of the N x N table at a time, with their cells i N + j."""
         for start in range(0, N * N, CHUNK):
             cells = np.arange(start, min(start + CHUNK, N * N))
-            cells = cells[cells // N < cells % N]
+            cells = cells[cells // N < cells % N + coded]
             if len(cells):
                 yield pairs_of(None, None, cells), cells
 
@@ -800,24 +843,25 @@ def min_piece_separation(ifs: Ifs, level: int) -> float:
         pairs_of(words, side, idx) at once, letters on the leading axis,
         with their indices parent N + letter."""
         step = max(1, CHUNK // (2 * N))
-        word = slice(2 * new_side, 2 * new_side + 2)
+        word = slice(width * new_side, width * (new_side + 1))
         for start in range(0, len(idx), step):
             stop = min(start + step, len(idx))
             part = [x[None] for x in pairs_of(words, side, idx[start:stop])]
-            part[word] = _compose_after(*part[word], sq[:, None], sr[:, None])
+            part[word] = append(part[word], np.arange(N)[:, None])
             yield part, np.arange(start, stop) * N + np.arange(N)[:, None]
 
     upper = math.inf
 
     def prune(chunks, levels):
         """Least distance over the chunks, and the indices of the pairs
-        that survive it, nearest first."""
+        that survive it, nearest first (none at the last level unless
+        coded)."""
         nonlocal upper
         slack = drift(levels[0]) + drift(levels[1]) + 1e-12
-        last = levels == [level, level]
+        last = levels == [level, level] and not coded
         least, kept, count = math.inf, [], 0
         for part, flat in chunks:
-            d = dist(positions(*part[:2]), positions(*part[2:]))
+            d = measure(part, levels)
             if math.isnan(dmin := float(np.min(d))):
                 raise RuntimeError(f"NaN distance at levels {levels}")
             least = min(least, dmin)
@@ -846,7 +890,7 @@ def min_piece_separation(ifs: Ifs, level: int) -> float:
     levels = [1, 1]
     least, idx = prune(letter_pairs(), levels)
     words = side = None
-    while idx is not None:
+    while levels != [level, level]:
         # refine the shallower side, the first on a tie
         new_side = int(levels[1] < levels[0])
         levels[new_side] += 1
@@ -854,4 +898,134 @@ def min_piece_separation(ifs: Ifs, level: int) -> float:
         if new_idx is not None:
             words = build(words, side, idx)
         side, idx = new_side, new_idx
+    return least, (build(words, side, idx) if coded else None)
+
+
+def min_piece_separation(ifs: Ifs, level: int) -> float:
+    """Exact minimal gauge distance across distinct first-letter cylinders.
+
+    Branch and bound over word pairs with different first letters, each
+    word w stood for by its anchor w(b), b the fixed point of map 0 (the
+    base of :func:`cylinder_measure`).  The search starts from the
+    pairs of distinct one-letter words and refines the pairs that may
+    still hold the minimum one letter at a time on alternate sides, the
+    children of a fixed-size chunk of parent pairs at once, until both
+    words reach `level` = L.  A level-l anchor lies within
+
+        drift(l) = r^l rho0 (1 - r^(L-l)) / (1 - r)
+
+    of each of its level-L descendants (r the largest ratio, rho0 the
+    largest one-step displacement of b), so a pair of words at levels l
+    and l' and distance d is dropped once d - drift(l) - drift(l')
+    exceeds an upper bound U on the answer.
+
+    The anchor w(b) = w 0^(L-l)(b) is itself a level-L atom with the same
+    first letter, so every distance computed is realized at level L and
+    U is the least one seen so far.  Pruning keeps every ancestor pair of
+    the minimum (with 1e-12 slack for rounding), so the result is exact.
+    Every word is composed by one-letter appends, as in
+    :func:`word_similarity`, and the result is the least distance so
+    measured over the level-L pairs.
+
+    Two paths serve it.  A system of one ratio whose maps are every
+    (z, t) of horizontal translations z in Z and vertical offsets t in T
+    (every :func:`make_strichartz_ifs` system) has central offsets: its
+    words are S_w = (0, c_w) . S_v, with v the word of horizontal maps
+    (z, 0) and c_w = sum_k r^(2k) t_{w_k}.  So it refines pairs of
+    horizontal words, |Z| children a side, and measures each pair at the
+    offset difference c_{w'} - c_w nearest to cancelling its vertical
+    displacement, found exactly by :func:`_offset_search`; pairs of one
+    first horizontal letter need t_0 != t'_0.  The level-L pairs within
+    1e-12 of the least are then measured again for every offset word
+    that comes within that slack, through the one-letter appends.  Every
+    other system refines pairs of whole words, N children a side.  For
+    the 16-map corner family the whole-word path measures 0.34M
+    distances at level 4 and 1.7M at level 5; the horizontal path 1,950
+    and 4,210, with the final re-measure.  A level's survivors are kept as indices into the
+    pairs they refine, nearest first, and its words are built only when
+    the next level has survivors, so memory is a chunk of 2^15
+    distances, the words of two levels and one level's indices: 6.2 MB
+    for a 16-map system at n = 1 level 5 on the whole-word path, 1.7 MB
+    for the corner family on the horizontal one.  More than 2^22 surviving
+    pairs at a level raise AtomCapExceeded, and a NaN distance
+    RuntimeError.  A one-map system has no cross pairs and returns +inf.
+    """
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    maps = ifs.maps
+    if len(maps) == 1:
+        return math.inf
+    b = maps[0].fixed_point()
+    r_max = float(np.max(ifs.ratios))
+    rho0 = max(float(dist(b, s.apply(b))) for s in maps)
+
+    def drift(lvl: int) -> float:
+        return r_max ** lvl * rho0 * (1.0 - r_max ** (level - lvl)) / (1.0 - r_max)
+
+    def positions(word):
+        # the anchor w(b) is the translation of w followed by tau_b
+        return _compose_after(word[0], word[1], b, 1.0)[0]
+
+    sq, sr = np.stack([s.q for s in maps]), ifs.ratios
+    product = _offset_product(ifs)
+    if product is None or len(product[0]) ** level >= 2 ** 63:
+        return _word_pair_search(
+            sq, sr, level, drift,
+            lambda pairs, levels: dist(positions(pairs[:2]), positions(pairs[2:])),
+            coded=False)[0]
+
+    Z, T, letter = product
+    H = len(Z)
+    weights = _offset_weights(ifs.n, maps[0].r, level)
+    both = np.unique(np.subtract.outer(T, T))
+
+    def digits(levels):
+        # c_{w'} - c_w gains t' - t at a letter of both words, and t' or
+        # -t at a letter of one
+        return [both if k < min(levels) else T if k < levels[1] else -T[::-1]
+                for k in range(max(levels))]
+
+    def offset_pairs(pairs, levels):
+        """The anchors P, P' of each pair of horizontal words, minus the
+        vertical displacement of P^-1 P', and whether their first letters
+        are one."""
+        P, Q = positions(pairs[:2]), positions(pairs[3:5])
+        x = P[..., -1] - Q[..., -1] + core.symplectic_form(P, Q)
+        same = pairs[2] // H ** (levels[0] - 1) == pairs[5] // H ** (levels[1] - 1)
+        return P, Q, x, np.broadcast_to(same, x.shape)
+
+    def measure(pairs, levels):
+        P, Q, x, same = offset_pairs(pairs, levels)
+        c = _offset_search(x.ravel(), same.ravel(), digits(levels),
+                           weights[:max(levels)])
+        Q = np.array(np.broadcast_to(Q, x.shape + Q.shape[-1:]))
+        Q[..., -1] += c.reshape(x.shape)
+        return dist(P, Q)
+
+    least, near = _word_pair_search(Z, sr[:H], level, drift, measure, coded=True)
+    # every offset word of those pairs whose distance comes within the
+    # slack: |x - c| <= sqrt(U^4 - h^4), h the horizontal displacement
+    P, Q, x, same = offset_pairs(near, [level, level])
+    flat = Q.copy()
+    flat[:, -1] += x
+    h = dist(P, flat)
+    radius = np.sqrt(np.maximum((least + 1e-12) ** 4 - h ** 4, 0.0))
+    at, choice = _offset_search(x, same, digits([level, level]), weights, radius)
+    # each digit is t' - t for every pair of offsets with that difference
+    jj = np.divmod(np.arange(len(T) ** 2), len(T))
+    gaps = T[jj[1]] - T[jj[0]]
+    offsets = [np.empty((len(at), 0), dtype=np.intp)] * 2
+    for k in range(level):
+        rows, cols = np.nonzero(gaps == both[choice[:, k], None])
+        at, choice = at[rows], choice[rows]
+        offsets = [np.column_stack([t[rows], j[cols]]) for t, j in zip(offsets, jj)]
+    anchors = []
+    for code, t in zip((near[2][at], near[5][at]), offsets):
+        word = letter[code[:, None] // H ** np.arange(level - 1, -1, -1) % H, t]
+        q, rw = sq[word[:, 0]], sr[word[:, 0]]
+        for k in range(1, level):
+            q, rw = _compose_after(q, rw, sq[word[:, k]], sr[word[:, k]])
+        anchors.append(positions((q, rw)))
+    if math.isnan(least := float(np.min(dist(*anchors)))):
+        raise RuntimeError(f"NaN distance at levels {[level, level]}")
     return least

@@ -215,9 +215,9 @@ class AtomView:
     rows.  ``len``, ``shape``, ``[int]``, ``[int array]`` and ``[slice]``
     build only the rows asked for, ``np.asarray`` builds every row
     (coordinate-major), and ``nbytes`` counts the bytes of the arrays
-    held.  An array refuses coordinates that are not finite when it is
-    made, and a table, at its first ``chunk_reach``, or a blow-up, when
-    it is made, an extent that could overflow (:func:`_refuse_overflow`).
+    held.  An array or a blow-up, when it is made, and a table, at its
+    first ``chunk_reach``, refuses an extent that is not finite or could
+    overflow (:func:`_refuse_overflow`).
     ``builds`` says whether ``rows`` builds them, so that a reader that
     reads them twice holds a buffer; ``parent_order`` is None or the key
     by which sweeps take a nested table's slices; ``row_scratch`` is the
@@ -277,7 +277,8 @@ class ArrayView(AtomView):
     of the one given, with no copy when it is coordinate-major already.
     ``rows``, indexing and ``np.asarray`` return it or views of it, a
     write raises ``ValueError``, the reach is one pass over its chunks,
-    and the extent is the largest |x| of each coordinate."""
+    and the extent is the largest |x| of each coordinate, refused when it
+    is made if it could overflow (:func:`_refuse_overflow`)."""
 
     builds = False
 
@@ -288,8 +289,7 @@ class ArrayView(AtomView):
         self.extent = np.max([np.maximum(array[sl].max(axis=0, initial=0.0),
                                          -array[sl].min(axis=0, initial=0.0))
                               for sl in chunk_slices(len(array))], axis=0)
-        if not np.all(np.isfinite(self.extent)):
-            raise ValueError("atom coordinates must be finite")
+        _refuse_overflow(self.extent)
         array.flags.writeable = False
         self.array = array
         super().__init__(array.shape, (array,))

@@ -255,9 +255,10 @@ def test_negated_form_reaches_every_caller(monkeypatch, ifs14, mu2, phi64):
 
 def test_corrupted_dilation_reaches_every_caller(monkeypatch, ifs14, mu2,
                                                  phi64):
-    # cylinder atoms, word composites, the maps, the zoom and the
-    # vertical-bound check's ball draws all dilate through core.dilate,
-    # so scaling its vertical factor here must move each of these outputs
+    # cylinder atoms, word composites (and the corner family's offset
+    # weights), the maps, the zoom and the vertical-bound check's ball
+    # draws all dilate through core.dilate, so scaling its vertical factor
+    # here must move each of these outputs
     from heisriesz.diagnostics import blowup_measure, horest_check
     from heisriesz.fractal import (cylinder_measure, min_piece_separation,
                                    verify_invariant_region, word_similarity)
@@ -272,6 +273,7 @@ def test_corrupted_dilation_reaches_every_caller(monkeypatch, ifs14, mu2,
             "cylinder": np.asarray(cylinder_measure(trio, 3).points).tobytes(),
             "word": word_similarity(trio, (1, 2)).q.tobytes(),
             "separation": min_piece_separation(trio, 3),
+            "corner separation": min_piece_separation(ifs14, 3),
             "blowup": np.asarray(blowup_measure(mu2, mu2.points[37], 0.25,
                                                 s=2.0).points).tobytes(),
             "region": (region.min_lower_margin, region.min_upper_margin),

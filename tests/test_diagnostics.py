@@ -448,12 +448,15 @@ def test_blowup_view_rows_are_the_explicit_map(mu5, ifs14, source, monkeypatch):
 
 
 def test_a_blowup_whose_map_overflows_is_refused_when_built():
-    mu = DiscreteMeasure(1, [[0.0, 0.0, 0.0], [0.0, 0.0, 1e300]], np.ones(2))
+    # atoms clear of overflow, which an array refuses when it is made: only
+    # the zoom's map takes a row's vertical to 1e160
+    mu = DiscreteMeasure(1, [[0.0, 0.0, 0.0], [0.0, 0.0, 1e140]], np.ones(2))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         blowup_measure(mu, np.zeros(3), 1e-10, s=2.0)
     # finite rows whose distances could overflow, as a table's are, and a
     # centre that is not finite
-    far = DiscreteMeasure(1, [[1e80, 0.0, 0.0]], np.ones(1))
-    for source, centre in [(far, np.zeros(3)), (mu, [np.nan, 0.0, 0.0])]:
+    far = DiscreteMeasure(1, [[1e60, 0.0, 0.0]], np.ones(1))
+    for source, centre, r in [(far, np.zeros(3), 1e-20),
+                              (mu, [np.nan, 0.0, 0.0], 1.0)]:
         with pytest.raises(ValueError, match="finite"):
-            blowup_measure(source, centre, 1.0, s=2.0)
+            blowup_measure(source, centre, r, s=2.0)

@@ -647,12 +647,122 @@ def _mixed_trio():
     ("mixed", 5, "0x1.aa05bd37af911p-2"),
     ("r8", 3, "0x1.ce12949eaf465p-2"),
     ("n2", 2, "0x1.3a13de01ef15dp-2"),
+    # the horizontal word-pair path keeps the whole-word path's bits
+    ("ifs14", 5, "0x1.1c726cc8ae92fp-2"),
+    ("ifs14", 6, "0x1.1b21f0c6d9f3cp-2"),
+    ("r8", 4, "0x1.cc61a3605443cp-2"),
+    ("n2", 3, "0x1.974b2334f2346p-3"),
+    ("r0.4", 3, "0x1.26ecb828dc039p-3"),
+    ("r0.4", 4, "0x1.b089b12b9875ep-4"),
+    # here the offset search's own least is 0x1.85cde8c42892dp-3, 13 ulps
+    # above: only the pairs measured again by whole words give these bits
+    ("r0.3", 4, "0x1.85cde8c428920p-3"),
 ])
 def test_min_piece_separation_bits(ifs14, family, level, want):
     ifs = {"ifs14": lambda: ifs14, "mixed": _mixed_trio,
            "r8": lambda: make_strichartz_ifs(1, 0.125),
+           "r0.4": lambda: make_strichartz_ifs(1, 0.4),
+           "r0.3": lambda: make_strichartz_ifs(1, 0.3),
            "n2": lambda: make_strichartz_ifs(2, 0.25)}[family]()
     assert min_piece_separation(ifs, level) == float.fromhex(want)
+
+
+def _offset_digits(levels):
+    """The corner family's digit sets of c_{w'} - c_w for words of
+    `levels`, as min_piece_separation takes them."""
+    T = np.array([0.0, 0.25, 0.5, 0.75])
+    both = np.unique(np.subtract.outer(T, T))
+    return [both if k < min(levels) else T if k < levels[1] else -T[::-1]
+            for k in range(max(levels))]
+
+
+@pytest.mark.parametrize("r", [0.4, 0.25])
+@pytest.mark.parametrize("levels", [(1, 1), (2, 2), (4, 4), (2, 4), (3, 1)])
+def test_offset_search_finds_the_nearest_offset_word(r, levels):
+    # at r = 0.4 a digit's tail spans 0.29 of its weight against a step of
+    # 0.25, so neighbouring digits' ranges overlap and the search must
+    # branch; every offset word is enumerated here
+    digits = _offset_digits(levels)
+    weights = fractal._offset_weights(1, r, max(levels))
+    words = np.array(np.meshgrid(*[np.arange(len(d)) for d in digits],
+                                 indexing="ij")).reshape(len(digits), -1).T
+    sums = sum(w * d[words[:, k]] for k, (w, d) in enumerate(zip(weights, digits)))
+    rng = np.random.default_rng(7)
+    x = rng.uniform(sums.min() - 0.05, sums.max() + 0.05, 4000)
+    same = rng.random(4000) < 0.5
+    allowed = [sums, sums[digits[0][words[:, 0]] != 0.0]]
+    best = np.array([np.min(np.abs(xi - allowed[s])) for xi, s in zip(x, same.astype(int))])
+    got = fractal._offset_search(x, same, digits, weights)
+    np.testing.assert_allclose(np.abs(x - got), best, rtol=0.0, atol=1e-15)
+    # with a radius, every word within it, and no other
+    radius = 1.5 * best + rng.uniform(0.0, 0.05, 4000)
+    at, choice = fractal._offset_search(x, same, digits, weights, radius)
+    want = [np.sum(np.abs(xi - allowed[s]) <= ri) for xi, s, ri in zip(x, same.astype(int), radius)]
+    np.testing.assert_array_equal(np.bincount(at, minlength=4000), want)
+    found = sum(w * d[choice[:, k]] for k, (w, d) in enumerate(zip(weights, digits)))
+    assert np.all(np.abs(x[at] - found) <= radius[at] + 1e-15)
+    assert not np.any(same[at] & (digits[0][choice[:, 0]] == 0.0))
+
+
+@pytest.mark.parametrize("n, r, level", [(1, 0.4, 2), (1, 0.4, 3), (2, 0.25, 2)])
+def test_horizontal_word_pairs_match_brute_force(n, r, level):
+    ifs = make_strichartz_ifs(n, r)
+    want = _brute_separation(ifs, level)
+    assert min_piece_separation(ifs, level) == pytest.approx(want, rel=1e-12)
+
+
+def _word_pair_minimum(ifs, level):
+    """The least distance over every pair of level words with different
+    first letters, each composed by one-letter appends, as
+    min_piece_separation composes them."""
+    N, sq, sr = len(ifs.maps), np.stack([s.q for s in ifs.maps]), ifs.ratios
+    words = np.indices((N,) * level).reshape(level, -1).T
+    q, rw = sq[words[:, 0]], sr[words[:, 0]]
+    for k in range(1, level):
+        q, rw = fractal._compose_after(q, rw, sq[words[:, k]], sr[words[:, k]])
+    pts = np.ascontiguousarray(
+        fractal._compose_after(q, rw, ifs.maps[0].fixed_point(), 1.0)[0])
+    k = N ** (level - 1)
+    return min(float(np.min(dist(pts[g * k:(g + 1) * k, None], pts[None, (g + 1) * k:])))
+               for g in range(N - 1))
+
+
+@pytest.mark.parametrize("r", [0.25, 0.4])
+def test_horizontal_word_pairs_follow_a_stretched_dilation(r, monkeypatch):
+    # the offsets' weights are core.dilate's vertical factors, so with a
+    # stretched one the search still solves the words' offsets exactly
+    # and keeps the bits of every word pair; weights of its own, r^(2k),
+    # would miss the pair that holds the minimum
+    orig = fractal.core.dilate
+
+    def stretched(ratio, p, out=None):
+        d = orig(ratio, p, out=out)
+        d[..., -1] *= 1.25
+        return d
+
+    monkeypatch.setattr(fractal.core, "dilate", stretched)
+    ifs = make_strichartz_ifs(1, r)
+    assert min_piece_separation(ifs, 3) == _word_pair_minimum(ifs, 3)
+
+
+def test_the_corner_family_refines_horizontal_word_pairs(ifs14, monkeypatch):
+    rows = []
+    orig = fractal.dist
+
+    def counting(p, q):
+        d = orig(p, q)
+        rows.append(np.size(d))
+        return d
+
+    monkeypatch.setattr(fractal, "dist", counting)
+    assert min_piece_separation(ifs14, 5) == float.fromhex("0x1.1c726cc8ae92fp-2")
+    # 4,210 distances; about 1.7M over pairs of whole words
+    assert sum(rows) < 50_000
+    # a system of three ratios keeps the whole-word path, row for row
+    rows.clear()
+    assert min_piece_separation(_mixed_trio(), 5) == float.fromhex("0x1.aa05bd37af911p-2")
+    assert sum(rows) == 654
+    assert fractal._offset_product(_mixed_trio()) is None
 
 
 @pytest.fixture(scope="module")
@@ -675,9 +785,18 @@ def test_min_piece_separation_refinement_matches_brute_force(ifs14, brute3,
 def test_min_piece_separation_memory_is_the_pairs_plus_a_chunk(ifs14):
     sep, peak = _traced_peak(lambda: min_piece_separation(ifs14, 5))
     assert sep == float.fromhex("0x1.1c726cc8ae92fp-2")
-    # at most 49,020 pairs at a level: the words of two levels (64 bytes
-    # a pair), one level's indices and a chunk of 2^15 distances take
-    # 6.3 MB; pairs held three times over, in full, took 14.0 MB
+    # pairs of horizontal words: 1.7 MB
+    assert peak < 3e6
+    # one offset moved by 1e-3 leaves no product of corners and offsets,
+    # so the whole-word path serves it: at most about 49,000 pairs at a
+    # level, the words of two levels (64 bytes a pair), one level's
+    # indices and a chunk of 2^15 distances take 6.2 MB; pairs held three
+    # times over, in full, took 14.0 MB
+    last = ifs14.maps[-1]
+    nudged = Ifs(n=1, maps=ifs14.maps[:-1] + (
+        Similarity(n=1, q=last.q + [0.0, 0.0, 1e-3], r=last.r),))
+    assert fractal._offset_product(nudged) is None
+    _, peak = _traced_peak(lambda: min_piece_separation(nudged, 5))
     assert peak < 8e6
 
 

@@ -1037,14 +1037,28 @@ def test_sweeps_over_a_nested_table_have_the_flat_table_bits(
 
 
 def test_a_table_row_that_overflows_is_refused_by_the_first_sweep():
-    # a finite dilated parent and translation, but the twist A(q, x) is
-    # 2e320
-    table = AtomTable([[1e160, 0.0, 0.0]], [[0.0, 1e160, 0.0]])
+    # a dilated parent clear of overflow (an array refuses one that is not
+    # when it is made) and a finite translation, but the twist A(q, x) is
+    # 2e310
+    table = AtomTable([[1e70, 0.0, 0.0]], [[0.0, 1e240, 0.0]])
     mu = DiscreteMeasure(1, table, np.ones(1))
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isinf(mu.points[0][2])
         with pytest.raises(ValueError, match="finite"):
             mu.ball_mass([0.0, 0.0, 0.0], 1.0)
+
+
+def test_an_array_whose_distances_could_overflow_is_refused_when_made():
+    # |x_h|^4 = 1e400 overflows, so the atom at distance 1e100 would fall
+    # in every ball; a table's rows are refused by the same bound
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteMeasure(1, [[1e100, 0.0, 0.0]], [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        measure.ArrayView([[0.0, 0.0, 1e160]])
+    # an atom of that size whose distances stay finite is swept
+    mu = DiscreteMeasure(1, [[1e70, 0.0, 0.0]], [1.0])
+    assert mu.ball_mass([0.0, 0.0, 0.0], 1e300) == 1.0
+    assert mu.ball_mass([0.0, 0.0, 0.0], 1e69) == 0.0
 
 
 @pytest.mark.parametrize("nested", [False, True])
