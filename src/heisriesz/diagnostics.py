@@ -29,10 +29,10 @@ import numpy as np
 from . import core
 # dist, in_cone and blowup_map stay bound here: perfbench's span
 # recorder wraps diagnostics.dist, diagnostics.in_cone and
-# diagnostics.blowup_map
-from .core import _coords, ambient_dim, blowup_map, dist, koranyi_norm
-from .measure import (DEFAULT_ATOM_CAP, AtomView, DiscreteMeasure, _refuse_overflow,
-                      _twisted_extent, _worker_cap, closed_ball_sums)
+# diagnostics.blowup_map, which a blow-up's rows no longer call
+from .core import _coords, blowup_map, dist, koranyi_norm
+from .measure import (DEFAULT_ATOM_CAP, BuiltView, DiscreteMeasure, _refuse_overflow,
+                      _worker_cap, closed_ball_sums)
 from .riesz import RieszParams, _radius_powers, growth_profile
 from .subgroups import SubgroupSpec, cone_mask, haar_sample, in_cone
 
@@ -476,49 +476,13 @@ def horest_check(n: int, delta: float, trials: int = 1_000_000,
     )
 
 
-class BlowupView(AtomView):
-    """The atoms of a measure moved by the blow-up map
-    delta_{1/r}(a^{-1} . q), built as they are read.
-
-    The view holds no atoms: rows ``sl`` are ``core.blowup_map`` of the
-    source's rows ``sl``, with the bits of the map applied to the whole
-    coordinate array.  The map cannot write over its input, so the rows
-    of a source that builds them are built into a buffer of their own
-    (``row_scratch``).  The map scales every distance by 1/r, so the
-    reach is the source's over r; the extent, delta_{1/r} of the twisted
-    bound of a^{-1} . (the source's extent), is refused when the view is
-    made if it could overflow, and no row is built.
-    """
-
-    def __init__(self, mu: DiscreteMeasure, a, r) -> None:
-        super().__init__(mu.points.shape)
-        # a copy: a later write to the caller's point cannot move the rows
-        self.source, self.center, self.r = mu, np.array(a, dtype=float), r
-        self.row_scratch = ((8 * ambient_dim(mu.n) if mu.points.builds else 0)
-                            + mu.points.row_scratch)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.extent = core.dilate(1.0 / core._check_ratio(r),
-                                      _twisted_extent([-self.center], mu.points.extent))
-        _refuse_overflow(self.extent)
-
-    def rows(self, sl, out=None, block=None) -> np.ndarray:
-        start, stop, out = self._span(sl, out)
-        return blowup_map(self.center, self.r,
-                          self.source.rows(slice(start, stop)), out=out)
-
-    def _take(self, idx) -> np.ndarray:
-        return blowup_map(self.center, self.r, self.source.points[idx])
-
-    def chunk_reach(self) -> np.ndarray:
-        return self.source.chunk_reach() / self.r
-
-
 def blowup_measure(mu: DiscreteMeasure, a, r: float, s: float | None = None,
                    normalization: str = "power") -> DiscreteMeasure:
     """Zoom of scale r at the point a, with renormalized weights.
 
-    Atoms move through the blow-up map delta_{1/r}(a^{-1} . q), and
-    ``points`` is a :class:`BlowupView` of ``mu``: it holds no atoms.
+    Atoms move through the blow-up map delta_{1/r}(a^{-1} . q): ``points``
+    is the :class:`~heisriesz.measure.BuiltView` of ``mu.points``, a^{-1}
+    and 1/r, whose extent is refused here if it could overflow.
     With "power" normalization the weights gain a factor r^(-s); with
     "ball-mass" they are divided by mu(B(a, r)), which must be positive.
     Atom spacing scales by 1/r along with all distances.  An r or r^(-s)
@@ -549,9 +513,12 @@ def blowup_measure(mu: DiscreteMeasure, a, r: float, s: float | None = None,
     # equal weights held once stay held once, with the same bits
     weights = (np.broadcast_to(w[:1] * factor, w.shape) if w.strides == (0,)
                else w * factor)
+    # a copy of a^{-1}: a later write to the caller's point cannot move it
+    points = BuiltView(mu.points, [core.group_inv(c)], 1.0 / float(r))
+    _refuse_overflow(points.extent)
     return DiscreteMeasure(
         n=mu.n,
-        points=BlowupView(mu, c, r),
+        points=points,
         weights=weights,
         label=f"blowup r={r:g} norm={normalization} of [{mu.label}]",
         spacing=spacing,

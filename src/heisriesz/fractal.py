@@ -28,8 +28,8 @@ import numpy as np
 
 from . import core, measure
 from .core import ambient_dim, dist
-from .measure import (CHUNK, DEFAULT_ATOM_CAP, AtomCapExceeded, AtomTable,
-                      DiscreteMeasure, chunk_slices)
+from .measure import (CHUNK, DEFAULT_ATOM_CAP, ArrayView, AtomCapExceeded,
+                      BuiltView, DiscreteMeasure, chunk_slices)
 
 __all__ = [
     "Similarity",
@@ -202,16 +202,16 @@ def cylinder_measure(ifs: Ifs, level: int,
     Atom index encodes the word with the first letter most significant,
     so the children of parent index p occupy p*N .. p*N + N - 1, and the
     atoms of first letter m are S_m applied to the level - 1 atoms.  An
-    equal-ratio measure of level >= 1 is held that way, as an
-    :class:`~heisriesz.measure.AtomTable` of its level - 1 atoms dilated
-    by the common ratio and its maps' translations (1/N of the
-    coordinates), whose rows a sweep builds a chunk at a time with the
-    bits of the full build; any other keeps all its atoms.  When its
+    equal-ratio measure of level >= 1 is held that way, as a
+    :class:`~heisriesz.measure.BuiltView` (a table) of its level - 1
+    atoms dilated by the common ratio and its maps' translations (1/N of
+    the coordinates), whose rows a sweep builds a chunk at a time with
+    the bits of the full build; any other keeps all its atoms.  When its
     level - 1 has more than ``measure.CHUNK`` atoms (read at the call),
-    the level - 1 atoms are themselves such a table, of the level - 2
-    atoms, which the sweep dilates a parent block at a time, so it holds
-    1/N^2 of the coordinates (1.57 MB at level 6 of the sixteen-map
-    system in H^1).
+    the dilated level - 1 atoms are the dilation of such a table of the
+    level - 2 atoms, which the sweep builds a parent block at a time, so
+    it holds 1/N^2 of the coordinates (1.57 MB at level 6 of the
+    sixteen-map system in H^1).
 
     Each level is built in place: map m sends the parents, rows
     0 .. N^k - 1, to rows m*N^k .., so map 0 overwrites them and goes
@@ -235,9 +235,9 @@ def cylinder_measure(ifs: Ifs, level: int,
         r, shifts = maps[0].r, [s.q for s in maps]
         nested = level >= 2 and N ** (level - 1) > measure.CHUNK
         parents = _cylinder_atoms(ifs, level - 2 if nested else level - 1)
-        points = AtomTable(core.dilate(r, parents, out=parents), shifts)
+        points = BuiltView(ArrayView(core.dilate(r, parents, out=parents)), shifts)
         if nested:
-            points = AtomTable(points, shifts, ratio=r)
+            points = BuiltView(BuiltView(points, ratio=r), shifts)
     else:
         points = _cylinder_atoms(ifs, level)
 

@@ -4,15 +4,15 @@ Atoms are a coordinate view plus a weight vector, so that
 ten-million-atom measures stay practical.  Every ``points`` is an
 :class:`AtomView`: an :class:`ArrayView` of an explicit coordinate-major
 array (Fortran order, so each coordinate of a chunk of atoms is one
-contiguous run); an :class:`AtomTable`, the level L - 1 atoms of an
-equal-ratio cylinder measure, dilated by its ratio, and its maps'
-translations, from which each chunk is built bit for bit as the full
-build makes it (the level L - 1 atoms may themselves be such a table,
-held with its ratio as a :class:`DilatedTable`); or a blow-up
-(``diagnostics.blowup_measure``), which maps its source's rows as they
-are read.  Each view takes its chunk reach and a bound on each
-coordinate (``extent``) from what it wraps, by the group law, with no
-row built.  Every reader takes its rows through
+contiguous run), or a :class:`BuiltView`, the image delta_c(q_m . x) of
+a source view's rows x under translations q_m and a dilation, built as
+it is read.  An equal-ratio cylinder measure is one (its dilated level
+L - 1 atoms and its maps' translations, bit for bit as the full build
+makes them; the level L - 1 atoms may themselves be the dilation of
+such a view), and so is a blow-up (``diagnostics.blowup_measure``).
+Each view takes its chunk reach and a bound on each coordinate
+(``extent``) from what it wraps, by the group law, with no row built.
+Every reader takes its rows through
 :meth:`DiscreteMeasure.rows` or the view's indexing.  Equal weights may
 be held once, as a zero-stride vector (``np.broadcast_to``).
 
@@ -44,7 +44,7 @@ import numpy as np
 from . import core
 from .core import ambient_dim, dist, group_index, _coords
 
-__all__ = ["AtomCapExceeded", "ArrayView", "AtomTable", "AtomView",
+__all__ = ["AtomCapExceeded", "ArrayView", "AtomView", "BuiltView",
            "DEFAULT_ATOM_CAP", "DiscreteMeasure", "binned_sweep",
            "closed_ball_sums", "write_csv"]
 
@@ -175,13 +175,18 @@ def write_csv(path, header: str, columns) -> None:
     value without a point.  Rows are formatted CSV_BLOCK at a time
     (:func:`_format_block`).
     """
+    # savetxt's "%" formats an int column through its float
+    _write_blocks(path, header, len(columns[0]), lambda sl: np.column_stack(
+        [c[sl] for c in columns]).astype(float, copy=False))
+
+
+def _write_blocks(path, header: str, count: int, block) -> None:
+    """Write the line ``header``, then the lines of ``block(sl)``, a float
+    block of rows, for the CSV_BLOCK-row slices of range(count)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(columns[0]), CSV_BLOCK):
-            sl = slice(start, start + CSV_BLOCK)
-            # savetxt's "%" formats an int column through its float
-            fh.write(_format_block(np.column_stack([c[sl] for c in columns])
-                                   .astype(float, copy=False)))
+        for start in range(0, count, CSV_BLOCK):
+            fh.write(_format_block(block(slice(start, min(start + CSV_BLOCK, count)))))
 
 
 def _format_block(block) -> str:
@@ -208,20 +213,21 @@ class AtomView:
 
     A subclass supplies ``rows(sl, out, block)``, the rows of a slice of
     step 1, built into ``out`` (allocated when None) or a view of held
-    rows, with ``block`` a table's :class:`ParentBlock`; ``_take(idx)``,
-    the rows of a 1-D array of in-range indices in a new array;
-    ``chunk_reach()`` (:meth:`DiscreteMeasure.chunk_reach`); and
+    rows, with ``block`` the :class:`ParentBlock` of :meth:`scratch`;
+    ``_take(idx)``, the rows of a 1-D array of in-range indices in a new
+    array; ``chunk_reach()`` (:meth:`DiscreteMeasure.chunk_reach`); and
     ``extent``, a bound on each coordinate's absolute value over the
     rows.  ``len``, ``shape``, ``[int]``, ``[int array]`` and ``[slice]``
     build only the rows asked for, ``np.asarray`` builds every row
     (coordinate-major), and ``nbytes`` counts the bytes of the arrays
-    held.  An array or a blow-up, when it is made, and a table, at its
-    first ``chunk_reach``, refuses an extent that is not finite or could
+    held.  An array when it is made, and a built view at its first
+    ``chunk_reach``, refuses an extent that is not finite or could
     overflow (:func:`_refuse_overflow`).
     ``builds`` says whether ``rows`` builds them, so that a reader that
     reads them twice holds a buffer; ``parent_order`` is None or the key
     by which sweeps take a nested table's slices; ``row_scratch`` is the
-    bytes per row that ``rows`` allocates besides ``out``.
+    bytes per row that ``rows`` allocates besides ``out`` when it is
+    given no ``block``.
     """
 
     builds = True
@@ -231,6 +237,12 @@ class AtomView:
     def __init__(self, shape, held=()) -> None:
         self.shape = tuple(shape)
         self._held = held
+
+    def scratch(self, rows):
+        """The block that ``rows`` may be given, so that reads of up to
+        ``rows`` rows allocate nothing besides ``out``; None when they
+        allocate nothing."""
+        return None
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -321,12 +333,13 @@ class ArrayView(AtomView):
 
 
 class ParentBlock:
-    """A buffer that a table's parents may build their rows into, and the
-    parent rows last read through it, from row ``first`` on, so that a
-    later read of any of them takes them as they are."""
+    """A buffer that a view's source may build its rows into, the source
+    rows last read through it, from row ``first`` on, so that a later
+    read of any of them takes them as they are, and ``inner``, the block
+    that the source reads its own source through (None: its own)."""
 
-    def __init__(self, rows) -> None:
-        self.rows, self.first, self.held = rows, 0, rows[:0]
+    def __init__(self, rows, inner=None) -> None:
+        self.rows, self.inner, self.first, self.held = rows, inner, 0, rows[:0]
 
     def read(self, parents, j, k):
         """Rows j .. j + k - 1 of the view ``parents``, read from row j on,
@@ -334,7 +347,7 @@ class ParentBlock:
         if not self.first <= j <= j + k <= self.first + len(self.held):
             self.first = j
             self.held = parents.rows(slice(j, min(j + len(self.rows), len(parents))),
-                                     out=self.rows)
+                                     out=self.rows, block=self.inner)
         return self.held[j - self.first:j - self.first + k]
 
 
@@ -360,108 +373,102 @@ def _refuse_overflow(extent) -> None:
             raise ValueError("atom coordinates must be finite")
 
 
-class DilatedTable(AtomView):
-    """The rows delta_r(T[j]) of a table T of arrays, built by T into
-    ``out`` and dilated there: a nested :class:`AtomTable`'s parents.
-    delta_r scales distances by r, so the reach is r times T's."""
+class BuiltView(AtomView):
+    """Atoms built as they are read: row m B + j is delta_c(q_m . x_j) for
+    the B rows x of the view ``source``, the ``translations`` q_m and the
+    ratio c.  With no translation the rows are delta_c(x_j), with none
+    applied (0 + x can turn -0.0 into +0.0), and c = 1 applies no
+    dilation.  ``core.group_mul`` and ``core.dilate`` are elementwise, so
+    a row has the same bits however the rows are grouped.  An equal-ratio
+    cylinder measure of level L is the view of an :class:`ArrayView` of
+    its level L - 1 atoms dilated by r, and its maps' translations: the
+    ops of the last level of its build.  When level L - 1 holds more than
+    a chunk, its dilated atoms are the view of that table with no
+    translation and c = r.  A blow-up of scale r at a is the view of its
+    source with the translation a^{-1} and c = 1/r.
 
-    def __init__(self, table, ratio) -> None:
-        self.table, self.ratio = table, float(ratio)
-        self.extent = core.dilate(self.ratio, table.extent)
-        super().__init__(table.shape, table._held)
-
-    def rows(self, sl, out=None, block=None) -> np.ndarray:
-        rows = self.table.rows(sl, out)
-        return core.dilate(self.ratio, rows, out=rows)
-
-    def _take(self, idx) -> np.ndarray:
-        return core.dilate(self.ratio, self.table._take(idx))
-
-    def chunk_reach(self) -> np.ndarray:
-        return self.ratio * self.table.chunk_reach()
-
-
-class AtomTable(AtomView):
-    """Atom coordinates held as dilated parents and translations, built
-    on demand.
-
-    With B rows D of dilated parent atoms and translations q_0, q_1, ...,
-    row m B + j is q_m . D[j], formed by ``core.group_mul``, which is
-    elementwise, so every row has the same bits however the rows are
-    grouped.  An equal-ratio cylinder measure of level L holds
-    D = delta_r(its level L - 1 atoms), formed once by ``core.dilate``,
-    and its maps' translations: row m B + j is then S_m(parent j), by the
-    ops of the last level of its build, with the bits of the full build.
-
-    D is the view ``parents``, through which rows, indexing, reach and
-    extent take it: an :class:`ArrayView`, or for a table T of arrays and
-    the ratio r a :class:`DilatedTable`, by the ops of the last two levels
-    of the build, so a measure of level L holds its level L - 2 atoms
-    (one level of tables nests).  A slice reads D through ``block``, a
-    :class:`ParentBlock` (``min(m, B)`` rows of ``row_scratch`` when
-    None), so that the pieces of a chunk, and the next chunks with the
-    same parents, take rows that T built as they are; sweeps take a
-    nested table's slices grouped by parent row (``parent_order``).  The
-    first ``chunk_reach`` makes :func:`_refuse_overflow` of ``extent``,
-    :func:`_twisted_extent` of D's.
+    A translated view reads its source through ``block`` (:meth:`scratch`
+    when None), so that the pieces of a chunk, and the next chunks with
+    the same source rows, take rows that the source built as they are;
+    sweeps take the slices of several translations of a built source
+    grouped by source row (``parent_order``).  Left translation keeps
+    distances and delta_c scales them by c, so the reach and the extent
+    come from the source's (:meth:`chunk_reach`); the extent, delta_c of
+    :func:`_twisted_extent` of the source's, is refused at the first
+    ``chunk_reach`` (:func:`_refuse_overflow`).
     """
 
-    def __init__(self, parents, translations, ratio=None) -> None:
-        if isinstance(parents, AtomTable):
-            if parents.parents.builds or ratio is None:
-                raise ValueError("a table's parents are an array, or a table "
-                                 "of arrays with the ratio that dilates them")
-            parents = DilatedTable(parents, ratio)
-            self.row_scratch = 8 * parents.shape[1]
-            self.parent_order = lambda sl: sl.start % self.parent_count
-        else:
-            parents = ArrayView(parents)
-            if len(parents.shape) != 2:
-                raise ValueError(f"dilated parents must be (B, 2n+1), got {parents.shape}")
-        self.parents, self.parent_count = parents, len(parents)
-        self.translations = np.array(translations, dtype=float).reshape(-1, parents.shape[1])
-        self.extent = _twisted_extent(self.translations, parents.extent)
-        super().__init__((len(self.translations) * len(parents), parents.shape[1]),
-                         parents._held)
+    def __init__(self, source, translations=(), ratio=1.0) -> None:
+        self.source, self.ratio, dim = source, float(ratio), source.shape[1]
+        self.translations = np.array(translations, dtype=float).reshape(-1, dim)
+        own = len(self.translations) and source.builds
+        # a translated built source is built into a buffer of its own
+        self.row_scratch = source.row_scratch + (8 * dim if own else 0)
+        if own and len(self.translations) > 1:
+            self.parent_order = lambda sl: sl.start % len(source)
+        extent = (_twisted_extent(self.translations, source.extent)
+                  if len(self.translations) else source.extent)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.extent = core.dilate(self.ratio, extent)
+        super().__init__((max(len(self.translations), 1) * len(source), dim),
+                         source._held)
+
+    def scratch(self, rows):
+        """The :class:`ParentBlock` of ``row_scratch`` bytes a row, with
+        the source's within it, that :meth:`rows` reads the source
+        through."""
+        if not len(self.translations):
+            return self.source.scratch(rows)
+        rows = min(rows, len(self.source))
+        cols = self.shape[1] if self.source.builds else 0
+        return ParentBlock(np.empty((rows, cols), order="F"), self.source.scratch(rows))
 
     def rows(self, sl, out=None, block=None) -> np.ndarray:
         """Rows ``sl`` (a slice of step 1) written into ``out``, a
-        (>= m, 2n+1) array, allocated when None.  A slice that spans
-        several first letters is built one letter segment at a time, and
-        each segment takes its parent rows through ``block``, at most as
-        many at a time as it holds."""
+        (>= m, 2n+1) array, allocated when None, one letter segment at a
+        time, each taking its source rows through ``block``, at most as
+        many at a time as it holds; with no translation the source reads
+        them into ``out`` through ``block``."""
         start, stop, out = self._span(sl, out)
+        if not len(self.translations):
+            return core.dilate(self.ratio, self.source.rows(slice(start, stop), out, block),
+                               out=out)
         if block is None:
-            # row_scratch a row: none for parents held, which build no row
-            block = ParentBlock(np.empty((min(len(out), self.parent_count),
-                                          self.row_scratch // 8), order="F"))
-        at = start
+            block = self.scratch(len(out))
+        at, count = start, len(self.source)
         while at < stop:
-            letter, j = divmod(at, self.parent_count)
-            k = min(stop - at, self.parent_count - j, len(block.rows))
-            core.group_mul(self.translations[letter], block.read(self.parents, j, k),
+            letter, j = divmod(at, count)
+            k = min(stop - at, count - j, len(block.rows))
+            core.group_mul(self.translations[letter], block.read(self.source, j, k),
                            out=out[at - start:at - start + k])
             at += k
-        return out
+        return out if self.ratio == 1.0 else core.dilate(self.ratio, out, out=out)
 
     def _take(self, idx) -> np.ndarray:
-        letters, j = np.divmod(idx, self.parent_count)
-        return core.group_mul(self.translations[letters], self.parents[j])
+        if not len(self.translations):
+            return core.dilate(self.ratio, self.source[idx])
+        letters, j = np.divmod(idx, len(self.source))
+        rows = core.group_mul(self.translations[letters], self.source[j])
+        return rows if self.ratio == 1.0 else core.dilate(self.ratio, rows, out=rows)
 
     def chunk_reach(self) -> np.ndarray:
-        """Each chunk's reach from its first row a_k, with no row built
-        but a_k and the first row of each piece, a run of rows of one
-        chunk, letter m and parent chunk p.  Its rows q_m . D[j] lie
-        within d(a_k, q_m . D[p CHUNK]) + rho_p of a_k, as left
-        translation keeps distances, with rho_p the reach of D's chunk p."""
+        """Each chunk's reach from its first row a_k: c times the
+        source's with no or one translation; with several, with no row
+        built but a_k and the first row of each piece, a run of rows of
+        one chunk, letter m and source chunk p, whose rows lie within
+        d(a_k, delta_c(q_m . x_{p CHUNK})) + c rho_p of a_k, with rho_p the
+        reach of the source's chunk p."""
         _refuse_overflow(self.extent)
-        chunk, count = CHUNK, self.parent_count
+        reach = self.source.chunk_reach()
+        if len(self.translations) <= 1:
+            return self.ratio * reach
+        chunk, count = CHUNK, len(self.source)
         starts = np.union1d(np.arange(0, len(self), chunk), np.add.outer(
             count * np.arange(len(self.translations)), np.arange(0, count, chunk)))
         firsts = starts - starts % count % chunk
         anchors = np.arange(0, len(self), chunk)
         bound = dist(self._take(anchors)[starts // chunk], self._take(firsts))
-        bound += self.parents.chunk_reach()[firsts % count // chunk]
+        bound += self.ratio * reach[firsts % count // chunk]
         return np.maximum.reduceat(bound, np.searchsorted(starts, anchors))
 
 
@@ -702,9 +709,9 @@ class DiscreteMeasure:
     n : int
         Group index; coordinates have length 2n+1.
     points : AtomView, shape (N, 2n+1)
-        Atom positions: a view that builds them on demand (an
-        :class:`AtomTable`, or a blow-up's view of its source), kept as
-        given, or an array, held as an :class:`ArrayView` of it.
+        Atom positions: a view that builds them on demand (a
+        :class:`BuiltView`), kept as given, or an array, held as an
+        :class:`ArrayView` of it.
     weights : ndarray, shape (N,)
         Strictly positive atom masses.
     label : str
@@ -812,9 +819,23 @@ class DiscreteMeasure:
     # ------------------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        cols = [f"x{i + 1}" for i in range(ambient_dim(self.n))] + ["weight"]
-        # a view's slices build their rows, a block at a time
-        write_csv(path, ",".join(cols), [self.points, self.weights])
+        """Write the bytes of :func:`write_csv` of the points and weights,
+        a CSV_BLOCK slice at a time, into one block of rows and the
+        view's :meth:`~AtomView.scratch`, allocated once for the write."""
+        dim = ambient_dim(self.n)
+        cols = [f"x{i + 1}" for i in range(dim)] + ["weight"]
+        rows = np.empty((min(CSV_BLOCK, len(self)), dim + 1), order="F")
+        scratch = self.points.scratch(len(rows))
+
+        def block(sl):
+            out = rows[:sl.stop - sl.start]
+            coords = self.rows(sl, out[:, :dim], scratch)
+            if not self.points.builds:
+                out[:, :dim] = coords
+            out[:, dim] = self.weights[sl]
+            return out
+
+        _write_blocks(path, ",".join(cols), len(self), block)
 
     @classmethod
     def from_csv(cls, path, label: str = "", spacing: float | None = None):

@@ -1053,6 +1053,20 @@ def test_every_name_perfbench_wraps_resolves(perfbench):
         assert t.attr in vars(t.owner), f"{t.owner.__name__}.{t.attr}"
 
 
+def test_perfbench_tracer_wraps_and_restores_every_target(perfbench):
+    # the traced pass replaces vars(owner)[attr] for each target while it
+    # is active, diagnostics.blowup_map among them though no blow-up row
+    # calls it, and puts back the very objects it found
+    spans, hz = perfbench
+    targets = spans.targets(hz)
+    assert len(targets) == 24
+    assert "blowup_map" in vars(hz.diagnostics)
+    found = [vars(t.owner)[t.attr] for t in targets]
+    with spans.Tracer(targets).active():
+        assert all(vars(t.owner)[t.attr] is not raw for t, raw in zip(targets, found))
+    assert all(vars(t.owner)[t.attr] is raw for t, raw in zip(targets, found))
+
+
 def test_every_call_perfbench_makes_binds(perfbench):
     # the benchmark's workloads call the library with keywords; a
     # parameter renamed or deleted here would otherwise surface only when

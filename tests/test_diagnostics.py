@@ -410,27 +410,53 @@ def test_blowup_at_fixed_point_translates_lower_level(ifs14, mu2, mu3):
     assert float(np.max(np.abs(block - expected))) < 1e-10
 
 
-@pytest.mark.parametrize("source", ["table", "explicit", "blowup", "nested"])
-def test_blowup_view_rows_are_the_explicit_map(mu5, ifs14, source, monkeypatch):
+def _signed_zeros(atoms):
+    """``atoms`` with -0.0 in place of some coordinates, as a CSV measure
+    can hold them: whole rows, vertical coordinates and horizontal ones."""
+    atoms = atoms.copy(order="F")
+    atoms[:5] = -0.0
+    atoms[5::7, -1] = -0.0
+    atoms[6::11, 0] = -0.0
+    return atoms
+
+
+@pytest.mark.parametrize("source", ["table", "explicit", "blowup", "nested",
+                                    "signed_zeros", "signed_zeros_at_origin"])
+def test_blowup_view_rows_are_the_explicit_map(mu5, ifs14, source, monkeypatch,
+                                               tmp_path):
     explicit = np.asarray(mu5.points)
     center = explicit[70_001]
     if source == "nested":
         # level 4 has more than a chunk of atoms: a table of tables
         monkeypatch.setattr(measure, "CHUNK", 4096)
+    signed = source.startswith("signed_zeros")
+    if signed:
+        explicit = _signed_zeros(explicit)
+    if source == "signed_zeros_at_origin":
+        center = np.zeros(3)
     mu = {"table": lambda: mu5,
           "explicit": lambda: DiscreteMeasure(1, explicit, mu5.weights),
           "blowup": lambda: blowup_measure(mu5, explicit[3], 0.5, s=2.0),
-          "nested": lambda: cylinder_measure(ifs14, 5)}[source]()
+          "nested": lambda: cylinder_measure(ifs14, 5)}.get(
+              source, lambda: DiscreteMeasure(1, explicit, mu5.weights))()
     atoms = np.asarray(mu.points) if source == "blowup" else explicit
     want = core.blowup_map(center, 0.25, atoms)
+    if source == "signed_zeros_at_origin":
+        # the view's rows are delta_4(0^{-1} . x), and (-0.0) + (-0.0) keeps
+        # the sign of a vertical -0.0 that x_t - 0.0 - (-0.0) in the map
+        # makes +0.0; every other bit is the map's
+        moved = (atoms[:, -1] == 0.0) & np.signbit(atoms[:, -1])
+        assert moved.sum() > 100_000 and not np.signbit(want[moved, -1]).any()
+        want[moved, -1] = -0.0
     nu = blowup_measure(mu, center, 0.25, s=2.0)
-    assert isinstance(nu.points, diagnostics.BlowupView)
-    assert nu.points.shape == want.shape and nu.points.nbytes == 0
+    assert isinstance(nu.points, measure.BuiltView)
+    # the zoom holds no atoms of its own
+    assert nu.points.shape == want.shape and nu.points.nbytes == mu.points.nbytes
     # a source that is a view builds its rows into scratch of their own,
     # a blow-up source its own source's rows too, and a table of tables
     # its parent block
-    assert nu.points.row_scratch == {"explicit": 0, "table": 24,
-                                     "blowup": 48, "nested": 48}[source]
+    assert nu.points.row_scratch == {"explicit": 0, "table": 24, "blowup": 48,
+                                     "nested": 48}.get(source, 0)
     idx = np.array([0, 7, 65535, 65536, 600_001, len(mu) - 1, -2])
     out = np.empty((measure.CHUNK, 3), order="F")
     for got, expected in [
@@ -445,6 +471,16 @@ def test_blowup_view_rows_are_the_explicit_map(mu5, ifs14, source, monkeypatch):
         assert got.tobytes() == expected.tobytes()
     with pytest.raises(IndexError):
         nu.points[[len(mu)]]
+    if signed:
+        # what the zoom writes: "-0" for each -0.0, as "%.17g" prints it
+        zoom = blowup_measure(DiscreteMeasure(1, explicit[:12], mu5.weights[:12]),
+                              center, 0.25, s=2.0)
+        zoom.to_csv(tmp_path / "zoom.csv")
+        lines = (tmp_path / "zoom.csv").read_text().splitlines()[1:]
+        assert lines == [",".join("%.17g" % v for v in [*row, w])
+                         for row, w in zip(want[:12], zoom.weights)]
+        assert ("-0" in {line.split(",")[2] for line in lines}) == (
+            source == "signed_zeros_at_origin")
 
 
 def test_a_blowup_whose_map_overflows_is_refused_when_built():

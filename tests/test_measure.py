@@ -16,11 +16,10 @@ import pytest
 
 from heisriesz import core, fractal, measure
 from heisriesz.core import dist
-from heisriesz.diagnostics import (BlowupView, ad_regularity_report,
-                                   blowup_measure, cone_deficiency,
-                                   divergence_probe)
-from heisriesz.measure import (CHUNK, AtomTable, DiscreteMeasure, binned_sweep,
-                               chunk_slices)
+from heisriesz.diagnostics import (ad_regularity_report, blowup_measure,
+                                   cone_deficiency, divergence_probe)
+from heisriesz.measure import (CHUNK, ArrayView, BuiltView, DiscreteMeasure,
+                               binned_sweep, chunk_slices)
 from heisriesz.riesz import (RieszParams, _kernel_columns, growth_profile,
                              maximal_transform, truncated_transform, truncations)
 from heisriesz.subgroups import make_vertical
@@ -945,8 +944,8 @@ def test_every_table_chunk_is_the_explicit_build(make, level, chunk, nested,
     ifs = make()
     mu = fractal.cylinder_measure(ifs, level)
     full = fractal._cylinder_atoms(ifs, level)
-    assert isinstance(mu.points, AtomTable) and mu.points.shape == full.shape
-    assert mu.points.parents.builds == nested
+    assert isinstance(mu.points, BuiltView) and mu.points.shape == full.shape
+    assert mu.points.source.builds == nested
     out = np.empty((min(len(mu), chunk), full.shape[1]), order="F")
     slices = list(chunk_slices(len(mu)))
     for sl in slices:
@@ -981,15 +980,23 @@ def test_table_indexing_builds_the_same_bits(mu5, ifs14, monkeypatch):
     # a table of tables takes its rows' parents from its own parents
     monkeypatch.setattr(measure, "CHUNK", 4096)
     nested = fractal.cylinder_measure(ifs14, 5).points
-    assert nested.parents.builds
+    assert nested.source.builds
     for got, want in [(nested[idx], full[idx]), (nested[::4096], full[::4096]),
                       (nested[5:200_000:3], full[5:200_000:3])]:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    # one level of tables nests, and only with the ratio that dilates it
-    for parents, ratio in [(nested, 0.25), (nested.parents.table, None)]:
-        with pytest.raises(ValueError, match="table of arrays"):
-            AtomTable(parents, nested.translations, ratio=ratio)
+    # tables nest to any depth, each level the dilation of the one below
+    # translated: level 8 of two maps from its level-5 atoms
+    ifs = _two_maps()
+    r, shifts = ifs.maps[0].r, [s.q for s in ifs.maps]
+    table = BuiltView(ArrayView(core.dilate(r, fractal._cylinder_atoms(ifs, 5))), shifts)
+    for _ in range(2):
+        table = BuiltView(BuiltView(table, ratio=r), shifts)
+    full = fractal._cylinder_atoms(ifs, 8)
+    idx = np.array([0, 7, 100, 255, -2])
+    for got, want in [(np.asarray(table), full), (table[idx], full[idx]),
+                      (table.rows(slice(30, 200)), full[30:200])]:
+        assert got.tobytes() == want.tobytes()
 
 
 def _flat_and_nested(ifs, level):
@@ -997,9 +1004,9 @@ def _flat_and_nested(ifs, level):
     its level - 1 atoms and as a table of tables."""
     maps = ifs.maps
     parents = fractal._cylinder_atoms(ifs, level - 1)
-    flat = AtomTable(core.dilate(maps[0].r, parents), [s.q for s in maps])
+    flat = BuiltView(ArrayView(core.dilate(maps[0].r, parents)), [s.q for s in maps])
     nested = fractal.cylinder_measure(ifs, level)
-    assert nested.points.parents.builds
+    assert nested.points.source.builds
     return DiscreteMeasure(ifs.n, flat, nested.weights), nested
 
 
@@ -1040,7 +1047,7 @@ def test_a_table_row_that_overflows_is_refused_by_the_first_sweep():
     # a dilated parent clear of overflow (an array refuses one that is not
     # when it is made) and a finite translation, but the twist A(q, x) is
     # 2e310
-    table = AtomTable([[1e70, 0.0, 0.0]], [[0.0, 1e240, 0.0]])
+    table = BuiltView(ArrayView([[1e70, 0.0, 0.0]]), [[0.0, 1e240, 0.0]])
     mu = DiscreteMeasure(1, table, np.ones(1))
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isinf(mu.points[0][2])
@@ -1066,11 +1073,12 @@ def test_a_table_row_that_overflows_after_a_pieces_first_is_refused(nested):
     # row 0, the only first row, is finite, and so are the distances
     # between parents; only the twist of a later row, 2e310, overflows
     if nested:
-        table = AtomTable(AtomTable([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-                                    [[0.0, 0.0, 0.0], [1e70, 0.0, 0.0]]),
-                          [[0.0, 1e240, 0.0]], ratio=0.5)
+        inner = BuiltView(ArrayView([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+                          [[0.0, 0.0, 0.0], [1e70, 0.0, 0.0]])
+        table = BuiltView(BuiltView(inner, ratio=0.5), [[0.0, 1e240, 0.0]])
     else:
-        table = AtomTable([[0.0, 0.0, 0.0], [1e70, 0.0, 0.0]], [[0.0, 1e240, 0.0]])
+        table = BuiltView(ArrayView([[0.0, 0.0, 0.0], [1e70, 0.0, 0.0]]),
+                          [[0.0, 1e240, 0.0]])
     mu = DiscreteMeasure(1, table, np.ones(len(table)))
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.all(np.isfinite(mu.points[0]))
@@ -1078,7 +1086,7 @@ def test_a_table_row_that_overflows_after_a_pieces_first_is_refused(nested):
         with pytest.raises(ValueError, match="finite"):
             mu.ball_mass([0.0, 1e240, 0.0], 1.0)
     # rows of that size whose distances stay finite are swept
-    safe = AtomTable([[0.0, 0.0, 0.0], [1e70, 0.0, 0.0]], [[0.0, 1e70, 0.0]])
+    safe = BuiltView(ArrayView([[0.0, 0.0, 0.0], [1e70, 0.0, 0.0]]), [[0.0, 1e70, 0.0]])
     assert DiscreteMeasure(1, safe, np.ones(2)).ball_mass([0.0, 1e70, 0.0], 1.0) == 1.0
 
 
@@ -1111,9 +1119,10 @@ def _zoom(index, r):
 def _signed_table(n, nested):
     """A table of both signs in every coordinate, flat or nested."""
     rng = np.random.default_rng(7)
-    table = AtomTable(rng.normal(size=(40, 2 * n + 1)), rng.normal(size=(3, 2 * n + 1)))
+    table = BuiltView(ArrayView(rng.normal(size=(40, 2 * n + 1))),
+                      rng.normal(size=(3, 2 * n + 1)))
     if nested:
-        table = AtomTable(table, 4.0 * rng.normal(size=(5, 2 * n + 1)), ratio=0.5)
+        table = BuiltView(BuiltView(table, ratio=0.5), 4.0 * rng.normal(size=(5, 2 * n + 1)))
     return DiscreteMeasure(n, table, np.ones(len(table)))
 
 
@@ -1125,7 +1134,7 @@ def _signed_table(n, nested):
 def test_a_table_extent_bounds_every_row(make, chunk, nested, monkeypatch):
     monkeypatch.setattr(measure, "CHUNK", chunk)
     mu = make()
-    assert mu.points.parents.builds == nested
+    assert mu.points.source.builds == nested
     rows = np.abs(np.asarray(mu.points))
     assert np.all(rows <= mu.points.extent)
     # the twists take the vertical rows near the bound: it is not slack
@@ -1140,7 +1149,7 @@ def _zoom_source(kind):
         return DiscreteMeasure(1, np.asarray(mu.points), mu.weights)
     if kind == "zoom":
         return blowup_measure(mu, mu.points[7], 0.5, s=2.0)
-    assert mu.points.parents.builds == (kind == "nested")
+    assert mu.points.source.builds == (kind == "nested")
     return mu
 
 
@@ -1174,15 +1183,14 @@ def test_making_a_zoom_builds_none_of_its_rows(source, chunk, monkeypatch):
             return method(view, *args, **kwargs)
         return recorded
 
-    for cls in (measure.AtomView, measure.ArrayView, AtomTable, measure.DilatedTable,
-                BlowupView):
+    for cls in (measure.AtomView, ArrayView, BuiltView):
         for name in {"rows", "_take", "__getitem__"} & set(vars(cls)):
             monkeypatch.setattr(cls, name, recorder(cls, name))
     nu = blowup_measure(mu, centre, 0.25, s=2.0)
     assert read == []
     # the recorder sees a read
     nu.points[0]
-    assert ("BlowupView", "_take") in read
+    assert ("BuiltView", "_take") in read
 
 
 @pytest.mark.parametrize("make, chunk, exact", [
@@ -1200,7 +1208,7 @@ def test_making_a_zoom_builds_none_of_its_rows(source, chunk, monkeypatch):
 def test_every_view_reach_bounds_its_built_reach(make, chunk, exact, monkeypatch):
     monkeypatch.setattr(measure, "CHUNK", chunk)
     mu = make()
-    assert isinstance(mu.points, (AtomTable, BlowupView))
+    assert isinstance(mu.points, BuiltView)
     reach, built = mu.chunk_reach(), _built_reach(mu)
     assert reach.shape == built.shape
     # a reach from the parents or the source may fall below the built one
@@ -1219,23 +1227,21 @@ def test_a_table_or_zoom_reach_builds_none_of_its_rows(ifs14, monkeypatch, neste
         monkeypatch.setattr(measure, "CHUNK", 4096)
     mu = fractal.cylinder_measure(ifs14, 5)
     centre = mu.points[70_001]
-    assert mu.points.parents.builds == nested
+    assert mu.points.source.builds == nested
     built, taken = [], []
-    table_rows, zoom_rows, take = AtomTable.rows, BlowupView.rows, AtomTable._take
+    view_rows, take = BuiltView.rows, BuiltView._take
 
     def rows(view, sl, out=None, block=None):
         built.append((type(view).__name__, sl))
-        return (table_rows if isinstance(view, AtomTable) else zoom_rows)(
-            view, sl, out, block)
+        return view_rows(view, sl, out, block)
 
     def counted(view, idx):
         if view is mu.points:
             taken.append(len(idx))
         return take(view, idx)
 
-    monkeypatch.setattr(AtomTable, "rows", rows)
-    monkeypatch.setattr(BlowupView, "rows", rows)
-    monkeypatch.setattr(AtomTable, "_take", counted)
+    monkeypatch.setattr(BuiltView, "rows", rows)
+    monkeypatch.setattr(BuiltView, "_take", counted)
     # making the zoom builds no row, and takes none
     nu = blowup_measure(mu, centre, 0.25, s=2.0)
     assert built == [] and taken == []
@@ -1250,7 +1256,7 @@ def test_a_table_or_zoom_reach_builds_none_of_its_rows(ifs14, monkeypatch, neste
 def test_only_the_construction_sites_ask_which_view_they_hold():
     # what differs between views is an attribute or a method of the view;
     # isinstance against a view class only wraps an array, in
-    # DiscreteMeasure, or nests a table, in AtomTable
+    # DiscreteMeasure
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(Path(measure.__file__).parent.glob("*.py"))}
     classes = [node for tree in trees.values() for node in ast.walk(tree)
@@ -1262,7 +1268,7 @@ def test_only_the_construction_sites_ask_which_view_they_hold():
         if grown == views:
             break
         views = grown
-    assert views == {"AtomView", "ArrayView", "AtomTable", "DilatedTable", "BlowupView"}
+    assert views == {"AtomView", "ArrayView", "BuiltView"}
     found = set()
 
     def visit(node, scope):
@@ -1278,5 +1284,4 @@ def test_only_the_construction_sites_ask_which_view_they_hold():
 
     for name, tree in trees.items():
         visit(tree, name.removesuffix(".py"))
-    assert found == {"measure.DiscreteMeasure.__post_init__",
-                     "measure.AtomTable.__init__"}
+    assert found == {"measure.DiscreteMeasure.__post_init__"}

@@ -334,7 +334,7 @@ def test_level_6_sweeps_run_three_workers_within_the_budget(monkeypatch):
     # SWEEP_BYTES
     ifs = fractal.make_strichartz_ifs(1, 0.25)
     mu = fractal.cylinder_measure(ifs, 6)
-    assert mu.points.parents.builds
+    assert mu.points.source.builds
     mu.chunk_reach()
     points = mu.points[fractal.cycle_atom_indices(16, 6, 2)]
     params = RieszParams(s=2.0, n=1)
@@ -353,7 +353,7 @@ def test_n2_sweeps_over_a_nested_table_run_two_workers(monkeypatch):
     # rows, 1.31 MB, and 2.95 MB of its own half-chunk rows, so two fit in
     # SWEEP_BYTES, and the sweeps keep the bits of one worker
     mu = fractal.cylinder_measure(fractal.make_strichartz_ifs(2, 0.25), 4)
-    assert mu.points.parents.builds
+    assert mu.points.source.builds
     mu.chunk_reach()
     points = mu.points[[5, 1_000_003, 9_000_001]]
     params = RieszParams(s=4.0, n=2)
